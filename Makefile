@@ -3,7 +3,7 @@ PKGS     := ./...
 STAMP    := $(shell date -u +%Y%m%dT%H%M%SZ)
 FUZZTIME ?= 60s
 
-.PHONY: all build test vet lint lint-fixtures race verify fleet-smoke server-smoke fuzz bench bench-smoke bench-sweep bench-baseline-1x bench-gate bench-warm memo-compact benchdiff profile profile-diff clean
+.PHONY: all build test vet lint lint-fixtures race verify fleet-smoke server-smoke memo-verify-smoke fuzz bench bench-smoke bench-sweep bench-baseline-1x bench-gate bench-warm memo-compact benchdiff profile profile-diff clean
 
 all: build test
 
@@ -82,6 +82,27 @@ server-smoke:
 	wait $$pid2 || { echo "server-smoke: server 2 exited nonzero after SIGTERM"; cat $(SMOKEDIR)/server2.log; exit 1; }
 	@rm -rf $(SMOKEDIR)
 	@echo server-smoke OK
+
+# Memo audit smoke tier: fill a store with the two break-even figures,
+# then rerun them read-only under -fastforward verify — every adopted
+# cycle record is re-simulated and diffed, every stored sweep point
+# recomputed and bit-compared — and require byte-identical stdout. One
+# binary serves every run, so the store's build fingerprint matches. The
+# retired -memocache verify mode must exit 2 naming its replacement. Run
+# by CI on every push.
+VERIFYDIR := $(CURDIR)/.odrips-memo-verify-smoke
+memo-verify-smoke:
+	rm -rf $(VERIFYDIR) && mkdir -p $(VERIFYDIR)
+	$(GO) build -o $(VERIFYDIR)/ ./cmd/odrips-bench
+	$(VERIFYDIR)/odrips-bench -exp fig6a,fig6d -sweep fast -memocache rw -memocachedir $(VERIFYDIR)/store > $(VERIFYDIR)/fill.txt
+	$(VERIFYDIR)/odrips-bench -exp fig6a,fig6d -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -fastforward verify > $(VERIFYDIR)/audit.txt
+	cmp $(VERIFYDIR)/fill.txt $(VERIFYDIR)/audit.txt
+	code=0; $(VERIFYDIR)/odrips-bench -exp none -memocache verify -memocachedir $(VERIFYDIR)/store > /dev/null 2> $(VERIFYDIR)/retired.txt || code=$$?; \
+	if [ $$code -ne 2 ] || ! grep -q -e '-fastforward verify' $(VERIFYDIR)/retired.txt; then \
+		echo "memo-verify-smoke: -memocache verify exited $$code, want 2 naming -fastforward verify:"; cat $(VERIFYDIR)/retired.txt; exit 1; \
+	fi
+	@rm -rf $(VERIFYDIR)
+	@echo memo-verify-smoke OK
 
 # Long-run every fuzz target for FUZZTIME each (go only allows one -fuzz
 # pattern per package invocation). Run nightly by

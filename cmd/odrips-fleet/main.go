@@ -45,7 +45,7 @@ func main() {
 	format := flag.String("format", "text", "report format: text, json, or markdown")
 	outPath := flag.String("o", "", "write the report to `file` instead of stdout")
 	ffFlag := flag.String("fastforward", "on", "steady-state fast-forward: on, off, or verify (aggregates are byte-identical across all three)")
-	memoFlag := flag.String("memocache", "", "persistent memo store backing the plane: off, rw, ro, or verify")
+	memoFlag := flag.String("memocache", "", "persistent memo store backing the plane: off, rw, or ro (audit a store with -memocache ro -fastforward verify)")
 	memoDir := flag.String("memocachedir", "", "persistent memo store directory (default .odrips-memocache)")
 	flag.Parse()
 

@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"odrips"
-	"odrips/internal/fleet"
 	"odrips/internal/jobqueue"
 	"odrips/internal/memostore"
 	"odrips/internal/platform"
@@ -58,7 +57,7 @@ func main() {
 	retain := flag.Int("retain", 0, "finished jobs kept queryable (0 = 4096)")
 	planeClasses := flag.Int("plane-classes", 0, "shared memo plane class bound (0 = package default)")
 	ffFlag := flag.String("fastforward", "on", "steady-state fast-forward: on, off, or verify")
-	memoFlag := flag.String("memocache", "", "persistent memo store: off, rw, ro, or verify")
+	memoFlag := flag.String("memocache", "", "persistent memo store: off, rw, or ro (audit a store with -memocache ro -fastforward verify)")
 	memoDir := flag.String("memocachedir", "", "persistent memo store directory (default .odrips-memocache)")
 	drain := flag.Duration("drain", 30*time.Second, "max time to finish queued+running jobs on shutdown before canceling them")
 	progressEvery := flag.Duration("progress-interval", 100*time.Millisecond, "pacing of result-stream progress frames")
@@ -83,7 +82,6 @@ func main() {
 	// One plane for the process: every job warms it, every later job
 	// draws from it, the persistent store (when enabled) backs it.
 	plane := platform.NewMemoPlane(memostore.Default(), *planeClasses)
-	fleet.SetDefaultPlane(plane)
 	q := jobqueue.New(jobqueue.Options{
 		Capacity:   *capacity,
 		Workers:    *workers,

@@ -68,7 +68,7 @@ func main() {
 	breakeven := flag.Bool("breakeven", false, "sweep the empirical break-even residency vs the baseline configuration")
 	workers := flag.Int("workers", 0, "simulation worker pool size for -breakeven (0 = all cores, 1 = sequential)")
 	ffFlag := flag.String("fastforward", "on", "steady-state fast-forward: on, off, or verify (output is byte-identical across all three)")
-	memoFlag := flag.String("memocache", "", "persistent memo store: off, rw, ro, or verify (default: inherit ODRIPS_MEMOCACHE, normally off; output is byte-identical across all modes)")
+	memoFlag := flag.String("memocache", "", "persistent memo store: off, rw, or ro (default: inherit ODRIPS_MEMOCACHE, normally off; output is byte-identical across all modes; audit a store with -memocache ro -fastforward verify)")
 	memoDir := flag.String("memocachedir", "", "persistent memo store directory (default .odrips-memocache)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to `file`")

@@ -26,8 +26,7 @@
 //	            where they outlive Cancel and go stale silently.
 //	globalstate - internal/* packages must not hold loose package-level
 //	            mutable state; process-scoped state lives behind a single
-//	            owning struct (or a store-attached view) with an audited
-//	            allow.
+//	            owning struct with an audited allow.
 //	gotrack   - every go statement joins through a WaitGroup.Done in its
 //	            body or carries an allow; goroutines must not launch inside
 //	            a range over a map.

@@ -195,9 +195,8 @@ func TestLoaderUnits(t *testing.T) {
 func TestGlobalStateAllowRoster(t *testing.T) {
 	want := map[string]bool{
 		"internal/experiments/engine.go":   true, // -workers default + bounded point memo
-		"internal/fleet/root.go":           true, // shared fleet memo plane
 		"internal/memostore/memostore.go":  true, // default persistent store + build fingerprint
-		"internal/platform/fastforward.go": true, // -fastforward process default
+		"internal/platform/fastforward.go": true, // -fastforward default + default memo plane
 	}
 	got := map[string]bool{}
 	root := filepath.Join("..", "..")

@@ -26,8 +26,8 @@ import (
 // composition-root defaults set once by flag/env wiring — must be
 // gathered behind a single owning struct and carry an audited
 // //odrips:allow globalstate directive; everything else belongs in an
-// instance plumbed from whoever owns its lifetime (the ffBundles cache
-// hanging off its memostore.Store is the canonical fix).
+// instance plumbed from whoever owns its lifetime (the fleet engine's
+// memo plane, passed to each job by its caller, is the canonical fix).
 //
 // Known hole, accepted: mutation through an alias (`p := &global` followed
 // by `p.x = ...`) or inside a method call is invisible to the write check;
@@ -89,7 +89,7 @@ func runGlobalstate(pass *Pass) {
 	for _, v := range vars {
 		if kind := processStateIn(v.obj.Type()); kind != "" {
 			pass.Reportf(v.id.Pos(),
-				"package-level var %s holds process-wide mutable state (%s); own it in a struct plumbed from the composition root (or a store-attached view), or justify it with //odrips:allow globalstate",
+				"package-level var %s holds process-wide mutable state (%s); own it in a struct plumbed from the composition root, or justify it with //odrips:allow globalstate",
 				v.id.Name, kind)
 			delete(byObj, v.obj) // one finding per var
 		}

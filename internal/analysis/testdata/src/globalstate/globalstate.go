@@ -28,6 +28,22 @@ var limit = 64
 //odrips:allow globalstate fixture exercises the allow path
 var allowed sync.Once
 
+// Good with an allow: a composition root gathers a package's process
+// state behind one owning struct, the only shape the rule lets through.
+//
+//odrips:allow globalstate fixture exercises an owning composition-root struct
+var root struct {
+	mu    sync.Mutex
+	cache map[string]int
+}
+
+// Reset mutates the allowed root; the allow covers the write check too.
+func Reset() {
+	root.mu.Lock()
+	defer root.mu.Unlock()
+	root.cache = nil
+}
+
 // Bump mutates the package-level state the write check flags.
 func Bump() {
 	count++

@@ -197,8 +197,9 @@ func ResetPointCache() {
 // simulations entirely. An entry is one 8-byte little-endian word — the
 // sweep average's Float64bits or the transition duration — keyed by the
 // canonical config's exact Go representation plus the grid coordinates.
-// Determinism makes the equality contract exact: in Verify mode the point
-// is re-simulated and the stored bits must match to the last bit.
+// Determinism makes the equality contract exact: under -fastforward=verify
+// the point is re-simulated and the stored bits must match to the last
+// bit.
 
 // pointDiskKey renders a stable store key for a canonicalized config.
 func pointDiskKey(cfg platform.Config, residency sim.Duration, cycles int) []byte {
@@ -215,35 +216,29 @@ func pointDiskLoad(class string, key []byte) (uint64, bool) {
 	return binary.LittleEndian.Uint64(payload), true
 }
 
-// pointDiskVerify diffs a freshly computed point against the stored bits
-// in -memocache=verify mode.
-func pointDiskVerify(class string, key []byte, got uint64) error {
-	if memostore.Default().Mode() != memostore.Verify {
-		return nil
-	}
-	stored, ok := pointDiskLoad(class, key)
-	if ok && stored != got {
-		return fmt.Errorf("experiments: memocache verify: %s point diverged from persistent memo (stored %#x, computed %#x)", class, stored, got)
-	}
-	return nil
-}
-
 // pointMemo funnels one 8-byte point through the persistent store's
 // load-miss→compute→save pipeline with in-process single-flight dedup
 // (memostore.Store.LoadOrCompute): N sweep workers hitting the same cold
 // point simulate it once and share the leader's bits — byte-identical to
-// each recomputing, since points are deterministic. Verify mode is
-// honored inside the pipeline: the load is skipped and the fresh bits
-// are diffed against the stored ones by pointDiskVerify. With no store
+// each recomputing, since points are deterministic. Under
+// -fastforward=verify no stored point is trusted: the point is
+// re-simulated and diffed against the stored bits. With no store
 // installed this degrades to a plain simulate call.
 func pointMemo(class string, diskKey []byte, simulate func() (uint64, error)) (uint64, error) {
+	if platform.DefaultFastForward() == platform.FFVerify {
+		bits, err := simulate()
+		if err != nil {
+			return 0, err
+		}
+		if stored, ok := pointDiskLoad(class, diskKey); ok && stored != bits {
+			return 0, fmt.Errorf("experiments: fastforward verify: %s point diverged from persistent memo (stored %#x, computed %#x)", class, stored, bits)
+		}
+		return bits, nil
+	}
 	payload, err := memostore.Default().LoadOrCompute(class, diskKey, func() ([]byte, error) {
 		bits, serr := simulate()
 		if serr != nil {
 			return nil, serr
-		}
-		if verr := pointDiskVerify(class, diskKey, bits); verr != nil {
-			return nil, verr
 		}
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], bits)
@@ -257,14 +252,7 @@ func pointMemo(class string, diskKey []byte, simulate func() (uint64, error)) (u
 	}
 	// A stored payload of the wrong shape is a miss by the point-memo
 	// contract (pointDiskLoad's size check); re-simulate directly.
-	bits, err := simulate()
-	if err != nil {
-		return 0, err
-	}
-	if err := pointDiskVerify(class, diskKey, bits); err != nil {
-		return 0, err
-	}
-	return bits, nil
+	return simulate()
 }
 
 // sweepAverage measures the average power of the idle cycle — entry, idle

@@ -118,7 +118,7 @@ func runReps(ctx context.Context, s Spec, reps []classRep, attach func(*platform
 
 // Run executes a fleet job. plane is the shared memo plane the job warms
 // and draws from; nil creates a fresh one sized for the job (the common
-// case for one-shot CLI runs — long-lived services pass DefaultPlane()).
+// case for one-shot CLI runs — long-lived services pass their own plane).
 //
 // The report is byte-identical at any Workers count, and its Aggregates
 // section additionally at any Shards count and fast-forward mode,

@@ -189,8 +189,8 @@ func TestFleetHomogeneousHitRate(t *testing.T) {
 	}
 }
 
-// TestFleetLoadHarness hammers the shared default plane with many
-// concurrent fleet jobs (two alternating specs sharing a memo class) and
+// TestFleetLoadHarness hammers one shared plane with many concurrent
+// fleet jobs (two alternating specs sharing a memo class) and
 // checks every job's aggregates against sequential golden runs. The CI
 // fleet-smoke tier raises the job count via ODRIPS_FLEET_LOAD_JOBS and
 // runs this under -race.
@@ -217,8 +217,7 @@ func TestFleetLoadHarness(t *testing.T) {
 		want[i] = mustAggJSON(t, rep)
 	}
 
-	SetDefaultPlane(platform.NewMemoPlane(nil, 0))
-	t.Cleanup(func() { SetDefaultPlane(platform.NewMemoPlane(nil, 0)) })
+	shared := platform.NewMemoPlane(nil, 0)
 	const lanes = 8
 	errs := make(chan error, lanes)
 	var wg sync.WaitGroup
@@ -228,7 +227,7 @@ func TestFleetLoadHarness(t *testing.T) {
 			defer wg.Done()
 			for j := lane; j < jobs; j += lanes {
 				i := j % len(specs)
-				rep, err := Run(specs[i], DefaultPlane())
+				rep, err := Run(specs[i], shared)
 				if err != nil {
 					errs <- fmt.Errorf("job %d: %w", j, err)
 					return
@@ -317,6 +316,45 @@ func TestFleetSecondProcessRecomputesNothing(t *testing.T) {
 	stC := storeC.Stats()
 	if stC.Writes != 0 || stC.ClaimsOwned != 0 || stC.PackHits == 0 {
 		t.Fatalf("packed-store process stats %+v: want pure pack hits", stC)
+	}
+}
+
+// TestFleetWarmJobLoadsOnlyThroughPlane: a warm fleet job over a
+// read-only default store touches the store only through its own plane —
+// one load per class the plane did not already hold, every one a hit.
+// No platform of the job loads on the side (the plane is the only
+// in-process cycle cache, so nothing else may ask the store for cycles).
+func TestFleetWarmJobLoadsOnlyThroughPlane(t *testing.T) {
+	s := mixedSpec()
+	s.Spread.SeedStride = 7
+	dir := t.TempDir()
+	fill, err := PlaneFor(s, fleetStore(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(s, fill); err != nil {
+		t.Fatal(err)
+	}
+
+	ro, err := memostore.Open(dir, memostore.RO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memostore.SetDefault(ro)
+	t.Cleanup(func() { memostore.SetDefault(nil) })
+	plane, err := PlaneFor(s, memostore.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(s, plane); err != nil {
+		t.Fatal(err)
+	}
+	st, ps := ro.Stats(), plane.Stats()
+	if st.Misses != 0 {
+		t.Errorf("warm job missed the store %d times: %+v", st.Misses, st)
+	}
+	if st.Hits != ps.Class.Misses {
+		t.Errorf("store hits %d != plane class misses %d: something loaded outside the plane", st.Hits, ps.Class.Misses)
 	}
 }
 

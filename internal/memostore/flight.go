@@ -54,27 +54,21 @@ func (f *Flight[V]) Do(key string, compute func() (V, error)) (v V, shared bool,
 // LoadOrCompute is the memo pipeline load-miss→compute→save with
 // in-process single-flight dedup: concurrent callers for the same
 // (class, key) share one compute, and the result is persisted (when the
-// store is writable) so later waves — and other processes — load it. In
-// Verify mode the load is skipped, matching the mode's contract that the
-// caller's compute re-simulates and diffs; a nil store degrades to a
-// plain compute call. A *CorruptError from the load is a fail-safe miss
-// and falls through to compute.
+// store is writable) so later waves — and other processes — load it. A
+// nil store degrades to a plain compute call. A *CorruptError from the
+// load is a fail-safe miss and falls through to compute.
 func (s *Store) LoadOrCompute(class string, key []byte, compute func() ([]byte, error)) ([]byte, error) {
 	if s == nil {
 		return compute()
 	}
-	if s.mode != Verify {
-		if payload, ok, err := s.Load(class, key); err == nil && ok {
-			return payload, nil
-		}
+	if payload, ok, err := s.Load(class, key); err == nil && ok {
+		return payload, nil
 	}
 	v, shared, err := s.flight.Do(class+"\x00"+string(key), func() ([]byte, error) {
 		// Re-probe under the flight: a previous leader may have landed
 		// the entry between our miss above and winning the lead.
-		if s.mode != Verify {
-			if payload, ok, lerr := s.Load(class, key); lerr == nil && ok {
-				return payload, nil
-			}
+		if payload, ok, lerr := s.Load(class, key); lerr == nil && ok {
+			return payload, nil
 		}
 		payload, cerr := compute()
 		if cerr != nil {

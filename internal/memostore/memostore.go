@@ -58,10 +58,6 @@ const (
 	RW
 	// RO loads entries but never writes (shared/read-only caches).
 	RO
-	// Verify loads entries but callers must re-compute every loaded
-	// value and fail on divergence — the same contract as
-	// -fastforward=verify. The store itself behaves like RO.
-	Verify
 )
 
 // String renders the flag form.
@@ -71,14 +67,12 @@ func (m Mode) String() string {
 		return "rw"
 	case RO:
 		return "ro"
-	case Verify:
-		return "verify"
 	default:
 		return "off"
 	}
 }
 
-// ParseMode parses the -memocache flag values off|rw|ro|verify.
+// ParseMode parses the -memocache flag values off|rw|ro.
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "off":
@@ -88,13 +82,15 @@ func ParseMode(s string) (Mode, error) {
 	case "ro":
 		return RO, nil
 	case "verify":
-		return Verify, nil
+		// The audit belongs to the fast-forward engine, which re-simulates
+		// and diffs every adopted memo whatever store it came from.
+		return Off, fmt.Errorf("memostore: mode \"verify\" was folded into -fastforward verify; audit a store with -memocache ro -fastforward verify")
 	}
-	return Off, fmt.Errorf("memostore: mode %q (want off, rw, ro, or verify)", s)
+	return Off, fmt.Errorf("memostore: mode %q (want off, rw, or ro)", s)
 }
 
 // Readable reports whether loads may return hits.
-func (m Mode) Readable() bool { return m == RW || m == RO || m == Verify }
+func (m Mode) Readable() bool { return m == RW || m == RO }
 
 // Writable reports whether saves persist.
 func (m Mode) Writable() bool { return m == RW }
@@ -154,7 +150,6 @@ type Stats struct {
 	ClaimTakeovers uint64 `json:"claim_takeovers"` // stale claims removed (presumed-dead owners)
 
 	// Footprint snapshot, filled by Stats() at call time (not counters):
-	Views         int    `json:"views"`          // live decoded in-process views (View minus DropView)
 	DiskEntries   uint64 `json:"disk_entries"`   // unique logical entries (packed ∪ loose; an entry both packed and loose counts once)
 	DiskBytes     uint64 `json:"disk_bytes"`     // total bytes of .memo and .pack files
 	Segments      int    `json:"segments"`       // accepted pack segments
@@ -176,11 +171,6 @@ type Store struct {
 	// tmpSeq disambiguates temp files within the process; combined with
 	// the PID it keeps concurrent writers from colliding.
 	tmpSeq atomic.Uint64
-
-	// views holds per-store decoded singletons (class -> any), the
-	// owning home for in-process caches that used to be package-level
-	// state in the consuming packages; see View.
-	views sync.Map
 
 	// packOnce guards the once-per-open pack-segment index load; packs
 	// holds the immutable index, swapped wholesale by Compact (pack.go).
@@ -238,40 +228,8 @@ func (s *Store) BuildFingerprint() [32]byte {
 	return s.buildFP
 }
 
-// View returns the store's singleton view for class, building it on
-// first use. Under contention build may run more than once, but every
-// caller observes the single kept result, so builders must return a
-// cheap empty container and defer real work (disk loads) to the view's
-// own methods. It exists so consuming
-// packages can hang their in-process decoded caches off the store that
-// feeds them instead of off package-level variables: the cache's
-// lifetime and identity then follow the store's (a test swapping stores
-// implicitly starts from an empty view), and the odrips-vet globalstate
-// rule can ban package-level mutable state outright. A nil store has no
-// views and returns nil.
-func (s *Store) View(class string, build func() any) any {
-	if s == nil {
-		return nil
-	}
-	if v, ok := s.views.Load(class); ok {
-		return v
-	}
-	v, _ := s.views.LoadOrStore(class, build())
-	return v
-}
-
-// DropView discards the store's view for class, so the next View call
-// rebuilds it (and its builder re-reads disk). Benchmarks use it to
-// measure the honest disk-warm path; a nil store is a no-op.
-func (s *Store) DropView(class string) {
-	if s == nil {
-		return
-	}
-	s.views.Delete(class)
-}
-
 // Stats returns a snapshot of the store's counters plus its current
-// footprint: live view count and on-disk entry count/bytes. The disk
+// footprint: on-disk entry count/bytes and the segment index. The disk
 // half walks the store directory, so Stats is a reporting call, not a
 // hot-path one; a directory read error simply leaves the disk fields
 // zero (stats must never be able to break a run).
@@ -282,7 +240,6 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	st := s.stats
 	s.mu.Unlock()
-	s.views.Range(func(_, _ any) bool { st.Views++; return true })
 	idx := s.packIndexView()
 	st.Segments = len(idx.segments)
 	st.PackedEntries = len(idx.entries)
@@ -565,7 +522,8 @@ func BuildFingerprintHex() string {
 // ---- Process-wide default store ----
 
 // SetDefault installs the process-wide store consumed by the platform
-// and experiment memo layers. nil turns persistence off.
+// and experiment memo layers; the platform's default memo plane follows
+// it. nil turns persistence off.
 func SetDefault(s *Store) { proc.defaultStore.Store(s) }
 
 // Default returns the process-wide store (nil when off).
@@ -574,11 +532,13 @@ func Default() *Store { return proc.defaultStore.Load() }
 // init wires the default store from the environment so test binaries and
 // benchmark runs can opt in without flag plumbing:
 //
-//	ODRIPS_MEMOCACHE=off|rw|ro|verify   (default off)
+//	ODRIPS_MEMOCACHE=off|rw|ro          (default off)
 //	ODRIPS_MEMOCACHE_DIR=<dir>          (default .odrips-memocache)
 //
-// A bad mode or an unopenable directory silently falls back to Off — the
-// cache must never be able to break a run.
+// A bad mode — including the retired "verify"; audit a store with
+// ODRIPS_MEMOCACHE=ro under -fastforward verify instead — or an
+// unopenable directory silently falls back to Off: the cache must never
+// be able to break a run.
 func init() {
 	mode, err := ParseMode(os.Getenv("ODRIPS_MEMOCACHE"))
 	if err != nil || mode == Off {

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -73,14 +74,6 @@ func TestModes(t *testing.T) {
 		t.Fatalf("ro: save must not persist (ok=%v err=%v)", ok, err)
 	}
 
-	ver, err := Open(dir, Verify)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := ver.Load("c", []byte("k")); err != nil || !ok {
-		t.Fatalf("verify: want hit, callers re-compute and compare (ok=%v err=%v)", ok, err)
-	}
-
 	var off *Store // nil store behaves as Off everywhere
 	if off.Mode() != Off {
 		t.Fatal("nil store mode")
@@ -98,7 +91,7 @@ func TestParseMode(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want Mode
-	}{{"off", Off}, {"rw", RW}, {"ro", RO}, {"verify", Verify}} {
+	}{{"off", Off}, {"rw", RW}, {"ro", RO}} {
 		got, err := ParseMode(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseMode(%q) = %v, %v", tc.in, got, err)
@@ -109,6 +102,10 @@ func TestParseMode(t *testing.T) {
 	}
 	if _, err := ParseMode("bogus"); err == nil {
 		t.Fatal("want error for bogus mode")
+	}
+	// The former audit mode names its replacement.
+	if _, err := ParseMode("verify"); err == nil || !strings.Contains(err.Error(), "-fastforward verify") {
+		t.Fatalf("ParseMode(verify) = %v; want an error naming -fastforward verify", err)
 	}
 }
 
@@ -312,71 +309,16 @@ func flipByte(t *testing.T, path string, off int) {
 	writeT(t, path, data)
 }
 
-// TestConcurrentViewDropView hammers View/DropView/Stats from many
-// goroutines under -race: the fleet engine's shared memo plane hangs off
-// store views while the load harness churns them, so the discipline here
-// is part of the concurrency contract. Beyond race-freedom, it asserts
-// the View invariant that every caller between two drops observes the
-// same singleton.
-func TestConcurrentViewDropView(t *testing.T) {
-	s := openT(t, RW)
-	classes := []string{"cycles", "platform.cycles", "sweep", "trans"}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 400; i++ {
-				class := classes[(g+i)%len(classes)]
-				v := s.View(class, func() any { return new(sync.Map) })
-				if v == nil {
-					t.Errorf("View(%q) returned nil on a live store", class)
-					return
-				}
-				again := s.View(class, func() any { return new(sync.Map) })
-				// No drop can have happened between the two calls only if
-				// nobody else dropped; so just exercise, and assert the
-				// singleton property single-threaded below.
-				_ = again
-				if i%13 == 0 {
-					s.DropView(class)
-				}
-				if i%29 == 0 {
-					s.Stats()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	// Single-threaded singleton check: between drops, View returns one
-	// identity.
-	v1 := s.View("cycles", func() any { return new(sync.Map) })
-	v2 := s.View("cycles", func() any { return new(sync.Map) })
-	if v1 != v2 {
-		t.Fatal("View returned distinct singletons without an intervening DropView")
-	}
-	s.DropView("cycles")
-	v3 := s.View("cycles", func() any { return new(sync.Map) })
-	if v3 == v1 {
-		t.Fatal("DropView did not discard the view")
-	}
-}
-
-// TestStatsFootprint checks the Stats() point-in-time fields: live view
-// count and on-disk entry count/bytes.
+// TestStatsFootprint checks the Stats() point-in-time fields: on-disk
+// entry count/bytes.
 func TestStatsFootprint(t *testing.T) {
 	s := openT(t, RW)
-	if st := s.Stats(); st.Views != 0 || st.DiskEntries != 0 || st.DiskBytes != 0 {
+	if st := s.Stats(); st.DiskEntries != 0 || st.DiskBytes != 0 {
 		t.Fatalf("fresh store footprint %+v", st)
 	}
 	s.Save("sweep", []byte("k1"), []byte("payload-one"))
 	s.Save("trans", []byte("k2"), []byte("p2"))
-	s.View("cycles", func() any { return new(sync.Map) })
 	st := s.Stats()
-	if st.Views != 1 {
-		t.Fatalf("Views = %d want 1", st.Views)
-	}
 	if st.DiskEntries != 2 {
 		t.Fatalf("DiskEntries = %d want 2", st.DiskEntries)
 	}
@@ -394,10 +336,6 @@ func TestStatsFootprint(t *testing.T) {
 	}
 	if st.DiskBytes != wantBytes {
 		t.Fatalf("DiskBytes = %d want %d", st.DiskBytes, wantBytes)
-	}
-	s.DropView("cycles")
-	if st := s.Stats(); st.Views != 0 {
-		t.Fatalf("Views after DropView = %d want 0", st.Views)
 	}
 	// A nil store reports a zero footprint rather than erroring.
 	var nilStore *Store

@@ -454,24 +454,3 @@ func TestLoadOrComputeNilStore(t *testing.T) {
 		t.Fatalf("nil store: %q %v", got, err)
 	}
 }
-
-// TestVerifyModeRecomputesPacked pins the -memocache verify contract for
-// packed entries: LoadOrCompute in Verify mode must run the compute even
-// when the entry is served by a segment.
-func TestVerifyModeRecomputesPacked(t *testing.T) {
-	s := openT(t, RW)
-	key := []byte("k")
-	s.Save("sweep", key, []byte("stored"))
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	v := reopen(t, s, Verify)
-	var computes atomic.Int32
-	got, err := v.LoadOrCompute("sweep", key, func() ([]byte, error) {
-		computes.Add(1)
-		return []byte("stored"), nil
-	})
-	if err != nil || string(got) != "stored" || computes.Load() != 1 {
-		t.Fatalf("verify mode: got=%q err=%v computes=%d", got, err, computes.Load())
-	}
-}

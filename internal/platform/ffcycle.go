@@ -378,18 +378,15 @@ func (p *Platform) ffBeginRecording(key ffKey) {
 		ff.records = make(map[ffKey]*cycleRecord)
 	}
 	existing := ff.records[key]
-	if existing != nil && ff.mode != FFVerify && !ff.verifyKeys[key] {
+	if existing != nil && ff.mode != FFVerify {
 		return // recorded but not replayable; nothing to gain
 	}
-	capN := ff.recordCap
-	if capN == 0 {
-		capN = ffRecordCap
-		if ff.persist != nil {
-			// With a persistent store attached every class is worth
-			// keeping: a jittered run's classes never recur in-process
-			// but do recur across runs of the same seed.
-			capN = ffPersistRecordCap
-		}
+	capN := ffRecordCap
+	if ff.attached {
+		// With a plane or snapshot attached every class is worth keeping:
+		// a jittered run's classes never recur in-process but do recur
+		// across devices and runs.
+		capN = ffPersistRecordCap
 	}
 	if existing == nil && len(ff.records) >= capN {
 		return
@@ -555,12 +552,8 @@ func (p *Platform) ffFinalizeRecording(ok bool, fp [32]byte) {
 
 	if rec.expect != nil {
 		if !reflect.DeepEqual(cr, rec.expect) {
-			src := "memo"
-			if ff.verifyKeys[rec.key] {
-				src = "persistent memo"
-			}
-			p.fail("platform: fastforward verify: cycle record diverged from %s (key %x…, dur %v vs %v)",
-				src, rec.key.fp[:4], cr.dur, rec.expect.dur)
+			p.fail("platform: fastforward verify: cycle record diverged from memo (key %x…, dur %v vs %v)",
+				rec.key.fp[:4], cr.dur, rec.expect.dur)
 		}
 		return
 	}
@@ -580,14 +573,7 @@ func (p *Platform) ffTryReplay(fp [32]byte, cycles []workload.Cycle, idx int) in
 		return 0
 	}
 	c := cycles[idx]
-	key := ffKey{fp: fp, active: c.Active, idle: c.Idle, wake: c.Wake}
-	if ff.verifyKeys[key] {
-		// -memocache=verify: a disk-loaded class is never replayed; the
-		// cycle simulates in full and ffFinalizeRecording diffs it
-		// against the loaded record.
-		return 0
-	}
-	rec := ff.records[key]
+	rec := ff.records[ffKey{fp: fp, active: c.Active, idle: c.Idle, wake: c.Wake}]
 	if rec == nil || !rec.replayable {
 		return 0
 	}

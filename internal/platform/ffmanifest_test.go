@@ -176,10 +176,9 @@ var ffExcluded = map[string]string{
 	"platform.ffState.restoreOp":   "Layer-1 memo bookkeeping, output-invariant",
 	"platform.ffState.records":     "the memo itself",
 	"platform.ffState.rec":         "in-progress recording bookkeeping",
-	"platform.ffState.store":       "persistent memo plumbing; loaded records replay only when the live fingerprint recurs",
-	"platform.ffState.persist":     "persistent memo plumbing; shared bundle handle, output-invariant by the replay contract",
-	"platform.ffState.verifyKeys":  "verify-tier bookkeeping: forces full simulation plus a diff, never changes outputs",
-	"platform.ffState.recordCap":   "memo capacity knob: bounds what is recorded, never what a record replays",
+	"platform.ffState.plane":       "memo plane plumbing; adopted records replay only when the live fingerprint recurs",
+	"platform.ffState.persist":     "memo plane plumbing; shared bundle handle, output-invariant by the replay contract",
+	"platform.ffState.attached":    "memo capacity knob: bounds what is recorded, never what a record replays",
 	"platform.ffState.fpBuf":       "dead: serialization scratch",
 	"platform.ffState.nomScratch":  "dead: replay scratch",
 	"platform.ffState.battScratch": "dead: replay scratch",

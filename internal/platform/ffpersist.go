@@ -7,37 +7,30 @@ import (
 	"sort"
 	"sync"
 
-	"odrips/internal/memostore"
 	"odrips/internal/power"
 	"odrips/internal/sim"
 	"odrips/internal/workload"
 )
 
-// This file persists the cycle-replay memo (ffcycle.go) through
-// internal/memostore (DESIGN.md §13). The unit of persistence is a
-// bundle: every cycle record for one canonical platform configuration,
-// stored under the configuration's printed form as the content key. The
-// store's header (schema version + build fingerprint) invalidates the
-// cache wholesale on any code change, so the key only needs to be stable
-// within a build — Config is a pure value type, so %#v is.
+// This file is the on-disk form of the cycle-replay memo (ffcycle.go):
+// the bundle codec the memo plane (memoplane.go) loads and flushes
+// through internal/memostore (DESIGN.md §13). The unit of persistence is
+// a bundle: every cycle record for one memo class, stored under the
+// class key. The store's header (schema version + build fingerprint)
+// invalidates the cache wholesale on any code change, so the key only
+// needs to be stable within a build — Config is a pure value type, so
+// %#v is.
 //
 // Soundness does not rest on the decoder: a loaded record is only ever
 // used when the live boundary fingerprint recurs (recomputed from live
 // state every boundary, exactly as for in-process records), so a stale
-// or mismatched record is unreachable, and -memocache=verify
-// additionally re-simulates every disk-loaded class and diffs the full
-// record, the same contract as -fastforward=verify.
-//
-// Bundles are shared across platforms in-process — the ROADMAP's
-// "shared cross-device memo store" — so worker-pool sweeps and repeated
-// runs of one config reuse each other's records. The cache itself is
-// owned by the memostore.Store it mirrors (ffBundles, via Store.View),
-// never by a package-level variable, so its identity follows the
-// store's and the odrips-vet globalstate rule holds.
+// or mismatched record is unreachable, and -fastforward=verify
+// re-simulates every cycle and diffs it against the adopted record.
 
-// ffPersistRecordCap replaces ffRecordCap when a persistent store is
-// attached: a six-hour jittered run produces one class per cycle (~720),
-// all of which are worth keeping once they can be reused across runs.
+// ffPersistRecordCap replaces ffRecordCap for a platform attached to a
+// memo plane or snapshot: a six-hour jittered run produces one class per
+// cycle (~720), all of which are worth keeping once they can be shared
+// across devices and runs.
 const ffPersistRecordCap = 8192
 
 // ffBundleVersion versions the bundle payload layout inside the store
@@ -55,124 +48,15 @@ const ffBundleVersion = 1
 //odrips:schema ffKey cycleRecord
 const ffBundleSchemaHash = "e402e53416a3e4030e46a2b0cbaae17f6a97a1f3a5632e294e16b34043bda70a"
 
-// ffBundle is the in-process face of one persisted bundle. Its mutex
-// guards records/fromDisk/dirty; the record values themselves are
-// immutable once published, so readers may hold pointers lock-free.
+// ffBundle is one memo class's record set inside a plane. Its mutex
+// guards records/dirty; the record values themselves are immutable once
+// published, so readers may hold pointers lock-free.
 type ffBundle struct {
 	key string
 
-	mu       sync.Mutex
-	loaded   bool
-	records  map[ffKey]*cycleRecord
-	fromDisk map[ffKey]bool
-	dirty    bool
-}
-
-// ffBundles owns the cross-platform bundle cache for one store. It is
-// never a package-level variable: the instance hangs off the
-// memostore.Store that feeds it (Store.View), so its identity and
-// lifetime follow the store's — a test swapping stores implicitly
-// starts from an empty cache, and the odrips-vet globalstate rule holds
-// for this package.
-type ffBundles struct {
 	mu      sync.Mutex
-	bundles map[string]*ffBundle
-}
-
-// ffBundleViewClass names the platform's view slot on a store.
-const ffBundleViewClass = "platform.cycles"
-
-// ffBundleView returns the store-owned bundle cache.
-func ffBundleView(s *memostore.Store) *ffBundles {
-	v, _ := s.View(ffBundleViewClass, func() any {
-		return &ffBundles{bundles: make(map[string]*ffBundle)}
-	}).(*ffBundles)
-	return v
-}
-
-// ffConfigKey is the bundle content key for a platform configuration.
-func ffConfigKey(cfg Config) string { return fmt.Sprintf("%#v", cfg) }
-
-// ffAcquireBundle returns (creating and disk-loading if needed) the
-// shared bundle for cfgKey under store s.
-func ffAcquireBundle(s *memostore.Store, cfgKey string) *ffBundle {
-	view := ffBundleView(s)
-	view.mu.Lock()
-	b := view.bundles[cfgKey]
-	if b == nil {
-		b = &ffBundle{
-			key:      cfgKey,
-			records:  make(map[ffKey]*cycleRecord),
-			fromDisk: make(map[ffKey]bool),
-		}
-		view.bundles[cfgKey] = b
-	}
-	view.mu.Unlock()
-
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.loaded {
-		return b
-	}
-	b.loaded = true
-	switch payload, ok, err := s.Load("cycles", []byte(cfgKey)); {
-	case err != nil:
-		// Typed corruption (*memostore.CorruptError) is a fail-safe miss
-		// by the store's contract: it was counted there, the bundle stays
-		// empty, and a later flush overwrites the damaged entry.
-	case ok:
-		if recs, derr := ffDecodeBundle(payload); derr == nil {
-			b.records = recs
-			for k := range recs {
-				b.fromDisk[k] = true
-			}
-		}
-		// A decode error degrades to an empty bundle: the entry passed
-		// the store's checksum but predates a bundle-layout change that
-		// forgot to bump ffBundleVersion; recompute and overwrite. The
-		// odrips-vet schemahash rule exists to make that path dead code.
-	}
-	return b
-}
-
-// ResetPersistentMemos drops the in-process bundle cache hanging off the
-// default store, so the next platform reloads from disk. Benchmarks use
-// it to measure the honest disk-warm path; tests use it to simulate a
-// fresh process.
-func ResetPersistentMemos() {
-	memostore.Default().DropView(ffBundleViewClass)
-}
-
-// ffAttachPersist hooks the platform's cycle memo to the process default
-// store, adopting every already-known record for this configuration.
-// Called from New; a nil/off store leaves persistence detached.
-func (p *Platform) ffAttachPersist() {
-	s := memostore.Default()
-	if s.Mode() == memostore.Off {
-		return
-	}
-	ff := &p.ff
-	b := ffAcquireBundle(s, ffConfigKey(p.cfg))
-	ff.store = s
-	ff.persist = b
-
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.records) == 0 {
-		return
-	}
-	if ff.records == nil {
-		ff.records = make(map[ffKey]*cycleRecord, len(b.records))
-	}
-	for k, cr := range b.records {
-		ff.records[k] = cr
-	}
-	if s.Mode() == memostore.Verify && len(b.fromDisk) > 0 {
-		ff.verifyKeys = make(map[ffKey]bool, len(b.fromDisk))
-		for k := range b.fromDisk {
-			ff.verifyKeys[k] = true
-		}
-	}
+	records map[ffKey]*cycleRecord
+	dirty   bool
 }
 
 // ffPersistAdd publishes a freshly finalized record to the shared
@@ -191,31 +75,13 @@ func (ff *ffState) ffPersistAdd(key ffKey, cr *cycleRecord) {
 	}
 }
 
-// ffFlushPersist writes the bundle back to the store when it gained
-// records. Called at the end of a successful RunCycles; a write failure
-// is dropped (the store counts it).
-func (p *Platform) ffFlushPersist() {
-	ff := &p.ff
-	b := ff.persist
-	if b == nil || !ff.store.Mode().Writable() {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.dirty || len(b.records) == 0 {
-		return
-	}
-	ff.store.Save("cycles", []byte(b.key), ffEncodeBundle(b.records))
-	b.dirty = false
-}
-
 // ---- Bundle codec ----
 //
 // Hand-rolled little-endian serialization in a fixed field order. The
 // decoder is total (bounds-checked, error-latched) and reconstructs the
 // exact value shapes ffFinalizeRecording produces — non-nil empty steps
 // slice, nil-when-empty ltrTimers, always-non-nil shallowD — because
-// -memocache=verify diffs disk-loaded records against freshly recorded
+// -fastforward=verify diffs disk-loaded records against freshly recorded
 // ones with reflect.DeepEqual.
 
 // ffEncodeBundle serializes every record, sorted by key for a

@@ -12,8 +12,8 @@ import (
 	"odrips/internal/workload"
 )
 
-// withStore opens a default store for the test and tears the process
-// globals back down afterwards.
+// withStore opens a default store for the test and uninstalls it
+// afterwards; the default memo plane follows the store either way.
 func withStore(t *testing.T, dir string, mode memostore.Mode) *memostore.Store {
 	t.Helper()
 	s, err := memostore.Open(dir, mode)
@@ -21,11 +21,17 @@ func withStore(t *testing.T, dir string, mode memostore.Mode) *memostore.Store {
 		t.Fatal(err)
 	}
 	memostore.SetDefault(s)
-	t.Cleanup(func() {
-		memostore.SetDefault(nil)
-		ResetPersistentMemos()
-	})
+	t.Cleanup(func() { memostore.SetDefault(nil) })
 	return s
+}
+
+// withFastForward sets the process default fast-forward mode for the
+// test and restores the previous one afterwards.
+func withFastForward(t *testing.T, m FFMode) {
+	t.Helper()
+	prev := DefaultFastForward()
+	SetDefaultFastForward(m)
+	t.Cleanup(func() { SetDefaultFastForward(prev) })
 }
 
 func runStandby(t *testing.T, cfg Config, cycles []workload.Cycle) (Result, FFStats) {
@@ -114,9 +120,9 @@ func TestPersistBundleDecodeRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestPersistWarmReplay is the tentpole's core behavior: a second
-// "process" (bundle cache dropped, disk kept) replays every cycle of a
-// jittered workload from the persisted memo, byte-identically.
+// TestPersistWarmReplay is the persistence layer's core behavior: a
+// second "process" (default plane dropped, disk kept) replays every cycle
+// of a jittered workload from the persisted memo, byte-identically.
 func TestPersistWarmReplay(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ODRIPSConfig()
@@ -145,7 +151,7 @@ func TestPersistWarmReplay(t *testing.T) {
 		t.Fatalf("cold run recorded only %d/%d cycles", want, len(cycles))
 	}
 
-	// Same process, records shared in memory through the bundle.
+	// Same process, records shared in memory through the default plane.
 	warmMem, memStats := runStandby(t, cfg, cycles)
 	if !reflect.DeepEqual(base, warmMem) {
 		t.Fatal("in-process warm run diverged")
@@ -154,7 +160,7 @@ func TestPersistWarmReplay(t *testing.T) {
 		t.Fatalf("in-process warm run replayed %d cycles, cold recorded %d", memStats.CyclesReplayed, want)
 	}
 
-	// Fresh "process": drop the in-memory bundles, reload from disk.
+	// Fresh "process": drop the default plane, reload from disk.
 	ResetPersistentMemos()
 	warmDisk, diskStats := runStandby(t, cfg, cycles)
 	if !reflect.DeepEqual(base, warmDisk) {
@@ -168,9 +174,9 @@ func TestPersistWarmReplay(t *testing.T) {
 	}
 }
 
-// TestPersistVerifyCleanAndRO: verify mode re-simulates every loaded
-// class (no replays, identical output); ro mode replays but never
-// writes.
+// TestPersistVerifyCleanAndRO: an ro store under -fastforward=verify
+// re-simulates every loaded class (no replays, identical output, no
+// writes); plain ro mode replays but never writes.
 func TestPersistVerifyCleanAndRO(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ODRIPSConfig()
@@ -180,17 +186,6 @@ func TestPersistVerifyCleanAndRO(t *testing.T) {
 	withStore(t, dir, memostore.RW)
 	runStandby(t, cfg, cycles)
 
-	ResetPersistentMemos()
-	withStore(t, dir, memostore.Verify)
-	verified, verStats := runStandby(t, cfg, cycles)
-	if !reflect.DeepEqual(base, verified) {
-		t.Fatal("verify run diverged")
-	}
-	if verStats.CyclesReplayed != 0 {
-		t.Fatalf("verify mode replayed %d disk-loaded cycles", verStats.CyclesReplayed)
-	}
-
-	ResetPersistentMemos()
 	entries := func() int {
 		names, err := os.ReadDir(dir)
 		if err != nil {
@@ -199,6 +194,20 @@ func TestPersistVerifyCleanAndRO(t *testing.T) {
 		return len(names)
 	}
 	before := entries()
+	verStore := withStore(t, dir, memostore.RO)
+	withFastForward(t, FFVerify)
+	verified, verStats := runStandby(t, cfg, cycles)
+	SetDefaultFastForward(FFOn)
+	if !reflect.DeepEqual(base, verified) {
+		t.Fatal("verify run diverged")
+	}
+	if verStats.CyclesReplayed != 0 {
+		t.Fatalf("verify mode replayed %d disk-loaded cycles", verStats.CyclesReplayed)
+	}
+	if st := verStore.Stats(); st.Hits == 0 || st.Writes != 0 {
+		t.Fatalf("verify run over ro store: %+v (want hits, no writes)", st)
+	}
+
 	roStore := withStore(t, dir, memostore.RO)
 	roRes, roStats := runStandby(t, cfg, cycles)
 	if !reflect.DeepEqual(base, roRes) {
@@ -216,9 +225,9 @@ func TestPersistVerifyCleanAndRO(t *testing.T) {
 }
 
 // TestPersistVerifyPackedStore pins the verify contract across the pack
-// layer: a bundle served from a compacted segment is still re-simulated,
-// never replayed — packing changes where bytes live, not what verify
-// trusts.
+// layer: under -fastforward=verify a bundle served from a compacted
+// segment is still re-simulated, never replayed — packing changes where
+// bytes live, not what verify trusts.
 func TestPersistVerifyPackedStore(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ODRIPSConfig()
@@ -231,8 +240,8 @@ func TestPersistVerifyPackedStore(t *testing.T) {
 		t.Fatalf("compact: %+v %v", cs, err)
 	}
 
-	ResetPersistentMemos()
-	vs := withStore(t, dir, memostore.Verify)
+	vs := withStore(t, dir, memostore.RO)
+	withFastForward(t, FFVerify)
 	verified, verStats := runStandby(t, cfg, cycles)
 	if !reflect.DeepEqual(base, verified) {
 		t.Fatal("verify run over packed store diverged")
@@ -278,8 +287,8 @@ func TestPersistWarmReplayPacked(t *testing.T) {
 }
 
 // TestPersistVerifyDetectsTamper plants a subtly wrong record in the
-// store and checks -memocache=verify fails the run instead of trusting
-// it.
+// store and checks that an ro store under -fastforward=verify fails the
+// run instead of trusting it.
 func TestPersistVerifyDetectsTamper(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ODRIPSConfig()
@@ -290,7 +299,7 @@ func TestPersistVerifyDetectsTamper(t *testing.T) {
 
 	// Tamper: load the bundle, nudge one record's energy delta, save it
 	// back through the store (valid envelope, wrong content).
-	key := []byte(ffConfigKey(cfg))
+	key := []byte(MemoClassKey(cfg))
 	payload, ok, err := store.Load("cycles", key)
 	if err != nil || !ok {
 		t.Fatalf("bundle load: ok=%v err=%v", ok, err)
@@ -304,13 +313,13 @@ func TestPersistVerifyDetectsTamper(t *testing.T) {
 	}
 	store.Save("cycles", key, ffEncodeBundle(records))
 
-	ResetPersistentMemos()
-	withStore(t, dir, memostore.Verify)
+	withStore(t, dir, memostore.RO)
+	withFastForward(t, FFVerify)
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.RunCycles(cycles); err == nil || !strings.Contains(err.Error(), "persistent memo") {
+	if _, err := p.RunCycles(cycles); err == nil || !strings.Contains(err.Error(), "fastforward verify: cycle record diverged") {
 		t.Fatalf("verify accepted a tampered record (err=%v)", err)
 	}
 }
@@ -325,7 +334,7 @@ func TestPersistCorruptEntryRecomputes(t *testing.T) {
 
 	store := withStore(t, dir, memostore.RW)
 	runStandby(t, cfg, cycles)
-	path := store.EntryPath("cycles", []byte(ffConfigKey(cfg)))
+	path := store.EntryPath("cycles", []byte(MemoClassKey(cfg)))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

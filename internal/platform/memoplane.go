@@ -2,6 +2,7 @@ package platform
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,8 +11,11 @@ import (
 	"odrips/internal/memostore"
 )
 
-// This file is the shared cross-device cycle-memo plane, the fleet
-// engine's concurrency substrate (DESIGN.md §15). A MemoPlane owns one
+// This file is the shared cross-device cycle-memo plane, the only
+// in-process cycle cache: the fleet engine's concurrency substrate
+// (DESIGN.md §15), and — as the process default plane over
+// memostore.Default() — the cache single runs share, a single run being
+// a fleet of one. A MemoPlane owns one
 // bounded cache of cycle-record bundles, keyed by memo class — the
 // seed-zeroed canonical configuration — so every device of a fleet that
 // shares a configuration class publishes into and adopts from the same
@@ -71,15 +75,12 @@ type MemoPlane struct {
 // NewMemoPlane creates a plane bounded to maxClasses configuration
 // classes (maxClasses < 1 uses DefaultMemoPlaneClasses). store, when
 // non-nil and readable, warms classes from disk on first acquisition and
-// receives dirty bundles on Flush and on eviction; a Verify-mode store is
-// treated as detached — the plane's verification path is
-// -fastforward=verify, which re-simulates and diffs adopted records.
+// receives dirty bundles after each attached run, on Flush and on
+// eviction. The plane's verification path is -fastforward=verify, which
+// re-simulates and diffs adopted records.
 func NewMemoPlane(store *memostore.Store, maxClasses int) *MemoPlane {
 	if maxClasses < 1 {
 		maxClasses = DefaultMemoPlaneClasses
-	}
-	if store.Mode() == memostore.Verify {
-		store = nil
 	}
 	return &MemoPlane{
 		store:   store,
@@ -93,7 +94,7 @@ func NewMemoPlane(store *memostore.Store, maxClasses int) *MemoPlane {
 // identity here.
 func MemoClassKey(cfg Config) string {
 	cfg.Seed = 0
-	return ffConfigKey(cfg)
+	return fmt.Sprintf("%#v", cfg)
 }
 
 // acquire returns the plane's bundle for classKey, creating (and, with a
@@ -106,12 +107,7 @@ func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 	if b, ok := pl.classes.Get(classKey); ok {
 		return b
 	}
-	b := &ffBundle{
-		key:      classKey,
-		loaded:   true,
-		records:  make(map[ffKey]*cycleRecord),
-		fromDisk: make(map[ffKey]bool),
-	}
+	b := &ffBundle{key: classKey, records: make(map[ffKey]*cycleRecord)}
 	switch payload, ok, err := pl.store.Load("cycles", []byte(classKey)); {
 	case err != nil:
 		// Typed corruption is a fail-safe miss by the store's contract:
@@ -120,11 +116,11 @@ func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 	case ok:
 		if recs, derr := ffDecodeBundle(payload); derr == nil {
 			b.records = recs
-			for k := range recs {
-				b.fromDisk[k] = true
-			}
 		}
-		// A decode error degrades to a cold class (see ffAcquireBundle).
+		// A decode error degrades to a cold class: the entry passed the
+		// store's checksum but predates a bundle-layout change that forgot
+		// to bump ffBundleVersion; a later flush overwrites it. The
+		// odrips-vet schemahash rule exists to make that path dead code.
 	}
 	if _, victim, evicted := pl.classes.Put(classKey, b); evicted {
 		pl.flushBundle(victim)
@@ -133,20 +129,18 @@ func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 }
 
 // Attach hooks a platform into the plane: it adopts every record already
-// known for the platform's memo class and publishes the records the
-// platform goes on to discover. The platform's own persistent-store
-// attachment (if New made one) is superseded — the plane owns disk
-// persistence for its classes. A nil plane leaves the platform untouched.
+// known for the platform's memo class, publishes the records the platform
+// goes on to discover, and each successful RunCycles flushes the class if
+// it gained records. A platform nobody attaches joins the default plane
+// (DefaultMemoPlane) at its first RunCycles. A nil plane leaves the
+// platform untouched.
 func (pl *MemoPlane) Attach(p *Platform) {
 	if pl == nil {
 		return
 	}
 	b := pl.acquire(MemoClassKey(p.cfg))
 	ff := &p.ff
-	ff.store = nil // the plane flushes; RunCycles' own flush becomes a no-op
-	ff.persist = b
-	ff.verifyKeys = nil
-	ff.recordCap = ffPersistRecordCap
+	ff.plane, ff.persist, ff.attached = pl, b, true
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -256,15 +250,15 @@ func (b *ffBundle) adopt(recs map[ffKey]*cycleRecord) {
 	for k, cr := range recs {
 		if _, ok := b.records[k]; !ok {
 			b.records[k] = cr
-			b.fromDisk[k] = true
 		}
 	}
 }
 
-// flushBundle persists one bundle's unsaved records (no-op without a
-// writable store). Callers must not hold the bundle's lock.
+// flushBundle persists one bundle's unsaved records (no-op for a nil
+// plane or bundle, or without a writable store). Callers must not hold
+// the bundle's lock.
 func (pl *MemoPlane) flushBundle(b *ffBundle) {
-	if b == nil || !pl.store.Mode().Writable() {
+	if pl == nil || b == nil || !pl.store.Mode().Writable() {
 		return
 	}
 	b.mu.Lock()
@@ -393,10 +387,7 @@ func (s *MemoSnapshot) Attach(p *Platform) {
 		return
 	}
 	ff := &p.ff
-	ff.store = nil
-	ff.persist = nil
-	ff.verifyKeys = nil
-	ff.recordCap = ffPersistRecordCap
+	ff.plane, ff.persist, ff.attached = nil, nil, true
 	recs := s.classes[MemoClassKey(p.cfg)]
 	if len(recs) == 0 {
 		return

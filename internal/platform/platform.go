@@ -362,7 +362,6 @@ func New(cfg Config) (*Platform, error) {
 	p.tracker = newTracker(s, m)
 	p.state = power.Active
 	p.applyPhase(phActive)
-	p.ffAttachPersist()
 	return p, nil
 }
 

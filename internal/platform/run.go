@@ -66,6 +66,11 @@ func (p *Platform) RunCycles(cycles []workload.Cycle) (Result, error) {
 	if len(cycles) == 0 {
 		return Result{}, fmt.Errorf("platform: no cycles to run")
 	}
+	// A platform nobody attached to a plane or snapshot joins the default
+	// plane (nil, and so a no-op, while no store is installed).
+	if !p.ff.attached {
+		DefaultMemoPlane().Attach(p)
+	}
 	start := p.sched.Now()
 	idx := 0
 	var startCycle func()
@@ -118,7 +123,7 @@ func (p *Platform) RunCycles(cycles []workload.Cycle) (Result, error) {
 	if idx != len(cycles) {
 		return Result{}, fmt.Errorf("platform: run stalled after %d/%d cycles", idx, len(cycles))
 	}
-	p.ffFlushPersist()
+	p.ff.plane.flushBundle(p.ff.persist) // persist what this run discovered
 	return p.buildResult(start, len(cycles)), nil
 }
 

@@ -242,12 +242,14 @@ func SetDefaultWorkers(n int) { experiments.SetDefaultWorkers(n) }
 // measure cold-cache cost.
 func ResetPointCache() { experiments.ResetPointCache() }
 
-// SetupMemoCache parses a -memocache mode string (off|rw|ro|verify),
-// opens the persistent content-addressed memo store rooted at dir
-// (default ".odrips-memocache") and installs it process-wide. Mode "off"
-// (or "") uninstalls any store. Loads are fail-safe by construction:
-// corrupt, truncated or version-skewed entries degrade to recomputation,
-// and "verify" re-simulates every loaded memo and fails on divergence.
+// SetupMemoCache parses a -memocache mode string (off|rw|ro), opens the
+// persistent content-addressed memo store rooted at dir (default
+// ".odrips-memocache") and installs it process-wide; the default memo
+// plane follows the new store. Mode "off" (or "") uninstalls any store.
+// Loads are fail-safe by construction: corrupt, truncated or
+// version-skewed entries degrade to recomputation. To audit a store, run
+// it read-only under -fastforward verify, which re-simulates every loaded
+// memo and fails on divergence.
 func SetupMemoCache(mode, dir string) error {
 	if mode == "" {
 		mode = "off"
@@ -264,7 +266,6 @@ func SetupMemoCache(mode, dir string) error {
 		return err
 	}
 	memostore.SetDefault(s)
-	platform.ResetPersistentMemos()
 	return nil
 }
 
@@ -284,9 +285,9 @@ func CompactMemoCache() (memostore.CompactStats, error) {
 	return s.Compact()
 }
 
-// ResetPersistentMemos drops the in-process view of the persistent memo
-// store, forcing the next run to reload from disk — benchmarks use it to
-// measure warm-cache (disk, not RAM) cost.
+// ResetPersistentMemos drops the default memo plane, forcing the next run
+// to reload from disk — benchmarks use it to measure warm-cache (disk,
+// not RAM) cost.
 func ResetPersistentMemos() { platform.ResetPersistentMemos() }
 
 // PaperSweepGrid is the full §7 residency grid (0.6 ms – 1 s at 0.1 ms).
@@ -400,10 +401,6 @@ func FleetOnPlane(s FleetSpec, plane *MemoPlane) (*FleetReport, error) {
 	return fleet.Run(s, plane)
 }
 
-// SharedFleetPlane returns the process-wide shared memo plane fleet
-// jobs can accumulate into.
-func SharedFleetPlane() *MemoPlane { return fleet.DefaultPlane() }
-
 // ParseFleetSpec decodes a fleet spec file (JSON with human-readable
 // durations; see README "Fleet-scale simulation").
 func ParseFleetSpec(data []byte) (FleetSpec, error) { return fleet.ParseSpecJSON(data) }
@@ -415,8 +412,9 @@ type PointMemoStats = experiments.PointMemoStats
 func PointCacheStats() PointMemoStats { return experiments.PointCacheStats() }
 
 // MemoStats renders every memo layer's counters — the bounded in-process
-// point caches and the persistent store — as one table (odrips-bench
-// -memostats prints it after the selected experiments run).
+// point caches, the default cycle memo plane, and the persistent store —
+// as one table (odrips-bench -memostats prints it after the selected
+// experiments run).
 func MemoStats() *Table {
 	t := report.NewTable("Memo statistics", "layer", "hits", "misses", "size", "detail")
 	pc := PointCacheStats()
@@ -428,11 +426,16 @@ func MemoStats() *Table {
 		fmt.Sprintf("%d", pc.Trans.Hits), fmt.Sprintf("%d", pc.Trans.Misses),
 		fmt.Sprintf("%d/%d", pc.TransLen, pc.TransCap),
 		fmt.Sprintf("%d evictions", pc.Trans.Evictions))
+	ps := platform.DefaultMemoPlane().Stats()
+	t.AddRow("cycle memo plane",
+		fmt.Sprintf("%d", ps.Class.Hits), fmt.Sprintf("%d", ps.Class.Misses),
+		fmt.Sprintf("%d/%d classes", ps.Classes, ps.MaxClasses),
+		fmt.Sprintf("%d records, %d class evictions", ps.Records, ps.Class.Evictions))
 	ms := MemoCacheStats()
 	t.AddRow("persistent memo store",
 		fmt.Sprintf("%d", ms.Hits), fmt.Sprintf("%d", ms.Misses),
 		fmt.Sprintf("%d entries, %d B", ms.DiskEntries, ms.DiskBytes),
-		fmt.Sprintf("%d writes, %d corrupt, %d skewed, %d live views", ms.Writes, ms.Corrupt, ms.VersionSkew, ms.Views))
+		fmt.Sprintf("%d writes, %d corrupt, %d skewed", ms.Writes, ms.Corrupt, ms.VersionSkew))
 	t.AddRow("pack segments",
 		fmt.Sprintf("%d", ms.PackHits), "-",
 		fmt.Sprintf("%d segments, %d packed + %d loose", ms.Segments, ms.PackedEntries, ms.LooseEntries),
