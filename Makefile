@@ -3,7 +3,7 @@ PKGS     := ./...
 STAMP    := $(shell date -u +%Y%m%dT%H%M%SZ)
 FUZZTIME ?= 60s
 
-.PHONY: all build test vet lint lint-fixtures race verify fleet-smoke server-smoke memo-verify-smoke fuzz bench bench-smoke bench-sweep bench-baseline-1x bench-gate bench-warm memo-compact benchdiff profile profile-diff clean
+.PHONY: all build test vet lint lint-fixtures race verify fleet-smoke server-smoke memo-verify-smoke fuzz bench bench-smoke bench-sweep bench-baseline-1x bench-gate bench-warm benchdiff profile profile-diff clean
 
 all: build test
 
@@ -115,7 +115,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackBootImage$$' -fuzztime $(FUZZTIME) ./internal/ctxstore
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -run '^$$' -fuzz '^FuzzMemoStoreLoad$$' -fuzztime $(FUZZTIME) ./internal/memostore
-	$(GO) test -run '^$$' -fuzz '^FuzzPackLoad$$' -fuzztime $(FUZZTIME) ./internal/memostore
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME) ./internal/fleet
 
 # Record the full benchmark suite (with allocation stats) to a timestamped
@@ -182,14 +181,6 @@ bench-warm:
 	GOMAXPROCS=$(GATEPROCS) ODRIPS_MEMOCACHE=rw ODRIPS_MEMOCACHE_DIR=$(MEMODIR) $(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -json $(PKGS) > BENCH_warm.json.tmp || { rm -f BENCH_warm.json.tmp BENCH_cold.json.tmp; exit 1; }
 	$(GO) run ./cmd/odrips-benchdiff -ns-tolerance 1e9 -ns-floor 1e18 -allocs-slack 1e9 -allocs-floor 1e18 $(BENCHDIFF_FLAGS) BENCH_cold.json.tmp BENCH_warm.json.tmp
 	@rm -f BENCH_cold.json.tmp BENCH_warm.json.tmp
-
-# Compact the local persistent memo store: fold loose *.memo entries
-# into a single checksummed pack segment (and drop corrupt leftovers),
-# so the next warm run opens one file instead of thousands. Safe while
-# other processes read the store — the new segment lands before any
-# loose file is unlinked.
-memo-compact:
-	$(GO) run ./cmd/odrips-bench -exp none -memocompact -memocache rw -memocachedir $(MEMODIR)
 
 # CPU and allocation profiles of a six-hour ODRIPS standby run; inspect
 # with `go tool pprof cpu.pprof`. FF=off profiles the full simulation path,

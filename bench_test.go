@@ -491,33 +491,3 @@ func BenchmarkFleet10kWarm(b *testing.B) {
 		b.ReportMetric(float64(rep.Memo.Store.Hits), "store_hits")
 	}
 }
-
-// BenchmarkFleet10kWarmPacked is BenchmarkFleet10kWarm after compaction:
-// the populate run's loose entries are folded into a single checksummed
-// pack segment, so each iteration's disk adopt is one segment read plus
-// a once-per-open index instead of a file open per memo entry.
-func BenchmarkFleet10kWarmPacked(b *testing.B) {
-	b.ReportAllocs()
-	withWarmMemoStore(b)
-	spec := fleet10kSpec()
-	run := func() *FleetReport {
-		rep, err := Fleet(spec) // plane over the process store
-		if err != nil {
-			b.Fatal(err)
-		}
-		return rep
-	}
-	run() // populate the store (cold, untimed)
-	if cs, err := CompactMemoCache(); err != nil || cs.Entries == 0 {
-		b.Fatalf("compact: %+v %v", cs, err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep := run()
-		if rep.Memo.Store.PackHits == 0 {
-			b.Fatalf("warm run took no pack hits: %+v", rep.Memo.Store)
-		}
-		b.ReportMetric(rep.Memo.CrossDeviceHitRatePct, "hit_pct")
-		b.ReportMetric(float64(rep.Memo.Store.PackHits), "pack_hits")
-	}
-}

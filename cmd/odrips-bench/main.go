@@ -27,10 +27,9 @@ import (
 
 func main() {
 	expFlag := flag.String("exp", "all",
-		"comma-separated experiments: table1,fig1b,fig2,fig3b,calibration,fig6a,fig6b,fig6c,fig6d,ctxlatency,validation,ablations,coalescing,scaling,standby,anatomy,aging,tdp,wakelatency,faultsweep,fleet (faultsweep and fleet are opt-in: not part of \"all\"; \"none\" selects nothing, for store maintenance runs)")
+		"comma-separated experiments: table1,fig1b,fig2,fig3b,calibration,fig6a,fig6b,fig6c,fig6d,ctxlatency,validation,ablations,coalescing,scaling,standby,anatomy,aging,tdp,wakelatency,faultsweep,fleet (faultsweep and fleet are opt-in: not part of \"all\"; \"none\" selects nothing, to inspect a store with -memostats)")
 	sweepFlag := flag.String("sweep", "none", "break-even sweep: none, fast, or paper")
 	memoStats := flag.Bool("memostats", false, "print memo-layer statistics (point caches, persistent store) after the selected experiments")
-	memoCompact := flag.Bool("memocompact", false, "after the selected experiments, fold the persistent memo store's loose entries into a pack segment (requires -memocache rw)")
 	workers := flag.Int("workers", 0, "simulation worker pool size (0 = all cores, 1 = sequential)")
 	ffFlag := flag.String("fastforward", "on", "steady-state fast-forward: on, off, or verify (output is byte-identical across all three)")
 	memoFlag := flag.String("memocache", "", "persistent memo store: off, rw, or ro (default: inherit ODRIPS_MEMOCACHE, normally off; output is byte-identical across all modes; audit a store with -memocache ro -fastforward verify)")
@@ -323,19 +322,9 @@ func main() {
 		}
 		ran++
 	}
-	if ran == 0 && !*memoCompact {
+	if ran == 0 && !*memoStats {
 		fmt.Fprintln(os.Stderr, "odrips-bench: nothing selected")
 		os.Exit(2)
-	}
-	if *memoCompact {
-		cs, err := odrips.CompactMemoCache()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "odrips-bench: -memocompact: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("memo store compacted: %d entries in %s (%d B): merged %d loose + %d segments, removed %d loose, %d segments, %d corrupt\n",
-			cs.Entries, cs.Segment, cs.SegmentBytes, cs.LooseMerged, cs.SegmentsMerged,
-			cs.LooseRemoved, cs.SegmentsRemoved, cs.CorruptRemoved)
 	}
 	if *memoStats {
 		odrips.MemoStats().Render(os.Stdout)

@@ -99,7 +99,7 @@ func main() {
 	// resolved address, so keep its shape stable.
 	fmt.Printf("odrips-server: listening on %s\n", ln.Addr())
 
-	srv := &http.Server{Handler: newServer(q, plane, *progressEvery).handler()}
+	srv := newServer(q, plane, *progressEvery).httpServer()
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 

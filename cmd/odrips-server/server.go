@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"odrips/internal/experiments"
 	"odrips/internal/fleet"
 	"odrips/internal/jobqueue"
 	"odrips/internal/memostore"
@@ -38,6 +37,24 @@ func newServer(q *jobqueue.Queue, plane *platform.MemoPlane, progressEvery time.
 		progressEvery = 100 * time.Millisecond
 	}
 	return &server{q: q, plane: plane, progressEvery: progressEvery}
+}
+
+// Connection timeouts of the HTTP side: without them a client that never
+// finishes its request header, or parks an idle keep-alive connection,
+// holds a connection and a goroutine forever. There is deliberately no
+// WriteTimeout, because it would cut long NDJSON result streams.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer wraps the API handler in the http.Server main serves.
+func (s *server) httpServer() *http.Server {
+	return &http.Server{
+		Handler:           s.handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func (s *server) handler() http.Handler {
@@ -116,13 +133,12 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
-// statsView is the /v1/stats body: the queue's counters plus every memo
-// layer behind it (plane LRU, persistent store, point caches).
+// statsView is the /v1/stats body: the queue's counters plus the memo
+// layers behind it (plane LRU, persistent store).
 type statsView struct {
-	Queue  jobqueue.Stats             `json:"queue"`
-	Plane  platform.MemoPlaneStats    `json:"plane"`
-	Store  memostore.Stats            `json:"store"`
-	Points experiments.PointMemoStats `json:"points"`
+	Queue jobqueue.Stats          `json:"queue"`
+	Plane platform.MemoPlaneStats `json:"plane"`
+	Store memostore.Stats         `json:"store"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -131,10 +147,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, statsView{
-		Queue:  s.q.Stats(),
-		Plane:  s.plane.Stats(),
-		Store:  s.plane.StoreStats(),
-		Points: experiments.PointCacheStats(),
+		Queue: s.q.Stats(),
+		Plane: s.plane.Stats(),
+		Store: s.plane.StoreStats(),
 	})
 }
 

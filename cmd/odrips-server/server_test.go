@@ -367,6 +367,20 @@ func TestRoutesAndMethods(t *testing.T) {
 	}
 }
 
+// TestHTTPServerTimeouts pins the connection hardening of the server main
+// runs: header and idle timeouts are set, and WriteTimeout stays zero so
+// long NDJSON result streams are never cut.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newServer(nil, nil, 0).httpServer()
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 2*time.Minute || srv.WriteTimeout != 0 {
+		t.Fatalf("timeouts: read-header %v, idle %v, write %v; want 10s, 2m, 0",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, srv.WriteTimeout)
+	}
+	if srv.Handler == nil {
+		t.Fatal("server has no handler")
+	}
+}
+
 // TestStatsShape: /v1/stats reflects queue activity and exposes the
 // memo layers.
 func TestStatsShape(t *testing.T) {

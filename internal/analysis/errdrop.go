@@ -103,7 +103,7 @@ func failSafeLoader(pass *Pass, call *ast.CallExpr) (string, int) {
 	switch {
 	case pkgPath == "odrips/internal/memostore" &&
 		(strings.HasPrefix(fn.Name(), "Load") || fn.Name() == "Claim" || fn.Name() == "AwaitClaimed"):
-		// Load* covers LoadPacked and LoadOrCompute; Claim and
+		// Load* covers Load and LoadOrCompute; Claim and
 		// AwaitClaimed are coordination, but a blanked error there turns
 		// "compute uncoordinated" into "assume someone else computes" —
 		// a hang, not a graceful miss.

@@ -35,19 +35,16 @@ func BadDropped(s *memostore.Store, key []byte) {
 	ffDecodeWire(key)     // want errdrop
 }
 
-// BadPackedAndClaims covers the pack/claim surface: a blanked Claim
-// error silently downgrades "compute uncoordinated" into "assume another
-// process computes" — a potential hang, not a graceful miss.
-func BadPackedAndClaims(s *memostore.Store, key []byte) []byte {
-	payload, ok, _ := s.LoadPacked("cycles", key) // want errdrop
-	_ = ok
+// BadClaims covers the claim surface: a blanked Claim error silently
+// downgrades "compute uncoordinated" into "assume another process
+// computes" — a potential hang, not a graceful miss.
+func BadClaims(s *memostore.Store, key []byte) []byte {
 	c, _ := s.Claim("cycles", key) // want errdrop
 	if c != nil {
 		c.Release()
 	}
-	p2, _ := s.LoadOrCompute("cycles", key, func() ([]byte, error) { return nil, nil }) // want errdrop
-	_ = p2
-	p3, ok, _ := s.AwaitClaimed(context.Background(), "cycles", key) // want errdrop
+	payload, _ := s.LoadOrCompute("cycles", key, func() ([]byte, error) { return nil, nil }) // want errdrop
+	p3, ok, _ := s.AwaitClaimed(context.Background(), "cycles", key)                         // want errdrop
 	_, _ = p3, ok
 	return payload
 }

@@ -29,33 +29,29 @@ func withPointStore(t *testing.T, dir string, mode memostore.Mode) *memostore.St
 	return s
 }
 
-// TestPointMemoVerifyRecomputesPacked: under -fastforward=verify a point
-// served by a pack segment of a read-only store is still recomputed and
-// bit-compared, never trusted — packing changes where bytes live, not
-// what verify trusts.
-func TestPointMemoVerifyRecomputesPacked(t *testing.T) {
+// TestPointMemoVerifyRecomputesStored: under -fastforward=verify a point
+// served by a read-only store is still recomputed and bit-compared,
+// never trusted.
+func TestPointMemoVerifyRecomputesStored(t *testing.T) {
 	dir := t.TempDir()
 	key := []byte("k")
 	var stored [8]byte
 	binary.LittleEndian.PutUint64(stored[:], 42)
 	rw := withPointStore(t, dir, memostore.RW)
 	rw.Save("sweep", key, stored[:])
-	if _, err := rw.Compact(); err != nil {
-		t.Fatal(err)
-	}
 
 	ro := withPointStore(t, dir, memostore.RO)
 	platform.SetDefaultFastForward(platform.FFVerify)
 	computes := 0
 	got, err := pointMemo("sweep", key, func() (uint64, error) { computes++; return 42, nil })
 	if err != nil || got != 42 || computes != 1 {
-		t.Fatalf("verify over packed point: got=%d err=%v computes=%d", got, err, computes)
+		t.Fatalf("verify over stored point: got=%d err=%v computes=%d", got, err, computes)
 	}
-	if st := ro.Stats(); st.PackHits == 0 {
-		t.Fatalf("verify never compared against the segment: %+v", st)
+	if st := ro.Stats(); st.Hits == 0 {
+		t.Fatalf("verify never compared against the stored entry: %+v", st)
 	}
 	if _, err := pointMemo("sweep", key, func() (uint64, error) { return 43, nil }); err == nil {
-		t.Fatal("verify accepted a point that diverged from the packed entry")
+		t.Fatal("verify accepted a point that diverged from the stored entry")
 	}
 }
 

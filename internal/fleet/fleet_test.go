@@ -247,7 +247,7 @@ func TestFleetLoadHarness(t *testing.T) {
 }
 
 // fleetStore opens one RW store handle over dir, emulating a process in
-// the multi-process tests (claims, entries, and packs are file-based).
+// the multi-process tests (claims and entries are file-based).
 func fleetStore(t *testing.T, dir string) *memostore.Store {
 	t.Helper()
 	s, err := memostore.Open(dir, memostore.RW)
@@ -297,25 +297,6 @@ func TestFleetSecondProcessRecomputesNothing(t *testing.T) {
 	}
 	if stB.Hits == 0 {
 		t.Fatalf("warm process never read the shared store: %+v", stB)
-	}
-
-	// Packing the store changes the byte layout, not the outcome: a third
-	// process over the compacted store behaves exactly like B, now served
-	// from the segment index.
-	if cs, cerr := storeA.Compact(); cerr != nil || cs.LooseRemoved == 0 {
-		t.Fatalf("compact: %+v %v", cs, cerr)
-	}
-	storeC := fleetStore(t, dir)
-	repC, err := Run(s, platform.NewMemoPlane(storeC, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mustAggJSON(t, repC) != refAgg {
-		t.Error("packed-store process aggregates diverged")
-	}
-	stC := storeC.Stats()
-	if stC.Writes != 0 || stC.ClaimsOwned != 0 || stC.PackHits == 0 {
-		t.Fatalf("packed-store process stats %+v: want pure pack hits", stC)
 	}
 }
 

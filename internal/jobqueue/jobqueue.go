@@ -375,9 +375,10 @@ func (q *Queue) run(j *Job) {
 	default:
 		state, rep = StateFailed, nil
 	}
-	j.finish(state, rep, err)
-
+	// Finish under q.mu, so a Stats() that follows <-j.Done() already
+	// counts the job as finished.
 	q.mu.Lock()
+	j.finish(state, rep, err)
 	q.counts.running--
 	q.noteFinishedLocked(j)
 	q.mu.Unlock()
@@ -425,12 +426,13 @@ func (q *Queue) Cancel(id string) (State, error) {
 	if err != nil {
 		return "", err
 	}
+	q.mu.Lock() // as in run: counted before Done() closes
 	if j.cancelPending(fmt.Errorf("jobqueue: job %s: %w", id, context.Canceled)) {
-		q.mu.Lock()
 		q.noteFinishedLocked(j)
 		q.mu.Unlock()
 		return StateCanceled, nil
 	}
+	q.mu.Unlock()
 	j.cancel() // running → engine stops soon; finished → no-op
 	return j.State(), nil
 }

@@ -138,6 +138,12 @@ func (s *Store) AwaitClaimed(ctx context.Context, class string, key []byte) (pay
 		// will resolve.
 		info, serr := os.Stat(path)
 		if serr != nil {
+			// The claim is gone. Its owner saves before it releases, so an
+			// entry that landed after the Load above is visible now.
+			if payload, ok, lerr := s.Load(class, key); lerr == nil && ok {
+				s.count(func(st *Stats) { st.ClaimWaitHits++ })
+				return payload, true, nil
+			}
 			return nil, false, nil // claim gone; no entry appeared
 		}
 		//odrips:allow walltime claim staleness is a cross-process liveness heuristic only: a wrong clock duplicates byte-identical work, it cannot change results

@@ -28,12 +28,11 @@
 // goroutines) can race freely: readers only ever observe a complete
 // entry or none.
 //
-// Two layers make the store fast and shared across processes
-// (DESIGN.md §17): pack segments (pack.go) fold loose entries into
-// checksummed, content-addressed files indexed in memory once per open,
-// and the claim protocol (claim.go) plus in-process single-flight
-// (flight.go) arrange for each cold key to be computed once fleet-wide.
-// Both inherit the three properties above unchanged.
+// Every entry is one loose file, <class>-<hash>.memo, and that is the
+// store's only on-disk form. The claim protocol (claim.go) plus
+// in-process single-flight (flight.go) arrange for each cold key to be
+// computed once fleet-wide (DESIGN.md §17); both inherit the three
+// properties above unchanged.
 package memostore
 
 import (
@@ -134,9 +133,9 @@ func (e *CorruptError) Error() string {
 // the store's footprint taken when Stats() is called.
 type Stats struct {
 	Hits        uint64 `json:"hits"`         // loads that returned a verified payload
-	PackHits    uint64 `json:"pack_hits"`    // the subset of Hits served from pack segments
+	PackHits    uint64 `json:"pack_hits"`    // always 0 (the store is loose-only); kept because _perfbench/trace.go reads it
 	Misses      uint64 `json:"misses"`       // absent entries (or key-hash collisions)
-	Corrupt     uint64 `json:"corrupt"`      // malformed entries/segments, degraded to misses
+	Corrupt     uint64 `json:"corrupt"`      // malformed entries, degraded to misses
 	VersionSkew uint64 `json:"version_skew"` // schema/build-fingerprint mismatches, degraded to misses
 	Writes      uint64 `json:"writes"`       // entries persisted
 	WriteErrors uint64 `json:"write_errors"` // failed persists (dropped; never fatal)
@@ -150,12 +149,8 @@ type Stats struct {
 	ClaimTakeovers uint64 `json:"claim_takeovers"` // stale claims removed (presumed-dead owners)
 
 	// Footprint snapshot, filled by Stats() at call time (not counters):
-	DiskEntries   uint64 `json:"disk_entries"`   // unique logical entries (packed ∪ loose; an entry both packed and loose counts once)
-	DiskBytes     uint64 `json:"disk_bytes"`     // total bytes of .memo and .pack files
-	Segments      int    `json:"segments"`       // accepted pack segments
-	PackedEntries int    `json:"packed_entries"` // entries in the loaded segment index
-	LooseEntries  int    `json:"loose_entries"`  // .memo files on disk (including packed duplicates)
-	IndexBytes    uint64 `json:"index_bytes"`    // in-memory bytes pinned by the segment index
+	DiskEntries uint64 `json:"disk_entries"` // .memo files on disk
+	DiskBytes   uint64 `json:"disk_bytes"`   // total bytes of .memo files
 }
 
 // Store is a content-addressed entry cache rooted at one directory.
@@ -171,11 +166,6 @@ type Store struct {
 	// tmpSeq disambiguates temp files within the process; combined with
 	// the PID it keeps concurrent writers from colliding.
 	tmpSeq atomic.Uint64
-
-	// packOnce guards the once-per-open pack-segment index load; packs
-	// holds the immutable index, swapped wholesale by Compact (pack.go).
-	packOnce sync.Once
-	packs    atomic.Pointer[packIndex]
 
 	// flight coalesces concurrent LoadOrCompute calls per key.
 	flight Flight[[]byte]
@@ -229,10 +219,11 @@ func (s *Store) BuildFingerprint() [32]byte {
 }
 
 // Stats returns a snapshot of the store's counters plus its current
-// footprint: on-disk entry count/bytes and the segment index. The disk
-// half walks the store directory, so Stats is a reporting call, not a
-// hot-path one; a directory read error simply leaves the disk fields
-// zero (stats must never be able to break a run).
+// on-disk footprint (.memo files only; claim files and anything else in
+// the directory are ignored). The footprint walks the store directory,
+// so Stats is a reporting call, not a hot-path one; a directory read
+// error simply leaves the disk fields zero (stats must never be able to
+// break a run).
 func (s *Store) Stats() Stats {
 	if s == nil {
 		return Stats{}
@@ -240,35 +231,23 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	st := s.stats
 	s.mu.Unlock()
-	idx := s.packIndexView()
-	st.Segments = len(idx.segments)
-	st.PackedEntries = len(idx.entries)
-	st.IndexBytes = uint64(idx.bytes)
-	// Unique logical entries: everything packed, plus loose files whose
-	// basename is not shadowed by a packed entry (an entry present both
-	// packed and loose counts once).
-	st.DiskEntries = uint64(len(idx.entries))
 	if entries, err := os.ReadDir(s.dir); err == nil {
 		for _, e := range entries {
-			if e.IsDir() {
+			if e.IsDir() || filepath.Ext(e.Name()) != ".memo" {
 				continue
 			}
-			switch filepath.Ext(e.Name()) {
-			case ".memo":
-				st.LooseEntries++
-				if !idx.shadowed[e.Name()] {
-					st.DiskEntries++
-				}
-			case ".pack":
-			default:
-				continue
-			}
+			st.DiskEntries++
 			if info, err := e.Info(); err == nil {
 				st.DiskBytes += uint64(info.Size())
 			}
 		}
 	}
 	return st
+}
+
+// looseName is the basename of the entry for (class, keyHash).
+func looseName(class string, kh [32]byte) string {
+	return fmt.Sprintf("%s-%x.memo", class, kh[:16])
 }
 
 // EntryPath returns the file an entry for (class, key) lives in. The
@@ -279,42 +258,20 @@ func (s *Store) EntryPath(class string, key []byte) string {
 	return filepath.Join(s.dir, looseName(class, kh))
 }
 
-// Load fetches the payload stored for (class, key), probing the pack
-// segment index first (a warm hit costs a map probe, zero syscalls) and
-// falling back to the loose entry file. ok reports a verified hit. A
-// missing entry is (nil, false, nil); a malformed one — or a plain miss
-// while a corrupt segment exists, since the miss may be that segment's
-// fault — is (nil, false, *CorruptError); a schema or build mismatch is
-// a plain miss. Load never returns ok together with an error. A payload
-// served from a segment aliases store-internal memory and must be
-// treated as read-only (every current caller only decodes it).
+// Load fetches the payload stored for (class, key) from its entry file.
+// ok reports a verified hit. A missing entry is (nil, false, nil); a
+// malformed one is (nil, false, *CorruptError); a schema or build
+// mismatch is a plain miss. Load never returns ok together with an
+// error. The payload is a fresh slice owned by the caller.
 func (s *Store) Load(class string, key []byte) (payload []byte, ok bool, err error) {
 	if s == nil || !s.mode.Readable() {
 		return nil, false, nil
 	}
 	kh := sha256.Sum256(key)
-	idx := s.packIndexView()
-	if payload, ok := idx.get(class, kh); ok {
-		s.count(func(st *Stats) { st.Hits++; st.PackHits++ })
-		return payload, true, nil
-	}
 	path := filepath.Join(s.dir, looseName(class, kh))
 	data, rerr := os.ReadFile(path)
 	if rerr != nil {
-		// A concurrent Compact may have folded the loose entry into a
-		// segment between the index probe above and this read; Compact
-		// swaps the new index in before unlinking, so one re-check
-		// closes the window.
-		if idx2 := s.packs.Load(); idx2 != idx {
-			if payload, ok := idx2.get(class, kh); ok {
-				s.count(func(st *Stats) { st.Hits++; st.PackHits++ })
-				return payload, true, nil
-			}
-		}
 		s.count(func(st *Stats) { st.Misses++ })
-		if idx.damaged != nil {
-			return nil, false, idx.damaged
-		}
 		return nil, false, nil
 	}
 	payload, verdict := decodeEntry(data, s.buildFP, kh)
@@ -403,51 +360,38 @@ var (
 
 func corrupt(reason string) entryVerdict { return entryVerdict{kind: 3, reason: reason} }
 
-// decodeEntryAny validates a raw entry against the expected build
-// fingerprint and returns the entry's own key hash, for callers that
-// recover identity from the file rather than the request (Compact). It
-// is total: any input yields a verdict, never a panic, and a payload is
-// returned only when every structural and version check passed.
-func decodeEntryAny(data []byte, buildFP [32]byte) (keyHash [32]byte, payload []byte, v entryVerdict) {
-	if len(data) < headerLen+trailerLen {
-		return keyHash, nil, corrupt("short entry")
-	}
-	if string(data[:len(magic)]) != magic {
-		return keyHash, nil, corrupt("bad magic")
-	}
-	off := len(magic)
-	schema := binary.LittleEndian.Uint32(data[off:])
-	off += 4
-	var gotBuild [32]byte
-	copy(gotBuild[:], data[off:])
-	off += 32
-	copy(keyHash[:], data[off:])
-	off += 32
-	plen := binary.LittleEndian.Uint32(data[off:])
-	off += 4
-	if plen > maxPayload || len(data) != off+int(plen)+trailerLen {
-		return keyHash, nil, corrupt("length mismatch")
-	}
-	payload = data[off : off+int(plen)]
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], data[off+int(plen):]) {
-		return keyHash, nil, corrupt("payload checksum mismatch")
-	}
-	// Version checks come after structural ones so a well-formed entry
-	// from another build is skew, not corruption.
-	if schema != SchemaVersion || gotBuild != buildFP {
-		return keyHash, nil, entrySkew
-	}
-	return keyHash, payload, entryOK
-}
-
 // decodeEntry validates a raw entry against the expected build
 // fingerprint and key hash. It is total: any input yields a verdict,
 // never a panic, and a payload is returned only when every check passed.
 func decodeEntry(data []byte, buildFP, keyHash [32]byte) ([]byte, entryVerdict) {
-	gotKey, payload, v := decodeEntryAny(data, buildFP)
-	if v.kind != 0 {
-		return nil, v
+	if len(data) < headerLen+trailerLen {
+		return nil, corrupt("short entry")
+	}
+	if string(data[:len(magic)]) != magic {
+		return nil, corrupt("bad magic")
+	}
+	off := len(magic)
+	schema := binary.LittleEndian.Uint32(data[off:])
+	off += 4
+	var gotBuild, gotKey [32]byte
+	copy(gotBuild[:], data[off:])
+	off += 32
+	copy(gotKey[:], data[off:])
+	off += 32
+	plen := binary.LittleEndian.Uint32(data[off:])
+	off += 4
+	if plen > maxPayload || len(data) != off+int(plen)+trailerLen {
+		return nil, corrupt("length mismatch")
+	}
+	payload := data[off : off+int(plen)]
+	sum := sha256.Sum256(payload)
+	if !bytes.Equal(sum[:], data[off+int(plen):]) {
+		return nil, corrupt("payload checksum mismatch")
+	}
+	// Version checks come after structural ones so a well-formed entry
+	// from another build is skew, not corruption.
+	if schema != SchemaVersion || gotBuild != buildFP {
+		return nil, entrySkew
 	}
 	if gotKey != keyHash {
 		return nil, entryWrongKey // filename-truncation collision
@@ -507,16 +451,6 @@ func buildFingerprint() ([32]byte, error) {
 		copy(o.fp[:], h.Sum(nil))
 	})
 	return o.fp, o.err
-}
-
-// BuildFingerprintHex returns the current process's build fingerprint in
-// hex ("" on error); CI keys its cache on it.
-func BuildFingerprintHex() string {
-	fp, err := buildFingerprint()
-	if err != nil {
-		return ""
-	}
-	return fmt.Sprintf("%x", fp)
 }
 
 // ---- Process-wide default store ----

@@ -21,6 +21,18 @@ func openT(t *testing.T, mode Mode) *Store {
 	return s
 }
 
+// reopen opens a second Store over an existing store's directory,
+// emulating a fresh process (modulo the shared build fingerprint, which
+// is a process property).
+func reopen(t *testing.T, s *Store, mode Mode) *Store {
+	t.Helper()
+	n, err := Open(s.Dir(), mode)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	return n
+}
+
 func TestRoundTrip(t *testing.T) {
 	s := openT(t, RW)
 	key := []byte("config-class-A|res=42")
@@ -265,9 +277,6 @@ func TestBuildFingerprintStable(t *testing.T) {
 	if a != b || a == ([32]byte{}) {
 		t.Fatalf("fingerprint unstable or zero: %x vs %x", a, b)
 	}
-	if BuildFingerprintHex() == "" {
-		t.Fatal("BuildFingerprintHex empty")
-	}
 }
 
 func TestOversizedPayloadDropped(t *testing.T) {
@@ -341,5 +350,29 @@ func TestStatsFootprint(t *testing.T) {
 	var nilStore *Store
 	if st := nilStore.Stats(); st != (Stats{}) {
 		t.Fatalf("nil store stats %+v", st)
+	}
+}
+
+// TestLeftoverPackSegmentIgnored upgrades a store written by a build
+// that still compacted entries into pack-<hex>.pack segments: loose
+// entries keep serving, a key only the segment held is a plain miss, and
+// the segment counts toward neither footprint field (users may delete
+// such leftovers).
+func TestLeftoverPackSegmentIgnored(t *testing.T) {
+	s := openT(t, RW)
+	s.Save("sweep", []byte("loose-key"), []byte("loose-payload"))
+	want := s.Stats()
+	writeT(t, filepath.Join(s.Dir(), "pack-0123456789abcdef.pack"), []byte("ODRPACK1 arbitrary leftover segment bytes"))
+
+	n := reopen(t, s, RO)
+	if got, ok, err := n.Load("sweep", []byte("loose-key")); err != nil || !ok || string(got) != "loose-payload" {
+		t.Fatalf("loose entry beside a leftover segment: ok=%v err=%v got=%q", ok, err, got)
+	}
+	if got, ok, err := n.Load("sweep", []byte("packed-only-key")); got != nil || ok || err != nil {
+		t.Fatalf("segment-only key: got=%q ok=%v err=%v, want (nil, false, nil)", got, ok, err)
+	}
+	if st := n.Stats(); st.DiskEntries != want.DiskEntries || st.DiskBytes != want.DiskBytes || st.DiskEntries != 1 {
+		t.Fatalf("footprint %d entries / %d B counts the segment, want %d / %d",
+			st.DiskEntries, st.DiskBytes, want.DiskEntries, want.DiskBytes)
 	}
 }

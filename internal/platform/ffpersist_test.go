@@ -224,68 +224,6 @@ func TestPersistVerifyCleanAndRO(t *testing.T) {
 	}
 }
 
-// TestPersistVerifyPackedStore pins the verify contract across the pack
-// layer: under -fastforward=verify a bundle served from a compacted
-// segment is still re-simulated, never replayed — packing changes where
-// bytes live, not what verify trusts.
-func TestPersistVerifyPackedStore(t *testing.T) {
-	dir := t.TempDir()
-	cfg := ODRIPSConfig()
-	cycles := workload.ConnectedStandby(25, 3)
-	base, _ := runStandby(t, cfg, cycles)
-
-	rw := withStore(t, dir, memostore.RW)
-	runStandby(t, cfg, cycles)
-	if cs, err := rw.Compact(); err != nil || cs.Entries == 0 {
-		t.Fatalf("compact: %+v %v", cs, err)
-	}
-
-	vs := withStore(t, dir, memostore.RO)
-	withFastForward(t, FFVerify)
-	verified, verStats := runStandby(t, cfg, cycles)
-	if !reflect.DeepEqual(base, verified) {
-		t.Fatal("verify run over packed store diverged")
-	}
-	if verStats.CyclesReplayed != 0 {
-		t.Fatalf("verify mode replayed %d packed cycles", verStats.CyclesReplayed)
-	}
-	st := vs.Stats()
-	if st.PackHits == 0 {
-		t.Fatalf("verify run never touched the segment: %+v", st)
-	}
-	if st.Writes != 0 {
-		t.Fatalf("verify mode wrote: %+v", st)
-	}
-}
-
-// TestPersistWarmReplayPacked: compacting the store between runs changes
-// the load path (segment index instead of loose files), and nothing
-// else — same replays, same results.
-func TestPersistWarmReplayPacked(t *testing.T) {
-	dir := t.TempDir()
-	cfg := ODRIPSConfig()
-	cycles := workload.ConnectedStandby(25, 3)
-	base, _ := runStandby(t, cfg, cycles)
-
-	store := withStore(t, dir, memostore.RW)
-	_, coldStats := runStandby(t, cfg, cycles)
-	if cs, err := store.Compact(); err != nil || cs.LooseRemoved == 0 {
-		t.Fatalf("compact: %+v %v", cs, err)
-	}
-
-	ResetPersistentMemos()
-	warm, warmStats := runStandby(t, cfg, cycles)
-	if !reflect.DeepEqual(base, warm) {
-		t.Fatal("packed-warm run diverged")
-	}
-	if warmStats.CyclesReplayed != coldStats.CyclesRecorded {
-		t.Fatalf("packed-warm replayed %d, cold recorded %d", warmStats.CyclesReplayed, coldStats.CyclesRecorded)
-	}
-	if st := store.Stats(); st.PackHits == 0 {
-		t.Fatalf("warm run bypassed the segment: %+v", st)
-	}
-}
-
 // TestPersistVerifyDetectsTamper plants a subtly wrong record in the
 // store and checks that an ro store under -fastforward=verify fails the
 // run instead of trusting it.

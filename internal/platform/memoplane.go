@@ -366,18 +366,6 @@ func (pl *MemoPlane) Snapshot() *MemoSnapshot {
 	return snap
 }
 
-// Classes returns the number of classes holding records in the snapshot.
-func (s *MemoSnapshot) Classes() int { return len(s.classes) }
-
-// Records returns the total record count across the snapshot's classes.
-func (s *MemoSnapshot) Records() int {
-	n := 0
-	for _, recs := range s.classes {
-		n += len(recs)
-	}
-	return n
-}
-
 // Attach hooks a platform into the frozen snapshot: records for the
 // platform's memo class are adopted, nothing is published anywhere, and
 // no store is attached — the run can no longer observe or influence any

@@ -93,8 +93,12 @@ func TestMemoSnapshotIsFrozen(t *testing.T) {
 	want, _ := planeRun(t, cfg, plane.Attach)
 
 	snap := plane.Snapshot()
-	if snap.Classes() != 1 || snap.Records() == 0 {
-		t.Fatalf("snapshot classes=%d records=%d", snap.Classes(), snap.Records())
+	records := 0
+	for _, recs := range snap.classes {
+		records += len(recs)
+	}
+	if len(snap.classes) != 1 || records == 0 {
+		t.Fatalf("snapshot classes=%d records=%d", len(snap.classes), records)
 	}
 	recordsBefore := plane.Stats().Records
 

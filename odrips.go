@@ -273,18 +273,6 @@ func SetupMemoCache(mode, dir string) error {
 // when persistence is off).
 func MemoCacheStats() memostore.Stats { return memostore.Default().Stats() }
 
-// CompactMemoCache folds the process-wide memo store's loose entries
-// into one checksummed pack segment (see DESIGN.md §17) and reports what
-// moved. It requires a writable (-memocache rw) store; with persistence
-// off or read-only it returns an error and changes nothing.
-func CompactMemoCache() (memostore.CompactStats, error) {
-	s := memostore.Default()
-	if s == nil {
-		return memostore.CompactStats{}, fmt.Errorf("odrips: memo cache is off; enable -memocache rw to compact")
-	}
-	return s.Compact()
-}
-
 // ResetPersistentMemos drops the default memo plane, forcing the next run
 // to reload from disk — benchmarks use it to measure warm-cache (disk,
 // not RAM) cost.
@@ -436,10 +424,6 @@ func MemoStats() *Table {
 		fmt.Sprintf("%d", ms.Hits), fmt.Sprintf("%d", ms.Misses),
 		fmt.Sprintf("%d entries, %d B", ms.DiskEntries, ms.DiskBytes),
 		fmt.Sprintf("%d writes, %d corrupt, %d skewed", ms.Writes, ms.Corrupt, ms.VersionSkew))
-	t.AddRow("pack segments",
-		fmt.Sprintf("%d", ms.PackHits), "-",
-		fmt.Sprintf("%d segments, %d packed + %d loose", ms.Segments, ms.PackedEntries, ms.LooseEntries),
-		fmt.Sprintf("%d B index", ms.IndexBytes))
 	t.AddRow("compute coordination",
 		fmt.Sprintf("%d", ms.FlightShared+ms.ClaimWaitHits), "-",
 		fmt.Sprintf("%d flight leads", ms.FlightLeads),
