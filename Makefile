@@ -43,15 +43,20 @@ verify: build vet lint race
 # detector with the load harness raised to thousands of concurrent jobs
 # against the shared memo plane, then a cold+warm 1000-device fleet
 # through the CLI against a persistent store (the warm run must adopt
-# from disk). Run by CI on every push; FLEET_LOAD_JOBS scales the
+# from disk, and both runs' JSON "aggregates" blocks must be
+# byte-identical). Run by CI on every push; FLEET_LOAD_JOBS scales the
 # harness.
 FLEET_LOAD_JOBS ?= 2048
 FLEETDIR := $(CURDIR)/.odrips-fleet-smoke
 fleet-smoke:
 	ODRIPS_FLEET_LOAD_JOBS=$(FLEET_LOAD_JOBS) $(GO) test -race -count=1 ./internal/fleet ./internal/platform -run 'TestFleet|TestMemoPlane|TestMemoSnapshot'
-	rm -rf $(FLEETDIR)
-	$(GO) run ./cmd/odrips-fleet -devices 1000 -shards 8 -memocache rw -memocachedir $(FLEETDIR) > /dev/null
-	$(GO) run ./cmd/odrips-fleet -devices 1000 -shards 8 -memocache ro -memocachedir $(FLEETDIR) -format json | grep -q '"adopted": [1-9]' || { echo "fleet-smoke: warm run adopted nothing from the memo store"; exit 1; }
+	rm -rf $(FLEETDIR) && mkdir -p $(FLEETDIR)
+	$(GO) run ./cmd/odrips-fleet -devices 1000 -shards 8 -memocache rw -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/cold.json
+	$(GO) run ./cmd/odrips-fleet -devices 1000 -shards 8 -memocache ro -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/warm.json
+	grep -q '"adopted": [1-9]' $(FLEETDIR)/warm.json || { echo "fleet-smoke: warm run adopted nothing from the memo store"; exit 1; }
+	sed -n '/^  "aggregates"/,/^  "memo"/p' $(FLEETDIR)/cold.json > $(FLEETDIR)/cold.agg
+	sed -n '/^  "aggregates"/,/^  "memo"/p' $(FLEETDIR)/warm.json > $(FLEETDIR)/warm.agg
+	test -s $(FLEETDIR)/cold.agg && cmp $(FLEETDIR)/cold.agg $(FLEETDIR)/warm.agg || { echo "fleet-smoke: cold and warm aggregates differ"; exit 1; }
 	@rm -rf $(FLEETDIR)
 	@echo fleet-smoke OK
 

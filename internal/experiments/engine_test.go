@@ -199,14 +199,6 @@ func TestSweepBreakEvenRejectsZeroStep(t *testing.T) {
 	}
 }
 
-// Sequential knob wins over Workers.
-func TestSweepOptionsSequentialKnob(t *testing.T) {
-	o := SweepOptions{Workers: 8, Sequential: true}
-	if got := o.workers(); got != 1 {
-		t.Fatalf("Sequential knob ignored: workers() = %d, want 1", got)
-	}
-}
-
 func TestSetDefaultWorkers(t *testing.T) {
 	defer SetDefaultWorkers(0)
 	SetDefaultWorkers(3)

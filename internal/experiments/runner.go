@@ -52,17 +52,6 @@ type SweepOptions struct {
 	// sequentially on the calling goroutine. Results are identical at any
 	// worker count.
 	Workers int
-	// Sequential forces single-threaded evaluation regardless of Workers —
-	// a debugging knob equivalent to Workers=1.
-	Sequential bool
-}
-
-// workers resolves the knobs to a concrete pool size request.
-func (o SweepOptions) workers() int {
-	if o.Sequential {
-		return 1
-	}
-	return o.Workers
 }
 
 // Validate checks that an enabled sweep describes a finite, advancing
@@ -349,7 +338,7 @@ func SweepBreakEven(base, opt platform.Config, o SweepOptions) (sim.Duration, bo
 	if o.CyclesPerPoint <= 0 {
 		o.CyclesPerPoint = 1
 	}
-	workers := resolveWorkers(o.workers())
+	workers := resolveWorkers(o.Workers)
 	transBase, err := transitionTime(base)
 	if err != nil {
 		return 0, false, fmt.Errorf("sweep base transitions: %w", err)

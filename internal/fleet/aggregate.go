@@ -145,19 +145,12 @@ var residencyEdges = []float64{0, 90, 99, 99.5, 99.9, 100.0000001}
 // at least a millisecond, so no device can clear 1e7/h).
 var wakeRateEdges = []float64{0, 30, 60, 90, 120, 180, 360, 720, 3600, 1e7}
 
-// aggregate folds per-device patched results into the report. All loops
-// run in device-index order, so every float accumulation is
-// order-deterministic.
-func aggregate(
-	s Spec,
-	devices []device,
-	byRun map[string]runOutcome,
-	runRepIndex map[string]int,
-	warmFF map[string]platform.FFStats,
-	memoRepIndex map[string]int,
-	warmCount map[string]int,
-) (*Report, error) {
-	n := len(devices)
+// aggregate folds the class outcomes — runs by run class, warm by memo
+// class — into the report, patching each device's run-class result with
+// its own battery pack. All loops run in device-index order, so every
+// float accumulation is order-deterministic.
+func aggregate(s Spec, t *classTable, runs, warm []runOutcome) (*Report, error) {
+	n := len(t.devices)
 	lifeH := make([]float64, n)
 	powerMW := make([]float64, n)
 	residencyPct := make([]float64, n)
@@ -172,9 +165,9 @@ func aggregate(
 	}
 	agg := &rep.Aggregates
 	memo := &rep.Memo
-	memo.RunClasses = len(byRun)
-	memo.MemoClasses = len(warmFF)
-	memo.SimulatedRuns = len(byRun) + len(warmFF)
+	memo.RunClasses = len(t.runs)
+	memo.MemoClasses = len(t.memos)
+	memo.SimulatedRuns = len(t.runs) + len(t.memos)
 
 	shards := make([]ShardAgg, s.Shards)
 	for i := range shards {
@@ -187,17 +180,15 @@ func aggregate(
 	var totalWakes uint64
 	var simByDevice uint64
 
-	for i := range devices {
-		d := &devices[i]
-		out, ok := byRun[d.runClass]
-		if !ok {
-			return nil, fmt.Errorf("fleet: device %d: missing run class outcome", d.index)
-		}
+	for i := range t.devices {
+		d := &t.devices[i]
+		rc := &t.runs[d.run]
+		out := runs[d.run]
 		res := out.res
 		hours := res.Duration.Seconds() / 3600
 		life, err := d.pack.StandbyHours(res.AvgPowerMW)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: device %d: %w", d.index, err)
+			return nil, fmt.Errorf("fleet: device %d: %w", i, err)
 		}
 		lifeH[i] = life
 		powerMW[i] = res.AvgPowerMW
@@ -227,11 +218,10 @@ func aggregate(
 		// phase actually simulated; every other device's cycles were
 		// deduplicated.
 		var devSim uint64
-		if memoRepIndex[d.memoClass] == d.index {
-			wf := warmFF[d.memoClass]
-			devSim += uint64(warmCount[d.memoClass]) - wf.CyclesReplayed
-		}
-		if runRepIndex[d.runClass] == d.index {
+		if rc.rep == i {
+			if t.memos[rc.memo].run == d.run { // also the memo-class representative
+				devSim += uint64(rc.cycles) - warm[rc.memo].ff.CyclesReplayed
+			}
 			devSim += uint64(res.Cycles) - out.ff.CyclesReplayed
 			memo.ReplayedCycles += out.ff.CyclesReplayed
 		} else {

@@ -6,32 +6,10 @@ import (
 
 	"odrips/internal/experiments"
 	"odrips/internal/faults"
+	"odrips/internal/memostore"
 	"odrips/internal/platform"
 	"odrips/internal/workload"
 )
-
-// classRep is a deterministic class representative: the lowest-indexed
-// device of the class.
-type classRep struct {
-	key string
-	dev device
-}
-
-// classesOf collects, in first-appearance (= device index) order, one
-// representative per class.
-func classesOf(devices []device, key func(device) string) []classRep {
-	seen := make(map[string]bool, len(devices))
-	var reps []classRep
-	for _, d := range devices {
-		k := key(d)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		reps = append(reps, classRep{key: k, dev: d})
-	}
-	return reps
-}
 
 // runOutcome is one simulated run class's full result.
 type runOutcome struct {
@@ -39,17 +17,18 @@ type runOutcome struct {
 	ff  platform.FFStats
 }
 
-// runDevice builds, attaches, faults, and runs one device simulation.
-func runDevice(s Spec, d device, attach func(*platform.Platform)) (runOutcome, error) {
-	p, err := platform.New(d.cfg)
+// runDevice builds, attaches, faults, and runs one run class's
+// representative simulation.
+func runDevice(s Spec, r *runClass, attach func(*platform.Platform)) (runOutcome, error) {
+	p, err := platform.New(r.cfg)
 	if err != nil {
 		return runOutcome{}, err
 	}
 	if attach != nil {
 		attach(p)
 	}
-	if d.planStr != "" {
-		plan, err := faults.Parse(d.planStr)
+	if r.plan != "" {
+		plan, err := faults.Parse(r.plan)
 		if err != nil {
 			return runOutcome{}, err
 		}
@@ -57,49 +36,49 @@ func runDevice(s Spec, d device, attach func(*platform.Platform)) (runOutcome, e
 			return runOutcome{}, err
 		}
 	}
-	res, err := p.RunCycles(cyclesFor(s, d))
+	res, err := p.RunCycles(r.workload(s))
 	if err != nil {
 		return runOutcome{}, err
 	}
 	return runOutcome{res: res, ff: p.FFStats()}, nil
 }
 
-// runReps evaluates one simulation per representative on the worker pool,
-// results in representative order. ctx is checked at every device-run
+// runReps evaluates n run-class representatives on the worker pool —
+// the i-th is run class runOf(i) — with results in that order. ctx is checked at every device-run
 // boundary — a canceled job stops claiming new simulations and surfaces
 // ctx's error (wrapped; errors.Is(err, ctx.Err()) holds) after in-flight
-// points drain. onDone, when non-nil, observes each completed
-// representative from its worker goroutine (it must be concurrency-safe;
-// the Progress counters are). warm, when non-nil, routes each run
-// through plane.WarmClass keyed by the representative's class, so a
-// cold class is discovered once per process (single-flight) and once
-// fleet-wide (store claims) — phase 1 passes the live plane here, phase
-// 2 runs uncoordinated against the frozen snapshot.
-func runReps(ctx context.Context, s Spec, reps []classRep, attach func(*platform.Platform), warm *platform.MemoPlane, onDone func(classRep)) ([]runOutcome, error) {
-	points := make([]experiments.PointSpec[runOutcome], len(reps))
-	for i := range reps {
-		rep := reps[i]
-		d := rep.dev
+// points drain. onDone, when non-nil, observes each completed run class
+// from its worker goroutine (it must be concurrency-safe; the Progress
+// counters are). warm, when non-nil, routes each run through
+// plane.WarmClass keyed by the run's memo class, so a cold class is
+// discovered once per process (single-flight) and once fleet-wide (store
+// claims) — phase 1 passes the live plane here, phase 2 runs
+// uncoordinated against the frozen snapshot.
+func runReps(ctx context.Context, s Spec, t *classTable, n int, runOf func(int) int, attach func(*platform.Platform), warm *platform.MemoPlane, onDone func(run int)) ([]runOutcome, error) {
+	points := make([]experiments.PointSpec[runOutcome], n)
+	for i := range points {
+		r := runOf(i)
+		rc := &t.runs[r]
 		points[i] = experiments.PointSpec[runOutcome]{
-			LabelFn: func() string { return fmt.Sprintf("device %d", d.index) },
+			LabelFn: func() string { return fmt.Sprintf("device %d", rc.rep) },
 			Run: func() (runOutcome, error) {
 				if err := ctx.Err(); err != nil {
-					return runOutcome{}, fmt.Errorf("fleet: canceled before device %d: %w", d.index, err)
+					return runOutcome{}, fmt.Errorf("fleet: canceled before device %d: %w", rc.rep, err)
 				}
 				var out runOutcome
 				run := func() error {
 					var rerr error
-					out, rerr = runDevice(s, d, attach)
+					out, rerr = runDevice(s, rc, attach)
 					return rerr
 				}
 				var err error
 				if warm != nil {
-					err = warm.WarmClass(ctx, rep.key, run)
+					err = warm.WarmClass(ctx, t.memos[rc.memo].key, run)
 				} else {
 					err = run()
 				}
 				if err == nil && onDone != nil {
-					onDone(rep)
+					onDone(r)
 				}
 				return out, err
 			},
@@ -114,6 +93,25 @@ func runReps(ctx context.Context, s Spec, reps []classRep, attach func(*platform
 		out[i] = results[i].Value
 	}
 	return out, nil
+}
+
+// newPlane builds a memo plane over store sized for the job: at least
+// Spec.PlaneClasses, and never smaller than the job's own memo class
+// count (an undersized plane thrashes — correct, but it re-simulates
+// what it evicts).
+func newPlane(s Spec, t *classTable, store *memostore.Store) *platform.MemoPlane {
+	return platform.NewMemoPlane(store, max(s.PlaneClasses, len(t.memos)))
+}
+
+// PlaneFor builds a memo plane over store sized for the job, as Run(s,
+// nil) does over a detached plane. One-shot CLI runs use this.
+func PlaneFor(s Spec, store *memostore.Store) (*platform.MemoPlane, error) {
+	s, err := s.Normalized()
+	if err != nil {
+		return nil, err
+	}
+	t := expand(s)
+	return newPlane(s, &t, store), nil
 }
 
 // Run executes a fleet job. plane is the shared memo plane the job warms
@@ -138,31 +136,22 @@ func RunWithProgress(ctx context.Context, s Spec, plane *platform.MemoPlane, pro
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s = s.withDefaults()
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	devices, err := expand(s)
+	s, err := s.Normalized()
 	if err != nil {
 		return nil, err
 	}
-
-	memoReps := classesOf(devices, func(d device) string { return d.memoClass })
-	runReps_ := classesOf(devices, func(d device) string { return d.runClass })
-	prog.start(devices, len(memoReps), len(runReps_))
+	t := expand(s)
+	prog.start(&t)
 	if plane == nil {
-		classes := s.PlaneClasses
-		if classes < len(memoReps) {
-			classes = len(memoReps)
-		}
-		plane = platform.NewMemoPlane(nil, classes)
+		plane = newPlane(s, &t, nil)
 	}
 
 	// Phase 1: warm the plane with one full run per memo class. Classes
 	// are disjoint, so publication interleaving cannot influence the
 	// plane's content. The phase-1 outcomes are measurement too: they are
 	// the cost the fleet actually paid, reported as warming work.
-	warm, err := runReps(ctx, s, memoReps, plane.Attach, plane, func(classRep) { prog.warmRunDone() })
+	memoRun := func(m int) int { return t.memos[m].run }
+	warm, err := runReps(ctx, s, &t, len(t.memos), memoRun, plane.Attach, plane, func(int) { prog.warmRunDone() })
 	if err != nil {
 		return nil, err
 	}
@@ -171,26 +160,13 @@ func RunWithProgress(ctx context.Context, s Spec, plane *platform.MemoPlane, pro
 	// class outcome — result and replay statistics — is a pure function
 	// of (spec, snapshot), independent of scheduling.
 	snap := plane.Snapshot()
-	outcomes, err := runReps(ctx, s, runReps_, snap.Attach, nil, func(r classRep) { prog.runClassDone(r.key) })
+	self := func(r int) int { return r }
+	outcomes, err := runReps(ctx, s, &t, len(t.runs), self, snap.Attach, nil, prog.runClassDone)
 	if err != nil {
 		return nil, err
 	}
-	byRun := make(map[string]runOutcome, len(runReps_))
-	runRepIndex := make(map[string]int, len(runReps_))
-	for i, r := range runReps_ {
-		byRun[r.key] = outcomes[i]
-		runRepIndex[r.key] = r.dev.index
-	}
-	warmCycles := make(map[string]platform.FFStats, len(memoReps))
-	memoRepIndex := make(map[string]int, len(memoReps))
-	warmCount := make(map[string]int, len(memoReps))
-	for i, r := range memoReps {
-		warmCycles[r.key] = warm[i].ff
-		memoRepIndex[r.key] = r.dev.index
-		warmCount[r.key] = r.dev.cycles
-	}
 
-	rep, err := aggregate(s, devices, byRun, runRepIndex, warmCycles, memoRepIndex, warmCount)
+	rep, err := aggregate(s, &t, outcomes, warm)
 	if err != nil {
 		return nil, err
 	}
@@ -202,18 +178,15 @@ func RunWithProgress(ctx context.Context, s Spec, plane *platform.MemoPlane, pro
 	return rep, nil
 }
 
-// Workload view used by tests: the exact cycles device i would run.
+// DeviceCycles is the exact workload device i of the fleet runs.
 func DeviceCycles(s Spec, i int) ([]workload.Cycle, error) {
-	s = s.withDefaults()
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	devices, err := expand(s)
+	s, err := s.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	if i < 0 || i >= len(devices) {
-		return nil, fmt.Errorf("fleet: device %d outside fleet of %d", i, len(devices))
+	if i < 0 || i >= s.Devices {
+		return nil, fmt.Errorf("fleet: device %d outside fleet of %d", i, s.Devices)
 	}
-	return cyclesFor(s, devices[i]), nil
+	t := expand(s)
+	return t.runs[t.devices[i].run].workload(s), nil
 }

@@ -14,10 +14,12 @@
 //  1. Run-level dedup. Devices identical up to output-inert parameters
 //     share one simulation: the seed only varies DRAM context bytes
 //     (size-based accounting, never content-based — the identity
-//     platform.MemoClassKey documents and TestSeedInertness pins), and
-//     battery capacity is applied to the result downstream of the
-//     simulation. A 10k-device homogeneous-spread fleet therefore
-//     simulates a handful of run classes and copies.
+//     platform.MemoClassKey documents and TestPowerIndependentOfContextSeed
+//     and TestCanonicalPointConfigIdentities pin), and battery capacity
+//     is applied to the result downstream of the simulation. expand
+//     classifies the fleet once, by value, into a class table; a
+//     10k-device homogeneous-spread fleet therefore simulates a handful
+//     of run classes and copies.
 //
 //  2. Cross-device cycle replay. Distinct run classes of one memo class
 //     (jittered wake periods, post-fault steady states) adopt each
@@ -116,21 +118,21 @@ const (
 	DefaultWakePeriod = 30 * sim.Second
 )
 
-// baseConfig resolves the preset name.
-func baseConfig(preset string) (platform.Config, error) {
+// baseConfig resolves the preset name; ok is false for an unknown one.
+func baseConfig(preset string) (cfg platform.Config, ok bool) {
 	switch preset {
 	case "", "odrips":
-		return platform.ODRIPSConfig(), nil
+		return platform.ODRIPSConfig(), true
 	case "baseline":
-		return platform.DefaultConfig(), nil
+		return platform.DefaultConfig(), true
 	case "wake-up-off":
-		return platform.DefaultConfig().WithTechniques(platform.WakeUpOff), nil
+		return platform.DefaultConfig().WithTechniques(platform.WakeUpOff), true
 	case "aon-io-gate":
-		return platform.DefaultConfig().WithTechniques(platform.WakeUpOff | platform.AONIOGate), nil
+		return platform.DefaultConfig().WithTechniques(platform.WakeUpOff | platform.AONIOGate), true
 	case "ctx-sgx-dram":
-		return platform.DefaultConfig().WithTechniques(platform.CtxSGXDRAM), nil
+		return platform.DefaultConfig().WithTechniques(platform.CtxSGXDRAM), true
 	}
-	return platform.Config{}, fmt.Errorf("fleet: unknown preset %q (want odrips, baseline, wake-up-off, aon-io-gate, or ctx-sgx-dram)", preset)
+	return platform.Config{}, false
 }
 
 // withDefaults fills zero fields.
@@ -172,8 +174,8 @@ func (s Spec) Validate() error {
 	if s.Devices < 1 {
 		return fmt.Errorf("fleet: %d devices (want at least 1)", s.Devices)
 	}
-	if _, err := baseConfig(s.Preset); err != nil {
-		return err
+	if _, ok := baseConfig(s.Preset); !ok {
+		return fmt.Errorf("fleet: unknown preset %q (want odrips, baseline, wake-up-off, aon-io-gate, or ctx-sgx-dram)", s.Preset)
 	}
 	if s.Horizon < 0 || s.Active < 0 || s.WakePeriod <= 0 {
 		return fmt.Errorf("fleet: bad cycle shape (horizon %v, active %v, wake period %v)", s.Horizon, s.Active, s.WakePeriod)
@@ -189,10 +191,20 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("fleet: jitter step %v out of [0, wake period)", j)
 		}
 	}
+	for _, c := range s.Spread.BatteryMWh {
+		if math.IsNaN(c) || math.IsInf(c, 0) || c <= 0 {
+			return fmt.Errorf("fleet: battery capacity %v mWh (want finite and positive)", c)
+		}
+	}
+	planned := make(map[int]bool, len(s.Spread.Faults))
 	for _, df := range s.Spread.Faults {
 		if df.Device < 0 || df.Device >= s.Devices {
 			return fmt.Errorf("fleet: fault plan for device %d outside fleet of %d", df.Device, s.Devices)
 		}
+		if planned[df.Device] {
+			return fmt.Errorf("fleet: device %d has two fault plans", df.Device)
+		}
+		planned[df.Device] = true
 		if _, err := faults.Parse(df.Plan); err != nil {
 			return fmt.Errorf("fleet: device %d: %w", df.Device, err)
 		}
@@ -200,73 +212,97 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// device is one expanded fleet member.
+// device is one expanded fleet member. Its index in the table is its
+// device index.
 type device struct {
-	index   int
-	cfg     platform.Config
-	idle    sim.Duration
-	cycles  int
-	pack    battery.Pack
-	planStr string
-	shard   int
-
-	memoClass string
-	runClass  string
+	run   int // run-class index
+	pack  battery.Pack
+	shard int
 }
 
-// expand deterministically materializes the per-device list from a
-// defaulted, validated spec. Devices are produced in index order; shard
-// assignment is the balanced contiguous split index*Shards/Devices.
-func expand(s Spec) ([]device, error) {
-	base, err := baseConfig(s.Preset)
-	if err != nil {
-		return nil, err
-	}
+// runClass is the unit of result sharing: devices identical up to their
+// seed and battery pack run one simulation.
+type runClass struct {
+	rep    int             // lowest member device index
+	cfg    platform.Config // the representative's config (seed included)
+	idle   sim.Duration
+	cycles int
+	plan   string
+	memo   int // memo-class index
+}
+
+// memoClass is the unit of cycle-record sharing: a seed-zeroed config.
+type memoClass struct {
+	key string // platform.MemoClassKey: the plane and store key
+	run int    // the representative's run class
+}
+
+// classTable is a classified fleet. Devices are in index order; run and
+// memo classes are in order of their representatives, which are each
+// class's lowest-indexed device.
+type classTable struct {
+	devices []device
+	runs    []runClass
+	memos   []memoClass
+}
+
+// expand classifies a defaulted, validated spec in one pass, keyed by
+// values: a memo class is the config with its seed zeroed, a run class
+// its memo class plus cycle shape and fault plan. Shard assignment is
+// the balanced contiguous split index*Shards/Devices.
+func expand(s Spec) classTable {
+	base, _ := baseConfig(s.Preset) // Validate rejected unknown presets
+	base.Seed = 0
 	plans := make(map[int]string, len(s.Spread.Faults))
 	for _, df := range s.Spread.Faults {
-		if _, dup := plans[df.Device]; dup {
-			return nil, fmt.Errorf("fleet: device %d has two fault plans", df.Device)
-		}
 		plans[df.Device] = df.Plan
 	}
-	devices := make([]device, s.Devices)
-	for i := range devices {
-		d := &devices[i]
-		d.index = i
-		d.cfg = base
-		d.cfg.Seed = s.Spread.SeedBase + int64(i)*s.Spread.SeedStride
+	type runKey struct {
+		memo   int
+		idle   sim.Duration
+		cycles int
+		plan   string
+	}
+	memoOf := make(map[platform.Config]int)
+	runOf := make(map[runKey]int)
+	t := classTable{devices: make([]device, s.Devices)}
+	for i := range t.devices {
+		cfg := base
 		if n := len(s.Spread.DriftPPB); n > 0 {
-			d.cfg.XtalSlowPPB += s.Spread.DriftPPB[i%n]
+			cfg.XtalSlowPPB += s.Spread.DriftPPB[i%n]
 		}
-		d.idle = s.WakePeriod
+		m, ok := memoOf[cfg]
+		if !ok {
+			m = len(t.memos)
+			memoOf[cfg] = m
+			t.memos = append(t.memos, memoClass{key: platform.MemoClassKey(cfg), run: len(t.runs)})
+		}
+		k := runKey{memo: m, idle: s.WakePeriod, plan: plans[i]}
 		if n := len(s.Spread.JitterSteps); n > 0 {
-			d.idle += s.Spread.JitterSteps[i%n]
+			k.idle += s.Spread.JitterSteps[i%n]
 		}
-		period := s.Active + d.idle
-		d.cycles = int(s.Horizon / period)
-		if d.cycles < 1 {
-			d.cycles = 1
+		k.cycles = max(int(s.Horizon/(s.Active+k.idle)), 1)
+		r, ok := runOf[k]
+		if !ok {
+			r = len(t.runs)
+			runOf[k] = r
+			cfg.Seed = s.Spread.SeedBase + int64(i)*s.Spread.SeedStride
+			t.runs = append(t.runs, runClass{rep: i, cfg: cfg, idle: k.idle, cycles: k.cycles, plan: k.plan, memo: m})
 		}
+		d := &t.devices[i]
+		d.run = r
 		d.pack = battery.Tablet()
 		if n := len(s.Spread.BatteryMWh); n > 0 {
 			d.pack.CapacityMWh = s.Spread.BatteryMWh[i%n]
 		}
-		if err := d.pack.Validate(); err != nil {
-			return nil, fmt.Errorf("fleet: device %d: %w", i, err)
-		}
-		d.planStr = plans[i]
 		d.shard = i * s.Shards / s.Devices
-
-		d.memoClass = platform.MemoClassKey(d.cfg)
-		d.runClass = fmt.Sprintf("%s|active=%d|idle=%d|n=%d|plan=%s",
-			d.memoClass, int64(s.Active), int64(d.idle), d.cycles, d.planStr)
 	}
-	return devices, nil
+	return t
 }
 
-// cyclesFor builds a device's workload.
-func cyclesFor(s Spec, d device) []workload.Cycle {
-	return workload.Fixed(d.cycles, s.Active, d.idle)
+// workload builds the cycles every member of the class runs.
+func (r *runClass) workload(s Spec) []workload.Cycle {
+	return workload.Fixed(r.cycles, s.Active, r.idle)
 }
 
 // parseDur parses a human duration ("30s", "6h") into sim time.

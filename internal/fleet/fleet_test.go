@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"odrips/internal/battery"
 	"odrips/internal/memostore"
 	"odrips/internal/platform"
 	"odrips/internal/sim"
@@ -66,31 +69,16 @@ func TestFleetMatchesNaiveSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	devices, err := expand(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byRun := make(map[string]runOutcome)
-	runRepIndex := make(map[string]int)
-	warmFF := make(map[string]platform.FFStats)
-	memoRepIndex := make(map[string]int)
-	warmCount := make(map[string]int)
-	for _, d := range devices {
-		if _, ok := byRun[d.runClass]; !ok {
-			out, err := runDevice(s, d, nil) // solo: no plane, no snapshot
-			if err != nil {
-				t.Fatalf("device %d solo: %v", d.index, err)
-			}
-			byRun[d.runClass] = out
-			runRepIndex[d.runClass] = d.index
+	classes := formattedClasses(s)
+	runs := make([]runOutcome, len(classes.runs))
+	for r := range classes.runs {
+		out, err := runDevice(s, &classes.runs[r], nil) // solo: no plane, no snapshot
+		if err != nil {
+			t.Fatalf("device %d solo: %v", classes.runs[r].rep, err)
 		}
-		if _, ok := memoRepIndex[d.memoClass]; !ok {
-			memoRepIndex[d.memoClass] = d.index
-			warmFF[d.memoClass] = platform.FFStats{}
-			warmCount[d.memoClass] = d.cycles
-		}
+		runs[r] = out
 	}
-	naive, err := aggregate(s, devices, byRun, runRepIndex, warmFF, memoRepIndex, warmCount)
+	naive, err := aggregate(s, &classes, runs, make([]runOutcome, len(classes.memos)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +89,104 @@ func TestFleetMatchesNaiveSimulation(t *testing.T) {
 	if rep.Memo.RunClasses != 7 || rep.Memo.MemoClasses != 2 {
 		t.Errorf("class structure: %d run, %d memo classes (want 7, 2)",
 			rep.Memo.RunClasses, rep.Memo.MemoClasses)
+	}
+}
+
+// formattedClasses classifies a fleet the way the engine once did: each
+// device's config, cycle shape and fault plan derived from the spec
+// independently of expand, and its identity the formatted strings
+// platform.MemoClassKey and "<memo>|active=…|idle=…|n=…|plan=…". It is
+// the oracle for expand's value-keyed class table.
+func formattedClasses(s Spec) classTable {
+	base, _ := baseConfig(s.Preset)
+	plans := map[int]string{}
+	for _, df := range s.Spread.Faults {
+		plans[df.Device] = df.Plan
+	}
+	t := classTable{devices: make([]device, s.Devices)}
+	memoOf := map[string]int{}
+	runOf := map[string]int{}
+	for i := range t.devices {
+		cfg := base
+		cfg.Seed = s.Spread.SeedBase + int64(i)*s.Spread.SeedStride
+		if n := len(s.Spread.DriftPPB); n > 0 {
+			cfg.XtalSlowPPB += s.Spread.DriftPPB[i%n]
+		}
+		idle := s.WakePeriod
+		if n := len(s.Spread.JitterSteps); n > 0 {
+			idle += s.Spread.JitterSteps[i%n]
+		}
+		cycles := int(s.Horizon / (s.Active + idle))
+		if cycles < 1 {
+			cycles = 1
+		}
+		pack := battery.Tablet()
+		if n := len(s.Spread.BatteryMWh); n > 0 {
+			pack.CapacityMWh = s.Spread.BatteryMWh[i%n]
+		}
+		memoKey := platform.MemoClassKey(cfg)
+		runKey := fmt.Sprintf("%s|active=%d|idle=%d|n=%d|plan=%s",
+			memoKey, int64(s.Active), int64(idle), cycles, plans[i])
+
+		m, ok := memoOf[memoKey]
+		if !ok {
+			m = len(t.memos)
+			memoOf[memoKey] = m
+			t.memos = append(t.memos, memoClass{key: memoKey, run: -1})
+		}
+		r, ok := runOf[runKey]
+		if !ok {
+			r = len(t.runs)
+			runOf[runKey] = r
+			t.runs = append(t.runs, runClass{rep: i, cfg: cfg, idle: idle, cycles: cycles, plan: plans[i], memo: m})
+		}
+		if t.memos[m].run < 0 {
+			t.memos[m].run = r
+		}
+		t.devices[i] = device{run: r, pack: pack, shard: i * s.Shards / s.Devices}
+	}
+	return t
+}
+
+// TestFleetClassTableMatchesFormattedKeys: the value-keyed class table
+// partitions devices exactly as the formatted string keys do, with the
+// same lowest-index representatives, configs, shapes, plans and memo keys.
+func TestFleetClassTableMatchesFormattedKeys(t *testing.T) {
+	spread := Spec{
+		Devices: 60,
+		Shards:  5,
+		Spread: Spread{
+			SeedStride:  3,
+			DriftPPB:    []int64{0, 40, -25},
+			JitterSteps: []sim.Duration{0, 250 * sim.Millisecond},
+			BatteryMWh:  []float64{36000, 30000, 28000, 20000},
+		},
+	}
+	faulted := Spec{
+		Devices: 20,
+		Preset:  "baseline",
+		Horizon: 3 * sim.Minute,
+		Spread: Spread{
+			JitterSteps: []sim.Duration{0, 500 * sim.Millisecond},
+			Faults: []DeviceFaults{
+				{Device: 0, Plan: "wake@1.3"},
+				{Device: 7, Plan: "drift@1:1000000"},
+				{Device: 9, Plan: "wake@1.3"},
+			},
+		},
+	}
+	for name, s := range map[string]Spec{"mixed": mixedSpec(), "spread": spread, "faulted": faulted} {
+		s, err := s.Normalized()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, want := expand(s), formattedClasses(s)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: value-keyed table differs from the formatted-key oracle:\n got %+v\nwant %+v", name, got, want)
+		}
+		if len(got.runs) < 2 || len(got.memos) < 1 {
+			t.Errorf("%s: degenerate oracle case: %d run, %d memo classes", name, len(got.runs), len(got.memos))
+		}
 	}
 }
 
@@ -428,9 +514,12 @@ func TestParseSpecJSON(t *testing.T) {
 		"bad duration":  `{"devices": 1, "horizon": "6 fortnights"}`,
 		"bad plan":      `{"devices": 1, "spread": {"faults": [{"device": 0, "plan": "nonsense"}]}}`,
 		"no devices":    `{}`,
+		"two plans":     `{"devices":4,"horizon":"1m","spread":{"faults":[{"device":1,"plan":"wake@1"},{"device":1,"plan":"wake@2"}]}}`,
+		"zero battery":  `{"devices":4,"horizon":"1m","spread":{"battery_mwh":[0]}}`,
 	} {
-		if _, err := ParseSpecJSON([]byte(bad)); err == nil {
-			t.Errorf("%s: accepted %s", name, bad)
+		_, err := ParseSpecJSON([]byte(bad))
+		if se := (*SpecError)(nil); !errors.As(err, &se) {
+			t.Errorf("%s: %v for %s, want a *SpecError", name, err, bad)
 		}
 	}
 }
@@ -439,10 +528,15 @@ func TestParseSpecJSON(t *testing.T) {
 // split invariants.
 func TestFleetSpecValidation(t *testing.T) {
 	for name, s := range map[string]Spec{
-		"too many shards": {Devices: 2, Shards: 3},
-		"bad preset":      {Devices: 1, Preset: "warp-drive"},
-		"jitter >= wake":  {Devices: 1, Spread: Spread{JitterSteps: []sim.Duration{40 * sim.Second}}},
-		"fault oob":       {Devices: 2, Spread: Spread{Faults: []DeviceFaults{{Device: 2, Plan: "wake@1.3"}}}},
+		"too many shards":  {Devices: 2, Shards: 3},
+		"bad preset":       {Devices: 1, Preset: "warp-drive"},
+		"jitter >= wake":   {Devices: 1, Spread: Spread{JitterSteps: []sim.Duration{40 * sim.Second}}},
+		"fault oob":        {Devices: 2, Spread: Spread{Faults: []DeviceFaults{{Device: 2, Plan: "wake@1.3"}}}},
+		"two plans":        {Devices: 4, Spread: Spread{Faults: []DeviceFaults{{Device: 1, Plan: "wake@1"}, {Device: 1, Plan: "wake@2"}}}},
+		"zero battery":     {Devices: 4, Spread: Spread{BatteryMWh: []float64{36000, 0}}},
+		"negative battery": {Devices: 4, Spread: Spread{BatteryMWh: []float64{-1}}},
+		"NaN battery":      {Devices: 4, Spread: Spread{BatteryMWh: []float64{math.NaN()}}},
+		"infinite battery": {Devices: 4, Spread: Spread{BatteryMWh: []float64{math.Inf(1)}}},
 	} {
 		if err := s.withDefaults().Validate(); err == nil {
 			t.Errorf("%s: validated", name)
@@ -450,15 +544,11 @@ func TestFleetSpecValidation(t *testing.T) {
 	}
 
 	s := Spec{Devices: 10, Shards: 4}.withDefaults()
-	devices, err := expand(s)
-	if err != nil {
-		t.Fatal(err)
-	}
 	counts := make([]int, s.Shards)
 	prev := 0
-	for _, d := range devices {
+	for i, d := range expand(s).devices {
 		if d.shard < prev || d.shard >= s.Shards {
-			t.Fatalf("device %d: shard %d not a contiguous split", d.index, d.shard)
+			t.Fatalf("device %d: shard %d not a contiguous split", i, d.shard)
 		}
 		prev = d.shard
 		counts[d.shard]++

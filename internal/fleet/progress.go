@@ -40,9 +40,9 @@ type progressShape struct {
 	cyclesDone  atomic.Uint64
 
 	shards []progressShard
-	// byRunClass maps a run-class key to the per-shard resolution this
-	// class's completion unlocks. Read-only after build.
-	byRunClass map[string][]shardDelta
+	// byRun holds, per run class, the per-shard resolution that class's
+	// completion unlocks. Read-only after build.
+	byRun [][]shardDelta
 }
 
 type progressShard struct {
@@ -58,40 +58,34 @@ type shardDelta struct {
 	cycles  uint64
 }
 
-// start installs the run's shape. Devices must be in index order (the
+// start installs the run's shape. Devices are in index order (the
 // expand contract), which makes each class's shard sequence
 // nondecreasing, so deltas merge against the last element only.
-func (p *Progress) start(devices []device, warmTotal, runTotal int) {
+func (p *Progress) start(t *classTable) {
 	if p == nil {
 		return
 	}
 	sh := &progressShape{
-		warmTotal:  warmTotal,
-		runTotal:   runTotal,
-		devices:    len(devices),
-		byRunClass: make(map[string][]shardDelta),
+		warmTotal: len(t.memos),
+		runTotal:  len(t.runs),
+		devices:   len(t.devices),
+		byRun:     make([][]shardDelta, len(t.runs)),
 	}
-	maxShard := 0
-	for i := range devices {
-		if devices[i].shard > maxShard {
-			maxShard = devices[i].shard
-		}
-	}
-	sh.shards = make([]progressShard, maxShard+1)
-	for i := range devices {
-		d := &devices[i]
-		cycles := uint64(d.cycles)
+	sh.shards = make([]progressShard, t.devices[len(t.devices)-1].shard+1)
+	for i := range t.devices {
+		d := &t.devices[i]
+		cycles := uint64(t.runs[d.run].cycles)
 		sh.cyclesTotal += cycles
 		sh.shards[d.shard].devices++
 		sh.shards[d.shard].cycles += cycles
-		dl := sh.byRunClass[d.runClass]
+		dl := sh.byRun[d.run]
 		if n := len(dl); n > 0 && dl[n-1].shard == d.shard {
 			dl[n-1].devices++
 			dl[n-1].cycles += cycles
 		} else {
 			dl = append(dl, shardDelta{shard: d.shard, devices: 1, cycles: cycles})
 		}
-		sh.byRunClass[d.runClass] = dl
+		sh.byRun[d.run] = dl
 	}
 	p.shape.Store(sh)
 }
@@ -108,7 +102,7 @@ func (p *Progress) warmRunDone() {
 
 // runClassDone resolves a completed phase-2 run class: every member
 // device's cycles are now accounted for, attributed to its shard.
-func (p *Progress) runClassDone(class string) {
+func (p *Progress) runClassDone(run int) {
 	if p == nil {
 		return
 	}
@@ -117,7 +111,7 @@ func (p *Progress) runClassDone(class string) {
 		return
 	}
 	sh.runDone.Add(1)
-	for _, dl := range sh.byRunClass[class] {
+	for _, dl := range sh.byRun[run] {
 		sh.shards[dl.shard].devicesDone.Add(uint64(dl.devices))
 		sh.shards[dl.shard].cyclesDone.Add(dl.cycles)
 		sh.devicesDone.Add(uint64(dl.devices))

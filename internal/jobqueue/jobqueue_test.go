@@ -386,6 +386,12 @@ func TestSubmitErrors(t *testing.T) {
 	if _, err := q.Submit(fleet.Spec{Devices: 0}); !errors.As(err, &se) {
 		t.Fatalf("invalid spec: %v", err)
 	}
+	twoPlans := fleet.Spec{Devices: 4, Horizon: sim.Minute, Spread: fleet.Spread{Faults: []fleet.DeviceFaults{
+		{Device: 1, Plan: "wake@1"}, {Device: 1, Plan: "wake@2"},
+	}}}
+	if _, err := q.Submit(twoPlans); !errors.As(err, &se) {
+		t.Fatalf("device with two fault plans: %v", err)
+	}
 	if _, err := q.Submit(smallSpec("big")); !errors.Is(err, ErrTooLarge) {
 		t.Fatal("12 devices passed a MaxDevices of 10")
 	}
