@@ -65,9 +65,11 @@ fleet-smoke:
 # replay SERVER_SMOKE_JOBS bursty submissions round-robined across both
 # (zero drops, monotone progress, per-class byte-identical aggregates
 # regardless of which server ran the job — loadgen exits nonzero on any
-# violation), then SIGTERM both and require clean drains (exit 0). The
-# shared store exercises the cross-process claim protocol under real
-# process isolation. Run by CI on every push.
+# violation), then check each server's /v1/stats: no claim takeovers
+# (a leaked claim ages into one) and at least one claim owned between
+# them. Then SIGTERM both and require clean drains (exit 0). The shared
+# store exercises the claim protocol, the only compute dedup, across
+# processes and across each server's 4 workers. Run by CI on every push.
 SMOKEDIR          := $(CURDIR)/.odrips-server-smoke
 SERVER_SMOKE_JOBS ?= 200
 server-smoke:
@@ -82,6 +84,12 @@ server-smoke:
 	addr2=$$(sed -n 's/.*listening on //p' $(SMOKEDIR)/server2.log | head -1); \
 	if [ -z "$$addr1" ] || [ -z "$$addr2" ]; then echo "server-smoke: a server never came up"; cat $(SMOKEDIR)/server1.log $(SMOKEDIR)/server2.log; kill $$pid1 $$pid2 2>/dev/null; exit 1; fi; \
 	$(SMOKEDIR)/odrips-loadgen -addr "http://$$addr1,http://$$addr2" -jobs $(SERVER_SMOKE_JOBS) -burst -concurrency 32 || { kill $$pid1 $$pid2 2>/dev/null; exit 1; }; \
+	stats1=$$(curl -sf "http://$$addr1/v1/stats") && stats2=$$(curl -sf "http://$$addr2/v1/stats") || { echo "server-smoke: /v1/stats failed"; kill $$pid1 $$pid2 2>/dev/null; exit 1; }; \
+	for st in "$$stats1" "$$stats2"; do echo "$$st" | grep -q '"claim_takeovers":0[,}]' || { echo "server-smoke: a server took over a claim: $$st"; kill $$pid1 $$pid2 2>/dev/null; exit 1; }; done; \
+	owned1=$$(echo "$$stats1" | sed -n 's/.*"claims_owned":\([0-9]*\).*/\1/p'); \
+	owned2=$$(echo "$$stats2" | sed -n 's/.*"claims_owned":\([0-9]*\).*/\1/p'); \
+	if [ $$(( $${owned1:-0} + $${owned2:-0} )) -lt 1 ]; then echo "server-smoke: no server owned a claim ($$owned1 + $$owned2)"; kill $$pid1 $$pid2 2>/dev/null; exit 1; fi; \
+	echo "server-smoke: claims owned $$owned1 + $$owned2, 0 takeovers"; \
 	kill -TERM $$pid1 $$pid2; \
 	wait $$pid1 || { echo "server-smoke: server 1 exited nonzero after SIGTERM"; cat $(SMOKEDIR)/server1.log; kill $$pid2 2>/dev/null; exit 1; }; \
 	wait $$pid2 || { echo "server-smoke: server 2 exited nonzero after SIGTERM"; cat $(SMOKEDIR)/server2.log; exit 1; }

@@ -103,8 +103,8 @@ func failSafeLoader(pass *Pass, call *ast.CallExpr) (string, int) {
 	switch {
 	case pkgPath == "odrips/internal/memostore" &&
 		(strings.HasPrefix(fn.Name(), "Load") || fn.Name() == "Claim" || fn.Name() == "AwaitClaimed"):
-		// Load* covers Load and LoadOrCompute; Claim and
-		// AwaitClaimed are coordination, but a blanked error there turns
+		// Load* covers Load; Claim and AwaitClaimed are
+		// coordination, but a blanked error there turns
 		// "compute uncoordinated" into "assume someone else computes" —
 		// a hang, not a graceful miss.
 		if recv := sig.Recv(); recv != nil && recvNamed(recv.Type(), "odrips/internal/memostore", "Store") {

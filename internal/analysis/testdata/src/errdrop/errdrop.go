@@ -43,9 +43,8 @@ func BadClaims(s *memostore.Store, key []byte) []byte {
 	if c != nil {
 		c.Release()
 	}
-	payload, _ := s.LoadOrCompute("cycles", key, func() ([]byte, error) { return nil, nil }) // want errdrop
-	p3, ok, _ := s.AwaitClaimed(context.Background(), "cycles", key)                         // want errdrop
-	_, _ = p3, ok
+	payload, ok, _ := s.AwaitClaimed(context.Background(), "cycles", key) // want errdrop
+	_ = ok
 	return payload
 }
 

@@ -143,22 +143,6 @@ func RunPoints[T any](points []PointSpec[T], workers int) ([]PointResult[T], err
 		workers = len(points)
 	}
 
-	if workers == 1 {
-		// Sequential fast path: no goroutines, no synchronization.
-		for i, p := range points {
-			v, err := p.Run()
-			lbl := p.Label
-			if err != nil {
-				lbl = p.label()
-			}
-			results[i] = PointResult[T]{Index: i, Label: lbl, Value: v, Err: err}
-			if err != nil {
-				break
-			}
-		}
-		return results, firstError(points, results)
-	}
-
 	var (
 		next atomic.Int64
 		stop atomic.Bool

@@ -124,7 +124,8 @@ func TestRunPointsErrorPropagation(t *testing.T) {
 	}
 }
 
-// Sequential error propagation takes the fast path but behaves the same.
+// A one-worker pool evaluates points in index order and stops at the
+// first error, so nothing after the failing point runs.
 func TestRunPointsErrorSequential(t *testing.T) {
 	boom := errors.New("boom")
 	ran := 0

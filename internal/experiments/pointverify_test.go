@@ -29,6 +29,34 @@ func withPointStore(t *testing.T, dir string, mode memostore.Mode) *memostore.St
 	return s
 }
 
+// TestPointMemoPersists: over an rw store a cold point simulates once
+// and is written once, and a fresh ro store over the same directory
+// serves the same bits from disk without simulating.
+func TestPointMemoPersists(t *testing.T) {
+	dir := t.TempDir()
+	key := []byte("cold-point")
+	computes := 0
+	simulate := func() (uint64, error) { computes++; return 0x5eed, nil }
+
+	rw := withPointStore(t, dir, memostore.RW)
+	got, err := pointMemo("sweep", key, simulate)
+	if err != nil || got != 0x5eed || computes != 1 {
+		t.Fatalf("cold point: got=%#x err=%v computes=%d", got, err, computes)
+	}
+	if st := rw.Stats(); st.Writes != 1 || st.Misses != 1 {
+		t.Fatalf("cold point store stats %+v: want 1 miss, 1 write", st)
+	}
+
+	ro := withPointStore(t, dir, memostore.RO)
+	got, err = pointMemo("sweep", key, simulate)
+	if err != nil || got != 0x5eed || computes != 1 {
+		t.Fatalf("stored point: got=%#x err=%v computes=%d", got, err, computes)
+	}
+	if st := ro.Stats(); st.Hits != 1 {
+		t.Fatalf("stored point store stats %+v: want 1 hit", st)
+	}
+}
+
 // TestPointMemoVerifyRecomputesStored: under -fastforward=verify a point
 // served by a read-only store is still recomputed and bit-compared,
 // never trusted.

@@ -205,11 +205,10 @@ func pointDiskLoad(class string, key []byte) (uint64, bool) {
 	return binary.LittleEndian.Uint64(payload), true
 }
 
-// pointMemo funnels one 8-byte point through the persistent store's
-// load-miss→compute→save pipeline with in-process single-flight dedup
-// (memostore.Store.LoadOrCompute): N sweep workers hitting the same cold
-// point simulate it once and share the leader's bits — byte-identical to
-// each recomputing, since points are deterministic. Under
+// pointMemo funnels one 8-byte point through the persistent store:
+// load, and on a miss simulate and save. Sweep workers that reach the
+// same cold point together each simulate it — byte-identical bits, since
+// points are deterministic — and the last save wins. Under
 // -fastforward=verify no stored point is trusted: the point is
 // re-simulated and diffed against the stored bits. With no store
 // installed this degrades to a plain simulate call.
@@ -224,24 +223,17 @@ func pointMemo(class string, diskKey []byte, simulate func() (uint64, error)) (u
 		}
 		return bits, nil
 	}
-	payload, err := memostore.Default().LoadOrCompute(class, diskKey, func() ([]byte, error) {
-		bits, serr := simulate()
-		if serr != nil {
-			return nil, serr
-		}
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], bits)
-		return b[:], nil
-	})
+	if bits, ok := pointDiskLoad(class, diskKey); ok {
+		return bits, nil
+	}
+	bits, err := simulate()
 	if err != nil {
 		return 0, err
 	}
-	if len(payload) == 8 {
-		return binary.LittleEndian.Uint64(payload), nil
-	}
-	// A stored payload of the wrong shape is a miss by the point-memo
-	// contract (pointDiskLoad's size check); re-simulate directly.
-	return simulate()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], bits)
+	memostore.Default().Save(class, diskKey, b[:])
+	return bits, nil
 }
 
 // sweepAverage measures the average power of the idle cycle — entry, idle

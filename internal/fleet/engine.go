@@ -50,9 +50,9 @@ func runDevice(s Spec, r *runClass, attach func(*platform.Platform)) (runOutcome
 // points drain. onDone, when non-nil, observes each completed run class
 // from its worker goroutine (it must be concurrency-safe; the Progress
 // counters are). warm, when non-nil, routes each run through
-// plane.WarmClass keyed by the run's memo class, so a cold class is
-// discovered once per process (single-flight) and once fleet-wide (store
-// claims) — phase 1 passes the live plane here, phase 2 runs
+// plane.WarmClass keyed by the run's memo class, so with a writable
+// store a cold class is discovered once across every process sharing it
+// (store claims) — phase 1 passes the live plane here, phase 2 runs
 // uncoordinated against the frozen snapshot.
 func runReps(ctx context.Context, s Spec, t *classTable, n int, runOf func(int) int, attach func(*platform.Platform), warm *platform.MemoPlane, onDone func(run int)) ([]runOutcome, error) {
 	points := make([]experiments.PointSpec[runOutcome], n)
@@ -95,12 +95,10 @@ func runReps(ctx context.Context, s Spec, t *classTable, n int, runOf func(int) 
 	return out, nil
 }
 
-// newPlane builds a memo plane over store sized for the job: at least
-// Spec.PlaneClasses, and never smaller than the job's own memo class
-// count (an undersized plane thrashes — correct, but it re-simulates
-// what it evicts).
-func newPlane(s Spec, t *classTable, store *memostore.Store) *platform.MemoPlane {
-	return platform.NewMemoPlane(store, max(s.PlaneClasses, len(t.memos)))
+// newPlane builds a memo plane over store sized to the job's own memo
+// class count, the only classes the job acquires on it.
+func newPlane(t *classTable, store *memostore.Store) *platform.MemoPlane {
+	return platform.NewMemoPlane(store, len(t.memos))
 }
 
 // PlaneFor builds a memo plane over store sized for the job, as Run(s,
@@ -111,7 +109,7 @@ func PlaneFor(s Spec, store *memostore.Store) (*platform.MemoPlane, error) {
 		return nil, err
 	}
 	t := expand(s)
-	return newPlane(s, &t, store), nil
+	return newPlane(&t, store), nil
 }
 
 // Run executes a fleet job. plane is the shared memo plane the job warms
@@ -143,7 +141,7 @@ func RunWithProgress(ctx context.Context, s Spec, plane *platform.MemoPlane, pro
 	t := expand(s)
 	prog.start(&t)
 	if plane == nil {
-		plane = newPlane(s, &t, nil)
+		plane = newPlane(&t, nil)
 	}
 
 	// Phase 1: warm the plane with one full run per memo class. Classes
@@ -170,9 +168,8 @@ func RunWithProgress(ctx context.Context, s Spec, plane *platform.MemoPlane, pro
 	if err != nil {
 		return nil, err
 	}
-	// Flush before snapshotting the store so the report's store counters
-	// include the job's own persistence (a cold run shows its writes).
-	plane.Flush()
+	// Every phase-1 run flushed its own class when it exited, so the
+	// store counters already include the job's persistence.
 	rep.Memo.Plane = plane.Stats()
 	rep.Memo.Store = plane.StoreStats()
 	return rep, nil

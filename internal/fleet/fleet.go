@@ -73,9 +73,6 @@ type Spec struct {
 	Shards int
 	// Workers sizes the simulation worker pool (0 = package default).
 	Workers int
-	// PlaneClasses bounds the memo plane when Run creates one (0 = large
-	// enough for this job's memo classes).
-	PlaneClasses int
 
 	Spread Spread
 }
@@ -180,8 +177,8 @@ func (s Spec) Validate() error {
 	if s.Horizon < 0 || s.Active < 0 || s.WakePeriod <= 0 {
 		return fmt.Errorf("fleet: bad cycle shape (horizon %v, active %v, wake period %v)", s.Horizon, s.Active, s.WakePeriod)
 	}
-	if s.Shards < 0 || s.Workers < 0 || s.PlaneClasses < 0 {
-		return fmt.Errorf("fleet: negative shards/workers/plane-classes")
+	if s.Shards < 0 || s.Workers < 0 {
+		return fmt.Errorf("fleet: negative shards/workers")
 	}
 	if s.Shards > s.Devices {
 		return fmt.Errorf("fleet: %d shards for %d devices", s.Shards, s.Devices)

@@ -511,6 +511,7 @@ func TestParseSpecJSON(t *testing.T) {
 
 	for name, bad := range map[string]string{
 		"unknown field": `{"devices": 1, "typo_knob": 3}`,
+		"retired knob":  `{"devices": 1, "plane_classes": 4}`,
 		"bad duration":  `{"devices": 1, "horizon": "6 fortnights"}`,
 		"bad plan":      `{"devices": 1, "spread": {"faults": [{"device": 0, "plan": "nonsense"}]}}`,
 		"no devices":    `{}`,

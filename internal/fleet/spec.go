@@ -31,16 +31,15 @@ func specErrf(reason, format string, args ...any) *SpecError {
 // specJSON is the on-disk fleet spec: the Spec fields with durations as
 // human strings ("6h", "30s", "250ms") so spec files stay readable.
 type specJSON struct {
-	Name         string `json:"name"`
-	Devices      int    `json:"devices"`
-	Preset       string `json:"preset"`
-	Horizon      string `json:"horizon"`
-	Active       string `json:"active"`
-	WakePeriod   string `json:"wake_period"`
-	Shards       int    `json:"shards"`
-	Workers      int    `json:"workers"`
-	PlaneClasses int    `json:"plane_classes"`
-	Spread       struct {
+	Name       string `json:"name"`
+	Devices    int    `json:"devices"`
+	Preset     string `json:"preset"`
+	Horizon    string `json:"horizon"`
+	Active     string `json:"active"`
+	WakePeriod string `json:"wake_period"`
+	Shards     int    `json:"shards"`
+	Workers    int    `json:"workers"`
+	Spread     struct {
 		SeedBase    int64     `json:"seed_base"`
 		SeedStride  int64     `json:"seed_stride"`
 		DriftPPB    []int64   `json:"drift_ppb"`
@@ -65,12 +64,11 @@ func ParseSpecJSON(data []byte) (Spec, error) {
 		return Spec{}, &SpecError{Reason: "decode", Err: err}
 	}
 	s := Spec{
-		Name:         sj.Name,
-		Devices:      sj.Devices,
-		Preset:       sj.Preset,
-		Shards:       sj.Shards,
-		Workers:      sj.Workers,
-		PlaneClasses: sj.PlaneClasses,
+		Name:    sj.Name,
+		Devices: sj.Devices,
+		Preset:  sj.Preset,
+		Shards:  sj.Shards,
+		Workers: sj.Workers,
 	}
 	var err error
 	if s.Horizon, err = parseDur(sj.Horizon); err != nil {
@@ -127,7 +125,6 @@ func EncodeSpecJSON(s Spec) ([]byte, error) {
 	}
 	sj.Shards = s.Shards
 	sj.Workers = s.Workers
-	sj.PlaneClasses = s.PlaneClasses
 	sj.Spread.SeedBase = s.Spread.SeedBase
 	sj.Spread.SeedStride = s.Spread.SeedStride
 	sj.Spread.DriftPPB = s.Spread.DriftPPB

@@ -468,11 +468,6 @@ func (q *Queue) Drain(ctx context.Context) error {
 		<-idle
 	}
 	join.Wait()
-	// Workers are idle: publish any warm bundles a canceled job left
-	// dirty, so other processes sharing the store can still load them.
-	if q.opts.Plane != nil {
-		q.opts.Plane.Flush()
-	}
 	return drainErr
 }
 

@@ -66,8 +66,8 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 // Put caches value under key (overwriting any previous value), marking it
 // most recently used and evicting the least recently used entry if the
 // cache is over capacity. When an eviction happens, the dropped pair is
-// returned with evicted=true so owners with teardown duties (the memo
-// plane flushing a dirty bundle to disk) can act on the victim.
+// returned with evicted=true so owners with teardown duties can act on
+// the victim.
 func (c *Cache[K, V]) Put(key K, value V) (victimKey K, victimVal V, evicted bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

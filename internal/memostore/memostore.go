@@ -29,10 +29,9 @@
 // entry or none.
 //
 // Every entry is one loose file, <class>-<hash>.memo, and that is the
-// store's only on-disk form. The claim protocol (claim.go) plus
-// in-process single-flight (flight.go) arrange for each cold key to be
-// computed once fleet-wide (DESIGN.md §17); both inherit the three
-// properties above unchanged.
+// store's only on-disk form. The claim protocol (claim.go) arranges for
+// each cold key to be computed once fleet-wide (DESIGN.md §17); it
+// inherits the three properties above unchanged.
 package memostore
 
 import (
@@ -140,9 +139,8 @@ type Stats struct {
 	Writes      uint64 `json:"writes"`       // entries persisted
 	WriteErrors uint64 `json:"write_errors"` // failed persists (dropped; never fatal)
 
-	// Single-flight and cross-process claim counters (DESIGN.md §17):
-	FlightLeads    uint64 `json:"flight_leads"`    // LoadOrCompute calls that led a compute
-	FlightShared   uint64 `json:"flight_shared"`   // LoadOrCompute calls that shared a leader's result
+	// Claim protocol counters (DESIGN.md §17):
+	FlightShared   uint64 `json:"flight_shared"`   // always 0 (claims are the only compute dedup); kept because _perfbench/trace.go reads it
 	ClaimsOwned    uint64 `json:"claims_owned"`    // cold-key claims this process won
 	ClaimsLost     uint64 `json:"claims_lost"`     // claims found held by another live process
 	ClaimWaitHits  uint64 `json:"claim_wait_hits"` // awaited claims resolved by the owner's entry landing
@@ -166,9 +164,6 @@ type Store struct {
 	// tmpSeq disambiguates temp files within the process; combined with
 	// the PID it keeps concurrent writers from colliding.
 	tmpSeq atomic.Uint64
-
-	// flight coalesces concurrent LoadOrCompute calls per key.
-	flight Flight[[]byte]
 
 	// claimStaleNs is the claim-takeover threshold (0 = default; claim.go).
 	claimStaleNs atomic.Int64

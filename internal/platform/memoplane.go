@@ -63,11 +63,9 @@ type MemoPlane struct {
 
 	adopted atomic.Uint64
 
-	// warm single-flights cold-class discovery across in-process callers
-	// (WarmClass); the counters record the election outcomes. All waits
-	// happen here and in the store's claim protocol — never under mu —
-	// so a parked warmer cannot block unrelated class acquisition.
-	warm       memostore.Flight[struct{}]
+	// WarmClass outcomes for cold classes. Its only wait is the store's
+	// claim protocol — never under mu — so a parked warmer cannot block
+	// unrelated class acquisition.
 	warmLeads  atomic.Uint64
 	warmShared atomic.Uint64
 }
@@ -75,9 +73,9 @@ type MemoPlane struct {
 // NewMemoPlane creates a plane bounded to maxClasses configuration
 // classes (maxClasses < 1 uses DefaultMemoPlaneClasses). store, when
 // non-nil and readable, warms classes from disk on first acquisition and
-// receives dirty bundles after each attached run, on Flush and on
-// eviction. The plane's verification path is -fastforward=verify, which
-// re-simulates and diffs adopted records.
+// receives each class's bundle at the end of every successful attached
+// run that added records to it. The plane's verification path is
+// -fastforward=verify, which re-simulates and diffs adopted records.
 func NewMemoPlane(store *memostore.Store, maxClasses int) *MemoPlane {
 	if maxClasses < 1 {
 		maxClasses = DefaultMemoPlaneClasses
@@ -98,9 +96,10 @@ func MemoClassKey(cfg Config) string {
 }
 
 // acquire returns the plane's bundle for classKey, creating (and, with a
-// readable store, disk-loading) it on first use. If creating the bundle
-// evicts another class, the victim's unsaved records are flushed to the
-// store first so the bound costs a reload, not recorded work.
+// readable store, disk-loading) it on first use. Creating a bundle may
+// evict another class; the victim needs no flush, because a bundle is
+// only dirty while one of its runs is in flight and that run flushes it
+// when it exits, so the bound costs a reload, not recorded work.
 func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -122,9 +121,7 @@ func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 		// to bump ffBundleVersion; a later flush overwrites it. The
 		// odrips-vet schemahash rule exists to make that path dead code.
 	}
-	if _, victim, evicted := pl.classes.Put(classKey, b); evicted {
-		pl.flushBundle(victim)
-	}
+	pl.classes.Put(classKey, b)
 	return b
 }
 
@@ -158,19 +155,19 @@ func (pl *MemoPlane) Attach(p *Platform) {
 
 // WarmClass runs compute — a full device simulation expected to
 // discover classKey's cycle records through an attached platform —
-// under the plane's cold-class coordination (DESIGN.md §17). A class
-// that already holds records needs none: compute replays cheaply. For a
-// cold class, concurrent in-process callers elect one leader
-// (single-flight), and when the plane has a writable store the leader
-// additionally coordinates across processes via the store's claim
-// protocol: it either wins the claim (computes, flushes the class
-// eagerly so sibling processes adopt as soon as possible, releases) or
-// adopts the winning process's flushed bundle before running. Every
-// caller still runs its own compute — outcomes are per-caller; what is
-// deduplicated is the discovery cost. Coordination only ever fails
-// toward uncoordinated computing (byte-identical results, duplicated
-// work): waits respect ctx and claim staleness, and no wait holds a
-// plane or bundle lock. A nil plane just computes.
+// under the store's claim protocol (DESIGN.md §17). A class that
+// already holds records needs no coordination: compute replays cheaply.
+// For a cold class over a writable store, callers in this and every
+// other process sharing the store elect one discoverer through a claim
+// file: the owner computes (its attached run flushes the class when it
+// exits) and then releases; everyone else waits for that flush and
+// adopts the bundle before running. Every caller still runs its own
+// compute — outcomes are per-caller; what is deduplicated is the
+// discovery cost. Without a writable store, or after filesystem trouble
+// or persistent claim churn, callers compute uncoordinated
+// (byte-identical results, duplicated work). A caller whose ctx ends
+// while it waits returns ctx's error (wrapped) without computing. No
+// wait holds a plane or bundle lock. A nil plane just computes.
 func (pl *MemoPlane) WarmClass(ctx context.Context, classKey string, compute func() error) error {
 	if pl == nil {
 		return compute()
@@ -182,36 +179,29 @@ func (pl *MemoPlane) WarmClass(ctx context.Context, classKey string, compute fun
 	if !cold {
 		return compute()
 	}
-	var err error
-	_, shared, _ := pl.warm.Do(classKey, func() (struct{}, error) {
-		claim := pl.claimClass(ctx, b)
-		err = compute()
-		if claim != nil {
-			pl.flushBundle(b)
-			claim.Release()
-		}
-		return struct{}{}, nil
-	})
-	if shared {
-		// Piggybacked on an in-process leader: the class is as warm as
-		// it is going to get; run our own simulation against it.
-		err = compute()
+	claim, adopted, err := pl.claimClass(ctx, b)
+	if err != nil {
+		return fmt.Errorf("platform: awaiting memo class claim: %w", err)
+	}
+	defer claim.Release()
+	if adopted {
 		pl.warmShared.Add(1)
 	} else {
 		pl.warmLeads.Add(1)
 	}
-	return err
+	return compute()
 }
 
-// claimClass coordinates one cold class across processes. It returns an
-// owned claim (the caller computes, flushes, releases) or nil after
-// either adopting another process's flushed bundle into b or deciding
-// to compute uncoordinated (no writable store, filesystem trouble, ctx
-// canceled, or persistent claim churn).
-func (pl *MemoPlane) claimClass(ctx context.Context, b *ffBundle) *memostore.Claim {
+// claimClass coordinates one cold class through the store. It returns
+// an owned claim (the caller computes, then releases), true after
+// adopting another caller's flushed bundle into b, or neither when the
+// caller should compute uncoordinated (no writable store, filesystem
+// trouble, an undecodable bundle, or persistent claim churn). Its only
+// error is ctx's, from the wait.
+func (pl *MemoPlane) claimClass(ctx context.Context, b *ffBundle) (*memostore.Claim, bool, error) {
 	st := pl.store
 	if !st.Mode().Writable() {
-		return nil
+		return nil, false, nil
 	}
 	key := []byte(b.key)
 	// Bounded rounds: each either wins the claim, adopts a landed
@@ -219,25 +209,27 @@ func (pl *MemoPlane) claimClass(ctx context.Context, b *ffBundle) *memostore.Cla
 	for round := 0; round < 8; round++ {
 		c, err := st.Claim("cycles", key)
 		if err != nil {
-			return nil
+			return nil, false, nil
 		}
 		if c != nil {
-			return c
+			return c, false, nil
 		}
 		payload, ok, werr := st.AwaitClaimed(ctx, "cycles", key)
 		if werr != nil {
-			return nil // ctx canceled; compute observes it too
+			return nil, false, werr
 		}
 		if ok {
-			if recs, derr := ffDecodeBundle(payload); derr == nil {
-				b.adopt(recs)
+			recs, derr := ffDecodeBundle(payload)
+			if derr != nil {
+				// An undecodable payload degrades to a cold class,
+				// exactly like acquire's disk path.
+				return nil, false, nil
 			}
-			// An undecodable payload degrades to a cold class, exactly
-			// like acquire's disk path.
-			return nil
+			b.adopt(recs)
+			return nil, true, nil
 		}
 	}
-	return nil
+	return nil, false, nil
 }
 
 // adopt merges disk-origin records into the bundle. First publisher of
@@ -271,8 +263,8 @@ func (pl *MemoPlane) flushBundle(b *ffBundle) {
 }
 
 // Flush persists every class that gained records since its last flush.
-// Fleet jobs call it once at the end instead of paying a disk write per
-// device run. A nil plane is a no-op.
+// Runs flush their own class when they exit, so this only finds work
+// after a failed run left its class dirty. A nil plane is a no-op.
 func (pl *MemoPlane) Flush() {
 	if pl == nil {
 		return
@@ -290,8 +282,8 @@ type MemoPlaneStats struct {
 	Records    int       `json:"records"`     // cycle records across all live classes
 	MaxClasses int       `json:"max_classes"` // the class bound
 	Adopted    uint64    `json:"adopted"`     // records handed to attaching platforms so far
-	WarmLeads  uint64    `json:"warm_leads"`  // WarmClass cold-class elections led
-	WarmShared uint64    `json:"warm_shared"` // WarmClass calls that shared an in-process leader's discovery
+	WarmLeads  uint64    `json:"warm_leads"`  // cold-class WarmClass calls that discovered the class themselves (owned claim or uncoordinated)
+	WarmShared uint64    `json:"warm_shared"` // cold-class WarmClass calls that adopted another caller's bundle through the claim
 	Class      lru.Stats `json:"class_cache"` // class-cache counters (hits/misses/puts/evictions)
 }
 

@@ -2,9 +2,11 @@ package platform
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"odrips/internal/memostore"
 	"odrips/internal/sim"
@@ -150,8 +152,8 @@ func TestMemoPlanePersistence(t *testing.T) {
 
 // TestWarmClassCrossProcess is the claim protocol end to end: two
 // planes over two stores sharing one directory (two "processes"). The
-// first WarmClass wins the claim, computes, and eagerly flushes; the
-// second finds the class on disk and replays instead of rediscovering.
+// first WarmClass wins the claim and computes, and its attached run
+// flushes the class on exit; the second finds the class on disk and replays instead of rediscovering.
 func TestWarmClassCrossProcess(t *testing.T) {
 	dir := t.TempDir()
 	openStore := func() *memostore.Store {
@@ -176,7 +178,7 @@ func TestWarmClassCrossProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sa := storeA.Stats(); sa.ClaimsOwned != 1 || sa.Writes == 0 {
-		t.Fatalf("leader process stats %+v: want an owned claim and an eager flush", sa)
+		t.Fatalf("leader process stats %+v: want an owned claim and the run's flush", sa)
 	}
 	if ffA.CyclesRecorded == 0 {
 		t.Fatalf("leader discovered nothing: %+v", ffA)
@@ -266,6 +268,145 @@ func TestWarmClassConcurrentProcesses(t *testing.T) {
 	}
 }
 
+// TestWarmClassSamePlane races two goroutines' WarmClass for one cold
+// class on one plane over one rw store. The claim file is the only
+// coordination: whichever caller claims first discovers the class and
+// its run flushes it, and the other waits for that flush and adopts the
+// bundle. The owner's compute holds until the rival has lost the claim,
+// so the race always takes that shape.
+func TestWarmClassSamePlane(t *testing.T) {
+	store, err := memostore.Open(t.TempDir(), memostore.RW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane := NewMemoPlane(store, 0)
+	cfg := ODRIPSConfig()
+	key := MemoClassKey(cfg)
+	solo, _ := planeRun(t, cfg, nil)
+
+	results := make([]Result, 2)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := plane.WarmClass(context.Background(), key, func() error {
+				waitFor(func() bool { return store.Stats().ClaimsLost > 0 })
+				p, err := New(cfg)
+				if err != nil {
+					return err
+				}
+				plane.Attach(p)
+				results[i], err = p.RunCycles(planeCycles())
+				return err
+			})
+			if err != nil {
+				t.Errorf("caller %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, r := range results {
+		if !reflect.DeepEqual(r, solo) {
+			t.Errorf("caller %d result diverged from the unattached run", i)
+		}
+	}
+	if st := store.Stats(); st.ClaimsOwned != 1 || st.ClaimsLost != 1 || st.ClaimWaitHits != 1 {
+		t.Errorf("store stats %+v: want 1 claim owned, 1 lost, 1 wait hit", st)
+	}
+	if st := plane.Stats(); st.WarmLeads != 1 || st.WarmShared != 1 {
+		t.Errorf("plane stats %+v: want 1 warm lead, 1 warm shared", st)
+	}
+}
+
+// TestWarmClassCanceledWaiterReturns: a caller waiting on another
+// caller's claim returns its ctx error as soon as ctx ends, while the
+// owner is still computing, and never runs its own compute.
+func TestWarmClassCanceledWaiterReturns(t *testing.T) {
+	store, err := memostore.Open(t.TempDir(), memostore.RW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane := NewMemoPlane(store, 0)
+	key := MemoClassKey(ODRIPSConfig())
+
+	var wg sync.WaitGroup
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderDone, waiterDone := make(chan struct{}), make(chan struct{})
+	var leaderErr, waiterErr error
+	waiterRan := false
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(leaderDone)
+		leaderErr = plane.WarmClass(context.Background(), key, func() error {
+			close(started)
+			<-release
+			return nil
+		})
+	}()
+	<-started
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		defer wg.Done()
+		defer close(waiterDone)
+		waiterErr = plane.WarmClass(ctx, key, func() error {
+			waiterRan = true
+			return nil
+		})
+	}()
+	waitFor(func() bool { return store.Stats().ClaimsLost > 0 })
+	cancel()
+	returned := waitFor(func() bool { return closed(waiterDone) })
+	leaderBlocked := !closed(leaderDone)
+	close(release)
+	wg.Wait()
+
+	if !returned {
+		t.Error("canceled waiter stayed parked behind the owner's compute")
+	}
+	if !leaderBlocked {
+		t.Error("owner finished before its compute was released")
+	}
+	if leaderErr != nil {
+		t.Errorf("owner: %v", leaderErr)
+	}
+	if !errors.Is(waiterErr, context.Canceled) {
+		t.Errorf("waiter returned %v, want context.Canceled", waiterErr)
+	}
+	if waiterRan {
+		t.Error("canceled waiter ran its compute")
+	}
+}
+
+// closed reports whether ch is closed, without blocking.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// waitFor polls cond until it holds or 10 s pass, and reports whether it
+// held. It paces tests that wait on another goroutine; no simulated
+// result reads the clock.
+func waitFor(cond func() bool) bool {
+	//odrips:allow walltime test pacing only: bounds a wait on another goroutine, no simulated result reads it
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		//odrips:allow walltime test pacing only: bounds a wait on another goroutine, no simulated result reads it
+		if time.Now().After(deadline) {
+			return false
+		}
+		//odrips:allow walltime test pacing only: poll interval of a wait on another goroutine
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
 // TestDefaultMemoPlaneFollowsStore: the default plane exists only while a
 // default store is installed, is one plane per store, is rebuilt when the
 // store changes identity, and is shared by concurrent unattached runs,
@@ -317,9 +458,8 @@ func TestDefaultMemoPlaneFollowsStore(t *testing.T) {
 }
 
 // TestMemoPlaneEvictionFlushes: pushing a class out of a size-1 plane
-// loses none of its records — each run flushes its class and eviction
-// flushes whatever is still dirty — so the bound costs a disk reload,
-// not rework.
+// loses none of its records — each run flushes its class when it exits
+// — so the bound costs a disk reload, not rework.
 func TestMemoPlaneEvictionFlushes(t *testing.T) {
 	store, err := memostore.Open(t.TempDir(), memostore.RW)
 	if err != nil {
@@ -334,7 +474,7 @@ func TestMemoPlaneEvictionFlushes(t *testing.T) {
 		t.Fatalf("plane stats %+v: want 1 class, 1 eviction", st)
 	}
 	if st := store.Stats(); st.Writes == 0 {
-		t.Fatalf("eviction did not flush the victim: %+v", st)
+		t.Fatalf("the evicted class was never flushed: %+v", st)
 	}
 
 	// Re-acquiring the evicted class reloads it from disk.

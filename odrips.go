@@ -425,8 +425,8 @@ func MemoStats() *Table {
 		fmt.Sprintf("%d entries, %d B", ms.DiskEntries, ms.DiskBytes),
 		fmt.Sprintf("%d writes, %d corrupt, %d skewed", ms.Writes, ms.Corrupt, ms.VersionSkew))
 	t.AddRow("compute coordination",
-		fmt.Sprintf("%d", ms.FlightShared+ms.ClaimWaitHits), "-",
-		fmt.Sprintf("%d flight leads", ms.FlightLeads),
-		fmt.Sprintf("%d claims owned, %d lost, %d takeovers", ms.ClaimsOwned, ms.ClaimsLost, ms.ClaimTakeovers))
+		fmt.Sprintf("%d", ms.ClaimWaitHits), "-",
+		fmt.Sprintf("%d claims owned", ms.ClaimsOwned),
+		fmt.Sprintf("%d lost, %d takeovers", ms.ClaimsLost, ms.ClaimTakeovers))
 	return t
 }
