@@ -3,7 +3,7 @@ PKGS     := ./...
 STAMP    := $(shell date -u +%Y%m%dT%H%M%SZ)
 FUZZTIME ?= 60s
 
-.PHONY: all build test vet lint lint-fixtures race verify fleet-smoke server-smoke memo-verify-smoke fuzz bench bench-smoke bench-sweep bench-baseline-1x bench-gate bench-warm benchdiff profile profile-diff clean
+.PHONY: all build test vet lint lint-fixtures harness-vet race verify fleet-smoke server-smoke memo-verify-smoke fuzz bench bench-smoke bench-sweep bench-baseline-1x bench-gate bench-warm benchdiff profile profile-diff clean
 
 all: build test
 
@@ -31,28 +31,44 @@ lint:
 lint-fixtures:
 	$(GO) test -run 'TestFixtures|TestDirectiveFindings|TestMustFlagFixturesFailTheBuild' ./internal/analysis
 
+# go vet over the benchmark harness. _perfbench/ is a separate module
+# under an underscore directory, so `go build ./...` never compiles it;
+# this catches a change that breaks the harness before a benchmark run
+# does. Offline: the harness requires only this module, by replace.
+harness-vet:
+	cd _perfbench && GOWORK=off GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./...
+
 race:
 	$(GO) test -race $(PKGS)
 
-# The CI verify tier: build, go vet, odrips-vet, then the full suite under
-# the race detector (the parallel sweep engine is exercised by every
-# experiment test). Mirrored by .github/workflows/ci.yml.
-verify: build vet lint race
+# The CI verify tier: build, go vet, odrips-vet, go vet over the
+# benchmark harness, then the full suite under the race detector (the
+# parallel sweep engine is exercised by every experiment test). Mirrored
+# by .github/workflows/ci.yml.
+verify: build vet lint harness-vet race
 
 # Fleet smoke tier: the fleet engine's full test suite under the race
 # detector with the load harness raised to thousands of concurrent jobs
 # against the shared memo plane, then a cold+warm 1000-device fleet
 # through the CLI against a persistent store (the warm run must adopt
 # from disk, and both runs' JSON "aggregates" blocks must be
-# byte-identical). Run by CI on every push; FLEET_LOAD_JOBS scales the
-# harness.
+# byte-identical), and negative -workers/-shards must exit 2 naming the
+# flag. Run by CI on every push; FLEET_LOAD_JOBS scales the harness.
 FLEET_LOAD_JOBS ?= 2048
 FLEETDIR := $(CURDIR)/.odrips-fleet-smoke
 fleet-smoke:
 	ODRIPS_FLEET_LOAD_JOBS=$(FLEET_LOAD_JOBS) $(GO) test -race -count=1 ./internal/fleet ./internal/platform -run 'TestFleet|TestMemoPlane|TestMemoSnapshot'
 	rm -rf $(FLEETDIR) && mkdir -p $(FLEETDIR)
-	$(GO) run ./cmd/odrips-fleet -devices 1000 -shards 8 -memocache rw -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/cold.json
-	$(GO) run ./cmd/odrips-fleet -devices 1000 -shards 8 -memocache ro -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/warm.json
+	$(GO) build -o $(FLEETDIR)/ ./cmd/odrips-fleet
+	for flag in "-workers -1" "-shards -3"; do \
+		name=$${flag%% *}; code=0; \
+		$(FLEETDIR)/odrips-fleet -devices 10 $$flag > /dev/null 2> $(FLEETDIR)/neg.txt || code=$$?; \
+		if [ $$code -ne 2 ] || ! grep -q -e "$$name" $(FLEETDIR)/neg.txt; then \
+			echo "fleet-smoke: odrips-fleet $$flag exited $$code, want 2 naming $$name:"; cat $(FLEETDIR)/neg.txt; exit 1; \
+		fi; \
+	done
+	$(FLEETDIR)/odrips-fleet -devices 1000 -shards 8 -memocache rw -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/cold.json
+	$(FLEETDIR)/odrips-fleet -devices 1000 -shards 8 -memocache ro -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/warm.json
 	grep -q '"adopted": [1-9]' $(FLEETDIR)/warm.json || { echo "fleet-smoke: warm run adopted nothing from the memo store"; exit 1; }
 	sed -n '/^  "aggregates"/,/^  "memo"/p' $(FLEETDIR)/cold.json > $(FLEETDIR)/cold.agg
 	sed -n '/^  "aggregates"/,/^  "memo"/p' $(FLEETDIR)/warm.json > $(FLEETDIR)/warm.agg
@@ -69,12 +85,21 @@ fleet-smoke:
 # (a leaked claim ages into one) and at least one claim owned between
 # them. Then SIGTERM both and require clean drains (exit 0). The shared
 # store exercises the claim protocol, the only compute dedup, across
-# processes and across each server's 4 workers. Run by CI on every push.
+# processes and across each server's 4 workers. Before any of that, a
+# negative -workers, -capacity, -retain or -max-devices must exit 2 naming
+# the flag without ever listening. Run by CI on every push.
 SMOKEDIR          := $(CURDIR)/.odrips-server-smoke
 SERVER_SMOKE_JOBS ?= 200
 server-smoke:
 	rm -rf $(SMOKEDIR) && mkdir -p $(SMOKEDIR)/store
 	$(GO) build -o $(SMOKEDIR)/ ./cmd/odrips-server ./cmd/odrips-loadgen
+	for flag in "-workers -1" "-capacity -1" "-retain -1" "-max-devices -1"; do \
+		name=$${flag%% *}; code=0; \
+		timeout 10 $(SMOKEDIR)/odrips-server -addr 127.0.0.1:0 $$flag > $(SMOKEDIR)/neg.txt 2>&1 || code=$$?; \
+		if [ $$code -ne 2 ] || grep -q 'listening on' $(SMOKEDIR)/neg.txt || ! grep -q -e "$$name" $(SMOKEDIR)/neg.txt; then \
+			echo "server-smoke: odrips-server $$flag exited $$code, want 2 naming $$name without listening:"; cat $(SMOKEDIR)/neg.txt; exit 1; \
+		fi; \
+	done
 	$(SMOKEDIR)/odrips-server -addr 127.0.0.1:0 -workers 4 -memocache rw -memocachedir $(SMOKEDIR)/store > $(SMOKEDIR)/server1.log 2>&1 & \
 	pid1=$$!; \
 	$(SMOKEDIR)/odrips-server -addr 127.0.0.1:0 -workers 4 -memocache rw -memocachedir $(SMOKEDIR)/store > $(SMOKEDIR)/server2.log 2>&1 & \

@@ -15,27 +15,21 @@ package odrips
 import (
 	"testing"
 
+	"odrips/internal/experiments"
 	"odrips/internal/memostore"
 	"odrips/internal/sim"
 )
 
-// withWarmMemoStore installs a fresh RW persistent memo store for a warm
-// benchmark and restores the previous process-wide store afterwards.
-func withWarmMemoStore(b *testing.B) {
+// warmMemoStore opens a fresh RW persistent memo store for a warm
+// benchmark; each iteration builds a new runtime over it, so loads come
+// from disk, not RAM.
+func warmMemoStore(b *testing.B) *memostore.Store {
 	b.Helper()
-	prev := memostore.Default()
 	s, err := memostore.Open(b.TempDir(), memostore.RW)
 	if err != nil {
 		b.Fatal(err)
 	}
-	memostore.SetDefault(s)
-	ResetPersistentMemos()
-	ResetPointCache()
-	b.Cleanup(func() {
-		memostore.SetDefault(prev)
-		ResetPersistentMemos()
-		ResetPointCache()
-	})
+	return s
 }
 
 func BenchmarkTable1(b *testing.B) {
@@ -130,8 +124,9 @@ func BenchmarkFig6aSweep(b *testing.B) {
 	// full 0.6 ms–1 s @0.1 ms run).
 	var be float64
 	for i := 0; i < b.N; i++ {
-		ResetPointCache() // measure cold-cache sweeps, not memo hits
-		r, err := Fig6a(DefaultSweep())
+		// A fresh runtime per iteration: cold-cache sweeps, not memo hits.
+		rt := experiments.NewRuntime(memostore.Default(), FFOn, 0)
+		r, err := rt.Fig6a(DefaultSweep())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,11 +144,10 @@ func BenchmarkFig6aSweep(b *testing.B) {
 // the measured cost is store loads plus report assembly, not simulation.
 func BenchmarkFig6aSweepWarm(b *testing.B) {
 	b.ReportAllocs()
-	withWarmMemoStore(b)
+	store := warmMemoStore(b)
 	run := func() {
-		ResetPersistentMemos()
-		ResetPointCache() // warm = disk, not RAM
-		if _, err := Fig6a(DefaultSweep()); err != nil {
+		rt := experiments.NewRuntime(store, FFOn, 0) // warm = disk, not RAM
+		if _, err := rt.Fig6a(DefaultSweep()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -412,10 +406,10 @@ func BenchmarkConnectedStandbySixHours(b *testing.B) {
 // arithmetic — the post-memo residue — not simulation.
 func BenchmarkConnectedStandbySixHoursWarm(b *testing.B) {
 	b.ReportAllocs()
-	withWarmMemoStore(b)
+	store := warmMemoStore(b)
 	run := func() Result {
-		ResetPersistentMemos() // warm = disk, not RAM
-		p, err := NewPlatform(ODRIPSConfig())
+		rt := experiments.NewRuntime(store, FFOn, 0) // warm = disk, not RAM
+		p, err := rt.NewPlatform(ODRIPSConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -458,8 +452,9 @@ func fleet10kSpec() FleetSpec {
 func BenchmarkFleet10k(b *testing.B) {
 	b.ReportAllocs()
 	spec := fleet10kSpec()
+	rt := experiments.NewRuntime(nil, FFOn, 0) // no store: fully cold
 	for i := 0; i < b.N; i++ {
-		rep, err := FleetOnPlane(spec, nil) // nil: fresh plane, fully cold
+		rep, err := Fleet(rt, spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -474,10 +469,10 @@ func BenchmarkFleet10k(b *testing.B) {
 // is ever recorded twice across iterations.
 func BenchmarkFleet10kWarm(b *testing.B) {
 	b.ReportAllocs()
-	withWarmMemoStore(b)
+	rt := experiments.NewRuntime(warmMemoStore(b), FFOn, 0)
 	spec := fleet10kSpec()
 	run := func() *FleetReport {
-		rep, err := Fleet(spec) // plane over the process store
+		rep, err := Fleet(rt, spec) // a fresh plane over the store
 		if err != nil {
 			b.Fatal(err)
 		}

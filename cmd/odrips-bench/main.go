@@ -39,21 +39,18 @@ func main() {
 	flag.Parse()
 
 	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "odrips-bench: negative worker count %d\n", *workers)
+		fmt.Fprintf(os.Stderr, "odrips-bench: -workers %d: must not be negative\n", *workers)
 		os.Exit(2)
 	}
-	odrips.SetDefaultWorkers(*workers)
 	ffMode, err := odrips.ParseFFMode(*ffFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "odrips-bench: %v\n", err)
 		os.Exit(2)
 	}
-	odrips.SetDefaultFastForward(ffMode)
-	if *memoFlag != "" || *memoDir != "" {
-		if err := odrips.SetupMemoCache(*memoFlag, *memoDir); err != nil {
-			fmt.Fprintf(os.Stderr, "odrips-bench: -memocache: %v\n", err)
-			os.Exit(2)
-		}
+	rt, err := odrips.OpenRuntime(*memoFlag, *memoDir, ffMode, *workers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "odrips-bench: -memocache: %v\n", err)
+		os.Exit(2)
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -72,7 +69,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "odrips-bench: unknown sweep mode %q\n", *sweepFlag)
 		os.Exit(2)
 	}
-	sweep.Workers = *workers
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*expFlag, ",") {
@@ -94,7 +90,7 @@ func main() {
 			return nil
 		}},
 		{"fig1b", func() error {
-			r, err := odrips.Fig1b()
+			r, err := rt.Fig1b()
 			if err != nil {
 				return err
 			}
@@ -102,7 +98,7 @@ func main() {
 			return nil
 		}},
 		{"fig2", func() error {
-			r, err := odrips.Fig2()
+			r, err := rt.Fig2()
 			if err != nil {
 				return err
 			}
@@ -110,7 +106,7 @@ func main() {
 			return nil
 		}},
 		{"fig3b", func() error {
-			r, err := odrips.Fig3b()
+			r, err := rt.Fig3b()
 			if err != nil {
 				return err
 			}
@@ -118,7 +114,7 @@ func main() {
 			return nil
 		}},
 		{"calibration", func() error {
-			r, err := odrips.Calibration()
+			r, err := rt.Calibration()
 			if err != nil {
 				return err
 			}
@@ -126,7 +122,7 @@ func main() {
 			return nil
 		}},
 		{"fig6a", func() error {
-			r, err := odrips.Fig6a(sweep)
+			r, err := rt.Fig6a(sweep)
 			if err != nil {
 				return err
 			}
@@ -135,7 +131,7 @@ func main() {
 			return nil
 		}},
 		{"fig6b", func() error {
-			r, err := odrips.Fig6b()
+			r, err := rt.Fig6b()
 			if err != nil {
 				return err
 			}
@@ -143,7 +139,7 @@ func main() {
 			return nil
 		}},
 		{"fig6c", func() error {
-			r, err := odrips.Fig6c()
+			r, err := rt.Fig6c()
 			if err != nil {
 				return err
 			}
@@ -151,7 +147,7 @@ func main() {
 			return nil
 		}},
 		{"fig6d", func() error {
-			r, err := odrips.Fig6d(sweep)
+			r, err := rt.Fig6d(sweep)
 			if err != nil {
 				return err
 			}
@@ -159,7 +155,7 @@ func main() {
 			return nil
 		}},
 		{"ctxlatency", func() error {
-			r, err := odrips.CtxLatency()
+			r, err := rt.CtxLatency()
 			if err != nil {
 				return err
 			}
@@ -167,7 +163,7 @@ func main() {
 			return nil
 		}},
 		{"validation", func() error {
-			r, err := odrips.ModelValidation()
+			r, err := rt.ModelValidation()
 			if err != nil {
 				return err
 			}
@@ -175,22 +171,22 @@ func main() {
 			return nil
 		}},
 		{"ablations", func() error {
-			mc, err := odrips.AblationMEECache()
+			mc, err := rt.AblationMEECache()
 			if err != nil {
 				return err
 			}
 			mc.Table().Render(os.Stdout)
-			ta, err := odrips.AblationTimerAlternatives()
+			ta, err := rt.AblationTimerAlternatives()
 			if err != nil {
 				return err
 			}
 			ta.Table().Render(os.Stdout)
-			gg, err := odrips.AblationIOGate()
+			gg, err := rt.AblationIOGate()
 			if err != nil {
 				return err
 			}
 			gg.Table().Render(os.Stdout)
-			rs, err := odrips.AblationReinitSensitivity()
+			rs, err := rt.AblationReinitSensitivity()
 			if err != nil {
 				return err
 			}
@@ -198,7 +194,7 @@ func main() {
 			return nil
 		}},
 		{"coalescing", func() error {
-			r, err := odrips.WakeCoalescing()
+			r, err := rt.WakeCoalescing()
 			if err != nil {
 				return err
 			}
@@ -206,7 +202,7 @@ func main() {
 			return nil
 		}},
 		{"scaling", func() error {
-			r, err := odrips.ProcessScaling()
+			r, err := rt.ProcessScaling()
 			if err != nil {
 				return err
 			}
@@ -214,7 +210,7 @@ func main() {
 			return nil
 		}},
 		{"standby", func() error {
-			r, err := odrips.Standby()
+			r, err := rt.Standby()
 			if err != nil {
 				return err
 			}
@@ -222,7 +218,7 @@ func main() {
 			return nil
 		}},
 		{"wakelatency", func() error {
-			r, err := odrips.WakeLatency()
+			r, err := rt.WakeLatency()
 			if err != nil {
 				return err
 			}
@@ -230,7 +226,7 @@ func main() {
 			return nil
 		}},
 		{"tdp", func() error {
-			r, err := odrips.TDPSensitivity()
+			r, err := rt.TDPSensitivity()
 			if err != nil {
 				return err
 			}
@@ -246,7 +242,7 @@ func main() {
 			return nil
 		}},
 		{"faultsweep", func() error {
-			r, err := odrips.FaultSweep()
+			r, err := rt.FaultSweep()
 			if err != nil {
 				return err
 			}
@@ -258,7 +254,7 @@ func main() {
 			// two battery capacities, jittered wake periods, one faulted
 			// device — small enough for the bench tier, structured enough
 			// to exercise every collapse layer.
-			rep, err := odrips.Fleet(odrips.FleetSpec{
+			rep, err := odrips.Fleet(rt, odrips.FleetSpec{
 				Name:    "bench",
 				Devices: 1000,
 				Horizon: odrips.Duration(3600) * odrips.Second,
@@ -283,7 +279,7 @@ func main() {
 				name string
 				tech odrips.Technique
 			}{{"Baseline", 0}, {"ODRIPS", odrips.ODRIPS}} {
-				r, err := odrips.TransitionAnatomy(tc.tech)
+				r, err := rt.TransitionAnatomy(tc.tech)
 				if err != nil {
 					return err
 				}
@@ -327,7 +323,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *memoStats {
-		odrips.MemoStats().Render(os.Stdout)
+		rt.MemoStats().Render(os.Stdout)
 	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "odrips-bench: %v\n", err)

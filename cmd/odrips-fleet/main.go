@@ -54,16 +54,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	odrips.SetDefaultWorkers(*workers)
+	if *workers < 0 {
+		fail(fmt.Errorf("-workers %d: must not be negative", *workers))
+	}
+	if *shards < 0 {
+		fail(fmt.Errorf("-shards %d: must not be negative", *shards))
+	}
 	ffMode, err := odrips.ParseFFMode(*ffFlag)
 	if err != nil {
 		fail(err)
 	}
-	odrips.SetDefaultFastForward(ffMode)
-	if *memoFlag != "" || *memoDir != "" {
-		if err := odrips.SetupMemoCache(*memoFlag, *memoDir); err != nil {
-			fail(fmt.Errorf("-memocache: %w", err))
-		}
+	rt, err := odrips.OpenRuntime(*memoFlag, *memoDir, ffMode, *workers)
+	if err != nil {
+		fail(fmt.Errorf("-memocache: %w", err))
 	}
 
 	var spec odrips.FleetSpec
@@ -88,7 +91,7 @@ func main() {
 		spec.Workers = *workers
 	}
 
-	rep, err := odrips.Fleet(spec)
+	rep, err := odrips.Fleet(rt, spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "odrips-fleet: %v\n", err)
 		os.Exit(1)

@@ -44,7 +44,6 @@ import (
 
 	"odrips"
 	"odrips/internal/jobqueue"
-	"odrips/internal/memostore"
 	"odrips/internal/platform"
 )
 
@@ -68,20 +67,23 @@ func main() {
 		os.Exit(2)
 	}
 
+	for _, name := range []string{"workers", "capacity", "max-devices", "retain"} {
+		if v := flag.Lookup(name).Value.(flag.Getter).Get().(int); v < 0 {
+			fail(fmt.Errorf("-%s %d: must not be negative", name, v))
+		}
+	}
 	ffMode, err := odrips.ParseFFMode(*ffFlag)
 	if err != nil {
 		fail(err)
 	}
-	odrips.SetDefaultFastForward(ffMode)
-	if *memoFlag != "" || *memoDir != "" {
-		if err := odrips.SetupMemoCache(*memoFlag, *memoDir); err != nil {
-			fail(fmt.Errorf("-memocache: %w", err))
-		}
+	rt, err := odrips.OpenRuntime(*memoFlag, *memoDir, ffMode, 0)
+	if err != nil {
+		fail(fmt.Errorf("-memocache: %w", err))
 	}
 
 	// One plane for the process: every job warms it, every later job
 	// draws from it, the persistent store (when enabled) backs it.
-	plane := platform.NewMemoPlane(memostore.Default(), *planeClasses)
+	plane := platform.NewMemoPlane(rt.Store(), *planeClasses)
 	q := jobqueue.New(jobqueue.Options{
 		Capacity:   *capacity,
 		Workers:    *workers,
@@ -89,6 +91,7 @@ func main() {
 		MaxDevices: *maxDevices,
 		Retain:     *retain,
 		Plane:      plane,
+		FF:         ffMode,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -74,6 +74,10 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to `file`")
 	flag.Parse()
 
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "odrips-sim: -workers %d: must not be negative\n", *workers)
+		os.Exit(2)
+	}
 	cfg, err := configByName(*name)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "odrips-sim: %v\n", err)
@@ -84,12 +88,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "odrips-sim: %v\n", err)
 		os.Exit(2)
 	}
-	odrips.SetDefaultFastForward(ffMode)
-	if *memoFlag != "" || *memoDir != "" {
-		if err := odrips.SetupMemoCache(*memoFlag, *memoDir); err != nil {
-			fmt.Fprintf(os.Stderr, "odrips-sim: -memocache: %v\n", err)
-			os.Exit(2)
-		}
+	rt, err := odrips.OpenRuntime(*memoFlag, *memoDir, ffMode, *workers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "odrips-sim: -memocache: %v\n", err)
+		os.Exit(2)
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -115,8 +117,7 @@ func main() {
 
 	if *breakeven {
 		sweep := odrips.DefaultSweep()
-		sweep.Workers = *workers
-		be, ok, err := odrips.SweepBreakEven(odrips.DefaultConfig(), cfg, sweep)
+		be, ok, err := rt.SweepBreakEven(odrips.DefaultConfig(), cfg, sweep)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "odrips-sim: break-even sweep: %v\n", err)
 			os.Exit(1)
@@ -131,7 +132,7 @@ func main() {
 		return
 	}
 
-	p, err := odrips.NewPlatform(cfg)
+	p, err := rt.NewPlatform(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "odrips-sim: %v\n", err)
 		os.Exit(1)

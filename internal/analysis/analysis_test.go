@@ -194,9 +194,8 @@ func TestLoaderUnits(t *testing.T) {
 // in by copying the directive.
 func TestGlobalStateAllowRoster(t *testing.T) {
 	want := map[string]bool{
-		"internal/experiments/engine.go":   true, // -workers default + bounded point memo
-		"internal/memostore/memostore.go":  true, // default persistent store + build fingerprint
-		"internal/platform/fastforward.go": true, // -fastforward default + default memo plane
+		"internal/experiments/runtime.go": true, // the facade's default runtime, rebuilt per default store
+		"internal/memostore/memostore.go": true, // default persistent store + build fingerprint
 	}
 	got := map[string]bool{}
 	root := filepath.Join("..", "..")

@@ -35,7 +35,7 @@ type MEECacheAblation struct {
 }
 
 // AblationMEECache runs the sweep.
-func AblationMEECache() (*MEECacheAblation, error) {
+func (rt *Runtime) AblationMEECache() (*MEECacheAblation, error) {
 	const dataBlocks = 3141 // the serialized ~196 KiB context
 	payload := make([]byte, dataBlocks*mee.BlockSize)
 	rand.New(rand.NewSource(99)).Read(payload)
@@ -43,7 +43,7 @@ func AblationMEECache() (*MEECacheAblation, error) {
 	key[0] = 0x5A
 
 	sizes := []int{16, 32, 64, 128, 256, 512}
-	rows, err := runIndexed(len(sizes), 0,
+	rows, err := runIndexed(len(sizes), rt.Pool(0),
 		func(i int) string { return fmt.Sprintf("%d cache lines", sizes[i]) },
 		func(i int) (MEECacheRow, error) {
 			lines := sizes[i]
@@ -120,16 +120,16 @@ type TimerAltAblation struct {
 // AblationTimerAlternatives quantifies the choice the paper makes: hosting
 // the slow timer in the chipset (alternative 2) versus bringing the
 // 32.768 kHz crystal onto the processor die (alternative 1).
-func AblationTimerAlternatives() (*TimerAltAblation, error) {
+func (rt *Runtime) AblationTimerAlternatives() (*TimerAltAblation, error) {
 	bud := platform.Skylake()
 	configs := []platform.Config{
 		platform.DefaultConfig(),
 		platform.DefaultConfig().WithTechniques(platform.WakeUpOff),
 		platform.DefaultConfig().WithTechniques(platform.WakeUpOff | platform.AONIOGate),
 	}
-	results, err := runIndexed(len(configs), 0,
+	results, err := runIndexed(len(configs), rt.Pool(0),
 		func(i int) string { return configs[i].Name() },
-		func(i int) (platform.Result, error) { return runConfig(configs[i], 2) })
+		func(i int) (platform.Result, error) { return rt.runConfig(configs[i], 2) })
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +208,7 @@ type GateAblation struct {
 // AblationIOGate quantifies §5.1: the board FET leaks <0.3% of the gated
 // load; an embedded power gate (EPG) is area-efficient but leaks more and
 // needs control pins.
-func AblationIOGate() (*GateAblation, error) {
+func (rt *Runtime) AblationIOGate() (*GateAblation, error) {
 	opts := []struct {
 		name string
 		frac float64
@@ -218,7 +218,7 @@ func AblationIOGate() (*GateAblation, error) {
 		{"Embedded power gate (EPG)", 0.025, 2},
 		{"No gating (baseline AON IOs)", 1.0, 0},
 	}
-	rows, err := runIndexed(len(opts), 0,
+	rows, err := runIndexed(len(opts), rt.Pool(0),
 		func(i int) string { return opts[i].name },
 		func(i int) (GateRow, error) {
 			opt := opts[i]
@@ -228,7 +228,7 @@ func AblationIOGate() (*GateAblation, error) {
 			} else {
 				cfg.Techniques = platform.WakeUpOff | platform.CtxSGXDRAM // ring stays powered
 			}
-			res, err := runConfig(cfg, 2)
+			res, err := rt.runConfig(cfg, 2)
 			if err != nil {
 				return GateRow{}, err
 			}
@@ -273,9 +273,9 @@ type ReinitSensitivity struct {
 
 // AblationReinitSensitivity runs the sweep; the baseline and all four
 // scale points evaluate in parallel.
-func AblationReinitSensitivity() (*ReinitSensitivity, error) {
+func (rt *Runtime) AblationReinitSensitivity() (*ReinitSensitivity, error) {
 	scales := []float64{0.5, 1.0, 2.0, 4.0}
-	results, err := runIndexed(len(scales)+1, 0,
+	results, err := runIndexed(len(scales)+1, rt.Pool(0),
 		func(i int) string {
 			if i == 0 {
 				return "baseline"
@@ -284,11 +284,11 @@ func AblationReinitSensitivity() (*ReinitSensitivity, error) {
 		},
 		func(i int) (platform.Result, error) {
 			if i == 0 {
-				return runConfig(platform.DefaultConfig(), 2)
+				return rt.runConfig(platform.DefaultConfig(), 2)
 			}
 			cfg := platform.ODRIPSConfig()
 			cfg.ExitReinitScale = scales[i-1]
-			return runConfig(cfg, 2)
+			return rt.runConfig(cfg, 2)
 		})
 	if err != nil {
 		return nil, err

@@ -9,7 +9,7 @@ import (
 )
 
 func TestAblationMEECache(t *testing.T) {
-	r, err := AblationMEECache()
+	r, err := Default().AblationMEECache()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestAblationMEECache(t *testing.T) {
 }
 
 func TestAblationTimerAlternatives(t *testing.T) {
-	r, err := AblationTimerAlternatives()
+	r, err := Default().AblationTimerAlternatives()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestAblationTimerAlternatives(t *testing.T) {
 }
 
 func TestAblationIOGate(t *testing.T) {
-	r, err := AblationIOGate()
+	r, err := Default().AblationIOGate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestAblationIOGate(t *testing.T) {
 }
 
 func TestAblationReinitSensitivity(t *testing.T) {
-	r, err := AblationReinitSensitivity()
+	r, err := Default().AblationReinitSensitivity()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestAblationReinitSensitivity(t *testing.T) {
 }
 
 func TestWakeCoalescing(t *testing.T) {
-	r, err := WakeCoalescing()
+	r, err := Default().WakeCoalescing()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestWakeCoalescing(t *testing.T) {
 }
 
 func TestProcessScaling(t *testing.T) {
-	r, err := ProcessScaling()
+	r, err := Default().ProcessScaling()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestHaswellRejectsODRIPS(t *testing.T) {
 }
 
 func TestStandbyComparison(t *testing.T) {
-	r, err := Standby()
+	r, err := Default().Standby()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +200,11 @@ func TestStandbyComparison(t *testing.T) {
 }
 
 func TestTransitionAnatomy(t *testing.T) {
-	base, err := TransitionAnatomy(0)
+	base, err := Default().TransitionAnatomy(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	odrips, err := TransitionAnatomy(platform.ODRIPS)
+	odrips, err := Default().TransitionAnatomy(platform.ODRIPS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,112 +240,112 @@ func TestAllTablesRenderComplete(t *testing.T) {
 		run  func() (interface{ String() string }, error)
 	}{
 		{"fig6b", func() (interface{ String() string }, error) {
-			r, err := Fig6b()
+			r, err := Default().Fig6b()
 			if err != nil {
 				return nil, err
 			}
 			return r.Table(), nil
 		}},
 		{"fig6c", func() (interface{ String() string }, error) {
-			r, err := Fig6c()
+			r, err := Default().Fig6c()
 			if err != nil {
 				return nil, err
 			}
 			return r.Table(), nil
 		}},
 		{"fig6d", func() (interface{ String() string }, error) {
-			r, err := Fig6d(SweepOptions{})
+			r, err := Default().Fig6d(SweepOptions{})
 			if err != nil {
 				return nil, err
 			}
 			return r.Table(), nil
 		}},
 		{"fig2", func() (interface{ String() string }, error) {
-			r, err := Fig2()
+			r, err := Default().Fig2()
 			if err != nil {
 				return nil, err
 			}
 			return r.Table(), nil
 		}},
 		{"fig3b", func() (interface{ String() string }, error) {
-			r, err := Fig3b()
+			r, err := Default().Fig3b()
 			if err != nil {
 				return nil, err
 			}
 			return r.Table(), nil
 		}},
 		{"calibration", func() (interface{ String() string }, error) {
-			r, err := Calibration()
+			r, err := Default().Calibration()
 			if err != nil {
 				return nil, err
 			}
 			return r.Table(), nil
 		}},
 		{"ctxlatency", func() (interface{ String() string }, error) {
-			r, err := CtxLatency()
+			r, err := Default().CtxLatency()
 			if err != nil {
 				return nil, err
 			}
 			return r.Table(), nil
 		}},
 		{"validation", func() (interface{ String() string }, error) {
-			r, err := ModelValidation()
+			r, err := Default().ModelValidation()
 			if err != nil {
 				return nil, err
 			}
 			return r.Table(), nil
 		}},
 		{"scaling", func() (interface{ String() string }, error) {
-			r, err := ProcessScaling()
+			r, err := Default().ProcessScaling()
 			if err != nil {
 				return nil, err
 			}
 			return r.Table(), nil
 		}},
 		{"standby", func() (interface{ String() string }, error) {
-			r, err := Standby()
+			r, err := Default().Standby()
 			if err != nil {
 				return nil, err
 			}
 			return r.Table(), nil
 		}},
 		{"coalescing", func() (interface{ String() string }, error) {
-			r, err := WakeCoalescing()
+			r, err := Default().WakeCoalescing()
 			if err != nil {
 				return nil, err
 			}
 			return r.Table(), nil
 		}},
 		{"anatomy", func() (interface{ String() string }, error) {
-			r, err := TransitionAnatomy(platform.ODRIPS)
+			r, err := Default().TransitionAnatomy(platform.ODRIPS)
 			if err != nil {
 				return nil, err
 			}
 			return r.Table("ODRIPS"), nil
 		}},
 		{"timer-alts", func() (interface{ String() string }, error) {
-			r, err := AblationTimerAlternatives()
+			r, err := Default().AblationTimerAlternatives()
 			if err != nil {
 				return nil, err
 			}
 			return r.Table(), nil
 		}},
 		{"io-gate", func() (interface{ String() string }, error) {
-			r, err := AblationIOGate()
+			r, err := Default().AblationIOGate()
 			if err != nil {
 				return nil, err
 			}
 			return r.Table(), nil
 		}},
 		{"mee-cache", func() (interface{ String() string }, error) {
-			r, err := AblationMEECache()
+			r, err := Default().AblationMEECache()
 			if err != nil {
 				return nil, err
 			}
 			return r.Table(), nil
 		}},
 		{"reinit", func() (interface{ String() string }, error) {
-			r, err := AblationReinitSensitivity()
+			r, err := Default().AblationReinitSensitivity()
 			if err != nil {
 				return nil, err
 			}
@@ -391,7 +391,7 @@ func TestCalibrationAging(t *testing.T) {
 }
 
 func TestTDPSensitivity(t *testing.T) {
-	r, err := TDPSensitivity()
+	r, err := Default().TDPSensitivity()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestTDPSensitivity(t *testing.T) {
 }
 
 func TestWakeLatencyDistribution(t *testing.T) {
-	r, err := WakeLatency()
+	r, err := Default().WakeLatency()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,13 +31,11 @@ func TestCanonicalPointConfigIdentities(t *testing.T) {
 				t.Fatalf("canonical forms differ: %+v vs %+v",
 					canonicalPointConfig(cfg), canonicalPointConfig(base))
 			}
-			ResetPointCache()
-			want, err := sweepAverage(base, residency, 1)
+			want, err := NewRuntime(nil, platform.FFOn, 0).sweepAverage(base, residency, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ResetPointCache()
-			got, err := sweepAverage(cfg, residency, 1)
+			got, err := NewRuntime(nil, platform.FFOn, 0).sweepAverage(cfg, residency, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,19 +67,19 @@ func TestCanonicalPointConfigPreservesRealKnobs(t *testing.T) {
 // experiments expressing the same steady state differently share cache
 // entries, so the second sweep half is free.
 func TestCanonicalDedupAcrossExperiments(t *testing.T) {
-	ResetPointCache()
+	rt := NewRuntime(nil, platform.FFOn, 0)
 	base := platform.ODRIPSConfig()
-	if _, err := sweepAverage(base, 2*sim.Millisecond, 1); err != nil {
+	if _, err := rt.sweepAverage(base, 2*sim.Millisecond, 1); err != nil {
 		t.Fatal(err)
 	}
-	entries := eng.sweep.Len()
+	entries := rt.sweep.Len()
 
 	tdpRow := base
 	tdpRow.TDPWatts = 15 // the TDP study's calibration row
-	if _, err := sweepAverage(tdpRow, 2*sim.Millisecond, 1); err != nil {
+	if _, err := rt.sweepAverage(tdpRow, 2*sim.Millisecond, 1); err != nil {
 		t.Fatal(err)
 	}
-	if after := eng.sweep.Len(); after != entries {
+	if after := rt.sweep.Len(); after != entries {
 		t.Errorf("equivalent config added %d cache entries; want a hit", after-entries)
 	}
 }

@@ -37,9 +37,9 @@ type CoalescingResult struct {
 // undercuts the C10 exit latency and keeps the platform out of DRIPS no
 // matter what the NIC does — are independent platform runs and evaluate in
 // parallel.
-func WakeCoalescing() (*CoalescingResult, error) {
+func (rt *Runtime) WakeCoalescing() (*CoalescingResult, error) {
 	sizes := []int{16, 32, 64, 128, 256}
-	rows, err := runIndexed(len(sizes)+1, 0,
+	rows, err := runIndexed(len(sizes)+1, rt.Pool(0),
 		func(i int) string {
 			if i == len(sizes) {
 				return "LTR-gated audio"
@@ -48,9 +48,9 @@ func WakeCoalescing() (*CoalescingResult, error) {
 		},
 		func(i int) (CoalescingRow, error) {
 			if i == len(sizes) {
-				return coalescingGatedPoint()
+				return rt.coalescingGatedPoint()
 			}
-			return coalescingPoint(sizes[i])
+			return rt.coalescingPoint(sizes[i])
 		})
 	if err != nil {
 		return nil, err
@@ -58,8 +58,8 @@ func WakeCoalescing() (*CoalescingResult, error) {
 	return &CoalescingResult{Rows: rows}, nil
 }
 
-func coalescingPoint(bufKiB int) (CoalescingRow, error) {
-	p, err := platform.New(platform.ODRIPSConfig())
+func (rt *Runtime) coalescingPoint(bufKiB int) (CoalescingRow, error) {
+	p, err := rt.NewPlatform(platform.ODRIPSConfig())
 	if err != nil {
 		return CoalescingRow{}, err
 	}
@@ -95,8 +95,8 @@ func coalescingPoint(bufKiB int) (CoalescingRow, error) {
 	}, nil
 }
 
-func coalescingGatedPoint() (CoalescingRow, error) {
-	p, err := platform.New(platform.ODRIPSConfig())
+func (rt *Runtime) coalescingGatedPoint() (CoalescingRow, error) {
+	p, err := rt.NewPlatform(platform.ODRIPSConfig())
 	if err != nil {
 		return CoalescingRow{}, err
 	}

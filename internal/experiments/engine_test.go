@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -41,8 +42,8 @@ func TestRunPointsDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // The same guarantee end-to-end on the real sweep: the empirical
-// break-even must be byte-identical sequential vs parallel, with the memo
-// cache cleared in between so both runs actually simulate.
+// break-even must be byte-identical sequential vs parallel, each on a
+// fresh runtime so both runs actually simulate.
 func TestSweepBreakEvenDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("platform sweep in -short mode")
@@ -57,15 +58,14 @@ func TestSweepBreakEvenDeterministicAcrossWorkerCounts(t *testing.T) {
 	base := platform.DefaultConfig()
 	opt := platform.ODRIPSConfig()
 
-	ResetPointCache()
 	o.Workers = 1
-	beSeq, okSeq, err := SweepBreakEven(base, opt, o)
+	beSeq, okSeq, err := NewRuntime(nil, platform.FFOn, 0).SweepBreakEven(base, opt, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetPointCache()
+	rt := NewRuntime(nil, platform.FFOn, 0)
 	o.Workers = 8
-	bePar, okPar, err := SweepBreakEven(base, opt, o)
+	bePar, okPar, err := rt.SweepBreakEven(base, opt, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSweepBreakEvenDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 
 	// And a cached re-run is bit-identical to the cold runs.
-	beHot, okHot, err := SweepBreakEven(base, opt, o)
+	beHot, okHot, err := rt.SweepBreakEven(base, opt, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,28 +189,29 @@ func TestSweepOptionsValidate(t *testing.T) {
 // SweepBreakEven and the Fig. 6 entry points must reject a broken grid.
 func TestSweepBreakEvenRejectsZeroStep(t *testing.T) {
 	bad := SweepOptions{Enabled: true, Lo: sim.Millisecond, Hi: sim.Second}
-	if _, _, err := SweepBreakEven(platform.DefaultConfig(), platform.ODRIPSConfig(), bad); err == nil {
+	rt := Default()
+	if _, _, err := rt.SweepBreakEven(platform.DefaultConfig(), platform.ODRIPSConfig(), bad); err == nil {
 		t.Fatal("SweepBreakEven accepted a zero step")
 	}
-	if _, err := Fig6a(bad); err == nil {
+	if _, err := rt.Fig6a(bad); err == nil {
 		t.Fatal("Fig6a accepted a zero step")
 	}
-	if _, err := Fig6d(bad); err == nil {
+	if _, err := rt.Fig6d(bad); err == nil {
 		t.Fatal("Fig6d accepted a zero step")
 	}
 }
 
-func TestSetDefaultWorkers(t *testing.T) {
-	defer SetDefaultWorkers(0)
-	SetDefaultWorkers(3)
-	if got := resolveWorkers(0); got != 3 {
-		t.Fatalf("resolveWorkers(0) = %d after SetDefaultWorkers(3)", got)
+// A runtime's worker default sizes every pool a call does not size
+// itself; zero means GOMAXPROCS.
+func TestNewRuntimeWorkers(t *testing.T) {
+	rt := NewRuntime(nil, platform.FFOn, 3)
+	if got := rt.Pool(0); got != 3 {
+		t.Fatalf("Pool(0) = %d on a 3-worker runtime", got)
 	}
-	if got := resolveWorkers(5); got != 5 {
+	if got := rt.Pool(5); got != 5 {
 		t.Fatalf("explicit worker count overridden: got %d, want 5", got)
 	}
-	SetDefaultWorkers(0)
-	if got := resolveWorkers(0); got < 1 {
-		t.Fatalf("resolveWorkers(0) = %d, want >= 1", got)
+	if got, want := NewRuntime(nil, platform.FFOn, 0).Pool(0), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("zero-worker runtime has %d workers, want GOMAXPROCS %d", got, want)
 	}
 }

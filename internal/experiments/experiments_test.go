@@ -9,7 +9,7 @@ import (
 )
 
 func TestFig1bMatchesPaper(t *testing.T) {
-	r, err := Fig1b()
+	r, err := Default().Fig1b()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFig1bMatchesPaper(t *testing.T) {
 }
 
 func TestFig2MatchesPaper(t *testing.T) {
-	r, err := Fig2()
+	r, err := Default().Fig2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFig2MatchesPaper(t *testing.T) {
 }
 
 func TestFig3bWaveform(t *testing.T) {
-	r, err := Fig3b()
+	r, err := Default().Fig3b()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestFig3bWaveform(t *testing.T) {
 }
 
 func TestCalibrationExperiment(t *testing.T) {
-	r, err := Calibration()
+	r, err := Default().Calibration()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCalibrationExperiment(t *testing.T) {
 }
 
 func TestFig6aWithoutSweep(t *testing.T) {
-	r, err := Fig6a(SweepOptions{})
+	r, err := Default().Fig6a(SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFig6aWithoutSweep(t *testing.T) {
 func TestSweepBreakEvenAgreesWithAnalytic(t *testing.T) {
 	// One configuration, coarse grid: the empirical crossover must land
 	// near the analytic break-even.
-	r, err := Fig6a(SweepOptions{})
+	r, err := Default().Fig6a(SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSweepBreakEvenAgreesWithAnalytic(t *testing.T) {
 		Step:           500 * sim.Microsecond,
 		CyclesPerPoint: 1,
 	}
-	be, ok, err := SweepBreakEven(fig6aConfigs()[0], fig6aConfigs()[4], opts)
+	be, ok, err := Default().SweepBreakEven(fig6aConfigs()[0], fig6aConfigs()[4], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSweepBreakEvenAgreesWithAnalytic(t *testing.T) {
 }
 
 func TestFig6bShape(t *testing.T) {
-	r, err := Fig6b()
+	r, err := Default().Fig6b()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestFig6bShape(t *testing.T) {
 }
 
 func TestFig6cShape(t *testing.T) {
-	r, err := Fig6c()
+	r, err := Default().Fig6c()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestFig6cShape(t *testing.T) {
 }
 
 func TestFig6dShape(t *testing.T) {
-	r, err := Fig6d(SweepOptions{})
+	r, err := Default().Fig6d(SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestFig6dShape(t *testing.T) {
 }
 
 func TestCtxLatencyExperiment(t *testing.T) {
-	r, err := CtxLatency()
+	r, err := Default().CtxLatency()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestCtxLatencyExperiment(t *testing.T) {
 }
 
 func TestModelValidation(t *testing.T) {
-	r, err := ModelValidation()
+	r, err := Default().ModelValidation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +304,11 @@ func TestTable1(t *testing.T) {
 }
 
 func TestAllTablesRender(t *testing.T) {
-	f1, err := Fig1b()
+	f1, err := Default().Fig1b()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f6, err := Fig6a(SweepOptions{})
+	f6, err := Default().Fig6a(SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ var faultSweepScenarios = []struct {
 
 // FaultSweep measures the scenario list, fanning points across the worker
 // pool like every other experiment.
-func FaultSweep() (*FaultSweepReport, error) {
+func (rt *Runtime) FaultSweep() (*FaultSweepReport, error) {
 	specs := make([]PointSpec[FaultSweepRow], len(faultSweepScenarios))
 	for i, sc := range faultSweepScenarios {
 		sc := sc
@@ -59,7 +59,7 @@ func FaultSweep() (*FaultSweepReport, error) {
 				if err != nil {
 					return FaultSweepRow{}, err
 				}
-				p, err := platform.New(platform.ODRIPSConfig())
+				p, err := rt.NewPlatform(platform.ODRIPSConfig())
 				if err != nil {
 					return FaultSweepRow{}, err
 				}
@@ -79,7 +79,7 @@ func FaultSweep() (*FaultSweepReport, error) {
 			},
 		}
 	}
-	results, err := RunPoints(specs, 0)
+	results, err := RunPoints(specs, rt.Pool(0))
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ import (
 // the ordinary ODRIPS run exactly, and every recovery edge must fire in
 // its scenario.
 func TestFaultSweep(t *testing.T) {
-	r, err := FaultSweep()
+	r, err := Default().FaultSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

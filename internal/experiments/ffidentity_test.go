@@ -14,12 +14,11 @@ import (
 )
 
 // renderAllExperiments regenerates the full `odrips-bench -exp all` output
-// (plus the opt-in fault sweep) under the given fast-forward mode, with
-// cold point caches so no measurement leaks between modes.
-func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
+// (plus the opt-in fault sweep) on rt. A fresh runtime has cold point
+// caches, so no measurement leaks between runtimes.
+func renderAllExperiments(t *testing.T, rt *odrips.Runtime) []byte {
 	t.Helper()
-	odrips.SetDefaultFastForward(mode)
-	odrips.ResetPointCache()
+	mode := rt.FF()
 	var buf bytes.Buffer
 	sweep := odrips.DefaultSweep()
 
@@ -30,7 +29,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 	}
 	run("table1", func() error { odrips.Table1().Render(&buf); return nil })
 	run("fig1b", func() error {
-		r, err := odrips.Fig1b()
+		r, err := rt.Fig1b()
 		if err != nil {
 			return err
 		}
@@ -38,7 +37,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("fig2", func() error {
-		r, err := odrips.Fig2()
+		r, err := rt.Fig2()
 		if err != nil {
 			return err
 		}
@@ -46,7 +45,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("fig3b", func() error {
-		r, err := odrips.Fig3b()
+		r, err := rt.Fig3b()
 		if err != nil {
 			return err
 		}
@@ -54,7 +53,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("calibration", func() error {
-		r, err := odrips.Calibration()
+		r, err := rt.Calibration()
 		if err != nil {
 			return err
 		}
@@ -62,7 +61,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("fig6a", func() error {
-		r, err := odrips.Fig6a(sweep)
+		r, err := rt.Fig6a(sweep)
 		if err != nil {
 			return err
 		}
@@ -71,7 +70,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("fig6b", func() error {
-		r, err := odrips.Fig6b()
+		r, err := rt.Fig6b()
 		if err != nil {
 			return err
 		}
@@ -79,7 +78,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("fig6c", func() error {
-		r, err := odrips.Fig6c()
+		r, err := rt.Fig6c()
 		if err != nil {
 			return err
 		}
@@ -87,7 +86,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("fig6d", func() error {
-		r, err := odrips.Fig6d(sweep)
+		r, err := rt.Fig6d(sweep)
 		if err != nil {
 			return err
 		}
@@ -95,7 +94,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("ctxlatency", func() error {
-		r, err := odrips.CtxLatency()
+		r, err := rt.CtxLatency()
 		if err != nil {
 			return err
 		}
@@ -103,7 +102,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("validation", func() error {
-		r, err := odrips.ModelValidation()
+		r, err := rt.ModelValidation()
 		if err != nil {
 			return err
 		}
@@ -111,22 +110,22 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("ablations", func() error {
-		mc, err := odrips.AblationMEECache()
+		mc, err := rt.AblationMEECache()
 		if err != nil {
 			return err
 		}
 		mc.Table().Render(&buf)
-		ta, err := odrips.AblationTimerAlternatives()
+		ta, err := rt.AblationTimerAlternatives()
 		if err != nil {
 			return err
 		}
 		ta.Table().Render(&buf)
-		gg, err := odrips.AblationIOGate()
+		gg, err := rt.AblationIOGate()
 		if err != nil {
 			return err
 		}
 		gg.Table().Render(&buf)
-		rs, err := odrips.AblationReinitSensitivity()
+		rs, err := rt.AblationReinitSensitivity()
 		if err != nil {
 			return err
 		}
@@ -134,7 +133,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("coalescing", func() error {
-		r, err := odrips.WakeCoalescing()
+		r, err := rt.WakeCoalescing()
 		if err != nil {
 			return err
 		}
@@ -142,7 +141,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("scaling", func() error {
-		r, err := odrips.ProcessScaling()
+		r, err := rt.ProcessScaling()
 		if err != nil {
 			return err
 		}
@@ -150,7 +149,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("standby", func() error {
-		r, err := odrips.Standby()
+		r, err := rt.Standby()
 		if err != nil {
 			return err
 		}
@@ -159,7 +158,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 	})
 	run("anatomy", func() error {
 		for _, tech := range []odrips.Technique{0, odrips.ODRIPS} {
-			r, err := odrips.TransitionAnatomy(tech)
+			r, err := rt.TransitionAnatomy(tech)
 			if err != nil {
 				return err
 			}
@@ -176,7 +175,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("tdp", func() error {
-		r, err := odrips.TDPSensitivity()
+		r, err := rt.TDPSensitivity()
 		if err != nil {
 			return err
 		}
@@ -184,7 +183,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("wakelatency", func() error {
-		r, err := odrips.WakeLatency()
+		r, err := rt.WakeLatency()
 		if err != nil {
 			return err
 		}
@@ -192,7 +191,7 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 		return nil
 	})
 	run("faultsweep", func() error {
-		r, err := odrips.FaultSweep()
+		r, err := rt.FaultSweep()
 		if err != nil {
 			return err
 		}
@@ -207,12 +206,15 @@ func renderAllExperiments(t *testing.T, mode odrips.FFMode) []byte {
 // engine on and off, and passes in verify mode (which re-simulates every
 // memoized cycle and fails the run on any divergence).
 func TestExpAllByteIdenticalAcrossFastForward(t *testing.T) {
-	t.Cleanup(func() {
-		odrips.SetDefaultFastForward(odrips.FFOn)
-		odrips.ResetPointCache()
-	})
-	off := renderAllExperiments(t, odrips.FFOff)
-	on := renderAllExperiments(t, odrips.FFOn)
+	render := func(mode odrips.FFMode) []byte {
+		rt, err := odrips.OpenRuntime("", "", mode, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderAllExperiments(t, rt)
+	}
+	off := render(odrips.FFOff)
+	on := render(odrips.FFOn)
 	if !bytes.Equal(off, on) {
 		line := 1
 		for i := range off {
@@ -226,7 +228,7 @@ func TestExpAllByteIdenticalAcrossFastForward(t *testing.T) {
 		t.Fatalf("-exp all output diverged between -fastforward=off and on (first difference near line %d; %d vs %d bytes)",
 			line, len(off), len(on))
 	}
-	verify := renderAllExperiments(t, odrips.FFVerify)
+	verify := render(odrips.FFVerify)
 	if !bytes.Equal(off, verify) {
 		t.Fatalf("-exp all output diverged in -fastforward=verify (%d vs %d bytes)", len(off), len(verify))
 	}

@@ -42,8 +42,8 @@ var fig1bGroups = []struct {
 }
 
 // Fig1b measures the baseline DRIPS breakdown.
-func Fig1b() (*Fig1bResult, error) {
-	res, err := runConfig(platform.DefaultConfig(), defaultCycles)
+func (rt *Runtime) Fig1b() (*Fig1bResult, error) {
+	res, err := rt.runConfig(platform.DefaultConfig(), defaultCycles)
 	if err != nil {
 		return nil, err
 	}

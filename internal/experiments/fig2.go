@@ -27,8 +27,8 @@ type Fig2Result struct {
 }
 
 // Fig2 measures the baseline connected-standby profile.
-func Fig2() (*Fig2Result, error) {
-	res, err := runConfig(platform.DefaultConfig(), defaultCycles)
+func (rt *Runtime) Fig2() (*Fig2Result, error) {
+	res, err := rt.runConfig(platform.DefaultConfig(), defaultCycles)
 	if err != nil {
 		return nil, err
 	}

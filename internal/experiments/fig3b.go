@@ -24,10 +24,10 @@ type Fig3bResult struct {
 }
 
 // Fig3b runs a single short ODRIPS cycle with the switch-unit trace armed.
-func Fig3b() (*Fig3bResult, error) {
+func (rt *Runtime) Fig3b() (*Fig3bResult, error) {
 	cfg := platform.ODRIPSConfig()
 	cfg.ForceDeepest = true
-	p, err := platform.New(cfg)
+	p, err := rt.NewPlatform(cfg)
 	if err != nil {
 		return nil, err
 	}

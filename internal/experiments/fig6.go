@@ -42,14 +42,14 @@ func fig6aConfigs() []platform.Config {
 // the worker pool. When sweep.Enabled, break-even points are additionally
 // measured empirically via the residency sweep (each sweep parallel over
 // its grid; its baseline half is memoized across rows).
-func Fig6a(sweep SweepOptions) (*Fig6aResult, error) {
+func (rt *Runtime) Fig6a(sweep SweepOptions) (*Fig6aResult, error) {
 	if err := sweep.Validate(); err != nil {
 		return nil, fmt.Errorf("fig6a: %w", err)
 	}
 	configs := fig6aConfigs()
-	results, err := runIndexed(len(configs), sweep.Workers,
+	results, err := runIndexed(len(configs), rt.Pool(sweep.Workers),
 		func(i int) string { return configs[i].Name() },
-		func(i int) (platform.Result, error) { return runConfig(configs[i], defaultCycles) })
+		func(i int) (platform.Result, error) { return rt.runConfig(configs[i], defaultCycles) })
 	if err != nil {
 		return nil, fmt.Errorf("fig6a: %w", err)
 	}
@@ -66,7 +66,7 @@ func Fig6a(sweep SweepOptions) (*Fig6aResult, error) {
 			}
 			row.BreakEven = be
 			if sweep.Enabled {
-				sbe, ok, err := SweepBreakEven(configs[0], cfg, sweep)
+				sbe, ok, err := rt.SweepBreakEven(configs[0], cfg, sweep)
 				if err != nil {
 					return nil, err
 				}
@@ -116,14 +116,14 @@ type Fig6bResult struct {
 
 // Fig6b sweeps the maintenance core frequency (race-to-sleep study, §8.1),
 // with the three frequency points evaluated in parallel.
-func Fig6b() (*Fig6bResult, error) {
+func (rt *Runtime) Fig6b() (*Fig6bResult, error) {
 	freqs := []int{800, 1000, 1500}
-	results, err := runIndexed(len(freqs), 0,
+	results, err := runIndexed(len(freqs), rt.Pool(0),
 		func(i int) string { return fmt.Sprintf("%d MHz", freqs[i]) },
 		func(i int) (platform.Result, error) {
 			cfg := platform.ODRIPSConfig()
 			cfg.CoreFreqMHz = freqs[i]
-			return runConfig(cfg, defaultCycles)
+			return rt.runConfig(cfg, defaultCycles)
 		})
 	if err != nil {
 		return nil, fmt.Errorf("fig6b: %w", err)
@@ -168,14 +168,14 @@ type Fig6cResult struct {
 
 // Fig6c sweeps the DRAM transfer rate (§8.2), with the three rate points
 // evaluated in parallel.
-func Fig6c() (*Fig6cResult, error) {
+func (rt *Runtime) Fig6c() (*Fig6cResult, error) {
 	rates := []int{1600, 1067, 800}
-	results, err := runIndexed(len(rates), 0,
+	results, err := runIndexed(len(rates), rt.Pool(0),
 		func(i int) string { return fmt.Sprintf("%d MT/s", rates[i]) },
 		func(i int) (platform.Result, error) {
 			cfg := platform.ODRIPSConfig()
 			cfg.DRAMMTps = rates[i]
-			return runConfig(cfg, defaultCycles)
+			return rt.runConfig(cfg, defaultCycles)
 		})
 	if err != nil {
 		return nil, fmt.Errorf("fig6c: %w", err)
@@ -220,7 +220,7 @@ type Fig6dResult struct {
 }
 
 // Fig6d measures baseline, ODRIPS, ODRIPS-MRAM, and ODRIPS-PCM (§8.3).
-func Fig6d(sweep SweepOptions) (*Fig6dResult, error) {
+func (rt *Runtime) Fig6d(sweep SweepOptions) (*Fig6dResult, error) {
 	base := platform.DefaultConfig()
 	mram := base.WithTechniques(platform.WakeUpOff | platform.AONIOGate)
 	mram.CtxInEMRAM = true
@@ -231,9 +231,9 @@ func Fig6d(sweep SweepOptions) (*Fig6dResult, error) {
 	if err := sweep.Validate(); err != nil {
 		return nil, fmt.Errorf("fig6d: %w", err)
 	}
-	results, err := runIndexed(len(configs), sweep.Workers,
+	results, err := runIndexed(len(configs), rt.Pool(sweep.Workers),
 		func(i int) string { return configs[i].Name() },
-		func(i int) (platform.Result, error) { return runConfig(configs[i], defaultCycles) })
+		func(i int) (platform.Result, error) { return rt.runConfig(configs[i], defaultCycles) })
 	if err != nil {
 		return nil, fmt.Errorf("fig6d: %w", err)
 	}
@@ -250,7 +250,7 @@ func Fig6d(sweep SweepOptions) (*Fig6dResult, error) {
 			}
 			row.BreakEven = be
 			if sweep.Enabled {
-				sbe, ok, err := SweepBreakEven(configs[0], cfg, sweep)
+				sbe, ok, err := rt.SweepBreakEven(configs[0], cfg, sweep)
 				if err != nil {
 					return nil, err
 				}

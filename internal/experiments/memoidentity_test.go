@@ -13,17 +13,18 @@ import (
 	"odrips"
 )
 
-// renderWithMemoCache regenerates the full -exp all output with the
-// persistent store in the given mode and the given fast-forward mode,
-// starting from cold in-process caches (a fresh store gets a fresh
-// default memo plane; bundles and sweep points reload from disk, not
-// RAM).
-func renderWithMemoCache(t *testing.T, mode, dir string, ff odrips.FFMode) []byte {
+// renderWithMemoCache regenerates the full -exp all output on a fresh
+// runtime with the persistent store in the given mode and the given
+// fast-forward mode, starting from cold in-process caches (a fresh
+// runtime has a fresh memo plane; bundles and sweep points reload from
+// disk, not RAM). It returns the runtime for its store counters.
+func renderWithMemoCache(t *testing.T, mode, dir string, ff odrips.FFMode) ([]byte, *odrips.Runtime) {
 	t.Helper()
-	if err := odrips.SetupMemoCache(mode, dir); err != nil {
+	rt, err := odrips.OpenRuntime(mode, dir, ff, 0)
+	if err != nil {
 		t.Fatalf("-memocache=%s: %v", mode, err)
 	}
-	return renderAllExperiments(t, ff)
+	return renderAllExperiments(t, rt), rt
 }
 
 // TestExpAllByteIdenticalAcrossMemoCache is the tentpole acceptance
@@ -36,16 +37,9 @@ func TestExpAllByteIdenticalAcrossMemoCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six full experiment renders in -short mode")
 	}
-	t.Cleanup(func() {
-		if err := odrips.SetupMemoCache("off", ""); err != nil {
-			t.Error(err)
-		}
-		odrips.SetDefaultFastForward(odrips.FFOn)
-		odrips.ResetPointCache()
-	})
 	dir := t.TempDir()
 
-	base := renderAllExperiments(t, odrips.FFOn) // no store
+	base, _ := renderWithMemoCache(t, "off", "", odrips.FFOn) // no store
 
 	compare := func(name string, got []byte) {
 		t.Helper()
@@ -64,23 +58,27 @@ func TestExpAllByteIdenticalAcrossMemoCache(t *testing.T) {
 		}
 	}
 
-	compare("rw (cold)", renderWithMemoCache(t, "rw", dir, odrips.FFOn))
-	if st := odrips.MemoCacheStats(); st.Writes == 0 {
+	got, rt := renderWithMemoCache(t, "rw", dir, odrips.FFOn)
+	compare("rw (cold)", got)
+	if st := rt.Store().Stats(); st.Writes == 0 {
 		t.Fatalf("rw cold run persisted nothing: %+v", st)
 	}
 
-	compare("rw (warm)", renderWithMemoCache(t, "rw", dir, odrips.FFOn))
-	if st := odrips.MemoCacheStats(); st.Hits == 0 {
+	got, rt = renderWithMemoCache(t, "rw", dir, odrips.FFOn)
+	compare("rw (warm)", got)
+	if st := rt.Store().Stats(); st.Hits == 0 {
 		t.Fatalf("rw warm run loaded nothing: %+v", st)
 	}
 
-	compare("ro", renderWithMemoCache(t, "ro", dir, odrips.FFOn))
-	if st := odrips.MemoCacheStats(); st.Writes != 0 {
+	got, rt = renderWithMemoCache(t, "ro", dir, odrips.FFOn)
+	compare("ro", got)
+	if st := rt.Store().Stats(); st.Writes != 0 {
 		t.Fatalf("ro run wrote: %+v", st)
 	}
 
-	compare("ro + fastforward verify", renderWithMemoCache(t, "ro", dir, odrips.FFVerify))
-	if st := odrips.MemoCacheStats(); st.Hits == 0 || st.Writes != 0 {
+	got, rt = renderWithMemoCache(t, "ro", dir, odrips.FFVerify)
+	compare("ro + fastforward verify", got)
+	if st := rt.Store().Stats(); st.Hits == 0 || st.Writes != 0 {
 		t.Fatalf("ro verify run: %+v (want hits to audit, no writes)", st)
 	}
 
@@ -89,5 +87,6 @@ func TestExpAllByteIdenticalAcrossMemoCache(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	compare("rw (deleted cache)", renderWithMemoCache(t, "rw", dir, odrips.FFOn))
+	got, _ = renderWithMemoCache(t, "rw", dir, odrips.FFOn)
+	compare("rw (deleted cache)", got)
 }

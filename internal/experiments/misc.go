@@ -46,7 +46,7 @@ type CalibrationResult struct {
 
 // Calibration runs the Step calibration on the standard crystal pair and
 // measures actual end-to-end timer drift across ODRIPS cycles.
-func Calibration() (*CalibrationResult, error) {
+func (rt *Runtime) Calibration() (*CalibrationResult, error) {
 	s := sim.NewScheduler()
 	fast := clock.NewOscillator(s, "xtal24", 24_000_000, 2_300, 0)
 	slow := clock.NewOscillator(s, "xtal32", 32_768, -4_100, 0)
@@ -66,7 +66,7 @@ func Calibration() (*CalibrationResult, error) {
 		Step:     res.Step.Float(),
 		DriftPPB: res.DriftPPB(),
 	}
-	run, err := runConfig(platform.ODRIPSConfig(), defaultCycles)
+	run, err := rt.runConfig(platform.ODRIPSConfig(), defaultCycles)
 	if err != nil {
 		return nil, err
 	}
@@ -103,10 +103,10 @@ type CtxLatencyRow struct {
 
 // CtxLatency measures the context transfer for protected DRAM (ODRIPS),
 // on-chip eMRAM, PCM main memory, and the baseline SRAM path.
-func CtxLatency() (*CtxLatencyResult, error) {
+func (rt *Runtime) CtxLatency() (*CtxLatencyResult, error) {
 	out := &CtxLatencyResult{}
 	add := func(name string, cfg platform.Config) error {
-		res, err := runConfig(cfg, 2)
+		res, err := rt.runConfig(cfg, 2)
 		if err != nil {
 			return fmt.Errorf("ctx latency %s: %w", name, err)
 		}
@@ -165,7 +165,7 @@ type ValidationResult struct {
 
 // ModelValidation evaluates every Fig. 6(a) configuration plus the
 // emerging-memory variants of Fig. 6(d).
-func ModelValidation() (*ValidationResult, error) {
+func (rt *Runtime) ModelValidation() (*ValidationResult, error) {
 	out := &ValidationResult{WorstAccPct: 100}
 	configs := fig6aConfigs()
 	mram := platform.DefaultConfig().WithTechniques(platform.WakeUpOff | platform.AONIOGate)
@@ -174,7 +174,7 @@ func ModelValidation() (*ValidationResult, error) {
 	pcm.MainMemory = dram.PCM
 	configs = append(configs, mram, pcm)
 	for _, cfg := range configs {
-		p, err := platform.New(cfg)
+		p, err := rt.NewPlatform(cfg)
 		if err != nil {
 			return nil, err
 		}

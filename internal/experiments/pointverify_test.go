@@ -11,22 +11,15 @@ import (
 	"odrips/internal/workload"
 )
 
-// withPointStore installs a default store over dir for the test, with
-// cold point caches, and tears the process defaults back down afterwards.
-func withPointStore(t *testing.T, dir string, mode memostore.Mode) *memostore.Store {
+// openRuntime opens a store over dir and builds a runtime over it in the
+// given fast-forward mode, with cold point caches.
+func openRuntime(t *testing.T, dir string, mode memostore.Mode, ff platform.FFMode) (*memostore.Store, *Runtime) {
 	t.Helper()
 	s, err := memostore.Open(dir, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	memostore.SetDefault(s)
-	ResetPointCache()
-	t.Cleanup(func() {
-		memostore.SetDefault(nil)
-		platform.SetDefaultFastForward(platform.FFOn)
-		ResetPointCache()
-	})
-	return s
+	return s, NewRuntime(s, ff, 0)
 }
 
 // TestPointMemoPersists: over an rw store a cold point simulates once
@@ -38,8 +31,8 @@ func TestPointMemoPersists(t *testing.T) {
 	computes := 0
 	simulate := func() (uint64, error) { computes++; return 0x5eed, nil }
 
-	rw := withPointStore(t, dir, memostore.RW)
-	got, err := pointMemo("sweep", key, simulate)
+	rw, rt := openRuntime(t, dir, memostore.RW, platform.FFOn)
+	got, err := rt.pointMemo("sweep", key, simulate)
 	if err != nil || got != 0x5eed || computes != 1 {
 		t.Fatalf("cold point: got=%#x err=%v computes=%d", got, err, computes)
 	}
@@ -47,8 +40,8 @@ func TestPointMemoPersists(t *testing.T) {
 		t.Fatalf("cold point store stats %+v: want 1 miss, 1 write", st)
 	}
 
-	ro := withPointStore(t, dir, memostore.RO)
-	got, err = pointMemo("sweep", key, simulate)
+	ro, rt := openRuntime(t, dir, memostore.RO, platform.FFOn)
+	got, err = rt.pointMemo("sweep", key, simulate)
 	if err != nil || got != 0x5eed || computes != 1 {
 		t.Fatalf("stored point: got=%#x err=%v computes=%d", got, err, computes)
 	}
@@ -65,20 +58,19 @@ func TestPointMemoVerifyRecomputesStored(t *testing.T) {
 	key := []byte("k")
 	var stored [8]byte
 	binary.LittleEndian.PutUint64(stored[:], 42)
-	rw := withPointStore(t, dir, memostore.RW)
+	rw, _ := openRuntime(t, dir, memostore.RW, platform.FFOn)
 	rw.Save("sweep", key, stored[:])
 
-	ro := withPointStore(t, dir, memostore.RO)
-	platform.SetDefaultFastForward(platform.FFVerify)
+	ro, rt := openRuntime(t, dir, memostore.RO, platform.FFVerify)
 	computes := 0
-	got, err := pointMemo("sweep", key, func() (uint64, error) { computes++; return 42, nil })
+	got, err := rt.pointMemo("sweep", key, func() (uint64, error) { computes++; return 42, nil })
 	if err != nil || got != 42 || computes != 1 {
 		t.Fatalf("verify over stored point: got=%d err=%v computes=%d", got, err, computes)
 	}
 	if st := ro.Stats(); st.Hits == 0 {
 		t.Fatalf("verify never compared against the stored entry: %+v", st)
 	}
-	if _, err := pointMemo("sweep", key, func() (uint64, error) { return 43, nil }); err == nil {
+	if _, err := rt.pointMemo("sweep", key, func() (uint64, error) { return 43, nil }); err == nil {
 		t.Fatal("verify accepted a point that diverged from the stored entry")
 	}
 }
@@ -92,8 +84,8 @@ func TestPointMemoVerifyDetectsTamper(t *testing.T) {
 	base, opt := platform.DefaultConfig(), platform.ODRIPSConfig()
 	o := SweepOptions{Lo: 600 * sim.Microsecond, Hi: 2 * sim.Millisecond, Step: 200 * sim.Microsecond, CyclesPerPoint: 1, Workers: 1}
 
-	rw := withPointStore(t, dir, memostore.RW)
-	if _, _, err := SweepBreakEven(base, opt, o); err != nil {
+	rw, rt := openRuntime(t, dir, memostore.RW, platform.FFOn)
+	if _, _, err := rt.SweepBreakEven(base, opt, o); err != nil {
 		t.Fatal(err)
 	}
 	planted := 0
@@ -112,13 +104,11 @@ func TestPointMemoVerifyDetectsTamper(t *testing.T) {
 		t.Fatal("the sweep persisted no base points to tamper with")
 	}
 
-	withPointStore(t, dir, memostore.RO)
-	if _, _, err := SweepBreakEven(base, opt, o); err != nil {
+	ro, rt := openRuntime(t, dir, memostore.RO, platform.FFOn)
+	if _, _, err := rt.SweepBreakEven(base, opt, o); err != nil {
 		t.Fatalf("plain ro run must trust the store: %v", err)
 	}
-	ResetPointCache()
-	platform.SetDefaultFastForward(platform.FFVerify)
-	if _, _, err := SweepBreakEven(base, opt, o); err == nil || !strings.Contains(err.Error(), "point diverged from persistent memo") {
+	if _, _, err := NewRuntime(ro, platform.FFVerify, 0).SweepBreakEven(base, opt, o); err == nil || !strings.Contains(err.Error(), "point diverged from persistent memo") {
 		t.Fatalf("verify accepted a tampered sweep point (err=%v)", err)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"odrips/internal/aonio"
-	"odrips/internal/memostore"
 	"odrips/internal/platform"
 	"odrips/internal/power"
 	"odrips/internal/sim"
@@ -31,8 +30,8 @@ import (
 const defaultCycles = 3
 
 // runConfig builds a platform and measures n standard 30 s cycles.
-func runConfig(cfg platform.Config, n int) (platform.Result, error) {
-	p, err := platform.New(cfg)
+func (rt *Runtime) runConfig(cfg platform.Config, n int) (platform.Result, error) {
+	p, err := rt.NewPlatform(cfg)
 	if err != nil {
 		return platform.Result{}, err
 	}
@@ -47,8 +46,8 @@ type SweepOptions struct {
 	Lo, Hi, Step   sim.Duration
 	CyclesPerPoint int
 
-	// Workers sizes the point-evaluation worker pool: 0 uses the package
-	// default (normally runtime.GOMAXPROCS(0)), 1 evaluates points
+	// Workers sizes the point-evaluation worker pool: 0 uses the
+	// runtime's default (normally runtime.GOMAXPROCS(0)), 1 evaluates points
 	// sequentially on the calling goroutine. Results are identical at any
 	// worker count.
 	Workers int
@@ -165,20 +164,6 @@ func canonicalPointConfig(cfg platform.Config) platform.Config {
 	return cfg
 }
 
-// The memo caches themselves live in the eng owner struct (engine.go),
-// alongside the worker default — the package's one audited piece of
-// process-scoped state. They are LRU-bounded (see the capacity rationale
-// there); eviction merely re-simulates, so the bound trades time for a
-// memory ceiling.
-
-// ResetPointCache drops every memoized sweep point and transition time
-// and zeroes the cache counters. Benchmarks call it so each iteration
-// measures cold-cache cost.
-func ResetPointCache() {
-	eng.sweep.Reset()
-	eng.trans.Reset()
-}
-
 // ---- Persistent point memos ----
 //
 // Beyond the in-process maps, points round-trip through the
@@ -195,10 +180,10 @@ func pointDiskKey(cfg platform.Config, residency sim.Duration, cycles int) []byt
 	return []byte(fmt.Sprintf("%#v|res=%d|n=%d", cfg, int64(residency), cycles))
 }
 
-// pointDiskLoad reads one 8-byte point from the default store. Any
+// pointDiskLoad reads one 8-byte point from the runtime's store. Any
 // failure — no store, miss, corruption, wrong size — is a cache miss.
-func pointDiskLoad(class string, key []byte) (uint64, bool) {
-	payload, ok, err := memostore.Default().Load(class, key)
+func (rt *Runtime) pointDiskLoad(class string, key []byte) (uint64, bool) {
+	payload, ok, err := rt.store.Load(class, key)
 	if err != nil || !ok || len(payload) != 8 {
 		return 0, false
 	}
@@ -212,18 +197,18 @@ func pointDiskLoad(class string, key []byte) (uint64, bool) {
 // -fastforward=verify no stored point is trusted: the point is
 // re-simulated and diffed against the stored bits. With no store
 // installed this degrades to a plain simulate call.
-func pointMemo(class string, diskKey []byte, simulate func() (uint64, error)) (uint64, error) {
-	if platform.DefaultFastForward() == platform.FFVerify {
+func (rt *Runtime) pointMemo(class string, diskKey []byte, simulate func() (uint64, error)) (uint64, error) {
+	if rt.ff == platform.FFVerify {
 		bits, err := simulate()
 		if err != nil {
 			return 0, err
 		}
-		if stored, ok := pointDiskLoad(class, diskKey); ok && stored != bits {
+		if stored, ok := rt.pointDiskLoad(class, diskKey); ok && stored != bits {
 			return 0, fmt.Errorf("experiments: fastforward verify: %s point diverged from persistent memo (stored %#x, computed %#x)", class, stored, bits)
 		}
 		return bits, nil
 	}
-	if bits, ok := pointDiskLoad(class, diskKey); ok {
+	if bits, ok := rt.pointDiskLoad(class, diskKey); ok {
 		return bits, nil
 	}
 	bits, err := simulate()
@@ -232,7 +217,7 @@ func pointMemo(class string, diskKey []byte, simulate func() (uint64, error)) (u
 	}
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], bits)
-	memostore.Default().Save(class, diskKey, b[:])
+	rt.store.Save(class, diskKey, b[:])
 	return bits, nil
 }
 
@@ -243,15 +228,15 @@ func pointMemo(class string, diskKey []byte, simulate func() (uint64, error)) (u
 // about; including it only adds identical energy to both sides of the
 // comparison while its 3 W level drowns the microjoule-scale signal at
 // sub-millisecond residencies.
-func sweepAverage(cfg platform.Config, residency sim.Duration, cycles int) (float64, error) {
+func (rt *Runtime) sweepAverage(cfg platform.Config, residency sim.Duration, cycles int) (float64, error) {
 	key := sweepPointKey{cfg: canonicalPointConfig(cfg), residency: residency, cycles: cycles}
-	if v, ok := eng.sweep.Get(key); ok {
+	if v, ok := rt.sweep.Get(key); ok {
 		return v, nil
 	}
 	diskKey := pointDiskKey(key.cfg, residency, cycles)
-	bits, err := pointMemo("sweep", diskKey, func() (uint64, error) {
+	bits, err := rt.pointMemo("sweep", diskKey, func() (uint64, error) {
 		cfg.ForceDeepest = true
-		p, err := platform.New(cfg)
+		p, err := rt.NewPlatform(cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -273,22 +258,22 @@ func sweepAverage(cfg platform.Config, residency sim.Duration, cycles int) (floa
 		return 0, err
 	}
 	mw := math.Float64frombits(bits)
-	eng.sweep.Put(key, mw)
+	rt.sweep.Put(key, mw)
 	return mw, nil
 }
 
 // transitionTime measures a configuration's entry+exit duration once, so
 // the sweep can hold the wake period fixed across configurations.
-func transitionTime(cfg platform.Config) (sim.Duration, error) {
+func (rt *Runtime) transitionTime(cfg platform.Config) (sim.Duration, error) {
 	key := canonicalPointConfig(cfg)
-	if v, ok := eng.trans.Get(key); ok {
+	if v, ok := rt.trans.Get(key); ok {
 		return v, nil
 	}
 	diskKey := pointDiskKey(key, 0, 0)
-	bits, err := pointMemo("trans", diskKey, func() (uint64, error) {
+	bits, err := rt.pointMemo("trans", diskKey, func() (uint64, error) {
 		forced := cfg
 		forced.ForceDeepest = true
-		p, err := platform.New(forced)
+		p, err := rt.NewPlatform(forced)
 		if err != nil {
 			return 0, err
 		}
@@ -302,7 +287,7 @@ func transitionTime(cfg platform.Config) (sim.Duration, error) {
 		return 0, err
 	}
 	d := sim.Duration(int64(bits))
-	eng.trans.Put(key, d)
+	rt.trans.Put(key, d)
 	return d, nil
 }
 
@@ -322,7 +307,7 @@ func transitionTime(cfg platform.Config) (sim.Duration, error) {
 // at Workers=1 the scan is exactly the sequential early-exit. The
 // returned break-even is identical at any worker count because the point
 // list is truncated at the first crossover before interpolation.
-func SweepBreakEven(base, opt platform.Config, o SweepOptions) (sim.Duration, bool, error) {
+func (rt *Runtime) SweepBreakEven(base, opt platform.Config, o SweepOptions) (sim.Duration, bool, error) {
 	o.Enabled = true // callers gate on Enabled themselves; validate the grid
 	if err := o.Validate(); err != nil {
 		return 0, false, err
@@ -330,12 +315,12 @@ func SweepBreakEven(base, opt platform.Config, o SweepOptions) (sim.Duration, bo
 	if o.CyclesPerPoint <= 0 {
 		o.CyclesPerPoint = 1
 	}
-	workers := resolveWorkers(o.Workers)
-	transBase, err := transitionTime(base)
+	workers := rt.Pool(o.Workers)
+	transBase, err := rt.transitionTime(base)
 	if err != nil {
 		return 0, false, fmt.Errorf("sweep base transitions: %w", err)
 	}
-	transOpt, err := transitionTime(opt)
+	transOpt, err := rt.transitionTime(opt)
 	if err != nil {
 		return 0, false, fmt.Errorf("sweep opt transitions: %w", err)
 	}
@@ -350,14 +335,10 @@ func SweepBreakEven(base, opt platform.Config, o SweepOptions) (sim.Duration, bo
 		}
 	}
 
-	chunk := workers
-	if chunk < 1 {
-		chunk = 1
-	}
 	var points []power.SweepPoint
 scan:
-	for start := 0; start < len(grid); start += chunk {
-		end := start + chunk
+	for start := 0; start < len(grid); start += workers {
+		end := start + workers
 		if end > len(grid) {
 			end = len(grid)
 		}
@@ -365,11 +346,11 @@ scan:
 			func(i int) string { return fmt.Sprintf("residency %v", grid[start+i]) },
 			func(i int) (power.SweepPoint, error) {
 				r := grid[start+i]
-				b, err := sweepAverage(base, r, o.CyclesPerPoint)
+				b, err := rt.sweepAverage(base, r, o.CyclesPerPoint)
 				if err != nil {
 					return power.SweepPoint{}, fmt.Errorf("sweep base at %v: %w", r, err)
 				}
-				op, err := sweepAverage(opt, r-extra, o.CyclesPerPoint)
+				op, err := rt.sweepAverage(opt, r-extra, o.CyclesPerPoint)
 				if err != nil {
 					return power.SweepPoint{}, fmt.Errorf("sweep opt at %v: %w", r, err)
 				}

@@ -1,0 +1,182 @@
+package experiments
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+
+	"odrips/internal/lru"
+	"odrips/internal/memostore"
+	"odrips/internal/platform"
+	"odrips/internal/report"
+	"odrips/internal/sim"
+)
+
+// Point-memo capacity bounds. The full paper sweep touches ~10,000
+// residencies per configuration half and a comparison row holds two
+// halves, so 1<<16 sweep entries cover every in-repo workload with slack;
+// transition times are one per configuration class. Eviction is safe by
+// construction — a hit is bit-identical to a recompute — so an undersized
+// bound costs recomputation time, never correctness, and the lru counters
+// (PointCacheStats) say when that is happening.
+const (
+	sweepCacheCap = 1 << 16
+	transCacheCap = 1 << 10
+)
+
+// Runtime is the state every experiment runs under, passed as a value:
+// the persistent memo store, the cycle-memo plane single runs join, the
+// fast-forward mode, the worker-pool size, and the bounded in-process
+// point memos. None of it reaches a result — every output is
+// byte-identical under any store, mode or worker count — so two runtimes
+// can run side by side in one process without interfering. The point
+// caches are a pure, deterministic memo (a hit is bit-identical to a
+// recompute), LRU-bounded so fleet-scale key streams stay O(capacity).
+type Runtime struct {
+	store   *memostore.Store
+	plane   *platform.MemoPlane // nil without a store
+	ff      platform.FFMode
+	workers int // <= 0: runtime.GOMAXPROCS(0) at each call
+
+	sweep *lru.Cache[sweepPointKey, float64]        // average mW per point
+	trans *lru.Cache[platform.Config, sim.Duration] // entry+exit per config
+}
+
+// NewRuntime builds a runtime over store (nil keeps everything in
+// process) running platforms in mode ff on pools of workers goroutines
+// (workers <= 0 uses runtime.GOMAXPROCS(0)). With a store, single runs
+// share one memo plane over it.
+func NewRuntime(store *memostore.Store, ff platform.FFMode, workers int) *Runtime {
+	rt := &Runtime{
+		store:   store,
+		ff:      ff,
+		workers: workers,
+		sweep:   lru.New[sweepPointKey, float64](sweepCacheCap),
+		trans:   lru.New[platform.Config, sim.Duration](transCacheCap),
+	}
+	if store != nil {
+		rt.plane = platform.NewMemoPlane(store, 0)
+	}
+	return rt
+}
+
+// Store returns the persistent memo store (nil when persistence is off).
+func (rt *Runtime) Store() *memostore.Store { return rt.store }
+
+// FF returns the fast-forward mode platforms run in.
+func (rt *Runtime) FF() platform.FFMode { return rt.ff }
+
+// Pool maps a per-call worker knob to a pool size: n when positive, else
+// the runtime's worker count, else runtime.GOMAXPROCS(0).
+func (rt *Runtime) Pool(n int) int {
+	if n <= 0 {
+		n = rt.workers
+	}
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return n
+}
+
+// NewPlatform assembles a platform in the runtime's fast-forward mode,
+// attached to its memo plane.
+func (rt *Runtime) NewPlatform(cfg platform.Config) (*platform.Platform, error) {
+	p, err := platform.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.SetFastForward(rt.ff); err != nil {
+		return nil, err
+	}
+	rt.plane.Attach(p)
+	return p, nil
+}
+
+// std is the package's one piece of process-scoped state: the runtime
+// behind the facade's zero-argument entry points (odrips.Fig1b and the
+// rest), which have no caller to hand them one.
+//
+//odrips:allow globalstate the facade's default runtime: a value over memostore.Default() in FFOn mode, rebuilt when that store changes identity, whose point memos and plane replays are output-invariant
+var std = struct {
+	mu sync.Mutex
+	rt *Runtime
+}{rt: NewRuntime(memostore.Default(), platform.FFOn, 0)}
+
+// Default returns the runtime over memostore.Default() in FFOn mode with
+// GOMAXPROCS workers. It is rebuilt, with empty point caches and a fresh
+// plane, whenever the default store changes identity.
+func Default() *Runtime {
+	s := memostore.Default()
+	std.mu.Lock()
+	defer std.mu.Unlock()
+	if std.rt.store != s {
+		std.rt = NewRuntime(s, platform.FFOn, 0)
+	}
+	return std.rt
+}
+
+// ResetPointCache drops Default()'s memoized sweep points and transition
+// times and zeroes their counters. It and PointCacheStats exist for the
+// benchmark harness in _perfbench/, which drives the default runtime;
+// programs build their own Runtime instead.
+func ResetPointCache() {
+	rt := Default()
+	rt.sweep.Reset()
+	rt.trans.Reset()
+}
+
+// PointCacheStats reports Default()'s point-memo counters.
+func PointCacheStats() PointMemoStats { return Default().PointCacheStats() }
+
+// PointMemoStats snapshots the in-process point-memo caches: counters
+// since the runtime was built plus current sizes against their bounds.
+type PointMemoStats struct {
+	Sweep, Trans       lru.Stats
+	SweepLen, TransLen int
+	SweepCap, TransCap int
+}
+
+// PointCacheStats reports the point-memo cache counters; odrips-bench
+// -memostats surfaces them.
+func (rt *Runtime) PointCacheStats() PointMemoStats {
+	return PointMemoStats{
+		Sweep:    rt.sweep.Stats(),
+		Trans:    rt.trans.Stats(),
+		SweepLen: rt.sweep.Len(),
+		TransLen: rt.trans.Len(),
+		SweepCap: rt.sweep.Cap(),
+		TransCap: rt.trans.Cap(),
+	}
+}
+
+// MemoStats renders every memo layer's counters — the bounded in-process
+// point caches, the runtime's cycle memo plane, and the persistent store —
+// as one table (odrips-bench -memostats prints it after the selected
+// experiments run).
+func (rt *Runtime) MemoStats() *report.Table {
+	t := report.NewTable("Memo statistics", "layer", "hits", "misses", "size", "detail")
+	pc := rt.PointCacheStats()
+	t.AddRow("sweep point cache",
+		fmt.Sprintf("%d", pc.Sweep.Hits), fmt.Sprintf("%d", pc.Sweep.Misses),
+		fmt.Sprintf("%d/%d", pc.SweepLen, pc.SweepCap),
+		fmt.Sprintf("%d evictions", pc.Sweep.Evictions))
+	t.AddRow("transition cache",
+		fmt.Sprintf("%d", pc.Trans.Hits), fmt.Sprintf("%d", pc.Trans.Misses),
+		fmt.Sprintf("%d/%d", pc.TransLen, pc.TransCap),
+		fmt.Sprintf("%d evictions", pc.Trans.Evictions))
+	ps := rt.plane.Stats()
+	t.AddRow("cycle memo plane",
+		fmt.Sprintf("%d", ps.Class.Hits), fmt.Sprintf("%d", ps.Class.Misses),
+		fmt.Sprintf("%d/%d classes", ps.Classes, ps.MaxClasses),
+		fmt.Sprintf("%d records, %d class evictions", ps.Records, ps.Class.Evictions))
+	ms := rt.store.Stats()
+	t.AddRow("persistent memo store",
+		fmt.Sprintf("%d", ms.Hits), fmt.Sprintf("%d", ms.Misses),
+		fmt.Sprintf("%d entries, %d B", ms.DiskEntries, ms.DiskBytes),
+		fmt.Sprintf("%d writes, %d corrupt, %d skewed", ms.Writes, ms.Corrupt, ms.VersionSkew))
+	t.AddRow("compute coordination",
+		fmt.Sprintf("%d", ms.ClaimWaitHits), "-",
+		fmt.Sprintf("%d claims owned", ms.ClaimsOwned),
+		fmt.Sprintf("%d lost, %d takeovers", ms.ClaimsLost, ms.ClaimTakeovers))
+	return t
+}

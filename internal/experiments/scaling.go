@@ -35,13 +35,13 @@ type ScalingResult struct {
 
 // ProcessScaling runs both generations (in parallel) and builds the
 // projection.
-func ProcessScaling() (*ScalingResult, error) {
+func (rt *Runtime) ProcessScaling() (*ScalingResult, error) {
 	hswCfg := platform.DefaultConfig()
 	hswCfg.Generation = platform.GenHaswell
 	configs := []platform.Config{hswCfg, platform.DefaultConfig()}
-	results, err := runIndexed(len(configs), 0,
+	results, err := runIndexed(len(configs), rt.Pool(0),
 		func(i int) string { return configs[i].Name() },
-		func(i int) (platform.Result, error) { return runConfig(configs[i], defaultCycles) })
+		func(i int) (platform.Result, error) { return rt.runConfig(configs[i], defaultCycles) })
 	if err != nil {
 		return nil, fmt.Errorf("scaling: %w", err)
 	}

@@ -27,7 +27,7 @@ type StandbyComparison struct {
 }
 
 // Standby measures the comparison.
-func Standby() (*StandbyComparison, error) {
+func (rt *Runtime) Standby() (*StandbyComparison, error) {
 	out := &StandbyComparison{}
 
 	// Connected-standby modes: an hour of the standard workload.
@@ -35,7 +35,7 @@ func Standby() (*StandbyComparison, error) {
 		platform.DefaultConfig(),
 		platform.ODRIPSConfig(),
 	} {
-		res, err := runConfig(cfg, defaultCycles)
+		res, err := rt.runConfig(cfg, defaultCycles)
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +50,7 @@ func Standby() (*StandbyComparison, error) {
 
 	// S3: one long suspend; the device does no kernel maintenance because
 	// it cannot wake itself.
-	p, err := platform.New(platform.DefaultConfig())
+	p, err := rt.NewPlatform(platform.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

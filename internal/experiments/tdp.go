@@ -26,7 +26,7 @@ type TDPResult struct {
 
 // TDPSensitivity measures baseline and ODRIPS average power across product
 // classes.
-func TDPSensitivity() (*TDPResult, error) {
+func (rt *Runtime) TDPSensitivity() (*TDPResult, error) {
 	classes := []struct {
 		watts float64
 		name  string
@@ -40,13 +40,13 @@ func TDPSensitivity() (*TDPResult, error) {
 	for _, cl := range classes {
 		base := platform.DefaultConfig()
 		base.TDPWatts = cl.watts
-		baseRes, err := runConfig(base, 2)
+		baseRes, err := rt.runConfig(base, 2)
 		if err != nil {
 			return nil, fmt.Errorf("tdp %v base: %w", cl.watts, err)
 		}
 		opt := platform.ODRIPSConfig()
 		opt.TDPWatts = cl.watts
-		optRes, err := runConfig(opt, 2)
+		optRes, err := rt.runConfig(opt, 2)
 		if err != nil {
 			return nil, fmt.Errorf("tdp %v odrips: %w", cl.watts, err)
 		}

@@ -28,9 +28,9 @@ type TransitionBudget struct {
 
 // TransitionAnatomy runs one cycle per configuration and reports the step
 // budget for the given technique set.
-func TransitionAnatomy(tech platform.Technique) (*TransitionBudget, error) {
+func (rt *Runtime) TransitionAnatomy(tech platform.Technique) (*TransitionBudget, error) {
 	cfg := platform.DefaultConfig().WithTechniques(tech)
-	p, err := platform.New(cfg)
+	p, err := rt.NewPlatform(cfg)
 	if err != nil {
 		return nil, err
 	}

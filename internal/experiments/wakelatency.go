@@ -41,11 +41,11 @@ const wakeLatencySamples = 40
 // edge before the exit flow starts; the phase-dependent edge wait shows up
 // in the *entry* flow instead (the timer hand-over waits for the next
 // rising edge from an arbitrary phase, Fig. 3(b)).
-func WakeLatency() (*WakeLatencyResult, error) {
+func (rt *Runtime) WakeLatency() (*WakeLatencyResult, error) {
 	out := &WakeLatencyResult{}
 	var exitMeans [2]sim.Duration
 	for i, cfg := range []platform.Config{platform.DefaultConfig(), platform.ODRIPSConfig()} {
-		entries, exits, err := wakeLatencyDistribution(cfg)
+		entries, exits, err := rt.wakeLatencyDistribution(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -63,12 +63,12 @@ func WakeLatency() (*WakeLatencyResult, error) {
 // of the 32.768 kHz clock. A fresh platform per sample keeps each ExitAvg
 // a single-wake measurement rather than a running mean — and makes the
 // samples independent points that fan out across the worker pool.
-func wakeLatencyDistribution(cfg platform.Config) (entries, exits []sim.Duration, err error) {
+func (rt *Runtime) wakeLatencyDistribution(cfg platform.Config) (entries, exits []sim.Duration, err error) {
 	type sample struct{ entry, exit sim.Duration }
-	samples, err := runIndexed(wakeLatencySamples, 0,
+	samples, err := runIndexed(wakeLatencySamples, rt.Pool(0),
 		func(i int) string { return fmt.Sprintf("wake sample %d", i) },
 		func(i int) (sample, error) {
-			p, err := platform.New(cfg)
+			p, err := rt.NewPlatform(cfg)
 			if err != nil {
 				return sample{}, err
 			}

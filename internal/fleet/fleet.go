@@ -71,7 +71,7 @@ type Spec struct {
 	// (contiguous index ranges; default 1). Shard count changes the
 	// per-shard breakdown only, never the fleet-level aggregates.
 	Shards int
-	// Workers sizes the simulation worker pool (0 = package default).
+	// Workers sizes the simulation worker pool (0 = the runtime's count).
 	Workers int
 
 	Spread Spread

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"odrips/internal/battery"
+	"odrips/internal/experiments"
 	"odrips/internal/memostore"
 	"odrips/internal/platform"
 	"odrips/internal/sim"
@@ -72,7 +73,7 @@ func TestFleetMatchesNaiveSimulation(t *testing.T) {
 	classes := formattedClasses(s)
 	runs := make([]runOutcome, len(classes.runs))
 	for r := range classes.runs {
-		out, err := runDevice(s, &classes.runs[r], nil) // solo: no plane, no snapshot
+		out, err := runDevice(s, &classes.runs[r], platform.FFOn, nil) // solo: no plane, no snapshot
 		if err != nil {
 			t.Fatalf("device %d solo: %v", classes.runs[r].rep, err)
 		}
@@ -228,10 +229,8 @@ func TestFleetDeterminism(t *testing.T) {
 			t.Errorf("shards=%d: %d shard rows", shards, len(rep.Shards))
 		}
 	}
-	defer platform.SetDefaultFastForward(platform.DefaultFastForward())
 	for _, mode := range []platform.FFMode{platform.FFOff, platform.FFVerify, platform.FFOn} {
-		platform.SetDefaultFastForward(mode)
-		rep, err := Run(base, nil)
+		rep, err := Exec(context.Background(), experiments.NewRuntime(nil, mode, 0), base, nil, nil)
 		if err != nil {
 			t.Fatalf("fastforward=%v: %v", mode, err)
 		}
@@ -407,9 +406,7 @@ func TestFleetWarmJobLoadsOnlyThroughPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memostore.SetDefault(ro)
-	t.Cleanup(func() { memostore.SetDefault(nil) })
-	plane, err := PlaneFor(s, memostore.Default())
+	plane, err := PlaneFor(s, ro)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@
 //     (odrips-loadgen) retry; the queue never sheds an accepted job.
 //
 //   - Determinism of results. Workers only move jobs between states
-//     and call fleet.RunWithProgress; the fleet engine's two-phase
+//     and call fleet.Exec; the fleet engine's two-phase
 //     discipline makes each job's Aggregates a pure function of its
 //     spec, so the worker count here changes throughput only. The
 //     shared plane can change memo STATISTICS across interleavings —
@@ -39,6 +39,7 @@ import (
 	"sort"
 	"sync"
 
+	"odrips/internal/experiments"
 	"odrips/internal/fleet"
 	"odrips/internal/platform"
 )
@@ -95,6 +96,8 @@ type Options struct {
 	// Plane is the shared memo plane jobs warm and draw from; nil lets
 	// each job build its own (correct, but forfeits cross-job reuse).
 	Plane *platform.MemoPlane
+	// FF is the fast-forward mode jobs run in (default FFOn).
+	FF platform.FFMode
 	// Hold parks the worker pool until Release is called. Tests use it
 	// to build deterministic queue-full and cancel-while-pending
 	// scenarios; servers leave it false.
@@ -243,6 +246,7 @@ type Stats struct {
 // the zero value is not usable.
 type Queue struct {
 	opts Options
+	rt   *experiments.Runtime // storeless; jobs use opts.Plane
 
 	mu       sync.Mutex
 	seq      uint64
@@ -265,6 +269,7 @@ func New(opts Options) *Queue {
 	opts = opts.withDefaults()
 	q := &Queue{
 		opts: opts,
+		rt:   experiments.NewRuntime(nil, opts.FF, 0),
 		jobs: make(map[string]*Job),
 		fifo: make(chan *Job, opts.Capacity),
 	}
@@ -366,7 +371,7 @@ func (q *Queue) run(j *Job) {
 	q.counts.running++
 	q.mu.Unlock()
 
-	rep, err := fleet.RunWithProgress(j.ctx, j.spec, q.opts.Plane, j.prog)
+	rep, err := fleet.Exec(j.ctx, q.rt, j.spec, q.opts.Plane, j.prog)
 	state := StateDone
 	switch {
 	case err == nil:

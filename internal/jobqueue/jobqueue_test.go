@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"odrips/internal/fleet"
+	"odrips/internal/platform"
 	"odrips/internal/sim"
 )
 
@@ -108,6 +109,48 @@ func TestDeterministicAggregates(t *testing.T) {
 			if string(got) != string(want) {
 				t.Fatalf("workers=%d job %s aggregates diverge:\n got %s\nwant %s", workers, j.ID(), got, want)
 			}
+		}
+		if err := q.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestQueueFastForwardMode: Options.FF reaches every platform a job
+// builds — off and verify never replay a cycle — while the aggregates
+// stay those of a direct FFOn fleet.Run.
+func TestQueueFastForwardMode(t *testing.T) {
+	direct, err := fleet.Run(smallSpec("ff"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Memo.ReplayedCycles == 0 {
+		t.Fatal("the FFOn reference replayed nothing; the spec cannot tell the modes apart")
+	}
+	want, err := json.Marshal(direct.Aggregates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []platform.FFMode{platform.FFOff, platform.FFVerify} {
+		q := New(Options{Workers: 1, FF: mode})
+		j, err := q.Submit(smallSpec("ff"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		rep, err := j.Result()
+		if err != nil {
+			t.Fatalf("FF=%v: %v", mode, err)
+		}
+		if rep.Memo.ReplayedCycles != 0 {
+			t.Errorf("FF=%v: job replayed %d cycles", mode, rep.Memo.ReplayedCycles)
+		}
+		got, err := json.Marshal(rep.Aggregates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("FF=%v: aggregates diverge from FFOn:\n got %s\nwant %s", mode, got, want)
 		}
 		if err := q.Drain(context.Background()); err != nil {
 			t.Fatal(err)

@@ -65,16 +65,14 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 
 // Put caches value under key (overwriting any previous value), marking it
 // most recently used and evicting the least recently used entry if the
-// cache is over capacity. When an eviction happens, the dropped pair is
-// returned with evicted=true so owners with teardown duties can act on
-// the victim.
-func (c *Cache[K, V]) Put(key K, value V) (victimKey K, victimVal V, evicted bool) {
+// cache is over capacity.
+func (c *Cache[K, V]) Put(key K, value V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n, ok := c.m[key]; ok {
 		n.val = value
 		c.touch(n)
-		return victimKey, victimVal, false
+		return
 	}
 	c.stats.Puts++
 	n := &node[K, V]{key: key, val: value}
@@ -85,9 +83,7 @@ func (c *Cache[K, V]) Put(key K, value V) (victimKey K, victimVal V, evicted boo
 		c.unlink(lru)
 		delete(c.m, lru.key)
 		c.stats.Evictions++
-		return lru.key, lru.val, true
 	}
-	return victimKey, victimVal, false
 }
 
 // Peek returns the value cached for key without touching recency or

@@ -122,20 +122,19 @@ func TestConcurrent(t *testing.T) {
 	}
 }
 
-// TestPutEvictionReturn pins the victim-reporting contract of Put and the
+// TestPutEvictionOrder pins Put's least-recently-used eviction and the
 // non-observing reads (Peek, Keys).
-func TestPutEvictionReturn(t *testing.T) {
+func TestPutEvictionOrder(t *testing.T) {
 	c := New[int, string](2)
-	if _, _, ev := c.Put(1, "a"); ev {
-		t.Fatal("eviction reported below capacity")
-	}
+	c.Put(1, "a")
 	c.Put(2, "b")
-	k, v, ev := c.Put(3, "c") // evicts 1 (LRU)
-	if !ev || k != 1 || v != "a" {
-		t.Fatalf("victim = %d,%q,%v want 1,a,true", k, v, ev)
+	c.Put(3, "c") // evicts 1 (LRU)
+	if _, ok := c.Peek(1); ok || c.Stats().Evictions != 1 {
+		t.Fatalf("Put(3) kept 1 or evicted %d entries, want 1 evicted", c.Stats().Evictions)
 	}
-	if _, _, ev := c.Put(2, "b2"); ev {
-		t.Fatal("overwrite reported an eviction")
+	c.Put(2, "b2")
+	if ev := c.Stats().Evictions; ev != 1 {
+		t.Fatalf("overwrite evicted: %d evictions", ev)
 	}
 
 	before := c.Stats()

@@ -450,9 +450,10 @@ func buildFingerprint() ([32]byte, error) {
 
 // ---- Process-wide default store ----
 
-// SetDefault installs the process-wide store consumed by the platform
-// and experiment memo layers; the platform's default memo plane follows
-// it. nil turns persistence off.
+// SetDefault installs the process-wide store behind
+// experiments.Default(), the runtime the odrips facade's zero-argument
+// functions run on, which is rebuilt when the store changes. nil turns
+// persistence off.
 func SetDefault(s *Store) { proc.defaultStore.Store(s) }
 
 // Default returns the process-wide store (nil when off).

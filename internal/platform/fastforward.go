@@ -2,11 +2,8 @@ package platform
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"odrips/internal/mee"
-	"odrips/internal/memostore"
 	"odrips/internal/pmu"
 	"odrips/internal/power"
 	"odrips/internal/sim"
@@ -74,57 +71,16 @@ func ParseFFMode(s string) (FFMode, error) {
 	return FFOn, fmt.Errorf("platform: fast-forward mode %q (want on, off, or verify)", s)
 }
 
-// root is the package's only process-scoped state, the composition root
-// of the memo layer: the -fastforward flag's default mode and the default
-// memo plane every otherwise unattached platform joins at its first
-// RunCycles. The mode is deliberately not part of Config: the whole point
-// of the engine is that results are byte-identical across modes, so the
-// mode must not leak into Result.Config. The plane exists only while
-// memostore.Default() is set and is rebuilt whenever that store changes
-// identity, so its lifetime follows the store's.
-//
-//odrips:allow globalstate the process composition root: the -fastforward default is set once by CLI wiring and provably output-invariant, and the default memo plane is a bounded cache keyed to memostore.Default(), whose replays are output-invariant by the fingerprint contract
-var root struct {
-	ffMode atomic.Int32
+// ResetPersistentMemos is a no-op kept for the benchmark harness in
+// _perfbench/: the platform package holds no process state, and the
+// memostore.SetDefault the harness calls first already rebuilds
+// experiments.Default() with a fresh plane.
+func ResetPersistentMemos() {}
 
-	mu    sync.Mutex
-	store *memostore.Store // the store plane was built over
-	plane *MemoPlane
-}
-
-// SetDefaultFastForward sets the mode platforms are created with.
-func SetDefaultFastForward(m FFMode) { root.ffMode.Store(int32(m)) }
-
-// DefaultFastForward returns the mode platforms are created with.
-func DefaultFastForward() FFMode { return FFMode(root.ffMode.Load()) }
-
-// DefaultMemoPlane returns the process default memo plane over
-// memostore.Default(), building it on first use and rebuilding it when
-// the default store changes. It is nil while no store is installed: a
-// platform then keeps its cycle memo to itself.
-func DefaultMemoPlane() *MemoPlane {
-	s := memostore.Default()
-	root.mu.Lock()
-	defer root.mu.Unlock()
-	if root.store != s {
-		root.store, root.plane = s, nil
-		if s != nil {
-			root.plane = NewMemoPlane(s, 0)
-		}
-	}
-	return root.plane
-}
-
-// ResetPersistentMemos drops the default memo plane, so the next run
-// reloads its classes from disk. Benchmarks use it to measure the honest
-// disk-warm path; tests use it to simulate a fresh process.
-func ResetPersistentMemos() {
-	root.mu.Lock()
-	defer root.mu.Unlock()
-	root.store, root.plane = nil, nil
-}
-
-// SetFastForward overrides this platform's mode. Illegal mid-flow.
+// SetFastForward overrides this platform's mode; New builds every
+// platform in FFOn. The mode is deliberately not part of Config: results
+// are byte-identical across modes, so it must not leak into
+// Result.Config. Illegal mid-flow.
 func (p *Platform) SetFastForward(m FFMode) error {
 	if p.inFlow {
 		return fmt.Errorf("platform: SetFastForward during a flow")
@@ -182,10 +138,10 @@ type ffState struct {
 	// Memo plane plumbing (memoplane.go): the plane this platform
 	// publishes into and the shared bundle of its memo class, both nil
 	// for a snapshot attachment. attached marks that a plane or snapshot
-	// was attached, so RunCycles leaves the default plane alone, and
-	// raises the per-platform record cap to ffPersistRecordCap: a
-	// platform seeded with hundreds of adopted records must still be
-	// allowed to record the classes the plane does not cover.
+	// was attached, which raises the per-platform record cap to
+	// ffPersistRecordCap: a platform seeded with hundreds of adopted
+	// records must still be allowed to record the classes the plane does
+	// not cover.
 	plane    *MemoPlane
 	persist  *ffBundle
 	attached bool

@@ -12,34 +12,29 @@ import (
 	"odrips/internal/workload"
 )
 
-// withStore opens a default store for the test and uninstalls it
-// afterwards; the default memo plane follows the store either way.
-func withStore(t *testing.T, dir string, mode memostore.Mode) *memostore.Store {
+// openPlane opens the store in dir and builds a fresh memo plane over
+// it, as a new process would see the store.
+func openPlane(t *testing.T, dir string, mode memostore.Mode) (*memostore.Store, *MemoPlane) {
 	t.Helper()
 	s, err := memostore.Open(dir, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	memostore.SetDefault(s)
-	t.Cleanup(func() { memostore.SetDefault(nil) })
-	return s
+	return s, NewMemoPlane(s, 0)
 }
 
-// withFastForward sets the process default fast-forward mode for the
-// test and restores the previous one afterwards.
-func withFastForward(t *testing.T, m FFMode) {
-	t.Helper()
-	prev := DefaultFastForward()
-	SetDefaultFastForward(m)
-	t.Cleanup(func() { SetDefaultFastForward(prev) })
-}
-
-func runStandby(t *testing.T, cfg Config, cycles []workload.Cycle) (Result, FFStats) {
+// runStandby runs cycles on a platform in the given fast-forward mode,
+// attached to plane (nil keeps the platform's cycle memo to itself).
+func runStandby(t *testing.T, cfg Config, plane *MemoPlane, mode FFMode, cycles []workload.Cycle) (Result, FFStats) {
 	t.Helper()
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := p.SetFastForward(mode); err != nil {
+		t.Fatal(err)
+	}
+	plane.Attach(p)
 	res, err := p.RunCycles(cycles)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +116,7 @@ func TestPersistBundleDecodeRejectsDamage(t *testing.T) {
 }
 
 // TestPersistWarmReplay is the persistence layer's core behavior: a
-// second "process" (default plane dropped, disk kept) replays every cycle
+// second "process" (fresh plane, disk kept) replays every cycle
 // of a jittered workload from the persisted memo, byte-identically.
 func TestPersistWarmReplay(t *testing.T) {
 	dir := t.TempDir()
@@ -129,10 +124,10 @@ func TestPersistWarmReplay(t *testing.T) {
 	cycles := workload.ConnectedStandby(40, 7)
 
 	// Baseline without any store.
-	base, _ := runStandby(t, cfg, cycles)
+	base, _ := runStandby(t, cfg, nil, FFOn, cycles)
 
-	store := withStore(t, dir, memostore.RW)
-	cold, coldStats := runStandby(t, cfg, cycles)
+	store, plane := openPlane(t, dir, memostore.RW)
+	cold, coldStats := runStandby(t, cfg, plane, FFOn, cycles)
 	if !reflect.DeepEqual(base, cold) {
 		t.Fatal("rw cold run diverged from store-off run")
 	}
@@ -151,8 +146,8 @@ func TestPersistWarmReplay(t *testing.T) {
 		t.Fatalf("cold run recorded only %d/%d cycles", want, len(cycles))
 	}
 
-	// Same process, records shared in memory through the default plane.
-	warmMem, memStats := runStandby(t, cfg, cycles)
+	// Same process, records shared in memory through the plane.
+	warmMem, memStats := runStandby(t, cfg, plane, FFOn, cycles)
 	if !reflect.DeepEqual(base, warmMem) {
 		t.Fatal("in-process warm run diverged")
 	}
@@ -160,9 +155,8 @@ func TestPersistWarmReplay(t *testing.T) {
 		t.Fatalf("in-process warm run replayed %d cycles, cold recorded %d", memStats.CyclesReplayed, want)
 	}
 
-	// Fresh "process": drop the default plane, reload from disk.
-	ResetPersistentMemos()
-	warmDisk, diskStats := runStandby(t, cfg, cycles)
+	// Fresh "process": a new plane over the same store reloads from disk.
+	warmDisk, diskStats := runStandby(t, cfg, NewMemoPlane(store, 0), FFOn, cycles)
 	if !reflect.DeepEqual(base, warmDisk) {
 		t.Fatal("disk-warm run diverged")
 	}
@@ -181,10 +175,10 @@ func TestPersistVerifyCleanAndRO(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ODRIPSConfig()
 	cycles := workload.ConnectedStandby(25, 3)
-	base, _ := runStandby(t, cfg, cycles)
+	base, _ := runStandby(t, cfg, nil, FFOn, cycles)
 
-	withStore(t, dir, memostore.RW)
-	runStandby(t, cfg, cycles)
+	_, rwPlane := openPlane(t, dir, memostore.RW)
+	runStandby(t, cfg, rwPlane, FFOn, cycles)
 
 	entries := func() int {
 		names, err := os.ReadDir(dir)
@@ -194,10 +188,8 @@ func TestPersistVerifyCleanAndRO(t *testing.T) {
 		return len(names)
 	}
 	before := entries()
-	verStore := withStore(t, dir, memostore.RO)
-	withFastForward(t, FFVerify)
-	verified, verStats := runStandby(t, cfg, cycles)
-	SetDefaultFastForward(FFOn)
+	verStore, verPlane := openPlane(t, dir, memostore.RO)
+	verified, verStats := runStandby(t, cfg, verPlane, FFVerify, cycles)
 	if !reflect.DeepEqual(base, verified) {
 		t.Fatal("verify run diverged")
 	}
@@ -208,8 +200,8 @@ func TestPersistVerifyCleanAndRO(t *testing.T) {
 		t.Fatalf("verify run over ro store: %+v (want hits, no writes)", st)
 	}
 
-	roStore := withStore(t, dir, memostore.RO)
-	roRes, roStats := runStandby(t, cfg, cycles)
+	roStore, roPlane := openPlane(t, dir, memostore.RO)
+	roRes, roStats := runStandby(t, cfg, roPlane, FFOn, cycles)
 	if !reflect.DeepEqual(base, roRes) {
 		t.Fatal("ro run diverged")
 	}
@@ -232,8 +224,8 @@ func TestPersistVerifyDetectsTamper(t *testing.T) {
 	cfg := ODRIPSConfig()
 	cycles := workload.ConnectedStandby(10, 5)
 
-	store := withStore(t, dir, memostore.RW)
-	runStandby(t, cfg, cycles)
+	store, plane := openPlane(t, dir, memostore.RW)
+	runStandby(t, cfg, plane, FFOn, cycles)
 
 	// Tamper: load the bundle, nudge one record's energy delta, save it
 	// back through the store (valid envelope, wrong content).
@@ -251,12 +243,15 @@ func TestPersistVerifyDetectsTamper(t *testing.T) {
 	}
 	store.Save("cycles", key, ffEncodeBundle(records))
 
-	withStore(t, dir, memostore.RO)
-	withFastForward(t, FFVerify)
+	_, roPlane := openPlane(t, dir, memostore.RO)
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := p.SetFastForward(FFVerify); err != nil {
+		t.Fatal(err)
+	}
+	roPlane.Attach(p)
 	if _, err := p.RunCycles(cycles); err == nil || !strings.Contains(err.Error(), "fastforward verify: cycle record diverged") {
 		t.Fatalf("verify accepted a tampered record (err=%v)", err)
 	}
@@ -268,10 +263,10 @@ func TestPersistCorruptEntryRecomputes(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ODRIPSConfig()
 	cycles := workload.ConnectedStandby(10, 11)
-	base, _ := runStandby(t, cfg, cycles)
+	base, _ := runStandby(t, cfg, nil, FFOn, cycles)
 
-	store := withStore(t, dir, memostore.RW)
-	runStandby(t, cfg, cycles)
+	store, plane := openPlane(t, dir, memostore.RW)
+	runStandby(t, cfg, plane, FFOn, cycles)
 	path := store.EntryPath("cycles", []byte(MemoClassKey(cfg)))
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -282,8 +277,7 @@ func TestPersistCorruptEntryRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ResetPersistentMemos()
-	res, stats := runStandby(t, cfg, cycles)
+	res, stats := runStandby(t, cfg, NewMemoPlane(store, 0), FFOn, cycles)
 	if !reflect.DeepEqual(base, res) {
 		t.Fatal("corrupt-cache run diverged from cold run")
 	}
@@ -294,8 +288,7 @@ func TestPersistCorruptEntryRecomputes(t *testing.T) {
 		t.Fatalf("corruption not observed: %+v", st)
 	}
 	// The recompute rewrote a valid bundle; a third process is warm again.
-	ResetPersistentMemos()
-	_, warmStats := runStandby(t, cfg, cycles)
+	_, warmStats := runStandby(t, cfg, NewMemoPlane(store, 0), FFOn, cycles)
 	if warmStats.CyclesReplayed != uint64(len(cycles)) {
 		t.Fatalf("self-heal failed: replayed %d/%d", warmStats.CyclesReplayed, len(cycles))
 	}

@@ -13,9 +13,9 @@ import (
 
 // This file is the shared cross-device cycle-memo plane, the only
 // in-process cycle cache: the fleet engine's concurrency substrate
-// (DESIGN.md §15), and — as the process default plane over
-// memostore.Default() — the cache single runs share, a single run being
-// a fleet of one. A MemoPlane owns one
+// (DESIGN.md §15), and — as the plane an experiments.Runtime attaches
+// every platform it builds to — the cache single runs share, a single
+// run being a fleet of one. A MemoPlane owns one
 // bounded cache of cycle-record bundles, keyed by memo class — the
 // seed-zeroed canonical configuration — so every device of a fleet that
 // shares a configuration class publishes into and adopts from the same
@@ -46,9 +46,9 @@ import (
 // stats at any worker count run against a frozen MemoSnapshot instead
 // (the fleet engine's two-phase discipline).
 
-// DefaultMemoPlaneClasses bounds a plane that was created without an
+// defaultPlaneClasses bounds a plane that was created without an
 // explicit class budget.
-const DefaultMemoPlaneClasses = 256
+const defaultPlaneClasses = 256
 
 // MemoPlane is a bounded, concurrent, shareable cycle-memo plane. All
 // methods are safe for concurrent use; a nil plane is inert.
@@ -71,14 +71,14 @@ type MemoPlane struct {
 }
 
 // NewMemoPlane creates a plane bounded to maxClasses configuration
-// classes (maxClasses < 1 uses DefaultMemoPlaneClasses). store, when
+// classes (maxClasses < 1 uses defaultPlaneClasses). store, when
 // non-nil and readable, warms classes from disk on first acquisition and
 // receives each class's bundle at the end of every successful attached
 // run that added records to it. The plane's verification path is
 // -fastforward=verify, which re-simulates and diffs adopted records.
 func NewMemoPlane(store *memostore.Store, maxClasses int) *MemoPlane {
 	if maxClasses < 1 {
-		maxClasses = DefaultMemoPlaneClasses
+		maxClasses = defaultPlaneClasses
 	}
 	return &MemoPlane{
 		store:   store,
@@ -128,9 +128,8 @@ func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 // Attach hooks a platform into the plane: it adopts every record already
 // known for the platform's memo class, publishes the records the platform
 // goes on to discover, and each successful RunCycles flushes the class if
-// it gained records. A platform nobody attaches joins the default plane
-// (DefaultMemoPlane) at its first RunCycles. A nil plane leaves the
-// platform untouched.
+// it gained records. A platform nobody attaches keeps its cycle memo to
+// itself. A nil plane leaves the platform untouched.
 func (pl *MemoPlane) Attach(p *Platform) {
 	if pl == nil {
 		return

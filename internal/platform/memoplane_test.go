@@ -407,56 +407,6 @@ func waitFor(cond func() bool) bool {
 	return true
 }
 
-// TestDefaultMemoPlaneFollowsStore: the default plane exists only while a
-// default store is installed, is one plane per store, is rebuilt when the
-// store changes identity, and is shared by concurrent unattached runs,
-// each of which flushes the records it discovered.
-func TestDefaultMemoPlaneFollowsStore(t *testing.T) {
-	if DefaultMemoPlane() != nil {
-		t.Fatal("default plane exists without a default store")
-	}
-	storeA := withStore(t, t.TempDir(), memostore.RW)
-	planeA := DefaultMemoPlane()
-	if planeA == nil || DefaultMemoPlane() != planeA {
-		t.Fatal("default store has no single default plane")
-	}
-
-	solo := ODRIPSConfig()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg := solo
-			cfg.Seed = int64(i + 1) // one memo class across seeds
-			p, err := New(cfg)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := p.RunCycles(planeCycles()); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if st := planeA.Stats(); st.Classes != 1 || st.Records == 0 {
-		t.Fatalf("concurrent unattached runs did not share the default plane: %+v", st)
-	}
-	if st := storeA.Stats(); st.Writes == 0 {
-		t.Fatalf("unattached runs flushed nothing: %+v", st)
-	}
-
-	withStore(t, t.TempDir(), memostore.RW)
-	if planeB := DefaultMemoPlane(); planeB == nil || planeB == planeA {
-		t.Fatal("swapping the default store did not rebuild the default plane")
-	}
-	memostore.SetDefault(nil)
-	if DefaultMemoPlane() != nil {
-		t.Fatal("default plane outlived its store")
-	}
-}
-
 // TestMemoPlaneEvictionFlushes: pushing a class out of a size-1 plane
 // loses none of its records — each run flushes its class when it exits
 // — so the bound costs a disk reload, not rework.

@@ -204,7 +204,6 @@ func New(cfg Config) (*Platform, error) {
 		meter:         m,
 		wakeCount:     make(map[chipset.WakeSource]uint64),
 		shallowCounts: make(map[string]uint64),
-		ff:            ffState{mode: DefaultFastForward()},
 	}
 
 	// Board crystals.

@@ -66,11 +66,6 @@ func (p *Platform) RunCycles(cycles []workload.Cycle) (Result, error) {
 	if len(cycles) == 0 {
 		return Result{}, fmt.Errorf("platform: no cycles to run")
 	}
-	// A platform nobody attached to a plane or snapshot joins the default
-	// plane (nil, and so a no-op, while no store is installed).
-	if !p.ff.attached {
-		DefaultMemoPlane().Attach(p)
-	}
 	start := p.sched.Now()
 	idx := 0
 	var startCycle func()

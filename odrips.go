@@ -30,7 +30,7 @@
 package odrips
 
 import (
-	"fmt"
+	"context"
 
 	"odrips/internal/experiments"
 	"odrips/internal/faults"
@@ -96,12 +96,6 @@ const (
 // ParseFFMode parses the -fastforward flag values on|off|verify.
 func ParseFFMode(s string) (FFMode, error) { return platform.ParseFFMode(s) }
 
-// SetDefaultFastForward sets the mode platforms are created with.
-func SetDefaultFastForward(m FFMode) { platform.SetDefaultFastForward(m) }
-
-// DefaultFastForward returns the mode platforms are created with.
-func DefaultFastForward() FFMode { return platform.DefaultFastForward() }
-
 // Techniques.
 const (
 	// WakeUpOff migrates timer wake-up handling to the chipset (§4).
@@ -152,8 +146,9 @@ func ODRIPSConfig() Config { return platform.ODRIPSConfig() }
 // SkylakeBudget returns the calibrated power/latency table.
 func SkylakeBudget() Budget { return platform.Skylake() }
 
-// NewPlatform assembles and boots a platform.
-func NewPlatform(cfg Config) (*Platform, error) { return platform.New(cfg) }
+// NewPlatform assembles and boots a platform on the default runtime: in
+// FFOn mode, sharing the memo plane over the ODRIPS_MEMOCACHE store.
+func NewPlatform(cfg Config) (*Platform, error) { return experiments.Default().NewPlatform(cfg) }
 
 // ConnectedStandby generates n paper-style cycles (~30 s idle, kernel
 // maintenance bursts, occasional external/thermal wakes).
@@ -191,37 +186,41 @@ type (
 )
 
 // Fig1b regenerates the DRIPS power breakdown.
-func Fig1b() (*Fig1bResult, error) { return experiments.Fig1b() }
+func Fig1b() (*Fig1bResult, error) { return experiments.Default().Fig1b() }
 
 // Fig2 regenerates the connected-standby profile.
-func Fig2() (*Fig2Result, error) { return experiments.Fig2() }
+func Fig2() (*Fig2Result, error) { return experiments.Default().Fig2() }
 
 // Fig3b regenerates the timer hand-over waveform.
-func Fig3b() (*Fig3bResult, error) { return experiments.Fig3b() }
+func Fig3b() (*Fig3bResult, error) { return experiments.Default().Fig3b() }
 
 // Fig6a regenerates the technique/break-even comparison.
-func Fig6a(sweep SweepOptions) (*Fig6aResult, error) { return experiments.Fig6a(sweep) }
+func Fig6a(sweep SweepOptions) (*Fig6aResult, error) { return experiments.Default().Fig6a(sweep) }
 
 // Fig6b regenerates the core-frequency sweep.
-func Fig6b() (*Fig6bResult, error) { return experiments.Fig6b() }
+func Fig6b() (*Fig6bResult, error) { return experiments.Default().Fig6b() }
 
 // Fig6c regenerates the DRAM-frequency sweep.
-func Fig6c() (*Fig6cResult, error) { return experiments.Fig6c() }
+func Fig6c() (*Fig6cResult, error) { return experiments.Default().Fig6c() }
 
 // Fig6d regenerates the emerging-memory study.
-func Fig6d(sweep SweepOptions) (*Fig6dResult, error) { return experiments.Fig6d(sweep) }
+func Fig6d(sweep SweepOptions) (*Fig6dResult, error) { return experiments.Default().Fig6d(sweep) }
 
 // Table1 renders the platform parameters.
 func Table1() *Table { return experiments.Table1() }
 
 // CtxLatency regenerates the §6.3 context transfer latencies.
-func CtxLatency() (*experiments.CtxLatencyResult, error) { return experiments.CtxLatency() }
+func CtxLatency() (*experiments.CtxLatencyResult, error) { return experiments.Default().CtxLatency() }
 
 // Calibration regenerates the §4.1.3 Step calibration study.
-func Calibration() (*experiments.CalibrationResult, error) { return experiments.Calibration() }
+func Calibration() (*experiments.CalibrationResult, error) {
+	return experiments.Default().Calibration()
+}
 
 // ModelValidation regenerates the §7 power-model validation.
-func ModelValidation() (*experiments.ValidationResult, error) { return experiments.ModelValidation() }
+func ModelValidation() (*experiments.ValidationResult, error) {
+	return experiments.Default().ModelValidation()
+}
 
 // DefaultSweep covers the break-even region quickly.
 func DefaultSweep() SweepOptions { return experiments.DefaultSweep() }
@@ -231,52 +230,43 @@ func DefaultSweep() SweepOptions { return experiments.DefaultSweep() }
 // the worker pool (SweepOptions.Workers; results are identical at any
 // worker count).
 func SweepBreakEven(base, opt Config, o SweepOptions) (Duration, bool, error) {
-	return experiments.SweepBreakEven(base, opt, o)
+	return experiments.Default().SweepBreakEven(base, opt, o)
 }
 
-// SetDefaultWorkers sets the process-wide worker-pool size used by
-// experiments that take no per-call options (0 restores GOMAXPROCS).
-func SetDefaultWorkers(n int) { experiments.SetDefaultWorkers(n) }
+// Runtime is the state experiments and fleets run under — memo store,
+// memo plane, fast-forward mode, worker count and point caches — passed
+// as a value. The zero-argument experiment functions of this package run
+// on a default runtime; build one with OpenRuntime to choose the state.
+type Runtime = experiments.Runtime
 
-// ResetPointCache drops the memoized sweep points; benchmarks use it to
-// measure cold-cache cost.
-func ResetPointCache() { experiments.ResetPointCache() }
-
-// SetupMemoCache parses a -memocache mode string (off|rw|ro), opens the
-// persistent content-addressed memo store rooted at dir (default
-// ".odrips-memocache") and installs it process-wide; the default memo
-// plane follows the new store. Mode "off" (or "") uninstalls any store.
-// Loads are fail-safe by construction: corrupt, truncated or
-// version-skewed entries degrade to recomputation. To audit a store, run
-// it read-only under -fastforward verify, which re-simulates every loaded
-// memo and fails on divergence.
-func SetupMemoCache(mode, dir string) error {
-	if mode == "" {
-		mode = "off"
+// OpenRuntime builds a runtime from the CLI flags: memoMode is a
+// -memocache mode (off|rw|ro), memoDir the store directory (default
+// ".odrips-memocache"), ff the -fastforward mode and workers the -workers
+// pool size (<= 0 uses GOMAXPROCS). An empty memoMode with an empty
+// memoDir inherits the store ODRIPS_MEMOCACHE opened; an empty memoMode
+// with a directory means off. Loads are fail-safe by construction:
+// corrupt, truncated or version-skewed entries degrade to recomputation.
+// To audit a store, open it read-only under FFVerify, which re-simulates
+// every loaded memo and fails on divergence.
+func OpenRuntime(memoMode, memoDir string, ff FFMode, workers int) (*Runtime, error) {
+	store := memostore.Default()
+	if memoMode != "" || memoDir != "" {
+		if memoMode == "" {
+			memoMode = "off"
+		}
+		m, err := memostore.ParseMode(memoMode)
+		if err != nil {
+			return nil, err
+		}
+		if memoDir == "" {
+			memoDir = ".odrips-memocache"
+		}
+		if store, err = memostore.Open(memoDir, m); err != nil {
+			return nil, err
+		}
 	}
-	m, err := memostore.ParseMode(mode)
-	if err != nil {
-		return err
-	}
-	if dir == "" {
-		dir = ".odrips-memocache"
-	}
-	s, err := memostore.Open(dir, m)
-	if err != nil {
-		return err
-	}
-	memostore.SetDefault(s)
-	return nil
+	return experiments.NewRuntime(store, ff, workers), nil
 }
-
-// MemoCacheStats reports the process-wide memo store's counters (zero
-// when persistence is off).
-func MemoCacheStats() memostore.Stats { return memostore.Default().Stats() }
-
-// ResetPersistentMemos drops the default memo plane, forcing the next run
-// to reload from disk — benchmarks use it to measure warm-cache (disk,
-// not RAM) cost.
-func ResetPersistentMemos() { platform.ResetPersistentMemos() }
 
 // PaperSweepGrid is the full §7 residency grid (0.6 ms – 1 s at 0.1 ms).
 func PaperSweepGrid() SweepOptions { return experiments.PaperGrid() }
@@ -284,48 +274,48 @@ func PaperSweepGrid() SweepOptions { return experiments.PaperGrid() }
 // AblationMEECache sweeps the MEE metadata cache size behind the §6.3
 // latencies.
 func AblationMEECache() (*experiments.MEECacheAblation, error) {
-	return experiments.AblationMEECache()
+	return experiments.Default().AblationMEECache()
 }
 
 // AblationTimerAlternatives quantifies the §4.1.1 design choice.
 func AblationTimerAlternatives() (*experiments.TimerAltAblation, error) {
-	return experiments.AblationTimerAlternatives()
+	return experiments.Default().AblationTimerAlternatives()
 }
 
 // AblationIOGate quantifies the §5.1 FET-vs-EPG choice.
 func AblationIOGate() (*experiments.GateAblation, error) {
-	return experiments.AblationIOGate()
+	return experiments.Default().AblationIOGate()
 }
 
 // AblationReinitSensitivity sweeps the exit re-initialization cost that the
 // break-even calibration pins.
 func AblationReinitSensitivity() (*experiments.ReinitSensitivity, error) {
-	return experiments.AblationReinitSensitivity()
+	return experiments.Default().AblationReinitSensitivity()
 }
 
 // WakeCoalescing quantifies Observation 1: device buffer size vs. wake
 // rate, average power, and the LTR gating cliff.
 func WakeCoalescing() (*experiments.CoalescingResult, error) {
-	return experiments.WakeCoalescing()
+	return experiments.Default().WakeCoalescing()
 }
 
 // ProcessScaling reproduces the §7 power-model construction: measure the
 // 22 nm Haswell-ULT platform, scale per component to 14 nm, and validate
 // against the direct Skylake measurement.
 func ProcessScaling() (*experiments.ScalingResult, error) {
-	return experiments.ProcessScaling()
+	return experiments.Default().ProcessScaling()
 }
 
 // Standby reproduces the §9 comparison of connected standby against legacy
 // ACPI S3 suspend.
 func Standby() (*experiments.StandbyComparison, error) {
-	return experiments.Standby()
+	return experiments.Default().Standby()
 }
 
 // TransitionAnatomy decomposes one entry+exit into firmware steps with
 // per-step latency and battery energy.
 func TransitionAnatomy(tech Technique) (*experiments.TransitionBudget, error) {
-	return experiments.TransitionAnatomy(tech)
+	return experiments.Default().TransitionAnatomy(tech)
 }
 
 // CalibrationAging measures slow-timer drift when the crystal ratio shifts
@@ -337,20 +327,20 @@ func CalibrationAging() (*experiments.AgingResult, error) {
 // TDPSensitivity measures the ODRIPS saving across product TDP classes
 // (the paper's §1 claim that low-TDP devices benefit most).
 func TDPSensitivity() (*experiments.TDPResult, error) {
-	return experiments.TDPSensitivity()
+	return experiments.Default().TDPSensitivity()
 }
 
 // WakeLatency measures the entry/exit latency distributions over external
 // wakes (the §3 user-experience claim).
 func WakeLatency() (*experiments.WakeLatencyResult, error) {
-	return experiments.WakeLatency()
+	return experiments.Default().WakeLatency()
 }
 
 // FaultSweep measures the energy cost of every recovery edge the fault
 // plane can exercise (aborted entries, restore retry/degradation, drift
 // recalibration, FET re-drive) against a clean ODRIPS run.
 func FaultSweep() (*experiments.FaultSweepReport, error) {
-	return experiments.FaultSweep()
+	return experiments.Default().FaultSweep()
 }
 
 // Fleet-scale simulation (DESIGN.md §15): run N perturbed device
@@ -370,63 +360,14 @@ type (
 	MemoPlane = platform.MemoPlane
 )
 
-// Fleet runs a fleet job on a memo plane sized for it, backed by the
-// process-wide persistent memo store when one is installed
-// (SetupMemoCache). The report's Aggregates section is byte-identical at
-// any worker count, shard count, and fast-forward mode.
-func Fleet(s FleetSpec) (*FleetReport, error) {
-	plane, err := fleet.PlaneFor(s, memostore.Default())
-	if err != nil {
-		return nil, err
-	}
-	return fleet.Run(s, plane)
-}
-
-// FleetOnPlane runs a fleet job against a caller-owned plane, so
-// long-lived processes share warmed memo classes across jobs (nil sizes
-// a fresh detached plane for this job).
-func FleetOnPlane(s FleetSpec, plane *MemoPlane) (*FleetReport, error) {
-	return fleet.Run(s, plane)
+// Fleet runs a fleet job under rt on a memo plane sized for it, backed by
+// rt's persistent memo store when it has one. The report's Aggregates
+// section is byte-identical at any worker count, shard count, and
+// fast-forward mode.
+func Fleet(rt *Runtime, s FleetSpec) (*FleetReport, error) {
+	return fleet.Exec(context.Background(), rt, s, nil, nil)
 }
 
 // ParseFleetSpec decodes a fleet spec file (JSON with human-readable
 // durations; see README "Fleet-scale simulation").
 func ParseFleetSpec(data []byte) (FleetSpec, error) { return fleet.ParseSpecJSON(data) }
-
-// PointMemoStats snapshots the in-process point-memo caches.
-type PointMemoStats = experiments.PointMemoStats
-
-// PointCacheStats reports the bounded point-memo cache counters.
-func PointCacheStats() PointMemoStats { return experiments.PointCacheStats() }
-
-// MemoStats renders every memo layer's counters — the bounded in-process
-// point caches, the default cycle memo plane, and the persistent store —
-// as one table (odrips-bench -memostats prints it after the selected
-// experiments run).
-func MemoStats() *Table {
-	t := report.NewTable("Memo statistics", "layer", "hits", "misses", "size", "detail")
-	pc := PointCacheStats()
-	t.AddRow("sweep point cache",
-		fmt.Sprintf("%d", pc.Sweep.Hits), fmt.Sprintf("%d", pc.Sweep.Misses),
-		fmt.Sprintf("%d/%d", pc.SweepLen, pc.SweepCap),
-		fmt.Sprintf("%d evictions", pc.Sweep.Evictions))
-	t.AddRow("transition cache",
-		fmt.Sprintf("%d", pc.Trans.Hits), fmt.Sprintf("%d", pc.Trans.Misses),
-		fmt.Sprintf("%d/%d", pc.TransLen, pc.TransCap),
-		fmt.Sprintf("%d evictions", pc.Trans.Evictions))
-	ps := platform.DefaultMemoPlane().Stats()
-	t.AddRow("cycle memo plane",
-		fmt.Sprintf("%d", ps.Class.Hits), fmt.Sprintf("%d", ps.Class.Misses),
-		fmt.Sprintf("%d/%d classes", ps.Classes, ps.MaxClasses),
-		fmt.Sprintf("%d records, %d class evictions", ps.Records, ps.Class.Evictions))
-	ms := MemoCacheStats()
-	t.AddRow("persistent memo store",
-		fmt.Sprintf("%d", ms.Hits), fmt.Sprintf("%d", ms.Misses),
-		fmt.Sprintf("%d entries, %d B", ms.DiskEntries, ms.DiskBytes),
-		fmt.Sprintf("%d writes, %d corrupt, %d skewed", ms.Writes, ms.Corrupt, ms.VersionSkew))
-	t.AddRow("compute coordination",
-		fmt.Sprintf("%d", ms.ClaimWaitHits), "-",
-		fmt.Sprintf("%d claims owned", ms.ClaimsOwned),
-		fmt.Sprintf("%d lost, %d takeovers", ms.ClaimsLost, ms.ClaimTakeovers))
-	return t
-}
