@@ -50,12 +50,17 @@ verify: build vet lint harness-vet race
 # Fleet smoke tier: the fleet engine's full test suite under the race
 # detector with the load harness raised to thousands of concurrent jobs
 # against the shared memo plane, then a cold+warm 1000-device fleet
-# through the CLI against a persistent store (the warm run must adopt
-# from disk, and both runs' JSON "aggregates" blocks must be
-# byte-identical), and negative -workers/-shards must exit 2 naming the
-# flag. Run by CI on every push; FLEET_LOAD_JOBS scales the harness.
+# (two drifts, three idle jitters) through the CLI against a persistent
+# store (the warm run must adopt from disk, and both runs' JSON
+# "aggregates" blocks must be byte-identical), and negative
+# -workers/-shards must exit 2 naming the flag. Steady-state cycles must
+# recur: the warm run may simulate at most 15 cycles per plane record,
+# and the plane may hold at most 64 records per memo class (one record
+# per cycle, ~720 per class, fails both ways). Run by CI on every push;
+# FLEET_LOAD_JOBS scales the harness.
 FLEET_LOAD_JOBS ?= 2048
 FLEETDIR := $(CURDIR)/.odrips-fleet-smoke
+FLEET_SMOKE_SPEC := {"name":"fleet-smoke","devices":1000,"horizon":"6h","shards":8,"spread":{"drift_ppb":[0,40],"jitter_steps":["0s","250ms","500ms"]}}
 fleet-smoke:
 	ODRIPS_FLEET_LOAD_JOBS=$(FLEET_LOAD_JOBS) $(GO) test -race -count=1 ./internal/fleet ./internal/platform -run 'TestFleet|TestMemoPlane|TestMemoSnapshot'
 	rm -rf $(FLEETDIR) && mkdir -p $(FLEETDIR)
@@ -67,9 +72,17 @@ fleet-smoke:
 			echo "fleet-smoke: odrips-fleet $$flag exited $$code, want 2 naming $$name:"; cat $(FLEETDIR)/neg.txt; exit 1; \
 		fi; \
 	done
-	$(FLEETDIR)/odrips-fleet -devices 1000 -shards 8 -memocache rw -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/cold.json
-	$(FLEETDIR)/odrips-fleet -devices 1000 -shards 8 -memocache ro -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/warm.json
+	printf '%s\n' '$(FLEET_SMOKE_SPEC)' > $(FLEETDIR)/spec.json
+	$(FLEETDIR)/odrips-fleet -spec $(FLEETDIR)/spec.json -memocache rw -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/cold.json
+	$(FLEETDIR)/odrips-fleet -spec $(FLEETDIR)/spec.json -memocache ro -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/warm.json
 	grep -q '"adopted": [1-9]' $(FLEETDIR)/warm.json || { echo "fleet-smoke: warm run adopted nothing from the memo store"; exit 1; }
+	sim=$$(sed -n 's/^    "simulated_cycles": \([0-9]*\),/\1/p' $(FLEETDIR)/warm.json); \
+	recs=$$(sed -n 's/^      "records": \([0-9]*\),/\1/p' $(FLEETDIR)/warm.json); \
+	classes=$$(sed -n 's/^    "memo_classes": \([0-9]*\),/\1/p' $(FLEETDIR)/warm.json); \
+	if [ -z "$$sim" ] || [ -z "$$recs" ] || [ -z "$$classes" ] || [ $$sim -gt $$(( 15 * recs )) ] || [ $$recs -gt $$(( 64 * classes )) ]; then \
+		echo "fleet-smoke: warm run simulated '$$sim' cycles over '$$recs' plane records in '$$classes' memo classes; want at most 15 cycles per record and 64 records per class"; exit 1; \
+	fi; \
+	echo "fleet-smoke: warm run simulated $$sim cycles, $$recs plane records in $$classes memo classes"
 	sed -n '/^  "aggregates"/,/^  "memo"/p' $(FLEETDIR)/cold.json > $(FLEETDIR)/cold.agg
 	sed -n '/^  "aggregates"/,/^  "memo"/p' $(FLEETDIR)/warm.json > $(FLEETDIR)/warm.agg
 	test -s $(FLEETDIR)/cold.agg && cmp $(FLEETDIR)/cold.agg $(FLEETDIR)/warm.agg || { echo "fleet-smoke: cold and warm aggregates differ"; exit 1; }
@@ -124,17 +137,27 @@ server-smoke:
 # Memo audit smoke tier: fill a store with the two break-even figures,
 # then rerun them read-only under -fastforward verify — every adopted
 # cycle record is re-simulated and diffed, every stored sweep point
-# recomputed and bit-compared — and require byte-identical stdout. One
-# binary serves every run, so the store's build fingerprint matches. The
-# retired -memocache verify mode must exit 2 naming its replacement. Run
-# by CI on every push.
+# recomputed and bit-compared — and require byte-identical stdout. The
+# fleet leg does the same with a jittered 2,000-device fleet, whose
+# adopted records replay across drifts and idle jitters, and compares
+# the two runs' JSON "aggregates" blocks. One binary serves each store,
+# so the store's build fingerprint matches. The retired -memocache
+# verify mode must exit 2 naming its replacement. Run by CI on every
+# push.
 VERIFYDIR := $(CURDIR)/.odrips-memo-verify-smoke
+VERIFY_FLEET_SPEC := {"name":"memo-verify-smoke","devices":2000,"horizon":"6h","shards":4,"spread":{"drift_ppb":[0,40],"jitter_steps":["0s","250ms","500ms"]}}
 memo-verify-smoke:
 	rm -rf $(VERIFYDIR) && mkdir -p $(VERIFYDIR)
-	$(GO) build -o $(VERIFYDIR)/ ./cmd/odrips-bench
+	$(GO) build -o $(VERIFYDIR)/ ./cmd/odrips-bench ./cmd/odrips-fleet
 	$(VERIFYDIR)/odrips-bench -exp fig6a,fig6d -sweep fast -memocache rw -memocachedir $(VERIFYDIR)/store > $(VERIFYDIR)/fill.txt
 	$(VERIFYDIR)/odrips-bench -exp fig6a,fig6d -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -fastforward verify > $(VERIFYDIR)/audit.txt
 	cmp $(VERIFYDIR)/fill.txt $(VERIFYDIR)/audit.txt
+	printf '%s\n' '$(VERIFY_FLEET_SPEC)' > $(VERIFYDIR)/fleet.json
+	$(VERIFYDIR)/odrips-fleet -spec $(VERIFYDIR)/fleet.json -memocache rw -memocachedir $(VERIFYDIR)/fleetstore -format json -o $(VERIFYDIR)/fleet-fill.json
+	$(VERIFYDIR)/odrips-fleet -spec $(VERIFYDIR)/fleet.json -memocache ro -memocachedir $(VERIFYDIR)/fleetstore -fastforward verify -format json -o $(VERIFYDIR)/fleet-audit.json
+	sed -n '/^  "aggregates"/,/^  "memo"/p' $(VERIFYDIR)/fleet-fill.json > $(VERIFYDIR)/fleet-fill.agg
+	sed -n '/^  "aggregates"/,/^  "memo"/p' $(VERIFYDIR)/fleet-audit.json > $(VERIFYDIR)/fleet-audit.agg
+	test -s $(VERIFYDIR)/fleet-fill.agg && cmp $(VERIFYDIR)/fleet-fill.agg $(VERIFYDIR)/fleet-audit.agg || { echo "memo-verify-smoke: fleet fill and audit aggregates differ"; exit 1; }
 	code=0; $(VERIFYDIR)/odrips-bench -exp none -memocache verify -memocachedir $(VERIFYDIR)/store > /dev/null 2> $(VERIFYDIR)/retired.txt || code=$$?; \
 	if [ $$code -ne 2 ] || ! grep -q -e '-fastforward verify' $(VERIFYDIR)/retired.txt; then \
 		echo "memo-verify-smoke: -memocache verify exited $$code, want 2 naming -fastforward verify:"; cat $(VERIFYDIR)/retired.txt; exit 1; \

@@ -115,8 +115,8 @@ func TestStartupLatencyAndPhaseRestart(t *testing.T) {
 	if o.Stable() {
 		t.Fatal("oscillator stable immediately despite 1ms startup latency")
 	}
-	if o.StableAt() != sim.Time(sim.Millisecond) {
-		t.Fatalf("StableAt = %v, want 1ms", o.StableAt())
+	if o.stableAt != sim.Time(sim.Millisecond) {
+		t.Fatalf("StableAt = %v, want 1ms", o.stableAt)
 	}
 	s.RunFor(2 * sim.Millisecond)
 	if !o.Stable() {
@@ -125,8 +125,8 @@ func TestStartupLatencyAndPhaseRestart(t *testing.T) {
 	// Power cycle at t=2ms: new epoch for edges.
 	o.PowerOff()
 	o.PowerOn()
-	if o.StableAt() != sim.Time(3*sim.Millisecond) {
-		t.Fatalf("restarted StableAt = %v, want 3ms", o.StableAt())
+	if o.stableAt != sim.Time(3*sim.Millisecond) {
+		t.Fatalf("restarted StableAt = %v, want 3ms", o.stableAt)
 	}
 	if got := o.EdgeTime(0); got != sim.Time(3*sim.Millisecond) {
 		t.Fatalf("edge 0 after restart at %v, want 3ms", got)
@@ -288,11 +288,11 @@ func TestRetunePreservesEdgeContinuity(t *testing.T) {
 	before := o.EdgesBetween(0, s.Now())
 	o.Retune(1_000_000) // +1000 ppm: visibly faster
 	// The re-anchored edge 0 is at or before now, never in the future.
-	if o.StableAt().After(s.Now()) {
-		t.Fatalf("retune anchored in the future: %v > %v", o.StableAt(), s.Now())
+	if o.stableAt.After(s.Now()) {
+		t.Fatalf("retune anchored in the future: %v > %v", o.stableAt, s.Now())
 	}
 	s.RunFor(sim.Millisecond)
-	after := o.EdgesBetween(o.StableAt(), s.Now())
+	after := o.EdgesBetween(o.stableAt, s.Now())
 	// ~24024 edges in the second millisecond.
 	if after < 24_010 || after > 24_040 {
 		t.Fatalf("retuned edge count = %d, want ~24024", after)

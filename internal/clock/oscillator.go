@@ -21,6 +21,8 @@ import (
 // numerator of the period rational.
 var psPerSecondTimesBillion = new(big.Int).Mul(big.NewInt(1e12), big.NewInt(1e9))
 
+var bigOne = big.NewInt(1)
+
 // Oscillator is a crystal oscillator. The zero value is not usable; use
 // NewOscillator. Oscillators start powered off.
 type Oscillator struct {
@@ -33,6 +35,12 @@ type Oscillator struct {
 	on       bool
 	stableAt sim.Time // epoch of edge 0 for the current power-on period
 	denom    *big.Int // nominalHz * (1e9 + ppb)
+
+	// epoch counts changes of stableAt or denom; win is the phase window
+	// being recorded (window.go), nil outside one. Neither is read by any
+	// observation of the grid.
+	epoch uint64
+	win   window
 
 	// OnPower, if non-nil, is invoked whenever the oscillator is switched
 	// on or off. The platform uses it to charge oscillator power.
@@ -87,12 +95,23 @@ func (o *Oscillator) On() bool { return o.on }
 // Stable reports whether the oscillator is powered and past its
 // stabilization latency at the current instant.
 func (o *Oscillator) Stable() bool {
-	return o.on && !o.sched.Now().Before(o.stableAt)
+	return o.on && o.notBefore(o.sched.Now())
 }
 
-// StableAt returns the instant the current power-on period became (or will
-// become) stable. Meaningless when off.
-func (o *Oscillator) StableAt() sim.Time { return o.stableAt }
+// Epoch identifies the current edge grid: it changes whenever power-on,
+// a retune or a replay rebase moves the grid, and says nothing about
+// where the grid lies.
+func (o *Oscillator) Epoch() uint64 { return o.epoch }
+
+// EpochOffset returns the current grid's anchor (edge 0) relative to t.
+// Read against a grid a phase window is recording, the answer depends on
+// the exact epoch age, so the window pins it.
+func (o *Oscillator) EpochOffset(t sim.Time) sim.Duration {
+	if w := o.watching(); w != nil {
+		w.pin()
+	}
+	return o.stableAt.Sub(t)
+}
 
 // PowerOn enables the oscillator. Edges restart: the crystal loses phase
 // across a power cycle, so edge 0 of the new period is at now+startup.
@@ -103,6 +122,7 @@ func (o *Oscillator) PowerOn() {
 	}
 	o.on = true
 	o.stableAt = o.sched.Now().Add(o.startup)
+	o.newEpoch()
 	if o.OnPower != nil {
 		o.OnPower(true)
 	}
@@ -130,6 +150,7 @@ func (o *Oscillator) Retune(ppb int64) {
 	if ppb <= -1e9 {
 		panic(fmt.Sprintf("clock: oscillator %s retune ppb %d implies non-positive frequency", o.name, ppb))
 	}
+	anchored := false
 	if o.on && o.Stable() {
 		// Re-anchor at the most recent edge at or before now.
 		now := o.sched.Now()
@@ -139,8 +160,15 @@ func (o *Oscillator) Retune(ppb int64) {
 				at = o.EdgeTime(k - 1)
 			}
 			o.stableAt = at
+			anchored = true
 		}
 	}
+	if w := o.watching(); w != nil && !anchored {
+		// The retuned grid keeps the old anchor: everything read from
+		// it depends on the exact epoch age.
+		w.pin()
+	}
+	o.newEpoch()
 	o.ppb = ppb
 	o.denom = new(big.Int).Mul(
 		new(big.Int).SetUint64(o.nominalHz),
@@ -149,12 +177,15 @@ func (o *Oscillator) Retune(ppb int64) {
 }
 
 // EdgeTime returns the instant of rising edge k (k=0 at stabilization) of
-// the current power-on period.
+// the current power-on period. Callers derive k from NextEdge: a phase
+// window (window.go) records the answer as a function of the grid's
+// residue for that index, while an index from anywhere else would
+// observe the epoch's exact age.
 func (o *Oscillator) EdgeTime(k uint64) sim.Time {
 	// offset = floor(k * 1e21 / denom)
 	n := new(big.Int).SetUint64(k)
 	n.Mul(n, psPerSecondTimesBillion)
-	n.Quo(n, o.denom)
+	o.edgeQuo(n)
 	if !n.IsInt64() {
 		panic(fmt.Sprintf("clock: edge %d of %s overflows sim time", k, o.name))
 	}
@@ -170,17 +201,18 @@ func (o *Oscillator) NextEdge(t sim.Time) (k uint64, at sim.Time, ok bool) {
 	if !o.on {
 		return 0, 0, false
 	}
-	if !t.After(o.stableAt) {
+	if !o.after(t) {
+		if w := o.watching(); w != nil {
+			w.pin() // the answer is the anchor itself
+		}
 		return 0, o.stableAt, true
 	}
-	// k = ceil((t-stableAt) * denom / 1e21)
+	// k = ceil((t-stableAt) * denom / 1e21) = floor((x-1)/1e21) + 1 for x > 0
 	d := new(big.Int).SetInt64(int64(t.Sub(o.stableAt)))
 	d.Mul(d, o.denom)
-	rem := new(big.Int)
-	d.QuoRem(d, psPerSecondTimesBillion, rem)
-	if rem.Sign() != 0 {
-		d.Add(d, big.NewInt(1))
-	}
+	d.Sub(d, bigOne)
+	o.gridQuo(d)
+	d.Add(d, bigOne)
 	if !d.IsUint64() {
 		return 0, 0, false
 	}
@@ -200,42 +232,29 @@ func (o *Oscillator) EdgesBetween(t1, t2 sim.Time) uint64 {
 
 // edgesUpTo counts edges with EdgeTime <= t (edge 0 included when stable).
 func (o *Oscillator) edgesUpTo(t sim.Time) uint64 {
-	if t.Before(o.stableAt) {
+	if !o.notBefore(t) {
+		if w := o.watching(); w != nil {
+			// Against this absolute zero, the count at a later instant
+			// is absolute too: it reveals the epoch's exact age.
+			w.pin()
+		}
 		return 0
 	}
 	// count = floor((t-stableAt) * denom / 1e21) + 1  (edge 0 at stableAt)
 	d := new(big.Int).SetInt64(int64(t.Sub(o.stableAt)))
 	d.Mul(d, o.denom)
-	d.Quo(d, psPerSecondTimesBillion)
+	o.gridQuo(d)
 	return d.Uint64() + 1
-}
-
-// PhaseFingerprint returns the oscillator's exact phase residue at t for
-// the platform fast-forward fingerprint (DESIGN.md §12): the numerator of
-// the fractional edge position, ((t-stableAt) * denom) mod 1e21, split
-// into two uint64 words. Two on, stable oscillators with equal ppb and
-// equal residues produce identical edge grids relative to t, so every
-// future edge offset is identical — which is what makes an
-// absolute-time-free fingerprint sound. neg reports t before stableAt
-// (the residue is then of stableAt-t).
-func (o *Oscillator) PhaseFingerprint(t sim.Time) (hi, lo uint64, neg bool) {
-	d := t.Sub(o.stableAt)
-	if d < 0 {
-		d, neg = -d, true
-	}
-	n := new(big.Int).SetInt64(int64(d))
-	n.Mul(n, o.denom)
-	n.Mod(n, psPerSecondTimesBillion)
-	lo = n.Uint64()
-	hi = n.Rsh(n, 64).Uint64()
-	return hi, lo, neg
 }
 
 // ReplayRebase re-anchors the edge grid at stableAt, for whole-cycle
 // replays where the power cycling that would have re-derived the anchor
 // was skipped. The caller guarantees the rebased grid is the one the
 // skipped cycles would have produced.
-func (o *Oscillator) ReplayRebase(stableAt sim.Time) { o.stableAt = stableAt }
+func (o *Oscillator) ReplayRebase(stableAt sim.Time) {
+	o.stableAt = stableAt
+	o.newEpoch()
+}
 
 // ScheduleEdge schedules fn at the first rising edge at or after the
 // current instant and returns the event, or an invalid (zero) event if the

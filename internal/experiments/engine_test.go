@@ -58,13 +58,11 @@ func TestSweepBreakEvenDeterministicAcrossWorkerCounts(t *testing.T) {
 	base := platform.DefaultConfig()
 	opt := platform.ODRIPSConfig()
 
-	o.Workers = 1
-	beSeq, okSeq, err := NewRuntime(nil, platform.FFOn, 0).SweepBreakEven(base, opt, o)
+	beSeq, okSeq, err := NewRuntime(nil, platform.FFOn, 1).SweepBreakEven(base, opt, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := NewRuntime(nil, platform.FFOn, 0)
-	o.Workers = 8
+	rt := NewRuntime(nil, platform.FFOn, 8)
 	bePar, okPar, err := rt.SweepBreakEven(base, opt, o)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +161,6 @@ func TestSweepOptionsValidate(t *testing.T) {
 		{"zero lo", SweepOptions{Enabled: true, Hi: sim.Second, Step: sim.Millisecond}, "lower bound"},
 		{"inverted", SweepOptions{Enabled: true, Lo: sim.Second, Hi: sim.Millisecond, Step: sim.Millisecond}, "inverted"},
 		{"negative cycles", SweepOptions{Enabled: true, Lo: 1, Hi: 2, Step: 1, CyclesPerPoint: -1}, "cycles"},
-		{"negative workers", SweepOptions{Enabled: true, Lo: 1, Hi: 2, Step: 1, Workers: -1}, "worker"},
 	}
 	for _, c := range cases {
 		err := c.o.Validate()

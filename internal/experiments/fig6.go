@@ -47,7 +47,7 @@ func (rt *Runtime) Fig6a(sweep SweepOptions) (*Fig6aResult, error) {
 		return nil, fmt.Errorf("fig6a: %w", err)
 	}
 	configs := fig6aConfigs()
-	results, err := runIndexed(len(configs), rt.Pool(sweep.Workers),
+	results, err := runIndexed(len(configs), rt.Pool(0),
 		func(i int) string { return configs[i].Name() },
 		func(i int) (platform.Result, error) { return rt.runConfig(configs[i], defaultCycles) })
 	if err != nil {
@@ -231,7 +231,7 @@ func (rt *Runtime) Fig6d(sweep SweepOptions) (*Fig6dResult, error) {
 	if err := sweep.Validate(); err != nil {
 		return nil, fmt.Errorf("fig6d: %w", err)
 	}
-	results, err := runIndexed(len(configs), rt.Pool(sweep.Workers),
+	results, err := runIndexed(len(configs), rt.Pool(0),
 		func(i int) string { return configs[i].Name() },
 		func(i int) (platform.Result, error) { return rt.runConfig(configs[i], defaultCycles) })
 	if err != nil {

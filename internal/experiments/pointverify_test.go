@@ -82,7 +82,7 @@ func TestPointMemoVerifyRecomputesStored(t *testing.T) {
 func TestPointMemoVerifyDetectsTamper(t *testing.T) {
 	dir := t.TempDir()
 	base, opt := platform.DefaultConfig(), platform.ODRIPSConfig()
-	o := SweepOptions{Lo: 600 * sim.Microsecond, Hi: 2 * sim.Millisecond, Step: 200 * sim.Microsecond, CyclesPerPoint: 1, Workers: 1}
+	o := SweepOptions{Lo: 600 * sim.Microsecond, Hi: 2 * sim.Millisecond, Step: 200 * sim.Microsecond, CyclesPerPoint: 1}
 
 	rw, rt := openRuntime(t, dir, memostore.RW, platform.FFOn)
 	if _, _, err := rt.SweepBreakEven(base, opt, o); err != nil {

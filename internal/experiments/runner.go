@@ -45,12 +45,6 @@ type SweepOptions struct {
 	Enabled        bool
 	Lo, Hi, Step   sim.Duration
 	CyclesPerPoint int
-
-	// Workers sizes the point-evaluation worker pool: 0 uses the
-	// runtime's default (normally runtime.GOMAXPROCS(0)), 1 evaluates points
-	// sequentially on the calling goroutine. Results are identical at any
-	// worker count.
-	Workers int
 }
 
 // Validate checks that an enabled sweep describes a finite, advancing
@@ -70,9 +64,6 @@ func (o SweepOptions) Validate() error {
 	}
 	if o.CyclesPerPoint < 0 {
 		return fmt.Errorf("experiments: negative cycles per point %d", o.CyclesPerPoint)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("experiments: negative worker count %d", o.Workers)
 	}
 	return nil
 }
@@ -304,7 +295,7 @@ func (rt *Runtime) transitionTime(cfg platform.Config) (sim.Duration, error) {
 // the worker count — never larger — because overshoot past the crossover
 // is pure waste, and the optimized configurations are the expensive half
 // of each point (a context save/restore through the real MEE per cycle);
-// at Workers=1 the scan is exactly the sequential early-exit. The
+// on a one-worker runtime the scan is exactly the sequential early-exit. The
 // returned break-even is identical at any worker count because the point
 // list is truncated at the first crossover before interpolation.
 func (rt *Runtime) SweepBreakEven(base, opt platform.Config, o SweepOptions) (sim.Duration, bool, error) {
@@ -315,7 +306,7 @@ func (rt *Runtime) SweepBreakEven(base, opt platform.Config, o SweepOptions) (si
 	if o.CyclesPerPoint <= 0 {
 		o.CyclesPerPoint = 1
 	}
-	workers := rt.Pool(o.Workers)
+	workers := rt.Pool(0)
 	transBase, err := rt.transitionTime(base)
 	if err != nil {
 		return 0, false, fmt.Errorf("sweep base transitions: %w", err)

@@ -97,8 +97,9 @@ type FFStats struct {
 	MEEOpsReplayed   uint64
 	Materializations uint64
 
-	// CyclesRecorded counts boundary fingerprints memoized;
-	// CyclesReplayed counts whole cycles fast-forwarded.
+	// CyclesRecorded counts cycle records memoized (a boundary
+	// fingerprint plus phase windows); CyclesReplayed counts whole
+	// cycles fast-forwarded.
 	CyclesRecorded uint64
 	CyclesReplayed uint64
 }
@@ -129,7 +130,7 @@ type ffState struct {
 
 	// Cycle memo (fingerprint keyed), populated lazily, plus reusable
 	// scratch for the fingerprint serialization and scaled replay deltas.
-	records     map[ffKey]*cycleRecord
+	records     ffRecords
 	rec         *cycleRecording // in-progress recording, nil outside one
 	fpBuf       []byte
 	nomScratch  []power.Energy
@@ -138,10 +139,7 @@ type ffState struct {
 	// Memo plane plumbing (memoplane.go): the plane this platform
 	// publishes into and the shared bundle of its memo class, both nil
 	// for a snapshot attachment. attached marks that a plane or snapshot
-	// was attached, which raises the per-platform record cap to
-	// ffPersistRecordCap: a platform seeded with hundreds of adopted
-	// records must still be allowed to record the classes the plane does
-	// not cover.
+	// was attached, which raises the record cap to ffPersistRecordCap.
 	plane    *MemoPlane
 	persist  *ffBundle
 	attached bool

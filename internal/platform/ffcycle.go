@@ -7,6 +7,7 @@ import (
 	"reflect"
 
 	"odrips/internal/chipset"
+	"odrips/internal/clock"
 	"odrips/internal/ltr"
 	"odrips/internal/power"
 	"odrips/internal/sim"
@@ -21,19 +22,29 @@ import (
 //
 // The fingerprint hashes every piece of mutable state that can influence a
 // cycle's behavior, expressed relative to the current instant so that it
-// can recur: oscillator phase residues instead of absolute edge times, LTR
-// deadlines relative to now instead of absolute, per-component power draws
-// instead of energy accumulators. State that only accumulates outputs
-// (energies, residencies, counters, the main-timer value) is excluded and
-// advanced by recorded deltas instead; the exclusion list is enforced
-// field-by-field by the fast-forward manifest test.
+// can recur: LTR deadlines relative to now instead of absolute,
+// per-component power draws instead of energy accumulators. State that
+// only accumulates outputs (energies, residencies, counters, the
+// main-timer value) is excluded and advanced by recorded deltas instead;
+// the exclusion list is enforced field-by-field by the fast-forward
+// manifest test.
 //
-// The scheme is fail-safe by construction: the fingerprint is recomputed
-// from live state at every boundary, so a surgery bug produces a memo miss
-// and a full simulation, never silent corruption.
+// The crystals' exact phases are not hashed: they walk by a fraction of a
+// picosecond every cycle and would never recur. Instead each record
+// carries, per crystal, the phase window its body holds over
+// (clock.Window): the recording collects the remainder of every division
+// that read the grid, and any boundary phase inside the window gives the
+// same integer answers, hence the same body. Replay picks the record of
+// the key whose windows hold the live phases.
+//
+// The scheme is fail-safe by construction: the fingerprint and the phases
+// are recomputed from live state at every boundary, so a surgery bug or a
+// too-narrow window produces a memo miss and a full simulation, never
+// silent corruption.
 
-// ffRecordCap bounds the number of memoized cycle classes per platform so
-// sweeps whose fingerprints never recur stay O(1) in memory.
+// ffRecordCap bounds the number of cycle records an unattached platform
+// records itself, so runs whose boundaries never recur stay O(1) in
+// memory. A steady-state run needs a handful.
 const ffRecordCap = 64
 
 // ffNumStates is the number of architectural power states; the replay
@@ -61,7 +72,8 @@ type ctrPatch struct {
 }
 
 // oscPatch replays an oscillator that was power-cycled during the cycle:
-// its edge-grid anchor lands at a fixed offset from the cycle start.
+// its edge-grid anchor lands at a fixed offset from the cycle start
+// (clock.Oscillator.EpochOffset, read once the grid has moved).
 type oscPatch struct {
 	changed   bool
 	stableOff sim.Duration
@@ -81,6 +93,10 @@ type cycleRecord struct {
 	endFP      [32]byte
 	replayable bool
 
+	// win holds the boundary phases of xtal24 and xtal32 (in that order)
+	// over which this body holds.
+	win [2]clock.Window
+
 	// Exact energy/residency movement.
 	nomD, battD []power.Energy // per meter component, registration order
 	resD        [ffNumStates]sim.Duration
@@ -91,7 +107,7 @@ type cycleRecord struct {
 	// Flow statistics.
 	entriesD, exitsD        uint64
 	entryTotalD, exitTotalD sim.Duration
-	ctxSaveLat, ctxRestore  sim.Duration // end values (identical per cycle)
+	ctxSaveLat, ctxRestore  sim.Duration // end values, kept only when the cycle saved/restored
 	ctxVerifiedD            uint64
 
 	// Wake accounting. endWakeFired is the hub latch at the end boundary:
@@ -129,6 +145,7 @@ type ctrSnap struct {
 // boundary.
 type cycleRecording struct {
 	key    ffKey
+	ph     [2]clock.Phase // boundary phases of xtal24, xtal32
 	start  sim.Time
 	expect *cycleRecord // verify mode: compare instead of store
 
@@ -142,8 +159,8 @@ type cycleRecording struct {
 	hubWake0    [3]uint64
 	shallow0    map[string]uint64
 	mt0, uf0    ctrSnap
-	x24Stable0  sim.Time
-	x32Stable0  sim.Time
+	x24Epoch0   uint64
+	x32Epoch0   uint64
 	ltrReports0 []ltr.Report
 	root0       uint64
 	eng0        bool
@@ -175,23 +192,6 @@ func (p *Platform) ffCycleEligible() bool {
 
 // ---- Fingerprint ----
 
-// ffSlowPhaseObservable reports whether any platform logic can observe a
-// slow-crystal edge during the upcoming cycle: the Wake-Up-Off timer
-// hand-over schedules on it, and a pin watched on it samples on it.
-// Everything else is driven by the fast crystal or by plain latencies.
-func (p *Platform) ffSlowPhaseObservable() bool {
-	if p.cfg.Techniques.Has(WakeUpOff) {
-		return true
-	}
-	slowName := p.xtal32.Name()
-	for _, pin := range p.hub.GPIOPins() {
-		if _, _, _, _, _, _, sampler := pin.FastForwardState(); sampler == slowName {
-			return true
-		}
-	}
-	return false
-}
-
 func ffPutU64(b []byte, v uint64) []byte {
 	var w [8]byte
 	binary.LittleEndian.PutUint64(w[:], v)
@@ -212,14 +212,16 @@ func ffPutStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// ffFingerprint hashes the behavior-relevant mutable platform state at a
-// cycle boundary. Everything here must be either recurrence-capable
-// (expressed relative to now) or repeating absolute state (levels, modes,
-// draws); monotonic accumulators are excluded and handled by delta replay.
-// The serialization order is fixed; changing it only changes memo keys
-// within a run, never correctness.
-func (p *Platform) ffFingerprint() [32]byte {
+// ffBoundary fingerprints the behavior-relevant mutable platform state
+// at a cycle boundary and returns the crystals' phases, which the
+// fingerprint leaves to the records' windows. Everything hashed must be
+// either recurrence-capable (expressed relative to now) or repeating
+// absolute state (levels, modes, draws); monotonic accumulators are
+// excluded and handled by delta replay. The serialization order is fixed;
+// changing it only changes memo keys within a run, never correctness.
+func (p *Platform) ffBoundary() ([32]byte, [2]clock.Phase) {
 	now := p.sched.Now()
+	ph := [2]clock.Phase{p.xtal24.PhaseAt(now), p.xtal32.PhaseAt(now)}
 	b := p.ff.fpBuf[:0]
 
 	// Power: per-component quantized draws (registration order) and the
@@ -240,30 +242,14 @@ func (p *Platform) ffFingerprint() [32]byte {
 	b = ffPutI64(b, int64(p.state))
 	b = ffPutBool(b, p.eng != nil)
 
-	// Oscillators: power, tuning, and the exact phase residue relative to
-	// now (clock.PhaseFingerprint), which pins the future edge grid. The
-	// fast crystal's phase is always significant (the main timer counts
-	// its edges and the flows schedule on it); the slow crystal's phase
-	// only matters when something can observe a 32 kHz edge — the timer
-	// hand-over protocol (WakeUpOff) or a pin sampling on it. A baseline
-	// platform has neither, and leaving the dead residue out is what lets
-	// its boundary fingerprints recur.
+	// Oscillators: power, tuning, and whether the grid is still
+	// stabilizing. The phase itself is matched against record windows.
 	b = ffPutBool(b, p.xtal24.On())
 	b = ffPutI64(b, p.xtal24.PPB())
-	hi, lo, neg := p.xtal24.PhaseFingerprint(now)
-	b = ffPutU64(b, hi)
-	b = ffPutU64(b, lo)
-	b = ffPutBool(b, neg)
+	b = ffPutBool(b, ph[0].Age < 0)
 	b = ffPutBool(b, p.xtal32.On())
 	b = ffPutI64(b, p.xtal32.PPB())
-	slowObservable := p.ffSlowPhaseObservable()
-	b = ffPutBool(b, slowObservable)
-	if slowObservable {
-		hi, lo, neg = p.xtal32.PhaseFingerprint(now)
-		b = ffPutU64(b, hi)
-		b = ffPutU64(b, lo)
-		b = ffPutBool(b, neg)
-	}
+	b = ffPutBool(b, ph[1].Age < 0)
 
 	// Clock domains and rails.
 	b = ffPutBool(b, p.procDom.Gated())
@@ -339,7 +325,13 @@ func (p *Platform) ffFingerprint() [32]byte {
 	}
 
 	p.ff.fpBuf = b
-	return sha256.Sum256(b)
+	return sha256.Sum256(b), ph
+}
+
+// holds reports whether both crystals' boundary phases lie in the
+// record's windows.
+func (cr *cycleRecord) holds(ph [2]clock.Phase) bool {
+	return cr.win[0].Holds(ph[0]) && cr.win[1].Holds(ph[1])
 }
 
 // ---- Recording ----
@@ -370,30 +362,26 @@ func (p *Platform) ffWakeSnap(plat, hub *[3]uint64) {
 	}
 }
 
-// ffBeginRecording starts memoizing the cycle about to run. In verify
-// mode an existing record becomes the expectation to compare against.
-func (p *Platform) ffBeginRecording(key ffKey) {
+// ffBeginRecording starts memoizing the cycle about to run from boundary
+// phases ph. In verify mode an existing record becomes the expectation to
+// compare against.
+func (p *Platform) ffBeginRecording(key ffKey, ph [2]clock.Phase) {
 	ff := &p.ff
-	if ff.records == nil {
-		ff.records = make(map[ffKey]*cycleRecord)
-	}
-	existing := ff.records[key]
+	existing := ff.records.lookup(key, ph)
 	if existing != nil && ff.mode != FFVerify {
 		return // recorded but not replayable; nothing to gain
 	}
-	capN := ffRecordCap
+	capN := uint64(ffRecordCap)
 	if ff.attached {
-		// With a plane or snapshot attached every class is worth keeping:
-		// a jittered run's classes never recur in-process but do recur
-		// across devices and runs.
 		capN = ffPersistRecordCap
 	}
-	if existing == nil && len(ff.records) >= capN {
+	if existing == nil && ff.stats.CyclesRecorded >= capN {
 		return
 	}
 	comps := p.meter.Ordered()
 	rec := &cycleRecording{
 		key:      key,
+		ph:       ph,
 		start:    p.sched.Now(),
 		expect:   existing,
 		nom0:     make([]power.Energy, len(comps)),
@@ -416,8 +404,10 @@ func (p *Platform) ffBeginRecording(key ffKey) {
 	if u := p.hub.Unit(); u != nil {
 		rec.uf0.base, rec.uf0.anchor, rec.uf0.running = u.Fast.ReplaySnapshot()
 	}
-	rec.x24Stable0 = p.xtal24.StableAt()
-	rec.x32Stable0 = p.xtal32.StableAt()
+	rec.x24Epoch0 = p.xtal24.Epoch()
+	rec.x32Epoch0 = p.xtal32.Epoch()
+	p.xtal24.BeginWindow()
+	p.xtal32.BeginWindow()
 	rec.ltrReports0 = p.ltrTable.Reports()
 	if p.eng != nil {
 		rec.eng0 = true
@@ -445,6 +435,7 @@ func (p *Platform) ffFinalizeRecording(ok bool, fp [32]byte) {
 		return
 	}
 	ff.rec = nil
+	win := [2]clock.Window{p.xtal24.EndWindow(), p.xtal32.EndWindow()}
 	if !ok {
 		return
 	}
@@ -457,6 +448,7 @@ func (p *Platform) ffFinalizeRecording(ok bool, fp [32]byte) {
 		dur:        now.Sub(rec.start),
 		endFP:      fp,
 		replayable: true,
+		win:        win,
 		nomD:       make([]power.Energy, len(comps)),
 		battD:      make([]power.Energy, len(comps)),
 		idleByCmpD: make([]power.Energy, len(comps)),
@@ -481,8 +473,15 @@ func (p *Platform) ffFinalizeRecording(ok bool, fp [32]byte) {
 	cr.exitsD = fs.exits - rec.fs0.exits
 	cr.entryTotalD = fs.entryTotal - rec.fs0.entryTotal
 	cr.exitTotalD = fs.exitTotal - rec.fs0.exitTotal
-	cr.ctxSaveLat = fs.ctxSaveLat
-	cr.ctxRestore = fs.ctxRestore
+	// The latency fields hold the last save/restore of the run. A cycle
+	// without one leaves them as history set them, which replay does not
+	// apply and which must not tell two equal bodies apart under verify.
+	if cr.entriesD > 0 {
+		cr.ctxSaveLat = fs.ctxSaveLat
+	}
+	if cr.exitsD > 0 {
+		cr.ctxRestore = fs.ctxRestore
+	}
 	cr.ctxVerifiedD = fs.ctxVerified - rec.fs0.ctxVerified
 
 	var wake1, hubWake1 [3]uint64
@@ -519,10 +518,10 @@ func (p *Platform) ffFinalizeRecording(ok bool, fp [32]byte) {
 			}
 		}
 	}
-	if s := p.xtal24.StableAt(); s != rec.x24Stable0 {
-		cr.x24P = oscPatch{changed: true, stableOff: s.Sub(rec.start)}
+	if p.xtal24.Epoch() != rec.x24Epoch0 {
+		cr.x24P = oscPatch{changed: true, stableOff: p.xtal24.EpochOffset(rec.start)}
 	}
-	if p.xtal32.StableAt() != rec.x32Stable0 {
+	if p.xtal32.Epoch() != rec.x32Epoch0 {
 		// The slow crystal is never power-cycled by the flows; a moved
 		// anchor means a retune (drift recalibration) happened, which is
 		// not a steady state.
@@ -541,7 +540,9 @@ func (p *Platform) ffFinalizeRecording(ok bool, fp [32]byte) {
 	} else if engPresent {
 		cr.engPresent = true
 		cr.rootD = p.eng.RootCounter() - rec.root0
-		cr.endPrimed = ff.meePrimed
+		if cr.rootD > 0 { // replay applies the primed state with the advance only
+			cr.endPrimed = ff.meePrimed
+		}
 	}
 
 	cr.steps = make([]FlowStep, len(rec.steps))
@@ -551,37 +552,68 @@ func (p *Platform) ffFinalizeRecording(ok bool, fp [32]byte) {
 	}
 
 	if rec.expect != nil {
-		if !reflect.DeepEqual(cr, rec.expect) {
+		if !ffSameBody(cr, rec.expect) {
 			p.fail("platform: fastforward verify: cycle record diverged from memo (key %x…, dur %v vs %v)",
 				rec.key.fp[:4], cr.dur, rec.expect.dur)
+		} else if !cr.holds(rec.ph) || !rec.expect.holds(rec.ph) {
+			p.fail("platform: fastforward verify: boundary phase outside a record window (key %x…)", rec.key.fp[:4])
 		}
 		return
 	}
-	ff.records[rec.key] = cr
+	if ff.records == nil {
+		ff.records = make(ffRecords)
+	}
+	ff.records.add(rec.key, cr)
 	ff.stats.CyclesRecorded++
 	ff.ffPersistAdd(rec.key, cr)
+}
+
+// ffSameBody compares two records field by field, windows aside (verify
+// checks those separately: both must hold the live phases).
+func ffSameBody(a, b *cycleRecord) bool {
+	x, y := *a, *b
+	x.win, y.win = [2]clock.Window{}, [2]clock.Window{}
+	return reflect.DeepEqual(x, y)
 }
 
 // ---- Replay ----
 
 // ffTryReplay replays as many upcoming cycles as the memo covers,
-// starting at cycles[idx] whose boundary fingerprint is fp. It returns
-// the number of cycles consumed (0 = no hit; simulate normally).
-func (p *Platform) ffTryReplay(fp [32]byte, cycles []workload.Cycle, idx int) int {
+// starting at cycles[idx] whose boundary fingerprint is fp and whose
+// crystal phases are ph. It returns the number of cycles consumed (0 = no
+// hit; simulate normally).
+func (p *Platform) ffTryReplay(fp [32]byte, ph [2]clock.Phase, cycles []workload.Cycle, idx int) int {
 	ff := &p.ff
 	if ff.mode != FFOn {
 		return 0
 	}
 	c := cycles[idx]
-	rec := ff.records[ffKey{fp: fp, active: c.Active, idle: c.Idle, wake: c.Wake}]
+	rec := ff.records.lookup(ffKey{fp: fp, active: c.Active, idle: c.Idle, wake: c.Wake}, ph)
 	if rec == nil || !rec.replayable {
 		return 0
 	}
 	n := 1
 	if rec.endFP == fp {
 		// Self-loop: the cycle reproduces its own starting fingerprint, so
-		// every consecutive identical cycle replays in the same batch.
+		// every consecutive identical cycle whose boundary phases stay in
+		// the windows replays in the same batch. A crystal the cycle
+		// re-anchors starts every later cycle at one phase; one it leaves
+		// running advances by the same residue each cycle.
+		walk24, walk32 := p.xtal24.Walk(rec.dur), p.xtal32.Walk(rec.dur)
+		var anchored24 clock.Phase
+		if rec.x24P.changed {
+			anchored24 = p.xtal24.PhaseAtAge(rec.dur - rec.x24P.stableOff)
+		}
 		for idx+n < len(cycles) && cycles[idx+n] == c {
+			if rec.x24P.changed {
+				ph[0] = anchored24
+			} else {
+				ph[0] = walk24.Next(ph[0])
+			}
+			ph[1] = walk32.Next(ph[1])
+			if !rec.holds(ph) {
+				break
+			}
 			n++
 		}
 	}

@@ -166,17 +166,27 @@ func TestCycleReplayShallowCycles(t *testing.T) {
 }
 
 // TestVerifyModeCleanRun: verify mode re-simulates every memoized cycle
-// and diffs it against the record; a healthy platform must pass.
+// and diffs it against the record; a healthy platform must pass. The
+// second workload puts shallow cycles before and after deep ones: a
+// shallow cycle's record must not carry the context latencies an
+// earlier deep cycle left behind.
 func TestVerifyModeCleanRun(t *testing.T) {
+	shallow := workload.Cycle{Idle: 2 * sim.Millisecond, Wake: workload.WakeTimer}
+	deep := workload.Cycle{Idle: 30 * sim.Second, Wake: workload.WakeTimer}
+	mixed := []workload.Cycle{shallow, shallow}
+	for i := 0; i < 6; i++ {
+		mixed = append(mixed, deep, shallow, shallow)
+	}
 	for name, cfg := range zeroPPBConfigs() {
 		t.Run(name, func(t *testing.T) {
-			cycles := workload.Fixed(20, 0, 30*sim.Second)
-			res, _, stats := runWithMode(t, cfg, FFVerify, cycles)
-			if stats.CyclesReplayed != 0 {
-				t.Errorf("verify mode replayed %d cycles", stats.CyclesReplayed)
-			}
-			if res.Cycles != 20 {
-				t.Errorf("cycles = %d", res.Cycles)
+			for _, cycles := range [][]workload.Cycle{workload.Fixed(20, 0, 30*sim.Second), mixed} {
+				res, _, stats := runWithMode(t, cfg, FFVerify, cycles)
+				if stats.CyclesReplayed != 0 {
+					t.Errorf("verify mode replayed %d cycles", stats.CyclesReplayed)
+				}
+				if res.Cycles != len(cycles) {
+					t.Errorf("cycles = %d", res.Cycles)
+				}
 			}
 		})
 	}

@@ -27,12 +27,13 @@ import (
 // memo treatment fails the build's test tier — the same spirit as the
 // odrips-vet handle rule. Keys are reflect.Type.String() + "." + field name.
 
-// ffFingerprinted lists the fields (p *Platform) ffFingerprint serializes,
-// directly or through an exact digest/accessor.
+// ffFingerprinted lists the fields (p *Platform) ffBoundary serializes,
+// directly or through an exact digest/accessor, or matches against the
+// record windows.
 var ffFingerprinted = map[string]bool{
 	"platform.Platform.meter":       true, // per-component draws + efficiency bits
-	"platform.Platform.xtal24":      true, // on, ppb, phase residue
-	"platform.Platform.xtal32":      true, // on, ppb, phase residue when observable
+	"platform.Platform.xtal24":      true, // on, ppb, stabilizing bit; phase matched against windows
+	"platform.Platform.xtal32":      true, // on, ppb, stabilizing bit; phase matched against windows
 	"platform.Platform.ring":        true, // gated bit
 	"platform.Platform.mem":         true, // power state + CKE
 	"platform.Platform.procDom":     true, // gated bit
@@ -68,7 +69,7 @@ var ffFingerprinted = map[string]bool{
 
 	"clock.Oscillator.on":       true,
 	"clock.Oscillator.ppb":      true,
-	"clock.Oscillator.stableAt": true, // as the phase residue relative to now
+	"clock.Oscillator.stableAt": true, // as the phase relative to now, matched against record windows
 	"clock.Domain.gated":        true,
 
 	"chipset.Hub.hosting":     true,
@@ -281,6 +282,8 @@ var ffExcluded = map[string]string{
 	"clock.Oscillator.sched":     "reference",
 	"clock.Oscillator.denom":     "derived from the fingerprinted nominalHz and ppb",
 	"clock.Oscillator.OnPower":   "immutable wiring",
+	"clock.Oscillator.epoch":     "grid identity counter, read only to detect a moved grid inside a recording",
+	"clock.Oscillator.win":       "in-progress phase-window recording bookkeeping",
 	"clock.Domain.name":          "immutable",
 	"clock.Domain.src":           "reference; the source grid is fingerprinted",
 	"clock.Domain.OnGate":        "immutable wiring",

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
+	"odrips/internal/clock"
 	"odrips/internal/power"
 	"odrips/internal/sim"
 	"odrips/internal/workload"
@@ -22,21 +24,24 @@ import (
 // %#v is.
 //
 // Soundness does not rest on the decoder: a loaded record is only ever
-// used when the live boundary fingerprint recurs (recomputed from live
-// state every boundary, exactly as for in-process records), so a stale
-// or mismatched record is unreachable, and -fastforward=verify
-// re-simulates every cycle and diffs it against the adopted record.
+// used when the live boundary fingerprint recurs and the live crystal
+// phases lie in its windows (both recomputed from live state every
+// boundary, exactly as for in-process records), so a stale or mismatched
+// record is unreachable, and -fastforward=verify re-simulates every cycle
+// and diffs it against the adopted record.
 
 // ffPersistRecordCap replaces ffRecordCap for a platform attached to a
-// memo plane or snapshot: a six-hour jittered run produces one class per
-// cycle (~720), all of which are worth keeping once they can be shared
-// across devices and runs.
+// memo plane or snapshot. A workload that draws its idle period per
+// cycle (workload.ConnectedStandby) makes one record per cycle, because
+// no cycle parameters recur within the run; those records do recur
+// across runs and devices once a plane shares them.
 const ffPersistRecordCap = 8192
 
 // ffBundleVersion versions the bundle payload layout inside the store
 // entry (the store's schema version covers the envelope, this one the
-// cycle-record serialization).
-const ffBundleVersion = 1
+// cycle-record serialization). Version 2 added the phase windows and
+// dropped the phase residue from the key.
+const ffBundleVersion = 2
 
 // ffBundleSchemaHash pins the wire schema of the bundle codec. The marker
 // below makes odrips-vet compute a structural hash over ffKey and
@@ -46,7 +51,74 @@ const ffBundleVersion = 1
 // ffBundleVersion bump alongside the re-recorded constant.
 //
 //odrips:schema ffKey cycleRecord
-const ffBundleSchemaHash = "e402e53416a3e4030e46a2b0cbaae17f6a97a1f3a5632e294e16b34043bda70a"
+const ffBundleSchemaHash = "5557919be9867ff017d2b7c440fd913a08234a9e0ea03fb7d1bbf7640fc9c664"
+
+// ffRecords indexes cycle records by key; the records of one key differ
+// in their phase windows. Lists shared between holders are clipped, so an
+// append by one never writes into another's backing array.
+type ffRecords map[ffKey][]*cycleRecord
+
+// add files cr under key unless a record with the same windows is
+// already there (it then carries the same body). It reports whether cr
+// was added.
+func (rs ffRecords) add(key ffKey, cr *cycleRecord) bool {
+	for _, old := range rs[key] {
+		if old.win == cr.win {
+			return false
+		}
+	}
+	rs[key] = append(rs[key], cr)
+	return true
+}
+
+// lookup returns the record of key whose windows hold the boundary
+// phases ph, or nil.
+func (rs ffRecords) lookup(key ffKey, ph [2]clock.Phase) *cycleRecord {
+	for _, cr := range rs[key] {
+		if cr.holds(ph) {
+			return cr
+		}
+	}
+	return nil
+}
+
+// count returns the number of records.
+func (rs ffRecords) count() int {
+	n := 0
+	for _, list := range rs {
+		n += len(list)
+	}
+	return n
+}
+
+// clone copies the index; the records themselves are shared.
+func (rs ffRecords) clone() ffRecords {
+	out := make(ffRecords, len(rs))
+	for k, list := range rs {
+		out[k] = slices.Clip(list)
+	}
+	return out
+}
+
+// adopt seeds the platform's cycle memo with shared records and returns
+// how many it took.
+func (ff *ffState) adopt(recs ffRecords) int {
+	if len(recs) == 0 {
+		return 0
+	}
+	if ff.records == nil {
+		ff.records = make(ffRecords, len(recs))
+	}
+	n := 0
+	for k, list := range recs {
+		for _, cr := range list {
+			if ff.records.add(k, cr) {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // ffBundle is one memo class's record set inside a plane. Its mutex
 // guards records/dirty; the record values themselves are immutable once
@@ -55,7 +127,7 @@ type ffBundle struct {
 	key string
 
 	mu      sync.Mutex
-	records map[ffKey]*cycleRecord
+	records ffRecords
 	dirty   bool
 }
 
@@ -69,8 +141,7 @@ func (ff *ffState) ffPersistAdd(key ffKey, cr *cycleRecord) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.records[key] == nil {
-		b.records[key] = cr
+	if b.records.add(key, cr) {
 		b.dirty = true
 	}
 }
@@ -84,9 +155,9 @@ func (ff *ffState) ffPersistAdd(key ffKey, cr *cycleRecord) {
 // -fastforward=verify diffs disk-loaded records against freshly recorded
 // ones with reflect.DeepEqual.
 
-// ffEncodeBundle serializes every record, sorted by key for a
-// deterministic artifact.
-func ffEncodeBundle(records map[ffKey]*cycleRecord) []byte {
+// ffEncodeBundle serializes every record, sorted by key and then by
+// window for a deterministic artifact.
+func ffEncodeBundle(records ffRecords) []byte {
 	keys := make([]ffKey, 0, len(records))
 	for k := range records {
 		keys = append(keys, k)
@@ -107,33 +178,55 @@ func ffEncodeBundle(records map[ffKey]*cycleRecord) []byte {
 
 	e := &ffEnc{}
 	e.u64(ffBundleVersion)
-	e.u64(uint64(len(keys)))
+	e.u64(uint64(records.count()))
 	for _, k := range keys {
-		e.b32(k.fp)
-		e.i64(int64(k.active))
-		e.i64(int64(k.idle))
-		e.i64(int64(k.wake))
-		ffEncodeRecord(e, records[k])
+		list := slices.Clone(records[k])
+		sort.Slice(list, func(i, j int) bool { return ffWindowLess(list[i].win, list[j].win) })
+		for _, cr := range list {
+			e.b32(k.fp)
+			e.i64(int64(k.active))
+			e.i64(int64(k.idle))
+			e.i64(int64(k.wake))
+			ffEncodeRecord(e, cr)
+		}
 	}
 	return e.b
 }
 
+// ffWindowLess orders the records of one key by their windows.
+func ffWindowLess(a, b [2]clock.Window) bool {
+	for i := range a {
+		x, y := a[i], b[i]
+		switch {
+		case x.Lo != y.Lo:
+			return x.Lo.Less(y.Lo)
+		case x.Hi != y.Hi:
+			return x.Hi.Less(y.Hi)
+		case x.AgeLo != y.AgeLo:
+			return x.AgeLo < y.AgeLo
+		case x.AgeHi != y.AgeHi:
+			return x.AgeHi < y.AgeHi
+		}
+	}
+	return false
+}
+
 // ffDecodeBundle parses a bundle payload; any malformation is an error
 // (the caller degrades to an empty bundle).
-func ffDecodeBundle(payload []byte) (map[ffKey]*cycleRecord, error) {
+func ffDecodeBundle(payload []byte) (ffRecords, error) {
 	d := &ffDec{b: payload}
 	if v := d.u64(); v != ffBundleVersion {
 		return nil, fmt.Errorf("platform: bundle version %d (want %d)", v, ffBundleVersion)
 	}
 	n := d.len(64) // a key+record is far larger than 64 bytes
-	records := make(map[ffKey]*cycleRecord, n)
+	records := make(ffRecords)
 	for i := 0; i < n && d.err == nil; i++ {
 		var k ffKey
 		k.fp = d.b32()
 		k.active = sim.Duration(d.i64())
 		k.idle = sim.Duration(d.i64())
 		k.wake = workload.WakeKind(d.i64())
-		records[k] = ffDecodeRecord(d)
+		records[k] = append(records[k], ffDecodeRecord(d))
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -148,6 +241,14 @@ func ffEncodeRecord(e *ffEnc, cr *cycleRecord) {
 	e.i64(int64(cr.dur))
 	e.b32(cr.endFP)
 	e.bool(cr.replayable)
+	for _, w := range cr.win {
+		e.u64(w.Lo.Hi)
+		e.u64(w.Lo.Lo)
+		e.u64(w.Hi.Hi)
+		e.u64(w.Hi.Lo)
+		e.i64(int64(w.AgeLo))
+		e.i64(int64(w.AgeHi))
+	}
 
 	e.u64(uint64(len(cr.nomD))) // nomD, battD, idleByCmpD share len(comps)
 	for i := range cr.nomD {
@@ -215,6 +316,13 @@ func ffDecodeRecord(d *ffDec) *cycleRecord {
 	cr.dur = sim.Duration(d.i64())
 	cr.endFP = d.b32()
 	cr.replayable = d.bool()
+	for i := range cr.win {
+		w := &cr.win[i]
+		w.Lo = clock.Residue{Hi: d.u64(), Lo: d.u64()}
+		w.Hi = clock.Residue{Hi: d.u64(), Lo: d.u64()}
+		w.AgeLo = sim.Duration(d.i64())
+		w.AgeHi = sim.Duration(d.i64())
+	}
 
 	nc := d.len(48)
 	cr.nomD = make([]power.Energy, nc)

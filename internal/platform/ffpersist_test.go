@@ -1,11 +1,13 @@
 package platform
 
 import (
+	"math"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
+	"odrips/internal/clock"
 	"odrips/internal/memostore"
 	"odrips/internal/power"
 	"odrips/internal/sim"
@@ -73,9 +75,21 @@ func TestPersistBundleCodecRoundTrip(t *testing.T) {
 		}
 		return cr
 	}
-	records := map[ffKey]*cycleRecord{
-		{fp: [32]byte{0xAA}, active: 0, idle: 30 * sim.Second, wake: workload.WakeTimer}: mk(nil),
-		{fp: [32]byte{0xBB}, active: 5, idle: 29 * sim.Second, wake: workload.WakeExternal}: mk(func(cr *cycleRecord) {
+	window := func(lo, hi uint64) clock.Window {
+		return clock.Window{
+			Lo: clock.Residue{Hi: 3, Lo: lo}, Hi: clock.Residue{Hi: 3, Lo: hi},
+			AgeLo: 1, AgeHi: math.MaxInt64,
+		}
+	}
+	records := ffRecords{
+		{fp: [32]byte{0xAA}, active: 0, idle: 30 * sim.Second, wake: workload.WakeTimer}: {
+			mk(func(cr *cycleRecord) { cr.win = [2]clock.Window{window(10, 20), window(0, 1<<63)} }),
+			mk(func(cr *cycleRecord) {
+				cr.win = [2]clock.Window{window(20, 30), {AgeLo: -5, AgeHi: -4, Hi: clock.Residue{Lo: 9}}}
+				cr.dur++
+			}),
+		},
+		{fp: [32]byte{0xBB}, active: 5, idle: 29 * sim.Second, wake: workload.WakeExternal}: {mk(func(cr *cycleRecord) {
 			cr.shallowD["C6"] = 2
 			cr.ltrTimers = []ltrPatch{{owner: "os-wake", rel: -42}, {owner: "nic", rel: 7}}
 			cr.steps = []FlowStep{
@@ -83,7 +97,7 @@ func TestPersistBundleCodecRoundTrip(t *testing.T) {
 				{Flow: "exit", Step: "restore", At: 200, Duration: 60, EnergyUJ: 0},
 			}
 			cr.replayable = false
-		}),
+		})},
 	}
 	decoded, err := ffDecodeBundle(ffEncodeBundle(records))
 	if err != nil {
@@ -95,11 +109,11 @@ func TestPersistBundleCodecRoundTrip(t *testing.T) {
 }
 
 func TestPersistBundleDecodeRejectsDamage(t *testing.T) {
-	records := map[ffKey]*cycleRecord{
-		{fp: [32]byte{1}}: {
+	records := ffRecords{
+		{fp: [32]byte{1}}: {{
 			nomD: []power.Energy{{PJ: 1}}, battD: []power.Energy{{}}, idleByCmpD: []power.Energy{{}},
 			shallowD: map[string]uint64{}, steps: make([]FlowStep, 0),
-		},
+		}},
 	}
 	good := ffEncodeBundle(records)
 	for name, bad := range map[string][]byte{
@@ -238,8 +252,10 @@ func TestPersistVerifyDetectsTamper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cr := range records {
-		cr.nomD[0].PJ++
+	for _, list := range records {
+		for _, cr := range list {
+			cr.nomD[0].PJ++
+		}
 	}
 	store.Save("cycles", key, ffEncodeBundle(records))
 

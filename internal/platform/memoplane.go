@@ -23,8 +23,9 @@ import (
 // it, every other device fast-forwards through it.
 //
 // Why cross-device sharing is sound: a record is only ever used when the
-// live boundary fingerprint recurs, and the fingerprint is recomputed
-// from live platform state at every cycle boundary (ffcycle.go). A record
+// live boundary fingerprint recurs and the live crystal phases lie in its
+// windows, both recomputed from live platform state at every cycle
+// boundary (ffcycle.go). A record
 // published by device A and adopted by device B therefore replays on B
 // only at boundaries where B's observable state is bit-identical to the
 // state A recorded from — any divergence (different drift, different
@@ -36,9 +37,10 @@ import (
 // state-based, never DRAM-content-based.
 //
 // Determinism: bundle publication is commutative — records are immutable
-// once published, first publisher of a key wins, and two publishers of
-// the same key hold byte-identical records (same fingerprint, same cycle
-// parameters, deterministic simulation) — so the plane's record content
+// once published, first publisher of a key and window wins, and two
+// publishers of the same key and window hold byte-identical records (same
+// fingerprint, same cycle parameters, same integer clock answers,
+// deterministic simulation) — so the plane's record content
 // is independent of attach/publish interleaving as long as no class is
 // evicted mid-job. Per-device replay statistics are NOT interleaving
 // independent against a live plane (whether a device records or replays a
@@ -106,7 +108,7 @@ func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 	if b, ok := pl.classes.Get(classKey); ok {
 		return b
 	}
-	b := &ffBundle{key: classKey, records: make(map[ffKey]*cycleRecord)}
+	b := &ffBundle{key: classKey, records: make(ffRecords)}
 	switch payload, ok, err := pl.store.Load("cycles", []byte(classKey)); {
 	case err != nil:
 		// Typed corruption is a fail-safe miss by the store's contract:
@@ -137,19 +139,9 @@ func (pl *MemoPlane) Attach(p *Platform) {
 	b := pl.acquire(MemoClassKey(p.cfg))
 	ff := &p.ff
 	ff.plane, ff.persist, ff.attached = pl, b, true
-
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.records) == 0 {
-		return
-	}
-	if ff.records == nil {
-		ff.records = make(map[ffKey]*cycleRecord, len(b.records))
-	}
-	for k, cr := range b.records {
-		ff.records[k] = cr
-	}
-	pl.adopted.Add(uint64(len(b.records)))
+	pl.adopted.Add(uint64(ff.adopt(b.records)))
 }
 
 // WarmClass runs compute — a full device simulation expected to
@@ -232,15 +224,15 @@ func (pl *MemoPlane) claimClass(ctx context.Context, b *ffBundle) (*memostore.Cl
 }
 
 // adopt merges disk-origin records into the bundle. First publisher of
-// a key wins, as everywhere in the memo plane — two holders of one key
-// carry byte-identical records by determinism. Adopted records are not
-// dirty: the flushing process already persisted them.
-func (b *ffBundle) adopt(recs map[ffKey]*cycleRecord) {
+// a key and window wins, as everywhere in the memo plane — two holders
+// of one carry byte-identical records by determinism. Adopted records are
+// not dirty: the flushing process already persisted them.
+func (b *ffBundle) adopt(recs ffRecords) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for k, cr := range recs {
-		if _, ok := b.records[k]; !ok {
-			b.records[k] = cr
+	for k, list := range recs {
+		for _, cr := range list {
+			b.records.add(k, cr)
 		}
 	}
 }
@@ -303,7 +295,7 @@ func (pl *MemoPlane) Stats() MemoPlaneStats {
 	for _, key := range pl.classes.Keys() {
 		if b, ok := pl.classes.Peek(key); ok {
 			b.mu.Lock()
-			st.Records += len(b.records)
+			st.Records += b.records.count()
 			b.mu.Unlock()
 		}
 	}
@@ -326,14 +318,14 @@ func (pl *MemoPlane) StoreStats() memostore.Stats {
 // The record pointers are shared with the plane (records are immutable
 // once published); only the index maps are copied.
 type MemoSnapshot struct {
-	classes map[string]map[ffKey]*cycleRecord
+	classes map[string]ffRecords
 }
 
 // Snapshot freezes the plane's current record content. Classes are
 // walked in sorted key order so the copy itself is deterministic for a
 // deterministic plane.
 func (pl *MemoPlane) Snapshot() *MemoSnapshot {
-	snap := &MemoSnapshot{classes: make(map[string]map[ffKey]*cycleRecord)}
+	snap := &MemoSnapshot{classes: make(map[string]ffRecords)}
 	if pl == nil {
 		return snap
 	}
@@ -346,11 +338,7 @@ func (pl *MemoPlane) Snapshot() *MemoSnapshot {
 		}
 		b.mu.Lock()
 		if len(b.records) > 0 {
-			recs := make(map[ffKey]*cycleRecord, len(b.records))
-			for k, cr := range b.records {
-				recs[k] = cr
-			}
-			snap.classes[key] = recs
+			snap.classes[key] = b.records.clone()
 		}
 		b.mu.Unlock()
 	}
@@ -367,14 +355,5 @@ func (s *MemoSnapshot) Attach(p *Platform) {
 	}
 	ff := &p.ff
 	ff.plane, ff.persist, ff.attached = nil, nil, true
-	recs := s.classes[MemoClassKey(p.cfg)]
-	if len(recs) == 0 {
-		return
-	}
-	if ff.records == nil {
-		ff.records = make(map[ffKey]*cycleRecord, len(recs))
-	}
-	for k, cr := range recs {
-		ff.records[k] = cr
-	}
+	ff.adopt(s.classes[MemoClassKey(p.cfg)])
 }

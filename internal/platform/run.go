@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"odrips/internal/chipset"
+	"odrips/internal/clock"
 	"odrips/internal/pmu"
 	"odrips/internal/power"
 	"odrips/internal/sim"
@@ -80,8 +81,9 @@ func (p *Platform) RunCycles(cycles []workload.Cycle) (Result, error) {
 			p.meter.SettleAll()
 			eligible := p.ffCycleEligible()
 			var fp [32]byte
+			var ph [2]clock.Phase
 			if eligible {
-				fp = p.ffFingerprint()
+				fp, ph = p.ffBoundary()
 			}
 			p.ffFinalizeRecording(eligible, fp)
 			if p.err != nil {
@@ -97,12 +99,12 @@ func (p *Platform) RunCycles(cycles []workload.Cycle) (Result, error) {
 			c := cycles[idx]
 			p.ffLatchCycle()
 			if eligible {
-				if n := p.ffTryReplay(fp, cycles, idx); n > 0 {
+				if n := p.ffTryReplay(fp, ph, cycles, idx); n > 0 {
 					idx += n
 					p.cycleIdx = idx - 1
 					continue
 				}
-				p.ffBeginRecording(ffKey{fp: fp, active: c.Active, idle: c.Idle, wake: c.Wake})
+				p.ffBeginRecording(ffKey{fp: fp, active: c.Active, idle: c.Idle, wake: c.Wake}, ph)
 			}
 			p.cycleIdx = idx
 			idx++

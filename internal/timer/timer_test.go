@@ -450,7 +450,7 @@ func TestSwitchExitWaitsForCrystalStartup(t *testing.T) {
 	if err := u.ExitFast(func(_ uint64, at sim.Time) { exitAt = at }); err != nil {
 		t.Fatal(err)
 	}
-	stableAt := fo.StableAt()
+	stableAt := s.Now().Add(fo.EpochOffset(s.Now()))
 	s.Run()
 	if exitAt == 0 {
 		t.Fatal("exit never completed")
