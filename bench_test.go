@@ -430,8 +430,8 @@ func BenchmarkConnectedStandbySixHoursWarm(b *testing.B) {
 
 // fleet10kSpec is the acceptance-scenario fleet: 10,000 devices over a
 // six-hour horizon whose spread (seeds, battery capacities) is
-// homogeneous in simulation physics, so the engine collapses it to a
-// couple of simulated runs plus result patching.
+// homogeneous in simulation physics, so the engine collapses it to one
+// simulated run plus result patching.
 func fleet10kSpec() FleetSpec {
 	return FleetSpec{
 		Name:    "bench10k",
@@ -445,8 +445,8 @@ func fleet10kSpec() FleetSpec {
 }
 
 // BenchmarkFleet10k measures a cold 10,000-device fleet job end to end:
-// expansion, two simulated runs (plane warm-up and the frozen-snapshot
-// replay), 10,000 per-device battery patches, and aggregation. Compare
+// expansion, one simulated run (the fleet's single run class, attached
+// to the plane), 10,000 per-device battery patches, and aggregation. Compare
 // against 10,000× BenchmarkConnectedStandbySixHours for the sequential
 // cost it replaces.
 func BenchmarkFleet10k(b *testing.B) {

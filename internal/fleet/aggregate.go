@@ -85,7 +85,7 @@ type Aggregates struct {
 type MemoReport struct {
 	MemoClasses   int `json:"memo_classes"`
 	RunClasses    int `json:"run_classes"`
-	SimulatedRuns int `json:"simulated_runs"` // phase-1 + phase-2 platform executions
+	SimulatedRuns int `json:"simulated_runs"` // platform executions, one per run class
 
 	// Cycle provenance across the whole fleet: every device-cycle was
 	// either simulated in full (by a class representative), replayed from
@@ -145,11 +145,10 @@ var residencyEdges = []float64{0, 90, 99, 99.5, 99.9, 100.0000001}
 // at least a millisecond, so no device can clear 1e7/h).
 var wakeRateEdges = []float64{0, 30, 60, 90, 120, 180, 360, 720, 3600, 1e7}
 
-// aggregate folds the class outcomes — runs by run class, warm by memo
-// class — into the report, patching each device's run-class result with
-// its own battery pack. All loops run in device-index order, so every
-// float accumulation is order-deterministic.
-func aggregate(s Spec, t *classTable, runs, warm []runOutcome) (*Report, error) {
+// aggregate folds the run-class outcomes into the report, patching each
+// device's run-class result with its own battery pack. All loops run in
+// device-index order, so every float accumulation is order-deterministic.
+func aggregate(s Spec, t *classTable, runs []runOutcome) (*Report, error) {
 	n := len(t.devices)
 	lifeH := make([]float64, n)
 	powerMW := make([]float64, n)
@@ -167,7 +166,7 @@ func aggregate(s Spec, t *classTable, runs, warm []runOutcome) (*Report, error) 
 	memo := &rep.Memo
 	memo.RunClasses = len(t.runs)
 	memo.MemoClasses = len(t.memos)
-	memo.SimulatedRuns = len(t.runs) + len(t.memos)
+	memo.SimulatedRuns = len(t.runs)
 
 	shards := make([]ShardAgg, s.Shards)
 	for i := range shards {
@@ -215,14 +214,11 @@ func aggregate(s Spec, t *classTable, runs, warm []runOutcome) (*Report, error) 
 		}
 
 		// Cycle provenance: class representatives carry the cycles their
-		// phase actually simulated; every other device's cycles were
+		// run actually simulated; every other device's cycles were
 		// deduplicated.
 		var devSim uint64
 		if rc.rep == i {
-			if t.memos[rc.memo].run == d.run { // also the memo-class representative
-				devSim += uint64(rc.cycles) - warm[rc.memo].ff.CyclesReplayed
-			}
-			devSim += uint64(res.Cycles) - out.ff.CyclesReplayed
+			devSim = uint64(res.Cycles) - out.ff.CyclesReplayed
 			memo.ReplayedCycles += out.ff.CyclesReplayed
 		} else {
 			memo.DedupedCycles += uint64(res.Cycles)

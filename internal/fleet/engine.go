@@ -17,9 +17,9 @@ type runOutcome struct {
 	ff  platform.FFStats
 }
 
-// runDevice builds, attaches, faults, and runs one run class's
-// representative simulation in fast-forward mode ff.
-func runDevice(s Spec, r *runClass, ff platform.FFMode, attach func(*platform.Platform)) (runOutcome, error) {
+// runDevice builds, attaches to plane (nil runs solo), faults, and runs
+// one run class's representative simulation in fast-forward mode ff.
+func runDevice(s Spec, r *runClass, ff platform.FFMode, plane *platform.MemoPlane) (runOutcome, error) {
 	p, err := platform.New(r.cfg)
 	if err != nil {
 		return runOutcome{}, err
@@ -27,9 +27,7 @@ func runDevice(s Spec, r *runClass, ff platform.FFMode, attach func(*platform.Pl
 	if err := p.SetFastForward(ff); err != nil {
 		return runOutcome{}, err
 	}
-	if attach != nil {
-		attach(p)
-	}
+	plane.Attach(p)
 	if r.plan != "" {
 		plan, err := faults.Parse(r.plan)
 		if err != nil {
@@ -46,55 +44,61 @@ func runDevice(s Spec, r *runClass, ff platform.FFMode, attach func(*platform.Pl
 	return runOutcome{res: res, ff: p.FFStats()}, nil
 }
 
-// runReps evaluates n run-class representatives on a pool of workers
-// goroutines in mode ff — the i-th is run class runOf(i) — with results
-// in that order. ctx is checked at every device-run
-// boundary — a canceled job stops claiming new simulations and surfaces
-// ctx's error (wrapped; errors.Is(err, ctx.Err()) holds) after in-flight
-// points drain. onDone, when non-nil, observes each completed run class
-// from its worker goroutine (it must be concurrency-safe; the Progress
-// counters are). warm, when non-nil, routes each run through
-// plane.WarmClass keyed by the run's memo class, so with a writable
-// store a cold class is discovered once across every process sharing it
-// (store claims) — phase 1 passes the live plane here, phase 2 runs
-// uncoordinated against the frozen snapshot.
-func runReps(ctx context.Context, s Spec, t *classTable, ff platform.FFMode, workers, n int, runOf func(int) int, attach func(*platform.Platform), warm *platform.MemoPlane, onDone func(run int)) ([]runOutcome, error) {
-	points := make([]experiments.PointSpec[runOutcome], n)
-	for i := range points {
-		r := runOf(i)
-		rc := &t.runs[r]
-		points[i] = experiments.PointSpec[runOutcome]{
-			LabelFn: func() string { return fmt.Sprintf("device %d", rc.rep) },
-			Run: func() (runOutcome, error) {
-				if err := ctx.Err(); err != nil {
-					return runOutcome{}, fmt.Errorf("fleet: canceled before device %d: %w", rc.rep, err)
+// runChains runs every run class on a pool of workers goroutines in mode
+// ff and returns the outcomes in run-class order. Each memo class's run
+// classes form a chain that runs in run-index order on one worker, every
+// run attached to plane (the package doc says why that is deterministic).
+// The chain's head, t.memos[m].run, goes through plane.WarmClass, so with
+// a writable store a cold class is discovered once across every process
+// sharing it. ctx is checked at every device-run boundary: a canceled job
+// stops claiming new simulations and surfaces ctx's error (wrapped;
+// errors.Is(err, ctx.Err()) holds) after in-flight runs drain. prog
+// observes each finished chain head and run class.
+func runChains(ctx context.Context, s Spec, t *classTable, plane *platform.MemoPlane, ff platform.FFMode, workers int, prog *Progress) ([]runOutcome, error) {
+	chains := make([][]int, len(t.memos))
+	for r := range t.runs {
+		m := t.runs[r].memo
+		chains[m] = append(chains[m], r)
+	}
+	out := make([]runOutcome, len(t.runs)) // chains are disjoint: one writer per slot
+	points := make([]experiments.PointSpec[struct{}], len(chains))
+	for m, chain := range chains {
+		var dev int // the device in flight, for the failure label
+		points[m] = experiments.PointSpec[struct{}]{
+			LabelFn: func() string { return fmt.Sprintf("device %d", dev) },
+			Run: func() (struct{}, error) {
+				for _, r := range chain {
+					rc := &t.runs[r]
+					dev = rc.rep
+					if err := ctx.Err(); err != nil {
+						return struct{}{}, fmt.Errorf("fleet: canceled before device %d: %w", rc.rep, err)
+					}
+					run := func() error {
+						var err error
+						out[r], err = runDevice(s, rc, ff, plane)
+						return err
+					}
+					head := r == t.memos[m].run
+					var err error
+					if head {
+						err = plane.WarmClass(ctx, t.memos[m].key, run)
+					} else {
+						err = run()
+					}
+					if err != nil {
+						return struct{}{}, err
+					}
+					if head {
+						prog.warmRunDone()
+					}
+					prog.runClassDone(r)
 				}
-				var out runOutcome
-				run := func() error {
-					var rerr error
-					out, rerr = runDevice(s, rc, ff, attach)
-					return rerr
-				}
-				var err error
-				if warm != nil {
-					err = warm.WarmClass(ctx, t.memos[rc.memo].key, run)
-				} else {
-					err = run()
-				}
-				if err == nil && onDone != nil {
-					onDone(r)
-				}
-				return out, err
+				return struct{}{}, nil
 			},
 		}
 	}
-	results, err := experiments.RunPoints(points, workers)
-	if err != nil {
+	if _, err := experiments.RunPoints(points, workers); err != nil {
 		return nil, err
-	}
-	out := make([]runOutcome, len(results))
-	for i := range results {
-		out[i] = results[i].Value
 	}
 	return out, nil
 }
@@ -158,32 +162,16 @@ func Exec(ctx context.Context, rt *experiments.Runtime, s Spec, plane *platform.
 	}
 	ff, workers := rt.FF(), rt.Pool(s.Workers)
 
-	// Phase 1: warm the plane with one full run per memo class. Classes
-	// are disjoint, so publication interleaving cannot influence the
-	// plane's content. The phase-1 outcomes are measurement too: they are
-	// the cost the fleet actually paid, reported as warming work.
-	memoRun := func(m int) int { return t.memos[m].run }
-	warm, err := runReps(ctx, s, &t, ff, workers, len(t.memos), memoRun, plane.Attach, plane, func(int) { prog.warmRunDone() })
+	outcomes, err := runChains(ctx, s, &t, plane, ff, workers, prog)
 	if err != nil {
 		return nil, err
 	}
-
-	// Freeze. Phase 2 runs against the immutable snapshot: every run
-	// class outcome — result and replay statistics — is a pure function
-	// of (spec, snapshot), independent of scheduling.
-	snap := plane.Snapshot()
-	self := func(r int) int { return r }
-	outcomes, err := runReps(ctx, s, &t, ff, workers, len(t.runs), self, snap.Attach, nil, prog.runClassDone)
+	rep, err := aggregate(s, &t, outcomes)
 	if err != nil {
 		return nil, err
 	}
-
-	rep, err := aggregate(s, &t, outcomes, warm)
-	if err != nil {
-		return nil, err
-	}
-	// Every phase-1 run flushed its own class when it exited, so the
-	// store counters already include the job's persistence.
+	// Every run flushed its own class when it exited, so the store
+	// counters already include the job's persistence.
 	rep.Memo.Plane = plane.Stats()
 	rep.Memo.Store = plane.StoreStats()
 	return rep, nil

@@ -29,14 +29,15 @@
 //  3. Steady-state fast-forward within each simulated run (DESIGN.md
 //     §12), as for any single-device run.
 //
-// Determinism: execution is two-phase. Phase 1 warms the plane with one
-// representative per memo class (disjoint classes — publication order
-// cannot matter); the plane is then frozen into a MemoSnapshot; phase 2
-// runs one representative per run class against the frozen snapshot, so
-// every phase-2 execution — results AND replay statistics — is a pure
-// function of the spec. Results are assembled in submission-index order
-// (the experiments engine's discipline), making the whole report
-// byte-identical at any -shards/-workers count.
+// Determinism: the run classes of each memo class form a chain that runs
+// in run-index order on one worker, every run attached to the live plane.
+// A platform adopts the plane's records when it attaches and publishes
+// only what it records, and memo classes are disjoint, so each run sees
+// exactly its chain predecessors' records whatever the schedule: every
+// execution — results AND replay statistics — is a pure function of the
+// spec and the plane's content at job start. Results are assembled in
+// run-class order (the experiments engine's discipline), making the whole
+// report byte-identical at any -shards/-workers count.
 package fleet
 
 import (

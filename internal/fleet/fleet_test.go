@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"sync"
@@ -79,7 +80,7 @@ func TestFleetMatchesNaiveSimulation(t *testing.T) {
 		}
 		runs[r] = out
 	}
-	naive, err := aggregate(s, &classes, runs, make([]runOutcome, len(classes.memos)))
+	naive, err := aggregate(s, &classes, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestFleetHomogeneousHitRate(t *testing.T) {
 	if rep.Memo.CrossDeviceHitRatePct < 90 {
 		t.Errorf("cross-device hit rate %.3f%% < 90%%", rep.Memo.CrossDeviceHitRatePct)
 	}
-	if rep.Memo.SimulatedRuns != 2 { // one warm run, one frozen-snapshot run
+	if rep.Memo.SimulatedRuns != 1 {
 		t.Errorf("simulated %d runs for a one-class fleet", rep.Memo.SimulatedRuns)
 	}
 	// Battery spread must show up in the life distribution even though
@@ -382,6 +383,79 @@ func TestFleetSecondProcessRecomputesNothing(t *testing.T) {
 	}
 	if stB.Hits == 0 {
 		t.Fatalf("warm process never read the shared store: %+v", stB)
+	}
+}
+
+// memoFiles reads every .memo entry in a store directory, by name.
+func memoFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) != ".memo" {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// TestFleetStoreFillIsScheduleIndependent: each memo class's run classes
+// run in order on the live plane, so filling a store writes the same
+// .memo bytes and reports the same full report at any worker count, and
+// a rerun over the filled store with a fresh plane simulates nothing.
+// The spec is mixedSpec without its fault plan: the memo stays off until
+// an injection fires, so a faulted device simulates its first cycles on
+// every run.
+func TestFleetStoreFillIsScheduleIndependent(t *testing.T) {
+	spec := mixedSpec()
+	spec.Spread.Faults = nil
+	var refFiles map[string]string
+	var refFull, refAgg, refDir string
+	for _, workers := range []int{1, 3, 8} {
+		s := spec
+		s.Workers = workers
+		dir := t.TempDir()
+		rep, err := Run(s, platform.NewMemoPlane(fleetStore(t, dir), 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, full := memoFiles(t, dir), mustReportJSON(t, rep)
+		if len(files) != rep.Memo.MemoClasses {
+			t.Fatalf("workers=%d: %d .memo files for %d memo classes", workers, len(files), rep.Memo.MemoClasses)
+		}
+		if refFiles == nil {
+			refFiles, refFull, refAgg, refDir = files, full, mustAggJSON(t, rep), dir
+			continue
+		}
+		if !reflect.DeepEqual(files, refFiles) {
+			t.Errorf("workers=%d: filled store differs from workers=1", workers)
+		}
+		if full != refFull {
+			t.Errorf("workers=%d: full report diverged", workers)
+		}
+	}
+
+	ro, err := memostore.Open(refDir, memostore.RO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(spec, platform.NewMemoPlane(ro, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Memo.SimulatedCycles != 0 {
+		t.Errorf("rerun over the filled store simulated %d cycles", rep.Memo.SimulatedCycles)
+	}
+	if mustAggJSON(t, rep) != refAgg {
+		t.Error("rerun aggregates diverged from the fill")
 	}
 }
 

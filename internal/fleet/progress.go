@@ -16,8 +16,10 @@ import (
 // engine's collapse layers make progress observable at all: a device's
 // cycles "resolve" the moment its run-class representative finishes,
 // because every other member of the class is served a copy of that
-// result (DESIGN.md §15). Warm (phase-1) runs advance the warm counters
-// only; device and cycle resolution is attributed in phase 2, per shard.
+// result (DESIGN.md §15). Every run class's completion resolves its
+// devices and cycles, per shard; a chain head (the first run class of a
+// memo class, which warms the plane for the rest) also advances the warm
+// counters.
 type Progress struct {
 	shape atomic.Pointer[progressShape]
 }
@@ -90,7 +92,7 @@ func (p *Progress) start(t *classTable) {
 	p.shape.Store(sh)
 }
 
-// warmRunDone records one completed phase-1 (plane-warming) run.
+// warmRunDone records one completed chain head (plane-warming run).
 func (p *Progress) warmRunDone() {
 	if p == nil {
 		return
@@ -100,8 +102,8 @@ func (p *Progress) warmRunDone() {
 	}
 }
 
-// runClassDone resolves a completed phase-2 run class: every member
-// device's cycles are now accounted for, attributed to its shard.
+// runClassDone resolves a completed run class: every member device's
+// cycles are now accounted for, attributed to its shard.
 func (p *Progress) runClassDone(run int) {
 	if p == nil {
 		return
@@ -139,8 +141,10 @@ type ProgressStats struct {
 	CyclesTotal uint64 `json:"cycles_total"`
 	CyclesDone  uint64 `json:"cycles_done"`
 
-	// WarmRuns are the phase-1 plane-warming simulations (one per memo
-	// class); Runs are the phase-2 run-class simulations.
+	// WarmRuns counts memo classes and WarmRunsDone the finished chain
+	// heads, each the first run class of its memo class, which warms the
+	// plane for the rest of its chain. Runs counts run classes, chain
+	// heads included.
 	WarmRuns     int `json:"warm_runs"`
 	WarmRunsDone int `json:"warm_runs_done"`
 	Runs         int `json:"runs"`

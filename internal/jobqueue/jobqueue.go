@@ -19,9 +19,9 @@
 //     (odrips-loadgen) retry; the queue never sheds an accepted job.
 //
 //   - Determinism of results. Workers only move jobs between states
-//     and call fleet.Exec; the fleet engine's two-phase
-//     discipline makes each job's Aggregates a pure function of its
-//     spec, so the worker count here changes throughput only. The
+//     and call fleet.Exec; the fleet engine's per-memo-class chains
+//     make each job's Aggregates a pure function of its spec, so the
+//     worker count here changes throughput only. The
 //     shared plane can change memo STATISTICS across interleavings —
 //     never results (see fleet.Run's contract).
 //

@@ -120,7 +120,11 @@ func TestDeterministicAggregates(t *testing.T) {
 // builds — off and verify never replay a cycle — while the aggregates
 // stay those of a direct FFOn fleet.Run.
 func TestQueueFastForwardMode(t *testing.T) {
-	direct, err := fleet.Run(smallSpec("ff"), nil)
+	// A 10-minute horizon lets a single run reach steady state and
+	// replay its own records.
+	spec := smallSpec("ff")
+	spec.Horizon = 10 * sim.Minute
+	direct, err := fleet.Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +137,7 @@ func TestQueueFastForwardMode(t *testing.T) {
 	}
 	for _, mode := range []platform.FFMode{platform.FFOff, platform.FFVerify} {
 		q := New(Options{Workers: 1, FF: mode})
-		j, err := q.Submit(smallSpec("ff"))
+		j, err := q.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +346,7 @@ func TestCancelPending(t *testing.T) {
 // TestCancelRunning: canceling mid-run stops the engine at a device
 // boundary; the job lands in canceled with partial progress.
 func TestCancelRunning(t *testing.T) {
-	// Many drift classes → many phase-1 runs → a wide cancel window.
+	// Many drift classes → many memo-class chains → a wide cancel window.
 	s := smallSpec("run")
 	s.Devices = 64
 	s.Workers = 1

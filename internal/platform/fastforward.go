@@ -138,11 +138,10 @@ type ffState struct {
 
 	// Memo plane plumbing (memoplane.go): the plane this platform
 	// publishes into and the shared bundle of its memo class, both nil
-	// for a snapshot attachment. attached marks that a plane or snapshot
-	// was attached, which raises the record cap to ffPersistRecordCap.
-	plane    *MemoPlane
-	persist  *ffBundle
-	attached bool
+	// until a plane attaches it; an attached platform records up to
+	// ffPersistRecordCap.
+	plane   *MemoPlane
+	persist *ffBundle
 
 	stats FFStats
 }

@@ -372,7 +372,7 @@ func (p *Platform) ffBeginRecording(key ffKey, ph [2]clock.Phase) {
 		return // recorded but not replayable; nothing to gain
 	}
 	capN := uint64(ffRecordCap)
-	if ff.attached {
+	if ff.persist != nil {
 		capN = ffPersistRecordCap
 	}
 	if existing == nil && ff.stats.CyclesRecorded >= capN {

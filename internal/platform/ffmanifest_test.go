@@ -178,8 +178,7 @@ var ffExcluded = map[string]string{
 	"platform.ffState.records":     "the memo itself",
 	"platform.ffState.rec":         "in-progress recording bookkeeping",
 	"platform.ffState.plane":       "memo plane plumbing; adopted records replay only when the live fingerprint recurs",
-	"platform.ffState.persist":     "memo plane plumbing; shared bundle handle, output-invariant by the replay contract",
-	"platform.ffState.attached":    "memo capacity knob: bounds what is recorded, never what a record replays",
+	"platform.ffState.persist":     "memo plane plumbing; shared bundle handle, output-invariant by the replay contract; its presence raises the record cap, which bounds what is recorded, never what a record replays",
 	"platform.ffState.fpBuf":       "dead: serialization scratch",
 	"platform.ffState.nomScratch":  "dead: replay scratch",
 	"platform.ffState.battScratch": "dead: replay scratch",

@@ -31,7 +31,7 @@ import (
 // and diffs it against the adopted record.
 
 // ffPersistRecordCap replaces ffRecordCap for a platform attached to a
-// memo plane or snapshot. A workload that draws its idle period per
+// memo plane. A workload that draws its idle period per
 // cycle (workload.ConnectedStandby) makes one record per cycle, because
 // no cycle parameters recur within the run; those records do recur
 // across runs and devices once a plane shares them.

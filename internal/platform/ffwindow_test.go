@@ -95,28 +95,28 @@ func TestCycleWindowMissFailSafe(t *testing.T) {
 				t.Fatal(err)
 			}
 			own := p.FFStats()
-			snap := plane.Snapshot()
+			recs := plane.acquire(MemoClassKey(cfg)).records
 
-			moved := &MemoSnapshot{classes: make(map[string]ffRecords)}
-			for class, recs := range snap.classes {
-				moved.classes[class] = make(ffRecords)
-				for k, list := range recs {
-					out := make([]*cycleRecord, len(list))
-					for i, cr := range list {
-						c := *cr
-						c.win = [2]clock.Window{moveOff(cr.win[0]), moveOff(cr.win[1])}
-						out[i] = &c
-					}
-					moved.classes[class][k] = out
+			moved := make(ffRecords)
+			for k, list := range recs {
+				out := make([]*cycleRecord, len(list))
+				for i, cr := range list {
+					c := *cr
+					c.win = [2]clock.Window{moveOff(cr.win[0]), moveOff(cr.win[1])}
+					out[i] = &c
 				}
+				moved[k] = out
 			}
 
-			run := func(s *MemoSnapshot) (Result, FFStats) {
+			// run attaches a fresh plane whose class holds seed.
+			run := func(seed ffRecords) (Result, FFStats) {
+				fresh := NewMemoPlane(nil, 0)
+				fresh.acquire(MemoClassKey(cfg)).adopt(seed)
 				p, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.Attach(p)
+				fresh.Attach(p)
 				res, err := p.RunCycles(cycles)
 				if err != nil {
 					t.Fatal(err)
@@ -131,7 +131,7 @@ func TestCycleWindowMissFailSafe(t *testing.T) {
 				t.Fatalf("moved windows: %d recorded, %d replayed; a run with no records: %d, %d",
 					st.CyclesRecorded, st.CyclesReplayed, own.CyclesRecorded, own.CyclesReplayed)
 			}
-			got, st = run(snap)
+			got, st = run(recs)
 			if !reflect.DeepEqual(got, want) || st.CyclesRecorded != 0 || st.CyclesReplayed != uint64(len(cycles)) {
 				t.Fatalf("own windows: %d recorded, %d replayed, equal %v", st.CyclesRecorded, st.CyclesReplayed, reflect.DeepEqual(got, want))
 			}

@@ -42,15 +42,17 @@ import (
 // fingerprint, same cycle parameters, same integer clock answers,
 // deterministic simulation) — so the plane's record content
 // is independent of attach/publish interleaving as long as no class is
-// evicted mid-job. Per-device replay statistics are NOT interleaving
-// independent against a live plane (whether a device records or replays a
-// class depends on who got there first); fleets that need byte-identical
-// stats at any worker count run against a frozen MemoSnapshot instead
-// (the fleet engine's two-phase discipline).
+// evicted mid-job. Per-device replay statistics depend on who got there
+// first, but a platform adopts the plane's records only when it attaches
+// and then sees only what it records itself, so a fixed attach order per
+// class (the fleet engine's per-memo-class chains) fixes them too.
 
 // defaultPlaneClasses bounds a plane that was created without an
-// explicit class budget.
-const defaultPlaneClasses = 256
+// explicit class budget. Every plane bound by default (a server's, a
+// runtime's) is store-backed, so evicting a class costs a reload, never
+// a re-simulation; the bound trades those reloads for resident memory
+// (a record is about 2.9 KB in memory).
+const defaultPlaneClasses = 128
 
 // MemoPlane is a bounded, concurrent, shareable cycle-memo plane. All
 // methods are safe for concurrent use; a nil plane is inert.
@@ -138,7 +140,7 @@ func (pl *MemoPlane) Attach(p *Platform) {
 	}
 	b := pl.acquire(MemoClassKey(p.cfg))
 	ff := &p.ff
-	ff.plane, ff.persist, ff.attached = pl, b, true
+	ff.plane, ff.persist = pl, b
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	pl.adopted.Add(uint64(ff.adopt(b.records)))
@@ -310,20 +312,19 @@ func (pl *MemoPlane) StoreStats() memostore.Stats {
 	return pl.store.Stats()
 }
 
-// MemoSnapshot is a frozen copy of a plane's record content. Platforms
-// attached to a snapshot adopt records but never publish, so a run
-// against a snapshot is a pure function of (configuration, workload,
-// snapshot) — the property the fleet engine's phase-2 executions need for
-// replay statistics that are byte-identical at any shard/worker count.
-// The record pointers are shared with the plane (records are immutable
-// once published); only the index maps are copied.
+// MemoSnapshot is a frozen copy of a plane's record content. Nothing
+// attaches to it: it exists only for Snapshot, which the benchmark
+// harness (_perfbench) times. The record pointers are shared with the
+// plane (records are immutable once published); only the index maps are
+// copied.
 type MemoSnapshot struct {
 	classes map[string]ffRecords
 }
 
 // Snapshot freezes the plane's current record content. Classes are
 // walked in sorted key order so the copy itself is deterministic for a
-// deterministic plane.
+// deterministic plane. Nothing in this module calls it; it stays only
+// because the benchmark harness compiles against it.
 func (pl *MemoPlane) Snapshot() *MemoSnapshot {
 	snap := &MemoSnapshot{classes: make(map[string]ffRecords)}
 	if pl == nil {
@@ -343,17 +344,4 @@ func (pl *MemoPlane) Snapshot() *MemoSnapshot {
 		b.mu.Unlock()
 	}
 	return snap
-}
-
-// Attach hooks a platform into the frozen snapshot: records for the
-// platform's memo class are adopted, nothing is published anywhere, and
-// no store is attached — the run can no longer observe or influence any
-// shared mutable state through the memo layer.
-func (s *MemoSnapshot) Attach(p *Platform) {
-	if s == nil {
-		return
-	}
-	ff := &p.ff
-	ff.plane, ff.persist, ff.attached = nil, nil, true
-	ff.adopt(s.classes[MemoClassKey(p.cfg)])
 }
