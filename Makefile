@@ -52,8 +52,8 @@ verify: build vet lint harness-vet race
 # against the shared memo plane, then a cold+warm 1000-device fleet
 # (two drifts, three idle jitters) through the CLI against a persistent
 # store (the warm run must adopt from disk, and both runs' JSON
-# "aggregates" blocks must be byte-identical), and negative
-# -workers/-shards must exit 2 naming the flag. The cold run publishes
+# "aggregates" blocks must be byte-identical), and a negative
+# -workers/-shards or an unknown -format must exit 2 naming the flag. The cold run publishes
 # every run class's records, so the warm run over the store it filled
 # must simulate no cycle at all; steady-state cycles must recur, so the
 # plane may hold at most 64 records per memo class (one record per
@@ -66,7 +66,7 @@ fleet-smoke:
 	ODRIPS_FLEET_LOAD_JOBS=$(FLEET_LOAD_JOBS) $(GO) test -race -count=1 ./internal/fleet ./internal/platform -run 'TestFleet|TestMemoPlane'
 	rm -rf $(FLEETDIR) && mkdir -p $(FLEETDIR)
 	$(GO) build -o $(FLEETDIR)/ ./cmd/odrips-fleet
-	for flag in "-workers -1" "-shards -3"; do \
+	for flag in "-workers -1" "-shards -3" "-format bogus"; do \
 		name=$${flag%% *}; code=0; \
 		$(FLEETDIR)/odrips-fleet -devices 10 $$flag > /dev/null 2> $(FLEETDIR)/neg.txt || code=$$?; \
 		if [ $$code -ne 2 ] || ! grep -q -e "$$name" $(FLEETDIR)/neg.txt; then \
@@ -135,10 +135,11 @@ server-smoke:
 	@rm -rf $(SMOKEDIR)
 	@echo server-smoke OK
 
-# Memo audit smoke tier: fill a store with the two break-even figures,
-# then rerun them read-only under -fastforward verify — every adopted
-# cycle record is re-simulated and diffed, every stored sweep point
-# recomputed and bit-compared — and require byte-identical stdout. The
+# Memo audit smoke tier: fill a store with `-exp all -sweep fast` (the
+# store a bench-cold run fills), then rerun it read-only under
+# -fastforward verify — every adopted cycle record is re-simulated and
+# diffed, every stored sweep and transition point recomputed and
+# bit-compared — and require byte-identical stdout. The
 # fleet leg does the same with a jittered 2,000-device fleet, whose
 # adopted records replay across drifts and idle jitters, and compares
 # the two runs' JSON "aggregates" blocks. One binary serves each store,
@@ -150,8 +151,8 @@ VERIFY_FLEET_SPEC := {"name":"memo-verify-smoke","devices":2000,"horizon":"6h","
 memo-verify-smoke:
 	rm -rf $(VERIFYDIR) && mkdir -p $(VERIFYDIR)
 	$(GO) build -o $(VERIFYDIR)/ ./cmd/odrips-bench ./cmd/odrips-fleet
-	$(VERIFYDIR)/odrips-bench -exp fig6a,fig6d -sweep fast -memocache rw -memocachedir $(VERIFYDIR)/store > $(VERIFYDIR)/fill.txt
-	$(VERIFYDIR)/odrips-bench -exp fig6a,fig6d -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -fastforward verify > $(VERIFYDIR)/audit.txt
+	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache rw -memocachedir $(VERIFYDIR)/store > $(VERIFYDIR)/fill.txt
+	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -fastforward verify > $(VERIFYDIR)/audit.txt
 	cmp $(VERIFYDIR)/fill.txt $(VERIFYDIR)/audit.txt
 	printf '%s\n' '$(VERIFY_FLEET_SPEC)' > $(VERIFYDIR)/fleet.json
 	$(VERIFYDIR)/odrips-fleet -spec $(VERIFYDIR)/fleet.json -memocache rw -memocachedir $(VERIFYDIR)/fleetstore -format json -o $(VERIFYDIR)/fleet-fill.json

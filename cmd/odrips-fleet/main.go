@@ -60,6 +60,21 @@ func main() {
 	if *shards < 0 {
 		fail(fmt.Errorf("-shards %d: must not be negative", *shards))
 	}
+	// Chosen before the job runs, so a bad -format costs no simulation.
+	var render func(*odrips.FleetReport) ([]byte, error)
+	switch *format {
+	case "text":
+		render = func(r *odrips.FleetReport) ([]byte, error) { return []byte(r.Text()), nil }
+	case "json":
+		render = func(r *odrips.FleetReport) ([]byte, error) {
+			b, err := r.JSON()
+			return append(b, '\n'), err
+		}
+	case "markdown":
+		render = func(r *odrips.FleetReport) ([]byte, error) { return []byte(r.Markdown()), nil }
+	default:
+		fail(fmt.Errorf("-format %q: want text, json, or markdown", *format))
+	}
 	ffMode, err := odrips.ParseFFMode(*ffFlag)
 	if err != nil {
 		fail(err)
@@ -97,22 +112,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	var out []byte
-	switch *format {
-	case "text":
-		out = []byte(rep.Text())
-	case "json":
-		b, err := rep.JSON()
-		if err != nil {
-			fail(err)
-		}
-		out = append(b, '\n')
-	case "markdown":
-		out = []byte(rep.Markdown())
-	default:
-		fail(fmt.Errorf("unknown format %q (want text, json, or markdown)", *format))
+	out, err := render(rep)
+	if err != nil {
+		fail(err)
 	}
-
 	if *outPath == "" {
 		os.Stdout.Write(out)
 		return

@@ -132,9 +132,13 @@ type FET struct {
 	switches uint64
 }
 
+// DefaultLeakageFraction is a board FET's off-state leakage relative to
+// the gated load (§5.3: <0.3%).
+const DefaultLeakageFraction = 0.003
+
 // NewFET wires a FET to a ring.
 func NewFET(ring *Ring) *FET {
-	return &FET{ring: ring, LeakageFraction: 0.003}
+	return &FET{ring: ring, LeakageFraction: DefaultLeakageFraction}
 }
 
 // Drive applies the GPIO level: true opens the FET (rail cut / gated).

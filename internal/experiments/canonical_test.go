@@ -27,9 +27,9 @@ func TestCanonicalPointConfigIdentities(t *testing.T) {
 	for name, mutate := range variants {
 		t.Run(name, func(t *testing.T) {
 			cfg := mutate(base)
-			if canonicalPointConfig(cfg) != canonicalPointConfig(base) {
+			if platform.CanonicalConfig(cfg) != platform.CanonicalConfig(base) {
 				t.Fatalf("canonical forms differ: %+v vs %+v",
-					canonicalPointConfig(cfg), canonicalPointConfig(base))
+					platform.CanonicalConfig(cfg), platform.CanonicalConfig(base))
 			}
 			want, err := NewRuntime(nil, platform.FFOn, 0).sweepAverage(base, residency, 1)
 			if err != nil {
@@ -57,7 +57,7 @@ func TestCanonicalPointConfigPreservesRealKnobs(t *testing.T) {
 		"fet-leaky":  func(c platform.Config) platform.Config { c.FETLeakageFraction = 0.05; return c },
 		"techniques": func(c platform.Config) platform.Config { c.Techniques = platform.WakeUpOff; return c },
 	} {
-		if canonicalPointConfig(mutate(base)) == canonicalPointConfig(base) {
+		if platform.CanonicalConfig(mutate(base)) == platform.CanonicalConfig(base) {
 			t.Errorf("%s collapsed into the base fingerprint class", name)
 		}
 	}

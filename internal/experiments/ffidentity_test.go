@@ -7,198 +7,70 @@ package experiments_test
 
 import (
 	"bytes"
-	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"odrips"
 )
 
-// renderAllExperiments regenerates the full `odrips-bench -exp all` output
-// (plus the opt-in fault sweep) on rt. A fresh runtime has cold point
-// caches, so no measurement leaks between runtimes.
+// renderAllExperiments renders every odrips.Experiments() entry except
+// fleet on rt, in registry order: the `odrips-bench -exp all` output plus
+// the opt-in fault sweep. fleet is left out because its memo-statistics
+// table legitimately differs between fast-forward modes; its aggregates
+// have their own identity checks (TestFleetDeterminism, make fleet-smoke).
+// A fresh runtime has cold point caches, so no measurement leaks between
+// runtimes.
 func renderAllExperiments(t *testing.T, rt *odrips.Runtime) []byte {
 	t.Helper()
-	mode := rt.FF()
 	var buf bytes.Buffer
-	sweep := odrips.DefaultSweep()
-
-	run := func(name string, fn func() error) {
-		if err := fn(); err != nil {
-			t.Fatalf("%s at -fastforward=%v: %v", name, mode, err)
+	for _, e := range odrips.Experiments() {
+		if e.Name == "fleet" {
+			continue
+		}
+		if err := e.Render(rt, odrips.DefaultSweep(), &buf); err != nil {
+			t.Fatalf("%s at -fastforward=%v: %v", e.Name, rt.FF(), err)
 		}
 	}
-	run("table1", func() error { odrips.Table1().Render(&buf); return nil })
-	run("fig1b", func() error {
-		r, err := rt.Fig1b()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("fig2", func() error {
-		r, err := rt.Fig2()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("fig3b", func() error {
-		r, err := rt.Fig3b()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("calibration", func() error {
-		r, err := rt.Calibration()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("fig6a", func() error {
-		r, err := rt.Fig6a(sweep)
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		r.Chart().Render(&buf)
-		return nil
-	})
-	run("fig6b", func() error {
-		r, err := rt.Fig6b()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("fig6c", func() error {
-		r, err := rt.Fig6c()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("fig6d", func() error {
-		r, err := rt.Fig6d(sweep)
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("ctxlatency", func() error {
-		r, err := rt.CtxLatency()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("validation", func() error {
-		r, err := rt.ModelValidation()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("ablations", func() error {
-		mc, err := rt.AblationMEECache()
-		if err != nil {
-			return err
-		}
-		mc.Table().Render(&buf)
-		ta, err := rt.AblationTimerAlternatives()
-		if err != nil {
-			return err
-		}
-		ta.Table().Render(&buf)
-		gg, err := rt.AblationIOGate()
-		if err != nil {
-			return err
-		}
-		gg.Table().Render(&buf)
-		rs, err := rt.AblationReinitSensitivity()
-		if err != nil {
-			return err
-		}
-		rs.Table().Render(&buf)
-		return nil
-	})
-	run("coalescing", func() error {
-		r, err := rt.WakeCoalescing()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("scaling", func() error {
-		r, err := rt.ProcessScaling()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("standby", func() error {
-		r, err := rt.Standby()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("anatomy", func() error {
-		for _, tech := range []odrips.Technique{0, odrips.ODRIPS} {
-			r, err := rt.TransitionAnatomy(tech)
-			if err != nil {
-				return err
-			}
-			r.Table(fmt.Sprintf("tech=%d", tech)).Render(&buf)
-		}
-		return nil
-	})
-	run("aging", func() error {
-		r, err := odrips.CalibrationAging()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("tdp", func() error {
-		r, err := rt.TDPSensitivity()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("wakelatency", func() error {
-		r, err := rt.WakeLatency()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
-	run("faultsweep", func() error {
-		r, err := rt.FaultSweep()
-		if err != nil {
-			return err
-		}
-		r.Table().Render(&buf)
-		return nil
-	})
 	return buf.Bytes()
+}
+
+// firstDiffLine returns the 1-based line on which a and b first differ.
+func firstDiffLine(a, b []byte) int {
+	line := 1
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			break
+		}
+		if a[i] == '\n' {
+			line++
+		}
+	}
+	return line
+}
+
+// TestExperimentRegistry pins the registry's shape: odrips-bench reserves
+// "all" and "none" as selectors, names must select exactly one entry, and
+// only the fault sweep and the fleet stay out of "all".
+func TestExperimentRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	var optIn []string
+	for _, e := range odrips.Experiments() {
+		if e.Name == "all" || e.Name == "none" {
+			t.Errorf("experiment named %q shadows the -exp selector", e.Name)
+		}
+		if seen[e.Name] {
+			t.Errorf("experiment %q registered twice", e.Name)
+		}
+		seen[e.Name] = true
+		if e.OptIn {
+			optIn = append(optIn, e.Name)
+		}
+	}
+	sort.Strings(optIn)
+	if got := strings.Join(optIn, ","); got != "faultsweep,fleet" {
+		t.Errorf("opt-in experiments = %s, want faultsweep,fleet", got)
+	}
 }
 
 // TestExpAllByteIdenticalAcrossFastForward is the acceptance criterion:
@@ -216,17 +88,8 @@ func TestExpAllByteIdenticalAcrossFastForward(t *testing.T) {
 	off := render(odrips.FFOff)
 	on := render(odrips.FFOn)
 	if !bytes.Equal(off, on) {
-		line := 1
-		for i := range off {
-			if i >= len(on) || off[i] != on[i] {
-				break
-			}
-			if off[i] == '\n' {
-				line++
-			}
-		}
 		t.Fatalf("-exp all output diverged between -fastforward=off and on (first difference near line %d; %d vs %d bytes)",
-			line, len(off), len(on))
+			firstDiffLine(off, on), len(off), len(on))
 	}
 	verify := render(odrips.FFVerify)
 	if !bytes.Equal(off, verify) {

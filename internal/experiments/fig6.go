@@ -43,41 +43,49 @@ func fig6aConfigs() []platform.Config {
 // measured empirically via the residency sweep (each sweep parallel over
 // its grid; its baseline half is memoized across rows).
 func (rt *Runtime) Fig6a(sweep SweepOptions) (*Fig6aResult, error) {
-	if err := sweep.Validate(); err != nil {
-		return nil, fmt.Errorf("fig6a: %w", err)
+	rows, err := rt.compareConfigs("fig6a", fig6aConfigs(), sweep)
+	if err != nil {
+		return nil, err
 	}
-	configs := fig6aConfigs()
+	return &Fig6aResult{Rows: rows}, nil
+}
+
+// compareConfigs measures configs in parallel and reports each against
+// the first: its reduction, its analytic break-even and, when
+// sweep.Enabled, its empirical sweep break-even.
+func (rt *Runtime) compareConfigs(fig string, configs []platform.Config, sweep SweepOptions) ([]ConfigResult, error) {
+	if err := sweep.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: %w", fig, err)
+	}
 	results, err := runIndexed(len(configs), rt.Pool(0),
 		func(i int) string { return configs[i].Name() },
 		func(i int) (platform.Result, error) { return rt.runConfig(configs[i], defaultCycles) })
 	if err != nil {
-		return nil, fmt.Errorf("fig6a: %w", err)
+		return nil, fmt.Errorf("%s: %w", fig, err)
 	}
-	out := &Fig6aResult{}
+	rows := make([]ConfigResult, len(configs))
 	base := results[0]
 	for i, cfg := range configs {
 		res := results[i]
-		row := ConfigResult{Name: cfg.Name(), AvgMW: res.AvgPowerMW, IdleMW: res.IdlePowerMW()}
-		if i > 0 {
-			row.ReductionPct = 100 * (base.AvgPowerMW - res.AvgPowerMW) / base.AvgPowerMW
-			be, err := power.BreakEven(base.CycleEnergy, res.CycleEnergy)
+		rows[i] = ConfigResult{Name: cfg.Name(), AvgMW: res.AvgPowerMW, IdleMW: res.IdlePowerMW()}
+		if i == 0 {
+			continue
+		}
+		rows[i].ReductionPct = 100 * (base.AvgPowerMW - res.AvgPowerMW) / base.AvgPowerMW
+		if rows[i].BreakEven, err = power.BreakEven(base.CycleEnergy, res.CycleEnergy); err != nil {
+			return nil, fmt.Errorf("%s %s break-even: %w", fig, cfg.Name(), err)
+		}
+		if sweep.Enabled {
+			sbe, ok, err := rt.SweepBreakEven(configs[0], cfg, sweep)
 			if err != nil {
-				return nil, fmt.Errorf("fig6a %s break-even: %w", cfg.Name(), err)
+				return nil, err
 			}
-			row.BreakEven = be
-			if sweep.Enabled {
-				sbe, ok, err := rt.SweepBreakEven(configs[0], cfg, sweep)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					row.SweepBE = sbe
-				}
+			if ok {
+				rows[i].SweepBE = sbe
 			}
 		}
-		out.Rows = append(out.Rows, row)
 	}
-	return out, nil
+	return rows, nil
 }
 
 // Table renders Fig. 6(a).
@@ -118,30 +126,37 @@ type Fig6bResult struct {
 // with the three frequency points evaluated in parallel.
 func (rt *Runtime) Fig6b() (*Fig6bResult, error) {
 	freqs := []int{800, 1000, 1500}
-	results, err := runIndexed(len(freqs), rt.Pool(0),
-		func(i int) string { return fmt.Sprintf("%d MHz", freqs[i]) },
+	rows, _, err := rt.odripsVariants("fig6b", len(freqs),
+		func(i int) string { return fmt.Sprintf("ODRIPS @ %.1f GHz", float64(freqs[i])/1000) },
+		func(i int, cfg *platform.Config) { cfg.CoreFreqMHz = freqs[i] })
+	if err != nil {
+		return nil, err
+	}
+	return &Fig6bResult{Rows: rows}, nil
+}
+
+// odripsVariants measures n ODRIPS platforms in parallel, row i with
+// vary(i) applied, and reports each row's power reduction against the
+// first. It returns the raw results too, for per-row columns.
+func (rt *Runtime) odripsVariants(fig string, n int, name func(int) string, vary func(int, *platform.Config)) ([]ConfigResult, []platform.Result, error) {
+	results, err := runIndexed(n, rt.Pool(0), name,
 		func(i int) (platform.Result, error) {
 			cfg := platform.ODRIPSConfig()
-			cfg.CoreFreqMHz = freqs[i]
+			vary(i, &cfg)
 			return rt.runConfig(cfg, defaultCycles)
 		})
 	if err != nil {
-		return nil, fmt.Errorf("fig6b: %w", err)
+		return nil, nil, fmt.Errorf("%s: %w", fig, err)
 	}
-	out := &Fig6bResult{}
+	rows := make([]ConfigResult, n)
 	base := results[0].AvgPowerMW
-	for i, mhz := range freqs {
-		row := ConfigResult{
-			Name:   fmt.Sprintf("ODRIPS @ %.1f GHz", float64(mhz)/1000),
-			AvgMW:  results[i].AvgPowerMW,
-			IdleMW: results[i].IdlePowerMW(),
-		}
+	for i, res := range results {
+		rows[i] = ConfigResult{Name: name(i), AvgMW: res.AvgPowerMW, IdleMW: res.IdlePowerMW()}
 		if i > 0 {
-			row.ReductionPct = 100 * (base - results[i].AvgPowerMW) / base
+			rows[i].ReductionPct = 100 * (base - res.AvgPowerMW) / base
 		}
-		out.Rows = append(out.Rows, row)
 	}
-	return out, nil
+	return rows, results, nil
 }
 
 // Table renders Fig. 6(b).
@@ -170,29 +185,15 @@ type Fig6cResult struct {
 // evaluated in parallel.
 func (rt *Runtime) Fig6c() (*Fig6cResult, error) {
 	rates := []int{1600, 1067, 800}
-	results, err := runIndexed(len(rates), rt.Pool(0),
-		func(i int) string { return fmt.Sprintf("%d MT/s", rates[i]) },
-		func(i int) (platform.Result, error) {
-			cfg := platform.ODRIPSConfig()
-			cfg.DRAMMTps = rates[i]
-			return rt.runConfig(cfg, defaultCycles)
-		})
+	rows, results, err := rt.odripsVariants("fig6c", len(rates),
+		func(i int) string { return fmt.Sprintf("ODRIPS, DDR3L-%d", rates[i]) },
+		func(i int, cfg *platform.Config) { cfg.DRAMMTps = rates[i] })
 	if err != nil {
-		return nil, fmt.Errorf("fig6c: %w", err)
+		return nil, err
 	}
-	out := &Fig6cResult{}
-	base := results[0].AvgPowerMW
-	for i, mtps := range rates {
-		row := ConfigResult{
-			Name:   fmt.Sprintf("ODRIPS, DDR3L-%d", mtps),
-			AvgMW:  results[i].AvgPowerMW,
-			IdleMW: results[i].IdlePowerMW(),
-		}
-		if i > 0 {
-			row.ReductionPct = 100 * (base - results[i].AvgPowerMW) / base
-		}
-		out.Rows = append(out.Rows, row)
-		out.CtxSave = append(out.CtxSave, results[i].CtxSave)
+	out := &Fig6cResult{Rows: rows}
+	for _, res := range results {
+		out.CtxSave = append(out.CtxSave, res.CtxSave)
 	}
 	return out, nil
 }
@@ -227,41 +228,11 @@ func (rt *Runtime) Fig6d(sweep SweepOptions) (*Fig6dResult, error) {
 	pcm := platform.ODRIPSConfig()
 	pcm.MainMemory = dram.PCM
 
-	configs := []platform.Config{base, platform.ODRIPSConfig(), mram, pcm}
-	if err := sweep.Validate(); err != nil {
-		return nil, fmt.Errorf("fig6d: %w", err)
-	}
-	results, err := runIndexed(len(configs), rt.Pool(0),
-		func(i int) string { return configs[i].Name() },
-		func(i int) (platform.Result, error) { return rt.runConfig(configs[i], defaultCycles) })
+	rows, err := rt.compareConfigs("fig6d", []platform.Config{base, platform.ODRIPSConfig(), mram, pcm}, sweep)
 	if err != nil {
-		return nil, fmt.Errorf("fig6d: %w", err)
+		return nil, err
 	}
-	out := &Fig6dResult{}
-	baseRes := results[0]
-	for i, cfg := range configs {
-		res := results[i]
-		row := ConfigResult{Name: cfg.Name(), AvgMW: res.AvgPowerMW, IdleMW: res.IdlePowerMW()}
-		if i > 0 {
-			row.ReductionPct = 100 * (baseRes.AvgPowerMW - res.AvgPowerMW) / baseRes.AvgPowerMW
-			be, err := power.BreakEven(baseRes.CycleEnergy, res.CycleEnergy)
-			if err != nil {
-				return nil, fmt.Errorf("fig6d %s break-even: %w", cfg.Name(), err)
-			}
-			row.BreakEven = be
-			if sweep.Enabled {
-				sbe, ok, err := rt.SweepBreakEven(configs[0], cfg, sweep)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					row.SweepBE = sbe
-				}
-			}
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+	return &Fig6dResult{Rows: rows}, nil
 }
 
 // Table renders Fig. 6(d).

@@ -44,17 +44,8 @@ func TestExpAllByteIdenticalAcrossMemoCache(t *testing.T) {
 	compare := func(name string, got []byte) {
 		t.Helper()
 		if !bytes.Equal(base, got) {
-			line := 1
-			for i := range base {
-				if i >= len(got) || base[i] != got[i] {
-					break
-				}
-				if base[i] == '\n' {
-					line++
-				}
-			}
 			t.Fatalf("-exp all output diverged at -memocache=%s (first difference near line %d; %d vs %d bytes)",
-				name, line, len(base), len(got))
+				name, firstDiffLine(base, got), len(base), len(got))
 		}
 	}
 

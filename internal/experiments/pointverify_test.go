@@ -90,7 +90,7 @@ func TestPointMemoVerifyDetectsTamper(t *testing.T) {
 	}
 	planted := 0
 	for _, r := range workload.SweepResidencies(o.Lo, o.Hi, o.Step) {
-		key := pointDiskKey(canonicalPointConfig(base), r, o.CyclesPerPoint)
+		key := pointDiskKey(platform.CanonicalConfig(base), r, o.CyclesPerPoint)
 		payload, ok, err := rw.Load("sweep", key)
 		if err != nil || !ok {
 			continue

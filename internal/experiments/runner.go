@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 
-	"odrips/internal/aonio"
 	"odrips/internal/platform"
 	"odrips/internal/power"
 	"odrips/internal/sim"
@@ -110,51 +109,6 @@ type sweepPointKey struct {
 	cycles    int
 }
 
-// The canonicalization defaults are config-independent: the generation
-// budgets are pure literals and the FET leakage default is a constructor
-// constant. Building them once removes a Skylake()+Haswell()+NewFET
-// allocation triple from every sweep point.
-var (
-	canonSkylakeDirty = platform.Skylake().LLCDirtyFraction
-	canonHaswellDirty = platform.Haswell().LLCDirtyFraction
-	canonFETLeakage   = aonio.NewFET(nil).LeakageFraction
-)
-
-// canonicalPointConfig maps a configuration to its sweep fingerprint
-// class: knobs that provably cannot change a measured duration or energy
-// are normalized to their zero form, so sweep halves sharing a steady
-// state dedupe across experiments (the TDP study's 15 W row, a reinit
-// ablation's 1.0 scale, and an explicit generation default all hit the
-// same cache entries as the plain configuration). Every rule below is a
-// platform.New identity, not an approximation:
-func canonicalPointConfig(cfg platform.Config) platform.Config {
-	// The seed only varies the context bytes; every measured quantity —
-	// traffic, latency, energy — is size-based, never content-based (the
-	// same argument the fast-forward manifest makes for DRAM content).
-	cfg.Seed = 0
-	// New ignores TDPWatts 0 and 15 alike (15 W is the calibration point).
-	if cfg.TDPWatts == 15 {
-		cfg.TDPWatts = 0
-	}
-	// A scale of exactly 1 multiplies the reinit latencies by 1.0 — a
-	// float no-op.
-	if cfg.ExitReinitScale == 1 {
-		cfg.ExitReinitScale = 0
-	}
-	// Restating a generation's budget default changes nothing.
-	dirty := canonSkylakeDirty
-	if cfg.Generation == platform.GenHaswell {
-		dirty = canonHaswellDirty
-	}
-	if cfg.LLCDirtyFraction == dirty {
-		cfg.LLCDirtyFraction = 0
-	}
-	if cfg.FETLeakageFraction == canonFETLeakage {
-		cfg.FETLeakageFraction = 0
-	}
-	return cfg
-}
-
 // ---- Persistent point memos ----
 //
 // Beyond the in-process maps, points round-trip through the
@@ -220,7 +174,7 @@ func (rt *Runtime) pointMemo(class string, diskKey []byte, simulate func() (uint
 // comparison while its 3 W level drowns the microjoule-scale signal at
 // sub-millisecond residencies.
 func (rt *Runtime) sweepAverage(cfg platform.Config, residency sim.Duration, cycles int) (float64, error) {
-	key := sweepPointKey{cfg: canonicalPointConfig(cfg), residency: residency, cycles: cycles}
+	key := sweepPointKey{cfg: platform.CanonicalConfig(cfg), residency: residency, cycles: cycles}
 	if v, ok := rt.sweep.Get(key); ok {
 		return v, nil
 	}
@@ -256,7 +210,7 @@ func (rt *Runtime) sweepAverage(cfg platform.Config, residency sim.Duration, cyc
 // transitionTime measures a configuration's entry+exit duration once, so
 // the sweep can hold the wake period fixed across configurations.
 func (rt *Runtime) transitionTime(cfg platform.Config) (sim.Duration, error) {
-	key := canonicalPointConfig(cfg)
+	key := platform.CanonicalConfig(cfg)
 	if v, ok := rt.trans.Get(key); ok {
 		return v, nil
 	}

@@ -229,7 +229,8 @@ type runClass struct {
 	memo   int // memo-class index
 }
 
-// memoClass is the unit of cycle-record sharing: a seed-zeroed config.
+// memoClass is the unit of cycle-record sharing: a canonical config
+// (platform.CanonicalConfig).
 type memoClass struct {
 	key string // platform.MemoClassKey: the plane and store key
 	run int    // the representative's run class
@@ -245,12 +246,11 @@ type classTable struct {
 }
 
 // expand classifies a defaulted, validated spec in one pass, keyed by
-// values: a memo class is the config with its seed zeroed, a run class
+// values: a memo class is the canonical config, a run class
 // its memo class plus cycle shape and fault plan. Shard assignment is
 // the balanced contiguous split index*Shards/Devices.
 func expand(s Spec) classTable {
 	base, _ := baseConfig(s.Preset) // Validate rejected unknown presets
-	base.Seed = 0
 	plans := make(map[int]string, len(s.Spread.Faults))
 	for _, df := range s.Spread.Faults {
 		plans[df.Device] = df.Plan
@@ -269,10 +269,11 @@ func expand(s Spec) classTable {
 		if n := len(s.Spread.DriftPPB); n > 0 {
 			cfg.XtalSlowPPB += s.Spread.DriftPPB[i%n]
 		}
-		m, ok := memoOf[cfg]
+		canon := platform.CanonicalConfig(cfg)
+		m, ok := memoOf[canon]
 		if !ok {
 			m = len(t.memos)
-			memoOf[cfg] = m
+			memoOf[canon] = m
 			t.memos = append(t.memos, memoClass{key: platform.MemoClassKey(cfg), run: len(t.runs)})
 		}
 		k := runKey{memo: m, idle: s.WakePeriod, plan: plans[i]}

@@ -108,6 +108,10 @@ type Budget struct {
 	ProcessLeakageScale float64
 }
 
+// llcDirtyFraction is the fraction of the LLC flushed at entry, shared by
+// both generations' budgets (Haswell inherits it from Skylake).
+const llcDirtyFraction = 0.10
+
 // Skylake returns the calibrated budget.
 func Skylake() Budget {
 	return Budget{
@@ -168,7 +172,7 @@ func Skylake() Budget {
 		RecalWindow:   500 * sim.Microsecond,
 
 		LLCBytes:         3 << 20,
-		LLCDirtyFraction: 0.10,
+		LLCDirtyFraction: llcDirtyFraction,
 
 		SASRAMBytes:      120 << 10,
 		ComputeSRAMBytes: 81 << 10,

@@ -17,7 +17,7 @@ import (
 // every platform it builds to — the cache single runs share, a single
 // run being a fleet of one. A MemoPlane owns one
 // bounded cache of cycle-record bundles, keyed by memo class — the
-// seed-zeroed canonical configuration — so every device of a fleet that
+// canonical configuration (CanonicalConfig) — so every device of a fleet that
 // shares a configuration class publishes into and adopts from the same
 // record set: the first device to discover a steady-state cycle pays for
 // it, every other device fast-forwards through it.
@@ -31,10 +31,12 @@ import (
 // state A recorded from — any divergence (different drift, different
 // context bytes reflected in the eMRAM hash, a fault's aftermath) changes
 // the fingerprint and degrades to a full simulation, never to corruption.
-// Zeroing the seed in the class key is the same identity the experiment
-// runner's canonicalPointConfig proves empirically: the seed varies
-// context bytes, and every fingerprinted quantity is size- or
-// state-based, never DRAM-content-based.
+// Keying classes by CanonicalConfig is sound because its rules are
+// identities of New (the experiments' canonical tests prove them
+// empirically): two configurations of one class build the same platform
+// up to the seed, which varies only context bytes, and every
+// fingerprinted quantity is size- or state-based, never
+// DRAM-content-based.
 //
 // Determinism: bundle publication is commutative — records are immutable
 // once published, first publisher of a key and window wins, and two
@@ -90,13 +92,11 @@ func NewMemoPlane(store *memostore.Store, maxClasses int) *MemoPlane {
 	}
 }
 
-// MemoClassKey maps a configuration to its memo class: the seed-zeroed
-// canonical key under which the plane shares cycle records. See the
-// soundness argument at the top of this file for why seed zeroing is an
-// identity here.
+// MemoClassKey maps a configuration to its memo class: the key of its
+// CanonicalConfig, under which the plane shares cycle records. See the
+// soundness argument at the top of this file for why that is sound.
 func MemoClassKey(cfg Config) string {
-	cfg.Seed = 0
-	return fmt.Sprintf("%#v", cfg)
+	return fmt.Sprintf("%#v", CanonicalConfig(cfg))
 }
 
 // acquire returns the plane's bundle for classKey, creating (and, with a

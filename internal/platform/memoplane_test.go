@@ -50,8 +50,9 @@ func TestMemoPlaneCrossDeviceSharing(t *testing.T) {
 	cfgA := ODRIPSConfig()
 	cfgB := cfgA
 	cfgB.Seed = 99
+	cfgB.TDPWatts = 15 // New's calibration point, restated
 	if MemoClassKey(cfgA) != MemoClassKey(cfgB) {
-		t.Fatal("seeds split the memo class")
+		t.Fatal("seed or restated TDP split the memo class")
 	}
 
 	soloA, _ := planeRun(t, cfgA, nil)

@@ -159,6 +159,38 @@ type flowStats struct {
 	ctxVerified            uint64
 }
 
+// CanonicalConfig maps cfg to the representative of its New class: knobs
+// that provably cannot change a measured duration or energy are
+// normalized to their zero form, so every cache keyed by a configuration
+// (the memo plane's classes, the experiments' point memos) shares entries
+// across configurations that differ only in how they state a default —
+// the TDP study's 15 W row, a reinit ablation's 1.0 scale and an explicit
+// budget default all land on the plain configuration. Every rule is an
+// identity of New, not an approximation:
+func CanonicalConfig(cfg Config) Config {
+	// The seed only varies the context bytes; every measured quantity —
+	// traffic, latency, energy — is size-based, never content-based (the
+	// same argument the fast-forward manifest makes for DRAM content).
+	cfg.Seed = 0
+	// New ignores TDPWatts 0 and 15 alike (15 W is the calibration point).
+	if cfg.TDPWatts == 15 {
+		cfg.TDPWatts = 0
+	}
+	// A scale of exactly 1 multiplies the reinit latencies by 1.0 — a
+	// float no-op.
+	if cfg.ExitReinitScale == 1 {
+		cfg.ExitReinitScale = 0
+	}
+	// Restating a budget or FET default changes nothing.
+	if cfg.LLCDirtyFraction == llcDirtyFraction {
+		cfg.LLCDirtyFraction = 0
+	}
+	if cfg.FETLeakageFraction == aonio.DefaultLeakageFraction {
+		cfg.FETLeakageFraction = 0
+	}
+	return cfg
+}
+
 // New assembles and boots a platform.
 func New(cfg Config) (*Platform, error) {
 	if err := cfg.Validate(); err != nil {
