@@ -144,8 +144,10 @@ server-smoke:
 # adopted records replay across drifts and idle jitters, and compares
 # the two runs' JSON "aggregates" blocks. One binary serves each store,
 # so the store's build fingerprint matches. The retired -memocache
-# verify mode must exit 2 naming its replacement. Run by CI on every
-# push.
+# verify mode must exit 2 naming its replacement. Last, the
+# tamper-detection example must catch all three of its attacks: they
+# reach DRAM through Platform.Mem(), the escape that materializes the
+# bytes MEE op replay leaves virtual. Run by CI on every push.
 VERIFYDIR := $(CURDIR)/.odrips-memo-verify-smoke
 VERIFY_FLEET_SPEC := {"name":"memo-verify-smoke","devices":2000,"horizon":"6h","shards":4,"spread":{"drift_ppb":[0,40],"jitter_steps":["0s","250ms","500ms"]}}
 memo-verify-smoke:
@@ -163,6 +165,11 @@ memo-verify-smoke:
 	code=0; $(VERIFYDIR)/odrips-bench -exp none -memocache verify -memocachedir $(VERIFYDIR)/store > /dev/null 2> $(VERIFYDIR)/retired.txt || code=$$?; \
 	if [ $$code -ne 2 ] || ! grep -q -e '-fastforward verify' $(VERIFYDIR)/retired.txt; then \
 		echo "memo-verify-smoke: -memocache verify exited $$code, want 2 naming -fastforward verify:"; cat $(VERIFYDIR)/retired.txt; exit 1; \
+	fi
+	$(GO) run ./examples/tamper-detection > $(VERIFYDIR)/tamper.txt
+	n=$$(grep -c 'DETECTED' $(VERIFYDIR)/tamper.txt); \
+	if [ "$$n" != 3 ] || grep -q 'protection failed' $(VERIFYDIR)/tamper.txt; then \
+		echo "memo-verify-smoke: tamper-detection caught $$n of 3 attacks:"; cat $(VERIFYDIR)/tamper.txt; exit 1; \
 	fi
 	@rm -rf $(VERIFYDIR)
 	@echo memo-verify-smoke OK

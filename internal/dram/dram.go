@@ -249,6 +249,11 @@ func (m *Module) checkAccess(addr uint64, n int) error {
 	if m.state != Active {
 		return fmt.Errorf("dram: access in state %s", m.state)
 	}
+	return m.checkRange(addr, n)
+}
+
+// checkRange enforces block alignment and capacity on [addr, addr+n).
+func (m *Module) checkRange(addr uint64, n int) error {
 	if addr%BlockSize != 0 || n%BlockSize != 0 {
 		return fmt.Errorf("dram: unaligned access addr=%#x len=%d", addr, n)
 	}
@@ -266,6 +271,13 @@ func (m *Module) Write(addr uint64, data []byte) error {
 	if err := m.checkAccess(addr, len(data)); err != nil {
 		return err
 	}
+	m.store(addr, data)
+	m.writeBlocks += uint64(len(data) / BlockSize)
+	return nil
+}
+
+// store copies block-aligned data into the array at addr.
+func (m *Module) store(addr uint64, data []byte) {
 	for off := 0; off < len(data); off += BlockSize {
 		a := addr + uint64(off)
 		blk, ok := m.blocks[a]
@@ -274,9 +286,7 @@ func (m *Module) Write(addr uint64, data []byte) error {
 			m.blocks[a] = blk
 		}
 		copy(blk, data[off:off+BlockSize])
-		m.writeBlocks++
 	}
-	return nil
 }
 
 // Read returns n bytes (block-aligned) at addr in a freshly allocated
@@ -340,6 +350,22 @@ func (m *Module) CorruptBit(addr uint64, bit uint) error {
 		m.blocks[base] = blk
 	}
 	blk[addr-base] ^= 1 << (bit % 8)
+	return nil
+}
+
+// SetContents stores data (block-aligned) at addr as stored contents, not
+// as a bus write: the backdoor through which a replay engine installs the
+// bytes its skipped writes would have left. Like CorruptBit it is legal in
+// both Active and SelfRefresh and generates no bus traffic; the data is
+// copied, as by Write.
+func (m *Module) SetContents(addr uint64, data []byte) error {
+	if m.state != Active && m.state != SelfRefresh {
+		return fmt.Errorf("dram: set contents in state %s (no contents)", m.state)
+	}
+	if err := m.checkRange(addr, len(data)); err != nil {
+		return err
+	}
+	m.store(addr, data)
 	return nil
 }
 

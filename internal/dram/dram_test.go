@@ -472,3 +472,46 @@ func TestCorruptBit(t *testing.T) {
 		t.Fatal("corrupt beyond capacity accepted")
 	}
 }
+
+func TestSetContents(t *testing.T) {
+	m := New(Skylake8GB())
+	data := make([]byte, 2*BlockSize)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	// Legal in SelfRefresh; counts no traffic; copies the caller's bytes.
+	if err := m.SetState(SelfRefresh); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetContents(0x2000, data); err != nil {
+		t.Fatal(err)
+	}
+	data[0] = 0xFF
+	if r, w := m.Stats(); r != 0 || w != 0 {
+		t.Fatalf("SetContents generated traffic: %d reads, %d writes", r, w)
+	}
+	if err := m.SetState(Active); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Read(0x2000, 2*BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] = 0
+	if !bytes.Equal(got, data) {
+		t.Fatal("SetContents did not store the bytes")
+	}
+	// Alignment and capacity rules as for Write; no contents when off.
+	if err := m.SetContents(0x2001, data[:BlockSize]); err == nil {
+		t.Fatal("unaligned SetContents accepted")
+	}
+	if err := m.SetContents(m.Config().CapacityBytes, data[:BlockSize]); err == nil {
+		t.Fatal("SetContents beyond capacity accepted")
+	}
+	if err := m.SetState(PoweredOff); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetContents(0x2000, data[:BlockSize]); err == nil {
+		t.Fatal("SetContents accepted while powered off")
+	}
+}

@@ -50,7 +50,8 @@ func (rt *Runtime) WakeCoalescing() (*CoalescingResult, error) {
 			if i == len(sizes) {
 				return rt.coalescingGatedPoint()
 			}
-			return rt.coalescingPoint(sizes[i])
+			row, _, err := rt.coalescingPoint(sizes[i])
+			return row, err
 		})
 	if err != nil {
 		return nil, err
@@ -58,10 +59,12 @@ func (rt *Runtime) WakeCoalescing() (*CoalescingResult, error) {
 	return &CoalescingResult{Rows: rows}, nil
 }
 
-func (rt *Runtime) coalescingPoint(bufKiB int) (CoalescingRow, error) {
+// coalescingPoint runs one RX buffer size, reporting its row and what the
+// fast-forward engine did for it.
+func (rt *Runtime) coalescingPoint(bufKiB int) (CoalescingRow, platform.FFStats, error) {
 	p, err := rt.NewPlatform(platform.ODRIPSConfig())
 	if err != nil {
-		return CoalescingRow{}, err
+		return CoalescingRow{}, platform.FFStats{}, err
 	}
 	nic, err := device.NewNIC(p.Scheduler(), p.LTR(), p, device.NICConfig{
 		Name:        "nic",
@@ -71,14 +74,14 @@ func (rt *Runtime) coalescingPoint(bufKiB int) (CoalescingRow, error) {
 		Seed:        11,
 	})
 	if err != nil {
-		return CoalescingRow{}, err
+		return CoalescingRow{}, platform.FFStats{}, err
 	}
 	nic.Start()
 	p.OnQuiesce(nic.Stop)
 	// Forty OS cycles; the NIC usually wakes the platform first.
 	res, err := p.RunCycles(workload.Fixed(40, 0, 30*sim.Second))
 	if err != nil {
-		return CoalescingRow{}, err
+		return CoalescingRow{}, platform.FFStats{}, err
 	}
 	var wakes uint64
 	for _, n := range res.WakeCounts {
@@ -92,7 +95,7 @@ func (rt *Runtime) coalescingPoint(bufKiB int) (CoalescingRow, error) {
 		AvgMW:        res.AvgPowerMW,
 		IdlePct:      100 * res.Residency[power.Idle],
 		Overflows:    overflows,
-	}, nil
+	}, p.FFStats(), nil
 }
 
 func (rt *Runtime) coalescingGatedPoint() (CoalescingRow, error) {

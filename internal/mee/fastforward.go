@@ -88,9 +88,11 @@ func (e *Engine) ReplayAdvanceRoot(delta uint64) { e.rootCounter += delta }
 // child, every metadata MAC is sealed under its parent's canonical
 // counter, and the L0 pad bytes stay zero exactly as format left them.
 // Building that directly costs one save's worth of crypto regardless of
-// how many saves were skipped. The traffic counters are untouched (they
-// were already advanced by ReplayOp) and the metadata cache is emptied —
-// the canonical post-save state.
+// how many saves were skipped. The bytes are installed as stored contents
+// (dram.Module.SetContents), not as bus writes, so materializing is legal
+// while the module sits in self-refresh and moves no DRAM traffic counter;
+// the engine's counters are untouched too (ReplayOp already advanced them)
+// and the metadata cache is emptied — the canonical post-save state.
 func (e *Engine) ReplayMaterialize(image []byte) error {
 	n := e.layout.DataBlocks
 	if e.rootCounter == 0 || e.rootCounter%uint64(n) != 0 {
@@ -115,7 +117,7 @@ func (e *Engine) ReplayMaterialize(image []byte) error {
 			copy(e.padBuf[:], chunk)
 			e.xorKeyStream(e.ctBuf[:], e.padBuf[:], i, k)
 		}
-		if err := e.mem.Write(e.layout.dataAddr(i), e.ctBuf[:]); err != nil {
+		if err := e.mem.SetContents(e.layout.dataAddr(i), e.ctBuf[:]); err != nil {
 			return err
 		}
 		macs[i] = e.macData(e.ctBuf[:], i, k)
@@ -136,7 +138,7 @@ func (e *Engine) ReplayMaterialize(image []byte) error {
 		under[b] = uint64(entries)
 		mac := e.macMeta(payloadOf(0, data[:]), 0, b, k*under[b])
 		setMacOf(0, data[:], mac)
-		if err := e.mem.Write(e.layout.l0Addr(b), data[:]); err != nil {
+		if err := e.mem.SetContents(e.layout.l0Addr(b), data[:]); err != nil {
 			return err
 		}
 	}
@@ -159,7 +161,7 @@ func (e *Engine) ReplayMaterialize(image []byte) error {
 			next[j] = sum
 			mac := e.macMeta(payloadOf(lvl, data[:]), lvl, j, k*sum)
 			setMacOf(lvl, data[:], mac)
-			if err := e.mem.Write(e.layout.nodeAddr(lvl, j), data[:]); err != nil {
+			if err := e.mem.SetContents(e.layout.nodeAddr(lvl, j), data[:]); err != nil {
 				return err
 			}
 		}

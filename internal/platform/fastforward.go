@@ -27,11 +27,16 @@ import (
 //     (energy, residency, latencies, counters, flow-trace steps) over a
 //     bulk scheduler time advance.
 //
-// Both layers are gated per cycle: a cycle may only record or replay when
-// the fault plane has nothing left to inject and the event queue is empty
-// at the boundary (so no external event can observe or mutate skipped
-// state mid-cycle). Every replayed quantity is integer/fixed-point exact,
-// so results are byte-identical to full simulation.
+// Both layers are gated per cycle on a clean fault plane (nothing left to
+// inject). Cycle replay also needs an empty event queue at the boundary,
+// so no external event can observe or mutate skipped state mid-cycle. Op
+// replay only skips work on the engine and the DRAM module, and nothing
+// outside the platform reaches that module except through Mem(); so it
+// needs an empty queue only once Mem() has handed the module out. Mem()
+// drops the current cycle's op replay and materializes any bytes a replay
+// left virtual before returning. Every replayed quantity is
+// integer/fixed-point exact, so results are byte-identical to full
+// simulation.
 
 // FFMode selects the fast-forward engine's behavior.
 type FFMode int32
@@ -112,13 +117,18 @@ type ffState struct {
 	mode FFMode
 
 	// cycleOK is latched at each cycle boundary: the upcoming cycle may
-	// record into or replay from the memo.
-	cycleOK bool
+	// record or replay MEE ops. memExposed marks that Mem() has handed the
+	// DRAM module out, after which op replay needs an empty queue too.
+	cycleOK    bool
+	memExposed bool
 
 	// MEE op memo. meePrimed marks the live engine as being in the
 	// canonical post-import+restore state (the state every recorded save
 	// starts from); meeVirtual marks DRAM bytes and the metadata cache
-	// as stale because ops were replayed over them.
+	// as stale because ops were replayed over them. downEng is the engine
+	// that powered down at idle entry, kept so that bytes left virtual can
+	// be materialized while p.eng is nil.
+	downEng     *mee.Engine
 	meePrimed   bool
 	meeVirtual  bool
 	haveSave    bool
@@ -170,27 +180,36 @@ func (p *Platform) ffFaultsClean() bool {
 }
 
 // ffLatchCycle latches, at a cycle boundary, whether the upcoming cycle
-// may use the memo. The queue must be empty: a pending event (a device
-// model's ticker, an externally scheduled mutation) could observe or
-// modify state mid-cycle, so such cycles always run in full.
+// may record or replay MEE ops. A pending event (a device model's next
+// arrival, an externally scheduled callback) can only reach the bytes a
+// replay leaves virtual through Mem(), so the queue must be empty only
+// once the module has been handed out; Mem() itself drops the latch for
+// the rest of the cycle it is called in.
 func (p *Platform) ffLatchCycle() {
-	p.ff.cycleOK = p.ff.mode != FFOff && p.sched.Pending() == 0 && p.ffFaultsClean()
+	ff := &p.ff
+	ff.cycleOK = ff.mode != FFOff && p.ffFaultsClean() && (!ff.memExposed || p.sched.Pending() == 0)
 }
 
-// ffRealize rebuilds canonical MEE state before a real engine operation:
-// materialize the DRAM bytes the replayed saves would have produced and,
-// when the engine should be in the post-restore state, re-warm the
-// metadata cache by re-executing the skipped sequential read.
+// ffRealize rebuilds canonical MEE state before a real engine operation or
+// a read of the DRAM module: materialize the DRAM bytes the replayed saves
+// would have produced and, when the engine should be in the post-restore
+// state, re-warm the metadata cache by re-executing the skipped sequential
+// read. While the platform is idle the live engine is powered down, so the
+// bytes are materialized through the engine that powered down.
 func (p *Platform) ffRealize() error {
 	ff := &p.ff
-	if !ff.meeVirtual || p.eng == nil {
+	eng := p.eng
+	if eng == nil {
+		eng = ff.downEng
+	}
+	if !ff.meeVirtual || eng == nil {
 		return nil
 	}
-	if err := p.eng.ReplayMaterialize(p.ctxImage); err != nil {
+	if err := eng.ReplayMaterialize(p.ctxImage); err != nil {
 		return err
 	}
 	if ff.meePrimed {
-		if err := p.eng.ReplayWarm(p.restoreBuf, len(p.ctxImage)); err != nil {
+		if err := eng.ReplayWarm(p.restoreBuf, len(p.ctxImage)); err != nil {
 			return err
 		}
 	}

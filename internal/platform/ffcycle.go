@@ -426,8 +426,8 @@ func (p *Platform) ffRecordFlowStep(fs FlowStep) {
 
 // ffFinalizeRecording closes the in-flight recording at a boundary. ok
 // says the boundary is memo-eligible and fp is its fingerprint; an
-// ineligible end (fault fired mid-cycle, queue not empty, error) discards
-// the recording.
+// ineligible end (fault fired mid-cycle, queue not empty, error) or a
+// cycle whose op-replay latch Mem() dropped discards the recording.
 func (p *Platform) ffFinalizeRecording(ok bool, fp [32]byte) {
 	ff := &p.ff
 	rec := ff.rec
@@ -436,7 +436,7 @@ func (p *Platform) ffFinalizeRecording(ok bool, fp [32]byte) {
 	}
 	ff.rec = nil
 	win := [2]clock.Window{p.xtal24.EndWindow(), p.xtal32.EndWindow()}
-	if !ok {
+	if !ok || !ff.cycleOK {
 		return
 	}
 	now := p.sched.Now()

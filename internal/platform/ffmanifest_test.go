@@ -167,6 +167,8 @@ var ffExcluded = map[string]string{
 	// ---- platform.ffState ----
 	"platform.ffState.mode":        "selects memoization, never behavior; byte-identity across modes is the engine's invariant",
 	"platform.ffState.cycleOK":     "latched eligibility, recomputed every boundary",
+	"platform.ffState.memExposed":  "gate: only picks Layer 1's gate (an exposed module adds the queue-empty test, which every Layer-2 boundary passes anyway); op replay vs. real execution match by the Layer-1 contract",
+	"platform.ffState.downEng":     "output-invariant: handle to the powered-down engine, used only to materialize the canonical bytes a replayed save left virtual",
 	"platform.ffState.meePrimed":   "output-invariant: only selects op replay vs. real execution, which match by the Layer-1 contract",
 	"platform.ffState.meeVirtual":  "output-invariant: replay conservatively marks the engine virtual, forcing materialization before any real op",
 	"platform.ffState.haveSave":    "Layer-1 memo bookkeeping, output-invariant",

@@ -305,7 +305,7 @@ func (p *Platform) ctxSaveStep() step {
 			p.sched.After(lat+bud.BootFSMLatency, "flow.save-ctx-dram", func() {
 				// The MEE, with its key and root counter, powers down;
 				// only the Boot SRAM retains state on-chip.
-				p.eng = nil
+				p.ff.downEng, p.eng = p.eng, nil
 				p.saSRAM.SetState(sram.Off)
 				p.computeSRAM.SetState(sram.Off)
 				p.bootSRAM.SetState(sram.Retention)
@@ -570,7 +570,7 @@ func (p *Platform) ctxRestoreSteps() []step {
 				p.fail("platform: memory-controller boot config mismatch")
 				return
 			}
-			p.eng = eng
+			p.eng, p.ff.downEng = eng, nil
 			p.sched.After(p.bootFSM.Latency(), "flow.boot-fsm", next)
 		}}
 		restore := step{name: "restore-ctx-dram", run: func(next func()) {

@@ -512,8 +512,19 @@ func (p *Platform) Meter() *power.Meter { return p.meter }
 // Hub exposes the chipset wake hub.
 func (p *Platform) Hub() *chipset.Hub { return p.hub }
 
-// Mem exposes the memory module.
-func (p *Platform) Mem() *dram.Module { return p.mem }
+// Mem exposes the memory module. It is the only way anything outside the
+// platform reaches DRAM, so it is where the fast-forward engine gives up
+// the bytes it keeps virtual: the call marks the module exposed, drops MEE
+// op replay for the rest of the current cycle, and materializes the
+// context region's canonical bytes before returning (DESIGN.md §12).
+func (p *Platform) Mem() *dram.Module {
+	p.ff.memExposed = true
+	p.ff.cycleOK = false
+	if err := p.ffRealize(); err != nil {
+		p.fail("platform: materialize for Mem: %v", err)
+	}
+	return p.mem
+}
 
 // CtxRegion returns the SGX-protected DRAM region holding the context
 // (zero Range unless CtxSGXDRAM is enabled).

@@ -120,6 +120,12 @@ func (p *Platform) RunCycles(cycles []workload.Cycle) (Result, error) {
 	if idx != len(cycles) {
 		return Result{}, fmt.Errorf("platform: run stalled after %d/%d cycles", idx, len(cycles))
 	}
+	if p.ff.memExposed {
+		// A caller holding the module reads real bytes between runs.
+		if err := p.ffRealize(); err != nil {
+			return Result{}, fmt.Errorf("platform: materialize at run end: %v", err)
+		}
+	}
 	p.ff.plane.flushBundle(p.ff.persist) // persist what this run discovered
 	return p.buildResult(start, len(cycles)), nil
 }
