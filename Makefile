@@ -53,7 +53,8 @@ verify: build vet lint harness-vet race
 # (two drifts, three idle jitters) through the CLI against a persistent
 # store (the warm run must adopt from disk, and both runs' JSON
 # "aggregates" blocks must be byte-identical), and a negative
-# -workers/-shards or an unknown -format must exit 2 naming the flag. The cold run publishes
+# -workers/-shards, an unknown -format or a -memocachedir without
+# -memocache must exit 2 naming the flag. The cold run publishes
 # every run class's records, so the warm run over the store it filled
 # must simulate no cycle at all; steady-state cycles must recur, so the
 # plane may hold at most 64 records per memo class (one record per
@@ -66,7 +67,7 @@ fleet-smoke:
 	ODRIPS_FLEET_LOAD_JOBS=$(FLEET_LOAD_JOBS) $(GO) test -race -count=1 ./internal/fleet ./internal/platform -run 'TestFleet|TestMemoPlane'
 	rm -rf $(FLEETDIR) && mkdir -p $(FLEETDIR)
 	$(GO) build -o $(FLEETDIR)/ ./cmd/odrips-fleet
-	for flag in "-workers -1" "-shards -3" "-format bogus"; do \
+	for flag in "-workers -1" "-shards -3" "-format bogus" "-memocachedir $(FLEETDIR)/nostore"; do \
 		name=$${flag%% *}; code=0; \
 		$(FLEETDIR)/odrips-fleet -devices 10 $$flag > /dev/null 2> $(FLEETDIR)/neg.txt || code=$$?; \
 		if [ $$code -ne 2 ] || ! grep -q -e "$$name" $(FLEETDIR)/neg.txt; then \

@@ -17,6 +17,7 @@ import (
 
 	"odrips/internal/experiments"
 	"odrips/internal/memostore"
+	"odrips/internal/platform"
 	"odrips/internal/sim"
 )
 
@@ -125,7 +126,7 @@ func BenchmarkFig6aSweep(b *testing.B) {
 	var be float64
 	for i := 0; i < b.N; i++ {
 		// A fresh runtime per iteration: cold-cache sweeps, not memo hits.
-		rt := experiments.NewRuntime(memostore.Default(), FFOn, 0)
+		rt := experiments.NewRuntime(platform.NewMemoPlane(memostore.Default(), 0), FFOn, 0)
 		r, err := rt.Fig6a(DefaultSweep())
 		if err != nil {
 			b.Fatal(err)
@@ -146,7 +147,7 @@ func BenchmarkFig6aSweepWarm(b *testing.B) {
 	b.ReportAllocs()
 	store := warmMemoStore(b)
 	run := func() {
-		rt := experiments.NewRuntime(store, FFOn, 0) // warm = disk, not RAM
+		rt := experiments.NewRuntime(platform.NewMemoPlane(store, 0), FFOn, 0) // warm = disk, not RAM
 		if _, err := rt.Fig6a(DefaultSweep()); err != nil {
 			b.Fatal(err)
 		}
@@ -382,11 +383,12 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 
 // BenchmarkConnectedStandbySixHours measures simulator throughput on a
 // long realistic workload: six hours of connected standby (~720 cycles,
-// every context save/restore running real MEE crypto).
+// every context save/restore running real MEE crypto). Each iteration
+// builds a fresh runtime, so no iteration replays another's records.
 func BenchmarkConnectedStandbySixHours(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p, err := NewPlatform(ODRIPSConfig())
+		p, err := experiments.NewRuntime(nil, FFOn, 0).NewPlatform(ODRIPSConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -408,7 +410,7 @@ func BenchmarkConnectedStandbySixHoursWarm(b *testing.B) {
 	b.ReportAllocs()
 	store := warmMemoStore(b)
 	run := func() Result {
-		rt := experiments.NewRuntime(store, FFOn, 0) // warm = disk, not RAM
+		rt := experiments.NewRuntime(platform.NewMemoPlane(store, 0), FFOn, 0) // warm = disk, not RAM
 		p, err := rt.NewPlatform(ODRIPSConfig())
 		if err != nil {
 			b.Fatal(err)
@@ -452,8 +454,8 @@ func fleet10kSpec() FleetSpec {
 func BenchmarkFleet10k(b *testing.B) {
 	b.ReportAllocs()
 	spec := fleet10kSpec()
-	rt := experiments.NewRuntime(nil, FFOn, 0) // no store: fully cold
 	for i := 0; i < b.N; i++ {
+		rt := experiments.NewRuntime(nil, FFOn, 0) // a fresh storeless plane: fully cold
 		rep, err := Fleet(rt, spec)
 		if err != nil {
 			b.Fatal(err)
@@ -464,15 +466,16 @@ func BenchmarkFleet10k(b *testing.B) {
 }
 
 // BenchmarkFleet10kWarm is the same fleet replayed from a populated
-// persistent memo store: each iteration builds a fresh plane over the
-// store, so the measured cost is the disk adopt plus replay — no cycle
-// is ever recorded twice across iterations.
+// persistent memo store: each iteration builds a fresh runtime, and so a
+// fresh plane, over the store, so the measured cost is the disk adopt
+// plus replay — no cycle is ever recorded twice across iterations.
 func BenchmarkFleet10kWarm(b *testing.B) {
 	b.ReportAllocs()
-	rt := experiments.NewRuntime(warmMemoStore(b), FFOn, 0)
+	store := warmMemoStore(b)
 	spec := fleet10kSpec()
 	run := func() *FleetReport {
-		rep, err := Fleet(rt, spec) // a fresh plane over the store
+		rt := experiments.NewRuntime(platform.NewMemoPlane(store, 0), FFOn, 0) // warm = disk, not RAM
+		rep, err := Fleet(rt, spec)
 		if err != nil {
 			b.Fatal(err)
 		}

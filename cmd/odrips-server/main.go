@@ -44,7 +44,6 @@ import (
 
 	"odrips"
 	"odrips/internal/jobqueue"
-	"odrips/internal/platform"
 )
 
 func main() {
@@ -54,7 +53,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "job-ID seed (0 = 1); same seed + same submissions = same IDs")
 	maxDevices := flag.Int("max-devices", 0, "largest accepted fleet (0 = 1e6)")
 	retain := flag.Int("retain", 0, "finished jobs kept queryable (0 = 4096)")
-	planeClasses := flag.Int("plane-classes", 0, "shared memo plane class bound (0 = package default)")
 	ffFlag := flag.String("fastforward", "on", "steady-state fast-forward: on, off, or verify")
 	memoFlag := flag.String("memocache", "", "persistent memo store: off, rw, or ro (audit a store with -memocache ro -fastforward verify)")
 	memoDir := flag.String("memocachedir", "", "persistent memo store directory (default .odrips-memocache)")
@@ -81,16 +79,16 @@ func main() {
 		fail(fmt.Errorf("-memocache: %w", err))
 	}
 
-	// One plane for the process: every job warms it, every later job
-	// draws from it, the persistent store (when enabled) backs it.
-	plane := platform.NewMemoPlane(rt.Store(), *planeClasses)
+	// One plane for the process, the runtime's: every job warms it,
+	// every later job draws from it, the persistent store (when enabled)
+	// backs it.
 	q := jobqueue.New(jobqueue.Options{
 		Capacity:   *capacity,
 		Workers:    *workers,
 		Seed:       *seed,
 		MaxDevices: *maxDevices,
 		Retain:     *retain,
-		Plane:      plane,
+		Plane:      rt.Plane(),
 		FF:         ffMode,
 	})
 
@@ -102,7 +100,7 @@ func main() {
 	// resolved address, so keep its shape stable.
 	fmt.Printf("odrips-server: listening on %s\n", ln.Addr())
 
-	srv := newServer(q, plane, *progressEvery).httpServer()
+	srv := newServer(q, rt.Plane(), *progressEvery).httpServer()
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 

@@ -149,7 +149,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, statsView{
 		Queue: s.q.Stats(),
 		Plane: s.plane.Stats(),
-		Store: s.plane.StoreStats(),
+		Store: s.plane.Store().Stats(),
 	})
 }
 

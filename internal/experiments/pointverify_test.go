@@ -19,7 +19,7 @@ func openRuntime(t *testing.T, dir string, mode memostore.Mode, ff platform.FFMo
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, NewRuntime(s, ff, 0)
+	return s, NewRuntime(platform.NewMemoPlane(s, 0), ff, 0)
 }
 
 // TestPointMemoPersists: over an rw store a cold point simulates once
@@ -108,7 +108,7 @@ func TestPointMemoVerifyDetectsTamper(t *testing.T) {
 	if _, _, err := rt.SweepBreakEven(base, opt, o); err != nil {
 		t.Fatalf("plain ro run must trust the store: %v", err)
 	}
-	if _, _, err := NewRuntime(ro, platform.FFVerify, 0).SweepBreakEven(base, opt, o); err == nil || !strings.Contains(err.Error(), "point diverged from persistent memo") {
+	if _, _, err := NewRuntime(platform.NewMemoPlane(ro, 0), platform.FFVerify, 0).SweepBreakEven(base, opt, o); err == nil || !strings.Contains(err.Error(), "point diverged from persistent memo") {
 		t.Fatalf("verify accepted a tampered sweep point (err=%v)", err)
 	}
 }

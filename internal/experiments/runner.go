@@ -128,7 +128,7 @@ func pointDiskKey(cfg platform.Config, residency sim.Duration, cycles int) []byt
 // pointDiskLoad reads one 8-byte point from the runtime's store. Any
 // failure — no store, miss, corruption, wrong size — is a cache miss.
 func (rt *Runtime) pointDiskLoad(class string, key []byte) (uint64, bool) {
-	payload, ok, err := rt.store.Load(class, key)
+	payload, ok, err := rt.Store().Load(class, key)
 	if err != nil || !ok || len(payload) != 8 {
 		return 0, false
 	}
@@ -162,7 +162,7 @@ func (rt *Runtime) pointMemo(class string, diskKey []byte, simulate func() (uint
 	}
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], bits)
-	rt.store.Save(class, diskKey, b[:])
+	rt.Store().Save(class, diskKey, b[:])
 	return bits, nil
 }
 

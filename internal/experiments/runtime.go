@@ -25,16 +25,16 @@ const (
 )
 
 // Runtime is the state every experiment runs under, passed as a value:
-// the persistent memo store, the cycle-memo plane single runs join, the
-// fast-forward mode, the worker-pool size, and the bounded in-process
-// point memos. None of it reaches a result — every output is
-// byte-identical under any store, mode or worker count — so two runtimes
-// can run side by side in one process without interfering. The point
-// caches are a pure, deterministic memo (a hit is bit-identical to a
-// recompute), LRU-bounded so fleet-scale key streams stay O(capacity).
+// the cycle-memo plane every platform it builds joins (and, through it,
+// the persistent memo store), the fast-forward mode, the worker-pool
+// size, and the bounded in-process point memos. None of it reaches a
+// result — every output is byte-identical under any store, mode or
+// worker count — so two runtimes can run side by side in one process
+// without interfering. The point caches are a pure, deterministic memo
+// (a hit is bit-identical to a recompute), LRU-bounded so fleet-scale
+// key streams stay O(capacity).
 type Runtime struct {
-	store   *memostore.Store
-	plane   *platform.MemoPlane // nil without a store
+	plane   *platform.MemoPlane
 	ff      platform.FFMode
 	workers int // <= 0: runtime.GOMAXPROCS(0) at each call
 
@@ -42,26 +42,28 @@ type Runtime struct {
 	trans *lru.Cache[platform.Config, sim.Duration] // entry+exit per config
 }
 
-// NewRuntime builds a runtime over store (nil keeps everything in
-// process) running platforms in mode ff on pools of workers goroutines
-// (workers <= 0 uses runtime.GOMAXPROCS(0)). With a store, single runs
-// share one memo plane over it.
-func NewRuntime(store *memostore.Store, ff platform.FFMode, workers int) *Runtime {
-	rt := &Runtime{
-		store:   store,
+// NewRuntime builds a runtime over plane (nil: a fresh storeless plane)
+// running platforms in mode ff on pools of workers goroutines (workers
+// <= 0 uses runtime.GOMAXPROCS(0)). The plane's store, if any, is the
+// runtime's persistent memo store.
+func NewRuntime(plane *platform.MemoPlane, ff platform.FFMode, workers int) *Runtime {
+	if plane == nil {
+		plane = platform.NewMemoPlane(nil, 0)
+	}
+	return &Runtime{
+		plane:   plane,
 		ff:      ff,
 		workers: workers,
 		sweep:   lru.New[sweepPointKey, float64](sweepCacheCap),
 		trans:   lru.New[platform.Config, sim.Duration](transCacheCap),
 	}
-	if store != nil {
-		rt.plane = platform.NewMemoPlane(store, 0)
-	}
-	return rt
 }
 
+// Plane returns the memo plane every platform the runtime builds joins.
+func (rt *Runtime) Plane() *platform.MemoPlane { return rt.plane }
+
 // Store returns the persistent memo store (nil when persistence is off).
-func (rt *Runtime) Store() *memostore.Store { return rt.store }
+func (rt *Runtime) Store() *memostore.Store { return rt.plane.Store() }
 
 // FF returns the fast-forward mode platforms run in.
 func (rt *Runtime) FF() platform.FFMode { return rt.ff }
@@ -100,7 +102,7 @@ func (rt *Runtime) NewPlatform(cfg platform.Config) (*platform.Platform, error) 
 var std = struct {
 	mu sync.Mutex
 	rt *Runtime
-}{rt: NewRuntime(memostore.Default(), platform.FFOn, 0)}
+}{rt: NewRuntime(platform.NewMemoPlane(memostore.Default(), 0), platform.FFOn, 0)}
 
 // Default returns the runtime over memostore.Default() in FFOn mode with
 // GOMAXPROCS workers. It is rebuilt, with empty point caches and a fresh
@@ -109,8 +111,8 @@ func Default() *Runtime {
 	s := memostore.Default()
 	std.mu.Lock()
 	defer std.mu.Unlock()
-	if std.rt.store != s {
-		std.rt = NewRuntime(s, platform.FFOn, 0)
+	if std.rt.Store() != s {
+		std.rt = NewRuntime(platform.NewMemoPlane(s, 0), platform.FFOn, 0)
 	}
 	return std.rt
 }
@@ -169,7 +171,7 @@ func (rt *Runtime) MemoStats() *report.Table {
 		fmt.Sprintf("%d", ps.Class.Hits), fmt.Sprintf("%d", ps.Class.Misses),
 		fmt.Sprintf("%d/%d classes", ps.Classes, ps.MaxClasses),
 		fmt.Sprintf("%d records, %d class evictions", ps.Records, ps.Class.Evictions))
-	ms := rt.store.Stats()
+	ms := rt.Store().Stats()
 	t.AddRow("persistent memo store",
 		fmt.Sprintf("%d", ms.Hits), fmt.Sprintf("%d", ms.Misses),
 		fmt.Sprintf("%d entries, %d B", ms.DiskEntries, ms.DiskBytes),

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -40,7 +41,7 @@ func TestRuntimesIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewRuntime(store, platform.FFOn, 1)
+	a := NewRuntime(platform.NewMemoPlane(store, 0), platform.FFOn, 1)
 	b := NewRuntime(nil, platform.FFOff, 4)
 
 	var outA, outB runtimeOutput
@@ -87,14 +88,16 @@ func TestRuntimesIsolated(t *testing.T) {
 	}
 }
 
-// TestDefaultRuntimeFollowsStore: the default runtime has a plane only
-// while a default store is installed, is one runtime per store, is
-// rebuilt when the store changes identity, and its plane is shared by
-// concurrent runs, each of which flushes the records it discovered.
+// TestDefaultRuntimeFollowsStore: the default runtime's plane is over
+// the default store (storeless while none is installed), is one runtime
+// per store, is rebuilt when the store changes identity, and its plane
+// is shared by concurrent runs, each of which flushes the records it
+// discovered.
 func TestDefaultRuntimeFollowsStore(t *testing.T) {
 	t.Cleanup(func() { memostore.SetDefault(nil) })
-	if Default().plane != nil {
-		t.Fatal("default plane exists without a default store")
+	planeNone := Default().plane
+	if planeNone.Store() != nil || Default().plane != planeNone {
+		t.Fatal("no single storeless default plane without a default store")
 	}
 	storeA, err := memostore.Open(t.TempDir(), memostore.RW)
 	if err != nil {
@@ -102,7 +105,7 @@ func TestDefaultRuntimeFollowsStore(t *testing.T) {
 	}
 	memostore.SetDefault(storeA)
 	planeA := Default().plane
-	if planeA == nil || Default().plane != planeA {
+	if planeA == planeNone || planeA.Store() != storeA || Default().plane != planeA {
 		t.Fatal("default store has no single default plane")
 	}
 
@@ -137,11 +140,40 @@ func TestDefaultRuntimeFollowsStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	memostore.SetDefault(storeB)
-	if planeB := Default().plane; planeB == nil || planeB == planeA {
+	planeB := Default().plane
+	if planeB == planeA || planeB.Store() != storeB {
 		t.Fatal("swapping the default store did not rebuild the default plane")
 	}
 	memostore.SetDefault(nil)
-	if Default().plane != nil {
+	if pl := Default().plane; pl == planeB || pl.Store() != nil {
 		t.Fatal("default plane outlived its store")
+	}
+}
+
+// TestMemoStatsShowsStorelessPlane: a storeless runtime still has a
+// plane, which its runs join, and -memostats' plane row shows it.
+func TestMemoStatsShowsStorelessPlane(t *testing.T) {
+	rt := NewRuntime(nil, platform.FFOn, 0)
+	if _, err := rt.Fig2(); err != nil {
+		t.Fatal(err)
+	}
+	var row []string
+	for _, r := range rt.MemoStats().Rows {
+		if r[0] == "cycle memo plane" {
+			row = r
+		}
+	}
+	if row == nil {
+		t.Fatal("no cycle memo plane row")
+	}
+	var classes, maxClasses, records, evictions int
+	if _, err := fmt.Sscanf(row[3], "%d/%d classes", &classes, &maxClasses); err != nil {
+		t.Fatalf("size cell %q: %v", row[3], err)
+	}
+	if _, err := fmt.Sscanf(row[4], "%d records, %d class evictions", &records, &evictions); err != nil {
+		t.Fatalf("detail cell %q: %v", row[4], err)
+	}
+	if classes < 1 || records < 1 {
+		t.Errorf("storeless plane after Fig2: %d classes, %d records; want at least 1 of each (row %q)", classes, records, row)
 	}
 }

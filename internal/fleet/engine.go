@@ -17,17 +17,13 @@ type runOutcome struct {
 	ff  platform.FFStats
 }
 
-// runDevice builds, attaches to plane (nil runs solo), faults, and runs
-// one run class's representative simulation in fast-forward mode ff.
-func runDevice(s Spec, r *runClass, ff platform.FFMode, plane *platform.MemoPlane) (runOutcome, error) {
-	p, err := platform.New(r.cfg)
+// runDevice builds one run class's representative platform on rt,
+// which attaches it to rt's plane, installs its fault plan, and runs it.
+func runDevice(rt *experiments.Runtime, s Spec, r *runClass) (runOutcome, error) {
+	p, err := rt.NewPlatform(r.cfg)
 	if err != nil {
 		return runOutcome{}, err
 	}
-	if err := p.SetFastForward(ff); err != nil {
-		return runOutcome{}, err
-	}
-	plane.Attach(p)
 	if r.plan != "" {
 		plan, err := faults.Parse(r.plan)
 		if err != nil {
@@ -44,17 +40,19 @@ func runDevice(s Spec, r *runClass, ff platform.FFMode, plane *platform.MemoPlan
 	return runOutcome{res: res, ff: p.FFStats()}, nil
 }
 
-// runChains runs every run class on a pool of workers goroutines in mode
-// ff and returns the outcomes in run-class order. Each memo class's run
+// runChains runs every run class on a pool of workers goroutines under
+// rt and returns the outcomes in run-class order. Each memo class's run
 // classes form a chain that runs in run-index order on one worker, every
-// run attached to plane (the package doc says why that is deterministic).
-// The chain's head, t.memos[m].run, goes through plane.WarmClass, so with
-// a writable store a cold class is discovered once across every process
-// sharing it. ctx is checked at every device-run boundary: a canceled job
-// stops claiming new simulations and surfaces ctx's error (wrapped;
-// errors.Is(err, ctx.Err()) holds) after in-flight runs drain. prog
-// observes each finished chain head and run class.
-func runChains(ctx context.Context, s Spec, t *classTable, plane *platform.MemoPlane, ff platform.FFMode, workers int, prog *Progress) ([]runOutcome, error) {
+// run attached to rt's plane (the package doc says why that is
+// deterministic). The chain's head, t.memos[m].run, goes through the
+// plane's WarmClass, so with a writable store a cold class is discovered
+// once across every process sharing it. ctx is checked at every
+// device-run boundary: a canceled job stops claiming new simulations and
+// surfaces ctx's error (wrapped; errors.Is(err, ctx.Err()) holds) after
+// in-flight runs drain. prog observes each finished chain head and run
+// class.
+func runChains(ctx context.Context, rt *experiments.Runtime, s Spec, t *classTable, workers int, prog *Progress) ([]runOutcome, error) {
+	plane := rt.Plane()
 	chains := make([][]int, len(t.memos))
 	for r := range t.runs {
 		m := t.runs[r].memo
@@ -75,7 +73,7 @@ func runChains(ctx context.Context, s Spec, t *classTable, plane *platform.MemoP
 					}
 					run := func() error {
 						var err error
-						out[r], err = runDevice(s, rc, ff, plane)
+						out[r], err = runDevice(rt, s, rc)
 						return err
 					}
 					head := r == t.memos[m].run
@@ -103,51 +101,43 @@ func runChains(ctx context.Context, s Spec, t *classTable, plane *platform.MemoP
 	return out, nil
 }
 
-// newPlane builds a memo plane over store sized to the job's own memo
-// class count, the only classes the job acquires on it.
-func newPlane(t *classTable, store *memostore.Store) *platform.MemoPlane {
-	return platform.NewMemoPlane(store, len(t.memos))
-}
-
-// PlaneFor builds a memo plane over store sized for the job, as Exec
-// does for a nil plane.
+// PlaneFor validates s and builds the plane a runtime over store holds.
 func PlaneFor(s Spec, store *memostore.Store) (*platform.MemoPlane, error) {
-	s, err := s.Normalized()
-	if err != nil {
+	if _, err := s.Normalized(); err != nil {
 		return nil, err
 	}
-	t := expand(s)
-	return newPlane(&t, store), nil
+	return platform.NewMemoPlane(store, 0), nil
 }
 
-// Run executes a fleet job in FFOn mode on a GOMAXPROCS pool with no
-// store: Exec over a storeless runtime.
+// Run executes a fleet job in FFOn mode on a GOMAXPROCS pool: Exec over
+// a runtime on plane (nil: a fresh storeless one).
 func Run(s Spec, plane *platform.MemoPlane) (*Report, error) {
 	return RunWithProgress(context.Background(), s, plane, nil)
 }
 
 // RunWithProgress is Run with Exec's serving hooks.
 func RunWithProgress(ctx context.Context, s Spec, plane *platform.MemoPlane, prog *Progress) (*Report, error) {
-	return Exec(ctx, experiments.NewRuntime(nil, platform.FFOn, 0), s, plane, prog)
+	return Exec(ctx, experiments.NewRuntime(plane, platform.FFOn, 0), s, prog)
 }
 
-// Exec executes a fleet job under rt: platforms run in rt's fast-forward
-// mode on a pool of s.Workers goroutines (0 uses rt's worker count).
-// plane is the shared memo plane the job warms and draws from; nil
-// creates one over rt's store sized for the job (the common case for
-// one-shot CLI runs — long-lived services pass their own plane).
+// Exec executes a fleet job under rt: platforms are built by
+// rt.NewPlatform, so they run in rt's fast-forward mode and warm and
+// draw from rt's memo plane, on a pool of s.Workers goroutines (0 uses
+// rt's worker count).
 //
 // The report is byte-identical at any Workers count, and its Aggregates
 // section additionally at any Shards count and fast-forward mode,
-// provided the plane has capacity for the job's memo classes and no
-// other job mutates it concurrently (a congested or contended plane can
-// change memo statistics — never results).
+// provided rt's plane (128 classes unless built with another bound) has
+// capacity for the job's memo classes and no other job mutates it
+// concurrently (a congested or contended plane can change memo
+// statistics — never results). The report's plane and store statistics are plane- and
+// store-wide, so they include whatever else ran on rt.
 //
 // ctx cancels the job at the next device-run boundary (the returned
 // error satisfies errors.Is(err, ctx.Err())), and prog, when non-nil,
 // exposes live per-shard completion counters to concurrent readers (one
 // Progress per run). Both may be nil.
-func Exec(ctx context.Context, rt *experiments.Runtime, s Spec, plane *platform.MemoPlane, prog *Progress) (*Report, error) {
+func Exec(ctx context.Context, rt *experiments.Runtime, s Spec, prog *Progress) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -157,12 +147,8 @@ func Exec(ctx context.Context, rt *experiments.Runtime, s Spec, plane *platform.
 	}
 	t := expand(s)
 	prog.start(&t)
-	if plane == nil {
-		plane = newPlane(&t, rt.Store())
-	}
-	ff, workers := rt.FF(), rt.Pool(s.Workers)
 
-	outcomes, err := runChains(ctx, s, &t, plane, ff, workers, prog)
+	outcomes, err := runChains(ctx, rt, s, &t, rt.Pool(s.Workers), prog)
 	if err != nil {
 		return nil, err
 	}
@@ -172,8 +158,8 @@ func Exec(ctx context.Context, rt *experiments.Runtime, s Spec, plane *platform.
 	}
 	// Every run flushed its own class when it exited, so the store
 	// counters already include the job's persistence.
-	rep.Memo.Plane = plane.Stats()
-	rep.Memo.Store = plane.StoreStats()
+	rep.Memo.Plane = rt.Plane().Stats()
+	rep.Memo.Store = rt.Store().Stats()
 	return rep, nil
 }
 

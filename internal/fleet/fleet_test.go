@@ -74,7 +74,7 @@ func TestFleetMatchesNaiveSimulation(t *testing.T) {
 	classes := formattedClasses(s)
 	runs := make([]runOutcome, len(classes.runs))
 	for r := range classes.runs {
-		out, err := runDevice(s, &classes.runs[r], platform.FFOn, nil) // solo: no plane, no snapshot
+		out, err := runDevice(experiments.NewRuntime(nil, platform.FFOn, 0), s, &classes.runs[r]) // solo: a fresh plane per device
 		if err != nil {
 			t.Fatalf("device %d solo: %v", classes.runs[r].rep, err)
 		}
@@ -231,7 +231,7 @@ func TestFleetDeterminism(t *testing.T) {
 		}
 	}
 	for _, mode := range []platform.FFMode{platform.FFOff, platform.FFVerify, platform.FFOn} {
-		rep, err := Exec(context.Background(), experiments.NewRuntime(nil, mode, 0), base, nil, nil)
+		rep, err := Exec(context.Background(), experiments.NewRuntime(nil, mode, 0), base, nil)
 		if err != nil {
 			t.Fatalf("fastforward=%v: %v", mode, err)
 		}

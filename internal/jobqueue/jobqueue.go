@@ -93,8 +93,8 @@ type Options struct {
 	// finished jobs are evicted first (default 4096). Pending and
 	// running jobs are never evicted.
 	Retain int
-	// Plane is the shared memo plane jobs warm and draw from; nil lets
-	// each job build its own (correct, but forfeits cross-job reuse).
+	// Plane is the memo plane every job warms and draws from; nil builds
+	// one storeless plane the queue's jobs share.
 	Plane *platform.MemoPlane
 	// FF is the fast-forward mode jobs run in (default FFOn).
 	FF platform.FFMode
@@ -246,7 +246,7 @@ type Stats struct {
 // the zero value is not usable.
 type Queue struct {
 	opts Options
-	rt   *experiments.Runtime // storeless; jobs use opts.Plane
+	rt   *experiments.Runtime // over opts.Plane; every job runs on it
 
 	mu       sync.Mutex
 	seq      uint64
@@ -269,7 +269,7 @@ func New(opts Options) *Queue {
 	opts = opts.withDefaults()
 	q := &Queue{
 		opts: opts,
-		rt:   experiments.NewRuntime(nil, opts.FF, 0),
+		rt:   experiments.NewRuntime(opts.Plane, opts.FF, 0),
 		jobs: make(map[string]*Job),
 		fifo: make(chan *Job, opts.Capacity),
 	}
@@ -371,7 +371,7 @@ func (q *Queue) run(j *Job) {
 	q.counts.running++
 	q.mu.Unlock()
 
-	rep, err := fleet.Exec(j.ctx, q.rt, j.spec, q.opts.Plane, j.prog)
+	rep, err := fleet.Exec(j.ctx, q.rt, j.spec, j.prog)
 	state := StateDone
 	switch {
 	case err == nil:

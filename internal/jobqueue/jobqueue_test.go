@@ -116,6 +116,34 @@ func TestDeterministicAggregates(t *testing.T) {
 	}
 }
 
+// TestQueueJobsShareOnePlane: without Options.Plane the queue's jobs
+// share one storeless plane, so a repeated job simulates no cycle.
+func TestQueueJobsShareOnePlane(t *testing.T) {
+	q := New(Options{Workers: 1})
+	defer func() {
+		if err := q.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	var reps [2]*fleet.Report
+	for i := range reps {
+		j, err := q.Submit(smallSpec("reuse"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		if reps[i], err = j.Result(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reps[0].Memo.SimulatedCycles == 0 {
+		t.Fatal("the first job simulated nothing; the spec cannot show reuse")
+	}
+	if n := reps[1].Memo.SimulatedCycles; n != 0 {
+		t.Errorf("the repeated job simulated %d cycles; want 0 from the queue's plane", n)
+	}
+}
+
 // TestQueueFastForwardMode: Options.FF reaches every platform a job
 // builds — off and verify never replay a cycle — while the aggregates
 // stay those of a direct FFOn fleet.Run.

@@ -36,7 +36,9 @@ func runStandby(t *testing.T, cfg Config, plane *MemoPlane, mode FFMode, cycles 
 	if err := p.SetFastForward(mode); err != nil {
 		t.Fatal(err)
 	}
-	plane.Attach(p)
+	if plane != nil {
+		plane.Attach(p)
+	}
 	res, err := p.RunCycles(cycles)
 	if err != nil {
 		t.Fatal(err)

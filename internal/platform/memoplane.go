@@ -12,10 +12,11 @@ import (
 )
 
 // This file is the shared cross-device cycle-memo plane, the only
-// in-process cycle cache: the fleet engine's concurrency substrate
-// (DESIGN.md §15), and — as the plane an experiments.Runtime attaches
-// every platform it builds to — the cache single runs share, a single
-// run being a fleet of one. A MemoPlane owns one
+// in-process cycle cache. Every experiments.Runtime holds exactly one
+// (storeless unless built over a store) and attaches every platform it
+// builds to it, so experiments, fleet jobs (DESIGN.md §15) and a
+// server's job queue all share one cache per runtime, a single run
+// being a fleet of one. A MemoPlane owns one
 // bounded cache of cycle-record bundles, keyed by memo class — the
 // canonical configuration (CanonicalConfig) — so every device of a fleet that
 // shares a configuration class publishes into and adopts from the same
@@ -50,14 +51,14 @@ import (
 // class (the fleet engine's per-memo-class chains) fixes them too.
 
 // defaultPlaneClasses bounds a plane that was created without an
-// explicit class budget. Every plane bound by default (a server's, a
-// runtime's) is store-backed, so evicting a class costs a reload, never
-// a re-simulation; the bound trades those reloads for resident memory
-// (a record is about 2.9 KB in memory).
+// explicit class budget, which is every plane a runtime builds. Over a
+// readable store, evicting a class costs a reload; over none, a
+// re-simulation. Either way the bound trades that cost for resident
+// memory (a record is about 2.9 KB in memory).
 const defaultPlaneClasses = 128
 
 // MemoPlane is a bounded, concurrent, shareable cycle-memo plane. All
-// methods are safe for concurrent use; a nil plane is inert.
+// methods are safe for concurrent use.
 type MemoPlane struct {
 	store *memostore.Store // optional persistence backing; may be nil
 
@@ -133,11 +134,8 @@ func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 // known for the platform's memo class, publishes the records the platform
 // goes on to discover, and each successful RunCycles flushes the class if
 // it gained records. A platform nobody attaches keeps its cycle memo to
-// itself. A nil plane leaves the platform untouched.
+// itself.
 func (pl *MemoPlane) Attach(p *Platform) {
-	if pl == nil {
-		return
-	}
 	b := pl.acquire(MemoClassKey(p.cfg))
 	ff := &p.ff
 	ff.plane, ff.persist = pl, b
@@ -160,11 +158,8 @@ func (pl *MemoPlane) Attach(p *Platform) {
 // or persistent claim churn, callers compute uncoordinated
 // (byte-identical results, duplicated work). A caller whose ctx ends
 // while it waits returns ctx's error (wrapped) without computing. No
-// wait holds a plane or bundle lock. A nil plane just computes.
+// wait holds a plane or bundle lock.
 func (pl *MemoPlane) WarmClass(ctx context.Context, classKey string, compute func() error) error {
-	if pl == nil {
-		return compute()
-	}
 	b := pl.acquire(classKey)
 	b.mu.Lock()
 	cold := len(b.records) == 0
@@ -240,8 +235,8 @@ func (b *ffBundle) adopt(recs ffRecords) {
 }
 
 // flushBundle persists one bundle's unsaved records (no-op for a nil
-// plane or bundle, or without a writable store). Callers must not hold
-// the bundle's lock.
+// plane or bundle — an unattached platform, built by New directly — or
+// without a writable store). Callers must not hold the bundle's lock.
 func (pl *MemoPlane) flushBundle(b *ffBundle) {
 	if pl == nil || b == nil || !pl.store.Mode().Writable() {
 		return
@@ -257,11 +252,8 @@ func (pl *MemoPlane) flushBundle(b *ffBundle) {
 
 // Flush persists every class that gained records since its last flush.
 // Runs flush their own class when they exit, so this only finds work
-// after a failed run left its class dirty. A nil plane is a no-op.
+// after a failed run left its class dirty.
 func (pl *MemoPlane) Flush() {
-	if pl == nil {
-		return
-	}
 	for _, key := range pl.classes.Keys() {
 		if b, ok := pl.classes.Peek(key); ok {
 			pl.flushBundle(b)
@@ -281,11 +273,8 @@ type MemoPlaneStats struct {
 }
 
 // Stats snapshots the plane. Records walks every live class, so this is
-// a reporting call, not a hot-path one. A nil plane reports zeros.
+// a reporting call, not a hot-path one.
 func (pl *MemoPlane) Stats() MemoPlaneStats {
-	if pl == nil {
-		return MemoPlaneStats{}
-	}
 	st := MemoPlaneStats{
 		Classes:    pl.classes.Len(),
 		MaxClasses: pl.classes.Cap(),
@@ -304,13 +293,9 @@ func (pl *MemoPlane) Stats() MemoPlaneStats {
 	return st
 }
 
-// StoreStats snapshots the plane's backing store (zeros when detached).
-func (pl *MemoPlane) StoreStats() memostore.Stats {
-	if pl == nil {
-		return memostore.Stats{}
-	}
-	return pl.store.Stats()
-}
+// Store returns the plane's persistent backing (nil for a storeless
+// plane).
+func (pl *MemoPlane) Store() *memostore.Store { return pl.store }
 
 // MemoSnapshot is a frozen copy of a plane's record content. Nothing
 // attaches to it: it exists only for Snapshot, which the benchmark
@@ -327,9 +312,6 @@ type MemoSnapshot struct {
 // because the benchmark harness compiles against it.
 func (pl *MemoPlane) Snapshot() *MemoSnapshot {
 	snap := &MemoSnapshot{classes: make(map[string]ffRecords)}
-	if pl == nil {
-		return snap
-	}
 	keys := pl.classes.Keys()
 	sort.Strings(keys)
 	for _, key := range keys {

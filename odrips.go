@@ -32,6 +32,7 @@ package odrips
 
 import (
 	"context"
+	"fmt"
 
 	"odrips/internal/experiments"
 	"odrips/internal/faults"
@@ -244,11 +245,13 @@ type Runtime = experiments.Runtime
 // -memocache mode (off|rw|ro), memoDir the store directory (default
 // ".odrips-memocache"), ff the -fastforward mode and workers the -workers
 // pool size (<= 0 uses GOMAXPROCS). An empty memoMode with an empty
-// memoDir inherits the store ODRIPS_MEMOCACHE opened; an empty memoMode
-// with a directory means off. Loads are fail-safe by construction:
-// corrupt, truncated or version-skewed entries degrade to recomputation.
-// To audit a store, open it read-only under FFVerify, which re-simulates
-// every loaded memo and fails on divergence.
+// memoDir inherits the store ODRIPS_MEMOCACHE opened. A directory with
+// an empty or off memoMode is an error naming -memocachedir: the
+// directory would go unused. The runtime's memo plane is built over the
+// store, or storeless when there is none. Loads are fail-safe by
+// construction: corrupt, truncated or version-skewed entries degrade to
+// recomputation. To audit a store, open it read-only under FFVerify,
+// which re-simulates every loaded memo and fails on divergence.
 func OpenRuntime(memoMode, memoDir string, ff FFMode, workers int) (*Runtime, error) {
 	store := memostore.Default()
 	if memoMode != "" || memoDir != "" {
@@ -259,6 +262,9 @@ func OpenRuntime(memoMode, memoDir string, ff FFMode, workers int) (*Runtime, er
 		if err != nil {
 			return nil, err
 		}
+		if m == memostore.Off && memoDir != "" {
+			return nil, fmt.Errorf("-memocachedir %q needs -memocache rw or ro", memoDir)
+		}
 		if memoDir == "" {
 			memoDir = ".odrips-memocache"
 		}
@@ -266,7 +272,7 @@ func OpenRuntime(memoMode, memoDir string, ff FFMode, workers int) (*Runtime, er
 			return nil, err
 		}
 	}
-	return experiments.NewRuntime(store, ff, workers), nil
+	return experiments.NewRuntime(platform.NewMemoPlane(store, 0), ff, workers), nil
 }
 
 // PaperSweepGrid is the full §7 residency grid (0.6 ms – 1 s at 0.1 ms).
@@ -361,12 +367,12 @@ type (
 	MemoPlane = platform.MemoPlane
 )
 
-// Fleet runs a fleet job under rt on a memo plane sized for it, backed by
-// rt's persistent memo store when it has one. The report's Aggregates
-// section is byte-identical at any worker count, shard count, and
-// fast-forward mode.
+// Fleet runs a fleet job under rt, on rt's memo plane (backed by rt's
+// persistent memo store when it has one), so jobs on one runtime share
+// their cycles. The report's Aggregates section is byte-identical at any
+// worker count, shard count, and fast-forward mode.
 func Fleet(rt *Runtime, s FleetSpec) (*FleetReport, error) {
-	return fleet.Exec(context.Background(), rt, s, nil, nil)
+	return fleet.Exec(context.Background(), rt, s, nil)
 }
 
 // ParseFleetSpec decodes a fleet spec file (JSON with human-readable
