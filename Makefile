@@ -187,6 +187,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -run '^$$' -fuzz '^FuzzMemoStoreLoad$$' -fuzztime $(FUZZTIME) ./internal/memostore
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME) ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime $(FUZZTIME) ./internal/workload
 
 # Record the full benchmark suite (with allocation stats) to a timestamped
 # JSON artifact for before/after comparison. Written to a temp file and

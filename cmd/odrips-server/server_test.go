@@ -233,6 +233,8 @@ func TestBadSpec(t *testing.T) {
 		`{"devices": 0}`,
 		`{"devices": 4, "wake_period": "-30s"}`,
 		`{"devices": 4, "horizon": "900000h"}`, // sim-time overflow
+		`{"devices":12,"horizon":"2m"} {"devices":99999999}`,
+		`{"devices":12,"horizon":"2m"} garbage`,
 	} {
 		var e apiError
 		code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body, &e)

@@ -31,13 +31,14 @@
 //
 // Determinism: the run classes of each memo class form a chain that runs
 // in run-index order on one worker, every run attached to the live plane.
-// A platform adopts the plane's records when it attaches and publishes
-// only what it records, and memo classes are disjoint, so each run sees
-// exactly its chain predecessors' records whatever the schedule: every
-// execution — results AND replay statistics — is a pure function of the
-// spec and the plane's content at job start. Results are assembled in
-// run-class order (the experiments engine's discipline), making the whole
-// report byte-identical at any -shards/-workers count.
+// A platform reads its class's records live and publishes what it
+// records; a chain runs one platform at a time and memo classes are
+// disjoint, so each run sees exactly its chain predecessors' records
+// whatever the schedule: every execution — results AND replay statistics
+// — is a pure function of the spec and the plane's content at job start.
+// Results are assembled in run-class order (the experiments engine's
+// discipline), making the whole report byte-identical at any
+// -shards/-workers count.
 package fleet
 
 import (

@@ -580,7 +580,7 @@ func TestParseSpecJSON(t *testing.T) {
 		t.Errorf("faults %+v", s.Spread.Faults)
 	}
 
-	for name, bad := range map[string]string{
+	bads := map[string]string{
 		"unknown field": `{"devices": 1, "typo_knob": 3}`,
 		"retired knob":  `{"devices": 1, "plane_classes": 4}`,
 		"bad duration":  `{"devices": 1, "horizon": "6 fortnights"}`,
@@ -588,10 +588,20 @@ func TestParseSpecJSON(t *testing.T) {
 		"no devices":    `{}`,
 		"two plans":     `{"devices":4,"horizon":"1m","spread":{"faults":[{"device":1,"plan":"wake@1"},{"device":1,"plan":"wake@2"}]}}`,
 		"zero battery":  `{"devices":4,"horizon":"1m","spread":{"battery_mwh":[0]}}`,
-	} {
+		"second object": `{"devices":12,"horizon":"2m"} {"devices":99999999}`,
+		"trailing junk": `{"devices":12,"horizon":"2m"} garbage`,
+	}
+	for name, bad := range bads {
 		_, err := ParseSpecJSON([]byte(bad))
 		if se := (*SpecError)(nil); !errors.As(err, &se) {
 			t.Errorf("%s: %v for %s, want a *SpecError", name, err, bad)
+		}
+	}
+	// Bytes after the spec object fail the decode itself.
+	for _, name := range []string{"second object", "trailing junk"} {
+		_, err := ParseSpecJSON([]byte(bads[name]))
+		if se := (*SpecError)(nil); !errors.As(err, &se) || se.Reason != "decode" {
+			t.Errorf("%s: %v, want a decode *SpecError", name, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	"odrips/internal/sim"
@@ -53,15 +54,18 @@ type specJSON struct {
 }
 
 // ParseSpecJSON decodes a fleet spec file. Unknown fields are errors
-// (a typoed knob silently defaulting would corrupt a fleet study), and
-// the decoded spec is validated after defaulting. Every failure is a
-// *SpecError.
+// (a typoed knob silently defaulting would corrupt a fleet study), as is
+// anything but whitespace after the spec object, and the decoded spec is
+// validated after defaulting. Every failure is a *SpecError.
 func ParseSpecJSON(data []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var sj specJSON
 	if err := dec.Decode(&sj); err != nil {
 		return Spec{}, &SpecError{Reason: "decode", Err: err}
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, specErrf("decode", "data after the spec object at offset %d", dec.InputOffset())
 	}
 	s := Spec{
 		Name:    sj.Name,

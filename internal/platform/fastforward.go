@@ -138,20 +138,15 @@ type ffState struct {
 	saveOp      mee.OpRecord
 	restoreOp   mee.OpRecord
 
-	// Cycle memo (fingerprint keyed), populated lazily, plus reusable
-	// scratch for the fingerprint serialization and scaled replay deltas.
-	records     ffRecords
+	// Cycle memo: the record set this platform reads and publishes to —
+	// a private bundle from New until a memo plane's Attach swaps in its
+	// class's shared one (memoplane.go) — plus reusable scratch for the
+	// fingerprint serialization and scaled replay deltas.
+	bundle      *ffBundle
 	rec         *cycleRecording // in-progress recording, nil outside one
 	fpBuf       []byte
 	nomScratch  []power.Energy
 	battScratch []power.Energy
-
-	// Memo plane plumbing (memoplane.go): the plane this platform
-	// publishes into and the shared bundle of its memo class, both nil
-	// until a plane attaches it; an attached platform records up to
-	// ffPersistRecordCap.
-	plane   *MemoPlane
-	persist *ffBundle
 
 	stats FFStats
 }

@@ -42,10 +42,13 @@ import (
 // too-narrow window produces a memo miss and a full simulation, never
 // silent corruption.
 
-// ffRecordCap bounds the number of cycle records an unattached platform
-// records itself, so runs whose boundaries never recur stay O(1) in
-// memory. A steady-state run needs a handful.
-const ffRecordCap = 64
+// ffRecordCap bounds the number of cycle records a platform records
+// itself, so runs whose boundaries never recur stay bounded in memory. A
+// steady-state run needs a handful; a workload that draws its idle
+// period per cycle (workload.ConnectedStandby) makes one record per
+// cycle, because no cycle parameters recur within the run, and those
+// records pay off across runs and devices once a plane shares them.
+const ffRecordCap = 8192
 
 // ffNumStates is the number of architectural power states; the replay
 // deltas use fixed arrays indexed by power.State.
@@ -367,15 +370,11 @@ func (p *Platform) ffWakeSnap(plat, hub *[3]uint64) {
 // compare against.
 func (p *Platform) ffBeginRecording(key ffKey, ph [2]clock.Phase) {
 	ff := &p.ff
-	existing := ff.records.lookup(key, ph)
+	existing := ff.bundle.lookup(key, ph)
 	if existing != nil && ff.mode != FFVerify {
 		return // recorded but not replayable; nothing to gain
 	}
-	capN := uint64(ffRecordCap)
-	if ff.persist != nil {
-		capN = ffPersistRecordCap
-	}
-	if existing == nil && ff.stats.CyclesRecorded >= capN {
+	if existing == nil && ff.stats.CyclesRecorded >= ffRecordCap {
 		return
 	}
 	comps := p.meter.Ordered()
@@ -560,12 +559,8 @@ func (p *Platform) ffFinalizeRecording(ok bool, fp [32]byte) {
 		}
 		return
 	}
-	if ff.records == nil {
-		ff.records = make(ffRecords)
-	}
-	ff.records.add(rec.key, cr)
+	ff.bundle.publish(rec.key, cr)
 	ff.stats.CyclesRecorded++
-	ff.ffPersistAdd(rec.key, cr)
 }
 
 // ffSameBody compares two records field by field, windows aside (verify
@@ -588,7 +583,7 @@ func (p *Platform) ffTryReplay(fp [32]byte, ph [2]clock.Phase, cycles []workload
 		return 0
 	}
 	c := cycles[idx]
-	rec := ff.records.lookup(ffKey{fp: fp, active: c.Active, idle: c.Idle, wake: c.Wake}, ph)
+	rec := ff.bundle.lookup(ffKey{fp: fp, active: c.Active, idle: c.Idle, wake: c.Wake}, ph)
 	if rec == nil || !rec.replayable {
 		return 0
 	}

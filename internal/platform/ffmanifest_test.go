@@ -177,10 +177,8 @@ var ffExcluded = map[string]string{
 	"platform.ffState.restoreLat":  "Layer-1 memo bookkeeping, output-invariant",
 	"platform.ffState.saveOp":      "Layer-1 memo bookkeeping, output-invariant",
 	"platform.ffState.restoreOp":   "Layer-1 memo bookkeeping, output-invariant",
-	"platform.ffState.records":     "the memo itself",
+	"platform.ffState.bundle":      "the memo itself, private or a plane's shared class bundle; a record replays only when the live fingerprint recurs and the live phases lie in its windows",
 	"platform.ffState.rec":         "in-progress recording bookkeeping",
-	"platform.ffState.plane":       "memo plane plumbing; adopted records replay only when the live fingerprint recurs",
-	"platform.ffState.persist":     "memo plane plumbing; shared bundle handle, output-invariant by the replay contract; its presence raises the record cap, which bounds what is recorded, never what a record replays",
 	"platform.ffState.fpBuf":       "dead: serialization scratch",
 	"platform.ffState.nomScratch":  "dead: replay scratch",
 	"platform.ffState.battScratch": "dead: replay scratch",

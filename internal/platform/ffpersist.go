@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"odrips/internal/clock"
+	"odrips/internal/memostore"
 	"odrips/internal/power"
 	"odrips/internal/sim"
 	"odrips/internal/workload"
@@ -29,13 +30,6 @@ import (
 // boundary, exactly as for in-process records), so a stale or mismatched
 // record is unreachable, and -fastforward=verify re-simulates every cycle
 // and diffs it against the adopted record.
-
-// ffPersistRecordCap replaces ffRecordCap for a platform attached to a
-// memo plane. A workload that draws its idle period per
-// cycle (workload.ConnectedStandby) makes one record per cycle, because
-// no cycle parameters recur within the run; those records do recur
-// across runs and devices once a plane shares them.
-const ffPersistRecordCap = 8192
 
 // ffBundleVersion versions the bundle payload layout inside the store
 // entry (the store's schema version covers the envelope, this one the
@@ -100,45 +94,31 @@ func (rs ffRecords) clone() ffRecords {
 	return out
 }
 
-// adopt seeds the platform's cycle memo with shared records and returns
-// how many it took.
-func (ff *ffState) adopt(recs ffRecords) int {
-	if len(recs) == 0 {
-		return 0
-	}
-	if ff.records == nil {
-		ff.records = make(ffRecords, len(recs))
-	}
-	n := 0
-	for k, list := range recs {
-		for _, cr := range list {
-			if ff.records.add(k, cr) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// ffBundle is one memo class's record set inside a plane. Its mutex
-// guards records/dirty; the record values themselves are immutable once
-// published, so readers may hold pointers lock-free.
+// ffBundle is one memo class's record set, the only cycle memo a
+// platform reads or publishes to: New gives each platform a private one
+// (no key, no store), and a plane's Attach swaps in the class's shared
+// one. Its mutex guards records/dirty; the record values themselves are
+// immutable once published, so readers may hold pointers lock-free.
 type ffBundle struct {
-	key string
+	key   string
+	store *memostore.Store // persistence backing; nil never writes
 
 	mu      sync.Mutex
 	records ffRecords
 	dirty   bool
 }
 
-// ffPersistAdd publishes a freshly finalized record to the shared
-// bundle. Records are immutable once published, so sharing the pointer
-// across platforms is safe.
-func (ff *ffState) ffPersistAdd(key ffKey, cr *cycleRecord) {
-	b := ff.persist
-	if b == nil {
-		return
-	}
+// lookup returns the record of key whose windows hold the boundary
+// phases ph, or nil.
+func (b *ffBundle) lookup(key ffKey, ph [2]clock.Phase) *cycleRecord {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.records.lookup(key, ph)
+}
+
+// publish files a freshly finalized record. Records are immutable once
+// published, so sharing the pointer across platforms is safe.
+func (b *ffBundle) publish(key ffKey, cr *cycleRecord) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.records.add(key, cr) {

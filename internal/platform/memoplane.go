@@ -19,8 +19,8 @@ import (
 // being a fleet of one. A MemoPlane owns one
 // bounded cache of cycle-record bundles, keyed by memo class — the
 // canonical configuration (CanonicalConfig) — so every device of a fleet that
-// shares a configuration class publishes into and adopts from the same
-// record set: the first device to discover a steady-state cycle pays for
+// shares a configuration class reads and publishes the same record set,
+// live: the first device to discover a steady-state cycle pays for
 // it, every other device fast-forwards through it.
 //
 // Why cross-device sharing is sound: a record is only ever used when the
@@ -46,9 +46,11 @@ import (
 // deterministic simulation) — so the plane's record content
 // is independent of attach/publish interleaving as long as no class is
 // evicted mid-job. Per-device replay statistics depend on who got there
-// first, but a platform adopts the plane's records only when it attaches
-// and then sees only what it records itself, so a fixed attach order per
-// class (the fleet engine's per-memo-class chains) fixes them too.
+// first: a platform reads its class bundle live, so platforms of one class
+// run one after another (the fleet engine's per-memo-class chains) each
+// see exactly their predecessors' records and get fixed statistics, while
+// concurrent same-class platforms outside a chain may see each other's
+// records, which can change FFStats, never results.
 
 // defaultPlaneClasses bounds a plane that was created without an
 // explicit class budget, which is every plane a runtime builds. Over a
@@ -111,7 +113,7 @@ func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 	if b, ok := pl.classes.Get(classKey); ok {
 		return b
 	}
-	b := &ffBundle{key: classKey, records: make(ffRecords)}
+	b := &ffBundle{key: classKey, store: pl.store, records: make(ffRecords)}
 	switch payload, ok, err := pl.store.Load("cycles", []byte(classKey)); {
 	case err != nil:
 		// Typed corruption is a fail-safe miss by the store's contract:
@@ -130,18 +132,18 @@ func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 	return b
 }
 
-// Attach hooks a platform into the plane: it adopts every record already
-// known for the platform's memo class, publishes the records the platform
-// goes on to discover, and each successful RunCycles flushes the class if
-// it gained records. A platform nobody attaches keeps its cycle memo to
-// itself.
+// Attach hooks a platform into the plane: from then on the platform reads
+// and publishes its memo class's shared bundle, so it replays every record
+// the class holds or gains, and each successful RunCycles flushes the
+// class if it gained records. The records the class holds now count as
+// adopted. A platform nobody attaches keeps its records in the private
+// bundle New gave it.
 func (pl *MemoPlane) Attach(p *Platform) {
 	b := pl.acquire(MemoClassKey(p.cfg))
-	ff := &p.ff
-	ff.plane, ff.persist = pl, b
+	p.ff.bundle = b
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	pl.adopted.Add(uint64(ff.adopt(b.records)))
+	pl.adopted.Add(uint64(b.records.count()))
 }
 
 // WarmClass runs compute — a full device simulation expected to
@@ -234,11 +236,11 @@ func (b *ffBundle) adopt(recs ffRecords) {
 	}
 }
 
-// flushBundle persists one bundle's unsaved records (no-op for a nil
-// plane or bundle — an unattached platform, built by New directly — or
-// without a writable store). Callers must not hold the bundle's lock.
-func (pl *MemoPlane) flushBundle(b *ffBundle) {
-	if pl == nil || b == nil || !pl.store.Mode().Writable() {
+// flush persists the bundle's unsaved records; without a writable store
+// — a private bundle has none — it is a no-op. Callers must not hold the
+// bundle's lock.
+func (b *ffBundle) flush() {
+	if !b.store.Mode().Writable() {
 		return
 	}
 	b.mu.Lock()
@@ -246,7 +248,7 @@ func (pl *MemoPlane) flushBundle(b *ffBundle) {
 	if !b.dirty || len(b.records) == 0 {
 		return
 	}
-	pl.store.Save("cycles", []byte(b.key), ffEncodeBundle(b.records))
+	b.store.Save("cycles", []byte(b.key), ffEncodeBundle(b.records))
 	b.dirty = false
 }
 
@@ -256,7 +258,7 @@ func (pl *MemoPlane) flushBundle(b *ffBundle) {
 func (pl *MemoPlane) Flush() {
 	for _, key := range pl.classes.Keys() {
 		if b, ok := pl.classes.Peek(key); ok {
-			pl.flushBundle(b)
+			b.flush()
 		}
 	}
 }

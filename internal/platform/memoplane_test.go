@@ -430,3 +430,111 @@ func TestMemoPlaneEvictionFlushes(t *testing.T) {
 		t.Errorf("evicted-and-reloaded class replayed nothing: %+v", stats)
 	}
 }
+
+// TestMemoPlaneAttachReadsLive: a platform reads its class bundle live,
+// not a copy taken when it attached. A and B attach to a fresh plane
+// before either runs; B, running after A, replays everything A recorded.
+func TestMemoPlaneAttachReadsLive(t *testing.T) {
+	cfg := ODRIPSConfig()
+	plane := NewMemoPlane(nil, 0)
+	var ps [2]*Platform
+	for i := range ps {
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plane.Attach(p)
+		ps[i] = p
+	}
+	want, err := ps[0].RunCycles(planeCycles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ps[1].RunCycles(planeCycles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("B's result diverged from A's")
+	}
+	if st, n := ps[1].FFStats(), uint64(len(planeCycles())); st.CyclesRecorded != 0 || st.CyclesReplayed != n {
+		t.Errorf("B recorded %d and replayed %d of %d cycles; want 0 and all", st.CyclesRecorded, st.CyclesReplayed, n)
+	}
+}
+
+// TestMemoPlaneConcurrentSameClass: platforms of one class running at
+// once on one plane publish into and replay from the same bundle while
+// it grows; whatever each sees, its result equals a full simulation.
+// Under -race this is the bundle lock's check.
+func TestMemoPlaneConcurrentSameClass(t *testing.T) {
+	const devices = 3
+	cycles := workload.ConnectedStandby(24, 3)
+	cfgOf := func(i int) Config {
+		cfg := ODRIPSConfig()
+		cfg.Seed = int64(i + 1)
+		return cfg
+	}
+	var want [devices]Result
+	for i := range want {
+		p, err := New(cfgOf(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SetFastForward(FFOff); err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = p.RunCycles(cycles); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	plane := NewMemoPlane(nil, 0)
+	var ps [devices]*Platform
+	for i := range ps {
+		p, err := New(cfgOf(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plane.Attach(p)
+		ps[i] = p
+	}
+	var got [devices]Result
+	var errs [devices]error
+	var wg sync.WaitGroup
+	for i, p := range ps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = p.RunCycles(cycles)
+		}()
+	}
+	wg.Wait()
+	for i, p := range ps {
+		if errs[i] != nil {
+			t.Fatalf("device %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("device %d: result diverged from its fast-forward-off run", i)
+		}
+		t.Logf("device %d: %+v", i, p.FFStats())
+	}
+	if st := plane.Stats(); st.Classes != 1 || st.Records == 0 {
+		t.Errorf("plane stats %+v: want one class holding records", st)
+	}
+}
+
+// TestBarePlatformRecordCap: a platform built by New alone records into
+// its private bundle under the one record cap, so a jittered
+// connected-standby run records every cycle.
+func TestBarePlatformRecordCap(t *testing.T) {
+	p, err := New(ODRIPSConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.RunCycles(workload.ConnectedStandby(720, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.FFStats(); st.CyclesRecorded != 720 {
+		t.Errorf("bare platform recorded %d of 720 jittered cycles", st.CyclesRecorded)
+	}
+}

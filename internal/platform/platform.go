@@ -236,6 +236,7 @@ func New(cfg Config) (*Platform, error) {
 		meter:         m,
 		wakeCount:     make(map[chipset.WakeSource]uint64),
 		shallowCounts: make(map[string]uint64),
+		ff:            ffState{bundle: &ffBundle{records: make(ffRecords)}},
 	}
 
 	// Board crystals.

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -40,11 +41,13 @@ func ParseTrace(r io.Reader) ([]Cycle, error) {
 			return nil, fmt.Errorf("workload: trace line %d: want 3 fields, got %d", line, len(rec))
 		}
 		activeMS, err := strconv.ParseFloat(strings.TrimSpace(rec[0]), 64)
-		if err != nil || activeMS < 0 {
+		active, ok := msDuration(activeMS)
+		if err != nil || !ok || activeMS < 0 {
 			return nil, fmt.Errorf("workload: trace line %d: bad active_ms %q", line, rec[0])
 		}
 		idleMS, err := strconv.ParseFloat(strings.TrimSpace(rec[1]), 64)
-		if err != nil || idleMS <= 0 {
+		idle, ok := msDuration(idleMS)
+		if err != nil || !ok || idle <= 0 {
 			return nil, fmt.Errorf("workload: trace line %d: bad idle_ms %q", line, rec[1])
 		}
 		var wake WakeKind
@@ -58,16 +61,22 @@ func ParseTrace(r io.Reader) ([]Cycle, error) {
 		default:
 			return nil, fmt.Errorf("workload: trace line %d: unknown wake %q", line, rec[2])
 		}
-		cycles = append(cycles, Cycle{
-			Active: sim.FromSeconds(activeMS / 1000),
-			Idle:   sim.FromSeconds(idleMS / 1000),
-			Wake:   wake,
-		})
+		cycles = append(cycles, Cycle{Active: active, Idle: idle, Wake: wake})
 	}
 	if len(cycles) == 0 {
 		return nil, fmt.Errorf("workload: empty trace")
 	}
 	return cycles, nil
+}
+
+// msDuration converts a trace's millisecond count to a Duration. It
+// fails unless ms is finite and its picosecond count fits sim.Duration.
+func msDuration(ms float64) (sim.Duration, bool) {
+	s := ms / 1000
+	if math.IsNaN(s) || math.Abs(s*float64(sim.Second)) >= math.MaxInt64 {
+		return 0, false
+	}
+	return sim.FromSeconds(s), true
 }
 
 // FormatTrace writes cycles in the ParseTrace CSV format.

@@ -126,11 +126,23 @@ func TestParseTraceErrors(t *testing.T) {
 		"150,-5,timer",     // non-positive idle
 		"150,0,timer",      // zero idle
 		"150,30000,banana", // unknown wake
+		"2,NaN,timer",      // non-finite idle
+		"NaN,100,timer",    // non-finite active
+		"2,Inf,timer",      // infinite idle
+		"2,1e13,timer",     // idle overflows sim.Duration
 	}
 	for i, tr := range bad {
 		if _, err := ParseTrace(strings.NewReader(tr)); err == nil {
 			t.Errorf("bad trace %d accepted", i)
 		}
+	}
+}
+
+// TestParseTraceNamesLine: a rejected value names its trace line.
+func TestParseTraceNamesLine(t *testing.T) {
+	_, err := ParseTrace(strings.NewReader("150,30000,timer\n2,1e13,timer\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("error %v, want one naming line 2", err)
 	}
 }
 
