@@ -139,8 +139,16 @@ server-smoke:
 # Memo audit smoke tier: fill a store with `-exp all -sweep fast` (the
 # store a bench-cold run fills), then rerun it read-only under
 # -fastforward verify — every adopted cycle record is re-simulated and
-# diffed, every stored sweep and transition point recomputed and
-# bit-compared — and require byte-identical stdout. The
+# diffed, every adopted MEE op record re-executed and diffed, every
+# stored sweep and transition point recomputed and bit-compared — and
+# require byte-identical stdout. A storeless fig6a,fig6d,coalescing run
+# must then hold at least one and at most three MEE op records per plane
+# class (formatted save, imported restore, primed save): an op-record
+# key that picked up the root counter or ciphertext would exceed the
+# bound, and a dead lookup would hold none. coalescing is in the run
+# because its 40-cycle points visit 40 root values per platform; the
+# sweeps' 4-cycle points alone land a root-keyed build exactly on the
+# bound. The
 # fleet leg does the same with a jittered 2,000-device fleet, whose
 # adopted records replay across drifts and idle jitters, and compares
 # the two runs' JSON "aggregates" blocks. One binary serves each store,
@@ -157,6 +165,13 @@ memo-verify-smoke:
 	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache rw -memocachedir $(VERIFYDIR)/store > $(VERIFYDIR)/fill.txt
 	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -fastforward verify > $(VERIFYDIR)/audit.txt
 	cmp $(VERIFYDIR)/fill.txt $(VERIFYDIR)/audit.txt
+	$(VERIFYDIR)/odrips-bench -exp fig6a,fig6d,coalescing -sweep fast -memostats > $(VERIFYDIR)/opstats.txt
+	classes=$$(sed -n 's/^| cycle memo plane .*| \([0-9]*\)\/[0-9]* classes |.*/\1/p' $(VERIFYDIR)/opstats.txt); \
+	ops=$$(sed -n 's/^| cycle memo plane .* \([0-9]*\) op records,.*/\1/p' $(VERIFYDIR)/opstats.txt); \
+	if [ -z "$$classes" ] || [ -z "$$ops" ] || [ $$ops -lt 1 ] || [ $$ops -gt $$(( 3 * classes )) ]; then \
+		echo "memo-verify-smoke: storeless fig6a,fig6d,coalescing holds '$$ops' MEE op records in '$$classes' plane classes; want 1 to 3 per class:"; grep 'cycle memo plane' $(VERIFYDIR)/opstats.txt; exit 1; \
+	fi; \
+	echo "memo-verify-smoke: $$ops MEE op records in $$classes plane classes"
 	printf '%s\n' '$(VERIFY_FLEET_SPEC)' > $(VERIFYDIR)/fleet.json
 	$(VERIFYDIR)/odrips-fleet -spec $(VERIFYDIR)/fleet.json -memocache rw -memocachedir $(VERIFYDIR)/fleetstore -format json -o $(VERIFYDIR)/fleet-fill.json
 	$(VERIFYDIR)/odrips-fleet -spec $(VERIFYDIR)/fleet.json -memocache ro -memocachedir $(VERIFYDIR)/fleetstore -fastforward verify -format json -o $(VERIFYDIR)/fleet-audit.json
@@ -188,6 +203,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMemoStoreLoad$$' -fuzztime $(FUZZTIME) ./internal/memostore
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime $(FUZZTIME) ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzBundleDecode$$' -fuzztime $(FUZZTIME) ./internal/platform
 
 # Record the full benchmark suite (with allocation stats) to a timestamped
 # JSON artifact for before/after comparison. Written to a temp file and

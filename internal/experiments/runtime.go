@@ -170,7 +170,7 @@ func (rt *Runtime) MemoStats() *report.Table {
 	t.AddRow("cycle memo plane",
 		fmt.Sprintf("%d", ps.Class.Hits), fmt.Sprintf("%d", ps.Class.Misses),
 		fmt.Sprintf("%d/%d classes", ps.Classes, ps.MaxClasses),
-		fmt.Sprintf("%d records, %d class evictions", ps.Records, ps.Class.Evictions))
+		fmt.Sprintf("%d records, %d op records, %d class evictions", ps.Records, ps.OpRecords, ps.Class.Evictions))
 	ms := rt.Store().Stats()
 	t.AddRow("persistent memo store",
 		fmt.Sprintf("%d", ms.Hits), fmt.Sprintf("%d", ms.Misses),

@@ -166,14 +166,17 @@ func TestMemoStatsShowsStorelessPlane(t *testing.T) {
 	if row == nil {
 		t.Fatal("no cycle memo plane row")
 	}
-	var classes, maxClasses, records, evictions int
+	var classes, maxClasses, records, opRecords, evictions int
 	if _, err := fmt.Sscanf(row[3], "%d/%d classes", &classes, &maxClasses); err != nil {
 		t.Fatalf("size cell %q: %v", row[3], err)
 	}
-	if _, err := fmt.Sscanf(row[4], "%d records, %d class evictions", &records, &evictions); err != nil {
+	if _, err := fmt.Sscanf(row[4], "%d records, %d op records, %d class evictions", &records, &opRecords, &evictions); err != nil {
 		t.Fatalf("detail cell %q: %v", row[4], err)
 	}
 	if classes < 1 || records < 1 {
 		t.Errorf("storeless plane after Fig2: %d classes, %d records; want at least 1 of each (row %q)", classes, records, row)
+	}
+	if opRecords > 3*classes {
+		t.Errorf("storeless plane after Fig2: %d op records in %d classes; want at most 3 per class (row %q)", opRecords, classes, row)
 	}
 }

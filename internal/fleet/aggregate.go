@@ -332,6 +332,7 @@ func (r *Report) Tables() []*report.Table {
 	memo.AddRow("cross-device hit rate", fmt.Sprintf("%.3f%%", m.CrossDeviceHitRatePct))
 	memo.AddRow("plane classes", fmt.Sprintf("%d/%d", m.Plane.Classes, m.Plane.MaxClasses))
 	memo.AddRow("plane records", fmt.Sprintf("%d (adopted %d)", m.Plane.Records, m.Plane.Adopted))
+	memo.AddRow("plane op records", fmt.Sprintf("%d", m.Plane.OpRecords))
 	if m.Store != (memostore.Stats{}) {
 		memo.AddRow("store hits/misses", fmt.Sprintf("%d/%d", m.Store.Hits, m.Store.Misses))
 		memo.AddRow("store disk", fmt.Sprintf("%d entries, %d bytes", m.Store.DiskEntries, m.Store.DiskBytes))
@@ -390,8 +391,8 @@ func (r *Report) Markdown() string {
 	fmt.Fprintf(&b, "| simulated / replayed / deduped cycles | %d / %d / %d |\n",
 		r.Memo.SimulatedCycles, r.Memo.ReplayedCycles, r.Memo.DedupedCycles)
 	fmt.Fprintf(&b, "| **cross-device hit rate** | **%.3f%%** |\n", r.Memo.CrossDeviceHitRatePct)
-	fmt.Fprintf(&b, "| plane classes / records / adopted | %d / %d / %d |\n",
-		r.Memo.Plane.Classes, r.Memo.Plane.Records, r.Memo.Plane.Adopted)
+	fmt.Fprintf(&b, "| plane classes / records / adopted / op records | %d / %d / %d / %d |\n",
+		r.Memo.Plane.Classes, r.Memo.Plane.Records, r.Memo.Plane.Adopted, r.Memo.Plane.OpRecords)
 	if r.Memo.Store != (memostore.Stats{}) {
 		fmt.Fprintf(&b, "| store hits / misses / disk | %d / %d / %d entries (%d bytes) |\n",
 			r.Memo.Store.Hits, r.Memo.Store.Misses, r.Memo.Store.DiskEntries, r.Memo.Store.DiskBytes)

@@ -120,6 +120,33 @@ func (c *metaCache) flushDirty(fn func(addr uint64, data []byte) error) error {
 	return firstErr
 }
 
+// digest hashes what a region op's traffic depends on: the line count
+// and each line's valid and dirty bits and tag, in index order (the cache
+// is direct-mapped, so the index is its whole replacement order). Line
+// contents are left out: they vary with the key and the versions, which
+// never change which lookups hit. FNV-1a over 64-bit words.
+func (c *metaCache) digest() uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) { h = (h ^ v) * prime }
+	mix(uint64(len(c.lines)))
+	for i := range c.lines {
+		ln := &c.lines[i]
+		var bits uint64
+		if ln.valid {
+			bits |= 1
+		}
+		if ln.dirty {
+			bits |= 2
+		}
+		mix(bits)
+		if ln.valid {
+			mix(ln.addr)
+		}
+	}
+	return h
+}
+
 // stats returns hits, misses, writebacks.
 func (c *metaCache) stats() (hits, misses, writebacks uint64) {
 	return c.hits, c.misses, c.writebacks

@@ -59,6 +59,21 @@ func (e *Engine) DeltaSince(c OpCapture) OpRecord {
 	}
 }
 
+// CacheDigest summarizes the engine state a region op's traffic depends
+// on: the metadata cache's line count, valid and dirty bits and tags, and
+// whether a sequential write walk is in flight. The root counter, the
+// traffic counters and every byte are left out, since they vary with the
+// key and the version but never change the traffic. Two engines over one
+// geometry with equal digests complete a region op with identical
+// OpRecords, which is what lets an op record be shared across platforms.
+func (e *Engine) CacheDigest() uint64 {
+	d := e.cache.digest()
+	if e.walk.active {
+		d = ^d
+	}
+	return d
+}
+
 // ReplayOp advances the observable counters as if the recorded operation
 // had run, without touching DRAM or the metadata cache contents. The DRAM
 // bytes (for a save) and the cache (for either op) are left stale; the

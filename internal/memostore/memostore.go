@@ -42,8 +42,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Mode selects the store's behavior, mirroring the -memocache flag.
@@ -131,13 +133,14 @@ func (e *CorruptError) Error() string {
 // Stats counts store outcomes since Open, plus a point-in-time view of
 // the store's footprint taken when Stats() is called.
 type Stats struct {
-	Hits        uint64 `json:"hits"`         // loads that returned a verified payload
-	PackHits    uint64 `json:"pack_hits"`    // always 0 (the store is loose-only); kept because _perfbench/trace.go reads it
-	Misses      uint64 `json:"misses"`       // absent entries (or key-hash collisions)
-	Corrupt     uint64 `json:"corrupt"`      // malformed entries, degraded to misses
-	VersionSkew uint64 `json:"version_skew"` // schema/build-fingerprint mismatches, degraded to misses
-	Writes      uint64 `json:"writes"`       // entries persisted
-	WriteErrors uint64 `json:"write_errors"` // failed persists (dropped; never fatal)
+	Hits         uint64 `json:"hits"`          // loads that returned a verified payload
+	PackHits     uint64 `json:"pack_hits"`     // always 0 (the store is loose-only); kept because _perfbench/trace.go reads it
+	Misses       uint64 `json:"misses"`        // absent entries (or key-hash collisions)
+	Corrupt      uint64 `json:"corrupt"`       // malformed entries, degraded to misses
+	VersionSkew  uint64 `json:"version_skew"`  // schema/build-fingerprint mismatches, degraded to misses
+	Writes       uint64 `json:"writes"`        // entries persisted
+	WriteErrors  uint64 `json:"write_errors"`  // failed persists (dropped; never fatal)
+	TmpCollected uint64 `json:"tmp_collected"` // stale temp files of dead writers removed at Open (rw only)
 
 	// Claim protocol counters (DESIGN.md §17):
 	FlightShared   uint64 `json:"flight_shared"`   // always 0 (claims are the only compute dedup); kept because _perfbench/trace.go reads it
@@ -186,7 +189,39 @@ func Open(dir string, mode Mode) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("memostore: build fingerprint: %v", err)
 	}
-	return &Store{dir: dir, mode: mode, buildFP: fp}, nil
+	s := &Store{dir: dir, mode: mode, buildFP: fp}
+	if mode.Writable() {
+		s.stats.TmpCollected = s.collectStaleTmp()
+	}
+	return s, nil
+}
+
+// collectStaleTmp removes the temp files of writers that died between
+// writeAtomic's create and rename, and returns how many it removed. A
+// live writer holds its temp file for milliseconds, so one older than
+// DefaultClaimStaleAfter is an orphan. Errors are ignored: the sweep is
+// housekeeping, and a stray it misses stays harmless under its unique
+// name.
+func (s *Store) collectStaleTmp() uint64 {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return 0
+	}
+	var n uint64
+	for _, e := range entries {
+		if e.IsDir() || !strings.Contains(e.Name(), ".memo.tmp.") {
+			continue
+		}
+		info, err := e.Info()
+		//odrips:allow walltime temp-file age is a liveness heuristic only, like claim staleness: it decides which orphans to delete, never what a load returns
+		if err != nil || time.Since(info.ModTime()) <= DefaultClaimStaleAfter {
+			continue
+		}
+		if os.Remove(filepath.Join(s.dir, e.Name())) == nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Mode returns the store's mode (Off for a nil store).

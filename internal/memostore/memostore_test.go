@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func openT(t *testing.T, mode Mode) *Store {
@@ -374,5 +375,62 @@ func TestLeftoverPackSegmentIgnored(t *testing.T) {
 	if st := n.Stats(); st.DiskEntries != want.DiskEntries || st.DiskBytes != want.DiskBytes || st.DiskEntries != 1 {
 		t.Fatalf("footprint %d entries / %d B counts the segment, want %d / %d",
 			st.DiskEntries, st.DiskBytes, want.DiskEntries, want.DiskBytes)
+	}
+}
+
+// TestOpenCollectsStaleTmp: a writer that died between create and
+// rename leaves a *.memo.tmp.<pid>.<seq> file. Opening the store rw
+// removes such files once they are older than DefaultClaimStaleAfter and
+// counts them; a fresh one (a live writer's) stays, and ro opens remove
+// nothing.
+func TestOpenCollectsStaleTmp(t *testing.T) {
+	dir := t.TempDir()
+	plant := func(name string, age time.Duration) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte("partial"), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		// Age the file relative to the mtime the filesystem just gave it.
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		when := info.ModTime().Add(-age)
+		if err := os.Chtimes(path, when, when); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	stale := plant("cycles-00ff.memo.tmp.4242.7", 2*DefaultClaimStaleAfter)
+	fresh := plant("cycles-00ff.memo.tmp.4243.1", 0)
+	claim := plant("cycles-00ff.memo.claim", 2*DefaultClaimStaleAfter)
+
+	ro, err := Open(dir, RO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !exists(stale) || ro.Stats().TmpCollected != 0 {
+		t.Fatalf("ro open collected temp files (stale exists %v, stats %+v)", exists(stale), ro.Stats())
+	}
+
+	rw, err := Open(dir, RW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exists(stale) {
+		t.Error("rw open left a stale temp file")
+	}
+	if !exists(fresh) {
+		t.Error("rw open removed a fresh temp file")
+	}
+	if !exists(claim) {
+		t.Error("rw open removed a claim file; claims age out through AwaitClaimed")
+	}
+	if got := rw.Stats().TmpCollected; got != 1 {
+		t.Errorf("TmpCollected = %d, want 1", got)
 	}
 }

@@ -15,11 +15,13 @@ import (
 //
 //   - MEE op replay: the per-cycle context save/restore through the MEE is
 //     a strictly periodic op sequence whose observable effects (traffic
-//     counters, latency, root-counter advance) repeat exactly. After one
-//     period is recorded, later saves/restores advance the counters
-//     arithmetically and skip the crypto and DRAM traffic
-//     (mee.OpRecord/ReplayOp), with ReplayMaterialize/ReplayWarm
-//     rebuilding the canonical bytes before any real engine op.
+//     counters, latency, root-counter advance) depend only on the engine
+//     state it starts from. Once a platform of the memo class has run an
+//     op from a given start state, every later one — on any platform of
+//     the class — advances the counters arithmetically and skips the
+//     crypto and DRAM traffic (mee.OpRecord/ReplayOp), with
+//     ReplayMaterialize/ReplayWarm rebuilding the canonical bytes before
+//     any real engine op.
 //
 //   - Cycle replay: when the full behavioral fingerprint of the platform
 //     at a cycle boundary recurs together with the same workload.Cycle
@@ -122,26 +124,21 @@ type ffState struct {
 	cycleOK    bool
 	memExposed bool
 
-	// MEE op memo. meePrimed marks the live engine as being in the
-	// canonical post-import+restore state (the state every recorded save
-	// starts from); meeVirtual marks DRAM bytes and the metadata cache
-	// as stale because ops were replayed over them. downEng is the engine
-	// that powered down at idle entry, kept so that bytes left virtual can
-	// be materialized while p.eng is nil.
-	downEng     *mee.Engine
-	meePrimed   bool
-	meeVirtual  bool
-	haveSave    bool
-	haveRestore bool
-	saveLat     sim.Duration
-	restoreLat  sim.Duration
-	saveOp      mee.OpRecord
-	restoreOp   mee.OpRecord
+	// MEE op replay state. meePrimed marks the live engine as being in
+	// the canonical post-import+restore state (ffStartPrimed);
+	// meeVirtual marks DRAM bytes and the metadata cache as stale because
+	// ops were replayed over them. downEng is the engine that powered down
+	// at idle entry, kept so that bytes left virtual can be materialized
+	// while p.eng is nil.
+	downEng    *mee.Engine
+	meePrimed  bool
+	meeVirtual bool
 
-	// Cycle memo: the record set this platform reads and publishes to —
-	// a private bundle from New until a memo plane's Attach swaps in its
-	// class's shared one (memoplane.go) — plus reusable scratch for the
-	// fingerprint serialization and scaled replay deltas.
+	// The record set this platform reads and publishes to, op records and
+	// cycle records alike — a private bundle from New until a memo plane's
+	// Attach swaps in its class's shared one (memoplane.go) — plus
+	// reusable scratch for the fingerprint serialization and scaled replay
+	// deltas.
 	bundle      *ffBundle
 	rec         *cycleRecording // in-progress recording, nil outside one
 	fpBuf       []byte
@@ -213,39 +210,142 @@ func (p *Platform) ffRealize() error {
 	return nil
 }
 
+// ffOpStart names the MEE engine state a context save or restore starts
+// from. A region op's traffic, and so its latency, is a function of the
+// metadata cache's tags and valid/dirty bits, the tree geometry and the
+// region size only — never of the root counter, the key or any byte — so
+// every op that starts from one of these states repeats the same OpRecord
+// on every platform of a memo class (DESIGN.md §12).
+type ffOpStart uint8
+
+const (
+	ffNoStart        ffOpStart = iota // none of the below: runs for real, unrecorded
+	ffStartFormatted                  // mee.New's state: root 0, empty cache (a platform's first save)
+	ffStartImported                   // a fresh ImportState: cold cache (every attempt-1 restore)
+	ffStartPrimed                     // the cache a completed restore leaves (every later save)
+)
+
+// ffOpKey identifies an MEE op record within a memo class: the op, the
+// engine state it starts from, and the region geometry.
+type ffOpKey struct {
+	save       bool
+	start      ffOpStart
+	dataBlocks int
+	base       uint64
+	cacheLines int
+	imageLen   int
+}
+
+// ffOpRecord is one recorded MEE context save or restore: its counter
+// deltas and latency, and the CacheDigest of the engine it started from,
+// which -fastforward verify compares against every live engine the key
+// claims is in the same state.
+type ffOpRecord struct {
+	op     mee.OpRecord
+	lat    sim.Duration
+	digest uint64
+}
+
+// ffOps indexes a memo class's op records.
+type ffOps map[ffOpKey]ffOpRecord
+
+// ffOpKeyFor keys a save or restore on the live engine from start.
+func (p *Platform) ffOpKeyFor(save bool, start ffOpStart) ffOpKey {
+	l := p.eng.Layout()
+	return ffOpKey{
+		save:       save,
+		start:      start,
+		dataBlocks: l.DataBlocks,
+		base:       l.Base,
+		cacheLines: mee.DefaultCacheLines,
+		imageLen:   len(p.ctxImage),
+	}
+}
+
+// ffOpReplayable reports whether the op of key may replay now: op
+// replay is on for this cycle and the op starts from a recorded state.
+func (p *Platform) ffOpReplayable(key ffOpKey) bool {
+	return p.ff.mode == FFOn && p.ff.cycleOK && key.start != ffNoStart
+}
+
+// ffReplayOp replays key's class record over the live engine when op
+// replay may run this cycle and the class holds one, returning its
+// latency; the caller sets meePrimed for the state the op leaves. When
+// the class holds none, the caller has claimed key (ffBundle.opOrClaim)
+// and must run the op for real, then ffPublishOp its record or, failing,
+// releaseOp it.
+func (p *Platform) ffReplayOp(key ffOpKey) (sim.Duration, bool) {
+	ff := &p.ff
+	if !p.ffOpReplayable(key) {
+		return 0, false
+	}
+	r, ok := ff.bundle.opOrClaim(key)
+	if !ok {
+		return 0, false
+	}
+	p.eng.ReplayOp(r.op)
+	ff.meeVirtual = true
+	ff.stats.MEEOpsReplayed++
+	return r.lat, true
+}
+
+// ffPublishOp files a real op's record with the memo class; under
+// -fastforward verify, an op whose class already holds a record — from
+// this platform, another one, or the store — must match it exactly,
+// start-state digest included.
+func (p *Platform) ffPublishOp(key ffOpKey, r ffOpRecord) error {
+	held, fresh := p.ff.bundle.publishOp(key, r)
+	if fresh || p.ff.mode != FFVerify || held == r {
+		return nil
+	}
+	what := "restore"
+	if key.save {
+		what = "save"
+	}
+	return fmt.Errorf("fastforward verify: %s diverged from memo (lat %v vs %v, op %+v vs %+v, start digest %#x vs %#x)",
+		what, r.lat, held.lat, r.op, held.op, r.digest, held.digest)
+}
+
 // ffSaveCtxDRAM runs — or replays — the MEE context save, returning its
-// latency. Only canonical saves (from the primed post-restore state, in a
-// memo-eligible cycle) are recorded or compared.
+// latency. Saves from the formatted or the primed state, in a
+// memo-eligible cycle, are recorded, replayed or compared.
 func (p *Platform) ffSaveCtxDRAM() (sim.Duration, error) {
 	ff := &p.ff
-	if ff.mode == FFOn && ff.cycleOK && ff.meePrimed && ff.haveSave {
-		p.eng.ReplayOp(ff.saveOp)
+	start := ffNoStart
+	switch {
+	case !ff.cycleOK || ff.mode == FFOff:
+	case ff.meePrimed:
+		start = ffStartPrimed
+	case p.eng.RootCounter() == 0:
+		// Only a save advances the root, so nothing has touched the
+		// engine since mee.New formatted it.
+		start = ffStartFormatted
+	}
+	key := p.ffOpKeyFor(true, start)
+	if lat, ok := p.ffReplayOp(key); ok {
 		ff.meePrimed = false
-		ff.meeVirtual = true
-		ff.stats.MEEOpsReplayed++
-		return ff.saveLat, nil
+		return lat, nil
+	}
+	if p.ffOpReplayable(key) {
+		defer ff.bundle.releaseOp(key) // ffReplayOp claimed key
 	}
 	if err := p.ffRealize(); err != nil {
 		return 0, err
 	}
-	canonical := ff.cycleOK && ff.meePrimed && ff.mode != FFOff
 	ff.meePrimed = false
 	var snap mee.OpCapture
-	if canonical {
-		snap = p.eng.CaptureOp()
+	var digest uint64
+	if start != ffNoStart {
+		snap, digest = p.eng.CaptureOp(), p.eng.CacheDigest()
 	}
 	tgt := &pmu.DRAMTarget{Engine: p.eng}
 	lat, err := tgt.Save(p.ctxImage)
 	if err != nil {
 		return 0, err
 	}
-	if canonical {
-		op := p.eng.DeltaSince(snap)
-		if !ff.haveSave {
-			ff.saveOp, ff.saveLat, ff.haveSave = op, lat, true
-		} else if ff.mode == FFVerify && (op != ff.saveOp || lat != ff.saveLat) {
-			return 0, fmt.Errorf("fastforward verify: save diverged from memo (lat %v vs %v, op %+v vs %+v)",
-				lat, ff.saveLat, op, ff.saveOp)
+	if start != ffNoStart {
+		if err := p.ffPublishOp(key, ffOpRecord{op: p.eng.DeltaSince(snap), lat: lat, digest: digest}); err != nil {
+			return 0, err
 		}
 	}
 	return lat, nil

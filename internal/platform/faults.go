@@ -401,26 +401,33 @@ func (p *Platform) restoreCtxDRAM(attempt int, next func()) {
 			next()
 		})
 	}
-	if attempt == 1 && ff.mode == FFOn && ff.cycleOK && ff.haveRestore {
+	start := ffNoStart
+	if attempt == 1 && ff.mode != FFOff && ff.cycleOK {
+		// The boot FSM step imported a fresh engine just before this
+		// first attempt.
+		start = ffStartImported
+	}
+	key := p.ffOpKeyFor(false, start)
+	if lat, ok := p.ffReplayOp(key); ok {
 		// A steady-state restore is a fresh-import engine sequentially
 		// reading the canonical post-save region: its traffic, latency,
 		// and verification outcome are the memoized ones. The cache stays
 		// cold-stale; ffRealize rebuilds it before the next real op.
-		p.eng.ReplayOp(ff.restoreOp)
 		ff.meePrimed = true
-		ff.meeVirtual = true
-		ff.stats.MEEOpsReplayed++
-		done(ff.restoreLat)
+		done(lat)
 		return
+	}
+	if p.ffOpReplayable(key) {
+		defer ff.bundle.releaseOp(key) // ffReplayOp claimed key
 	}
 	if err := p.ffRealize(); err != nil {
 		p.fail("platform: context restore: %v", err)
 		return
 	}
-	canonical := attempt == 1 && ff.mode != FFOff && ff.cycleOK
 	var snap mee.OpCapture
-	if canonical {
-		snap = p.eng.CaptureOp()
+	var digest uint64
+	if start != ffNoStart {
+		snap, digest = p.eng.CaptureOp(), p.eng.CacheDigest()
 	}
 	tgt := &pmu.DRAMTarget{Engine: p.eng}
 	before := p.eng.Stats()
@@ -430,17 +437,13 @@ func (p *Platform) restoreCtxDRAM(attempt int, next func()) {
 	}
 	forced := err == nil && p.takeMEEForce()
 	if err == nil && !forced {
-		if canonical {
-			op := p.eng.DeltaSince(snap)
-			if !ff.haveRestore {
-				ff.restoreOp, ff.restoreLat, ff.haveRestore = op, lat, true
-			} else if ff.mode == FFVerify && (op != ff.restoreOp || lat != ff.restoreLat) {
-				p.fail("platform: fastforward verify: restore diverged from memo (lat %v vs %v, op %+v vs %+v)",
-					lat, ff.restoreLat, op, ff.restoreOp)
+		if start != ffNoStart {
+			if err := p.ffPublishOp(key, ffOpRecord{op: p.eng.DeltaSince(snap), lat: lat, digest: digest}); err != nil {
+				p.fail("platform: %v", err)
 				return
 			}
 			// The engine now sits in the canonical post-restore state
-			// every memoized save starts from.
+			// every primed save starts from.
 			ff.meePrimed = true
 		}
 		done(lat)

@@ -172,3 +172,69 @@ func TestMemInsideRecordedCycle(t *testing.T) {
 		}
 	}
 }
+
+// TestMemAfterAdoptedFirstSave: a platform whose very first save replays
+// the class's formatted-start record holds no ciphertext at all until
+// Mem() materializes it at k = 1. Whether Mem() is called mid-idle
+// (through the engine that powered down) or after the run, the bytes
+// must be the ones an FFOff run wrote.
+func TestMemAfterAdoptedFirstSave(t *testing.T) {
+	cfg := ODRIPSConfig()
+	// The record run idles longer, so the runs under test share its op
+	// records but never replay its whole cycle.
+	cycles := workload.Fixed(1, 0, 30*sim.Second)
+	recordCycles := workload.Fixed(1, 0, 31*sim.Second)
+	regionSum := func(p *Platform) [32]byte {
+		mem := p.Mem()
+		st := mem.State()
+		if err := mem.SetState(dram.Active); err != nil {
+			t.Fatal(err)
+		}
+		region := p.CtxRegion()
+		b, err := mem.Read(region.Base, int(region.Size))
+		if err != nil {
+			t.Fatalf("read context region: %v", err)
+		}
+		if err := mem.SetState(st); err != nil {
+			t.Fatal(err)
+		}
+		return sha256.Sum256(b)
+	}
+	for _, midIdle := range []bool{false, true} {
+		var want [32]byte
+		plane := NewMemoPlane(nil, 0)
+		runStandby(t, cfg, plane, FFOn, recordCycles) // publishes the class's op records
+		for _, mode := range []FFMode{FFOff, FFOn} {
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.SetFastForward(mode); err != nil {
+				t.Fatal(err)
+			}
+			plane.Attach(p)
+			var sum [32]byte
+			if midIdle {
+				p.Scheduler().At(p.Scheduler().Now().Add(10*sim.Second), "test.mem", func() { sum = regionSum(p) })
+			}
+			if _, err := p.RunCycles(cycles); err != nil {
+				t.Fatal(err)
+			}
+			if !midIdle {
+				sum = regionSum(p)
+			}
+			st := p.FFStats()
+			switch {
+			case mode == FFOff:
+				want = sum
+			case midIdle && (st.MEEOpsReplayed != 1 || st.Materializations != 1):
+				t.Errorf("mid-idle: %+v, want the first save replayed and then materialized", st)
+			case !midIdle && (st.MEEOpsReplayed != 2 || st.Materializations != 1):
+				t.Errorf("after run: %+v, want save and restore replayed and then materialized", st)
+			}
+			if sum != want {
+				t.Errorf("mid-idle %v, %v: context region sha256 %x…, want %x… (off)", midIdle, mode, sum[:4], want[:4])
+			}
+		}
+	}
+}

@@ -15,37 +15,40 @@ import (
 	"odrips/internal/workload"
 )
 
-// This file is the on-disk form of the cycle-replay memo (ffcycle.go):
-// the bundle codec the memo plane (memoplane.go) loads and flushes
-// through internal/memostore (DESIGN.md §13). The unit of persistence is
-// a bundle: every cycle record for one memo class, stored under the
-// class key. The store's header (schema version + build fingerprint)
-// invalidates the cache wholesale on any code change, so the key only
-// needs to be stable within a build — Config is a pure value type, so
-// %#v is.
+// This file is the on-disk form of both fast-forward memos: the bundle
+// codec the memo plane (memoplane.go) loads and flushes through
+// internal/memostore (DESIGN.md §13). The unit of persistence is a
+// bundle: every cycle record (ffcycle.go) and every MEE op record
+// (fastforward.go) for one memo class, stored under the class key. The
+// store's header (schema version + build fingerprint) invalidates the
+// cache wholesale on any code change, so the key only needs to be stable
+// within a build — Config is a pure value type, so %#v is.
 //
-// Soundness does not rest on the decoder: a loaded record is only ever
-// used when the live boundary fingerprint recurs and the live crystal
-// phases lie in its windows (both recomputed from live state every
-// boundary, exactly as for in-process records), so a stale or mismatched
-// record is unreachable, and -fastforward=verify re-simulates every cycle
-// and diffs it against the adopted record.
+// Soundness does not rest on the decoder: a loaded cycle record is only
+// ever used when the live boundary fingerprint recurs and the live
+// crystal phases lie in its windows (both recomputed from live state
+// every boundary, exactly as for in-process records), so a stale or
+// mismatched record is unreachable; an op record only replays an op that
+// starts from the engine state its key names; and -fastforward=verify
+// re-simulates every cycle and re-executes every op, diffing each
+// against the adopted record.
 
 // ffBundleVersion versions the bundle payload layout inside the store
 // entry (the store's schema version covers the envelope, this one the
-// cycle-record serialization). Version 2 added the phase windows and
-// dropped the phase residue from the key.
-const ffBundleVersion = 2
+// record serialization). Version 2 added the phase windows and dropped
+// the phase residue from the key; version 3 added the MEE op records.
+const ffBundleVersion = 3
 
 // ffBundleSchemaHash pins the wire schema of the bundle codec. The marker
-// below makes odrips-vet compute a structural hash over ffKey and
-// cycleRecord (and every module type reachable from them) and compare it
-// to this constant: change the shape of anything ffEncodeBundle
-// serializes and vet fails with the new hash, forcing a deliberate
-// ffBundleVersion bump alongside the re-recorded constant.
+// below makes odrips-vet compute a structural hash over ffKey,
+// cycleRecord, ffOpKey and ffOpRecord (and every module type reachable
+// from them) and compare it to this constant: change the shape of
+// anything ffEncodeBundle serializes and vet fails with the new hash,
+// forcing a deliberate ffBundleVersion bump alongside the re-recorded
+// constant.
 //
-//odrips:schema ffKey cycleRecord
-const ffBundleSchemaHash = "5557919be9867ff017d2b7c440fd913a08234a9e0ea03fb7d1bbf7640fc9c664"
+//odrips:schema ffKey cycleRecord ffOpKey ffOpRecord
+const ffBundleSchemaHash = "d145aa84e7ea04e4941ff7a8c6da5f13e3dc7c53467b33a9abda452d6b6092f3"
 
 // ffRecords indexes cycle records by key; the records of one key differ
 // in their phase windows. Lists shared between holders are clipped, so an
@@ -94,18 +97,32 @@ func (rs ffRecords) clone() ffRecords {
 	return out
 }
 
-// ffBundle is one memo class's record set, the only cycle memo a
-// platform reads or publishes to: New gives each platform a private one
-// (no key, no store), and a plane's Attach swaps in the class's shared
-// one. Its mutex guards records/dirty; the record values themselves are
-// immutable once published, so readers may hold pointers lock-free.
+// ffBundle is one memo class's record set, the only memo a platform
+// reads or publishes to — cycle records and MEE op records alike: New
+// gives each platform a private one (no key, no store), and a plane's
+// Attach swaps in the class's shared one. Its mutex guards every field
+// below it; the record values themselves are immutable once published,
+// so readers may hold pointers lock-free.
 type ffBundle struct {
 	key   string
 	store *memostore.Store // persistence backing; nil never writes
 
 	mu      sync.Mutex
 	records ffRecords
+	ops     ffOps
+	opBusy  map[ffOpKey]chan struct{} // ops a platform is running to record; closed when it publishes or gives up
 	dirty   bool
+}
+
+// newFFBundle returns an empty bundle for classKey over store.
+func newFFBundle(classKey string, store *memostore.Store) *ffBundle {
+	return &ffBundle{
+		key:     classKey,
+		store:   store,
+		records: make(ffRecords),
+		ops:     make(ffOps),
+		opBusy:  make(map[ffOpKey]chan struct{}),
+	}
 }
 
 // lookup returns the record of key whose windows hold the boundary
@@ -126,35 +143,83 @@ func (b *ffBundle) publish(key ffKey, cr *cycleRecord) {
 	}
 }
 
+// opOrClaim returns the op record of key if the class holds one.
+// Otherwise the caller claims key and must run the op, then publishOp or
+// releaseOp it; a caller that finds key claimed waits for the claimant
+// first, so concurrent platforms of a class — parallel sweep points —
+// run each op once between them. A claimant never waits while it holds
+// its claim, so the wait cannot deadlock.
+func (b *ffBundle) opOrClaim(key ffOpKey) (ffOpRecord, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for {
+		if r, ok := b.ops[key]; ok {
+			return r, true
+		}
+		busy, ok := b.opBusy[key]
+		if !ok {
+			b.opBusy[key] = make(chan struct{})
+			return ffOpRecord{}, false
+		}
+		b.mu.Unlock()
+		<-busy
+		b.mu.Lock()
+	}
+}
+
+// publishOp files r under key unless the class already holds a record
+// there (first publisher wins, as for cycle records), and returns the
+// record the class holds afterwards and whether it was r. It ends any
+// claim on key.
+func (b *ffBundle) publishOp(key ffOpKey, r ffOpRecord) (ffOpRecord, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.endClaim(key)
+	if old, ok := b.ops[key]; ok {
+		return old, false
+	}
+	b.ops[key] = r
+	b.dirty = true
+	return r, true
+}
+
+// releaseOp ends a claim on key without a record, waking its waiters to
+// run the op themselves. It is a no-op once publishOp ended the claim:
+// from then on the record exists, so nobody claims key again.
+func (b *ffBundle) releaseOp(key ffOpKey) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.endClaim(key)
+}
+
+func (b *ffBundle) endClaim(key ffOpKey) {
+	if busy, ok := b.opBusy[key]; ok {
+		close(busy)
+		delete(b.opBusy, key)
+	}
+}
+
 // ---- Bundle codec ----
 //
-// Hand-rolled little-endian serialization in a fixed field order. The
-// decoder is total (bounds-checked, error-latched) and reconstructs the
-// exact value shapes ffFinalizeRecording produces — non-nil empty steps
-// slice, nil-when-empty ltrTimers, always-non-nil shallowD — because
-// -fastforward=verify diffs disk-loaded records against freshly recorded
-// ones with reflect.DeepEqual.
+// Hand-rolled little-endian serialization in a fixed field order: the
+// version, the cycle records sorted by key and then by window, then the
+// op records sorted by key. The decoder is total (bounds-checked,
+// error-latched) and accepts only that canonical form — keys and windows
+// strictly increasing, valid enum and bool bytes — so every payload it
+// accepts re-encodes to the same bytes (FuzzBundleDecode). It
+// reconstructs the exact value shapes ffFinalizeRecording produces —
+// non-nil empty steps slice, nil-when-empty ltrTimers, always-non-nil
+// shallowD — because -fastforward=verify diffs disk-loaded records
+// against freshly recorded ones with reflect.DeepEqual.
 
-// ffEncodeBundle serializes every record, sorted by key and then by
-// window for a deterministic artifact.
-func ffEncodeBundle(records ffRecords) []byte {
+// ffEncodeBundle serializes every cycle and op record in canonical
+// order, for a deterministic artifact.
+func ffEncodeBundle(records ffRecords, ops ffOps) []byte {
 	keys := make([]ffKey, 0, len(records))
 	for k := range records {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if c := bytes.Compare(a.fp[:], b.fp[:]); c != 0 {
-			return c < 0
-		}
-		if a.active != b.active {
-			return a.active < b.active
-		}
-		if a.idle != b.idle {
-			return a.idle < b.idle
-		}
-		return a.wake < b.wake
-	})
+	sort.Slice(keys, func(i, j int) bool { return ffKeyLess(keys[i], keys[j]) })
 
 	e := &ffEnc{}
 	e.u64(ffBundleVersion)
@@ -170,7 +235,47 @@ func ffEncodeBundle(records ffRecords) []byte {
 			ffEncodeRecord(e, cr)
 		}
 	}
+
+	opKeys := make([]ffOpKey, 0, len(ops))
+	for k := range ops {
+		opKeys = append(opKeys, k)
+	}
+	sort.Slice(opKeys, func(i, j int) bool { return ffOpKeyLess(opKeys[i], opKeys[j]) })
+	e.u64(uint64(len(opKeys)))
+	for _, k := range opKeys {
+		r := ops[k]
+		e.bool(k.save)
+		e.u64(uint64(k.start))
+		e.i64(int64(k.dataBlocks))
+		e.u64(k.base)
+		e.i64(int64(k.cacheLines))
+		e.i64(int64(k.imageLen))
+		e.u64(r.op.RootDelta)
+		e.u64(r.op.Stats.DataReads)
+		e.u64(r.op.Stats.DataWrites)
+		e.u64(r.op.Stats.MetaReads)
+		e.u64(r.op.Stats.MetaWrites)
+		e.u64(r.op.Stats.CacheHits)
+		e.u64(r.op.Stats.CacheMisses)
+		e.u64(r.op.Writebacks)
+		e.i64(int64(r.lat))
+		e.u64(r.digest)
+	}
 	return e.b
+}
+
+// ffKeyLess orders cycle-record keys for the codec.
+func ffKeyLess(a, b ffKey) bool {
+	if c := bytes.Compare(a.fp[:], b.fp[:]); c != 0 {
+		return c < 0
+	}
+	if a.active != b.active {
+		return a.active < b.active
+	}
+	if a.idle != b.idle {
+		return a.idle < b.idle
+	}
+	return a.wake < b.wake
 }
 
 // ffWindowLess orders the records of one key by their windows.
@@ -191,30 +296,94 @@ func ffWindowLess(a, b [2]clock.Window) bool {
 	return false
 }
 
-// ffDecodeBundle parses a bundle payload; any malformation is an error
+// ffOpKeyLess orders op-record keys for the codec.
+func ffOpKeyLess(a, b ffOpKey) bool {
+	switch {
+	case a.save != b.save:
+		return !a.save
+	case a.start != b.start:
+		return a.start < b.start
+	case a.dataBlocks != b.dataBlocks:
+		return a.dataBlocks < b.dataBlocks
+	case a.base != b.base:
+		return a.base < b.base
+	case a.cacheLines != b.cacheLines:
+		return a.cacheLines < b.cacheLines
+	}
+	return a.imageLen < b.imageLen
+}
+
+// ffOpRecordSize is the encoded size of one op record with its key.
+const ffOpRecordSize = 1 + 15*8
+
+// ffDecodeBundle parses a bundle payload; any malformation, or any
+// departure from the canonical form ffEncodeBundle writes, is an error
 // (the caller degrades to an empty bundle).
-func ffDecodeBundle(payload []byte) (ffRecords, error) {
+func ffDecodeBundle(payload []byte) (ffRecords, ffOps, error) {
 	d := &ffDec{b: payload}
 	if v := d.u64(); v != ffBundleVersion {
-		return nil, fmt.Errorf("platform: bundle version %d (want %d)", v, ffBundleVersion)
+		return nil, nil, fmt.Errorf("platform: bundle version %d (want %d)", v, ffBundleVersion)
 	}
 	n := d.len(64) // a key+record is far larger than 64 bytes
 	records := make(ffRecords)
+	var prev ffKey
 	for i := 0; i < n && d.err == nil; i++ {
 		var k ffKey
 		k.fp = d.b32()
 		k.active = sim.Duration(d.i64())
 		k.idle = sim.Duration(d.i64())
 		k.wake = workload.WakeKind(d.i64())
-		records[k] = append(records[k], ffDecodeRecord(d))
+		cr := ffDecodeRecord(d)
+		if list := records[k]; len(list) > 0 {
+			if !ffWindowLess(list[len(list)-1].win, cr.win) {
+				d.fail("record %d: windows out of order", i)
+			}
+		} else if i > 0 && !ffKeyLess(prev, k) {
+			d.fail("record %d: key out of order", i)
+		}
+		records[k] = append(records[k], cr)
+		prev = k
+	}
+
+	ops := make(ffOps)
+	nops := d.len(ffOpRecordSize)
+	var prevOp ffOpKey
+	for i := 0; i < nops && d.err == nil; i++ {
+		var k ffOpKey
+		var r ffOpRecord
+		k.save = d.bool()
+		start := d.u64()
+		k.start = ffOpStart(start)
+		k.dataBlocks = int(d.i64())
+		k.base = d.u64()
+		k.cacheLines = int(d.i64())
+		k.imageLen = int(d.i64())
+		r.op.RootDelta = d.u64()
+		r.op.Stats.DataReads = d.u64()
+		r.op.Stats.DataWrites = d.u64()
+		r.op.Stats.MetaReads = d.u64()
+		r.op.Stats.MetaWrites = d.u64()
+		r.op.Stats.CacheHits = d.u64()
+		r.op.Stats.CacheMisses = d.u64()
+		r.op.Writebacks = d.u64()
+		r.lat = sim.Duration(d.i64())
+		r.digest = d.u64()
+		if start < uint64(ffStartFormatted) || start > uint64(ffStartPrimed) {
+			d.fail("op record %d: start state %d", i, start)
+		}
+		if i > 0 && !ffOpKeyLess(prevOp, k) {
+			d.fail("op record %d: key out of order", i)
+		}
+		ops[k] = r
+		prevOp = k
 	}
 	if d.err != nil {
-		return nil, d.err
+		return nil, nil, d.err
 	}
 	if d.off != len(d.b) {
-		return nil, fmt.Errorf("platform: bundle has %d trailing bytes", len(d.b)-d.off)
+		return nil, nil, fmt.Errorf("platform: bundle has %d trailing bytes", len(d.b)-d.off)
 	}
-	return records, nil
+	return records, ops, nil
 }
 
 func ffEncodeRecord(e *ffEnc, cr *cycleRecord) {
@@ -333,10 +502,15 @@ func ffDecodeRecord(d *ffDec) *cycleRecord {
 	}
 	cr.endWakeFired = d.bool()
 	ns := d.len(16)
+	var prevState string
 	cr.shallowD = make(map[string]uint64, ns) // finalize always builds it
 	for i := 0; i < ns; i++ {
 		k := d.str()
+		if i > 0 && d.err == nil && k <= prevState {
+			d.fail("shallow state %q out of order", k)
+		}
 		cr.shallowD[k] = d.u64()
+		prevState = k
 	}
 
 	cr.mainTimerP = d.ctrPatch()

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"odrips/internal/clock"
+	"odrips/internal/mee"
 	"odrips/internal/memostore"
 	"odrips/internal/power"
 	"odrips/internal/sim"
@@ -47,6 +49,27 @@ func runStandby(t *testing.T, cfg Config, plane *MemoPlane, mode FFMode, cycles 
 }
 
 func TestPersistBundleCodecRoundTrip(t *testing.T) {
+	records := testCycleRecords()
+	ops := testOpRecords()
+	payload := ffEncodeBundle(records, ops)
+	decoded, decodedOps, err := ffDecodeBundle(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(decoded, records) {
+		t.Fatalf("bundle did not round-trip:\n got %#v\nwant %#v", decoded, records)
+	}
+	if !reflect.DeepEqual(decodedOps, ops) {
+		t.Fatalf("op records did not round-trip:\n got %#v\nwant %#v", decodedOps, ops)
+	}
+	if again := ffEncodeBundle(decoded, decodedOps); !bytes.Equal(again, payload) {
+		t.Fatal("re-encoding a decoded bundle changed its bytes")
+	}
+}
+
+// testCycleRecords is three cycle records under two keys, exercising
+// every field and both windows.
+func testCycleRecords() ffRecords {
 	mk := func(mut func(*cycleRecord)) *cycleRecord {
 		cr := &cycleRecord{
 			dur:        30 * sim.Second,
@@ -83,7 +106,7 @@ func TestPersistBundleCodecRoundTrip(t *testing.T) {
 			AgeLo: 1, AgeHi: math.MaxInt64,
 		}
 	}
-	records := ffRecords{
+	return ffRecords{
 		{fp: [32]byte{0xAA}, active: 0, idle: 30 * sim.Second, wake: workload.WakeTimer}: {
 			mk(func(cr *cycleRecord) { cr.win = [2]clock.Window{window(10, 20), window(0, 1<<63)} }),
 			mk(func(cr *cycleRecord) {
@@ -101,12 +124,29 @@ func TestPersistBundleCodecRoundTrip(t *testing.T) {
 			cr.replayable = false
 		})},
 	}
-	decoded, err := ffDecodeBundle(ffEncodeBundle(records))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// testOpRecords is one op record per start state, over two geometries.
+func testOpRecords() ffOps {
+	key := func(save bool, start ffOpStart, blocks int) ffOpKey {
+		return ffOpKey{save: save, start: start, dataBlocks: blocks, base: 0x1000, cacheLines: 256, imageLen: blocks*64 - 5}
 	}
-	if !reflect.DeepEqual(decoded, records) {
-		t.Fatalf("bundle did not round-trip:\n got %#v\nwant %#v", decoded, records)
+	rec := func(n uint64) ffOpRecord {
+		return ffOpRecord{
+			op: mee.OpRecord{
+				RootDelta:  n,
+				Stats:      mee.Stats{DataReads: 1, DataWrites: n, MetaReads: 3, MetaWrites: 4, CacheHits: 5, CacheMisses: 6},
+				Writebacks: 7,
+			},
+			lat:    sim.Duration(n) * sim.Nanosecond,
+			digest: 0xFEEDFACE ^ n,
+		}
+	}
+	return ffOps{
+		key(true, ffStartFormatted, 3200): rec(3200),
+		key(false, ffStartImported, 3200): rec(0),
+		key(true, ffStartPrimed, 3200):    rec(3201),
+		key(true, ffStartPrimed, 16):      rec(16),
 	}
 }
 
@@ -117,15 +157,31 @@ func TestPersistBundleDecodeRejectsDamage(t *testing.T) {
 			shallowD: map[string]uint64{}, steps: make([]FlowStep, 0),
 		}},
 	}
-	good := ffEncodeBundle(records)
+	good := ffEncodeBundle(records, testOpRecords())
+	noOps := ffEncodeBundle(records, nil)
+	// The op section is the tail: its count, then fixed-size records.
+	opSection := len(good) - len(noOps) + 8
+	firstOp := len(good) - opSection + 8
+	badStart := append([]byte(nil), good...)
+	badStart[firstOp+1] = 9 // the first op record's start state
+	swapped := append([]byte(nil), good[:firstOp]...)
+	swapped = append(swapped, good[firstOp+ffOpRecordSize:firstOp+2*ffOpRecordSize]...)
+	swapped = append(swapped, good[firstOp:firstOp+ffOpRecordSize]...)
+	swapped = append(swapped, good[firstOp+2*ffOpRecordSize:]...)
+	v2 := append([]byte(nil), noOps[:len(noOps)-8]...) // a v2 payload: no op section
+	v2[0] = 2
 	for name, bad := range map[string][]byte{
-		"truncated":     good[:len(good)-3],
-		"trailing":      append(append([]byte(nil), good...), 1),
-		"empty":         {},
-		"version-skew":  append([]byte{99}, good[1:]...),
-		"hostile-count": append(append([]byte(nil), good[:8]...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF),
+		"truncated":        good[:len(good)-3],
+		"truncated-ops":    good[:len(good)-ffOpRecordSize],
+		"trailing":         append(append([]byte(nil), good...), 1),
+		"empty":            {},
+		"version-skew":     append([]byte{99}, good[1:]...),
+		"v2":               v2,
+		"hostile-count":    append(append([]byte(nil), good[:8]...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF),
+		"bad-start-state":  badStart,
+		"ops-out-of-order": swapped,
 	} {
-		if _, err := ffDecodeBundle(bad); err == nil {
+		if _, _, err := ffDecodeBundle(bad); err == nil {
 			t.Errorf("%s: decode accepted damaged bundle", name)
 		}
 	}
@@ -250,7 +306,7 @@ func TestPersistVerifyDetectsTamper(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("bundle load: ok=%v err=%v", ok, err)
 	}
-	records, err := ffDecodeBundle(payload)
+	records, ops, err := ffDecodeBundle(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +315,7 @@ func TestPersistVerifyDetectsTamper(t *testing.T) {
 			cr.nomD[0].PJ++
 		}
 	}
-	store.Save("cycles", key, ffEncodeBundle(records))
+	store.Save("cycles", key, ffEncodeBundle(records, ops))
 
 	_, roPlane := openPlane(t, dir, memostore.RO)
 	p, err := New(cfg)
@@ -309,5 +365,57 @@ func TestPersistCorruptEntryRecomputes(t *testing.T) {
 	_, warmStats := runStandby(t, cfg, NewMemoPlane(store, 0), FFOn, cycles)
 	if warmStats.CyclesReplayed != uint64(len(cycles)) {
 		t.Fatalf("self-heal failed: replayed %d/%d", warmStats.CyclesReplayed, len(cycles))
+	}
+}
+
+// TestPersistVerifyDetectsOpTamper: -fastforward verify re-executes
+// every MEE op and diffs it against the class's op record, even one a
+// fresh platform adopted from disk and never recorded itself. One traffic
+// counter off, or a start-state digest that does not match the live
+// engine, fails the run.
+func TestPersistVerifyDetectsOpTamper(t *testing.T) {
+	cfg := ODRIPSConfig()
+	cycles := workload.Fixed(3, 0, 30*sim.Second)
+	for name, tamper := range map[string]func(*ffOpRecord){
+		"traffic": func(r *ffOpRecord) { r.op.Stats.MetaReads++ },
+		"digest":  func(r *ffOpRecord) { r.digest ^= 1 },
+	} {
+		dir := t.TempDir()
+		store, plane := openPlane(t, dir, memostore.RW)
+		runStandby(t, cfg, plane, FFOn, cycles)
+
+		key := []byte(MemoClassKey(cfg))
+		payload, ok, err := store.Load("cycles", key)
+		if err != nil || !ok {
+			t.Fatalf("bundle load: ok=%v err=%v", ok, err)
+		}
+		records, ops, err := ffDecodeBundle(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ops) != 3 {
+			t.Fatalf("persisted %d op records, want 3 (formatted save, imported restore, primed save)", len(ops))
+		}
+		for k, r := range ops {
+			if k.save && k.start == ffStartFormatted {
+				tamper(&r)
+				ops[k] = r
+			}
+		}
+		store.Save("cycles", key, ffEncodeBundle(records, ops))
+
+		// A fresh platform's first save starts from the formatted state.
+		_, roPlane := openPlane(t, dir, memostore.RO)
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SetFastForward(FFVerify); err != nil {
+			t.Fatal(err)
+		}
+		roPlane.Attach(p)
+		if _, err := p.RunCycles(cycles); err == nil || !strings.Contains(err.Error(), "fastforward verify: save diverged") {
+			t.Errorf("%s: verify accepted a tampered op record (err=%v)", name, err)
+		}
 	}
 }

@@ -113,15 +113,15 @@ func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 	if b, ok := pl.classes.Get(classKey); ok {
 		return b
 	}
-	b := &ffBundle{key: classKey, store: pl.store, records: make(ffRecords)}
+	b := newFFBundle(classKey, pl.store)
 	switch payload, ok, err := pl.store.Load("cycles", []byte(classKey)); {
 	case err != nil:
 		// Typed corruption is a fail-safe miss by the store's contract:
 		// counted there, the class starts cold, a later flush overwrites
 		// the damaged entry.
 	case ok:
-		if recs, derr := ffDecodeBundle(payload); derr == nil {
-			b.records = recs
+		if recs, ops, derr := ffDecodeBundle(payload); derr == nil {
+			b.records, b.ops = recs, ops
 		}
 		// A decode error degrades to a cold class: the entry passed the
 		// store's checksum but predates a bundle-layout change that forgot
@@ -209,13 +209,13 @@ func (pl *MemoPlane) claimClass(ctx context.Context, b *ffBundle) (*memostore.Cl
 			return nil, false, werr
 		}
 		if ok {
-			recs, derr := ffDecodeBundle(payload)
+			recs, ops, derr := ffDecodeBundle(payload)
 			if derr != nil {
 				// An undecodable payload degrades to a cold class,
 				// exactly like acquire's disk path.
 				return nil, false, nil
 			}
-			b.adopt(recs)
+			b.adopt(recs, ops)
 			return nil, true, nil
 		}
 	}
@@ -223,15 +223,20 @@ func (pl *MemoPlane) claimClass(ctx context.Context, b *ffBundle) (*memostore.Cl
 }
 
 // adopt merges disk-origin records into the bundle. First publisher of
-// a key and window wins, as everywhere in the memo plane — two holders
+// a key (and window) wins, as everywhere in the memo plane — two holders
 // of one carry byte-identical records by determinism. Adopted records are
 // not dirty: the flushing process already persisted them.
-func (b *ffBundle) adopt(recs ffRecords) {
+func (b *ffBundle) adopt(recs ffRecords, ops ffOps) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for k, list := range recs {
 		for _, cr := range list {
 			b.records.add(k, cr)
+		}
+	}
+	for k, r := range ops {
+		if _, ok := b.ops[k]; !ok {
+			b.ops[k] = r
 		}
 	}
 }
@@ -245,10 +250,10 @@ func (b *ffBundle) flush() {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.dirty || len(b.records) == 0 {
+	if !b.dirty || len(b.records)+len(b.ops) == 0 {
 		return
 	}
-	b.store.Save("cycles", []byte(b.key), ffEncodeBundle(b.records))
+	b.store.Save("cycles", []byte(b.key), ffEncodeBundle(b.records, b.ops))
 	b.dirty = false
 }
 
@@ -267,6 +272,7 @@ func (pl *MemoPlane) Flush() {
 type MemoPlaneStats struct {
 	Classes    int       `json:"classes"`     // live configuration classes
 	Records    int       `json:"records"`     // cycle records across all live classes
+	OpRecords  int       `json:"op_records"`  // MEE op records across all live classes
 	MaxClasses int       `json:"max_classes"` // the class bound
 	Adopted    uint64    `json:"adopted"`     // records handed to attaching platforms so far
 	WarmLeads  uint64    `json:"warm_leads"`  // cold-class WarmClass calls that discovered the class themselves (owned claim or uncoordinated)
@@ -289,6 +295,7 @@ func (pl *MemoPlane) Stats() MemoPlaneStats {
 		if b, ok := pl.classes.Peek(key); ok {
 			b.mu.Lock()
 			st.Records += b.records.count()
+			st.OpRecords += len(b.ops)
 			b.mu.Unlock()
 		}
 	}

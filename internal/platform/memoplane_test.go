@@ -523,6 +523,54 @@ func TestMemoPlaneConcurrentSameClass(t *testing.T) {
 	}
 }
 
+// TestMemoPlaneConcurrentOpsRunOnce: fresh platforms of one class
+// starting at once — parallel sweep points — run each MEE op record's
+// op once between them: the others wait for its record instead of
+// repeating the crypto. Whatever the schedule, 3 of the 4 × 8 ops run
+// for real (idles differ, so no cycle replays), and every result equals
+// a full simulation.
+func TestMemoPlaneConcurrentOpsRunOnce(t *testing.T) {
+	const devices = 4
+	cfg := ODRIPSConfig()
+	cfg.ForceDeepest = true
+	cyclesOf := func(i int) []workload.Cycle {
+		return workload.Fixed(4, 2*sim.Millisecond, 8*sim.Millisecond+sim.Duration(i)*200*sim.Microsecond)
+	}
+	plane := NewMemoPlane(nil, 0)
+	var got [devices]Result
+	var stats [devices]FFStats
+	var errs [devices]error
+	var wg sync.WaitGroup
+	for i := 0; i < devices; i++ {
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plane.Attach(p)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = p.RunCycles(cyclesOf(i))
+			stats[i] = p.FFStats()
+		}()
+	}
+	wg.Wait()
+	var replayed uint64
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("device %d: %v", i, errs[i])
+		}
+		want, _ := runStandby(t, cfg, nil, FFOff, cyclesOf(i))
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("device %d: result diverged from its fast-forward-off run", i)
+		}
+		replayed += stats[i].MEEOpsReplayed
+	}
+	if replayed != devices*8-3 {
+		t.Errorf("%d of %d MEE ops replayed, want all but the class's 3 first ones", replayed, devices*8)
+	}
+}
+
 // TestBarePlatformRecordCap: a platform built by New alone records into
 // its private bundle under the one record cap, so a jittered
 // connected-standby run records every cycle.
@@ -536,5 +584,36 @@ func TestBarePlatformRecordCap(t *testing.T) {
 	}
 	if st := p.FFStats(); st.CyclesRecorded != 720 {
 		t.Errorf("bare platform recorded %d of 720 jittered cycles", st.CyclesRecorded)
+	}
+}
+
+// TestMemoPlaneSharesOpRecords: MEE op records live in the memo class,
+// so a second fresh platform of the class replays every context save and
+// restore — its first save from the formatted engine included — where a
+// platform-private record set made it pay for three. The shape is the
+// break-even sweep's: forced-deepest ODRIPS, four 2 ms cycles, adjacent
+// idle lengths (different idles keep whole-cycle replay out of the way).
+func TestMemoPlaneSharesOpRecords(t *testing.T) {
+	cfg := ODRIPSConfig()
+	cfg.ForceDeepest = true
+	run := func(idle sim.Duration, mode FFMode, plane *MemoPlane) (Result, FFStats) {
+		t.Helper()
+		return runStandby(t, cfg, plane, mode, workload.Fixed(4, 2*sim.Millisecond, idle))
+	}
+	plane := NewMemoPlane(nil, 0)
+	run(8*sim.Millisecond, FFOn, plane)
+	idle := 8200 * sim.Microsecond
+	got, st := run(idle, FFOn, plane)
+	want, _ := run(idle, FFOff, nil)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("second platform's result diverged from an FFOff run")
+	}
+	if st.MEEOpsReplayed != 8 || st.Materializations != 0 || st.CyclesReplayed != 0 {
+		t.Errorf("second platform: %+v, want all 8 MEE ops replayed, no materialization, no cycle replayed", st)
+	}
+	// One record per start state: formatted save, imported restore,
+	// primed save.
+	if n := plane.Stats().OpRecords; n != 3 {
+		t.Errorf("plane holds %d op records, want 3", n)
 	}
 }
