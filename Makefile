@@ -141,7 +141,10 @@ server-smoke:
 # -fastforward verify — every adopted cycle record is re-simulated and
 # diffed, every adopted MEE op record re-executed and diffed, every
 # stored sweep and transition point recomputed and bit-compared — and
-# require byte-identical stdout. A storeless fig6a,fig6d,coalescing run
+# require byte-identical stdout. A warm rerun with -memostats must show
+# exactly one platform template built: every -exp all platform shares
+# seed 0's context image and formatted MEE tree. A storeless
+# fig6a,fig6d,coalescing run
 # must then hold at least one and at most three MEE op records per plane
 # class (formatted save, imported restore, primed save): an op-record
 # key that picked up the root counter or ciphertext would exceed the
@@ -165,6 +168,12 @@ memo-verify-smoke:
 	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache rw -memocachedir $(VERIFYDIR)/store > $(VERIFYDIR)/fill.txt
 	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -fastforward verify > $(VERIFYDIR)/audit.txt
 	cmp $(VERIFYDIR)/fill.txt $(VERIFYDIR)/audit.txt
+	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -memostats > $(VERIFYDIR)/tplstats.txt
+	built=$$(sed -n 's/^| platform templates .*| \([0-9]*\) built,.*/\1/p' $(VERIFYDIR)/tplstats.txt); \
+	if [ "$$built" != 1 ]; then \
+		echo "memo-verify-smoke: -exp all -sweep fast built '$$built' platform templates, want 1:"; grep 'platform templates' $(VERIFYDIR)/tplstats.txt; exit 1; \
+	fi; \
+	echo "memo-verify-smoke: -exp all -sweep fast built $$built platform template"
 	$(VERIFYDIR)/odrips-bench -exp fig6a,fig6d,coalescing -sweep fast -memostats > $(VERIFYDIR)/opstats.txt
 	classes=$$(sed -n 's/^| cycle memo plane .*| \([0-9]*\)\/[0-9]* classes |.*/\1/p' $(VERIFYDIR)/opstats.txt); \
 	ops=$$(sed -n 's/^| cycle memo plane .* \([0-9]*\) op records,.*/\1/p' $(VERIFYDIR)/opstats.txt); \

@@ -9,6 +9,7 @@
 //	odrips-fleet -spec fleet.json -format json
 //	odrips-fleet -devices 10000 -shards 16   # quick spec-less run
 //	odrips-fleet -spec fleet.json -memocache rw  # persist memo classes
+//	odrips-fleet -spec fleet.json -cpuprofile cpu.out  # profile the run
 //
 // The spec file is JSON with human-readable durations:
 //
@@ -34,6 +35,7 @@ import (
 	"os"
 
 	"odrips"
+	"odrips/internal/prof"
 )
 
 func main() {
@@ -47,6 +49,8 @@ func main() {
 	ffFlag := flag.String("fastforward", "on", "steady-state fast-forward: on, off, or verify (aggregates are byte-identical across all three)")
 	memoFlag := flag.String("memocache", "", "persistent memo store backing the plane: off, rw, or ro (audit a store with -memocache ro -fastforward verify)")
 	memoDir := flag.String("memocachedir", "", "persistent memo store directory (default .odrips-memocache)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
+	memProfile := flag.String("memprofile", "", "write an allocation profile to `file`")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -106,6 +110,10 @@ func main() {
 		spec.Workers = *workers
 	}
 
+	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fail(err)
+	}
 	rep, err := odrips.Fleet(rt, spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "odrips-fleet: %v\n", err)
@@ -115,6 +123,10 @@ func main() {
 	out, err := render(rep)
 	if err != nil {
 		fail(err)
+	}
+	if err := stopProf(); err != nil {
+		fmt.Fprintf(os.Stderr, "odrips-fleet: %v\n", err)
+		os.Exit(1)
 	}
 	if *outPath == "" {
 		os.Stdout.Write(out)

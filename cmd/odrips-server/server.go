@@ -134,11 +134,12 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsView is the /v1/stats body: the queue's counters plus the memo
-// layers behind it (plane LRU, persistent store).
+// layers behind it (platform templates, plane LRU, persistent store).
 type statsView struct {
-	Queue jobqueue.Stats          `json:"queue"`
-	Plane platform.MemoPlaneStats `json:"plane"`
-	Store memostore.Stats         `json:"store"`
+	Queue     jobqueue.Stats          `json:"queue"`
+	Templates platform.TemplateStats  `json:"templates"`
+	Plane     platform.MemoPlaneStats `json:"plane"`
+	Store     memostore.Stats         `json:"store"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -147,9 +148,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, statsView{
-		Queue: s.q.Stats(),
-		Plane: s.plane.Stats(),
-		Store: s.plane.Store().Stats(),
+		Queue:     s.q.Stats(),
+		Templates: s.q.Runtime().TemplateStats(),
+		Plane:     s.plane.Stats(),
+		Store:     s.plane.Store().Stats(),
 	})
 }
 

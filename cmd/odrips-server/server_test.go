@@ -402,4 +402,7 @@ func TestStatsShape(t *testing.T) {
 	if sv.Plane.Classes == 0 {
 		t.Fatalf("plane stats empty: %+v", sv.Plane)
 	}
+	if sv.Templates.Puts == 0 || sv.Templates.Cap == 0 {
+		t.Fatalf("template stats empty: %+v", sv.Templates)
+	}
 }

@@ -43,6 +43,16 @@ func SkylakeSections() map[string]int {
 	}
 }
 
+// SkylakeSize returns the payload size of the standard context, the sum
+// of SkylakeSections: what GenerateSkylake(seed).Size() is for any seed.
+func SkylakeSize() int {
+	var n int
+	for _, size := range SkylakeSections() {
+		n += size
+	}
+	return n
+}
+
 // SASectionNames returns the names held in the SA save/restore SRAM.
 func SASectionNames() []string {
 	return []string{"sa/csr", "sa/mc-training", "sa/io-config", "sa/fuses", "pmu/firmware", "pmu/patches"}

@@ -169,3 +169,16 @@ func BenchmarkSerialize200KB(b *testing.B) {
 		c.Serialize()
 	}
 }
+
+// TestSkylakeSizeMatchesGenerated: the size Table 1 prints without
+// generating a context is the generated context's size at any seed.
+func TestSkylakeSizeMatchesGenerated(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42} {
+		if got, want := SkylakeSize(), GenerateSkylake(seed).Size(); got != want {
+			t.Fatalf("SkylakeSize() = %d, GenerateSkylake(%d).Size() = %d", got, seed, want)
+		}
+	}
+	if got := SkylakeSize() >> 10; got != 196 {
+		t.Fatalf("SkylakeSize() = %d KB, want 196 KB", got)
+	}
+}

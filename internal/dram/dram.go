@@ -276,13 +276,20 @@ func (m *Module) Write(addr uint64, data []byte) error {
 	return nil
 }
 
-// store copies block-aligned data into the array at addr.
+// store copies block-aligned data into the array at addr. Blocks it
+// materializes are carved from one allocation sized to the rest of data,
+// so a multi-block write into unwritten memory (a region format) costs one
+// allocation, not one per block.
 func (m *Module) store(addr uint64, data []byte) {
+	var slab []byte
 	for off := 0; off < len(data); off += BlockSize {
 		a := addr + uint64(off)
 		blk, ok := m.blocks[a]
 		if !ok {
-			blk = make([]byte, BlockSize)
+			if len(slab) == 0 {
+				slab = make([]byte, len(data)-off)
+			}
+			blk, slab = slab[:BlockSize:BlockSize], slab[BlockSize:]
 			m.blocks[a] = blk
 		}
 		copy(blk, data[off:off+BlockSize])

@@ -29,7 +29,7 @@ func Table1() *report.Table {
 	t.AddRow("Fast crystal", "24 MHz (board XTAL)")
 	t.AddRow("RTC crystal", "32.768 kHz (board XTAL)")
 	t.AddRow("Processor context", fmt.Sprintf("%d KB + %d B boot image",
-		ctxstore.GenerateSkylake(cfg.Seed).Size()>>10, ctxstore.BootImageSize))
+		ctxstore.SkylakeSize()>>10, ctxstore.BootImageSize))
 	t.AddRow("PD efficiency (DRIPS)", fmt.Sprintf("%.0f%%", bud.EffIdle*100))
 	return t
 }

@@ -26,17 +26,18 @@ const (
 
 // Runtime is the state every experiment runs under, passed as a value:
 // the cycle-memo plane every platform it builds joins (and, through it,
-// the persistent memo store), the fast-forward mode, the worker-pool
-// size, and the bounded in-process point memos. None of it reaches a
-// result — every output is byte-identical under any store, mode or
-// worker count — so two runtimes can run side by side in one process
-// without interfering. The point caches are a pure, deterministic memo
+// the persistent memo store), the platform templates it builds from, the
+// fast-forward mode, the worker-pool size, and the bounded in-process
+// point memos. None of it reaches a result — every output is
+// byte-identical under any store, mode or worker count — so two runtimes
+// can run side by side in one process without interfering. The point caches are a pure, deterministic memo
 // (a hit is bit-identical to a recompute), LRU-bounded so fleet-scale
 // key streams stay O(capacity).
 type Runtime struct {
-	plane   *platform.MemoPlane
-	ff      platform.FFMode
-	workers int // <= 0: runtime.GOMAXPROCS(0) at each call
+	plane     *platform.MemoPlane
+	templates *platform.Templates
+	ff        platform.FFMode
+	workers   int // <= 0: runtime.GOMAXPROCS(0) at each call
 
 	sweep *lru.Cache[sweepPointKey, float64]        // average mW per point
 	trans *lru.Cache[platform.Config, sim.Duration] // entry+exit per config
@@ -51,11 +52,12 @@ func NewRuntime(plane *platform.MemoPlane, ff platform.FFMode, workers int) *Run
 		plane = platform.NewMemoPlane(nil, 0)
 	}
 	return &Runtime{
-		plane:   plane,
-		ff:      ff,
-		workers: workers,
-		sweep:   lru.New[sweepPointKey, float64](sweepCacheCap),
-		trans:   lru.New[platform.Config, sim.Duration](transCacheCap),
+		plane:     plane,
+		templates: platform.NewTemplates(),
+		ff:        ff,
+		workers:   workers,
+		sweep:     lru.New[sweepPointKey, float64](sweepCacheCap),
+		trans:     lru.New[platform.Config, sim.Duration](transCacheCap),
 	}
 }
 
@@ -67,6 +69,9 @@ func (rt *Runtime) Store() *memostore.Store { return rt.plane.Store() }
 
 // FF returns the fast-forward mode platforms run in.
 func (rt *Runtime) FF() platform.FFMode { return rt.ff }
+
+// TemplateStats reports the platform-template cache's counters.
+func (rt *Runtime) TemplateStats() platform.TemplateStats { return rt.templates.Stats() }
 
 // Pool maps a per-call worker knob to a pool size: n when positive, else
 // the runtime's worker count, else runtime.GOMAXPROCS(0).
@@ -80,10 +85,11 @@ func (rt *Runtime) Pool(n int) int {
 	return n
 }
 
-// NewPlatform assembles a platform in the runtime's fast-forward mode,
-// attached to its memo plane.
+// NewPlatform assembles a platform from the runtime's template of
+// cfg.Seed, in the runtime's fast-forward mode, attached to its memo
+// plane.
 func (rt *Runtime) NewPlatform(cfg platform.Config) (*platform.Platform, error) {
-	p, err := platform.New(cfg)
+	p, err := rt.templates.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -152,9 +158,9 @@ func (rt *Runtime) PointCacheStats() PointMemoStats {
 }
 
 // MemoStats renders every memo layer's counters — the bounded in-process
-// point caches, the runtime's cycle memo plane, and the persistent store —
-// as one table (odrips-bench -memostats prints it after the selected
-// experiments run).
+// point caches, the platform templates, the runtime's cycle memo plane,
+// and the persistent store — as one table (odrips-bench -memostats prints
+// it after the selected experiments run).
 func (rt *Runtime) MemoStats() *report.Table {
 	t := report.NewTable("Memo statistics", "layer", "hits", "misses", "size", "detail")
 	pc := rt.PointCacheStats()
@@ -166,6 +172,11 @@ func (rt *Runtime) MemoStats() *report.Table {
 		fmt.Sprintf("%d", pc.Trans.Hits), fmt.Sprintf("%d", pc.Trans.Misses),
 		fmt.Sprintf("%d/%d", pc.TransLen, pc.TransCap),
 		fmt.Sprintf("%d evictions", pc.Trans.Evictions))
+	ts := rt.TemplateStats()
+	t.AddRow("platform templates",
+		fmt.Sprintf("%d", ts.Hits), fmt.Sprintf("%d", ts.Misses),
+		fmt.Sprintf("%d/%d", ts.Len, ts.Cap),
+		fmt.Sprintf("%d built, %d reused, %d evicted", ts.Puts, ts.Hits, ts.Evictions))
 	ps := rt.plane.Stats()
 	t.AddRow("cycle memo plane",
 		fmt.Sprintf("%d", ps.Class.Hits), fmt.Sprintf("%d", ps.Class.Misses),

@@ -180,3 +180,31 @@ func TestMemoStatsShowsStorelessPlane(t *testing.T) {
 		t.Errorf("storeless plane after Fig2: %d op records in %d classes; want at most 3 per class (row %q)", opRecords, classes, row)
 	}
 }
+
+// TestMemoStatsShowsTemplates: every platform a runtime builds for one
+// seed shares one template, whatever its configuration, and -memostats'
+// template row says so.
+func TestMemoStatsShowsTemplates(t *testing.T) {
+	rt := NewRuntime(nil, platform.FFOn, 0)
+	for _, cfg := range []platform.Config{platform.ODRIPSConfig(), platform.DefaultConfig(), platform.ODRIPSConfig()} {
+		if _, err := rt.NewPlatform(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var row []string
+	for _, r := range rt.MemoStats().Rows {
+		if r[0] == "platform templates" {
+			row = r
+		}
+	}
+	if row == nil {
+		t.Fatal("no platform templates row")
+	}
+	var built, reused, evicted int
+	if _, err := fmt.Sscanf(row[4], "%d built, %d reused, %d evicted", &built, &reused, &evicted); err != nil {
+		t.Fatalf("detail cell %q: %v", row[4], err)
+	}
+	if built != 1 || reused != 2 || evicted != 0 {
+		t.Errorf("three platforms of one seed: row %q; want 1 built, 2 reused, 0 evicted", row)
+	}
+}

@@ -291,6 +291,9 @@ func New(opts Options) *Queue {
 	return q
 }
 
+// Runtime returns the runtime every job runs on.
+func (q *Queue) Runtime() *experiments.Runtime { return q.rt }
+
 // Release unparks a Hold-started worker pool. Idempotent; a no-op for
 // queues built without Hold.
 func (q *Queue) Release() {

@@ -104,20 +104,82 @@ type Engine struct {
 
 // New creates an engine over a fresh protected region and formats the
 // metadata (all versions zero, counters zero, MACs valid). cacheLines sizes
-// the MEE metadata cache (32 lines in the Skylake-like configuration).
+// the MEE metadata cache (32 lines in the Skylake-like configuration). It
+// is Format followed by NewFormatted.
 func New(mem *dram.Module, base uint64, dataBlocks int, key [32]byte, cacheLines int) (*Engine, error) {
+	f, err := Format(base, dataBlocks, key)
+	if err != nil {
+		return nil, err
+	}
+	return NewFormatted(mem, f, cacheLines)
+}
+
+// Formatted is the metadata of a freshly formatted region, computed once
+// by Format and written into any number of memory modules by NewFormatted.
+// It holds no memory module and is read-only after Format, so engines in
+// any number of goroutines may be built from one value.
+type Formatted struct {
+	layout Layout
+	key    [32]byte
+	// blocks holds every metadata block in address order (level 0 first,
+	// then each tree level up to the root), all MACs sealed under the zero
+	// counters a fresh region starts with.
+	blocks []byte
+}
+
+// Layout returns the region layout the metadata was formatted for.
+func (f *Formatted) Layout() Layout { return f.layout }
+
+// Format computes the metadata of a fresh region of dataBlocks 64-byte
+// blocks based at base under key: every version and counter zero, every
+// MAC valid, the root counter zero.
+func Format(base uint64, dataBlocks int, key [32]byte) (*Formatted, error) {
 	layout, err := PlanLayout(base, dataBlocks)
 	if err != nil {
 		return nil, err
 	}
-	e, err := build(mem, layout, key, cacheLines, 0)
+	f := &Formatted{layout: layout, key: key, blocks: make([]byte, layout.MetadataBytes())}
+	// The MAC context is the only engine state a metadata MAC reads.
+	e := &Engine{layout: layout}
+	macKey := macKeyFor(key)
+	e.mac.init(macKey[:])
+	for lvl := 0; lvl <= layout.Levels(); lvl++ {
+		for idx := 0; idx < layout.levelCount(lvl); idx++ {
+			// Every parent counter starts at zero.
+			off := e.metaAddr(lvl, idx) - layout.l0Base
+			blk := f.blocks[off : off+BlockSize]
+			setMacOf(lvl, blk, e.macMeta(payloadOf(lvl, blk), lvl, idx, 0))
+		}
+	}
+	return f, nil
+}
+
+// NewFormatted creates an engine over mem whose protected region holds
+// f's freshly formatted metadata. It writes every metadata block with
+// mem.Write in format order, the root level first and level 0 last, and
+// leaves the traffic counters, the root counter and the (empty) metadata
+// cache exactly as formatting the region in place would. The format writes are
+// boot-time traffic; callers that price save/restore ResetStats after.
+func NewFormatted(mem *dram.Module, f *Formatted, cacheLines int) (*Engine, error) {
+	e, err := build(mem, f.layout, f.key, cacheLines, 0)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.format(); err != nil {
-		return nil, err
+	for lvl := e.topLevel(); lvl >= 0; lvl-- {
+		n := f.layout.levelCount(lvl)
+		addr := e.metaAddr(lvl, 0)
+		off := addr - f.layout.l0Base
+		if err := mem.Write(addr, f.blocks[off:off+uint64(n)*BlockSize]); err != nil {
+			return nil, err
+		}
+		e.stats.MetaWrites += uint64(n)
 	}
 	return e, nil
+}
+
+// macKeyFor derives the metadata/data MAC key from the master key.
+func macKeyFor(key [32]byte) [32]byte {
+	return sha256.Sum256(append([]byte("mee-mac-key"), key[:]...))
 }
 
 func build(mem *dram.Module, layout Layout, key [32]byte, cacheLines int, rootCounter uint64) (*Engine, error) {
@@ -134,8 +196,7 @@ func build(mem *dram.Module, layout Layout, key [32]byte, cacheLines int, rootCo
 	if err != nil {
 		return nil, err
 	}
-	var macKey [32]byte
-	macKey = sha256.Sum256(append([]byte("mee-mac-key"), key[:]...))
+	macKey := macKeyFor(key)
 	e := &Engine{
 		mem:         mem,
 		layout:      layout,
@@ -691,34 +752,4 @@ func (e *Engine) Flush() error {
 		e.stats.MetaWrites++
 		return nil
 	})
-}
-
-// format initializes all metadata blocks with zero versions/counters and
-// valid MACs, writing directly to DRAM (boot-time flow, not counted as
-// save/restore traffic by callers that ResetStats afterwards).
-func (e *Engine) format() error {
-	// Zero root.
-	e.rootCounter = 0
-	// Top-down so each level's MACs are keyed by the (zero) parent
-	// counters.
-	var zero [BlockSize]byte
-	writeLvl := func(lvl, count int) error {
-		for idx := 0; idx < count; idx++ {
-			data := zero
-			var parentCtr uint64 // all counters start at zero
-			mac := e.macMeta(payloadOf(lvl, data[:]), lvl, idx, parentCtr)
-			setMacOf(lvl, data[:], mac)
-			if err := e.mem.Write(e.metaAddr(lvl, idx), data[:]); err != nil {
-				return err
-			}
-			e.stats.MetaWrites++
-		}
-		return nil
-	}
-	for lvl := e.topLevel(); lvl >= 1; lvl-- {
-		if err := writeLvl(lvl, e.layout.LevelNodes[lvl-1]); err != nil {
-			return err
-		}
-	}
-	return writeLvl(0, e.layout.L0Blocks)
 }

@@ -96,3 +96,12 @@ func (l Layout) l0Addr(b int) uint64 { return l.l0Base + uint64(b)*BlockSize }
 func (l Layout) nodeAddr(lvl, j int) uint64 {
 	return l.levelBases[lvl-1] + uint64(j)*BlockSize
 }
+
+// levelCount returns the number of metadata blocks at level lvl (0 is
+// level 0, the version/MAC blocks).
+func (l Layout) levelCount(lvl int) int {
+	if lvl == 0 {
+		return l.L0Blocks
+	}
+	return l.LevelNodes[lvl-1]
+}

@@ -111,12 +111,10 @@ var ffExcluded = map[string]string{
 	"platform.Platform.cstates":         "immutable C-state table",
 	"platform.Platform.rr":              "immutable after lock at New (sgx range registers)",
 	"platform.Platform.ctxRegion":       "immutable protected-region bounds",
-	"platform.Platform.meeKey":          "immutable key material",
-	"platform.Platform.ctx":             "immutable architectural context (seed-derived at New)",
-	"platform.Platform.ctxImage":        "immutable serialized context bytes",
+	"platform.Platform.ctxImage":        "immutable serialized context bytes (the template's)",
 	"platform.Platform.ctxHash":         "immutable digest of ctxImage",
-	"platform.Platform.saImage":         "immutable SA retention image",
-	"platform.Platform.cpImage":         "immutable compute retention image",
+	"platform.Platform.saImage":         "immutable SA retention image (the template's)",
+	"platform.Platform.cpImage":         "immutable compute retention image (the template's)",
 	"platform.Platform.mcCfg":           "immutable memory-controller config image",
 	"platform.Platform.pmuVec":          "immutable PMU vector image",
 	"platform.Platform.saBuf":           "dead: scratch, fully rewritten by the next restore before any read",

@@ -142,8 +142,9 @@ func (p *Platform) mcConfig() []byte {
 	return b[:]
 }
 
-func (p *Platform) pmuVector() []byte {
-	v := sha256.Sum256([]byte(fmt.Sprintf("pmu-vector-%d", p.cfg.Seed)))
+// pmuVector derives the PMU boot vector kept in the Boot SRAM.
+func pmuVector(seed int64) []byte {
+	v := sha256.Sum256([]byte(fmt.Sprintf("pmu-vector-%d", seed)))
 	return v[:]
 }
 

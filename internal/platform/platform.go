@@ -62,9 +62,7 @@ type Platform struct {
 	cstates     []pmu.CState
 	rr          *sgx.RangeRegisters
 	ctxRegion   sgx.Range
-	meeKey      [32]byte
 	eng         *mee.Engine
-	ctx         *ctxstore.Context
 	ctxImage    []byte
 	ctxHash     [32]byte
 	emram       []byte // ODRIPS-MRAM: on-chip non-volatile context store
@@ -77,9 +75,9 @@ type Platform struct {
 	emramHashOK bool
 
 	// Precomputed per-cycle constants and pooled restore buffers. The
-	// context is immutable after New, so the split images, boot config,
-	// and PMU vector never change; restores verify into fixed buffers so
-	// the steady-state cycle path does not allocate.
+	// context images, their digest and the PMU vector belong to the
+	// template and are never written; restores verify into fixed buffers
+	// so the steady-state cycle path does not allocate.
 	saImage    []byte
 	cpImage    []byte
 	mcCfg      []byte
@@ -191,11 +189,18 @@ func CanonicalConfig(cfg Config) Config {
 	return cfg
 }
 
-// New assembles and boots a platform.
+// New assembles and boots a platform. It builds a one-off template for
+// cfg.Seed; Templates.New assembles the same platform from a shared one.
 func New(cfg Config) (*Platform, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return assemble(cfg, newTemplate(cfg.Seed))
+}
+
+// assemble builds and boots a platform of the validated cfg around tpl,
+// the template of cfg.Seed.
+func assemble(cfg Config, tpl *template) (*Platform, error) {
 	bud := Skylake()
 	if cfg.Generation == GenHaswell {
 		bud = Haswell()
@@ -265,7 +270,7 @@ func New(cfg Config) (*Platform, error) {
 	// Memory.
 	memCfg := dram.Config{
 		Tech:          cfg.MainMemory,
-		CapacityBytes: 8 << 30,
+		CapacityBytes: dramCapacityBytes,
 		TransferMTps:  cfg.DRAMMTps,
 		Channels:      2,
 		BytesPerBeat:  8,
@@ -337,34 +342,33 @@ func New(cfg Config) (*Platform, error) {
 		p.cstates = pmu.SkylakeCStates()
 	}
 
-	// Processor context and, when configured, the protected DRAM region.
-	p.ctx = ctxstore.GenerateSkylake(cfg.Seed)
-	p.ctxImage = p.ctx.Serialize()
-	p.ctxHash = sha256.Sum256(p.ctxImage)
-	p.saImage = p.ctx.Subset(ctxstore.SASectionNames()).Serialize()
-	p.cpImage = p.ctx.Subset(ctxstore.ComputeSectionNames()).Serialize()
+	// Processor context, shared read-only with the template, and, when
+	// configured, the protected DRAM region with its metadata copied from
+	// the template's formatted tree.
+	p.ctxImage = tpl.image
+	p.ctxHash = tpl.hash
+	p.saImage = tpl.saImage
+	p.cpImage = tpl.cpImage
+	p.pmuVec = tpl.pmuVec
 	p.saBuf = make([]byte, len(p.saImage))
 	p.cpBuf = make([]byte, len(p.cpImage))
 	p.mcCfg = p.mcConfig()
-	p.pmuVec = p.pmuVector()
 	if cfg.Techniques.Has(CtxSGXDRAM) {
-		var err error
-		p.rr, err = sgx.NewRangeRegisters(memCfg.CapacityBytes, 128<<20)
-		if err != nil {
-			return nil, err
-		}
-		blocks := (len(p.ctxImage) + mee.BlockSize - 1) / mee.BlockSize
+		blocks := tpl.ctxBlocks()
 		p.restoreBuf = make([]byte, blocks*mee.BlockSize)
-		layout, err := mee.PlanLayout(0, blocks)
+		var err error
+		p.rr, p.ctxRegion, err = ctxRegion(blocks)
 		if err != nil {
 			return nil, err
 		}
-		p.ctxRegion, err = p.rr.Allocate(layout.TotalBytes())
+		f, err := tpl.formatted()
 		if err != nil {
 			return nil, err
 		}
-		seedKey(&p.meeKey, cfg.Seed)
-		p.eng, err = mee.New(p.mem, p.ctxRegion.Base, blocks, p.meeKey, mee.DefaultCacheLines)
+		if l := f.Layout(); l.Base != p.ctxRegion.Base || l.DataBlocks != blocks {
+			return nil, fmt.Errorf("platform: template region %#x+%d blocks, platform region %#x+%d blocks", l.Base, l.DataBlocks, p.ctxRegion.Base, blocks)
+		}
+		p.eng, err = mee.NewFormatted(p.mem, f, mee.DefaultCacheLines)
 		if err != nil {
 			return nil, err
 		}
