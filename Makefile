@@ -54,7 +54,8 @@ verify: build vet lint harness-vet race
 # store (the warm run must adopt from disk, and both runs' JSON
 # "aggregates" blocks must be byte-identical), and a negative
 # -workers/-shards, an unknown -format or a -memocachedir without
-# -memocache must exit 2 naming the flag. The cold run publishes
+# -memocache must exit 2 naming the flag, as must a spec file carrying
+# the removed seed_stride field, naming the field. The cold run publishes
 # every run class's records, so the warm run over the store it filled
 # must simulate no cycle at all; steady-state cycles must recur, so the
 # plane may hold at most 64 records per memo class (one record per
@@ -63,12 +64,14 @@ verify: build vet lint harness-vet race
 FLEET_LOAD_JOBS ?= 2048
 FLEETDIR := $(CURDIR)/.odrips-fleet-smoke
 FLEET_SMOKE_SPEC := {"name":"fleet-smoke","devices":1000,"horizon":"6h","shards":8,"spread":{"drift_ppb":[0,40],"jitter_steps":["0s","250ms","500ms"]}}
+FLEET_SEED_SPEC  := {"devices":10,"spread":{"seed_stride":3}}
 fleet-smoke:
 	ODRIPS_FLEET_LOAD_JOBS=$(FLEET_LOAD_JOBS) $(GO) test -race -count=1 ./internal/fleet ./internal/platform -run 'TestFleet|TestMemoPlane'
 	rm -rf $(FLEETDIR) && mkdir -p $(FLEETDIR)
 	$(GO) build -o $(FLEETDIR)/ ./cmd/odrips-fleet
-	for flag in "-workers -1" "-shards -3" "-format bogus" "-memocachedir $(FLEETDIR)/nostore"; do \
-		name=$${flag%% *}; code=0; \
+	printf '%s\n' '$(FLEET_SEED_SPEC)' > $(FLEETDIR)/seed.json
+	for neg in "-workers -1|-workers" "-shards -3|-shards" "-format bogus|-format" "-memocachedir $(FLEETDIR)/nostore|-memocachedir" "-spec $(FLEETDIR)/seed.json|seed_stride"; do \
+		flag=$${neg%%|*}; name=$${neg##*|}; code=0; \
 		$(FLEETDIR)/odrips-fleet -devices 10 $$flag > /dev/null 2> $(FLEETDIR)/neg.txt || code=$$?; \
 		if [ $$code -ne 2 ] || ! grep -q -e "$$name" $(FLEETDIR)/neg.txt; then \
 			echo "fleet-smoke: odrips-fleet $$flag exited $$code, want 2 naming $$name:"; cat $(FLEETDIR)/neg.txt; exit 1; \
@@ -141,9 +144,10 @@ server-smoke:
 # -fastforward verify — every adopted cycle record is re-simulated and
 # diffed, every adopted MEE op record re-executed and diffed, every
 # stored sweep and transition point recomputed and bit-compared — and
-# require byte-identical stdout. A warm rerun with -memostats must show
-# exactly one platform template built: every -exp all platform shares
-# seed 0's context image and formatted MEE tree. A storeless
+# require byte-identical stdout. A warm rerun of -exp all,fleet with
+# -memostats must show exactly one platform template built: every -exp
+# all platform and every fleet run class shares the presets' seed's
+# context image and formatted MEE tree. A storeless
 # fig6a,fig6d,coalescing run
 # must then hold at least one and at most three MEE op records per plane
 # class (formatted save, imported restore, primed save): an op-record
@@ -168,12 +172,12 @@ memo-verify-smoke:
 	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache rw -memocachedir $(VERIFYDIR)/store > $(VERIFYDIR)/fill.txt
 	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -fastforward verify > $(VERIFYDIR)/audit.txt
 	cmp $(VERIFYDIR)/fill.txt $(VERIFYDIR)/audit.txt
-	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -memostats > $(VERIFYDIR)/tplstats.txt
+	$(VERIFYDIR)/odrips-bench -exp all,fleet -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -memostats > $(VERIFYDIR)/tplstats.txt
 	built=$$(sed -n 's/^| platform templates .*| \([0-9]*\) built,.*/\1/p' $(VERIFYDIR)/tplstats.txt); \
 	if [ "$$built" != 1 ]; then \
-		echo "memo-verify-smoke: -exp all -sweep fast built '$$built' platform templates, want 1:"; grep 'platform templates' $(VERIFYDIR)/tplstats.txt; exit 1; \
+		echo "memo-verify-smoke: -exp all,fleet -sweep fast built '$$built' platform templates, want 1:"; grep 'platform templates' $(VERIFYDIR)/tplstats.txt; exit 1; \
 	fi; \
-	echo "memo-verify-smoke: -exp all -sweep fast built $$built platform template"
+	echo "memo-verify-smoke: -exp all,fleet -sweep fast built $$built platform template"
 	$(VERIFYDIR)/odrips-bench -exp fig6a,fig6d,coalescing -sweep fast -memostats > $(VERIFYDIR)/opstats.txt
 	classes=$$(sed -n 's/^| cycle memo plane .*| \([0-9]*\)\/[0-9]* classes |.*/\1/p' $(VERIFYDIR)/opstats.txt); \
 	ops=$$(sed -n 's/^| cycle memo plane .* \([0-9]*\) op records,.*/\1/p' $(VERIFYDIR)/opstats.txt); \

@@ -431,16 +431,15 @@ func BenchmarkConnectedStandbySixHoursWarm(b *testing.B) {
 }
 
 // fleet10kSpec is the acceptance-scenario fleet: 10,000 devices over a
-// six-hour horizon whose spread (seeds, battery capacities) is
-// homogeneous in simulation physics, so the engine collapses it to one
-// simulated run plus result patching.
+// six-hour horizon whose spread (battery capacities) is homogeneous in
+// simulation physics, so the engine collapses it to one simulated run
+// plus result patching.
 func fleet10kSpec() FleetSpec {
 	return FleetSpec{
 		Name:    "bench10k",
 		Devices: 10000,
 		Shards:  16,
 		Spread: FleetSpread{
-			SeedStride: 3,
 			BatteryMWh: []float64{36000, 30000, 28000},
 		},
 	}

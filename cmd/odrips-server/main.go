@@ -100,7 +100,7 @@ func main() {
 	// resolved address, so keep its shape stable.
 	fmt.Printf("odrips-server: listening on %s\n", ln.Addr())
 
-	srv := newServer(q, rt.Plane(), *progressEvery).httpServer()
+	srv := newServer(q, *progressEvery).httpServer()
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 

@@ -20,23 +20,23 @@ import (
 // a kilobyte, so a megabyte is generous without being a memory hazard.
 const maxSpecBytes = 1 << 20
 
-// server is the HTTP layer over one job queue and its shared memo
-// plane. Routing is by hand (not ServeMux patterns) so every miss —
-// unknown path, wrong method, bad ID — produces the same typed JSON
-// error body the API promises, instead of the mux's plain-text 404/405.
+// server is the HTTP layer over one job queue; /v1/stats reads the
+// queue's runtime (its templates, memo plane and store). Routing is by
+// hand (not ServeMux patterns) so every miss — unknown path, wrong
+// method, bad ID — produces the same typed JSON error body the API
+// promises, instead of the mux's plain-text 404/405.
 type server struct {
-	q     *jobqueue.Queue
-	plane *platform.MemoPlane
+	q *jobqueue.Queue
 	// progressEvery paces the results stream's progress frames; tests
 	// shrink it to keep streaming coverage fast.
 	progressEvery time.Duration
 }
 
-func newServer(q *jobqueue.Queue, plane *platform.MemoPlane, progressEvery time.Duration) *server {
+func newServer(q *jobqueue.Queue, progressEvery time.Duration) *server {
 	if progressEvery <= 0 {
 		progressEvery = 100 * time.Millisecond
 	}
-	return &server{q: q, plane: plane, progressEvery: progressEvery}
+	return &server{q: q, progressEvery: progressEvery}
 }
 
 // Connection timeouts of the HTTP side: without them a client that never
@@ -147,11 +147,12 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", r.Method+" /v1/stats")
 		return
 	}
+	rt := s.q.Runtime()
 	writeJSON(w, http.StatusOK, statsView{
 		Queue:     s.q.Stats(),
-		Templates: s.q.Runtime().TemplateStats(),
-		Plane:     s.plane.Stats(),
-		Store:     s.plane.Store().Stats(),
+		Templates: rt.TemplateStats(),
+		Plane:     rt.Plane().Stats(),
+		Store:     rt.Store().Stats(),
 	})
 }
 

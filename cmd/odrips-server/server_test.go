@@ -14,7 +14,6 @@ import (
 
 	"odrips/internal/fleet"
 	"odrips/internal/jobqueue"
-	"odrips/internal/platform"
 )
 
 // testSpec is the canonical small job every API test submits: fast to
@@ -28,17 +27,13 @@ const testSpec = `{
 	}
 }`
 
-// startServer brings up a real HTTP server over a fresh queue and
-// plane; the caller gets the base URL and the queue for Hold/Release
-// orchestration.
+// startServer brings up a real HTTP server over a fresh queue, whose
+// runtime holds a fresh storeless plane; the caller gets the base URL
+// and the queue for Hold/Release orchestration.
 func startServer(t *testing.T, opts jobqueue.Options) (*httptest.Server, *jobqueue.Queue) {
 	t.Helper()
-	plane := platform.NewMemoPlane(nil, 0)
-	if opts.Plane == nil {
-		opts.Plane = plane
-	}
 	q := jobqueue.New(opts)
-	ts := httptest.NewServer(newServer(q, plane, 2*time.Millisecond).handler())
+	ts := httptest.NewServer(newServer(q, 2*time.Millisecond).handler())
 	t.Cleanup(ts.Close)
 	return ts, q
 }
@@ -230,6 +225,8 @@ func TestBadSpec(t *testing.T) {
 	for _, body := range []string{
 		`not json`,
 		`{"devices": 2, "typo_knob": 3}`,
+		`{"devices": 2, "spread": {"seed_base": 10}}`, // removed field
+		`{"devices": 2, "spread": {"seed_stride": 3}}`,
 		`{"devices": 0}`,
 		`{"devices": 4, "wake_period": "-30s"}`,
 		`{"devices": 4, "horizon": "900000h"}`, // sim-time overflow
@@ -373,7 +370,7 @@ func TestRoutesAndMethods(t *testing.T) {
 // runs: header and idle timeouts are set, and WriteTimeout stays zero so
 // long NDJSON result streams are never cut.
 func TestHTTPServerTimeouts(t *testing.T) {
-	srv := newServer(nil, nil, 0).httpServer()
+	srv := newServer(nil, 0).httpServer()
 	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 2*time.Minute || srv.WriteTimeout != 0 {
 		t.Fatalf("timeouts: read-header %v, idle %v, write %v; want 10s, 2m, 0",
 			srv.ReadHeaderTimeout, srv.IdleTimeout, srv.WriteTimeout)
@@ -402,7 +399,9 @@ func TestStatsShape(t *testing.T) {
 	if sv.Plane.Classes == 0 {
 		t.Fatalf("plane stats empty: %+v", sv.Plane)
 	}
-	if sv.Templates.Puts == 0 || sv.Templates.Cap == 0 {
-		t.Fatalf("template stats empty: %+v", sv.Templates)
+	// Every run class of the job's two memo classes shares the preset's
+	// seed, so the job builds one platform template.
+	if sv.Templates.Puts != 1 || sv.Templates.Cap == 0 {
+		t.Fatalf("template stats %+v: want 1 built", sv.Templates)
 	}
 }

@@ -1,7 +1,7 @@
 // Package fleet is the sharded multi-device simulation engine: it runs N
 // device configurations — a base platform configuration crossed with
-// per-device perturbations (seed, crystal drift, battery capacity, wake
-// period jitter, optional fault plans) — against one shared, bounded,
+// per-device perturbations (crystal drift, battery capacity, wake period
+// jitter, optional fault plans) — against one shared, bounded,
 // concurrent cycle-memo plane (platform.MemoPlane), and reports
 // deterministic fleet aggregates: battery-life percentiles, residency
 // histogram, wake statistics, and cross-device memo hit rates.
@@ -11,15 +11,18 @@
 // package is the engine that evaluates them at population scale without
 // paying population cost. Three collapse layers stack:
 //
-//  1. Run-level dedup. Devices identical up to output-inert parameters
-//     share one simulation: the seed only varies DRAM context bytes
-//     (size-based accounting, never content-based — the identity
+//  1. Run-level dedup. Devices identical up to battery capacity share
+//     one simulation: capacity is applied to the result downstream of
+//     the simulation. expand classifies the fleet once, by value, into a
+//     class table; a 10k-device homogeneous-spread fleet therefore
+//     simulates a handful of run classes and copies. Devices carry no
+//     seed of their own: every run class is built from the preset's
+//     config, seed included, so a job's platforms share one platform
+//     template. A seed only varies DRAM context bytes (size-based
+//     accounting, never content-based — the identity
 //     platform.MemoClassKey documents and TestPowerIndependentOfContextSeed
-//     and TestCanonicalPointConfigIdentities pin), and battery capacity
-//     is applied to the result downstream of the simulation. expand
-//     classifies the fleet once, by value, into a class table; a
-//     10k-device homogeneous-spread fleet therefore simulates a handful
-//     of run classes and copies.
+//     and TestCanonicalPointConfigIdentities pin), so per-device seeds
+//     would change no result.
 //
 //  2. Cross-device cycle replay. Distinct run classes of one memo class
 //     (jittered wake periods, post-fault steady states) adopt each
@@ -81,12 +84,9 @@ type Spec struct {
 
 // Spread is the per-device perturbation recipe. Each non-empty list is
 // cycled over the device index, so perturbations cross-product cheaply.
+// It carries no seed: every device runs the preset's (layer 1 of the
+// package doc says why).
 type Spread struct {
-	// SeedBase/SeedStride assign device i the seed SeedBase+i*SeedStride
-	// (defaults 1 and 1). Seeds are output-inert; they never split run
-	// classes.
-	SeedBase   int64
-	SeedStride int64
 	// DriftPPB adds per-device slow-crystal frequency error on top of the
 	// preset's. Distinct drifts are distinct memo classes (they change
 	// timer behavior) and re-simulate.
@@ -147,12 +147,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Shards == 0 {
 		s.Shards = 1
-	}
-	if s.Spread.SeedBase == 0 {
-		s.Spread.SeedBase = 1
-	}
-	if s.Spread.SeedStride == 0 {
-		s.Spread.SeedStride = 1
 	}
 	return s
 }
@@ -220,10 +214,10 @@ type device struct {
 }
 
 // runClass is the unit of result sharing: devices identical up to their
-// seed and battery pack run one simulation.
+// battery pack run one simulation.
 type runClass struct {
 	rep    int             // lowest member device index
-	cfg    platform.Config // the representative's config (seed included)
+	cfg    platform.Config // the representative's config (the preset's seed)
 	idle   sim.Duration
 	cycles int
 	plan   string
@@ -286,7 +280,6 @@ func expand(s Spec) classTable {
 		if !ok {
 			r = len(t.runs)
 			runOf[k] = r
-			cfg.Seed = s.Spread.SeedBase + int64(i)*s.Spread.SeedStride
 			t.runs = append(t.runs, runClass{rep: i, cfg: cfg, idle: k.idle, cycles: k.cycles, plan: k.plan, memo: m})
 		}
 		d := &t.devices[i]

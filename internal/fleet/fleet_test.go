@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,6 +64,8 @@ func mustReportJSON(t *testing.T, rep *Report) string {
 // individually, with no plane and no dedup, and folding the results
 // through the same aggregation. This pins all three collapse layers
 // (run dedup, cross-device replay, fast-forward) as pure optimizations.
+// Each naive run also gets a seed of its own, so the engine's one
+// shared seed is pinned output-inert too.
 func TestFleetMatchesNaiveSimulation(t *testing.T) {
 	s := mixedSpec().withDefaults()
 
@@ -74,6 +77,7 @@ func TestFleetMatchesNaiveSimulation(t *testing.T) {
 	classes := formattedClasses(s)
 	runs := make([]runOutcome, len(classes.runs))
 	for r := range classes.runs {
+		classes.runs[r].cfg.Seed = 1 + int64(classes.runs[r].rep)
 		out, err := runDevice(experiments.NewRuntime(nil, platform.FFOn, 0), s, &classes.runs[r]) // solo: a fresh plane per device
 		if err != nil {
 			t.Fatalf("device %d solo: %v", classes.runs[r].rep, err)
@@ -110,7 +114,6 @@ func formattedClasses(s Spec) classTable {
 	runOf := map[string]int{}
 	for i := range t.devices {
 		cfg := base
-		cfg.Seed = s.Spread.SeedBase + int64(i)*s.Spread.SeedStride
 		if n := len(s.Spread.DriftPPB); n > 0 {
 			cfg.XtalSlowPPB += s.Spread.DriftPPB[i%n]
 		}
@@ -158,7 +161,6 @@ func TestFleetClassTableMatchesFormattedKeys(t *testing.T) {
 		Devices: 60,
 		Shards:  5,
 		Spread: Spread{
-			SeedStride:  3,
 			DriftPPB:    []int64{0, 40, -25},
 			JitterSteps: []sim.Duration{0, 250 * sim.Millisecond},
 			BatteryMWh:  []float64{36000, 30000, 28000, 20000},
@@ -242,8 +244,8 @@ func TestFleetDeterminism(t *testing.T) {
 }
 
 // TestFleetHomogeneousHitRate is the acceptance scenario: a
-// homogeneous-spread fleet (seeds and battery capacities vary, physics
-// does not) collapses to one simulated run class, and the cross-device
+// homogeneous-spread fleet (battery capacities vary, physics does
+// not) collapses to one simulated run class, and the cross-device
 // memo hit rate clears 90% with a wide margin.
 func TestFleetHomogeneousHitRate(t *testing.T) {
 	s := Spec{
@@ -251,7 +253,6 @@ func TestFleetHomogeneousHitRate(t *testing.T) {
 		Devices: 1000,
 		Horizon: 10 * sim.Minute,
 		Spread: Spread{
-			SeedStride: 7,
 			BatteryMWh: []float64{36000, 30000, 28000},
 		},
 	}
@@ -272,6 +273,21 @@ func TestFleetHomogeneousHitRate(t *testing.T) {
 	// only one device was simulated.
 	if agg := rep.Aggregates; !(agg.BatteryLifeHours.Min < agg.BatteryLifeHours.Max) {
 		t.Errorf("battery spread lost: %+v", agg.BatteryLifeHours)
+	}
+}
+
+// TestFleetJobBuildsOneTemplate: every run class is built from the
+// preset's seed, so a job builds one platform template however many run
+// classes it has, and a second job on the runtime builds none.
+func TestFleetJobBuildsOneTemplate(t *testing.T) {
+	rt := experiments.NewRuntime(nil, platform.FFOn, 0)
+	for job := 1; job <= 2; job++ {
+		if _, err := Exec(context.Background(), rt, mixedSpec(), nil); err != nil {
+			t.Fatal(err)
+		}
+		if st := rt.TemplateStats(); st.Puts != 1 || st.Evictions != 0 {
+			t.Errorf("after job %d: %d templates built, %d evicted; want 1, 0", job, st.Puts, st.Evictions)
+		}
 	}
 }
 
@@ -466,7 +482,6 @@ func TestFleetStoreFillIsScheduleIndependent(t *testing.T) {
 // in-process cycle cache, so nothing else may ask the store for cycles).
 func TestFleetWarmJobLoadsOnlyThroughPlane(t *testing.T) {
 	s := mixedSpec()
-	s.Spread.SeedStride = 7
 	dir := t.TempDir()
 	fill, err := PlaneFor(s, fleetStore(t, dir))
 	if err != nil {
@@ -562,7 +577,7 @@ func TestParseSpecJSON(t *testing.T) {
 		"name": "nightly", "devices": 100, "preset": "odrips",
 		"horizon": "6h", "wake_period": "30s", "shards": 4,
 		"spread": {
-			"seed_base": 10, "drift_ppb": [0, 40],
+			"drift_ppb": [0, 40],
 			"battery_mwh": [36000], "jitter_steps": ["0s", "250ms"],
 			"faults": [{"device": 3, "plan": "wake@1.3"}]
 		}
@@ -583,6 +598,8 @@ func TestParseSpecJSON(t *testing.T) {
 	bads := map[string]string{
 		"unknown field": `{"devices": 1, "typo_knob": 3}`,
 		"retired knob":  `{"devices": 1, "plane_classes": 4}`,
+		"seed_base":     `{"devices": 1, "spread": {"seed_base": 10}}`,
+		"seed_stride":   `{"devices": 1, "spread": {"seed_stride": 3}}`,
 		"bad duration":  `{"devices": 1, "horizon": "6 fortnights"}`,
 		"bad plan":      `{"devices": 1, "spread": {"faults": [{"device": 0, "plan": "nonsense"}]}}`,
 		"no devices":    `{}`,
@@ -602,6 +619,13 @@ func TestParseSpecJSON(t *testing.T) {
 		_, err := ParseSpecJSON([]byte(bads[name]))
 		if se := (*SpecError)(nil); !errors.As(err, &se) || se.Reason != "decode" {
 			t.Errorf("%s: %v, want a decode *SpecError", name, err)
+		}
+	}
+	// The removed seed fields fail the decode, naming the field.
+	for _, name := range []string{"seed_base", "seed_stride"} {
+		_, err := ParseSpecJSON([]byte(bads[name]))
+		if se := (*SpecError)(nil); !errors.As(err, &se) || se.Reason != "decode" || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: %v, want a decode *SpecError naming the field", name, err)
 		}
 	}
 }
@@ -653,7 +677,6 @@ func TestFleetAcceptanceScale(t *testing.T) {
 		Devices: 10000,
 		Shards:  16,
 		Spread: Spread{
-			SeedStride: 3,
 			BatteryMWh: []float64{36000, 30000, 28000},
 		},
 	}

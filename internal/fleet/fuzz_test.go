@@ -18,7 +18,7 @@ func FuzzJobSpec(f *testing.F) {
 		"name": "nightly", "devices": 100, "preset": "odrips",
 		"horizon": "6h", "wake_period": "30s", "shards": 4,
 		"spread": {
-			"seed_base": 10, "drift_ppb": [0, 40],
+			"drift_ppb": [0, 40],
 			"battery_mwh": [36000], "jitter_steps": ["0s", "250ms"],
 			"faults": [{"device": 3, "plan": "wake@1.3"}]
 		}
@@ -26,6 +26,7 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"devices": 1, "horizon": "1h30m", "active": "250us"}`))
 	f.Add([]byte(`{"devices": 0}`))
 	f.Add([]byte(`{"devices": 2, "typo_knob": 3}`))
+	f.Add([]byte(`{"devices": 2, "spread": {"seed_base": 10, "seed_stride": 3}}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"devices": 1, "wake_period": "-30s"}`))
 	f.Add([]byte(`{"devices":12,"horizon":"2m"} {"devices":99999999}`))

@@ -41,8 +41,6 @@ type specJSON struct {
 	Shards     int    `json:"shards"`
 	Workers    int    `json:"workers"`
 	Spread     struct {
-		SeedBase    int64     `json:"seed_base"`
-		SeedStride  int64     `json:"seed_stride"`
 		DriftPPB    []int64   `json:"drift_ppb"`
 		BatteryMWh  []float64 `json:"battery_mwh"`
 		JitterSteps []string  `json:"jitter_steps"`
@@ -84,8 +82,6 @@ func ParseSpecJSON(data []byte) (Spec, error) {
 	if s.WakePeriod, err = parseDur(sj.WakePeriod); err != nil {
 		return Spec{}, specErrf("duration", "wake_period: %w", err)
 	}
-	s.Spread.SeedBase = sj.Spread.SeedBase
-	s.Spread.SeedStride = sj.Spread.SeedStride
 	s.Spread.DriftPPB = sj.Spread.DriftPPB
 	s.Spread.BatteryMWh = sj.Spread.BatteryMWh
 	if len(sj.Spread.JitterSteps) > 0 {
@@ -129,8 +125,6 @@ func EncodeSpecJSON(s Spec) ([]byte, error) {
 	}
 	sj.Shards = s.Shards
 	sj.Workers = s.Workers
-	sj.Spread.SeedBase = s.Spread.SeedBase
-	sj.Spread.SeedStride = s.Spread.SeedStride
 	sj.Spread.DriftPPB = s.Spread.DriftPPB
 	sj.Spread.BatteryMWh = s.Spread.BatteryMWh
 	if len(s.Spread.JitterSteps) > 0 {

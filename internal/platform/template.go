@@ -18,10 +18,9 @@ const (
 	prmrrBytes        = 128 << 20
 )
 
-// templateCap bounds a Templates cache. A run of the paper experiments
-// uses one seed; a fleet's run-class representatives each use their own
-// and never share one, so a larger cache only holds memory (DESIGN.md
-// §12, "Platform templates").
+// templateCap bounds a Templates cache. The paper experiments and every
+// fleet job build from the presets' one seed, so a larger cache only
+// holds memory (DESIGN.md §12, "Platform templates").
 const templateCap = 2
 
 // template is the seed-derived construction state of a platform: the
