@@ -53,8 +53,8 @@ verify: build vet lint harness-vet race
 # (two drifts, three idle jitters) through the CLI against a persistent
 # store (the warm run must adopt from disk, and both runs' JSON
 # "aggregates" blocks must be byte-identical), and a negative
-# -workers/-shards, an unknown -format or a -memocachedir without
-# -memocache must exit 2 naming the flag, as must a spec file carrying
+# -workers/-shards, an unknown -format (the retired markdown one too) or
+# a -memocachedir without -memocache must exit 2 naming the flag, as must a spec file carrying
 # the removed seed_stride field, naming the field. The cold run publishes
 # every run class's records, so the warm run over the store it filled
 # must simulate no cycle at all; steady-state cycles must recur, so the
@@ -70,7 +70,7 @@ fleet-smoke:
 	rm -rf $(FLEETDIR) && mkdir -p $(FLEETDIR)
 	$(GO) build -o $(FLEETDIR)/ ./cmd/odrips-fleet
 	printf '%s\n' '$(FLEET_SEED_SPEC)' > $(FLEETDIR)/seed.json
-	for neg in "-workers -1|-workers" "-shards -3|-shards" "-format bogus|-format" "-memocachedir $(FLEETDIR)/nostore|-memocachedir" "-spec $(FLEETDIR)/seed.json|seed_stride"; do \
+	for neg in "-workers -1|-workers" "-shards -3|-shards" "-format bogus|-format" "-format markdown|-format" "-memocachedir $(FLEETDIR)/nostore|-memocachedir" "-spec $(FLEETDIR)/seed.json|seed_stride"; do \
 		flag=$${neg%%|*}; name=$${neg##*|}; code=0; \
 		$(FLEETDIR)/odrips-fleet -devices 10 $$flag > /dev/null 2> $(FLEETDIR)/neg.txt || code=$$?; \
 		if [ $$code -ne 2 ] || ! grep -q -e "$$name" $(FLEETDIR)/neg.txt; then \
@@ -140,7 +140,12 @@ server-smoke:
 	@echo server-smoke OK
 
 # Memo audit smoke tier: fill a store with `-exp all -sweep fast` (the
-# store a bench-cold run fills), then rerun it read-only under
+# store a bench-cold run fills), which must write each disk entry exactly
+# once (its -memostats store writes equal its entries: runs never write,
+# the CLI flushes each dirty memo class once), and a rw rerun of it must
+# miss the store 0 times: a CLI that stops persisting fails here, where
+# the audit below would pass vacuously over an empty store. Then rerun
+# it read-only under
 # -fastforward verify — every adopted cycle record is re-simulated and
 # diffed, every adopted MEE op record re-executed and diffed, every
 # stored sweep and transition point recomputed and bit-compared — and
@@ -169,7 +174,19 @@ VERIFY_FLEET_SPEC := {"name":"memo-verify-smoke","devices":2000,"horizon":"6h","
 memo-verify-smoke:
 	rm -rf $(VERIFYDIR) && mkdir -p $(VERIFYDIR)
 	$(GO) build -o $(VERIFYDIR)/ ./cmd/odrips-bench ./cmd/odrips-fleet
-	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache rw -memocachedir $(VERIFYDIR)/store > $(VERIFYDIR)/fill.txt
+	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache rw -memocachedir $(VERIFYDIR)/store -memostats > $(VERIFYDIR)/fillstats.txt
+	sed '/^Memo statistics$$/,$$d' $(VERIFYDIR)/fillstats.txt > $(VERIFYDIR)/fill.txt
+	entries=$$(sed -n 's/^| persistent memo store .*| \([0-9]*\) entries, .*/\1/p' $(VERIFYDIR)/fillstats.txt); \
+	writes=$$(sed -n 's/^| persistent memo store .*| \([0-9]*\) writes, .*/\1/p' $(VERIFYDIR)/fillstats.txt); \
+	if [ -z "$$entries" ] || [ "$$entries" -lt 1 ] || [ "$$writes" != "$$entries" ]; then \
+		echo "memo-verify-smoke: the fill made '$$writes' store writes for '$$entries' disk entries; want one write per entry:"; grep 'persistent memo store' $(VERIFYDIR)/fillstats.txt; exit 1; \
+	fi; \
+	echo "memo-verify-smoke: the fill wrote $$entries entries in $$writes store writes"
+	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache rw -memocachedir $(VERIFYDIR)/store -memostats > $(VERIFYDIR)/rerun.txt
+	misses=$$(sed -n 's/^| persistent memo store *| [0-9]* *| \([0-9]*\) .*/\1/p' $(VERIFYDIR)/rerun.txt); \
+	if [ "$$misses" != 0 ]; then \
+		echo "memo-verify-smoke: the rw rerun missed the store '$$misses' times; want 0:"; grep 'persistent memo store' $(VERIFYDIR)/rerun.txt; exit 1; \
+	fi
 	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -fastforward verify > $(VERIFYDIR)/audit.txt
 	cmp $(VERIFYDIR)/fill.txt $(VERIFYDIR)/audit.txt
 	$(VERIFYDIR)/odrips-bench -exp all,fleet -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -memostats > $(VERIFYDIR)/tplstats.txt

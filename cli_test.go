@@ -1,0 +1,86 @@
+package odrips
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// buildCLIs builds the named commands of cmd/ into a temporary
+// directory and returns it.
+func buildCLIs(t *testing.T, names ...string) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the CLIs")
+	}
+	dir := t.TempDir()
+	args := []string{"build", "-o", dir + string(os.PathSeparator)}
+	for _, n := range names {
+		args = append(args, "./cmd/"+n)
+	}
+	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return dir
+}
+
+// TestCLIFlagMisuseExits2: a flag value the run cannot honor exits 2
+// naming the flag before anything runs, instead of panicking or
+// silently running something else.
+func TestCLIFlagMisuseExits2(t *testing.T) {
+	bin := buildCLIs(t, "odrips-sim", "odrips-trace")
+	for _, c := range []struct {
+		cmd, flag, val string
+	}{
+		{"odrips-sim", "-cycles", "-3"},
+		{"odrips-sim", "-cycles", "0"},
+		{"odrips-sim", "-idle", "-5s"},
+		{"odrips-trace", "-idle", "-1s"},
+		{"odrips-trace", "-idle", "0s"},
+		{"odrips-trace", "-interval", "0s"},
+		{"odrips-trace", "-interval", "-1ms"},
+	} {
+		var stderr strings.Builder
+		cmd := exec.Command(filepath.Join(bin, c.cmd), c.flag, c.val)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), c.flag) {
+			t.Errorf("%s %s %s: %v, stderr %q; want exit 2 naming %s", c.cmd, c.flag, c.val, err, stderr.String(), c.flag)
+		}
+	}
+}
+
+// TestCLIsPersistCycleBundles: runs never write the store, so each CLI
+// must flush its runtime's memo plane before it exits; a -memocache rw
+// run of each (odrips-trace, which has no store flags, under
+// ODRIPS_MEMOCACHE=rw) leaves the cycle bundles it discovered on disk.
+func TestCLIsPersistCycleBundles(t *testing.T) {
+	bin := buildCLIs(t, "odrips-sim", "odrips-bench", "odrips-fleet", "odrips-trace")
+	for _, c := range []struct {
+		args  []string
+		flags bool // the store comes from -memocache flags, not the environment
+	}{
+		{[]string{"odrips-sim", "-cycles", "5"}, true},
+		{[]string{"odrips-bench", "-exp", "fig6a"}, true},
+		{[]string{"odrips-fleet", "-devices", "10"}, true},
+		{[]string{"odrips-trace", "-out", os.DevNull}, false},
+	} {
+		store := t.TempDir()
+		cmd := exec.Command(filepath.Join(bin, c.args[0]), c.args[1:]...)
+		if c.flags {
+			cmd.Args = append(cmd.Args, "-memocache", "rw", "-memocachedir", store)
+		} else {
+			cmd.Env = append(os.Environ(), "ODRIPS_MEMOCACHE=rw", "ODRIPS_MEMOCACHE_DIR="+store)
+		}
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%s: %v\n%s", strings.Join(cmd.Args, " "), err, out)
+		}
+		if got, _ := filepath.Glob(filepath.Join(store, "cycles-*.memo")); len(got) == 0 {
+			t.Errorf("%s left no cycles-*.memo entry", strings.Join(c.args, " "))
+		}
+	}
+}

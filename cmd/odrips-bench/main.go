@@ -47,24 +47,27 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to `file`")
 	flag.Parse()
 
+	// fail reports an error and exits: 2 for flag misuse, 1 for a failed
+	// run.
+	fail := func(code int, format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "odrips-bench: "+format+"\n", args...)
+		os.Exit(code)
+	}
+
 	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "odrips-bench: -workers %d: must not be negative\n", *workers)
-		os.Exit(2)
+		fail(2, "-workers %d: must not be negative", *workers)
 	}
 	ffMode, err := odrips.ParseFFMode(*ffFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-bench: %v\n", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
 	rt, err := odrips.OpenRuntime(*memoFlag, *memoDir, ffMode, *workers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-bench: -memocache: %v\n", err)
-		os.Exit(2)
+		fail(2, "-memocache: %v", err)
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-bench: %v\n", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
 
 	var sweep odrips.SweepOptions
@@ -75,8 +78,7 @@ func main() {
 	case "paper":
 		sweep = odrips.PaperSweepGrid()
 	default:
-		fmt.Fprintf(os.Stderr, "odrips-bench: unknown sweep mode %q\n", *sweepFlag)
-		os.Exit(2)
+		fail(2, "unknown sweep mode %q", *sweepFlag)
 	}
 
 	want := map[string]bool{}
@@ -96,8 +98,7 @@ func main() {
 	sort.Strings(requested)
 	for _, name := range requested {
 		if !known[name] {
-			fmt.Fprintf(os.Stderr, "odrips-bench: unknown experiment %q\n", name)
-			os.Exit(2)
+			fail(2, "unknown experiment %q", name)
 		}
 	}
 
@@ -109,20 +110,18 @@ func main() {
 			continue
 		}
 		if err := e.Render(rt, sweep, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "odrips-bench: %s: %v\n", e.Name, err)
-			os.Exit(1)
+			fail(1, "%s: %v", e.Name, err)
 		}
 		ran++
 	}
 	if ran == 0 && !*memoStats {
-		fmt.Fprintln(os.Stderr, "odrips-bench: nothing selected")
-		os.Exit(2)
+		fail(2, "nothing selected")
 	}
+	rt.Flush() // the memo plane writes what the experiments discovered
 	if *memoStats {
 		rt.MemoStats().Render(os.Stdout)
 	}
 	if err := stopProf(); err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-bench: %v\n", err)
-		os.Exit(1)
+		fail(1, "%v", err)
 	}
 }

@@ -44,7 +44,7 @@ func main() {
 	preset := flag.String("preset", "", "base configuration preset: odrips, baseline, wake-up-off, aon-io-gate, ctx-sgx-dram")
 	shards := flag.Int("shards", 0, "aggregation shard count (overrides the spec when > 0)")
 	workers := flag.Int("workers", 0, "simulation worker pool size (0 = all cores, 1 = sequential)")
-	format := flag.String("format", "text", "report format: text, json, or markdown")
+	format := flag.String("format", "text", "report format: text or json")
 	outPath := flag.String("o", "", "write the report to `file` instead of stdout")
 	ffFlag := flag.String("fastforward", "on", "steady-state fast-forward: on, off, or verify (aggregates are byte-identical across all three)")
 	memoFlag := flag.String("memocache", "", "persistent memo store backing the plane: off, rw, or ro (audit a store with -memocache ro -fastforward verify)")
@@ -74,10 +74,8 @@ func main() {
 			b, err := r.JSON()
 			return append(b, '\n'), err
 		}
-	case "markdown":
-		render = func(r *odrips.FleetReport) ([]byte, error) { return []byte(r.Markdown()), nil }
 	default:
-		fail(fmt.Errorf("-format %q: want text, json, or markdown", *format))
+		fail(fmt.Errorf("-format %q: want text or json", *format))
 	}
 	ffMode, err := odrips.ParseFFMode(*ffFlag)
 	if err != nil {

@@ -74,35 +74,44 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to `file`")
 	flag.Parse()
 
+	// fail reports an error and exits: 2 for flag misuse, 1 for a failed
+	// run.
+	fail := func(code int, format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "odrips-sim: "+format+"\n", args...)
+		os.Exit(code)
+	}
+
 	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "odrips-sim: -workers %d: must not be negative\n", *workers)
-		os.Exit(2)
+		fail(2, "-workers %d: must not be negative", *workers)
+	}
+	if *cycles < 1 {
+		fail(2, "-cycles %d: must be at least 1", *cycles)
+	}
+	if *idle < 0 {
+		fail(2, "-idle %v: must not be negative", *idle)
 	}
 	cfg, err := configByName(*name)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-sim: %v\n", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
 	ffMode, err := odrips.ParseFFMode(*ffFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-sim: %v\n", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
 	rt, err := odrips.OpenRuntime(*memoFlag, *memoDir, ffMode, *workers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-sim: -memocache: %v\n", err)
-		os.Exit(2)
+		fail(2, "-memocache: %v", err)
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-sim: %v\n", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
 			fmt.Fprintf(os.Stderr, "odrips-sim: %v\n", err)
 		}
 	}()
+	defer rt.Flush() // every success returns; a failure's os.Exit skips it
 	cfg.CoreFreqMHz = *coreFreq
 	cfg.DRAMMTps = *dramRate
 	cfg.Seed = *seed
@@ -111,16 +120,14 @@ func main() {
 	case "haswell":
 		cfg.Generation = platform.GenHaswell
 	default:
-		fmt.Fprintf(os.Stderr, "odrips-sim: unknown generation %q\n", *generation)
-		os.Exit(2)
+		fail(2, "unknown generation %q", *generation)
 	}
 
 	if *breakeven {
 		sweep := odrips.DefaultSweep()
 		be, ok, err := rt.SweepBreakEven(odrips.DefaultConfig(), cfg, sweep)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "odrips-sim: break-even sweep: %v\n", err)
-			os.Exit(1)
+			fail(1, "break-even sweep: %v", err)
 		}
 		fmt.Printf("configuration:        %s\n", cfg.Name())
 		if !ok {
@@ -134,25 +141,21 @@ func main() {
 
 	p, err := rt.NewPlatform(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-sim: %v\n", err)
-		os.Exit(1)
+		fail(1, "%v", err)
 	}
 	if *faultsFlag != "" {
 		plan, err := odrips.ParseFaultPlan(*faultsFlag)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "odrips-sim: -faults: %v\n", err)
-			os.Exit(2)
+			fail(2, "-faults: %v", err)
 		}
 		if err := p.InjectFaults(plan); err != nil {
-			fmt.Fprintf(os.Stderr, "odrips-sim: -faults: %v\n", err)
-			os.Exit(2)
+			fail(2, "-faults: %v", err)
 		}
 	}
 	if *s3 {
 		res, err := p.RunS3Cycle(odrips.Duration(idle.Nanoseconds()) * 1000)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "odrips-sim: %v\n", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 		fmt.Printf("ACPI S3 suspend/resume on %s\n", cfg.Name())
 		fmt.Printf("suspend power:  %.2f mW\n", res.SuspendPowerMW)
@@ -166,14 +169,12 @@ func main() {
 	case *traceFile != "":
 		f, err := os.Open(*traceFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "odrips-sim: %v\n", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 		cyclesList, err = workload.ParseTrace(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "odrips-sim: %v\n", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 	case *idle > 0:
 		cyclesList = odrips.FixedCycles(*cycles, 0, odrips.Duration(idle.Nanoseconds())*1000)
@@ -182,8 +183,7 @@ func main() {
 	}
 	res, err := p.RunCycles(cyclesList)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-sim: %v\n", err)
-		os.Exit(1)
+		fail(1, "%v", err)
 	}
 
 	fmt.Printf("configuration:        %s\n", cfg.Name())

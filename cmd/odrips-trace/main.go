@@ -30,6 +30,20 @@ func main() {
 	out := flag.String("out", "-", "output file (- for stdout)")
 	flag.Parse()
 
+	// fail reports an error and exits: 2 for flag misuse, 1 for a failed
+	// run.
+	fail := func(code int, format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "odrips-trace: "+format+"\n", args...)
+		os.Exit(code)
+	}
+
+	if *idle <= 0 {
+		fail(2, "-idle %v: must be positive", *idle)
+	}
+	if *interval <= 0 {
+		fail(2, "-interval %v: must be positive", *interval)
+	}
+
 	var cfg odrips.Config
 	switch *name {
 	case "baseline":
@@ -37,15 +51,18 @@ func main() {
 	case "odrips":
 		cfg = odrips.ODRIPSConfig()
 	default:
-		fmt.Fprintf(os.Stderr, "odrips-trace: unknown config %q\n", *name)
-		os.Exit(2)
+		fail(2, "unknown config %q", *name)
 	}
 	cfg.ForceDeepest = true
 
-	p, err := odrips.NewPlatform(cfg)
+	rt, err := odrips.OpenRuntime("", "", odrips.FFOn, 0) // over ODRIPS_MEMOCACHE's store, if set
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-trace: %v\n", err)
-		os.Exit(1)
+		fail(1, "%v", err)
+	}
+	defer rt.Flush() // a failure's os.Exit skips it
+	p, err := rt.NewPlatform(cfg)
+	if err != nil {
+		fail(1, "%v", err)
 	}
 
 	meter := p.Meter()
@@ -71,16 +88,13 @@ func main() {
 		measure.Channel{Name: "chipset_mW", Probe: groupProbe("chipset")},
 	)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-trace: %v\n", err)
-		os.Exit(1)
+		fail(1, "%v", err)
 	}
 	if err := analyzer.SetInterval(sim.FromSeconds(interval.Seconds())); err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-trace: %v\n", err)
-		os.Exit(1)
+		fail(1, "%v", err)
 	}
 	if err := analyzer.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-trace: %v\n", err)
-		os.Exit(1)
+		fail(1, "%v", err)
 	}
 	// The sampling ticker must stop on its own or RunCycles never drains
 	// the event queue: one cycle is maintenance (~150 ms) + idle + exits.
@@ -88,8 +102,7 @@ func main() {
 	analyzer.StopAt(p.Scheduler().Now().Add(horizon))
 	res, err := p.RunCycles(odrips.FixedCycles(1, 0, odrips.Duration(idle.Nanoseconds())*1000))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-trace: %v\n", err)
-		os.Exit(1)
+		fail(1, "%v", err)
 	}
 	analyzer.Stop()
 
@@ -97,8 +110,7 @@ func main() {
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "odrips-trace: %v\n", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 		defer f.Close()
 		w = f
@@ -106,8 +118,7 @@ func main() {
 	cw := csv.NewWriter(w)
 	header := append([]string{"t_us"}, analyzer.ChannelNames()...)
 	if err := cw.Write(header); err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-trace: %v\n", err)
-		os.Exit(1)
+		fail(1, "%v", err)
 	}
 	for _, s := range analyzer.Samples() {
 		row := make([]string, 0, len(s.MW)+1)
@@ -116,14 +127,12 @@ func main() {
 			row = append(row, strconv.FormatFloat(mw, 'f', 4, 64))
 		}
 		if err := cw.Write(row); err != nil {
-			fmt.Fprintf(os.Stderr, "odrips-trace: %v\n", err)
-			os.Exit(1)
+			fail(1, "%v", err)
 		}
 	}
 	cw.Flush()
 	if err := cw.Error(); err != nil {
-		fmt.Fprintf(os.Stderr, "odrips-trace: %v\n", err)
-		os.Exit(1)
+		fail(1, "%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "captured %d samples over %.3f s; run average %.2f mW\n",
 		len(analyzer.Samples()), res.Duration.Seconds(), res.AvgPowerMW)

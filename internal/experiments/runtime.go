@@ -67,6 +67,11 @@ func (rt *Runtime) Plane() *platform.MemoPlane { return rt.plane }
 // Store returns the persistent memo store (nil when persistence is off).
 func (rt *Runtime) Store() *memostore.Store { return rt.plane.Store() }
 
+// Flush writes every memo class the runtime's platforms discovered since
+// the last Flush to its store (MemoPlane.Flush). Call it before reading
+// store statistics and before the process exits: runs never write.
+func (rt *Runtime) Flush() { rt.plane.Flush() }
+
 // FF returns the fast-forward mode platforms run in.
 func (rt *Runtime) FF() platform.FFMode { return rt.ff }
 

@@ -363,46 +363,3 @@ func (r *Report) Text() string {
 	}
 	return b.String()
 }
-
-// Markdown renders the report as GitHub-flavored markdown.
-func (r *Report) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# Fleet %q — %d devices (%s)\n\n", r.Name, r.Devices, r.Preset)
-
-	fmt.Fprintf(&b, "## Aggregates\n\n")
-	fmt.Fprintf(&b, "| metric | min | p5 | p50 | p95 | p99 | max | mean |\n")
-	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|\n")
-	mdDist := func(name string, d Dist, f string) {
-		fmt.Fprintf(&b, "| %s | "+f+" | "+f+" | "+f+" | "+f+" | "+f+" | "+f+" | "+f+" |\n",
-			name, d.Min, d.P5, d.P50, d.P95, d.P99, d.Max, d.Mean)
-	}
-	mdDist("battery life (h)", r.Aggregates.BatteryLifeHours, "%.1f")
-	mdDist("avg power (mW)", r.Aggregates.AvgPowerMW, "%.3f")
-	mdDist("DRIPS residency (%)", r.Aggregates.DRIPSResidencyPct, "%.3f")
-	fmt.Fprintf(&b, "\n%d device-cycles over %.0f simulated device-hours; wake rate mean %.1f/device-hour (storm max %.1f).\n",
-		r.Aggregates.TotalDeviceCycles, r.Aggregates.TotalSimHours,
-		r.Aggregates.Wakes.MeanPerDeviceHour, r.Aggregates.Wakes.MaxPerDeviceHour)
-
-	fmt.Fprintf(&b, "\n## Shared memo plane\n\n")
-	fmt.Fprintf(&b, "| metric | value |\n|---|---|\n")
-	fmt.Fprintf(&b, "| memo classes | %d |\n", r.Memo.MemoClasses)
-	fmt.Fprintf(&b, "| run classes | %d |\n", r.Memo.RunClasses)
-	fmt.Fprintf(&b, "| simulated runs | %d |\n", r.Memo.SimulatedRuns)
-	fmt.Fprintf(&b, "| simulated / replayed / deduped cycles | %d / %d / %d |\n",
-		r.Memo.SimulatedCycles, r.Memo.ReplayedCycles, r.Memo.DedupedCycles)
-	fmt.Fprintf(&b, "| **cross-device hit rate** | **%.3f%%** |\n", r.Memo.CrossDeviceHitRatePct)
-	fmt.Fprintf(&b, "| plane classes / records / adopted / op records | %d / %d / %d / %d |\n",
-		r.Memo.Plane.Classes, r.Memo.Plane.Records, r.Memo.Plane.Adopted, r.Memo.Plane.OpRecords)
-	if r.Memo.Store != (memostore.Stats{}) {
-		fmt.Fprintf(&b, "| store hits / misses / disk | %d / %d / %d entries (%d bytes) |\n",
-			r.Memo.Store.Hits, r.Memo.Store.Misses, r.Memo.Store.DiskEntries, r.Memo.Store.DiskBytes)
-	}
-
-	fmt.Fprintf(&b, "\n## Shards\n\n")
-	fmt.Fprintf(&b, "| shard | devices | life mean (h) | power mean (mW) | hit rate |\n|---|---|---|---|---|\n")
-	for _, sh := range r.Shards {
-		fmt.Fprintf(&b, "| %d | %d | %.1f | %.3f | %.3f%% |\n",
-			sh.Shard, sh.Devices, sh.MeanBatteryLifeHours, sh.MeanAvgPowerMW, sh.MemoHitRatePct)
-	}
-	return b.String()
-}

@@ -137,6 +137,10 @@ func RunWithProgress(ctx context.Context, s Spec, plane *platform.MemoPlane, pro
 // error satisfies errors.Is(err, ctx.Err())), and prog, when non-nil,
 // exposes live per-shard completion counters to concurrent readers (one
 // Progress per run). Both may be nil.
+//
+// Every job that ran, canceled or failed ones too, ends with rt.Flush,
+// so the memo classes its finished runs discovered reach rt's store
+// before Exec returns.
 func Exec(ctx context.Context, rt *experiments.Runtime, s Spec, prog *Progress) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -149,6 +153,7 @@ func Exec(ctx context.Context, rt *experiments.Runtime, s Spec, prog *Progress) 
 	prog.start(&t)
 
 	outcomes, err := runChains(ctx, rt, s, &t, rt.Pool(s.Workers), prog)
+	rt.Flush() // canceled or failed jobs too: keep what the finished runs discovered
 	if err != nil {
 		return nil, err
 	}
@@ -156,8 +161,7 @@ func Exec(ctx context.Context, rt *experiments.Runtime, s Spec, prog *Progress) 
 	if err != nil {
 		return nil, err
 	}
-	// Every run flushed its own class when it exited, so the store
-	// counters already include the job's persistence.
+	// Flushed above, so the store counters include the job's writes.
 	rep.Memo.Plane = rt.Plane().Stats()
 	rep.Memo.Store = rt.Store().Stats()
 	return rep, nil

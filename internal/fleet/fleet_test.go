@@ -402,6 +402,69 @@ func TestFleetSecondProcessRecomputesNothing(t *testing.T) {
 	}
 }
 
+// TestFleetCanceledJobKeepsFinishedRuns: Exec flushes on every return,
+// so a job canceled mid-run leaves on disk every record its finished
+// runs discovered: a fresh plane over the store adopts exactly as many
+// records as the canceled job's plane holds.
+func TestFleetCanceledJobKeepsFinishedRuns(t *testing.T) {
+	s := mixedSpec()
+	s.Workers = 1
+	dir := t.TempDir()
+	rt := experiments.NewRuntime(platform.NewMemoPlane(fleetStore(t, dir), 0), platform.FFOn, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	prog := NewProgress()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if prog.Stats().RunsDone >= 2 {
+				cancel()
+				return
+			}
+		}
+	}()
+	_, err := Exec(ctx, rt, s, prog)
+	close(done)
+	wg.Wait()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-run cancel: %v", err)
+	}
+	if st := prog.Stats(); st.RunsDone == st.Runs {
+		t.Fatal("job finished before the cancel landed")
+	}
+	held := rt.Plane().Stats().Records
+	if held == 0 {
+		t.Fatal("the canceled job discovered nothing")
+	}
+
+	ro, err := memostore.Open(dir, memostore.RO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := experiments.NewRuntime(platform.NewMemoPlane(ro, 0), platform.FFOn, 0)
+	n, err := s.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := expand(n)
+	for _, m := range tab.memos {
+		if _, err := fresh.NewPlatform(tab.runs[m.run].cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fresh.Plane().Stats().Adopted; got != uint64(held) {
+		t.Errorf("the store holds %d of the %d records the canceled job discovered", got, held)
+	}
+}
+
 // memoFiles reads every .memo entry in a store directory, by name.
 func memoFiles(t *testing.T, dir string) map[string]string {
 	t.Helper()

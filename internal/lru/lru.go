@@ -65,25 +65,28 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 
 // Put caches value under key (overwriting any previous value), marking it
 // most recently used and evicting the least recently used entry if the
-// cache is over capacity.
-func (c *Cache[K, V]) Put(key K, value V) {
+// cache is over capacity. It returns the evicted value and whether there
+// was one, so an owner whose values carry unsaved state can save it.
+func (c *Cache[K, V]) Put(key K, value V) (evicted V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n, ok := c.m[key]; ok {
+	if n, hit := c.m[key]; hit {
 		n.val = value
 		c.touch(n)
-		return
+		return evicted, false
 	}
 	c.stats.Puts++
 	n := &node[K, V]{key: key, val: value}
 	c.m[key] = n
 	c.push(n)
-	if len(c.m) > c.cap {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.m, lru.key)
-		c.stats.Evictions++
+	if len(c.m) <= c.cap {
+		return evicted, false
 	}
+	lru := c.tail
+	c.unlink(lru)
+	delete(c.m, lru.key)
+	c.stats.Evictions++
+	return lru.val, true
 }
 
 // Peek returns the value cached for key without touching recency or

@@ -36,8 +36,14 @@ func TestEvictionOrder(t *testing.T) {
 	c.Put(1, 1)
 	c.Put(2, 2)
 	c.Put(3, 3)
-	c.Get(1)    // order now (MRU) 1 3 2 (LRU)
-	c.Put(4, 4) // evicts 2
+	c.Get(1) // order now (MRU) 1 3 2 (LRU)
+	if v, ok := c.Put(3, 30); ok {
+		t.Fatalf("overwriting a key reported victim %d", v)
+	}
+	c.Get(1)
+	if v, ok := c.Put(4, 4); !ok || v != 2 { // evicts 2
+		t.Fatalf("Put reported victim %d, %v; want 2, true", v, ok)
+	}
 	if _, ok := c.Get(2); ok {
 		t.Fatal("2 should have been evicted")
 	}

@@ -9,14 +9,13 @@ import (
 	"sync"
 
 	"odrips/internal/clock"
-	"odrips/internal/memostore"
 	"odrips/internal/power"
 	"odrips/internal/sim"
 	"odrips/internal/workload"
 )
 
 // This file is the on-disk form of both fast-forward memos: the bundle
-// codec the memo plane (memoplane.go) loads and flushes through
+// codec the memo plane (memoplane.go) loads and writes through
 // internal/memostore (DESIGN.md §13). The unit of persistence is a
 // bundle: every cycle record (ffcycle.go) and every MEE op record
 // (fastforward.go) for one memo class, stored under the class key. The
@@ -99,26 +98,25 @@ func (rs ffRecords) clone() ffRecords {
 
 // ffBundle is one memo class's record set, the only memo a platform
 // reads or publishes to — cycle records and MEE op records alike: New
-// gives each platform a private one (no key, no store), and a plane's
-// Attach swaps in the class's shared one. Its mutex guards every field
-// below it; the record values themselves are immutable once published,
-// so readers may hold pointers lock-free.
+// gives each platform a private one (no key), and a plane's Attach swaps
+// in the class's shared one. A bundle cannot write itself: publishing
+// only marks it dirty, and its plane decides when to save it. Its mutex
+// guards every field below it; the record values themselves are
+// immutable once published, so readers may hold pointers lock-free.
 type ffBundle struct {
-	key   string
-	store *memostore.Store // persistence backing; nil never writes
+	key string
 
 	mu      sync.Mutex
 	records ffRecords
 	ops     ffOps
 	opBusy  map[ffOpKey]chan struct{} // ops a platform is running to record; closed when it publishes or gives up
-	dirty   bool
+	dirty   bool                      // holds records its plane has not saved
 }
 
-// newFFBundle returns an empty bundle for classKey over store.
-func newFFBundle(classKey string, store *memostore.Store) *ffBundle {
+// newFFBundle returns an empty bundle for classKey.
+func newFFBundle(classKey string) *ffBundle {
 	return &ffBundle{
 		key:     classKey,
-		store:   store,
 		records: make(ffRecords),
 		ops:     make(ffOps),
 		opBusy:  make(map[ffOpKey]chan struct{}),

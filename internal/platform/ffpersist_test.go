@@ -28,7 +28,8 @@ func openPlane(t *testing.T, dir string, mode memostore.Mode) (*memostore.Store,
 }
 
 // runStandby runs cycles on a platform in the given fast-forward mode,
-// attached to plane (nil keeps the platform's cycle memo to itself).
+// attached to plane (nil keeps the platform's cycle memo to itself), and
+// then flushes plane, as a program does before it exits.
 func runStandby(t *testing.T, cfg Config, plane *MemoPlane, mode FFMode, cycles []workload.Cycle) (Result, FFStats) {
 	t.Helper()
 	p, err := New(cfg)
@@ -44,6 +45,9 @@ func runStandby(t *testing.T, cfg Config, plane *MemoPlane, mode FFMode, cycles 
 	res, err := p.RunCycles(cycles)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if plane != nil {
+		plane.Flush()
 	}
 	return res, p.FFStats()
 }

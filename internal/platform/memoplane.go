@@ -81,10 +81,13 @@ type MemoPlane struct {
 
 // NewMemoPlane creates a plane bounded to maxClasses configuration
 // classes (maxClasses < 1 uses defaultPlaneClasses). store, when
-// non-nil and readable, warms classes from disk on first acquisition and
-// receives each class's bundle at the end of every successful attached
-// run that added records to it. The plane's verification path is
-// -fastforward=verify, which re-simulates and diffs adopted records.
+// non-nil and readable, warms classes from disk on first acquisition.
+// Over a writable store the plane is the only writer of its classes: it
+// writes a dirty one when WarmClass has discovered it, when acquire
+// evicts it, and at Flush. A process that exits without a Flush loses
+// what it discovered since: later runs miss it, never read wrong data.
+// The plane's verification path is -fastforward=verify, which
+// re-simulates and diffs adopted records.
 func NewMemoPlane(store *memostore.Store, maxClasses int) *MemoPlane {
 	if maxClasses < 1 {
 		maxClasses = defaultPlaneClasses
@@ -104,20 +107,20 @@ func MemoClassKey(cfg Config) string {
 
 // acquire returns the plane's bundle for classKey, creating (and, with a
 // readable store, disk-loading) it on first use. Creating a bundle may
-// evict another class; the victim needs no flush, because a bundle is
-// only dirty while one of its runs is in flight and that run flushes it
-// when it exits, so the bound costs a reload, not recorded work.
+// evict another class; a dirty victim is saved first, still under mu,
+// so the bound costs a reload, not recorded work (a run still attached
+// to the victim keeps publishing into it, unsaved).
 func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	if b, ok := pl.classes.Get(classKey); ok {
 		return b
 	}
-	b := newFFBundle(classKey, pl.store)
+	b := newFFBundle(classKey)
 	switch payload, ok, err := pl.store.Load("cycles", []byte(classKey)); {
 	case err != nil:
 		// Typed corruption is a fail-safe miss by the store's contract:
-		// counted there, the class starts cold, a later flush overwrites
+		// counted there, the class starts cold, a later save overwrites
 		// the damaged entry.
 	case ok:
 		if recs, ops, derr := ffDecodeBundle(payload); derr == nil {
@@ -125,19 +128,21 @@ func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 		}
 		// A decode error degrades to a cold class: the entry passed the
 		// store's checksum but predates a bundle-layout change that forgot
-		// to bump ffBundleVersion; a later flush overwrites it. The
+		// to bump ffBundleVersion; a later save overwrites it. The
 		// odrips-vet schemahash rule exists to make that path dead code.
 	}
-	pl.classes.Put(classKey, b)
+	if victim, ok := pl.classes.Put(classKey, b); ok {
+		pl.save(victim)
+	}
 	return b
 }
 
 // Attach hooks a platform into the plane: from then on the platform reads
 // and publishes its memo class's shared bundle, so it replays every record
-// the class holds or gains, and each successful RunCycles flushes the
-// class if it gained records. The records the class holds now count as
+// the class holds or gains. Its runs only mark the class dirty; the plane
+// writes it (see NewMemoPlane). The records the class holds now count as
 // adopted. A platform nobody attaches keeps its records in the private
-// bundle New gave it.
+// bundle New gave it, which nothing writes.
 func (pl *MemoPlane) Attach(p *Platform) {
 	b := pl.acquire(MemoClassKey(p.cfg))
 	p.ff.bundle = b
@@ -152,9 +157,9 @@ func (pl *MemoPlane) Attach(p *Platform) {
 // already holds records needs no coordination: compute replays cheaply.
 // For a cold class over a writable store, callers in this and every
 // other process sharing the store elect one discoverer through a claim
-// file: the owner computes (its attached run flushes the class when it
-// exits) and then releases; everyone else waits for that flush and
-// adopts the bundle before running. Every caller still runs its own
+// file: the owner computes, and the plane writes the class before the
+// claim is released; everyone else waits for that write and adopts the
+// bundle before running. Every caller still runs its own
 // compute — outcomes are per-caller; what is deduplicated is the
 // discovery cost. Without a writable store, or after filesystem trouble
 // or persistent claim churn, callers compute uncoordinated
@@ -179,12 +184,16 @@ func (pl *MemoPlane) WarmClass(ctx context.Context, classKey string, compute fun
 	} else {
 		pl.warmLeads.Add(1)
 	}
-	return compute()
+	if err := compute(); err != nil {
+		return err
+	}
+	pl.save(b) // before the deferred Release: waiters adopt it from disk
+	return nil
 }
 
 // claimClass coordinates one cold class through the store. It returns
 // an owned claim (the caller computes, then releases), true after
-// adopting another caller's flushed bundle into b, or neither when the
+// adopting another caller's saved bundle into b, or neither when the
 // caller should compute uncoordinated (no writable store, filesystem
 // trouble, an undecodable bundle, or persistent claim churn). Its only
 // error is ctx's, from the wait.
@@ -225,7 +234,7 @@ func (pl *MemoPlane) claimClass(ctx context.Context, b *ffBundle) (*memostore.Cl
 // adopt merges disk-origin records into the bundle. First publisher of
 // a key (and window) wins, as everywhere in the memo plane — two holders
 // of one carry byte-identical records by determinism. Adopted records are
-// not dirty: the flushing process already persisted them.
+// not dirty: the process that saved them already persisted them.
 func (b *ffBundle) adopt(recs ffRecords, ops ffOps) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -241,29 +250,33 @@ func (b *ffBundle) adopt(recs ffRecords, ops ffOps) {
 	}
 }
 
-// flush persists the bundle's unsaved records; without a writable store
-// — a private bundle has none — it is a no-op. Callers must not hold the
-// bundle's lock.
-func (b *ffBundle) flush() {
-	if !b.store.Mode().Writable() {
+// save writes b's records to the store if it gained any since it was
+// last written; without a writable store it is a no-op. It is the only
+// code that writes a cycles entry. Callers must not hold b's lock.
+func (pl *MemoPlane) save(b *ffBundle) {
+	if !pl.store.Mode().Writable() {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.dirty || len(b.records)+len(b.ops) == 0 {
+	if !b.dirty {
 		return
 	}
-	b.store.Save("cycles", []byte(b.key), ffEncodeBundle(b.records, b.ops))
+	pl.store.Save("cycles", []byte(b.key), ffEncodeBundle(b.records, b.ops))
 	b.dirty = false
 }
 
-// Flush persists every class that gained records since its last flush.
-// Runs flush their own class when they exit, so this only finds work
-// after a failed run left its class dirty.
+// Flush writes every live class that gained records since it was last
+// written, each once however many runs it took. Programs call it before
+// they report store statistics or exit (experiments.Runtime.Flush);
+// fleet.Exec calls it when a job ends.
 func (pl *MemoPlane) Flush() {
+	if !pl.store.Mode().Writable() {
+		return
+	}
 	for _, key := range pl.classes.Keys() {
 		if b, ok := pl.classes.Peek(key); ok {
-			b.flush()
+			pl.save(b)
 		}
 	}
 }

@@ -148,8 +148,9 @@ func TestMemoPlanePersistence(t *testing.T) {
 
 // TestWarmClassCrossProcess is the claim protocol end to end: two
 // planes over two stores sharing one directory (two "processes"). The
-// first WarmClass wins the claim and computes, and its attached run
-// flushes the class on exit; the second finds the class on disk and replays instead of rediscovering.
+// first WarmClass wins the claim and computes, and the plane writes the
+// class before releasing the claim; the second finds the class on disk
+// and replays instead of rediscovering.
 func TestWarmClassCrossProcess(t *testing.T) {
 	dir := t.TempDir()
 	openStore := func() *memostore.Store {
@@ -174,7 +175,7 @@ func TestWarmClassCrossProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sa := storeA.Stats(); sa.ClaimsOwned != 1 || sa.Writes == 0 {
-		t.Fatalf("leader process stats %+v: want an owned claim and the run's flush", sa)
+		t.Fatalf("leader process stats %+v: want an owned claim and the class's write", sa)
 	}
 	if ffA.CyclesRecorded == 0 {
 		t.Fatalf("leader discovered nothing: %+v", ffA)
@@ -202,7 +203,7 @@ func TestWarmClassCrossProcess(t *testing.T) {
 
 // TestWarmClassConcurrentProcesses races two planes' WarmClass over one
 // shared store directory under -race. Whoever loses the claim adopts the
-// winner's flushed bundle (or claims after the winner released); either
+// winner's saved bundle (or claims after the winner released); either
 // interleaving must yield identical results and exactly one discovery
 // per unique fingerprint fleet-wide is asserted by the claims/waits
 // accounting summing consistently.
@@ -267,7 +268,7 @@ func TestWarmClassConcurrentProcesses(t *testing.T) {
 // TestWarmClassSamePlane races two goroutines' WarmClass for one cold
 // class on one plane over one rw store. The claim file is the only
 // coordination: whichever caller claims first discovers the class and
-// its run flushes it, and the other waits for that flush and adopts the
+// the plane writes it, and the other waits for that write and adopts the
 // bundle. The owner's compute holds until the rival has lost the claim,
 // so the race always takes that shape.
 func TestWarmClassSamePlane(t *testing.T) {
@@ -403,31 +404,100 @@ func waitFor(cond func() bool) bool {
 	return true
 }
 
-// TestMemoPlaneEvictionFlushes: pushing a class out of a size-1 plane
-// loses none of its records — each run flushes its class when it exits
-// — so the bound costs a disk reload, not rework.
+// TestMemoPlaneEvictionFlushes: runs write nothing, and a plane bounded
+// to 2 classes that runs a third writes the dirty class it evicts before
+// the third loads, so the bound costs a disk reload, not rework. Flush
+// then writes each remaining dirty class once, and a second Flush
+// nothing.
 func TestMemoPlaneEvictionFlushes(t *testing.T) {
+	dir := t.TempDir()
+	store, err := memostore.Open(dir, memostore.RW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := ODRIPSConfig()
+	plane := NewMemoPlane(store, 2)
+	planeRun(t, first, plane.Attach)
+	planeRun(t, DefaultConfig(), plane.Attach)
+	if st := store.Stats(); st.Writes != 0 {
+		t.Fatalf("runs wrote the store themselves: %+v", st)
+	}
+	planeRun(t, DefaultConfig().WithTechniques(WakeUpOff), plane.Attach) // evicts first
+	if st := plane.Stats(); st.Classes != 2 || st.Class.Evictions != 1 {
+		t.Fatalf("plane stats %+v: want 2 classes, 1 eviction", st)
+	}
+	if st := store.Stats(); st.Writes != 1 {
+		t.Fatalf("evicting one dirty class made %d writes, want 1: %+v", st.Writes, st)
+	}
+	ro, err := memostore.Open(dir, memostore.RO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := ro.Load("cycles", []byte(MemoClassKey(first))); !ok || err != nil {
+		t.Fatalf("the evicted class is not on disk: ok=%v err=%v", ok, err)
+	}
+	for _, want := range []uint64{3, 3} {
+		plane.Flush()
+		if st := store.Stats(); st.Writes != want {
+			t.Fatalf("after Flush: %d writes, want %d", st.Writes, want)
+		}
+	}
+
+	// Re-acquiring the evicted class reloads it from disk.
+	plane2 := NewMemoPlane(store, 2)
+	_, stats := planeRun(t, first, plane2.Attach)
+	if stats.CyclesReplayed == 0 {
+		t.Errorf("evicted-and-reloaded class replayed nothing: %+v", stats)
+	}
+}
+
+// TestMemoPlaneConcurrentEviction: two goroutines alternate between two
+// memo classes on a plane bounded to 1 class over a rw store, so acquire
+// evicts and writes a class while the other goroutine's run may still be
+// publishing into it. Every result matches an unattached run, and the
+// class left live is written at Flush. Run under -race.
+func TestMemoPlaneConcurrentEviction(t *testing.T) {
 	store, err := memostore.Open(t.TempDir(), memostore.RW)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfgs := [2]Config{ODRIPSConfig(), DefaultConfig()}
+	var solo [2]Result
+	for i, cfg := range cfgs {
+		solo[i], _ = planeRun(t, cfg, nil)
+	}
 	plane := NewMemoPlane(store, 1)
-	planeRun(t, ODRIPSConfig(), plane.Attach)
-
-	baseline := DefaultConfig() // different memo class; evicts the first
-	planeRun(t, baseline, plane.Attach)
-	if st := plane.Stats(); st.Classes != 1 || st.Class.Evictions != 1 {
-		t.Fatalf("plane stats %+v: want 1 class, 1 eviction", st)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 3; k++ {
+				c := (g + k) % 2
+				p, err := New(cfgs[c])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				plane.Attach(p)
+				res, err := p.RunCycles(planeCycles())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(res, solo[c]) {
+					t.Errorf("goroutine %d run %d: result diverged from the unattached run", g, k)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	plane.Flush()
+	if st := plane.Stats(); st.Class.Evictions == 0 {
+		t.Errorf("plane stats %+v: the runs evicted nothing", st)
 	}
 	if st := store.Stats(); st.Writes == 0 {
-		t.Fatalf("the evicted class was never flushed: %+v", st)
-	}
-
-	// Re-acquiring the evicted class reloads it from disk.
-	plane2 := NewMemoPlane(store, 1)
-	_, stats := planeRun(t, ODRIPSConfig(), plane2.Attach)
-	if stats.CyclesReplayed == 0 {
-		t.Errorf("evicted-and-reloaded class replayed nothing: %+v", stats)
+		t.Errorf("Flush wrote nothing: %+v", st)
 	}
 }
 

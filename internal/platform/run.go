@@ -126,7 +126,6 @@ func (p *Platform) RunCycles(cycles []workload.Cycle) (Result, error) {
 			return Result{}, fmt.Errorf("platform: materialize at run end: %v", err)
 		}
 	}
-	p.ff.bundle.flush() // persist what this run discovered
 	return p.buildResult(start, len(cycles)), nil
 }
 
