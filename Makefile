@@ -54,8 +54,9 @@ verify: build vet lint harness-vet race
 # store (the warm run must adopt from disk, and both runs' JSON
 # "aggregates" blocks must be byte-identical), and a negative
 # -workers/-shards, an unknown -format (the retired markdown one too) or
-# a -memocachedir without -memocache must exit 2 naming the flag, as must a spec file carrying
-# the removed seed_stride field, naming the field. The cold run publishes
+# -preset, or a -memocachedir without -memocache must exit 2 naming the
+# flag, as must a spec file carrying the removed seed_stride or workers
+# field, naming the field. The cold run publishes
 # every run class's records, so the warm run over the store it filled
 # must simulate no cycle at all; steady-state cycles must recur, so the
 # plane may hold at most 64 records per memo class (one record per
@@ -65,12 +66,14 @@ FLEET_LOAD_JOBS ?= 2048
 FLEETDIR := $(CURDIR)/.odrips-fleet-smoke
 FLEET_SMOKE_SPEC := {"name":"fleet-smoke","devices":1000,"horizon":"6h","shards":8,"spread":{"drift_ppb":[0,40],"jitter_steps":["0s","250ms","500ms"]}}
 FLEET_SEED_SPEC  := {"devices":10,"spread":{"seed_stride":3}}
+FLEET_WORKERS_SPEC := {"devices":10,"workers":2}
 fleet-smoke:
 	ODRIPS_FLEET_LOAD_JOBS=$(FLEET_LOAD_JOBS) $(GO) test -race -count=1 ./internal/fleet ./internal/platform -run 'TestFleet|TestMemoPlane'
 	rm -rf $(FLEETDIR) && mkdir -p $(FLEETDIR)
 	$(GO) build -o $(FLEETDIR)/ ./cmd/odrips-fleet
 	printf '%s\n' '$(FLEET_SEED_SPEC)' > $(FLEETDIR)/seed.json
-	for neg in "-workers -1|-workers" "-shards -3|-shards" "-format bogus|-format" "-format markdown|-format" "-memocachedir $(FLEETDIR)/nostore|-memocachedir" "-spec $(FLEETDIR)/seed.json|seed_stride"; do \
+	printf '%s\n' '$(FLEET_WORKERS_SPEC)' > $(FLEETDIR)/workers.json
+	for neg in "-workers -1|-workers" "-shards -3|-shards" "-format bogus|-format" "-format markdown|-format" "-preset bogus|-preset" "-memocachedir $(FLEETDIR)/nostore|-memocachedir" "-spec $(FLEETDIR)/seed.json|seed_stride" "-spec $(FLEETDIR)/workers.json|workers"; do \
 		flag=$${neg%%|*}; name=$${neg##*|}; code=0; \
 		$(FLEETDIR)/odrips-fleet -devices 10 $$flag > /dev/null 2> $(FLEETDIR)/neg.txt || code=$$?; \
 		if [ $$code -ne 2 ] || ! grep -q -e "$$name" $(FLEETDIR)/neg.txt; then \

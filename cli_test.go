@@ -9,17 +9,18 @@ import (
 	"testing"
 )
 
-// buildCLIs builds the named commands of cmd/ into a temporary
-// directory and returns it.
-func buildCLIs(t *testing.T, names ...string) string {
+// buildCLIs builds the named main packages (module-relative
+// directories, such as cmd/odrips-sim) into a temporary directory and
+// returns it; each binary is named after its directory's base name.
+func buildCLIs(t *testing.T, pkgs ...string) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and runs the CLIs")
 	}
 	dir := t.TempDir()
 	args := []string{"build", "-o", dir + string(os.PathSeparator)}
-	for _, n := range names {
-		args = append(args, "./cmd/"+n)
+	for _, p := range pkgs {
+		args = append(args, "./"+p)
 	}
 	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
@@ -31,7 +32,7 @@ func buildCLIs(t *testing.T, names ...string) string {
 // naming the flag before anything runs, instead of panicking or
 // silently running something else.
 func TestCLIFlagMisuseExits2(t *testing.T) {
-	bin := buildCLIs(t, "odrips-sim", "odrips-trace")
+	bin := buildCLIs(t, "cmd/odrips-sim", "cmd/odrips-trace", "cmd/odrips-fleet")
 	for _, c := range []struct {
 		cmd, flag, val string
 	}{
@@ -42,6 +43,9 @@ func TestCLIFlagMisuseExits2(t *testing.T) {
 		{"odrips-trace", "-idle", "0s"},
 		{"odrips-trace", "-interval", "0s"},
 		{"odrips-trace", "-interval", "-1ms"},
+		{"odrips-sim", "-config", "bogus"},
+		{"odrips-trace", "-config", "bogus"},
+		{"odrips-fleet", "-preset", "bogus"},
 	} {
 		var stderr strings.Builder
 		cmd := exec.Command(filepath.Join(bin, c.cmd), c.flag, c.val)
@@ -55,11 +59,12 @@ func TestCLIFlagMisuseExits2(t *testing.T) {
 }
 
 // TestCLIsPersistCycleBundles: runs never write the store, so each CLI
-// must flush its runtime's memo plane before it exits; a -memocache rw
-// run of each (odrips-trace, which has no store flags, under
-// ODRIPS_MEMOCACHE=rw) leaves the cycle bundles it discovered on disk.
+// and example must flush its runtime's memo plane before it exits; a
+// -memocache rw run of each (odrips-trace and the quickstart example,
+// which have no store flags, under ODRIPS_MEMOCACHE=rw) leaves the cycle
+// bundles it discovered on disk.
 func TestCLIsPersistCycleBundles(t *testing.T) {
-	bin := buildCLIs(t, "odrips-sim", "odrips-bench", "odrips-fleet", "odrips-trace")
+	bin := buildCLIs(t, "cmd/odrips-sim", "cmd/odrips-bench", "cmd/odrips-fleet", "cmd/odrips-trace", "examples/quickstart")
 	for _, c := range []struct {
 		args  []string
 		flags bool // the store comes from -memocache flags, not the environment
@@ -68,6 +73,7 @@ func TestCLIsPersistCycleBundles(t *testing.T) {
 		{[]string{"odrips-bench", "-exp", "fig6a"}, true},
 		{[]string{"odrips-fleet", "-devices", "10"}, true},
 		{[]string{"odrips-trace", "-out", os.DevNull}, false},
+		{[]string{"quickstart"}, false},
 	} {
 		store := t.TempDir()
 		cmd := exec.Command(filepath.Join(bin, c.args[0]), c.args[1:]...)

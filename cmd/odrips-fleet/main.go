@@ -35,13 +35,14 @@ import (
 	"os"
 
 	"odrips"
+	"odrips/internal/platform"
 	"odrips/internal/prof"
 )
 
 func main() {
 	specPath := flag.String("spec", "", "fleet spec file (JSON); omit to build a spec from the flags below")
 	devices := flag.Int("devices", 0, "fleet size when no -spec file is given")
-	preset := flag.String("preset", "", "base configuration preset: odrips, baseline, wake-up-off, aon-io-gate, ctx-sgx-dram")
+	preset := flag.String("preset", "", "base configuration preset: baseline, wake-up-off, aon-io-gate, ctx-sgx-dram, odrips (default), odrips-mram or odrips-pcm")
 	shards := flag.Int("shards", 0, "aggregation shard count (overrides the spec when > 0)")
 	workers := flag.Int("workers", 0, "simulation worker pool size (0 = all cores, 1 = sequential)")
 	format := flag.String("format", "text", "report format: text or json")
@@ -63,6 +64,11 @@ func main() {
 	}
 	if *shards < 0 {
 		fail(fmt.Errorf("-shards %d: must not be negative", *shards))
+	}
+	if *preset != "" {
+		if _, err := platform.Preset(*preset); err != nil {
+			fail(fmt.Errorf("-preset: %w", err))
+		}
 	}
 	// Chosen before the job runs, so a bad -format costs no simulation.
 	var render func(*odrips.FleetReport) ([]byte, error)
@@ -103,9 +109,6 @@ func main() {
 	}
 	if *shards > 0 {
 		spec.Shards = *shards
-	}
-	if *workers > 0 {
-		spec.Workers = *workers
 	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)

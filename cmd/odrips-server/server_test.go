@@ -227,6 +227,7 @@ func TestBadSpec(t *testing.T) {
 		`{"devices": 2, "typo_knob": 3}`,
 		`{"devices": 2, "spread": {"seed_base": 10}}`, // removed field
 		`{"devices": 2, "spread": {"seed_stride": 3}}`,
+		`{"devices": 2, "workers": 3}`, // removed field
 		`{"devices": 0}`,
 		`{"devices": 4, "wake_period": "-30s"}`,
 		`{"devices": 4, "horizon": "900000h"}`, // sim-time overflow
@@ -294,9 +295,10 @@ func TestCancelPendingViaDELETE(t *testing.T) {
 // TestCancelMidRun: DELETE while the engine is simulating stops the job
 // at a device boundary; the stream reports canceled, not done.
 func TestCancelMidRun(t *testing.T) {
-	// 64 drift classes at one engine worker → a wide cancel window.
+	// 64 drift classes → 64 memo-class chains, far more than the queue
+	// runtime's GOMAXPROCS workers → a wide cancel window.
 	var sb strings.Builder
-	sb.WriteString(`{"name":"wide","devices":64,"horizon":"2m","workers":1,"spread":{"drift_ppb":[0`)
+	sb.WriteString(`{"name":"wide","devices":64,"horizon":"2m","spread":{"drift_ppb":[0`)
 	for i := 1; i < 64; i++ {
 		fmt.Fprintf(&sb, ",%d", i*10)
 	}

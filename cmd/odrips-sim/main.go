@@ -21,37 +21,11 @@ import (
 	"time"
 
 	"odrips"
-	"odrips/internal/dram"
 	"odrips/internal/platform"
 	"odrips/internal/power"
 	"odrips/internal/prof"
 	"odrips/internal/workload"
 )
-
-func configByName(name string) (odrips.Config, error) {
-	base := odrips.DefaultConfig()
-	switch name {
-	case "baseline":
-		return base, nil
-	case "wake-up-off":
-		return base.WithTechniques(odrips.WakeUpOff), nil
-	case "aon-io-gate":
-		return base.WithTechniques(odrips.WakeUpOff | odrips.AONIOGate), nil
-	case "ctx-sgx-dram":
-		return base.WithTechniques(odrips.CtxSGXDRAM), nil
-	case "odrips":
-		return odrips.ODRIPSConfig(), nil
-	case "odrips-mram":
-		c := base.WithTechniques(odrips.WakeUpOff | odrips.AONIOGate)
-		c.CtxInEMRAM = true
-		return c, nil
-	case "odrips-pcm":
-		c := odrips.ODRIPSConfig()
-		c.MainMemory = dram.PCM
-		return c, nil
-	}
-	return odrips.Config{}, fmt.Errorf("unknown config %q (baseline, wake-up-off, aon-io-gate, ctx-sgx-dram, odrips, odrips-mram, odrips-pcm)", name)
-}
 
 func main() {
 	name := flag.String("config", "odrips", "platform configuration")
@@ -90,9 +64,9 @@ func main() {
 	if *idle < 0 {
 		fail(2, "-idle %v: must not be negative", *idle)
 	}
-	cfg, err := configByName(*name)
+	cfg, err := platform.Preset(*name)
 	if err != nil {
-		fail(2, "%v", err)
+		fail(2, "-config: %v", err)
 	}
 	ffMode, err := odrips.ParseFFMode(*ffFlag)
 	if err != nil {

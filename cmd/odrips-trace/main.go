@@ -20,11 +20,12 @@ import (
 
 	"odrips"
 	"odrips/internal/measure"
+	"odrips/internal/platform"
 	"odrips/internal/sim"
 )
 
 func main() {
-	name := flag.String("config", "odrips", "baseline or odrips")
+	name := flag.String("config", "odrips", "platform configuration: baseline, wake-up-off, aon-io-gate, ctx-sgx-dram, odrips, odrips-mram or odrips-pcm")
 	idle := flag.Duration("idle", 2*time.Second, "idle window of the traced cycle")
 	interval := flag.Duration("interval", 50*time.Microsecond, "sampling interval")
 	out := flag.String("out", "-", "output file (- for stdout)")
@@ -44,14 +45,9 @@ func main() {
 		fail(2, "-interval %v: must be positive", *interval)
 	}
 
-	var cfg odrips.Config
-	switch *name {
-	case "baseline":
-		cfg = odrips.DefaultConfig()
-	case "odrips":
-		cfg = odrips.ODRIPSConfig()
-	default:
-		fail(2, "unknown config %q", *name)
+	cfg, err := platform.Preset(*name)
+	if err != nil {
+		fail(2, "-config: %v", err)
 	}
 	cfg.ForceDeepest = true
 

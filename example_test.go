@@ -7,11 +7,17 @@ import (
 	"odrips"
 )
 
-// ExampleNewPlatform runs the paper's headline comparison: baseline DRIPS
-// against full ODRIPS on an identical connected-standby workload.
-func ExampleNewPlatform() {
+// ExampleRuntime_NewPlatform runs the paper's headline comparison:
+// baseline DRIPS against full ODRIPS on an identical connected-standby
+// workload.
+func ExampleRuntime_NewPlatform() {
+	rt, err := odrips.OpenRuntime("", "", odrips.FFOn, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rt.Flush()
 	run := func(cfg odrips.Config) odrips.Result {
-		p, err := odrips.NewPlatform(cfg)
+		p, err := rt.NewPlatform(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -35,8 +41,13 @@ func ExampleNewPlatform() {
 // ExampleBreakEven computes the minimum idle residency at which ODRIPS
 // pays for its longer transitions (the blue line of Fig. 6(a)).
 func ExampleBreakEven() {
+	rt, err := odrips.OpenRuntime("", "", odrips.FFOn, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rt.Flush()
 	run := func(cfg odrips.Config) odrips.Result {
-		p, err := odrips.NewPlatform(cfg)
+		p, err := rt.NewPlatform(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

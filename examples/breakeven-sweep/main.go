@@ -11,13 +11,18 @@ import (
 )
 
 func main() {
+	rt, err := odrips.OpenRuntime("", "", odrips.FFOn, 0) // over ODRIPS_MEMOCACHE's store, if set
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rt.Flush() // runs never write: what they discovered reaches the store here
 	fmt.Println("residency sweep: forcing the deepest state at each residency")
 	fmt.Println("(the paper sweeps 0.6 ms – 1 s at 0.1 ms; this example uses the")
 	fmt.Println(" fast grid over the crossover region — run odrips-bench -sweep")
 	fmt.Println(" paper for the full grid)")
 	fmt.Println()
 
-	r, err := odrips.Fig6a(odrips.DefaultSweep())
+	r, err := rt.Fig6a(odrips.DefaultSweep())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,11 @@ import (
 const nightHrs = 8.0
 
 func main() {
+	rt, err := odrips.OpenRuntime("", "", odrips.FFOn, 0) // over ODRIPS_MEMOCACHE's store, if set
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rt.Flush() // runs never write: what they discovered reaches the store here
 	// One hour of realistic connected standby (~120 cycles with jittered
 	// 30 s idle windows and a sprinkling of external/thermal wakes);
 	// results extrapolate linearly to the full night.
@@ -37,7 +42,7 @@ func main() {
 	}
 	var baseMWh float64
 	for i, sc := range scenarios {
-		p, err := odrips.NewPlatform(sc.cfg)
+		p, err := rt.NewPlatform(sc.cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -67,7 +72,7 @@ func main() {
 	// How many nights of standby does the battery alone sustain?
 	fmt.Println()
 	for _, sc := range scenarios {
-		p, err := odrips.NewPlatform(sc.cfg)
+		p, err := rt.NewPlatform(sc.cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,8 +16,13 @@ import (
 )
 
 func main() {
+	rt, err := odrips.OpenRuntime("", "", odrips.FFOn, 0) // over ODRIPS_MEMOCACHE's store, if set
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rt.Flush() // runs never write: what they discovered reaches the store here
 	// The library sweep: every recovery edge vs. the clean run.
-	r, err := odrips.FaultSweep()
+	r, err := rt.FaultSweep()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := odrips.NewPlatform(odrips.ODRIPSConfig())
+	p, err := rt.NewPlatform(odrips.ODRIPSConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

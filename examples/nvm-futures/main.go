@@ -12,10 +12,15 @@ import (
 )
 
 func main() {
+	rt, err := odrips.OpenRuntime("", "", odrips.FFOn, 0) // over ODRIPS_MEMOCACHE's store, if set
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rt.Flush() // runs never write: what they discovered reaches the store here
 	wl := odrips.FixedCycles(3, 0, 30*odrips.Second)
 
 	run := func(cfg odrips.Config) odrips.Result {
-		p, err := odrips.NewPlatform(cfg)
+		p, err := rt.NewPlatform(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

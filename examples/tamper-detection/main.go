@@ -15,8 +15,8 @@ import (
 	"odrips/internal/dram"
 )
 
-func attack(name string, corrupt func(p *odrips.Platform) error) {
-	p, err := odrips.NewPlatform(odrips.ODRIPSConfig())
+func attack(rt *odrips.Runtime, name string, corrupt func(p *odrips.Platform) error) {
+	p, err := rt.NewPlatform(odrips.ODRIPSConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,12 +35,17 @@ func attack(name string, corrupt func(p *odrips.Platform) error) {
 }
 
 func main() {
+	rt, err := odrips.OpenRuntime("", "", odrips.FFOn, 0) // over ODRIPS_MEMOCACHE's store, if set
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rt.Flush() // runs never write: what they discovered reaches the store here
 	fmt.Println("attacker model: physical access to DRAM while the platform")
 	fmt.Println("sleeps in ODRIPS (context parked in the SGX-protected region)")
 	fmt.Println()
 
 	// Attack 1: flip one ciphertext bit in the context region.
-	attack("bit-flip in ciphertext", func(p *odrips.Platform) error {
+	attack(rt, "bit-flip in ciphertext", func(p *odrips.Platform) error {
 		mem := p.Mem()
 		if err := mem.SetState(dram.Active); err != nil {
 			return err
@@ -58,7 +63,7 @@ func main() {
 	})
 
 	// Attack 2: corrupt counter-tree metadata instead of data.
-	attack("metadata (counter tree)", func(p *odrips.Platform) error {
+	attack(rt, "metadata (counter tree)", func(p *odrips.Platform) error {
 		mem := p.Mem()
 		if err := mem.SetState(dram.Active); err != nil {
 			return err
@@ -79,7 +84,7 @@ func main() {
 	// Attack 3: wholesale region rollback — restore a complete, internally
 	// consistent snapshot of data AND metadata captured earlier. Only the
 	// on-chip root counter can catch this.
-	attack("full-region rollback", func(p *odrips.Platform) error {
+	attack(rt, "full-region rollback", func(p *odrips.Platform) error {
 		mem := p.Mem()
 		if err := mem.SetState(dram.Active); err != nil {
 			return err
@@ -104,7 +109,7 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("a clean run for comparison:")
-	p, err := odrips.NewPlatform(odrips.ODRIPSConfig())
+	p, err := rt.NewPlatform(odrips.ODRIPSConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

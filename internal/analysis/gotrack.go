@@ -6,10 +6,10 @@ import (
 )
 
 // gotrackAnalyzer polices goroutine launches. The byte-identity guarantee
-// (RunPoints output identical at any -workers count) only holds while every
-// goroutine is joined before its results are read; a fire-and-forget
-// goroutine is either a leak or a data race waiting for the fleet server's
-// load profile. Two checks:
+// (RunPoints output identical at any runtime worker count) only holds
+// while every goroutine is joined before its results are read; a
+// fire-and-forget goroutine is either a leak or a data race waiting for
+// the fleet server's load profile. Two checks:
 //
 //   - every `go func(){...}()` whose body does not call
 //     (*sync.WaitGroup).Done — the join protocol this codebase uses

@@ -43,7 +43,7 @@ func (rt *Runtime) AblationMEECache() (*MEECacheAblation, error) {
 	key[0] = 0x5A
 
 	sizes := []int{16, 32, 64, 128, 256, 512}
-	rows, err := runIndexed(len(sizes), rt.Pool(0),
+	rows, err := RunPoints(rt, len(sizes),
 		func(i int) string { return fmt.Sprintf("%d cache lines", sizes[i]) },
 		func(i int) (MEECacheRow, error) {
 			lines := sizes[i]
@@ -127,7 +127,7 @@ func (rt *Runtime) AblationTimerAlternatives() (*TimerAltAblation, error) {
 		platform.DefaultConfig().WithTechniques(platform.WakeUpOff),
 		platform.DefaultConfig().WithTechniques(platform.WakeUpOff | platform.AONIOGate),
 	}
-	results, err := runIndexed(len(configs), rt.Pool(0),
+	results, err := RunPoints(rt, len(configs),
 		func(i int) string { return configs[i].Name() },
 		func(i int) (platform.Result, error) { return rt.runConfig(configs[i], 2) })
 	if err != nil {
@@ -218,7 +218,7 @@ func (rt *Runtime) AblationIOGate() (*GateAblation, error) {
 		{"Embedded power gate (EPG)", 0.025, 2},
 		{"No gating (baseline AON IOs)", 1.0, 0},
 	}
-	rows, err := runIndexed(len(opts), rt.Pool(0),
+	rows, err := RunPoints(rt, len(opts),
 		func(i int) string { return opts[i].name },
 		func(i int) (GateRow, error) {
 			opt := opts[i]
@@ -275,7 +275,7 @@ type ReinitSensitivity struct {
 // scale points evaluate in parallel.
 func (rt *Runtime) AblationReinitSensitivity() (*ReinitSensitivity, error) {
 	scales := []float64{0.5, 1.0, 2.0, 4.0}
-	results, err := runIndexed(len(scales)+1, rt.Pool(0),
+	results, err := RunPoints(rt, len(scales)+1,
 		func(i int) string {
 			if i == 0 {
 				return "baseline"

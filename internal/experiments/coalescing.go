@@ -39,7 +39,7 @@ type CoalescingResult struct {
 // parallel.
 func (rt *Runtime) WakeCoalescing() (*CoalescingResult, error) {
 	sizes := []int{16, 32, 64, 128, 256}
-	rows, err := runIndexed(len(sizes)+1, rt.Pool(0),
+	rows, err := RunPoints(rt, len(sizes)+1,
 		func(i int) string {
 			if i == len(sizes) {
 				return "LTR-gated audio"

@@ -15,27 +15,18 @@ import (
 
 // The engine's core guarantee: results are identical at any worker count.
 func TestRunPointsDeterministicAcrossWorkerCounts(t *testing.T) {
-	specs := func() []PointSpec[string] {
-		out := make([]PointSpec[string], 64)
-		for i := range out {
-			i := i
-			out[i] = PointSpec[string]{
-				Label: fmt.Sprintf("p%d", i),
-				Run:   func() (string, error) { return fmt.Sprintf("value-%d", i*i), nil },
-			}
-		}
-		return out
-	}
-	seq, err := RunPoints(specs(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := RunPoints(specs(), workers)
+	run := func(workers int) []string {
+		out, err := RunPoints(NewRuntime(nil, platform.FFOn, workers), 64,
+			func(i int) string { return fmt.Sprintf("p%d", i) },
+			func(i int) (string, error) { return fmt.Sprintf("value-%d", i*i), nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(seq, par) {
+		return out
+	}
+	seq := run(1)
+	for _, workers := range []int{3, 7} {
+		if par := run(workers); !reflect.DeepEqual(seq, par) {
 			t.Fatalf("workers=%d diverged from sequential:\nseq: %v\npar: %v", workers, seq, par)
 		}
 	}
@@ -62,14 +53,17 @@ func TestSweepBreakEvenDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := NewRuntime(nil, platform.FFOn, 8)
-	bePar, okPar, err := rt.SweepBreakEven(base, opt, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if beSeq != bePar || okSeq != okPar {
-		t.Fatalf("sweep diverged: workers=1 -> (%v, %v), workers=8 -> (%v, %v)",
-			beSeq, okSeq, bePar, okPar)
+	var rt *Runtime
+	for _, workers := range []int{3, 7} {
+		rt = NewRuntime(nil, platform.FFOn, workers)
+		bePar, okPar, err := rt.SweepBreakEven(base, opt, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if beSeq != bePar || okSeq != okPar {
+			t.Fatalf("sweep diverged: workers=1 -> (%v, %v), workers=%d -> (%v, %v)",
+				beSeq, okSeq, workers, bePar, okPar)
+		}
 	}
 
 	// And a cached re-run is bit-identical to the cold runs.
@@ -88,21 +82,15 @@ func TestSweepBreakEvenDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestRunPointsErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	specs := make([]PointSpec[int], 1000)
-	for i := range specs {
-		i := i
-		specs[i] = PointSpec[int]{
-			Label: fmt.Sprintf("p%d", i),
-			Run: func() (int, error) {
-				ran.Add(1)
-				if i == 3 {
-					return 0, boom
-				}
-				return i, nil
-			},
-		}
-	}
-	results, err := RunPoints(specs, 4)
+	out, err := RunPoints(NewRuntime(nil, platform.FFOn, 4), 1000,
+		func(i int) string { return fmt.Sprintf("p%d", i) },
+		func(i int) (int, error) {
+			ran.Add(1)
+			if i == 3 {
+				return 0, boom
+			}
+			return i, nil
+		})
 	if err == nil {
 		t.Fatal("failing point did not surface an error")
 	}
@@ -112,8 +100,8 @@ func TestRunPointsErrorPropagation(t *testing.T) {
 	if !strings.Contains(err.Error(), "point 3") || !strings.Contains(err.Error(), "p3") {
 		t.Fatalf("error does not identify the failing point: %v", err)
 	}
-	if results[3].Err == nil {
-		t.Fatal("failing point's result slot does not record the error")
+	if out != nil {
+		t.Fatalf("a failed pool returned values: %v", out)
 	}
 	// Cancellation: with 1000 points and the failure at index 3, the pool
 	// must stop long before draining everything.
@@ -123,18 +111,20 @@ func TestRunPointsErrorPropagation(t *testing.T) {
 }
 
 // A one-worker pool evaluates points in index order and stops at the
-// first error, so nothing after the failing point runs.
+// first error, so nothing after the failing point runs. Without a label
+// the error names the index alone.
 func TestRunPointsErrorSequential(t *testing.T) {
 	boom := errors.New("boom")
 	ran := 0
-	specs := []PointSpec[int]{
-		{Run: func() (int, error) { ran++; return 1, nil }},
-		{Run: func() (int, error) { ran++; return 0, boom }},
-		{Run: func() (int, error) { ran++; return 3, nil }},
-	}
-	_, err := RunPoints(specs, 1)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
+	_, err := RunPoints(NewRuntime(nil, platform.FFOn, 1), 3, nil, func(i int) (int, error) {
+		ran++
+		if i == 1 {
+			return 0, boom
+		}
+		return i, nil
+	})
+	if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "point 1: ") {
+		t.Fatalf("err = %v, want boom at point 1", err)
 	}
 	if ran != 2 {
 		t.Fatalf("sequential path ran %d points after the failure, want stop at 2", ran)
@@ -142,9 +132,12 @@ func TestRunPointsErrorSequential(t *testing.T) {
 }
 
 func TestRunPointsEmpty(t *testing.T) {
-	results, err := RunPoints[int](nil, 4)
-	if err != nil || len(results) != 0 {
-		t.Fatalf("empty input: results=%v err=%v", results, err)
+	out, err := RunPoints(NewRuntime(nil, platform.FFOn, 4), 0, nil, func(int) (int, error) {
+		t.Fatal("an empty pool ran a point")
+		return 0, nil
+	})
+	if err != nil || len(out) != 0 {
+		t.Fatalf("empty input: out=%v err=%v", out, err)
 	}
 }
 
@@ -198,17 +191,12 @@ func TestSweepBreakEvenRejectsZeroStep(t *testing.T) {
 	}
 }
 
-// A runtime's worker default sizes every pool a call does not size
-// itself; zero means GOMAXPROCS.
+// A runtime's worker count sizes every pool; zero means GOMAXPROCS.
 func TestNewRuntimeWorkers(t *testing.T) {
-	rt := NewRuntime(nil, platform.FFOn, 3)
-	if got := rt.Pool(0); got != 3 {
-		t.Fatalf("Pool(0) = %d on a 3-worker runtime", got)
+	if got := NewRuntime(nil, platform.FFOn, 3).Pool(); got != 3 {
+		t.Fatalf("Pool() = %d on a 3-worker runtime", got)
 	}
-	if got := rt.Pool(5); got != 5 {
-		t.Fatalf("explicit worker count overridden: got %d, want 5", got)
-	}
-	if got, want := NewRuntime(nil, platform.FFOn, 0).Pool(0), runtime.GOMAXPROCS(0); got != want {
+	if got, want := NewRuntime(nil, platform.FFOn, 0).Pool(), runtime.GOMAXPROCS(0); got != want {
 		t.Fatalf("zero-worker runtime has %d workers, want GOMAXPROCS %d", got, want)
 	}
 }

@@ -49,44 +49,36 @@ var faultSweepScenarios = []struct {
 // FaultSweep measures the scenario list, fanning points across the worker
 // pool like every other experiment.
 func (rt *Runtime) FaultSweep() (*FaultSweepReport, error) {
-	specs := make([]PointSpec[FaultSweepRow], len(faultSweepScenarios))
-	for i, sc := range faultSweepScenarios {
-		sc := sc
-		specs[i] = PointSpec[FaultSweepRow]{
-			Label: sc.name,
-			Run: func() (FaultSweepRow, error) {
-				plan, err := faults.Parse(sc.plan)
-				if err != nil {
-					return FaultSweepRow{}, err
-				}
-				p, err := rt.NewPlatform(platform.ODRIPSConfig())
-				if err != nil {
-					return FaultSweepRow{}, err
-				}
-				if err := p.InjectFaults(plan); err != nil {
-					return FaultSweepRow{}, err
-				}
-				res, err := p.RunCycles(workload.Fixed(defaultCycles, 0, 30*sim.Second))
-				if err != nil {
-					return FaultSweepRow{}, err
-				}
-				return FaultSweepRow{
-					Scenario: sc.name,
-					Plan:     sc.plan,
-					AvgMW:    res.AvgPowerMW,
-					Stats:    res.Faults,
-				}, nil
-			},
-		}
-	}
-	results, err := RunPoints(specs, rt.Pool(0))
+	rows, err := RunPoints(rt, len(faultSweepScenarios),
+		func(i int) string { return faultSweepScenarios[i].name },
+		func(i int) (FaultSweepRow, error) {
+			sc := faultSweepScenarios[i]
+			plan, err := faults.Parse(sc.plan)
+			if err != nil {
+				return FaultSweepRow{}, err
+			}
+			p, err := rt.NewPlatform(platform.ODRIPSConfig())
+			if err != nil {
+				return FaultSweepRow{}, err
+			}
+			if err := p.InjectFaults(plan); err != nil {
+				return FaultSweepRow{}, err
+			}
+			res, err := p.RunCycles(workload.Fixed(defaultCycles, 0, 30*sim.Second))
+			if err != nil {
+				return FaultSweepRow{}, err
+			}
+			return FaultSweepRow{
+				Scenario: sc.name,
+				Plan:     sc.plan,
+				AvgMW:    res.AvgPowerMW,
+				Stats:    res.Faults,
+			}, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	out := &FaultSweepReport{Rows: make([]FaultSweepRow, len(results))}
-	for i, r := range results {
-		out.Rows[i] = r.Value
-	}
+	out := &FaultSweepReport{Rows: rows}
 	clean := out.Rows[0].AvgMW
 	for i := range out.Rows {
 		out.Rows[i].DeltaUW = (out.Rows[i].AvgMW - clean) * 1e3

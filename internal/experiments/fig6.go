@@ -57,7 +57,7 @@ func (rt *Runtime) compareConfigs(fig string, configs []platform.Config, sweep S
 	if err := sweep.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", fig, err)
 	}
-	results, err := runIndexed(len(configs), rt.Pool(0),
+	results, err := RunPoints(rt, len(configs),
 		func(i int) string { return configs[i].Name() },
 		func(i int) (platform.Result, error) { return rt.runConfig(configs[i], defaultCycles) })
 	if err != nil {
@@ -139,7 +139,7 @@ func (rt *Runtime) Fig6b() (*Fig6bResult, error) {
 // vary(i) applied, and reports each row's power reduction against the
 // first. It returns the raw results too, for per-row columns.
 func (rt *Runtime) odripsVariants(fig string, n int, name func(int) string, vary func(int, *platform.Config)) ([]ConfigResult, []platform.Result, error) {
-	results, err := runIndexed(n, rt.Pool(0), name,
+	results, err := RunPoints(rt, n, name,
 		func(i int) (platform.Result, error) {
 			cfg := platform.ODRIPSConfig()
 			vary(i, &cfg)

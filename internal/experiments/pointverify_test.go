@@ -27,12 +27,12 @@ func openRuntime(t *testing.T, dir string, mode memostore.Mode, ff platform.FFMo
 // serves the same bits from disk without simulating.
 func TestPointMemoPersists(t *testing.T) {
 	dir := t.TempDir()
-	key := []byte("cold-point")
+	key := pointKey{cfg: platform.ODRIPSConfig(), residency: sim.Millisecond, cycles: 1}
 	computes := 0
 	simulate := func() (uint64, error) { computes++; return 0x5eed, nil }
 
 	rw, rt := openRuntime(t, dir, memostore.RW, platform.FFOn)
-	got, err := rt.pointMemo("sweep", key, simulate)
+	got, err := rt.pointMemo(rt.sweep, "sweep", key, simulate)
 	if err != nil || got != 0x5eed || computes != 1 {
 		t.Fatalf("cold point: got=%#x err=%v computes=%d", got, err, computes)
 	}
@@ -41,7 +41,7 @@ func TestPointMemoPersists(t *testing.T) {
 	}
 
 	ro, rt := openRuntime(t, dir, memostore.RO, platform.FFOn)
-	got, err = rt.pointMemo("sweep", key, simulate)
+	got, err = rt.pointMemo(rt.sweep, "sweep", key, simulate)
 	if err != nil || got != 0x5eed || computes != 1 {
 		t.Fatalf("stored point: got=%#x err=%v computes=%d", got, err, computes)
 	}
@@ -55,22 +55,23 @@ func TestPointMemoPersists(t *testing.T) {
 // never trusted.
 func TestPointMemoVerifyRecomputesStored(t *testing.T) {
 	dir := t.TempDir()
-	key := []byte("k")
+	key := pointKey{cfg: platform.ODRIPSConfig(), residency: sim.Millisecond, cycles: 1}
 	var stored [8]byte
 	binary.LittleEndian.PutUint64(stored[:], 42)
 	rw, _ := openRuntime(t, dir, memostore.RW, platform.FFOn)
-	rw.Save("sweep", key, stored[:])
+	rw.Save("sweep", key.diskKey(), stored[:])
 
 	ro, rt := openRuntime(t, dir, memostore.RO, platform.FFVerify)
 	computes := 0
-	got, err := rt.pointMemo("sweep", key, func() (uint64, error) { computes++; return 42, nil })
+	got, err := rt.pointMemo(rt.sweep, "sweep", key, func() (uint64, error) { computes++; return 42, nil })
 	if err != nil || got != 42 || computes != 1 {
 		t.Fatalf("verify over stored point: got=%d err=%v computes=%d", got, err, computes)
 	}
 	if st := ro.Stats(); st.Hits == 0 {
 		t.Fatalf("verify never compared against the stored entry: %+v", st)
 	}
-	if _, err := rt.pointMemo("sweep", key, func() (uint64, error) { return 43, nil }); err == nil {
+	rt.sweep.Reset() // the in-process cache serves the first result: compare against the store again
+	if _, err := rt.pointMemo(rt.sweep, "sweep", key, func() (uint64, error) { return 43, nil }); err == nil {
 		t.Fatal("verify accepted a point that diverged from the stored entry")
 	}
 }
@@ -90,7 +91,7 @@ func TestPointMemoVerifyDetectsTamper(t *testing.T) {
 	}
 	planted := 0
 	for _, r := range workload.SweepResidencies(o.Lo, o.Hi, o.Step) {
-		key := pointDiskKey(platform.CanonicalConfig(base), r, o.CyclesPerPoint)
+		key := pointKey{cfg: platform.CanonicalConfig(base), residency: r, cycles: o.CyclesPerPoint}.diskKey()
 		payload, ok, err := rw.Load("sweep", key)
 		if err != nil || !ok {
 			continue

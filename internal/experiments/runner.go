@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"odrips/internal/lru"
 	"odrips/internal/platform"
 	"odrips/internal/power"
 	"odrips/internal/sim"
@@ -91,78 +92,77 @@ func PaperGrid() SweepOptions {
 	}
 }
 
-// ---- Point memo cache ----
+// ---- Point memos ----
 //
 // Sweep comparisons re-simulate the same (config, residency, cycles)
 // points constantly: SweepBreakEven holds its baseline fixed across every
 // comparison row of Fig. 6(a)/(d), so the base half of each sweep is the
 // same grid re-evaluated per row. Config is a pure value type (see the
 // comparability guard in internal/platform), so points memoize on the
-// exact triple. Simulations are deterministic, which makes the cache
+// exact triple. Simulations are deterministic, which makes the memo
 // transparent: a hit is bit-identical to a recompute.
+//
+// A point is one 8-byte word — the sweep average's Float64bits or the
+// transition duration — held by a bounded in-process cache and
+// round-tripped through the content-addressed memo store (-memocache),
+// keyed by the canonical config's exact Go representation plus the grid
+// coordinates, so a warm process skips the simulations entirely. Under
+// -fastforward=verify a stored point is re-simulated and must match to
+// the last bit.
 
-// sweepPointKey identifies one sweep measurement, keyed by the config's
-// canonical fingerprint class rather than the literal config.
-type sweepPointKey struct {
+// pointKey identifies one point, keyed by the config's canonical
+// fingerprint class rather than the literal config. Transition times
+// are keyed with zero residency and cycles.
+type pointKey struct {
 	cfg       platform.Config
 	residency sim.Duration
 	cycles    int
 }
 
-// ---- Persistent point memos ----
-//
-// Beyond the in-process maps, points round-trip through the
-// content-addressed memo store (-memocache) so a warm process skips the
-// simulations entirely. An entry is one 8-byte little-endian word — the
-// sweep average's Float64bits or the transition duration — keyed by the
-// canonical config's exact Go representation plus the grid coordinates.
-// Determinism makes the equality contract exact: under -fastforward=verify
-// the point is re-simulated and the stored bits must match to the last
-// bit.
-
-// pointDiskKey renders a stable store key for a canonicalized config.
-func pointDiskKey(cfg platform.Config, residency sim.Duration, cycles int) []byte {
-	return []byte(fmt.Sprintf("%#v|res=%d|n=%d", cfg, int64(residency), cycles))
+// diskKey renders the point's stable store key.
+func (k pointKey) diskKey() []byte {
+	return []byte(fmt.Sprintf("%#v|res=%d|n=%d", k.cfg, int64(k.residency), k.cycles))
 }
 
-// pointDiskLoad reads one 8-byte point from the runtime's store. Any
-// failure — no store, miss, corruption, wrong size — is a cache miss.
-func (rt *Runtime) pointDiskLoad(class string, key []byte) (uint64, bool) {
-	payload, ok, err := rt.Store().Load(class, key)
-	if err != nil || !ok || len(payload) != 8 {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(payload), true
-}
-
-// pointMemo funnels one 8-byte point through the persistent store:
-// load, and on a miss simulate and save. Sweep workers that reach the
-// same cold point together each simulate it — byte-identical bits, since
-// points are deterministic — and the last save wins. Under
-// -fastforward=verify no stored point is trusted: the point is
-// re-simulated and diffed against the stored bits. With no store
-// installed this degrades to a plain simulate call.
-func (rt *Runtime) pointMemo(class string, diskKey []byte, simulate func() (uint64, error)) (uint64, error) {
-	if rt.ff == platform.FFVerify {
-		bits, err := simulate()
-		if err != nil {
-			return 0, err
-		}
-		if stored, ok := rt.pointDiskLoad(class, diskKey); ok && stored != bits {
-			return 0, fmt.Errorf("experiments: fastforward verify: %s point diverged from persistent memo (stored %#x, computed %#x)", class, stored, bits)
-		}
+// pointMemo serves one point from cache, then from the store under
+// class, and on a miss simulates it, saves it and caches it. A store
+// failure — no store, miss, corruption, wrong size — is a miss. Sweep
+// workers that reach the same cold point together each simulate it —
+// byte-identical bits, since points are deterministic — and the last save
+// wins. Under -fastforward=verify no stored point is trusted: a point the
+// cache lacks is re-simulated and diffed against the stored bits.
+func (rt *Runtime) pointMemo(cache *lru.Cache[pointKey, uint64], class string, key pointKey, simulate func() (uint64, error)) (uint64, error) {
+	if bits, ok := cache.Get(key); ok {
 		return bits, nil
 	}
-	if bits, ok := rt.pointDiskLoad(class, diskKey); ok {
-		return bits, nil
+	diskKey := key.diskKey()
+	load := func() (uint64, bool) {
+		payload, ok, err := rt.Store().Load(class, diskKey)
+		if err != nil || !ok || len(payload) != 8 {
+			return 0, false
+		}
+		return binary.LittleEndian.Uint64(payload), true
+	}
+	if rt.ff != platform.FFVerify {
+		if bits, ok := load(); ok {
+			cache.Put(key, bits)
+			return bits, nil
+		}
 	}
 	bits, err := simulate()
 	if err != nil {
 		return 0, err
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], bits)
-	rt.Store().Save(class, diskKey, b[:])
+	if rt.ff == platform.FFVerify {
+		if stored, ok := load(); ok && stored != bits {
+			return 0, fmt.Errorf("experiments: fastforward verify: %s point diverged from persistent memo (stored %#x, computed %#x)", class, stored, bits)
+		}
+	} else {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], bits)
+		rt.Store().Save(class, diskKey, b[:])
+	}
+	cache.Put(key, bits)
 	return bits, nil
 }
 
@@ -174,12 +174,8 @@ func (rt *Runtime) pointMemo(class string, diskKey []byte, simulate func() (uint
 // comparison while its 3 W level drowns the microjoule-scale signal at
 // sub-millisecond residencies.
 func (rt *Runtime) sweepAverage(cfg platform.Config, residency sim.Duration, cycles int) (float64, error) {
-	key := sweepPointKey{cfg: platform.CanonicalConfig(cfg), residency: residency, cycles: cycles}
-	if v, ok := rt.sweep.Get(key); ok {
-		return v, nil
-	}
-	diskKey := pointDiskKey(key.cfg, residency, cycles)
-	bits, err := rt.pointMemo("sweep", diskKey, func() (uint64, error) {
+	key := pointKey{cfg: platform.CanonicalConfig(cfg), residency: residency, cycles: cycles}
+	bits, err := rt.pointMemo(rt.sweep, "sweep", key, func() (uint64, error) {
 		cfg.ForceDeepest = true
 		p, err := rt.NewPlatform(cfg)
 		if err != nil {
@@ -199,26 +195,16 @@ func (rt *Runtime) sweepAverage(cfg platform.Config, residency sim.Duration, cyc
 		}
 		return math.Float64bits(energyJ * 1e3 / seconds), nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	mw := math.Float64frombits(bits)
-	rt.sweep.Put(key, mw)
-	return mw, nil
+	return math.Float64frombits(bits), err
 }
 
 // transitionTime measures a configuration's entry+exit duration once, so
 // the sweep can hold the wake period fixed across configurations.
 func (rt *Runtime) transitionTime(cfg platform.Config) (sim.Duration, error) {
-	key := platform.CanonicalConfig(cfg)
-	if v, ok := rt.trans.Get(key); ok {
-		return v, nil
-	}
-	diskKey := pointDiskKey(key, 0, 0)
-	bits, err := rt.pointMemo("trans", diskKey, func() (uint64, error) {
-		forced := cfg
-		forced.ForceDeepest = true
-		p, err := rt.NewPlatform(forced)
+	key := pointKey{cfg: platform.CanonicalConfig(cfg)}
+	bits, err := rt.pointMemo(rt.trans, "trans", key, func() (uint64, error) {
+		cfg.ForceDeepest = true
+		p, err := rt.NewPlatform(cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -228,12 +214,7 @@ func (rt *Runtime) transitionTime(cfg platform.Config) (sim.Duration, error) {
 		}
 		return uint64(int64(res.EntryAvg + res.ExitAvg)), nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	d := sim.Duration(int64(bits))
-	rt.trans.Put(key, d)
-	return d, nil
+	return sim.Duration(int64(bits)), err
 }
 
 // SweepBreakEven finds the first residency at which opt's measured average
@@ -260,7 +241,7 @@ func (rt *Runtime) SweepBreakEven(base, opt platform.Config, o SweepOptions) (si
 	if o.CyclesPerPoint <= 0 {
 		o.CyclesPerPoint = 1
 	}
-	workers := rt.Pool(0)
+	workers := rt.Pool()
 	transBase, err := rt.transitionTime(base)
 	if err != nil {
 		return 0, false, fmt.Errorf("sweep base transitions: %w", err)
@@ -287,7 +268,7 @@ scan:
 		if end > len(grid) {
 			end = len(grid)
 		}
-		batch, err := runIndexed(end-start, workers,
+		batch, err := RunPoints(rt, end-start,
 			func(i int) string { return fmt.Sprintf("residency %v", grid[start+i]) },
 			func(i int) (power.SweepPoint, error) {
 				r := grid[start+i]

@@ -9,7 +9,6 @@ import (
 	"odrips/internal/memostore"
 	"odrips/internal/platform"
 	"odrips/internal/report"
-	"odrips/internal/sim"
 )
 
 // Point-memo capacity bounds. The full paper sweep touches ~10,000
@@ -39,8 +38,8 @@ type Runtime struct {
 	ff        platform.FFMode
 	workers   int // <= 0: runtime.GOMAXPROCS(0) at each call
 
-	sweep *lru.Cache[sweepPointKey, float64]        // average mW per point
-	trans *lru.Cache[platform.Config, sim.Duration] // entry+exit per config
+	sweep *lru.Cache[pointKey, uint64] // average mW per point, as Float64bits
+	trans *lru.Cache[pointKey, uint64] // entry+exit per config, in ps
 }
 
 // NewRuntime builds a runtime over plane (nil: a fresh storeless plane)
@@ -56,8 +55,8 @@ func NewRuntime(plane *platform.MemoPlane, ff platform.FFMode, workers int) *Run
 		templates: platform.NewTemplates(),
 		ff:        ff,
 		workers:   workers,
-		sweep:     lru.New[sweepPointKey, float64](sweepCacheCap),
-		trans:     lru.New[platform.Config, sim.Duration](transCacheCap),
+		sweep:     lru.New[pointKey, uint64](sweepCacheCap),
+		trans:     lru.New[pointKey, uint64](transCacheCap),
 	}
 }
 
@@ -78,16 +77,14 @@ func (rt *Runtime) FF() platform.FFMode { return rt.ff }
 // TemplateStats reports the platform-template cache's counters.
 func (rt *Runtime) TemplateStats() platform.TemplateStats { return rt.templates.Stats() }
 
-// Pool maps a per-call worker knob to a pool size: n when positive, else
-// the runtime's worker count, else runtime.GOMAXPROCS(0).
-func (rt *Runtime) Pool(n int) int {
-	if n <= 0 {
-		n = rt.workers
+// Pool is the worker count RunPoints and the fleet engine size their
+// pools to: the runtime's worker count when positive, else
+// runtime.GOMAXPROCS(0).
+func (rt *Runtime) Pool() int {
+	if rt.workers > 0 {
+		return rt.workers
 	}
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return n
+	return runtime.GOMAXPROCS(0)
 }
 
 // NewPlatform assembles a platform from the runtime's template of

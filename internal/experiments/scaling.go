@@ -39,7 +39,7 @@ func (rt *Runtime) ProcessScaling() (*ScalingResult, error) {
 	hswCfg := platform.DefaultConfig()
 	hswCfg.Generation = platform.GenHaswell
 	configs := []platform.Config{hswCfg, platform.DefaultConfig()}
-	results, err := runIndexed(len(configs), rt.Pool(0),
+	results, err := RunPoints(rt, len(configs),
 		func(i int) string { return configs[i].Name() },
 		func(i int) (platform.Result, error) { return rt.runConfig(configs[i], defaultCycles) })
 	if err != nil {

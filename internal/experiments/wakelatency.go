@@ -65,7 +65,7 @@ func (rt *Runtime) WakeLatency() (*WakeLatencyResult, error) {
 // samples independent points that fan out across the worker pool.
 func (rt *Runtime) wakeLatencyDistribution(cfg platform.Config) (entries, exits []sim.Duration, err error) {
 	type sample struct{ entry, exit sim.Duration }
-	samples, err := runIndexed(wakeLatencySamples, rt.Pool(0),
+	samples, err := RunPoints(rt, wakeLatencySamples,
 		func(i int) string { return fmt.Sprintf("wake sample %d", i) },
 		func(i int) (sample, error) {
 			p, err := rt.NewPlatform(cfg)

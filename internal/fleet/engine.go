@@ -40,18 +40,17 @@ func runDevice(rt *experiments.Runtime, s Spec, r *runClass) (runOutcome, error)
 	return runOutcome{res: res, ff: p.FFStats()}, nil
 }
 
-// runChains runs every run class on a pool of workers goroutines under
-// rt and returns the outcomes in run-class order. Each memo class's run
-// classes form a chain that runs in run-index order on one worker, every
-// run attached to rt's plane (the package doc says why that is
-// deterministic). The chain's head, t.memos[m].run, goes through the
-// plane's WarmClass, so with a writable store a cold class is discovered
-// once across every process sharing it. ctx is checked at every
-// device-run boundary: a canceled job stops claiming new simulations and
-// surfaces ctx's error (wrapped; errors.Is(err, ctx.Err()) holds) after
-// in-flight runs drain. prog observes each finished chain head and run
-// class.
-func runChains(ctx context.Context, rt *experiments.Runtime, s Spec, t *classTable, workers int, prog *Progress) ([]runOutcome, error) {
+// runChains runs every run class on rt's worker pool and returns the
+// outcomes in run-class order. Each memo class's run classes form a
+// chain that runs in run-index order on one worker, every run attached
+// to rt's plane (the package doc says why that is deterministic). The
+// chain's head, t.memos[m].run, goes through the plane's WarmClass, so
+// with a writable store a cold class is discovered once across every
+// process sharing it. ctx is checked at every device-run boundary: a
+// canceled job stops claiming new simulations and surfaces ctx's error
+// (wrapped; errors.Is(err, ctx.Err()) holds) after in-flight runs drain.
+// prog observes each finished chain head and run class.
+func runChains(ctx context.Context, rt *experiments.Runtime, s Spec, t *classTable, prog *Progress) ([]runOutcome, error) {
 	plane := rt.Plane()
 	chains := make([][]int, len(t.memos))
 	for r := range t.runs {
@@ -59,43 +58,39 @@ func runChains(ctx context.Context, rt *experiments.Runtime, s Spec, t *classTab
 		chains[m] = append(chains[m], r)
 	}
 	out := make([]runOutcome, len(t.runs)) // chains are disjoint: one writer per slot
-	points := make([]experiments.PointSpec[struct{}], len(chains))
-	for m, chain := range chains {
-		var dev int // the device in flight, for the failure label
-		points[m] = experiments.PointSpec[struct{}]{
-			LabelFn: func() string { return fmt.Sprintf("device %d", dev) },
-			Run: func() (struct{}, error) {
-				for _, r := range chain {
-					rc := &t.runs[r]
-					dev = rc.rep
-					if err := ctx.Err(); err != nil {
-						return struct{}{}, fmt.Errorf("fleet: canceled before device %d: %w", rc.rep, err)
-					}
-					run := func() error {
-						var err error
-						out[r], err = runDevice(rt, s, rc)
-						return err
-					}
-					head := r == t.memos[m].run
-					var err error
-					if head {
-						err = plane.WarmClass(ctx, t.memos[m].key, run)
-					} else {
-						err = run()
-					}
-					if err != nil {
-						return struct{}{}, err
-					}
-					if head {
-						prog.warmRunDone()
-					}
-					prog.runClassDone(r)
+	inFlight := make([]int, len(chains))   // the device each chain is running, for the failure label
+	_, err := experiments.RunPoints(rt, len(chains),
+		func(m int) string { return fmt.Sprintf("device %d", inFlight[m]) },
+		func(m int) (struct{}, error) {
+			for _, r := range chains[m] {
+				rc := &t.runs[r]
+				inFlight[m] = rc.rep
+				if err := ctx.Err(); err != nil {
+					return struct{}{}, fmt.Errorf("fleet: canceled before device %d: %w", rc.rep, err)
 				}
-				return struct{}{}, nil
-			},
-		}
-	}
-	if _, err := experiments.RunPoints(points, workers); err != nil {
+				run := func() error {
+					var err error
+					out[r], err = runDevice(rt, s, rc)
+					return err
+				}
+				head := r == t.memos[m].run
+				var err error
+				if head {
+					err = plane.WarmClass(ctx, t.memos[m].key, run)
+				} else {
+					err = run()
+				}
+				if err != nil {
+					return struct{}{}, err
+				}
+				if head {
+					prog.warmRunDone()
+				}
+				prog.runClassDone(r)
+			}
+			return struct{}{}, nil
+		})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -122,10 +117,9 @@ func RunWithProgress(ctx context.Context, s Spec, plane *platform.MemoPlane, pro
 
 // Exec executes a fleet job under rt: platforms are built by
 // rt.NewPlatform, so they run in rt's fast-forward mode and warm and
-// draw from rt's memo plane, on a pool of s.Workers goroutines (0 uses
-// rt's worker count).
+// draw from rt's memo plane, on rt's worker pool.
 //
-// The report is byte-identical at any Workers count, and its Aggregates
+// The report is byte-identical at any worker count, and its Aggregates
 // section additionally at any Shards count and fast-forward mode,
 // provided rt's plane (128 classes unless built with another bound) has
 // capacity for the job's memo classes and no other job mutates it
@@ -152,7 +146,7 @@ func Exec(ctx context.Context, rt *experiments.Runtime, s Spec, prog *Progress) 
 	t := expand(s)
 	prog.start(&t)
 
-	outcomes, err := runChains(ctx, rt, s, &t, rt.Pool(s.Workers), prog)
+	outcomes, err := runChains(ctx, rt, s, &t, prog)
 	rt.Flush() // canceled or failed jobs too: keep what the finished runs discovered
 	if err != nil {
 		return nil, err

@@ -62,8 +62,8 @@ type Spec struct {
 	Name string
 	// Devices is the fleet size.
 	Devices int
-	// Preset names the base configuration: "odrips" (default),
-	// "baseline", "wake-up-off", "aon-io-gate", or "ctx-sgx-dram".
+	// Preset names the base configuration (platform.Preset); the
+	// default is "odrips".
 	Preset string
 	// Horizon is the simulated wall time per device (default 6h).
 	Horizon sim.Duration
@@ -76,8 +76,6 @@ type Spec struct {
 	// (contiguous index ranges; default 1). Shard count changes the
 	// per-shard breakdown only, never the fleet-level aggregates.
 	Shards int
-	// Workers sizes the simulation worker pool (0 = the runtime's count).
-	Workers int
 
 	Spread Spread
 }
@@ -117,21 +115,12 @@ const (
 	DefaultWakePeriod = 30 * sim.Second
 )
 
-// baseConfig resolves the preset name; ok is false for an unknown one.
-func baseConfig(preset string) (cfg platform.Config, ok bool) {
-	switch preset {
-	case "", "odrips":
-		return platform.ODRIPSConfig(), true
-	case "baseline":
-		return platform.DefaultConfig(), true
-	case "wake-up-off":
-		return platform.DefaultConfig().WithTechniques(platform.WakeUpOff), true
-	case "aon-io-gate":
-		return platform.DefaultConfig().WithTechniques(platform.WakeUpOff | platform.AONIOGate), true
-	case "ctx-sgx-dram":
-		return platform.DefaultConfig().WithTechniques(platform.CtxSGXDRAM), true
+// baseConfig resolves the preset name (platform.Preset; "" is odrips).
+func baseConfig(preset string) (platform.Config, error) {
+	if preset == "" {
+		preset = "odrips"
 	}
-	return platform.Config{}, false
+	return platform.Preset(preset)
 }
 
 // withDefaults fills zero fields.
@@ -167,14 +156,14 @@ func (s Spec) Validate() error {
 	if s.Devices < 1 {
 		return fmt.Errorf("fleet: %d devices (want at least 1)", s.Devices)
 	}
-	if _, ok := baseConfig(s.Preset); !ok {
-		return fmt.Errorf("fleet: unknown preset %q (want odrips, baseline, wake-up-off, aon-io-gate, or ctx-sgx-dram)", s.Preset)
+	if _, err := baseConfig(s.Preset); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	if s.Horizon < 0 || s.Active < 0 || s.WakePeriod <= 0 {
 		return fmt.Errorf("fleet: bad cycle shape (horizon %v, active %v, wake period %v)", s.Horizon, s.Active, s.WakePeriod)
 	}
-	if s.Shards < 0 || s.Workers < 0 {
-		return fmt.Errorf("fleet: negative shards/workers")
+	if s.Shards < 0 {
+		return fmt.Errorf("fleet: negative shards")
 	}
 	if s.Shards > s.Devices {
 		return fmt.Errorf("fleet: %d shards for %d devices", s.Shards, s.Devices)

@@ -207,10 +207,8 @@ func TestFleetDeterminism(t *testing.T) {
 	refFull := mustReportJSON(t, ref)
 	refAgg := mustAggJSON(t, ref)
 
-	for _, workers := range []int{1, 3} {
-		s := base
-		s.Workers = workers
-		rep, err := Run(s, nil)
+	for _, workers := range []int{1, 3, 7} {
+		rep, err := Exec(context.Background(), experiments.NewRuntime(nil, platform.FFOn, workers), base, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,9 +406,8 @@ func TestFleetSecondProcessRecomputesNothing(t *testing.T) {
 // records as the canceled job's plane holds.
 func TestFleetCanceledJobKeepsFinishedRuns(t *testing.T) {
 	s := mixedSpec()
-	s.Workers = 1
 	dir := t.TempDir()
-	rt := experiments.NewRuntime(platform.NewMemoPlane(fleetStore(t, dir), 0), platform.FFOn, 0)
+	rt := experiments.NewRuntime(platform.NewMemoPlane(fleetStore(t, dir), 0), platform.FFOn, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	prog := NewProgress()
@@ -498,11 +495,10 @@ func TestFleetStoreFillIsScheduleIndependent(t *testing.T) {
 	spec.Spread.Faults = nil
 	var refFiles map[string]string
 	var refFull, refAgg, refDir string
-	for _, workers := range []int{1, 3, 8} {
-		s := spec
-		s.Workers = workers
+	for _, workers := range []int{1, 3, 7} {
 		dir := t.TempDir()
-		rep, err := Run(s, platform.NewMemoPlane(fleetStore(t, dir), 0))
+		rt := experiments.NewRuntime(platform.NewMemoPlane(fleetStore(t, dir), 0), platform.FFOn, workers)
+		rep, err := Exec(context.Background(), rt, spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -663,6 +659,7 @@ func TestParseSpecJSON(t *testing.T) {
 		"retired knob":  `{"devices": 1, "plane_classes": 4}`,
 		"seed_base":     `{"devices": 1, "spread": {"seed_base": 10}}`,
 		"seed_stride":   `{"devices": 1, "spread": {"seed_stride": 3}}`,
+		"workers":       `{"devices": 1, "workers": 2}`,
 		"bad duration":  `{"devices": 1, "horizon": "6 fortnights"}`,
 		"bad plan":      `{"devices": 1, "spread": {"faults": [{"device": 0, "plan": "nonsense"}]}}`,
 		"no devices":    `{}`,
@@ -684,8 +681,8 @@ func TestParseSpecJSON(t *testing.T) {
 			t.Errorf("%s: %v, want a decode *SpecError", name, err)
 		}
 	}
-	// The removed seed fields fail the decode, naming the field.
-	for _, name := range []string{"seed_base", "seed_stride"} {
+	// The removed seed and workers fields fail the decode, naming the field.
+	for _, name := range []string{"seed_base", "seed_stride", "workers"} {
 		_, err := ParseSpecJSON([]byte(bads[name]))
 		if se := (*SpecError)(nil); !errors.As(err, &se) || se.Reason != "decode" || !strings.Contains(err.Error(), name) {
 			t.Errorf("%s: %v, want a decode *SpecError naming the field", name, err)
@@ -855,8 +852,6 @@ func TestFleetCancellation(t *testing.T) {
 	// Cancel mid-run: trip the cancel from the progress callback of the
 	// first completed warm run, so the cancellation lands while later
 	// representatives are still pending.
-	s := mixedSpec()
-	s.Workers = 1
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	prog := NewProgress()
@@ -878,7 +873,7 @@ func TestFleetCancellation(t *testing.T) {
 			}
 		}
 	}()
-	_, err := RunWithProgress(ctx, s, nil, prog)
+	_, err := Exec(ctx, experiments.NewRuntime(nil, platform.FFOn, 1), mixedSpec(), prog)
 	close(done)
 	wg.Wait()
 	if !errors.Is(err, context.Canceled) {

@@ -30,6 +30,7 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"devices": 1, "wake_period": "-30s"}`))
 	f.Add([]byte(`{"devices":12,"horizon":"2m"} {"devices":99999999}`))
+	f.Add([]byte(`{"devices": 2, "workers": 3}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpecJSON(data)

@@ -39,7 +39,6 @@ type specJSON struct {
 	Active     string `json:"active"`
 	WakePeriod string `json:"wake_period"`
 	Shards     int    `json:"shards"`
-	Workers    int    `json:"workers"`
 	Spread     struct {
 		DriftPPB    []int64   `json:"drift_ppb"`
 		BatteryMWh  []float64 `json:"battery_mwh"`
@@ -70,7 +69,6 @@ func ParseSpecJSON(data []byte) (Spec, error) {
 		Devices: sj.Devices,
 		Preset:  sj.Preset,
 		Shards:  sj.Shards,
-		Workers: sj.Workers,
 	}
 	var err error
 	if s.Horizon, err = parseDur(sj.Horizon); err != nil {
@@ -124,7 +122,6 @@ func EncodeSpecJSON(s Spec) ([]byte, error) {
 		return nil, specErrf("encode", "wake_period: %w", err)
 	}
 	sj.Shards = s.Shards
-	sj.Workers = s.Workers
 	sj.Spread.DriftPPB = s.Spread.DriftPPB
 	sj.Spread.BatteryMWh = s.Spread.BatteryMWh
 	if len(s.Spread.JitterSteps) > 0 {

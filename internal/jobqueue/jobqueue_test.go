@@ -374,10 +374,10 @@ func TestCancelPending(t *testing.T) {
 // TestCancelRunning: canceling mid-run stops the engine at a device
 // boundary; the job lands in canceled with partial progress.
 func TestCancelRunning(t *testing.T) {
-	// Many drift classes → many memo-class chains → a wide cancel window.
+	// Many drift classes → 64 memo-class chains, far more than the
+	// queue runtime's GOMAXPROCS workers → a wide cancel window.
 	s := smallSpec("run")
 	s.Devices = 64
-	s.Workers = 1
 	s.Spread.DriftPPB = make([]int64, 64)
 	for i := range s.Spread.DriftPPB {
 		s.Spread.DriftPPB[i] = int64(i * 10)

@@ -140,6 +140,34 @@ func (c Config) WithTechniques(t Technique) Config {
 	return c
 }
 
+// Preset returns the named configuration. It is the one table of names
+// odrips-sim -config, odrips-trace -config and fleet presets accept; an
+// unknown name's error lists them all.
+func Preset(name string) (Config, error) {
+	base := DefaultConfig()
+	switch name {
+	case "baseline":
+		return base, nil
+	case "wake-up-off":
+		return base.WithTechniques(WakeUpOff), nil
+	case "aon-io-gate":
+		return base.WithTechniques(WakeUpOff | AONIOGate), nil
+	case "ctx-sgx-dram":
+		return base.WithTechniques(CtxSGXDRAM), nil
+	case "odrips":
+		return ODRIPSConfig(), nil
+	case "odrips-mram":
+		c := base.WithTechniques(WakeUpOff | AONIOGate)
+		c.CtxInEMRAM = true
+		return c, nil
+	case "odrips-pcm":
+		c := ODRIPSConfig()
+		c.MainMemory = dram.PCM
+		return c, nil
+	}
+	return Config{}, fmt.Errorf("unknown preset %q (want baseline, wake-up-off, aon-io-gate, ctx-sgx-dram, odrips, odrips-mram or odrips-pcm)", name)
+}
+
 // Name returns a human-readable configuration label.
 func (c Config) Name() string {
 	name := c.Techniques.String()

@@ -11,9 +11,22 @@ import (
 	"odrips/internal/experiments"
 )
 
+// openRuntime opens the runtime the examples run on and flushes it when
+// the test ends.
+func openRuntime(t *testing.T) *Runtime {
+	t.Helper()
+	rt, err := OpenRuntime("", "", FFOn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Flush)
+	return rt
+}
+
 // TestPublicAPIEndToEnd exercises the facade the way the examples do.
 func TestPublicAPIEndToEnd(t *testing.T) {
-	base, err := NewPlatform(DefaultConfig())
+	rt := openRuntime(t)
+	base, err := rt.NewPlatform(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +34,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := NewPlatform(ODRIPSConfig())
+	opt, err := rt.NewPlatform(ODRIPSConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +60,7 @@ func TestPublicWorkloadGenerators(t *testing.T) {
 	if len(cs) != 5 {
 		t.Fatal("ConnectedStandby wrong length")
 	}
-	p, err := NewPlatform(ODRIPSConfig())
+	p, err := openRuntime(t).NewPlatform(ODRIPSConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
