@@ -40,11 +40,14 @@ harness-vet:
 
 race:
 	$(GO) test -race $(PKGS)
+	$(GO) test -race -count=20 -run 'TestMemoPlaneConcurrentOpsRunOnce|TestTemplatesBuildOncePerSeed' ./internal/platform
 
 # The CI verify tier: build, go vet, odrips-vet, go vet over the
 # benchmark harness, then the full suite under the race detector (the
-# parallel sweep engine is exercised by every experiment test). Mirrored
-# by .github/workflows/ci.yml.
+# parallel sweep engine is exercised by every experiment test) and 20
+# rounds of the two tests that race platforms on a memo class's op lock
+# and on the template cache's lock. Mirrored by
+# .github/workflows/ci.yml.
 verify: build vet lint harness-vet race
 
 # Fleet smoke tier: the fleet engine's full test suite under the race
@@ -54,9 +57,9 @@ verify: build vet lint harness-vet race
 # store (the warm run must adopt from disk, and both runs' JSON
 # "aggregates" blocks must be byte-identical), and a negative
 # -workers/-shards, an unknown -format (the retired markdown one too) or
-# -preset, or a -memocachedir without -memocache must exit 2 naming the
-# flag, as must a spec file carrying the removed seed_stride or workers
-# field, naming the field. The cold run publishes
+# -preset, a -memocachedir without -memocache, or a -preset or -devices
+# given with -spec must exit 2 naming the flag, as must a spec file
+# carrying the removed seed_stride or workers field, naming the field. The cold run publishes
 # every run class's records, so the warm run over the store it filled
 # must simulate no cycle at all; steady-state cycles must recur, so the
 # plane may hold at most 64 records per memo class (one record per
@@ -73,14 +76,14 @@ fleet-smoke:
 	$(GO) build -o $(FLEETDIR)/ ./cmd/odrips-fleet
 	printf '%s\n' '$(FLEET_SEED_SPEC)' > $(FLEETDIR)/seed.json
 	printf '%s\n' '$(FLEET_WORKERS_SPEC)' > $(FLEETDIR)/workers.json
-	for neg in "-workers -1|-workers" "-shards -3|-shards" "-format bogus|-format" "-format markdown|-format" "-preset bogus|-preset" "-memocachedir $(FLEETDIR)/nostore|-memocachedir" "-spec $(FLEETDIR)/seed.json|seed_stride" "-spec $(FLEETDIR)/workers.json|workers"; do \
+	printf '%s\n' '$(FLEET_SMOKE_SPEC)' > $(FLEETDIR)/spec.json
+	for neg in "-workers -1|-workers" "-shards -3|-shards" "-format bogus|-format" "-format markdown|-format" "-preset bogus|-preset" "-memocachedir $(FLEETDIR)/nostore|-memocachedir" "-spec $(FLEETDIR)/seed.json|seed_stride" "-spec $(FLEETDIR)/workers.json|workers" "-spec $(FLEETDIR)/spec.json -preset baseline|-preset" "-spec $(FLEETDIR)/spec.json -devices 5|-devices"; do \
 		flag=$${neg%%|*}; name=$${neg##*|}; code=0; \
 		$(FLEETDIR)/odrips-fleet -devices 10 $$flag > /dev/null 2> $(FLEETDIR)/neg.txt || code=$$?; \
 		if [ $$code -ne 2 ] || ! grep -q -e "$$name" $(FLEETDIR)/neg.txt; then \
 			echo "fleet-smoke: odrips-fleet $$flag exited $$code, want 2 naming $$name:"; cat $(FLEETDIR)/neg.txt; exit 1; \
 		fi; \
 	done
-	printf '%s\n' '$(FLEET_SMOKE_SPEC)' > $(FLEETDIR)/spec.json
 	$(FLEETDIR)/odrips-fleet -spec $(FLEETDIR)/spec.json -memocache rw -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/cold.json
 	$(FLEETDIR)/odrips-fleet -spec $(FLEETDIR)/spec.json -memocache ro -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/warm.json
 	grep -q '"adopted": [1-9]' $(FLEETDIR)/warm.json || { echo "fleet-smoke: warm run adopted nothing from the memo store"; exit 1; }
@@ -230,7 +233,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzImportState$$' -fuzztime $(FUZZTIME) ./internal/mee
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAfterCorruption$$' -fuzztime $(FUZZTIME) ./internal/mee
 	$(GO) test -run '^$$' -fuzz '^FuzzReadInPlaceDifferential$$' -fuzztime $(FUZZTIME) ./internal/mee
-	$(GO) test -run '^$$' -fuzz '^FuzzDeserialize$$' -fuzztime $(FUZZTIME) ./internal/ctxstore
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackBootImage$$' -fuzztime $(FUZZTIME) ./internal/ctxstore
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -run '^$$' -fuzz '^FuzzMemoStoreLoad$$' -fuzztime $(FUZZTIME) ./internal/memostore

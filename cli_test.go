@@ -33,27 +33,36 @@ func buildCLIs(t *testing.T, pkgs ...string) string {
 // silently running something else.
 func TestCLIFlagMisuseExits2(t *testing.T) {
 	bin := buildCLIs(t, "cmd/odrips-sim", "cmd/odrips-trace", "cmd/odrips-fleet")
+	spec := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(spec, []byte(`{"devices":10}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		cmd, flag, val string
+		pre            []string // arguments before the flag
 	}{
-		{"odrips-sim", "-cycles", "-3"},
-		{"odrips-sim", "-cycles", "0"},
-		{"odrips-sim", "-idle", "-5s"},
-		{"odrips-trace", "-idle", "-1s"},
-		{"odrips-trace", "-idle", "0s"},
-		{"odrips-trace", "-interval", "0s"},
-		{"odrips-trace", "-interval", "-1ms"},
-		{"odrips-sim", "-config", "bogus"},
-		{"odrips-trace", "-config", "bogus"},
-		{"odrips-fleet", "-preset", "bogus"},
+		{"odrips-sim", "-cycles", "-3", nil},
+		{"odrips-sim", "-cycles", "0", nil},
+		{"odrips-sim", "-idle", "-5s", nil},
+		{"odrips-trace", "-idle", "-1s", nil},
+		{"odrips-trace", "-idle", "0s", nil},
+		{"odrips-trace", "-interval", "0s", nil},
+		{"odrips-trace", "-interval", "-1ms", nil},
+		{"odrips-sim", "-config", "bogus", nil},
+		{"odrips-trace", "-config", "bogus", nil},
+		{"odrips-fleet", "-preset", "bogus", nil},
+		// The spec sets the preset and the fleet size.
+		{"odrips-fleet", "-preset", "baseline", []string{"-spec", spec}},
+		{"odrips-fleet", "-devices", "5", []string{"-spec", spec}},
 	} {
 		var stderr strings.Builder
-		cmd := exec.Command(filepath.Join(bin, c.cmd), c.flag, c.val)
+		args := append(append([]string{}, c.pre...), c.flag, c.val)
+		cmd := exec.Command(filepath.Join(bin, c.cmd), args...)
 		cmd.Stderr = &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), c.flag) {
-			t.Errorf("%s %s %s: %v, stderr %q; want exit 2 naming %s", c.cmd, c.flag, c.val, err, stderr.String(), c.flag)
+			t.Errorf("%s %s: %v, stderr %q; want exit 2 naming %s", c.cmd, strings.Join(args, " "), err, stderr.String(), c.flag)
 		}
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"odrips"
 	"odrips/internal/platform"
@@ -41,14 +42,14 @@ import (
 
 func main() {
 	specPath := flag.String("spec", "", "fleet spec file (JSON); omit to build a spec from the flags below")
-	devices := flag.Int("devices", 0, "fleet size when no -spec file is given")
-	preset := flag.String("preset", "", "base configuration preset: baseline, wake-up-off, aon-io-gate, ctx-sgx-dram, odrips (default), odrips-mram or odrips-pcm")
+	devices := flag.Int("devices", 0, "fleet size when no -spec file is given (not allowed with -spec)")
+	preset := flag.String("preset", "", "base configuration preset when no -spec file is given: baseline, wake-up-off, aon-io-gate, ctx-sgx-dram, odrips (default), odrips-mram or odrips-pcm")
 	shards := flag.Int("shards", 0, "aggregation shard count (overrides the spec when > 0)")
 	workers := flag.Int("workers", 0, "simulation worker pool size (0 = all cores, 1 = sequential)")
 	format := flag.String("format", "text", "report format: text or json")
 	outPath := flag.String("o", "", "write the report to `file` instead of stdout")
 	ffFlag := flag.String("fastforward", "on", "steady-state fast-forward: on, off, or verify (aggregates are byte-identical across all three)")
-	memoFlag := flag.String("memocache", "", "persistent memo store backing the plane: off, rw, or ro (audit a store with -memocache ro -fastforward verify)")
+	memoFlag := flag.String("memocache", "", "persistent memo store backing the plane: off, rw, or ro (default: inherit ODRIPS_MEMOCACHE, normally off; audit a store with -memocache ro -fastforward verify)")
 	memoDir := flag.String("memocachedir", "", "persistent memo store directory (default .odrips-memocache)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to `file`")
@@ -83,14 +84,6 @@ func main() {
 	default:
 		fail(fmt.Errorf("-format %q: want text or json", *format))
 	}
-	ffMode, err := odrips.ParseFFMode(*ffFlag)
-	if err != nil {
-		fail(err)
-	}
-	rt, err := odrips.OpenRuntime(*memoFlag, *memoDir, ffMode, *workers)
-	if err != nil {
-		fail(fmt.Errorf("-memocache: %w", err))
-	}
 
 	var spec odrips.FleetSpec
 	switch {
@@ -102,6 +95,17 @@ func main() {
 		if spec, err = odrips.ParseFleetSpec(data); err != nil {
 			fail(err)
 		}
+		// The spec sets the fleet size and preset; a flag for either
+		// would be ignored, so it is refused instead.
+		var given []string
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "devices" || f.Name == "preset" {
+				given = append(given, "-"+f.Name)
+			}
+		})
+		if len(given) > 0 {
+			fail(fmt.Errorf("%s: not allowed with -spec (the spec file sets the fleet size and preset)", strings.Join(given, " and ")))
+		}
 	case *devices > 0:
 		spec = odrips.FleetSpec{Name: "adhoc", Devices: *devices, Preset: *preset}
 	default:
@@ -109,6 +113,15 @@ func main() {
 	}
 	if *shards > 0 {
 		spec.Shards = *shards
+	}
+
+	ffMode, err := odrips.ParseFFMode(*ffFlag)
+	if err != nil {
+		fail(err)
+	}
+	rt, err := odrips.OpenRuntime(*memoFlag, *memoDir, ffMode, *workers)
+	if err != nil {
+		fail(fmt.Errorf("-memocache: %w", err))
 	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)

@@ -54,7 +54,7 @@ func main() {
 	maxDevices := flag.Int("max-devices", 0, "largest accepted fleet (0 = 1e6)")
 	retain := flag.Int("retain", 0, "finished jobs kept queryable (0 = 4096)")
 	ffFlag := flag.String("fastforward", "on", "steady-state fast-forward: on, off, or verify")
-	memoFlag := flag.String("memocache", "", "persistent memo store: off, rw, or ro (audit a store with -memocache ro -fastforward verify)")
+	memoFlag := flag.String("memocache", "", "persistent memo store: off, rw, or ro (default: inherit ODRIPS_MEMOCACHE, normally off; audit a store with -memocache ro -fastforward verify)")
 	memoDir := flag.String("memocachedir", "", "persistent memo store directory (default .odrips-memocache)")
 	drain := flag.Duration("drain", 30*time.Second, "max time to finish queued+running jobs on shutdown before canceling them")
 	progressEvery := flag.Duration("progress-interval", 100*time.Millisecond, "pacing of result-stream progress frames")

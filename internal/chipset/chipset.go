@@ -184,9 +184,6 @@ func (h *Hub) MonitorThermal(sampler *clock.Oscillator) error {
 	})
 }
 
-// StopThermalMonitor stops sampling the EC line.
-func (h *Hub) StopThermalMonitor() { h.thermalPin.Unwatch() }
-
 // ExternalWake injects a peripheral wake event. While the chipset AON
 // domain is monitored with the slow clock (hosting), detection is
 // quantized to the next 32 kHz edge; otherwise it is detected within a

@@ -159,56 +159,6 @@ func (c *Context) Serialize() []byte {
 	return c.AppendSerialized(make([]byte, 0, c.SerializedSize()))
 }
 
-// Deserialize parses a serialized context, verifying the trailer checksum.
-func Deserialize(data []byte) (*Context, error) {
-	if len(data) < 4+sha256.Size {
-		return nil, fmt.Errorf("ctxstore: image too short (%d bytes)", len(data))
-	}
-	body, trailer := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	sum := sha256.Sum256(body)
-	if !bytes.Equal(sum[:], trailer) {
-		return nil, fmt.Errorf("ctxstore: image checksum mismatch")
-	}
-	rd := bytes.NewReader(body)
-	var count uint32
-	if err := binary.Read(rd, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("ctxstore: truncated header: %w", err)
-	}
-	if count > 1<<16 {
-		return nil, fmt.Errorf("ctxstore: implausible section count %d", count)
-	}
-	c := &Context{}
-	for i := uint32(0); i < count; i++ {
-		var nameLen uint32
-		if err := binary.Read(rd, binary.LittleEndian, &nameLen); err != nil {
-			return nil, fmt.Errorf("ctxstore: truncated section %d: %w", i, err)
-		}
-		if nameLen > 1<<10 {
-			return nil, fmt.Errorf("ctxstore: implausible name length %d", nameLen)
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(rd, name); err != nil {
-			return nil, fmt.Errorf("ctxstore: truncated name in section %d: %w", i, err)
-		}
-		var dataLen uint32
-		if err := binary.Read(rd, binary.LittleEndian, &dataLen); err != nil {
-			return nil, fmt.Errorf("ctxstore: truncated length in section %d: %w", i, err)
-		}
-		if int(dataLen) > rd.Len() {
-			return nil, fmt.Errorf("ctxstore: section %d claims %d bytes, %d remain", i, dataLen, rd.Len())
-		}
-		payload := make([]byte, dataLen)
-		if _, err := io.ReadFull(rd, payload); err != nil {
-			return nil, fmt.Errorf("ctxstore: truncated payload in section %d: %w", i, err)
-		}
-		c.sections = append(c.sections, Section{Name: string(name), Data: payload})
-	}
-	if rd.Len() != 0 {
-		return nil, fmt.Errorf("ctxstore: %d trailing bytes", rd.Len())
-	}
-	return c, nil
-}
-
 // Subset returns a new context holding only the named sections (used to
 // split the image between the SA FSM and the LLC FSM paths).
 func (c *Context) Subset(names []string) *Context {
@@ -222,19 +172,6 @@ func (c *Context) Subset(names []string) *Context {
 			out.sections = append(out.sections, s)
 		}
 	}
-	return out
-}
-
-// Merge combines contexts; section order is re-canonicalized by name.
-func Merge(parts ...*Context) *Context {
-	out := &Context{}
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		out.sections = append(out.sections, p.sections...)
-	}
-	sort.Slice(out.sections, func(i, j int) bool { return out.sections[i].Name < out.sections[j].Name })
 	return out
 }
 

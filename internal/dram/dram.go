@@ -162,25 +162,6 @@ func (m *Module) TransferTime(n int, write bool) sim.Duration {
 	return m.fixedLatency(write) + sim.FromSeconds(float64(n)/m.effBandwidth(write))
 }
 
-// TransferEnergyUJ returns the energy for a streaming transfer of n bytes
-// in microjoules (IO + array energy; used to charge context save/restore).
-func (m *Module) TransferEnergyUJ(n int, write bool) float64 {
-	// DDR3L: ~40 pJ/B read, ~45 pJ/B write. PCM: reads comparable, writes
-	// an order of magnitude more expensive.
-	var pJPerB float64
-	switch {
-	case m.cfg.Tech == DDR3L && write:
-		pJPerB = 45
-	case m.cfg.Tech == DDR3L:
-		pJPerB = 40
-	case write: // PCM write
-		pJPerB = 480
-	default: // PCM read
-		pJPerB = 55
-	}
-	return float64(n) * pJPerB * 1e-6
-}
-
 // IdleDrawMW returns the nominal retention draw per power state: the DDR3L
 // self-refresh power for the configured capacity, or the PCM standby draw
 // (array leakage only; no refresh).
@@ -374,21 +355,4 @@ func (m *Module) SetContents(addr uint64, data []byte) error {
 	}
 	m.store(addr, data)
 	return nil
-}
-
-// BlockView returns a zero-copy view of the block at addr, or nil if the
-// block was never written. It counts as one block of read traffic.
-//
-// Aliasing contract: the returned slice is the module's own storage.
-// Callers must treat it as read-only, and it is only valid until the next
-// Write covering addr (which updates the bytes in place), the next power
-// transition that destroys contents, or — for a nil-returning addr — the
-// first Write that materializes the block. Callers that need a stable copy
-// must use Read or ReadBlockInto instead.
-func (m *Module) BlockView(addr uint64) ([]byte, error) {
-	if err := m.checkAccess(addr, BlockSize); err != nil {
-		return nil, err
-	}
-	m.readBlocks++
-	return m.blocks[addr], nil
 }

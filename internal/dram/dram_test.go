@@ -47,9 +47,6 @@ func TestPCMWriteSlowerThanRead(t *testing.T) {
 	if m.TransferTime(n, true) <= d.TransferTime(n, true) {
 		t.Fatal("PCM write not slower than DRAM write")
 	}
-	if m.TransferEnergyUJ(n, true) <= d.TransferEnergyUJ(n, true) {
-		t.Fatal("PCM write energy not above DRAM write energy")
-	}
 }
 
 func TestIdleDraw(t *testing.T) {
@@ -330,71 +327,25 @@ func TestReadBlockInto(t *testing.T) {
 	}
 }
 
-// TestBlockViewAliasing pins the documented aliasing contract: the view is
-// the module's own storage, reflects later in-place writes, and dies with
-// a power transition that destroys contents.
-func TestBlockViewAliasing(t *testing.T) {
-	m := New(Skylake8GB())
-	if v, err := m.BlockView(0x40); err != nil || v != nil {
-		t.Fatalf("view of unwritten block = %v, %v; want nil, nil", v, err)
-	}
-	blk := make([]byte, BlockSize)
-	blk[0] = 0xAA
-	if err := m.Write(0x40, blk); err != nil {
-		t.Fatal(err)
-	}
-	v, err := m.BlockView(0x40)
-	if err != nil || len(v) != BlockSize || v[0] != 0xAA {
-		t.Fatalf("view = %v, %v", v[:1], err)
-	}
-	// In-place rewrite: the existing view observes the new bytes.
-	blk[0] = 0xBB
-	if err := m.Write(0x40, blk); err != nil {
-		t.Fatal(err)
-	}
-	if v[0] != 0xBB {
-		t.Fatalf("view did not track in-place write: %#x", v[0])
-	}
-	// Volatile power-off destroys contents; a fresh view must be nil and
-	// the old view must no longer alias module storage.
-	if err := m.SetState(PoweredOff); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetState(Active); err != nil {
-		t.Fatal(err)
-	}
-	if nv, err := m.BlockView(0x40); err != nil || nv != nil {
-		t.Fatalf("view after destroy = %v, %v; want nil, nil", nv, err)
-	}
-	if err := m.Write(0x40, blk); err != nil {
-		t.Fatal(err)
-	}
-	if &v[0] == &blk[0] {
-		t.Fatal("view aliases caller buffer")
-	}
-	if _, err := m.BlockView(0x41); err == nil {
-		t.Fatal("unaligned view accepted")
-	}
-}
-
-// TestWriteUpdatesInPlace pins the in-place rewrite guarantee Write now
-// documents: steady-state rewrites reuse the existing block storage.
+// TestWriteUpdatesInPlace pins Write's contract: a rewrite replaces the
+// block's contents, and the module keeps a copy, never the caller's buffer.
 func TestWriteUpdatesInPlace(t *testing.T) {
 	m := New(Skylake8GB())
 	blk := make([]byte, BlockSize)
 	if err := m.Write(0, blk); err != nil {
 		t.Fatal(err)
 	}
-	v, err := m.BlockView(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	blk[7] = 0x77
 	if err := m.Write(0, blk); err != nil {
 		t.Fatal(err)
 	}
-	if v[7] != 0x77 {
-		t.Fatal("rewrite allocated fresh storage instead of updating in place")
+	blk[7] = 0x11
+	got, err := m.Read(0, BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[7] != 0x77 {
+		t.Fatalf("byte 7 = %#x after rewrite, want 0x77", got[7])
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 
 // Progress is a cheap, concurrently readable view of one running fleet
 // job, built for the serving half of the engine: a job queue worker
-// passes a Progress into RunWithProgress and the HTTP result stream
+// passes a Progress into fleet.Exec and the HTTP result stream
 // polls Stats while the simulation runs. Every counter is an atomic —
 // reading progress never takes a lock the simulation could be holding —
 // and every counter is monotone, so consecutive Stats snapshots never

@@ -23,7 +23,7 @@
 //     make each job's Aggregates a pure function of its spec, so the
 //     worker count here changes throughput only. The
 //     shared plane can change memo STATISTICS across interleavings —
-//     never results (see fleet.Run's contract).
+//     never results (see fleet.Exec's contract).
 //
 //   - No package state. Everything hangs off a Queue value; the
 //     package passes the globalstate vet rule with zero allows.

@@ -271,17 +271,22 @@ func (p *Platform) ffOpReplayable(key ffOpKey) bool {
 // ffReplayOp replays key's class record over the live engine when op
 // replay may run this cycle and the class holds one, returning its
 // latency; the caller sets meePrimed for the state the op leaves. When
-// the class holds none, the caller has claimed key (ffBundle.opOrClaim)
-// and must run the op for real, then ffPublishOp its record or, failing,
-// releaseOp it.
+// the class holds none, it returns holding the class's opMu: the caller
+// runs the op for real, publishes its record with ffPublishOp if the op
+// succeeds, and unlocks. A platform that waited on opMu replays the
+// record its holder published.
 func (p *Platform) ffReplayOp(key ffOpKey) (sim.Duration, bool) {
 	ff := &p.ff
 	if !p.ffOpReplayable(key) {
 		return 0, false
 	}
-	r, ok := ff.bundle.opOrClaim(key)
+	r, ok := ff.bundle.op(key)
 	if !ok {
-		return 0, false
+		ff.bundle.opMu.Lock()
+		if r, ok = ff.bundle.op(key); !ok {
+			return 0, false
+		}
+		ff.bundle.opMu.Unlock()
 	}
 	p.eng.ReplayOp(r.op)
 	ff.meeVirtual = true
@@ -327,7 +332,7 @@ func (p *Platform) ffSaveCtxDRAM() (sim.Duration, error) {
 		return lat, nil
 	}
 	if p.ffOpReplayable(key) {
-		defer ff.bundle.releaseOp(key) // ffReplayOp claimed key
+		defer ff.bundle.opMu.Unlock() // ffReplayOp locked it
 	}
 	if err := p.ffRealize(); err != nil {
 		return 0, err

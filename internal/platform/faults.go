@@ -418,7 +418,7 @@ func (p *Platform) restoreCtxDRAM(attempt int, next func()) {
 		return
 	}
 	if p.ffOpReplayable(key) {
-		defer ff.bundle.releaseOp(key) // ffReplayOp claimed key
+		defer ff.bundle.opMu.Unlock() // ffReplayOp locked it
 	}
 	if err := p.ffRealize(); err != nil {
 		p.fail("platform: context restore: %v", err)

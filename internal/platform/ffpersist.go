@@ -103,14 +103,18 @@ func (rs ffRecords) clone() ffRecords {
 // only marks it dirty, and its plane decides when to save it. Its mutex
 // guards every field below it; the record values themselves are
 // immutable once published, so readers may hold pointers lock-free.
+//
+// opMu serializes the real MEE ops that record op records, so
+// concurrent platforms of a class — parallel sweep points — run each op
+// once between them (ffReplayOp). It is always taken before mu.
 type ffBundle struct {
-	key string
+	key  string
+	opMu sync.Mutex
 
 	mu      sync.Mutex
 	records ffRecords
 	ops     ffOps
-	opBusy  map[ffOpKey]chan struct{} // ops a platform is running to record; closed when it publishes or gives up
-	dirty   bool                      // holds records its plane has not saved
+	dirty   bool // holds records its plane has not saved
 }
 
 // newFFBundle returns an empty bundle for classKey.
@@ -119,7 +123,6 @@ func newFFBundle(classKey string) *ffBundle {
 		key:     classKey,
 		records: make(ffRecords),
 		ops:     make(ffOps),
-		opBusy:  make(map[ffOpKey]chan struct{}),
 	}
 }
 
@@ -141,60 +144,26 @@ func (b *ffBundle) publish(key ffKey, cr *cycleRecord) {
 	}
 }
 
-// opOrClaim returns the op record of key if the class holds one.
-// Otherwise the caller claims key and must run the op, then publishOp or
-// releaseOp it; a caller that finds key claimed waits for the claimant
-// first, so concurrent platforms of a class — parallel sweep points —
-// run each op once between them. A claimant never waits while it holds
-// its claim, so the wait cannot deadlock.
-func (b *ffBundle) opOrClaim(key ffOpKey) (ffOpRecord, bool) {
+// op returns the op record of key, if the class holds one.
+func (b *ffBundle) op(key ffOpKey) (ffOpRecord, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for {
-		if r, ok := b.ops[key]; ok {
-			return r, true
-		}
-		busy, ok := b.opBusy[key]
-		if !ok {
-			b.opBusy[key] = make(chan struct{})
-			return ffOpRecord{}, false
-		}
-		b.mu.Unlock()
-		<-busy
-		b.mu.Lock()
-	}
+	r, ok := b.ops[key]
+	return r, ok
 }
 
 // publishOp files r under key unless the class already holds a record
 // there (first publisher wins, as for cycle records), and returns the
-// record the class holds afterwards and whether it was r. It ends any
-// claim on key.
+// record the class holds afterwards and whether it was r.
 func (b *ffBundle) publishOp(key ffOpKey, r ffOpRecord) (ffOpRecord, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.endClaim(key)
 	if old, ok := b.ops[key]; ok {
 		return old, false
 	}
 	b.ops[key] = r
 	b.dirty = true
 	return r, true
-}
-
-// releaseOp ends a claim on key without a record, waking its waiters to
-// run the op themselves. It is a no-op once publishOp ended the claim:
-// from then on the record exists, so nobody claims key again.
-func (b *ffBundle) releaseOp(key ffOpKey) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.endClaim(key)
-}
-
-func (b *ffBundle) endClaim(key ffOpKey) {
-	if busy, ok := b.opBusy[key]; ok {
-		close(busy)
-		delete(b.opBusy, key)
-	}
 }
 
 // ---- Bundle codec ----

@@ -594,9 +594,8 @@ func (p *Platform) ctxRestoreSteps() []step {
 			saT := pmu.NewSRAMTarget(p.saSRAM)
 			cpT := pmu.NewSRAMTarget(p.computeSRAM)
 			// The reference images were serialized once at New (the context
-			// is immutable), so verification is a straight byte compare
-			// into pooled buffers: equality to the canonical serialization
-			// implies the Deserialize/Merge round trip would succeed too.
+			// is immutable), so verification is a straight byte compare of
+			// the restored bytes, read into pooled buffers, against them.
 			if err := saT.RestoreInto(p.saBuf); err != nil {
 				p.fail("platform: SA context restore: %v", err)
 				return

@@ -97,20 +97,16 @@ func (t *template) formatted() (*mee.Formatted, error) {
 }
 
 // Templates is a small bounded cache of templates keyed by seed, held by
-// a runtime as a value. Concurrent callers for one seed wait for a single
-// build, which runs outside the cache lock.
+// a runtime as a value. A template builds under the cache lock, so
+// concurrent callers for one seed wait for a single build.
 type Templates struct {
 	mu    sync.Mutex
 	cache *lru.Cache[int64, *template]
-	busy  map[int64]chan struct{} // seeds being built; closed when done
 }
 
 // NewTemplates returns an empty template cache.
 func NewTemplates() *Templates {
-	return &Templates{
-		cache: lru.New[int64, *template](templateCap),
-		busy:  make(map[int64]chan struct{}),
-	}
+	return &Templates{cache: lru.New[int64, *template](templateCap)}
 }
 
 // New assembles and boots a platform from the cached template of
@@ -123,35 +119,15 @@ func (ts *Templates) New(cfg Config) (*Platform, error) {
 	return assemble(cfg, ts.get(cfg.Seed))
 }
 
-// get returns the template of seed. A caller that finds the seed being
-// built waits for that build; otherwise it claims the seed, builds
-// without holding the lock and publishes the result.
+// get returns the template of seed, building and caching it on a miss.
 func (ts *Templates) get(seed int64) *template {
 	ts.mu.Lock()
-	for {
-		if t, ok := ts.cache.Get(seed); ok {
-			ts.mu.Unlock()
-			return t
-		}
-		busy, ok := ts.busy[seed]
-		if !ok {
-			break
-		}
-		ts.mu.Unlock()
-		<-busy
-		ts.mu.Lock()
+	defer ts.mu.Unlock()
+	t, ok := ts.cache.Get(seed)
+	if !ok {
+		t = newTemplate(seed)
+		ts.cache.Put(seed, t)
 	}
-	busy := make(chan struct{})
-	ts.busy[seed] = busy
-	ts.mu.Unlock()
-
-	t := newTemplate(seed)
-
-	ts.mu.Lock()
-	ts.cache.Put(seed, t)
-	delete(ts.busy, seed)
-	close(busy)
-	ts.mu.Unlock()
 	return t
 }
 

@@ -381,45 +381,3 @@ func (iv Interval) AverageMW() float64 {
 	}
 	return iv.TotalJ() * 1e3 / iv.Duration.Seconds()
 }
-
-// Breakdown aggregates an interval's energy by component group, returning
-// group names sorted by descending share. Used for Fig. 1(b).
-type Slice struct {
-	Name    string
-	Joules  float64
-	Percent float64
-}
-
-// BreakdownBy aggregates interval energy through keyFn (e.g. by group or by
-// component) and returns slices sorted by descending energy.
-func (iv Interval) BreakdownBy(keyFn func(name string) string) []Slice {
-	names := make([]string, 0, len(iv.ByName))
-	for n := range iv.ByName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	agg := make(map[string]Energy)
-	var total Energy
-	for _, name := range names {
-		e := iv.ByName[name]
-		agg[keyFn(name)] = agg[keyFn(name)].Add(e)
-		total = total.Add(e)
-	}
-	out := make([]Slice, 0, len(agg))
-	totalJ := total.Joules()
-	for k, e := range agg {
-		j := e.Joules()
-		pct := 0.0
-		if totalJ > 0 {
-			pct = 100 * j / totalJ
-		}
-		out = append(out, Slice{Name: k, Joules: j, Percent: pct})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Joules != out[j].Joules {
-			return out[i].Joules > out[j].Joules
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}

@@ -135,17 +135,12 @@ func TestSnapshotSinceAndBreakdown(t *testing.T) {
 	if !approx(iv.AverageMW(), 40, 1e-9) {
 		t.Fatalf("average = %v mW, want 40", iv.AverageMW())
 	}
-	slices := iv.BreakdownBy(func(name string) string {
-		if name == "proc.sram" {
-			return "processor"
-		}
-		return "board"
-	})
-	if len(slices) != 2 || slices[0].Name != "processor" {
-		t.Fatalf("breakdown = %+v", slices)
+	// The per-component split of the interval: 30 mW and 10 mW for 1 s.
+	if got := iv.ByName["proc.sram"].Joules(); !approx(got, 0.030, 1e-12) {
+		t.Fatalf("proc.sram energy = %v J, want 0.030", got)
 	}
-	if !approx(slices[0].Percent, 75, 1e-9) || !approx(slices[1].Percent, 25, 1e-9) {
-		t.Fatalf("shares = %v/%v, want 75/25", slices[0].Percent, slices[1].Percent)
+	if got := iv.ByName["board.xtal"].Joules(); !approx(got, 0.010, 1e-12) {
+		t.Fatalf("board.xtal energy = %v J, want 0.010", got)
 	}
 }
 

@@ -10,10 +10,7 @@
 // far beyond any connected-standby experiment in the paper.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is an instant in simulated time, in picoseconds since simulation
 // start. The zero value is the simulation epoch.
@@ -33,10 +30,6 @@ const (
 	Hour                 = 60 * Minute
 )
 
-// MaxTime is the largest representable instant. It is used as an "infinitely
-// far away" deadline for disabled timers.
-const MaxTime Time = 1<<63 - 1
-
 // Add returns t shifted by d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
@@ -51,11 +44,6 @@ func (t Time) After(u Time) bool { return t > u }
 
 // Seconds returns the instant as seconds since the epoch.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Std converts the instant to a time.Duration offset from the epoch.
-// It saturates if the value does not fit (it always fits: both are int64
-// and sim picoseconds are finer than std nanoseconds).
-func (t Time) Std() time.Duration { return time.Duration(t / Time(Nanosecond)) }
 
 // String renders the instant with an adaptive unit.
 func (t Time) String() string { return Duration(t).String() }
