@@ -63,11 +63,15 @@ verify: build vet lint harness-vet race
 # every run class's records, so the warm run over the store it filled
 # must simulate no cycle at all; steady-state cycles must recur, so the
 # plane may hold at most 64 records per memo class (one record per
-# cycle is ~720 per class). Run by CI on every push; FLEET_LOAD_JOBS
+# cycle is ~720 per class). A faulted leg runs the spec plus two devices
+# sharing one fault plan at -shards 8 and 3, whose "aggregates" blocks
+# must be byte-identical, so the shard and fault-exception arithmetic
+# is exercised through the CLI. Run by CI on every push; FLEET_LOAD_JOBS
 # scales the harness.
 FLEET_LOAD_JOBS ?= 2048
 FLEETDIR := $(CURDIR)/.odrips-fleet-smoke
 FLEET_SMOKE_SPEC := {"name":"fleet-smoke","devices":1000,"horizon":"6h","shards":8,"spread":{"drift_ppb":[0,40],"jitter_steps":["0s","250ms","500ms"]}}
+FLEET_FAULT_SPEC := {"name":"fleet-smoke","devices":1000,"horizon":"6h","shards":8,"spread":{"drift_ppb":[0,40],"jitter_steps":["0s","250ms","500ms"],"faults":[{"device":3,"plan":"wake@1.3"},{"device":517,"plan":"wake@1.3"}]}}
 FLEET_SEED_SPEC  := {"devices":10,"spread":{"seed_stride":3}}
 FLEET_WORKERS_SPEC := {"devices":10,"workers":2}
 fleet-smoke:
@@ -97,6 +101,12 @@ fleet-smoke:
 	sed -n '/^  "aggregates"/,/^  "memo"/p' $(FLEETDIR)/cold.json > $(FLEETDIR)/cold.agg
 	sed -n '/^  "aggregates"/,/^  "memo"/p' $(FLEETDIR)/warm.json > $(FLEETDIR)/warm.agg
 	test -s $(FLEETDIR)/cold.agg && cmp $(FLEETDIR)/cold.agg $(FLEETDIR)/warm.agg || { echo "fleet-smoke: cold and warm aggregates differ"; exit 1; }
+	printf '%s\n' '$(FLEET_FAULT_SPEC)' > $(FLEETDIR)/faults.json
+	for shards in 8 3; do \
+		$(FLEETDIR)/odrips-fleet -spec $(FLEETDIR)/faults.json -shards $$shards -memocache ro -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/faults$$shards.json || exit 1; \
+		sed -n '/^  "aggregates"/,/^  "memo"/p' $(FLEETDIR)/faults$$shards.json > $(FLEETDIR)/faults$$shards.agg; \
+	done
+	test -s $(FLEETDIR)/faults8.agg && cmp $(FLEETDIR)/faults8.agg $(FLEETDIR)/faults3.agg || { echo "fleet-smoke: faulted aggregates differ between -shards 8 and 3"; exit 1; }
 	@rm -rf $(FLEETDIR)
 	@echo fleet-smoke OK
 

@@ -450,7 +450,8 @@ func fleet10kSpec() FleetSpec {
 
 // BenchmarkFleet10k measures a cold 10,000-device fleet job end to end:
 // expansion, one simulated run (the fleet's single run class, attached
-// to the plane), 10,000 per-device battery patches, and aggregation. Compare
+// to the plane), one battery patch per device kind (three), and
+// aggregation. Compare
 // against 10,000× BenchmarkConnectedStandbySixHours for the sequential
 // cost it replaces.
 func BenchmarkFleet10k(b *testing.B) {
@@ -472,9 +473,21 @@ func BenchmarkFleet10k(b *testing.B) {
 // fresh plane, over the store, so the measured cost is the disk adopt
 // plus replay — no cycle is ever recorded twice across iterations.
 func BenchmarkFleet10kWarm(b *testing.B) {
+	benchFleetWarm(b, fleet10kSpec())
+}
+
+// BenchmarkFleet1MWarm is BenchmarkFleet10kWarm at 1,000,000 devices.
+// The fleet has the same three kinds, so its cost over the 10k run is
+// the per-device float sums of aggregation alone.
+func BenchmarkFleet1MWarm(b *testing.B) {
+	spec := fleet10kSpec()
+	spec.Devices = 1_000_000
+	benchFleetWarm(b, spec)
+}
+
+func benchFleetWarm(b *testing.B, spec FleetSpec) {
 	b.ReportAllocs()
 	store := warmMemoStore(b)
-	spec := fleet10kSpec()
 	run := func() *FleetReport {
 		rt := experiments.NewRuntime(platform.NewMemoPlane(store, 0), FFOn, 0) // warm = disk, not RAM
 		rep, err := Fleet(rt, spec)

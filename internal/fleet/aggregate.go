@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -116,24 +118,6 @@ type ShardAgg struct {
 	MemoHitRatePct  float64 `json:"memo_hit_rate_pct"`
 }
 
-// dist summarizes values (indexed by device) with nearest-rank
-// percentiles (report.Percentiles, the shared deterministic encoder).
-func dist(values []float64) Dist {
-	if len(values) == 0 {
-		return Dist{}
-	}
-	p := report.Percentiles(values, 0, 5, 25, 50, 75, 95, 99, 100)
-	sum := 0.0
-	for _, v := range values {
-		sum += v
-	}
-	return Dist{
-		Min: p[0], P5: p[1], P25: p[2], P50: p[3],
-		P75: p[4], P95: p[5], P99: p[6], Max: p[7],
-		Mean: sum / float64(len(values)),
-	}
-}
-
 // residencyEdges are the histogram bin edges in DRIPS residency percent;
 // the paper's 99.5% claim sits inside the fourth bin.
 var residencyEdges = []float64{0, 90, 99, 99.5, 99.9, 100.0000001}
@@ -145,15 +129,13 @@ var residencyEdges = []float64{0, 90, 99, 99.5, 99.9, 100.0000001}
 // at least a millisecond, so no device can clear 1e7/h).
 var wakeRateEdges = []float64{0, 30, 60, 90, 120, 180, 360, 720, 3600, 1e7}
 
-// aggregate folds the run-class outcomes into the report, patching each
-// device's run-class result with its own battery pack. All loops run in
-// device-index order, so every float accumulation is order-deterministic.
+// aggregate folds the run-class outcomes into the report. Each kind's
+// values are computed once, and every integer output is a sum over run
+// classes or kinds weighted by their member counts. Only the
+// order-dependent float sums walk the devices, in index order, so each
+// is the sum a per-device fold makes.
 func aggregate(s Spec, t *classTable, runs []runOutcome) (*Report, error) {
-	n := len(t.devices)
-	lifeH := make([]float64, n)
-	powerMW := make([]float64, n)
-	residencyPct := make([]float64, n)
-
+	n := t.devices
 	rep := &Report{
 		Name:    s.Name,
 		Preset:  s.Preset,
@@ -168,83 +150,118 @@ func aggregate(s Spec, t *classTable, runs []runOutcome) (*Report, error) {
 	memo.MemoClasses = len(t.memos)
 	memo.SimulatedRuns = len(t.runs)
 
-	shards := make([]ShardAgg, s.Shards)
-	for i := range shards {
-		shards[i].Shard = i
+	count := make([]int, len(t.kinds))
+	t.tally(0, n, func(k, c int) { count[k] += c })
+	runCount := make([]int, len(t.runs))
+	for k, c := range count {
+		runCount[t.kinds[k].run] += c
 	}
+
+	lifeH := make([]float64, len(t.kinds))
+	powerMW := make([]float64, len(t.kinds))
+	residencyPct := make([]float64, len(t.kinds))
+	hours := make([]float64, len(t.kinds))
+	for k := range t.kinds {
+		kd := &t.kinds[k]
+		res := &runs[kd.run].res
+		life, err := kd.pack.StandbyHours(res.AvgPowerMW)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: device %d: %w", kd.first, err)
+		}
+		lifeH[k] = life
+		powerMW[k] = res.AvgPowerMW
+		residencyPct[k] = res.Residency[power.Idle] * 100
+		hours[k] = res.Duration.Seconds() / 3600
+	}
+
 	wakeBySource := map[string]uint64{}
 	shallow := map[string]uint64{}
 	maxWakeRate := 0.0
 	rateHist := report.NewHist(wakeRateEdges...)
 	var totalWakes uint64
-	var simByDevice uint64
-
-	for i := range t.devices {
-		d := &t.devices[i]
-		rc := &t.runs[d.run]
-		out := runs[d.run]
-		res := out.res
-		hours := res.Duration.Seconds() / 3600
-		life, err := d.pack.StandbyHours(res.AvgPowerMW)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: device %d: %w", i, err)
-		}
-		lifeH[i] = life
-		powerMW[i] = res.AvgPowerMW
-		residencyPct[i] = res.Residency[power.Idle] * 100
-
-		agg.TotalDeviceCycles += uint64(res.Cycles)
-		agg.TotalSimHours += hours
-
+	for r := range t.runs {
+		out := &runs[r]
+		c := uint64(runCount[r])
 		var devWakes uint64
-		for _, src := range sortedKeys(res.WakeCounts) {
-			wakeBySource[src] += res.WakeCounts[src]
-			devWakes += res.WakeCounts[src]
+		for _, src := range sortedKeys(out.res.WakeCounts) {
+			wakeBySource[src] += c * out.res.WakeCounts[src]
+			devWakes += out.res.WakeCounts[src]
 		}
-		totalWakes += devWakes
-		if hours > 0 {
-			rate := float64(devWakes) / hours
-			rateHist.Observe(rate)
+		totalWakes += c * devWakes
+		if h := out.res.Duration.Seconds() / 3600; h > 0 {
+			rate := float64(devWakes) / h
+			rateHist.ObserveN(rate, runCount[r])
 			if rate > maxWakeRate {
 				maxWakeRate = rate
 			}
 		}
-		for _, st := range sortedKeys(res.ShallowIdles) {
-			shallow[st] += res.ShallowIdles[st]
+		for _, st := range sortedKeys(out.res.ShallowIdles) {
+			shallow[st] += c * out.res.ShallowIdles[st]
 		}
 
-		// Cycle provenance: class representatives carry the cycles their
-		// run actually simulated; every other device's cycles were
-		// deduplicated.
-		var devSim uint64
-		if rc.rep == i {
-			devSim = uint64(res.Cycles) - out.ff.CyclesReplayed
-			memo.ReplayedCycles += out.ff.CyclesReplayed
-		} else {
-			memo.DedupedCycles += uint64(res.Cycles)
-		}
-		simByDevice += devSim
-
-		sh := &shards[d.shard]
-		sh.Devices++
-		sh.MeanBatteryLifeHours += life
-		sh.MeanAvgPowerMW += res.AvgPowerMW
-		sh.DeviceCycles += uint64(res.Cycles)
-		sh.SimulatedCycles += devSim
+		// Cycle provenance: a class representative carries the cycles its
+		// run actually simulated; every other member's were deduplicated.
+		cycles := uint64(out.res.Cycles)
+		agg.TotalDeviceCycles += c * cycles
+		memo.SimulatedCycles += cycles - out.ff.CyclesReplayed
+		memo.ReplayedCycles += out.ff.CyclesReplayed
+		memo.DedupedCycles += (c - 1) * cycles
 	}
-	memo.SimulatedCycles = simByDevice
 	if agg.TotalDeviceCycles > 0 {
 		memo.CrossDeviceHitRatePct = 100 * (1 - float64(memo.SimulatedCycles)/float64(agg.TotalDeviceCycles))
 	}
 
-	agg.BatteryLifeHours = dist(lifeH)
-	agg.AvgPowerMW = dist(powerMW)
-	agg.DRIPSResidencyPct = dist(residencyPct)
+	shards := make([]ShardAgg, t.shards)
+	for i := range shards {
+		sh := &shards[i]
+		lo, hi := t.shardStart(i), t.shardStart(i+1)
+		sh.Shard, sh.Devices = i, hi-lo
+		// c is -1 only to take back a member counted just before, so the
+		// wrapped uint64 product cancels in the sum.
+		t.tally(lo, hi, func(k, c int) { sh.DeviceCycles += uint64(c) * uint64(runs[t.kinds[k].run].res.Cycles) })
+	}
+	for r := range t.runs {
+		shards[t.runs[r].rep*t.shards/n].SimulatedCycles += uint64(runs[r].res.Cycles) - runs[r].ff.CyclesReplayed
+	}
+
+	// The float sums, in device-index order over a kind index from i.
+	var simHours, lifeSum, powerSum, residencySum float64
+	slot, e := 0, 0
+	for i := range shards {
+		sh := &shards[i]
+		var shLife, shPower float64
+		for d := t.shardStart(i); d < t.shardStart(i+1); d++ {
+			k := t.slots[slot]
+			if e < len(t.exceptions) && t.exceptions[e].device == d {
+				k = t.exceptions[e].kind
+				e++
+			}
+			if slot++; slot == len(t.slots) {
+				slot = 0
+			}
+			simHours += hours[k]
+			lifeSum += lifeH[k]
+			powerSum += powerMW[k]
+			residencySum += residencyPct[k]
+			shLife += lifeH[k]
+			shPower += powerMW[k]
+		}
+		sh.MeanBatteryLifeHours = shLife / float64(sh.Devices)
+		sh.MeanAvgPowerMW = shPower / float64(sh.Devices)
+		if sh.DeviceCycles > 0 {
+			sh.MemoHitRatePct = 100 * (1 - float64(sh.SimulatedCycles)/float64(sh.DeviceCycles))
+		}
+	}
+	agg.TotalSimHours = simHours
+
+	agg.BatteryLifeHours = weightedDist(lifeH, count, lifeSum)
+	agg.AvgPowerMW = weightedDist(powerMW, count, powerSum)
+	agg.DRIPSResidencyPct = weightedDist(residencyPct, count, residencySum)
 	for b := 0; b+1 < len(residencyEdges); b++ {
 		bucket := Bucket{LoPct: residencyEdges[b], HiPct: math.Min(residencyEdges[b+1], 100)}
-		for _, r := range residencyPct {
+		for k, r := range residencyPct {
 			if r >= residencyEdges[b] && r < residencyEdges[b+1] {
-				bucket.Devices++
+				bucket.Devices += count[k]
 			}
 		}
 		agg.ResidencyHist = append(agg.ResidencyHist, bucket)
@@ -260,19 +277,41 @@ func aggregate(s Spec, t *classTable, runs []runOutcome) (*Report, error) {
 	}
 	agg.Wakes.MaxPerDeviceHour = maxWakeRate
 	agg.Wakes.RateHist = rateHist.Buckets()
-
-	for i := range shards {
-		sh := &shards[i]
-		if sh.Devices > 0 {
-			sh.MeanBatteryLifeHours /= float64(sh.Devices)
-			sh.MeanAvgPowerMW /= float64(sh.Devices)
-		}
-		if sh.DeviceCycles > 0 {
-			sh.MemoHitRatePct = 100 * (1 - float64(sh.SimulatedCycles)/float64(sh.DeviceCycles))
-		}
-	}
 	rep.Shards = shards
 	return rep, nil
+}
+
+// weightedDist summarizes a fleet whose kind k holds count[k] devices
+// of value values[k]; sum is the per-device sum in device order. Each
+// percentile is the element report.Percentiles picks by nearest rank
+// over the expanded per-device values, found by a weighted walk over
+// the kinds in sort.Float64s order.
+func weightedDist(values []float64, count []int, sum float64) Dist {
+	n := 0
+	for _, c := range count {
+		n += c
+	}
+	order := make([]int, len(values))
+	for k := range order {
+		order[k] = k
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(values[a], values[b]) })
+	var p [8]float64
+	for i, q := range [8]float64{0, 5, 25, 50, 75, 95, 99, 100} {
+		rank := min(max(int(math.Ceil(q/100*float64(n)))-1, 0), n-1)
+		for _, k := range order {
+			if rank < count[k] {
+				p[i] = values[k]
+				break
+			}
+			rank -= count[k]
+		}
+	}
+	return Dist{
+		Min: p[0], P5: p[1], P25: p[2], P50: p[3],
+		P75: p[4], P95: p[5], P99: p[6], Max: p[7],
+		Mean: sum / float64(n),
+	}
 }
 
 // sortedKeys returns a map's keys sorted, for deterministic iteration.

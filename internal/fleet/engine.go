@@ -171,5 +171,5 @@ func DeviceCycles(s Spec, i int) ([]workload.Cycle, error) {
 		return nil, fmt.Errorf("fleet: device %d outside fleet of %d", i, s.Devices)
 	}
 	t := expand(s)
-	return t.runs[t.devices[i].run].workload(s), nil
+	return t.runs[t.kinds[t.kindOf(i)].run].workload(s), nil
 }

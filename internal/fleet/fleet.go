@@ -15,7 +15,15 @@
 //     one simulation: capacity is applied to the result downstream of
 //     the simulation. expand classifies the fleet once, by value, into a
 //     class table; a 10k-device homogeneous-spread fleet therefore
-//     simulates a handful of run classes and copies. Devices carry no
+//     simulates a handful of run classes and copies. The table holds
+//     device kinds (a run class plus a battery pack), not devices: the
+//     spread cycles its lists over the device index, so kinds repeat
+//     with a period, the lcm of the list lengths, and the devices named
+//     in Spread.Faults are exceptions. Classification, progress and
+//     every integer aggregate cost O(period + faults) whatever the
+//     fleet size; the one per-device loop left is aggregate's float
+//     sums, kept in device-index order so each sum is bit-for-bit the
+//     per-device one. Devices carry no
 //     seed of their own: every run class is built from the preset's
 //     config, seed included, so a job's platforms share one platform
 //     template. A seed only varies DRAM context bytes (size-based
@@ -45,8 +53,10 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"odrips/internal/battery"
@@ -194,12 +204,19 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// device is one expanded fleet member. Its index in the table is its
-// device index.
-type device struct {
+// kind is a device kind: a run class plus a battery pack. Every member
+// of a kind reports the same values, so the engine computes them once.
+type kind struct {
 	run   int // run-class index
 	pack  battery.Pack
-	shard int
+	first int // lowest member device index
+}
+
+// exception is a device named in Spread.Faults: its kind replaces the
+// kind of its slot.
+type exception struct {
+	device int
+	kind   int
 }
 
 // runClass is the unit of result sharing: devices identical up to their
@@ -220,35 +237,83 @@ type memoClass struct {
 	run int    // the representative's run class
 }
 
-// classTable is a classified fleet. Devices are in index order; run and
-// memo classes are in order of their representatives, which are each
-// class's lowest-indexed device.
+// classTable is a classified fleet. The spread cycles every list over
+// the device index, so kinds repeat with a period: device i is of kind
+// slots[i%len(slots)] unless it is an exception. Exceptions are in
+// device order; kinds, run and memo classes are in order of their
+// lowest-indexed member. A slot whose every member is an exception
+// holds -1.
 type classTable struct {
-	devices []device
-	runs    []runClass
-	memos   []memoClass
+	devices    int
+	shards     int
+	slots      []int
+	exceptions []exception
+	kinds      []kind
+	runs       []runClass
+	memos      []memoClass
 }
 
-// expand classifies a defaulted, validated spec in one pass, keyed by
-// values: a memo class is the canonical config, a run class
-// its memo class plus cycle shape and fault plan. Shard assignment is
-// the balanced contiguous split index*Shards/Devices.
+// period is the least common multiple of the spread's list lengths,
+// capped at the fleet size: past it, every device is its own slot.
+func period(s Spec) int {
+	p := 1
+	for _, n := range []int{len(s.Spread.DriftPPB), len(s.Spread.BatteryMWh), len(s.Spread.JitterSteps)} {
+		if n > 0 {
+			g, b := p, n
+			for b != 0 {
+				g, b = b, g%b
+			}
+			p = min(p/g*n, s.Devices)
+		}
+	}
+	return p
+}
+
+// expand classifies a defaulted, validated spec in O(period + faults),
+// keyed by values: a memo class is the canonical config, a run class
+// its memo class plus cycle shape and fault plan, a kind its run class
+// plus battery capacity. Only the devices that can be the lowest member
+// of a class are visited, in device order: each slot's lowest member
+// that is not an exception, and every exception. So classes number as
+// a walk over every device would number them.
 func expand(s Spec) classTable {
 	base, _ := baseConfig(s.Preset) // Validate rejected unknown presets
+	p := period(s)
 	plans := make(map[int]string, len(s.Spread.Faults))
 	for _, df := range s.Spread.Faults {
 		plans[df.Device] = df.Plan
 	}
+	t := classTable{devices: s.Devices, shards: s.Shards, slots: make([]int, p)}
+	leads := make([]int, 0, p+len(plans))
+	for j := range t.slots {
+		t.slots[j] = -1
+		i := j
+		for _, ok := plans[i]; ok; _, ok = plans[i] {
+			i += p
+		}
+		if i < s.Devices {
+			leads = append(leads, i)
+		}
+	}
+	for _, df := range s.Spread.Faults {
+		leads = append(leads, df.Device)
+	}
+	slices.Sort(leads)
+
 	type runKey struct {
 		memo   int
 		idle   sim.Duration
 		cycles int
 		plan   string
 	}
+	type kindKey struct {
+		run int
+		mwh float64
+	}
 	memoOf := make(map[platform.Config]int)
 	runOf := make(map[runKey]int)
-	t := classTable{devices: make([]device, s.Devices)}
-	for i := range t.devices {
+	kindOf := make(map[kindKey]int)
+	for _, i := range leads {
 		cfg := base
 		if n := len(s.Spread.DriftPPB); n > 0 {
 			cfg.XtalSlowPPB += s.Spread.DriftPPB[i%n]
@@ -260,26 +325,94 @@ func expand(s Spec) classTable {
 			memoOf[canon] = m
 			t.memos = append(t.memos, memoClass{key: platform.MemoClassKey(cfg), run: len(t.runs)})
 		}
-		k := runKey{memo: m, idle: s.WakePeriod, plan: plans[i]}
+		plan, faulted := plans[i]
+		rk := runKey{memo: m, idle: s.WakePeriod, plan: plan}
 		if n := len(s.Spread.JitterSteps); n > 0 {
-			k.idle += s.Spread.JitterSteps[i%n]
+			rk.idle += s.Spread.JitterSteps[i%n]
 		}
-		k.cycles = max(int(s.Horizon/(s.Active+k.idle)), 1)
-		r, ok := runOf[k]
+		rk.cycles = max(int(s.Horizon/(s.Active+rk.idle)), 1)
+		r, ok := runOf[rk]
 		if !ok {
 			r = len(t.runs)
-			runOf[k] = r
-			t.runs = append(t.runs, runClass{rep: i, cfg: cfg, idle: k.idle, cycles: k.cycles, plan: k.plan, memo: m})
+			runOf[rk] = r
+			t.runs = append(t.runs, runClass{rep: i, cfg: cfg, idle: rk.idle, cycles: rk.cycles, plan: plan, memo: m})
 		}
-		d := &t.devices[i]
-		d.run = r
-		d.pack = battery.Tablet()
+		pack := battery.Tablet()
 		if n := len(s.Spread.BatteryMWh); n > 0 {
-			d.pack.CapacityMWh = s.Spread.BatteryMWh[i%n]
+			pack.CapacityMWh = s.Spread.BatteryMWh[i%n]
 		}
-		d.shard = i * s.Shards / s.Devices
+		kk := kindKey{run: r, mwh: pack.CapacityMWh}
+		k, ok := kindOf[kk]
+		if !ok {
+			k = len(t.kinds)
+			kindOf[kk] = k
+			t.kinds = append(t.kinds, kind{run: r, pack: pack, first: i})
+		}
+		if faulted {
+			t.exceptions = append(t.exceptions, exception{device: i, kind: k})
+		} else {
+			t.slots[i%p] = k
+		}
 	}
 	return t
+}
+
+// exceptionAt returns the position of the first exception at or after
+// device i, and whether it is device i.
+func (t *classTable) exceptionAt(i int) (int, bool) {
+	return slices.BinarySearchFunc(t.exceptions, i, func(ex exception, i int) int { return cmp.Compare(ex.device, i) })
+}
+
+// kindOf returns device i's kind.
+func (t *classTable) kindOf(i int) int {
+	if e, ok := t.exceptionAt(i); ok {
+		return t.exceptions[e].kind
+	}
+	return t.slots[i%len(t.slots)]
+}
+
+// members counts the devices below n in slot j of period p.
+func members(n, j, p int) int {
+	if n <= j {
+		return 0
+	}
+	return (n - j + p - 1) / p
+}
+
+// tally reports the kinds of devices [lo, hi) to add: summed per kind,
+// the n it passes are the kind's member counts in the range. A range
+// longer than the period costs one call per slot, by arithmetic on the
+// period, plus two per exception in it, which moves one member from its
+// slot's kind (n = -1) to its own. A shorter range is walked device by
+// device, so tallying every shard costs at most O(devices) even when
+// shards are many and the period is long.
+func (t *classTable) tally(lo, hi int, add func(k, n int)) {
+	p := len(t.slots)
+	if hi-lo <= p {
+		for i := lo; i < hi; i++ {
+			add(t.kindOf(i), 1)
+		}
+		return
+	}
+	for j, k := range t.slots {
+		if k >= 0 {
+			add(k, members(hi, j, p)-members(lo, j, p))
+		}
+	}
+	e, _ := t.exceptionAt(lo)
+	for ; e < len(t.exceptions) && t.exceptions[e].device < hi; e++ {
+		ex := t.exceptions[e]
+		if k := t.slots[ex.device%p]; k >= 0 {
+			add(k, -1)
+		}
+		add(ex.kind, 1)
+	}
+}
+
+// shardStart is the first device of shard sh: shards are the balanced
+// contiguous split where device i is in shard i*shards/devices.
+func (t *classTable) shardStart(sh int) int {
+	return (sh*t.devices + t.shards - 1) / t.shards
 }
 
 // workload builds the cycles every member of the class runs.

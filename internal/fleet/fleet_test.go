@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"odrips/internal/battery"
 	"odrips/internal/experiments"
 	"odrips/internal/memostore"
 	"odrips/internal/platform"
@@ -98,64 +97,10 @@ func TestFleetMatchesNaiveSimulation(t *testing.T) {
 	}
 }
 
-// formattedClasses classifies a fleet the way the engine once did: each
-// device's config, cycle shape and fault plan derived from the spec
-// independently of expand, and its identity the formatted strings
-// platform.MemoClassKey and "<memo>|active=…|idle=…|n=…|plan=…". It is
-// the oracle for expand's value-keyed class table.
-func formattedClasses(s Spec) classTable {
-	base, _ := baseConfig(s.Preset)
-	plans := map[int]string{}
-	for _, df := range s.Spread.Faults {
-		plans[df.Device] = df.Plan
-	}
-	t := classTable{devices: make([]device, s.Devices)}
-	memoOf := map[string]int{}
-	runOf := map[string]int{}
-	for i := range t.devices {
-		cfg := base
-		if n := len(s.Spread.DriftPPB); n > 0 {
-			cfg.XtalSlowPPB += s.Spread.DriftPPB[i%n]
-		}
-		idle := s.WakePeriod
-		if n := len(s.Spread.JitterSteps); n > 0 {
-			idle += s.Spread.JitterSteps[i%n]
-		}
-		cycles := int(s.Horizon / (s.Active + idle))
-		if cycles < 1 {
-			cycles = 1
-		}
-		pack := battery.Tablet()
-		if n := len(s.Spread.BatteryMWh); n > 0 {
-			pack.CapacityMWh = s.Spread.BatteryMWh[i%n]
-		}
-		memoKey := platform.MemoClassKey(cfg)
-		runKey := fmt.Sprintf("%s|active=%d|idle=%d|n=%d|plan=%s",
-			memoKey, int64(s.Active), int64(idle), cycles, plans[i])
-
-		m, ok := memoOf[memoKey]
-		if !ok {
-			m = len(t.memos)
-			memoOf[memoKey] = m
-			t.memos = append(t.memos, memoClass{key: memoKey, run: -1})
-		}
-		r, ok := runOf[runKey]
-		if !ok {
-			r = len(t.runs)
-			runOf[runKey] = r
-			t.runs = append(t.runs, runClass{rep: i, cfg: cfg, idle: idle, cycles: cycles, plan: plans[i], memo: m})
-		}
-		if t.memos[m].run < 0 {
-			t.memos[m].run = r
-		}
-		t.devices[i] = device{run: r, pack: pack, shard: i * s.Shards / s.Devices}
-	}
-	return t
-}
-
 // TestFleetClassTableMatchesFormattedKeys: the value-keyed class table
 // partitions devices exactly as the formatted string keys do, with the
-// same lowest-index representatives, configs, shapes, plans and memo keys.
+// same lowest-index representatives, configs, shapes, plans and memo
+// keys, and gives every device the kind the per-device oracle does.
 func TestFleetClassTableMatchesFormattedKeys(t *testing.T) {
 	spread := Spec{
 		Devices: 60,
@@ -185,8 +130,13 @@ func TestFleetClassTableMatchesFormattedKeys(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		got, want := expand(s), formattedClasses(s)
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(got.runs, want.runs) || !reflect.DeepEqual(got.memos, want.memos) || !reflect.DeepEqual(got.kinds, want.kinds) {
 			t.Errorf("%s: value-keyed table differs from the formatted-key oracle:\n got %+v\nwant %+v", name, got, want)
+		}
+		for i := range s.Devices {
+			if g, w := got.kindOf(i), want.kindOf(i); g != w {
+				t.Errorf("%s: device %d is kind %d, want %d", name, i, g, w)
+			}
 		}
 		if len(got.runs) < 2 || len(got.memos) < 1 {
 			t.Errorf("%s: degenerate oracle case: %d run, %d memo classes", name, len(got.runs), len(got.memos))
@@ -710,19 +660,20 @@ func TestFleetSpecValidation(t *testing.T) {
 	}
 
 	s := Spec{Devices: 10, Shards: 4}.withDefaults()
-	counts := make([]int, s.Shards)
-	prev := 0
-	for i, d := range expand(s).devices {
-		if d.shard < prev || d.shard >= s.Shards {
-			t.Fatalf("device %d: shard %d not a contiguous split", i, d.shard)
+	tab := expand(s)
+	for sh := range s.Shards {
+		lo, hi := tab.shardStart(sh), tab.shardStart(sh+1)
+		if c := hi - lo; c < 2 || c > 3 { // 10 devices over 4 shards: 3/2/3/2
+			t.Errorf("shard %d has %d devices; want balanced", sh, c)
 		}
-		prev = d.shard
-		counts[d.shard]++
+		for i := lo; i < hi; i++ {
+			if i*s.Shards/s.Devices != sh {
+				t.Errorf("device %d: in shard %d's range, want shard %d", i, sh, i*s.Shards/s.Devices)
+			}
+		}
 	}
-	for i, c := range counts {
-		if c < 2 || c > 3 { // 10 devices over 4 shards: 3/2/3/2
-			t.Errorf("shard %d has %d devices; want balanced", i, c)
-		}
+	if tab.shardStart(0) != 0 || tab.shardStart(s.Shards) != s.Devices {
+		t.Errorf("shards span [%d, %d), want [0, %d)", tab.shardStart(0), tab.shardStart(s.Shards), s.Devices)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"sync/atomic"
 )
 
@@ -60,9 +61,9 @@ type shardDelta struct {
 	cycles  uint64
 }
 
-// start installs the run's shape. Devices are in index order (the
-// expand contract), which makes each class's shard sequence
-// nondecreasing, so deltas merge against the last element only.
+// start installs the run's shape. It tallies each shard's kinds and
+// walks the shards in order, so each class's deltas come in shard order
+// and merge against the last element only.
 func (p *Progress) start(t *classTable) {
 	if p == nil {
 		return
@@ -70,24 +71,32 @@ func (p *Progress) start(t *classTable) {
 	sh := &progressShape{
 		warmTotal: len(t.memos),
 		runTotal:  len(t.runs),
-		devices:   len(t.devices),
+		devices:   t.devices,
+		shards:    make([]progressShard, t.shards),
 		byRun:     make([][]shardDelta, len(t.runs)),
 	}
-	sh.shards = make([]progressShard, t.devices[len(t.devices)-1].shard+1)
-	for i := range t.devices {
-		d := &t.devices[i]
-		cycles := uint64(t.runs[d.run].cycles)
-		sh.cyclesTotal += cycles
-		sh.shards[d.shard].devices++
-		sh.shards[d.shard].cycles += cycles
-		dl := sh.byRun[d.run]
-		if n := len(dl); n > 0 && dl[n-1].shard == d.shard {
-			dl[n-1].devices++
-			dl[n-1].cycles += cycles
-		} else {
-			dl = append(dl, shardDelta{shard: d.shard, devices: 1, cycles: cycles})
-		}
-		sh.byRun[d.run] = dl
+	for s := range sh.shards {
+		ps := &sh.shards[s]
+		t.tally(t.shardStart(s), t.shardStart(s+1), func(k, n int) {
+			run := t.kinds[k].run
+			cycles := uint64(n) * uint64(t.runs[run].cycles) // n = -1 cancels a member just counted
+			ps.devices += n
+			ps.cycles += cycles
+			dl := sh.byRun[run]
+			if m := len(dl); m > 0 && dl[m-1].shard == s {
+				dl[m-1].devices += n
+				dl[m-1].cycles += cycles
+			} else {
+				dl = append(dl, shardDelta{shard: s, devices: n, cycles: cycles})
+			}
+			sh.byRun[run] = dl
+		})
+		sh.cyclesTotal += ps.cycles
+	}
+	// An exception that is its slot's only member in a shard leaves its
+	// slot's run class an empty delta there.
+	for r, dl := range sh.byRun {
+		sh.byRun[r] = slices.DeleteFunc(dl, func(d shardDelta) bool { return d.devices == 0 })
 	}
 	p.shape.Store(sh)
 }

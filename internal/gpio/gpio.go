@@ -131,14 +131,6 @@ func (p *Pin) WatchInput(sampler *clock.Oscillator, fn func(rising bool, at sim.
 	return nil
 }
 
-// Unwatch stops sampling (pin still holds its level).
-func (p *Pin) Unwatch() {
-	p.sampler = nil
-	p.onEdge = nil
-	p.sched.Cancel(p.sampleEvent)
-	p.sampleEvent = sim.Event{}
-}
-
 // Drive sets the externally-driven level of an input pin (e.g. the EC
 // raising the thermal line). The change is only observed at the next
 // sampling edge.

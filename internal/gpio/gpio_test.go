@@ -143,23 +143,6 @@ func TestGlitchShorterThanSampleMissed(t *testing.T) {
 	}
 }
 
-func TestUnwatchStopsSampling(t *testing.T) {
-	s, _, slow, b := bench(t)
-	p := b.Claim("x", Input)
-	fired := 0
-	if err := p.WatchInput(slow, func(bool, sim.Time) { fired++ }); err != nil {
-		t.Fatal(err)
-	}
-	p.Unwatch()
-	if err := p.Drive(true); err != nil {
-		t.Fatal(err)
-	}
-	s.RunFor(sim.Millisecond)
-	if fired != 0 {
-		t.Fatal("unwatched pin fired")
-	}
-}
-
 func TestStats(t *testing.T) {
 	s, _, slow, b := bench(t)
 	p := b.Claim("x", Input)

@@ -153,6 +153,7 @@ var ffExcluded = map[string]string{
 	"platform.Platform.pendingWake":     "gate: must be nil for eligibility",
 	"platform.Platform.quiesce":         "registered at run setup, executed at the final boundary; replay neither adds nor consumes entries",
 	"platform.Platform.flowTrace":       "output ring; the replayed tail is synthesized from recorded steps",
+	"platform.Platform.flowHead":        "output ring head; see flowTrace",
 	"platform.Platform.cycleIdx":        "monotonic bookkeeping (fault matching); advanced by replay",
 	"platform.Platform.wantAbort":       "gate: must be false for eligibility",
 	"platform.Platform.abortWake":       "gate: must be nil for eligibility",

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"odrips/internal/chipset"
 	"odrips/internal/ctxstore"
@@ -79,11 +80,19 @@ type FlowStep struct {
 // flowTraceCap bounds the trace ring so multi-hour runs stay flat.
 const flowTraceCap = 128
 
+// recordStep appends to the trace ring until it holds flowTraceCap
+// steps (a short run allocates only what it records); from then on each
+// step overwrites the oldest, at flowHead, so a long run never
+// reallocates the ring.
 func (p *Platform) recordStep(fs FlowStep) {
 	p.ffRecordFlowStep(fs)
-	p.flowTrace = append(p.flowTrace, fs)
-	if len(p.flowTrace) > flowTraceCap {
-		p.flowTrace = p.flowTrace[len(p.flowTrace)-flowTraceCap:]
+	if len(p.flowTrace) < flowTraceCap {
+		p.flowTrace = append(p.flowTrace, fs)
+		return
+	}
+	p.flowTrace[p.flowHead] = fs
+	if p.flowHead++; p.flowHead == flowTraceCap {
+		p.flowHead = 0
 	}
 }
 
@@ -92,7 +101,7 @@ func (p *Platform) recordStep(fs FlowStep) {
 // a configuration actually executes: ODRIPS entries show the timer
 // migration, FET gating, and crystal shutdown that baseline DRIPS lacks.
 func (p *Platform) FlowTrace() []FlowStep {
-	return append([]FlowStep(nil), p.flowTrace...)
+	return slices.Concat(p.flowTrace[p.flowHead:], p.flowTrace[:p.flowHead])
 }
 
 // wait returns a fixed-latency step.

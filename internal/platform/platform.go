@@ -122,7 +122,8 @@ type Platform struct {
 	c2pContinue   func()
 	pendingWake   *chipset.WakeSource
 	quiesce       []func()
-	flowTrace     []FlowStep
+	flowTrace     []FlowStep // ring of the last flowTraceCap steps
+	flowHead      int        // oldest step once the ring is full
 
 	// Fault plane (nil unless InjectFaults installed a plan) and the
 	// recovery-edge state it drives.

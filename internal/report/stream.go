@@ -71,21 +71,21 @@ func NewHist(edges ...float64) *Hist {
 	return &Hist{edges: edges, counts: make([]int, len(edges)-1)}
 }
 
-// Observe adds one sample.
-func (h *Hist) Observe(v float64) {
+// ObserveN adds n samples of value v.
+func (h *Hist) ObserveN(v float64, n int) {
 	if v < h.edges[0] {
-		h.under++
+		h.under += n
 		return
 	}
 	// Linear scan: edge tables here are a handful of bins, and the scan
 	// is branch-predictable; not worth a binary search.
 	for i := 1; i < len(h.edges); i++ {
 		if v < h.edges[i] {
-			h.counts[i-1]++
+			h.counts[i-1] += n
 			return
 		}
 	}
-	h.over++
+	h.over += n
 }
 
 // Buckets returns the bins in edge order.

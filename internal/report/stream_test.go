@@ -28,17 +28,20 @@ func TestPercentiles(t *testing.T) {
 func TestHist(t *testing.T) {
 	h := NewHist(0, 1, 10, 100)
 	for _, v := range []float64{-1, 0, 0.5, 1, 9.99, 10, 50, 100, 1e9} {
-		h.Observe(v)
+		h.ObserveN(v, 1)
 	}
+	h.ObserveN(5, 3) // a weighted sample counts n times, in and out of range
+	h.ObserveN(-2, 2)
+	h.ObserveN(200, 4)
 	b := h.Buckets()
-	wantCounts := []int{2, 2, 2} // [0,1): 0,0.5; [1,10): 1,9.99; [10,100): 10,50
+	wantCounts := []int{2, 5, 2} // [0,1): 0,0.5; [1,10): 1,9.99,5×3; [10,100): 10,50
 	for i, w := range wantCounts {
 		if b[i].Count != w {
 			t.Errorf("bucket %d [%g,%g): %d want %d", i, b[i].Lo, b[i].Hi, b[i].Count, w)
 		}
 	}
-	if under, over := h.Outside(); under != 1 || over != 2 {
-		t.Errorf("outside: under=%d over=%d; want 1, 2", under, over)
+	if under, over := h.Outside(); under != 3 || over != 6 {
+		t.Errorf("outside: under=%d over=%d; want 3, 6", under, over)
 	}
 }
 
