@@ -20,8 +20,11 @@ vet:
 # (internal/analysis): seeded randomness only, fixed-point Float() confined
 # to diagnostics, no order-sensitive map iteration, no lock copies or stale
 # sim.Event caches, no loose package-level state, joined goroutines,
-# handled fail-safe load errors, pinned codec schema hashes, and a
-# vet-time-exhaustive fingerprint manifest.
+# handled fail-safe load errors, pinned codec schema hashes, a
+# vet-time-exhaustive fingerprint manifest, and testonly: no exported name
+# in internal/ whose every reference is in a _test.go file. testonly's
+# callers are the whole module's plain files plus _perfbench's, which
+# count until the harness moves onto runtimes (ROADMAP item 1).
 lint:
 	$(GO) run ./cmd/odrips-vet $(PKGS)
 
@@ -29,7 +32,7 @@ lint:
 # corpus under testdata/src, plus the directive machinery. Fast feedback
 # when hacking on internal/analysis without running the whole test tier.
 lint-fixtures:
-	$(GO) test -run 'TestFixtures|TestDirectiveFindings|TestMustFlagFixturesFailTheBuild' ./internal/analysis
+	$(GO) test -run 'TestFixtures|TestDirectiveFindings|TestMustFlagFixturesFailTheBuild|TestTestonlySameForAnyPattern' ./internal/analysis
 
 # go vet over the benchmark harness. _perfbench/ is a separate module
 # under an underscore directory, so `go build ./...` never compiles it;

@@ -368,7 +368,7 @@ func BenchmarkStandbyComparison(b *testing.B) {
 }
 
 // BenchmarkSchedulerChurn exercises the scheduler hot path the platform
-// model leans on: schedule two events, cancel one, fire the other. The
+// model leans on: schedule two events, cancel one, run to the other. The
 // free-list event pool keeps this at zero allocations per operation.
 func BenchmarkSchedulerChurn(b *testing.B) {
 	b.ReportAllocs()
@@ -378,7 +378,7 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 		keep := s.After(sim.Duration(1), "keep", nop)
 		drop := s.After(sim.Duration(2), "drop", nop)
 		s.Cancel(drop)
-		s.Step()
+		s.RunFor(sim.Duration(1))
 		_ = keep
 	}
 }

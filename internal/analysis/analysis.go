@@ -14,7 +14,7 @@
 //	walltime  - internal/* must not read wall-clock time or the global
 //	            math/rand state; only the sim.Scheduler clock and seeded
 //	            rand.New(rand.NewSource(...)) generators are reproducible.
-//	fpfloat   - fixedpoint Q.Float/Acc.Float are diagnostics-only; results
+//	fpfloat   - fixedpoint Q.Float is diagnostics-only; its results
 //	            may flow to internal/report, cmd/*, _test.go files and
 //	            fmt/log call sites, never into simulation state.
 //	maporder  - a range over a map whose body appends, sends, schedules a
@@ -39,6 +39,10 @@
 //	ffclass   - every field of the structs registered in ffManifestTypes
 //	            is classified in ffFingerprinted or ffExcluded (the static
 //	            twin of TestFingerprintManifestExhaustive).
+//	testonly  - an exported func, method, type or var of an internal/
+//	            library package needs a reference outside _test.go files,
+//	            from any plain file of the module, or of _perfbench until
+//	            the harness moves onto runtimes (ROADMAP item 1).
 //
 // Intentional exceptions are annotated in source with a line directive
 //
@@ -86,6 +90,7 @@ type Pass struct {
 
 	analyzer *Analyzer
 	found    *[]Finding
+	refs     *moduleRefs
 }
 
 // Reportf records a finding at pos under the pass's rule.
@@ -113,7 +118,7 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		walltimeAnalyzer, fpfloatAnalyzer, maporderAnalyzer, locksAnalyzer,
 		globalstateAnalyzer, gotrackAnalyzer, errdropAnalyzer,
-		schemahashAnalyzer, ffclassAnalyzer,
+		schemahashAnalyzer, ffclassAnalyzer, testonlyAnalyzer,
 	}
 }
 
@@ -122,6 +127,7 @@ func Rules() []string {
 	return []string{
 		"walltime", "fpfloat", "maporder", "mutexcopy", "handle",
 		"globalstate", "gotrack", "errdrop", "schemahash", "ffclass",
+		"testonly",
 	}
 }
 
@@ -138,23 +144,27 @@ func Run(dir string, patterns []string) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunPackages(loader.Fset(), pkgs), nil
+	refs, err := loader.references(pkgs)
+	if err != nil {
+		return nil, err
+	}
+	return runPackages(loader.Fset(), pkgs, refs), nil
 }
 
-// RunPackages runs the suite over already-loaded units. Units are
+// runPackages runs the suite over already-loaded units. Units are
 // independent once loaded (type info and ASTs are read-only, FileSet
 // position lookups are internally locked), so the analyzer phase fans out
 // one goroutine per unit into an indexed slot; output order comes from the
 // final merge and sort, never from scheduling, so findings are
 // byte-identical at any parallelism.
-func RunPackages(fset *token.FileSet, pkgs []*Package) []Finding {
+func runPackages(fset *token.FileSet, pkgs []*Package, refs *moduleRefs) []Finding {
 	units := make([][]Finding, len(pkgs))
 	var wg sync.WaitGroup
 	wg.Add(len(pkgs))
 	for i := range pkgs {
 		go func() {
 			defer wg.Done()
-			units[i] = lintUnit(fset, pkgs[i])
+			units[i] = lintUnit(fset, pkgs[i], refs)
 		}()
 	}
 	wg.Wait()
@@ -185,10 +195,10 @@ func RunPackages(fset *token.FileSet, pkgs []*Package) []Finding {
 }
 
 // lintUnit runs every analyzer over one unit and returns its raw findings.
-func lintUnit(fset *token.FileSet, pkg *Package) []Finding {
+func lintUnit(fset *token.FileSet, pkg *Package, refs *moduleRefs) []Finding {
 	var unit []Finding
 	for _, a := range Analyzers() {
-		pass := &Pass{Package: pkg, Fset: fset, analyzer: a, found: &unit}
+		pass := &Pass{Package: pkg, Fset: fset, analyzer: a, found: &unit, refs: refs}
 		a.Run(pass)
 	}
 	// The in-package test unit re-checks the plain files alongside the
@@ -211,10 +221,9 @@ func lintUnit(fset *token.FileSet, pkg *Package) []Finding {
 // entries sharing a position, so suppression and unused detection stay
 // per-rule.
 type directive struct {
-	pos    token.Position
-	rule   string
-	reason string
-	used   bool
+	pos  token.Position
+	rule string
+	used bool
 }
 
 const allowPrefix = "//odrips:allow"
@@ -263,11 +272,7 @@ func collectDirectives(fset *token.FileSet, f *ast.File, raw *[]Finding) []*dire
 				continue
 			}
 			for _, rule := range rules {
-				out = append(out, &directive{
-					pos:    pos,
-					rule:   rule,
-					reason: strings.Join(fields[1:], " "),
-				})
+				out = append(out, &directive{pos: pos, rule: rule})
 			}
 		}
 	}

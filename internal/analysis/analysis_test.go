@@ -7,24 +7,57 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"odrips/internal/analysis"
 )
 
-// lintFixture runs the full suite (directives applied) over one testdata
-// package.
+// fixtureRules names the fixture package of each rule under testdata/src.
+var fixtureRules = []string{
+	"walltime", "fpfloat", "maporder", "mutexcopy", "handle",
+	"globalstate", "gotrack", "errdrop", "schemahash", "ffclass",
+	"testonly",
+	"multirule", // comma-separated directives; exercises several rules at once
+}
+
+// fixtures holds the findings of one lint run over every fixture package,
+// keyed by package name. Each run loads the whole module, the testonly
+// rule's reference set, so the tests share one.
+var fixtures struct {
+	once     sync.Once
+	findings map[string][]analysis.Finding
+	err      error
+}
+
+// lintFixture returns the full suite's findings (directives applied) for
+// one testdata package.
 func lintFixture(t *testing.T, name string) []analysis.Finding {
 	t.Helper()
-	dir, err := filepath.Abs(filepath.Join("testdata", "src", name))
-	if err != nil {
-		t.Fatal(err)
+	fixtures.once.Do(func() {
+		// Patterns resolve against the module root, so name the fixtures
+		// by absolute path.
+		var dirs []string
+		for _, n := range append([]string{"directive"}, fixtureRules...) {
+			dir, err := filepath.Abs(filepath.Join("testdata", "src", n))
+			if err != nil {
+				fixtures.err = err
+				return
+			}
+			dirs = append(dirs, dir)
+		}
+		var all []analysis.Finding
+		all, fixtures.err = analysis.Run(".", dirs)
+		fixtures.findings = map[string][]analysis.Finding{}
+		for _, f := range all {
+			pkg := filepath.Base(filepath.Dir(f.Pos.Filename))
+			fixtures.findings[pkg] = append(fixtures.findings[pkg], f)
+		}
+	})
+	if fixtures.err != nil {
+		t.Fatalf("linting the fixtures: %v", fixtures.err)
 	}
-	findings, err := analysis.Run(".", []string{dir})
-	if err != nil {
-		t.Fatalf("linting %s: %v", dir, err)
-	}
-	return findings
+	return fixtures.findings[name]
 }
 
 var wantRe = regexp.MustCompile(`//\s*want\s+([a-z ]+?)\s*$`)
@@ -68,11 +101,7 @@ func parseWant(t *testing.T, name string) map[string][]string {
 // the must-allow lines (clean idioms and //odrips:allow escapes) are not,
 // and nothing else fires.
 func TestFixtures(t *testing.T) {
-	for _, rule := range []string{
-		"walltime", "fpfloat", "maporder", "mutexcopy", "handle",
-		"globalstate", "gotrack", "errdrop", "schemahash", "ffclass",
-		"multirule", // comma-separated directives; exercises several rules at once
-	} {
+	for _, rule := range fixtureRules {
 		t.Run(rule, func(t *testing.T) {
 			want := parseWant(t, rule)
 			got := map[string][]string{}
@@ -152,6 +181,45 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestTestonlySameForAnyPattern: the testonly rule takes its callers from
+// the whole module whatever packages odrips-vet is given, so linting one
+// package reports what ./... reports for it. Were the callers only the
+// named packages, linting internal/gpio alone would flag every gpio name
+// that only other packages call. The fixture keeps the compared findings
+// from being empty.
+func TestTestonlySameForAnyPattern(t *testing.T) {
+	fixture, err := filepath.Abs(filepath.Join("testdata", "src", "testonly"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpio, err := filepath.Abs(filepath.Join("..", "gpio"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	testonly := func(patterns ...string) []string {
+		findings, err := analysis.Run(".", patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, f := range findings {
+			if dir := filepath.Dir(f.Pos.Filename); f.Rule == "testonly" && (dir == fixture || dir == gpio) {
+				out = append(out, f.String())
+			}
+		}
+		return out
+	}
+	alone := testonly("./internal/gpio", fixture)
+	whole := testonly("./...", fixture)
+	if len(whole) == 0 {
+		t.Fatal("the testonly fixture produced no findings")
+	}
+	if strings.Join(alone, "\n") != strings.Join(whole, "\n") {
+		t.Errorf("linting internal/gpio alone reports\n%s\nbut ./... reports\n%s",
+			strings.Join(alone, "\n"), strings.Join(whole, "\n"))
 	}
 }
 

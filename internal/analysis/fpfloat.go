@@ -7,11 +7,11 @@ import (
 )
 
 // fpfloatAnalyzer enforces the "diagnostics only" contract on
-// fixedpoint.Q.Float and fixedpoint.Acc.Float: the 1 ppb Step arithmetic of
-// §4.1.3 is exact in fixed point, and a float64 rendering of it must never
-// flow back into simulation state where rounding could contaminate energy or
-// timer results. Float calls are allowed only in internal/report, cmd/*,
-// _test.go files, and directly inside fmt/log formatting call sites.
+// fixedpoint.Q.Float: the 1 ppb Step arithmetic of §4.1.3 is exact in fixed
+// point, and a float64 rendering of it must never flow back into simulation
+// state where rounding could contaminate energy or timer results. Float
+// calls are allowed only in internal/report, cmd/*, _test.go files, and
+// directly inside fmt/log formatting call sites.
 var fpfloatAnalyzer = &Analyzer{
 	Name: "fpfloat",
 	Doc:  "restrict fixedpoint Float() results to reporting, tests and fmt/log call sites",
@@ -48,13 +48,8 @@ func runFpfloat(pass *Pass) {
 			if pass.IsTestFile(call.Pos()) || insideFormatting(pass, stack[:len(stack)-1]) {
 				return true
 			}
-			recv := "fixedpoint value"
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				recv = "fixedpoint." + recvTypeName(sig.Recv().Type())
-			}
 			pass.Reportf(call.Pos(),
-				"%s.Float() is diagnostics-only; keep simulation math in fixed point (allowed in internal/report, cmd/*, _test.go and fmt/log call sites)",
-				recv)
+				"fixedpoint.Q.Float() is diagnostics-only; keep simulation math in fixed point (allowed in internal/report, cmd/*, _test.go and fmt/log call sites)")
 			return true
 		})
 	}

@@ -106,6 +106,23 @@ func modulePath(gomod string) (string, error) {
 // "_" are skipped by subtree walks but may be named explicitly — that is how
 // the analyzer tests lint their fixtures.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
+	dirs, err := l.resolve(patterns)
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []*Package
+	for _, dir := range dirs {
+		units, err := l.loadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, units...)
+	}
+	return pkgs, nil
+}
+
+// resolve expands patterns to the sorted package directories they name.
+func (l *Loader) resolve(patterns []string) ([]string, error) {
 	var dirs []string
 	seen := map[string]bool{}
 	addDir := func(d string) {
@@ -144,16 +161,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		}
 	}
 	sort.Strings(dirs)
-
-	var pkgs []*Package
-	for _, dir := range dirs {
-		units, err := l.loadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, units...)
-	}
-	return pkgs, nil
+	return dirs, nil
 }
 
 func (l *Loader) absDir(p string) string {
@@ -253,11 +261,9 @@ func (l *Loader) loadDir(dir string) ([]*Package, error) {
 		return nil, err
 	}
 	var units []*Package
-	if len(plain) > 0 {
-		u, err := l.plainUnit(path, dir, plain)
-		if err != nil {
-			return nil, err
-		}
+	if u, err := l.plainUnit(dir); err != nil {
+		return nil, err
+	} else if u != nil {
 		units = append(units, u)
 	}
 	if len(test) > 0 {
@@ -308,15 +314,24 @@ func (l *Loader) check(path, dir string, files []*ast.File, isTest, isXTest bool
 	}, nil
 }
 
-// plainUnit type-checks (once) the plain, non-test unit of a directory. The
-// memo is shared with import resolution, so a package has a single type
-// identity whether it is linted directly or pulled in as a dependency.
-func (l *Loader) plainUnit(path, dir string, plain []*ast.File) (*Package, error) {
+// plainUnit type-checks (once) the plain, non-test unit of a directory, or
+// returns nil if it has no plain files. The memo is shared with import
+// resolution, so a package has a single type identity whether it is linted
+// directly or pulled in as a dependency.
+func (l *Loader) plainUnit(dir string) (*Package, error) {
+	path, err := l.importPathFor(dir)
+	if err != nil {
+		return nil, err
+	}
 	if u, ok := l.deps[path]; ok {
 		if u == nil {
 			return nil, fmt.Errorf("analysis: import cycle through %s", path)
 		}
 		return u, nil
+	}
+	plain, _, _, err := l.parseDir(dir)
+	if err != nil || len(plain) == 0 {
+		return nil, err
 	}
 	l.deps[path] = nil // cycle marker
 	u, err := l.check(path, dir, plain, false, false)
@@ -344,16 +359,12 @@ func (d *depImporter) Import(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	plain, _, _, err := l.parseDir(dir)
+	u, err := l.plainUnit(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(plain) == 0 {
+	if u == nil {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
-	u, err := l.plainUnit(path, dir, plain)
-	if err != nil {
-		return nil, err
 	}
 	return u.Types, nil
 }

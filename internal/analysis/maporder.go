@@ -176,23 +176,22 @@ func mentions(pass *Pass, e ast.Expr, obj types.Object) bool {
 	return found
 }
 
-func recvNamed(t types.Type, pkgPath, name string) bool {
+// namedOf returns the named type t is or points to, or nil.
+func namedOf(t types.Type) *types.Named {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
+	n, _ := t.(*types.Named)
+	return n
+}
+
+func recvNamed(t types.Type, pkgPath, name string) bool {
+	n := namedOf(t)
+	return n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
 }
 
 func recvTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
+	if n := namedOf(t); n != nil {
 		return n.Obj().Name()
 	}
 	return t.String()

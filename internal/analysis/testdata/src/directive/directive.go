@@ -13,5 +13,5 @@ package directive
 
 //odrips:allow walltime this one is well-formed but suppresses nothing
 
-// Clean exists so the package has code.
-func Clean() int { return 1 }
+// clean exists so the package has code.
+func clean() int { return 1 }

@@ -19,8 +19,8 @@ func ffDecodeWire(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// BadBlank binds the error results to _.
-func BadBlank(s *memostore.Store, key []byte) ([]byte, faults.Plan, int) {
+// badBlank binds the error results to _.
+func badBlank(s *memostore.Store, key []byte) ([]byte, faults.Plan, int) {
 	payload, ok, _ := s.Load("cycles", key) // want errdrop
 	_ = ok
 	plan, _ := faults.Parse("mee@2") // want errdrop
@@ -28,17 +28,17 @@ func BadBlank(s *memostore.Store, key []byte) ([]byte, faults.Plan, int) {
 	return payload, plan, n
 }
 
-// BadDropped discards every result of a fail-safe loader.
-func BadDropped(s *memostore.Store, key []byte) {
+// badDropped discards every result of a fail-safe loader.
+func badDropped(s *memostore.Store, key []byte) {
 	s.Load("cycles", key) // want errdrop
 	faults.Parse("mee@2") // want errdrop
 	ffDecodeWire(key)     // want errdrop
 }
 
-// BadClaims covers the claim surface: a blanked Claim error silently
+// badClaims covers the claim surface: a blanked Claim error silently
 // downgrades "compute uncoordinated" into "assume another process
 // computes" — a potential hang, not a graceful miss.
-func BadClaims(s *memostore.Store, key []byte) []byte {
+func badClaims(s *memostore.Store, key []byte) []byte {
 	c, _ := s.Claim("cycles", key) // want errdrop
 	if c != nil {
 		c.Release()
@@ -48,8 +48,8 @@ func BadClaims(s *memostore.Store, key []byte) []byte {
 	return payload
 }
 
-// GoodClaims handles the coordination errors explicitly.
-func GoodClaims(s *memostore.Store, key []byte) error {
+// goodClaims handles the coordination errors explicitly.
+func goodClaims(s *memostore.Store, key []byte) error {
 	c, err := s.Claim("cycles", key)
 	if err != nil {
 		return err // claim unavailable: compute uncoordinated
@@ -60,9 +60,9 @@ func GoodClaims(s *memostore.Store, key []byte) error {
 	return nil
 }
 
-// Good handles the error explicitly, treating a typed miss as a cold
+// good handles the error explicitly, treating a typed miss as a cold
 // cache and anything else as a real failure.
-func Good(s *memostore.Store, key []byte) ([]byte, error) {
+func good(s *memostore.Store, key []byte) ([]byte, error) {
 	payload, ok, err := s.Load("cycles", key)
 	if err != nil {
 		var corrupt *memostore.CorruptError
@@ -80,8 +80,8 @@ func Good(s *memostore.Store, key []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// Allowed shows the audited escape hatch.
-func Allowed(s *memostore.Store, key []byte) []byte {
+// allowed shows the audited escape hatch.
+func allowed(s *memostore.Store, key []byte) []byte {
 	payload, _, _ := s.Load("cycles", key) //odrips:allow errdrop fixture exercises the allow path
 	return payload
 }

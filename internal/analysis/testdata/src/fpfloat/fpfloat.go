@@ -8,24 +8,24 @@ import (
 	"odrips/internal/fixedpoint"
 )
 
-// Bad lets float renderings of exact fixed-point values escape into state.
-func Bad(q fixedpoint.Q, a *fixedpoint.Acc) float64 {
-	x := q.Float()       // want fpfloat
-	return x + a.Float() // want fpfloat
+// bad lets a float rendering of an exact fixed-point value escape into
+// state.
+func bad(q fixedpoint.Q) float64 {
+	x := q.Float() // want fpfloat
+	return x
 }
 
-// Good stays in integer space.
-func Good(q fixedpoint.Q) uint64 {
+// good stays in integer space.
+func good(q fixedpoint.Q) uint64 {
 	return q.Integer() + q.Frac()
 }
 
-// Formatted uses the blessed fmt call-site path.
-func Formatted(q fixedpoint.Q, a *fixedpoint.Acc) string {
-	fmt.Printf("step=%.9f\n", q.Float())
-	return fmt.Sprintf("acc=%f", a.Float())
+// formatted uses the blessed fmt call-site path.
+func formatted(q fixedpoint.Q) string {
+	return fmt.Sprintf("step=%.9f", q.Float())
 }
 
-// Allowed shows the audited escape hatch.
-func Allowed(q fixedpoint.Q) float64 {
+// allowed shows the audited escape hatch.
+func allowed(q fixedpoint.Q) float64 {
 	return q.Float() //odrips:allow fpfloat fixture exercises the allow path
 }

@@ -37,21 +37,21 @@ var root struct {
 	cache map[string]int
 }
 
-// Reset mutates the allowed root; the allow covers the write check too.
-func Reset() {
+// reset mutates the allowed root; the allow covers the write check too.
+func reset() {
 	root.mu.Lock()
 	defer root.mu.Unlock()
 	root.cache = nil
 }
 
-// Bump mutates the package-level state the write check flags.
-func Bump() {
+// bump mutates the package-level state the write check flags.
+func bump() {
 	count++
 	registry["b"] = 2
 }
 
-// Local state is fine: owned by the caller's frame.
-func Local() int {
+// local state is fine: owned by the caller's frame.
+func local() int {
 	var localMu sync.Mutex
 	localMu.Lock()
 	defer localMu.Unlock()

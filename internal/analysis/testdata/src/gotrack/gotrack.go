@@ -6,22 +6,22 @@ import "sync"
 
 func leak() {}
 
-// BadNamed launches a named function: the join (if any) is invisible at
+// badNamed launches a named function: the join (if any) is invisible at
 // the launch site.
-func BadNamed() {
+func badNamed() {
 	go leak() // want gotrack
 }
 
-// BadFireAndForget launches a closure no WaitGroup ever joins.
-func BadFireAndForget(ch chan int) {
+// badFireAndForget launches a closure no WaitGroup ever joins.
+func badFireAndForget(ch chan int) {
 	go func() { // want gotrack
 		ch <- 1
 	}()
 }
 
-// BadMapRange launches in map-iteration order; even a joined goroutine is
+// badMapRange launches in map-iteration order; even a joined goroutine is
 // flagged because the launch order itself varies run to run.
-func BadMapRange(m map[string]int) {
+func badMapRange(m map[string]int) {
 	var wg sync.WaitGroup
 	for k := range m {
 		_ = k
@@ -33,9 +33,9 @@ func BadMapRange(m map[string]int) {
 	wg.Wait()
 }
 
-// GoodJoined is the worker-pool idiom: every launch is joined before
+// goodJoined is the worker-pool idiom: every launch is joined before
 // results are read.
-func GoodJoined(items []int) int {
+func goodJoined(items []int) int {
 	var (
 		wg  sync.WaitGroup
 		sum int
@@ -54,9 +54,9 @@ func GoodJoined(items []int) int {
 	return sum
 }
 
-// GoodNestedDone joins through a deferred closure; the Done call still
+// goodNestedDone joins through a deferred closure; the Done call still
 // resolves inside the goroutine body.
-func GoodNestedDone() {
+func goodNestedDone() {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -65,8 +65,8 @@ func GoodNestedDone() {
 	wg.Wait()
 }
 
-// Allowed shows the audited escape hatch for genuinely detached
+// allowed shows the audited escape hatch for genuinely detached
 // goroutines (a server accept loop).
-func Allowed() {
+func allowed() {
 	go leak() //odrips:allow gotrack fixture stands in for a detached accept loop
 }

@@ -4,19 +4,19 @@ package handle
 
 import "odrips/internal/sim"
 
-// BadQueue stashes handles where they will go stale.
-type BadQueue struct {
+// badQueue stashes handles where they will go stale.
+type badQueue struct {
 	pending []sim.Event       // want handle
 	byID    map[int]sim.Event // want handle
 }
 
-// GoodTicker holds the single live handle, the sim.Ticker pattern.
-type GoodTicker struct {
+// goodTicker holds the single live handle, the sim.Ticker pattern.
+type goodTicker struct {
 	ev sim.Event
 }
 
-// BadLocal builds a local collection of handles.
-func BadLocal(s *sim.Scheduler) {
+// badLocal builds a local collection of handles.
+func badLocal(s *sim.Scheduler) {
 	handles := make([]sim.Event, 0, 4) // want handle
 	for i := 1; i <= 4; i++ {
 		handles = append(handles, s.After(sim.Duration(i), "fixture", func() {}))
@@ -24,14 +24,14 @@ func BadLocal(s *sim.Scheduler) {
 	_ = handles
 }
 
-// GoodSingle re-arms one handle in place.
-func GoodSingle(s *sim.Scheduler) sim.Event {
+// goodSingle re-arms one handle in place.
+func goodSingle(s *sim.Scheduler) sim.Event {
 	ev := s.After(1, "fixture", func() {})
 	return ev
 }
 
-// Allowed shows the audited escape hatch.
-func Allowed() {
+// allowed shows the audited escape hatch.
+func allowed() {
 	var cache map[string]sim.Event //odrips:allow handle fixture exercises the allow path
 	_ = cache
 }

@@ -9,8 +9,8 @@ import (
 	"odrips/internal/sim"
 )
 
-// BadAppend collects keys in randomized iteration order.
-func BadAppend(m map[string]int) []string {
+// badAppend collects keys in randomized iteration order.
+func badAppend(m map[string]int) []string {
 	var out []string
 	for k := range m {
 		out = append(out, k) // want maporder
@@ -18,9 +18,9 @@ func BadAppend(m map[string]int) []string {
 	return out
 }
 
-// GoodSorted is the collect-then-sort idiom; the append is fine because the
+// goodSorted is the collect-then-sort idiom; the append is fine because the
 // slice is sorted before anyone observes its order.
-func GoodSorted(m map[string]int) []string {
+func goodSorted(m map[string]int) []string {
 	var keys []string
 	for k := range m {
 		keys = append(keys, k)
@@ -29,31 +29,31 @@ func GoodSorted(m map[string]int) []string {
 	return keys
 }
 
-// BadSend delivers map values in randomized order.
-func BadSend(m map[string]int, ch chan int) {
+// badSend delivers map values in randomized order.
+func badSend(m map[string]int, ch chan int) {
 	for _, v := range m {
 		ch <- v // want maporder
 	}
 }
 
-// BadPrint writes output in randomized order.
-func BadPrint(m map[string]int) {
+// badPrint writes output in randomized order.
+func badPrint(m map[string]int) {
 	for k := range m {
 		fmt.Println(k) // want maporder
 	}
 }
 
-// BadSchedule hands the scheduler events in randomized order, so tie-broken
+// badSchedule hands the scheduler events in randomized order, so tie-broken
 // sequence numbers differ run to run.
-func BadSchedule(s *sim.Scheduler, m map[string]sim.Duration) {
+func badSchedule(s *sim.Scheduler, m map[string]sim.Duration) {
 	for name, d := range m {
 		_ = name
 		s.After(d, "fixture", func() {}) // want maporder
 	}
 }
 
-// GoodKeyed writes into another map: keyed, order-insensitive.
-func GoodKeyed(m map[string]int) map[string]int {
+// goodKeyed writes into another map: keyed, order-insensitive.
+func goodKeyed(m map[string]int) map[string]int {
 	out := make(map[string]int, len(m))
 	for k, v := range m {
 		out[k] = v
@@ -61,8 +61,8 @@ func GoodKeyed(m map[string]int) map[string]int {
 	return out
 }
 
-// GoodSum folds with a commutative integer op.
-func GoodSum(m map[string]int) int {
+// goodSum folds with a commutative integer op.
+func goodSum(m map[string]int) int {
 	t := 0
 	for _, v := range m {
 		t += v
@@ -70,8 +70,8 @@ func GoodSum(m map[string]int) int {
 	return t
 }
 
-// Allowed shows the audited escape hatch.
-func Allowed(m map[string]int) []string {
+// allowed shows the audited escape hatch.
+func allowed(m map[string]int) []string {
 	var out []string
 	for k := range m {
 		out = append(out, k) //odrips:allow maporder fixture exercises the allow path

@@ -5,8 +5,8 @@ package multirule
 
 import "time"
 
-// Bad trips walltime and maporder on the same line.
-func Bad(m map[string]int) []int {
+// bad trips walltime and maporder on the same line.
+func bad(m map[string]int) []int {
 	var out []int
 	for _, v := range m {
 		out = append(out, v+int(time.Now().Unix())) // want maporder walltime
@@ -14,8 +14,8 @@ func Bad(m map[string]int) []int {
 	return out
 }
 
-// Suppressed is the same shape with one directive covering both rules.
-func Suppressed(m map[string]int) []int {
+// suppressed is the same shape with one directive covering both rules.
+func suppressed(m map[string]int) []int {
 	var out []int
 	for _, v := range m {
 		//odrips:allow maporder,walltime fixture: one directive suppresses two rules on the next line
@@ -24,8 +24,8 @@ func Suppressed(m map[string]int) []int {
 	return out
 }
 
-// PartlyUsed names two rules but only walltime fires: the fpfloat half is
+// partlyUsed names two rules but only walltime fires: the fpfloat half is
 // dead and must be reported per-rule.
-func PartlyUsed() int64 {
+func partlyUsed() int64 {
 	return time.Now().Unix() //odrips:allow walltime,fpfloat only walltime can fire here // want directive
 }

@@ -15,24 +15,24 @@ type Nested struct {
 	g Guarded
 }
 
-// BadParam receives the lock by value.
-func BadParam(g Guarded) int { // want mutexcopy
+// badParam receives the lock by value.
+func badParam(g Guarded) int { // want mutexcopy
 	return g.n
 }
 
-// BadReceiver copies the lock on every call.
-func (g Guarded) BadReceiver() int { // want mutexcopy
+// badReceiver copies the lock on every call.
+func (g Guarded) badReceiver() int { // want mutexcopy
 	return g.n
 }
 
-// BadCopy forks the lock state.
-func BadCopy(g *Guarded) {
+// badCopy forks the lock state.
+func badCopy(g *Guarded) {
 	cp := *g // want mutexcopy
 	_ = cp
 }
 
-// BadRange copies each element's lock.
-func BadRange(gs []Nested) int {
+// badRange copies each element's lock.
+func badRange(gs []Nested) int {
 	n := 0
 	for _, g := range gs { // want mutexcopy
 		n += g.g.n
@@ -40,20 +40,20 @@ func BadRange(gs []Nested) int {
 	return n
 }
 
-// GoodPointer threads the lock by reference.
-func GoodPointer(g *Guarded) int {
+// goodPointer threads the lock by reference.
+func goodPointer(g *Guarded) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.n
 }
 
-// GoodInit builds fresh values; composite literals initialize, not copy.
-func GoodInit() *Guarded {
+// goodInit builds fresh values; composite literals initialize, not copy.
+func goodInit() *Guarded {
 	g := Guarded{n: 1}
 	return &g
 }
 
-// Allowed shows the audited escape hatch.
-func Allowed(g Guarded) int { //odrips:allow mutexcopy fixture exercises the allow path
+// allowed shows the audited escape hatch.
+func allowed(g Guarded) int { //odrips:allow mutexcopy fixture exercises the allow path
 	return g.n
 }

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Bad reads host time and the global generator.
-func Bad() int {
+// bad reads host time and the global generator.
+func bad() int {
 	_ = time.Now()                             // want walltime
 	time.Sleep(time.Second)                    // want walltime
 	if c := time.Tick(time.Minute); c != nil { // want walltime
@@ -17,8 +17,8 @@ func Bad() int {
 	return rand.Intn(4) // want walltime
 }
 
-// Good keeps to types, constants, and seeded generators.
-func Good() *rand.Rand {
+// good keeps to types, constants, and seeded generators.
+func good() *rand.Rand {
 	const warm = 3 * time.Second // the Duration type and constants are fine
 	_ = warm
 	var d time.Duration
@@ -26,7 +26,7 @@ func Good() *rand.Rand {
 	return rand.New(rand.NewSource(42))
 }
 
-// Allowed shows the audited escape hatch.
-func Allowed() time.Time {
+// allowed shows the audited escape hatch.
+func allowed() time.Time {
 	return time.Now() //odrips:allow walltime fixture exercises the allow path
 }

@@ -41,8 +41,6 @@ type Ring struct {
 	draws map[string]float64
 	gated bool
 
-	gateCount, ungateCount uint64
-
 	// OnDraw, if non-nil, receives the total nominal rail draw in mW when
 	// the gate state changes.
 	OnDraw func(mW float64)
@@ -101,24 +99,16 @@ func (r *Ring) loadMW() float64 {
 	return t
 }
 
-// SetGated switches the FET. Idempotent transitions do not recount.
+// SetGated switches the FET. Idempotent transitions do not call OnDraw.
 func (r *Ring) SetGated(gated bool) {
 	if r.gated == gated {
 		return
 	}
 	r.gated = gated
-	if gated {
-		r.gateCount++
-	} else {
-		r.ungateCount++
-	}
 	if r.OnDraw != nil {
 		r.OnDraw(r.TotalDrawMW())
 	}
 }
-
-// Stats returns gate and ungate transition counts.
-func (r *Ring) Stats() (gates, ungates uint64) { return r.gateCount, r.ungateCount }
 
 // FET is the on-board field-effect transistor of §5.1 that gates the AON
 // IO rail, driven by a chipset GPIO level. Its leakage when open is <0.3%
@@ -127,9 +117,6 @@ type FET struct {
 	ring *Ring
 	// LeakageFraction is the off-state leakage relative to the gated load.
 	LeakageFraction float64
-	// SlewTime is the rail ramp latency on switching, in seconds; the
-	// platform turns it into entry/exit latency.
-	switches uint64
 }
 
 // DefaultLeakageFraction is a board FET's off-state leakage relative to
@@ -143,7 +130,6 @@ func NewFET(ring *Ring) *FET {
 
 // Drive applies the GPIO level: true opens the FET (rail cut / gated).
 func (f *FET) Drive(gateOn bool) {
-	f.switches++
 	f.ring.SetGated(gateOn)
 }
 
@@ -154,6 +140,3 @@ func (f *FET) ResidualLeakageMW() float64 {
 	}
 	return f.ring.loadMW() * f.LeakageFraction
 }
-
-// Switches returns how many times the FET has been driven.
-func (f *FET) Switches() uint64 { return f.switches }

@@ -39,16 +39,6 @@ func Tablet() Pack {
 	return Pack{CapacityMWh: 36_000, UsableFraction: 0.95, SelfDischargePctPerMonth: 2.5}
 }
 
-// Phone returns a 15 Wh handset pack.
-func Phone() Pack {
-	return Pack{CapacityMWh: 15_000, UsableFraction: 0.95, SelfDischargePctPerMonth: 2.5}
-}
-
-// Laptop returns a 56 Wh notebook pack.
-func Laptop() Pack {
-	return Pack{CapacityMWh: 56_000, UsableFraction: 0.95, SelfDischargePctPerMonth: 2.5}
-}
-
 // UsableMWh returns the derated capacity.
 func (p Pack) UsableMWh() float64 { return p.CapacityMWh * p.UsableFraction }
 

@@ -85,10 +85,6 @@ func (o *Oscillator) ActualHz() float64 {
 	return float64(o.nominalHz) * (1 + float64(o.ppb)/1e9)
 }
 
-// PeriodPs returns the true period in picoseconds (for display only; edge
-// arithmetic never uses this float).
-func (o *Oscillator) PeriodPs() float64 { return 1e12 / o.ActualHz() }
-
 // On reports whether the oscillator is powered.
 func (o *Oscillator) On() bool { return o.on }
 
@@ -266,15 +262,4 @@ func (o *Oscillator) ScheduleEdge(name string, fn func()) sim.Event {
 		return sim.Event{}
 	}
 	return o.sched.At(at, name, fn)
-}
-
-// ScheduleNthEdge schedules fn n edges after the first edge at or after now
-// (n=0 means the next edge). Returns an invalid (zero) event if the
-// oscillator is off.
-func (o *Oscillator) ScheduleNthEdge(n uint64, name string, fn func()) sim.Event {
-	k, _, ok := o.NextEdge(o.sched.Now())
-	if !ok {
-		return sim.Event{}
-	}
-	return o.sched.At(o.EdgeTime(k+n), name, fn)
 }

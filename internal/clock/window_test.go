@@ -264,18 +264,17 @@ func TestPhaseResidueExact(t *testing.T) {
 // a class fails TestOscillatorEpochManifest.
 var oscillatorMethods = map[string]string{
 	"Name": "epoch-free", "NominalHz": "epoch-free", "PPB": "epoch-free",
-	"ActualHz": "epoch-free", "PeriodPs": "epoch-free", "On": "epoch-free",
+	"ActualHz": "epoch-free", "On": "epoch-free",
 	"PowerOff": "epoch-free",
 	"Epoch":    "epoch-free: an identity counter, not a position",
 	"Walk":     "epoch-free: the advance depends on the tuning only",
 
-	"Stable":          "recorded: age comparison",
-	"NextEdge":        "recorded: age comparison and ceil-division remainder",
-	"EdgeTime":        "recorded: floor-division remainder",
-	"EdgesBetween":    "recorded: age comparisons and floor-division remainders",
-	"ScheduleEdge":    "recorded: through NextEdge",
-	"ScheduleNthEdge": "recorded: through NextEdge and EdgeTime",
-	"EpochOffset":     "recorded: pins the exact age",
+	"Stable":       "recorded: age comparison",
+	"NextEdge":     "recorded: age comparison and ceil-division remainder",
+	"EdgeTime":     "recorded: floor-division remainder",
+	"EdgesBetween": "recorded: age comparisons and floor-division remainders",
+	"ScheduleEdge": "recorded: through NextEdge",
+	"EpochOffset":  "recorded: pins the exact age",
 
 	"PowerOn": "writer: new epoch at now+startup",
 	"Retune":  "writer: new epoch; pins the age unless re-anchored at a recorded edge",

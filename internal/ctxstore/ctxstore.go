@@ -87,38 +87,6 @@ func GenerateSkylake(seed int64) *Context {
 	return Generate(seed, SkylakeSections())
 }
 
-// Sections returns the sections in canonical (sorted) order.
-func (c *Context) Sections() []Section {
-	return append([]Section(nil), c.sections...)
-}
-
-// Section returns one section's data, or nil.
-func (c *Context) Section(name string) []byte {
-	for _, s := range c.sections {
-		if s.Name == name {
-			return s.Data
-		}
-	}
-	return nil
-}
-
-// Size returns the total payload size in bytes.
-func (c *Context) Size() int {
-	var n int
-	for _, s := range c.sections {
-		n += len(s.Data)
-	}
-	return n
-}
-
-// Hash returns a SHA-256 over the canonical serialization.
-func (c *Context) Hash() [32]byte { return sha256.Sum256(c.Serialize()) }
-
-// Equal reports whether two contexts are byte-identical.
-func (c *Context) Equal(o *Context) bool {
-	return o != nil && bytes.Equal(c.Serialize(), o.Serialize())
-}
-
 // serialization: u32 section count, then per section u32 name len, name,
 // u32 data len, data; finally a SHA-256 trailer over everything before it.
 

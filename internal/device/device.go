@@ -102,9 +102,6 @@ func (n *NIC) Stats() (packets, wakes, overflows uint64) {
 	return n.packets, n.wakes, n.overflows
 }
 
-// Buffered returns the current buffer occupancy in bytes.
-func (n *NIC) Buffered() int { return n.buffered }
-
 func (n *NIC) scheduleNext() {
 	// Exponential inter-arrival for the configured average byte rate.
 	mean := float64(n.packetBytes) / n.rateBps
@@ -177,25 +174,12 @@ func (n *NIC) reportLTR() {
 	n.table.Update(n.name, tolerance)
 }
 
-// AudioStream is a periodic isochronous consumer: it drains a fixed-size
-// buffer at a constant rate and reports the buffer depth as its tolerance.
-// Unlike the NIC it never *generates* wakes — it constrains how deep the
-// platform may sleep (a too-small audio buffer pins the platform out of
-// DRIPS entirely, the LTR gating path).
-type AudioStream struct {
-	table *ltr.Table
-	name  string
+// StartAudioStream registers an "audio" stream, a periodic isochronous
+// consumer: it drains a fixed-size buffer at a constant rate and reports
+// the buffer depth, in play time, as its static tolerance. Unlike the NIC
+// it never *generates* wakes — it constrains how deep the platform may
+// sleep (a too-small audio buffer pins the platform out of DRIPS entirely,
+// the LTR gating path).
+func StartAudioStream(table *ltr.Table, bufferDepth sim.Duration) {
+	table.Update("audio", bufferDepth)
 }
-
-// NewAudioStream registers a stream with the given buffer depth in play
-// time; the tolerance is static while the stream runs.
-func NewAudioStream(table *ltr.Table, name string, bufferDepth sim.Duration) *AudioStream {
-	if name == "" {
-		name = "audio"
-	}
-	table.Update(name, bufferDepth)
-	return &AudioStream{table: table, name: name}
-}
-
-// Stop deregisters the stream (playback ended).
-func (a *AudioStream) Stop() { a.table.Remove(a.name) }

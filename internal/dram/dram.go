@@ -76,21 +76,12 @@ func Skylake8GB() Config {
 	return Config{Tech: DDR3L, CapacityBytes: 8 << 30, TransferMTps: 1600, Channels: 2, BytesPerBeat: 8}
 }
 
-// PCM8GB returns the §8.3 PCM-as-main-memory configuration.
-func PCM8GB() Config {
-	return Config{Tech: PCM, CapacityBytes: 8 << 30, TransferMTps: 1600, Channels: 2, BytesPerBeat: 8}
-}
-
 // Module is one memory module with sparse block-addressed contents.
 type Module struct {
 	cfg    Config
 	state  PowerState
 	cke    bool // CKE pin held (DDR3L self-refresh requires it)
 	blocks map[uint64][]byte
-
-	// Stats.
-	readBlocks  uint64
-	writeBlocks uint64
 
 	// OnDraw, if non-nil, receives the new nominal draw in mW on power
 	// state changes.
@@ -113,9 +104,6 @@ func (m *Module) State() PowerState { return m.state }
 
 // CKE reports whether the CKE pin is held.
 func (m *Module) CKE() bool { return m.cke }
-
-// Stats returns blocks read and written since creation.
-func (m *Module) Stats() (readBlocks, writeBlocks uint64) { return m.readBlocks, m.writeBlocks }
 
 // NonVolatile reports whether contents survive power-off.
 func (m *Module) NonVolatile() bool { return m.cfg.Tech == PCM }
@@ -253,7 +241,6 @@ func (m *Module) Write(addr uint64, data []byte) error {
 		return err
 	}
 	m.store(addr, data)
-	m.writeBlocks += uint64(len(data) / BlockSize)
 	return nil
 }
 
@@ -288,15 +275,13 @@ func (m *Module) Read(addr uint64, n int) ([]byte, error) {
 		if blk, ok := m.blocks[addr+uint64(off)]; ok {
 			copy(out[off:], blk)
 		}
-		m.readBlocks++
 	}
 	return out, nil
 }
 
 // ReadBlockInto copies the single block at addr into dst[:BlockSize]
 // without allocating. dst must hold at least BlockSize bytes; an unwritten
-// block reads as zeros. It counts as one block of read traffic, exactly
-// like reading the block through Read.
+// block reads as zeros, exactly as through Read.
 func (m *Module) ReadBlockInto(addr uint64, dst []byte) error {
 	if err := m.checkAccess(addr, BlockSize); err != nil {
 		return err
@@ -312,7 +297,6 @@ func (m *Module) ReadBlockInto(addr uint64, dst []byte) error {
 			dst[i] = 0
 		}
 	}
-	m.readBlocks++
 	return nil
 }
 

@@ -9,6 +9,14 @@ import (
 	"odrips/internal/sim"
 )
 
+// pcm8GB is the §8.3 PCM-as-main-memory module: Table 1's geometry with
+// PCM cells, as the platform builds it for MainMemory PCM.
+func pcm8GB() Config {
+	c := Skylake8GB()
+	c.Tech = PCM
+	return c
+}
+
 func TestSkylakeConfigBandwidth(t *testing.T) {
 	m := New(Skylake8GB())
 	// DDR3L-1600 dual channel x 8B = 25.6 GB/s peak.
@@ -38,7 +46,7 @@ func TestTransferTimeScalesWithFrequency(t *testing.T) {
 }
 
 func TestPCMWriteSlowerThanRead(t *testing.T) {
-	m := New(PCM8GB())
+	m := New(pcm8GB())
 	n := 200 << 10
 	if m.TransferTime(n, true) <= m.TransferTime(n, false) {
 		t.Fatal("PCM write not slower than read")
@@ -51,7 +59,7 @@ func TestPCMWriteSlowerThanRead(t *testing.T) {
 
 func TestIdleDraw(t *testing.T) {
 	d := New(Skylake8GB())
-	p := New(PCM8GB())
+	p := New(pcm8GB())
 	// DDR3L 8GB self-refresh = 12.4 mW nominal (the DRIPS budget).
 	if got := d.IdleDrawMW(SelfRefresh); math.Abs(got-12.4) > 1e-9 {
 		t.Fatalf("DDR3L self-refresh draw = %v, want 12.4", got)
@@ -82,10 +90,6 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("round trip mismatch")
-	}
-	r, w := m.Stats()
-	if r != 3 || w != 3 {
-		t.Fatalf("stats = %d,%d blocks, want 3,3", r, w)
 	}
 }
 
@@ -157,7 +161,7 @@ func TestPowerOffDestroysDDR3L(t *testing.T) {
 }
 
 func TestPowerOffRetainsPCM(t *testing.T) {
-	m := New(PCM8GB())
+	m := New(pcm8GB())
 	if err := m.Write(0, []byte(pad("persist", BlockSize))); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +206,7 @@ func TestCKERules(t *testing.T) {
 }
 
 func TestPCMIgnoresCKE(t *testing.T) {
-	m := New(PCM8GB())
+	m := New(pcm8GB())
 	if err := m.Write(0, []byte(pad("nv", BlockSize))); err != nil {
 		t.Fatal(err)
 	}
@@ -322,9 +326,6 @@ func TestReadBlockInto(t *testing.T) {
 	if err := m.ReadBlockInto(0x1001, dst); err == nil {
 		t.Fatal("unaligned address accepted")
 	}
-	if r, w := m.Stats(); r != 2 || w != 1 {
-		t.Fatalf("stats read=%d write=%d, want 2/1 (failed calls must not count)", r, w)
-	}
 }
 
 // TestWriteUpdatesInPlace pins Write's contract: a rewrite replaces the
@@ -358,7 +359,6 @@ func TestCorruptBit(t *testing.T) {
 	if err := m.Write(0x1000, data); err != nil {
 		t.Fatal(err)
 	}
-	rBefore, wBefore := m.Stats()
 
 	// Legal in Active.
 	if err := m.CorruptBit(0x1000+5, 3); err != nil {
@@ -370,9 +370,6 @@ func TestCorruptBit(t *testing.T) {
 	}
 	if err := m.CorruptBit(0x1000+5, 3); err != nil {
 		t.Fatal(err)
-	}
-	if r, w := m.Stats(); r != rBefore || w != wBefore {
-		t.Fatalf("corruption generated traffic: %d,%d -> %d,%d", rBefore, wBefore, r, w)
 	}
 	// Double flip restored the original byte.
 	if err := m.SetState(Active); err != nil {
@@ -438,9 +435,6 @@ func TestSetContents(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[0] = 0xFF
-	if r, w := m.Stats(); r != 0 || w != 0 {
-		t.Fatalf("SetContents generated traffic: %d reads, %d writes", r, w)
-	}
 	if err := m.SetState(Active); err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func (rt *Runtime) coalescingGatedPoint() (CoalescingRow, error) {
 		return CoalescingRow{}, err
 	}
 	// 100 us of audio buffer: below every deep state's exit latency.
-	device.NewAudioStream(p.LTR(), "audio", 100*sim.Microsecond)
+	device.StartAudioStream(p.LTR(), 100*sim.Microsecond)
 	res, err := p.RunCycles(workload.Fixed(4, 0, 30*sim.Second))
 	if err != nil {
 		return CoalescingRow{}, err

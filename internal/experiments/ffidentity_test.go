@@ -29,7 +29,7 @@ func renderAllExperiments(t *testing.T, rt *odrips.Runtime) []byte {
 			continue
 		}
 		if err := e.Render(rt, odrips.DefaultSweep(), &buf); err != nil {
-			t.Fatalf("%s at -fastforward=%v: %v", e.Name, rt.FF(), err)
+			t.Fatalf("%s: %v", e.Name, err)
 		}
 	}
 	return buf.Bytes()

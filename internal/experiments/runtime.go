@@ -71,9 +71,6 @@ func (rt *Runtime) Store() *memostore.Store { return rt.plane.Store() }
 // store statistics and before the process exits: runs never write.
 func (rt *Runtime) Flush() { rt.plane.Flush() }
 
-// FF returns the fast-forward mode platforms run in.
-func (rt *Runtime) FF() platform.FFMode { return rt.ff }
-
 // TemplateStats reports the platform-template cache's counters.
 func (rt *Runtime) TemplateStats() platform.TemplateStats { return rt.templates.Stats() }
 

@@ -128,9 +128,6 @@ type Plan struct {
 	Injections []Injection
 }
 
-// Empty reports whether the plan injects nothing.
-func (p Plan) Empty() bool { return len(p.Injections) == 0 }
-
 // String renders the plan in the grammar; Parse(p.String()) reproduces p
 // exactly for any valid plan.
 func (p Plan) String() string {
@@ -281,6 +278,8 @@ func (in Injection) validate() error {
 // cycles in [0, cycles), entry/exit step indices in [0, entrySteps) and
 // [0, exitSteps). It is the generator behind the property harness; the
 // caller logs the seed so any failure replays.
+//
+//odrips:allow testonly the plan generator the faults and faults/prop tests share; a _test.go file cannot export it across packages
 func Random(rng *rand.Rand, n, cycles, entrySteps, exitSteps int) Plan {
 	if cycles < 1 {
 		cycles = 1

@@ -129,16 +129,13 @@ func TestRandomPlansValidateAndRoundTrip(t *testing.T) {
 
 func TestEmptyPlan(t *testing.T) {
 	var p Plan
-	if !p.Empty() {
-		t.Fatal("zero plan not empty")
-	}
 	if p.String() != "" {
 		t.Fatalf("zero plan renders %q", p.String())
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if q, err := Parse("wake@0.0"); err != nil || q.Empty() {
+	if q, err := Parse("wake@0.0"); err != nil || len(q.Injections) == 0 {
 		t.Fatal("non-empty plan reported empty")
 	}
 }

@@ -29,27 +29,6 @@ func New(raw uint64, fracBits uint) Q {
 	return Q{Raw: raw, FracBits: fracBits}
 }
 
-// FromRatio returns num/den rounded down to fracBits fractional bits.
-// It computes floor(num * 2^fracBits / den) with a full 128-bit
-// intermediate, so it is exact for any operands whose quotient fits.
-// This is the calibration division of §4.1.3: with den chosen as a power of
-// two (N_slow = 2^f) it reduces to placing the fixed point, but FromRatio
-// supports arbitrary denominators for the property tests.
-func FromRatio(num, den uint64, fracBits uint) Q {
-	if den == 0 {
-		panic("fixedpoint: division by zero")
-	}
-	if fracBits > 63 {
-		panic(fmt.Sprintf("fixedpoint: %d fractional bits unsupported", fracBits))
-	}
-	hi, lo := bits.Mul64(num, 1<<fracBits)
-	if hi >= den {
-		panic(fmt.Sprintf("fixedpoint: %d/%d at %d fractional bits overflows 64 bits", num, den, fracBits))
-	}
-	q, _ := bits.Div64(hi, lo, den)
-	return Q{Raw: q, FracBits: fracBits}
-}
-
 // Integer returns the integer part.
 func (q Q) Integer() uint64 { return q.Raw >> q.FracBits }
 
@@ -125,21 +104,9 @@ func (a *Acc) SetInt(v uint64) {
 	a.frac = 0
 }
 
-// Add accumulates a step. The step must have the same fraction width.
-func (a *Acc) Add(step Q) {
-	if step.FracBits != a.FracBits {
-		panic(fmt.Sprintf("fixedpoint: adding Q with %d fractional bits to accumulator with %d",
-			step.FracBits, a.FracBits))
-	}
-	a.frac += step.Frac()
-	carry := a.frac >> a.FracBits
-	a.frac &= 1<<a.FracBits - 1
-	a.Int += step.Integer() + carry
-}
-
 // AddN accumulates n steps at once (used to fast-forward the slow timer
 // across a long idle period without simulating every 32 kHz edge). It is
-// exactly equivalent to calling Add n times.
+// exactly equivalent to adding step n times, one carry at a time.
 func (a *Acc) AddN(step Q, n uint64) {
 	if step.FracBits != a.FracBits {
 		panic(fmt.Sprintf("fixedpoint: adding Q with %d fractional bits to accumulator with %d",
@@ -160,8 +127,3 @@ func (a *Acc) Frac() uint64 { return a.frac }
 
 // Floor returns the integer part (the value reported to the platform timer).
 func (a *Acc) Floor() uint64 { return a.Int }
-
-// Float returns the full value as float64 (diagnostics only).
-func (a *Acc) Float() float64 {
-	return float64(a.Int) + float64(a.frac)/float64(uint64(1)<<a.FracBits)
-}

@@ -87,9 +87,7 @@ func TestFromRatioOverflowPanics(t *testing.T) {
 func TestAccAdd(t *testing.T) {
 	a := NewAcc(4)
 	step := New(0x18, 4) // 1.5
-	for i := 0; i < 4; i++ {
-		a.Add(step)
-	}
+	a.AddN(step, 4)
 	if a.Floor() != 6 || a.Frac() != 0 {
 		t.Fatalf("4 * 1.5 accumulated to %d + %d/16, want 6 + 0", a.Floor(), a.Frac())
 	}
@@ -100,7 +98,7 @@ func TestAccCarryPropagation(t *testing.T) {
 	a.SetInt(0)
 	step := New(1, 21) // smallest positive step: 2^-21
 	for i := 0; i < 1<<21; i++ {
-		a.Add(step)
+		a.AddN(step, 1)
 	}
 	if a.Floor() != 1 || a.Frac() != 0 {
 		t.Fatalf("2^21 * 2^-21 = %d + %d, want exactly 1", a.Floor(), a.Frac())
@@ -109,7 +107,7 @@ func TestAccCarryPropagation(t *testing.T) {
 
 func TestAccSetIntClearsFraction(t *testing.T) {
 	a := NewAcc(21)
-	a.Add(New(3<<20, 21)) // 1.5
+	a.AddN(New(3<<20, 21), 1) // 1.5
 	a.SetInt(100)
 	if a.Floor() != 100 || a.Frac() != 0 {
 		t.Fatalf("SetInt left %d + %d/2^21", a.Floor(), a.Frac())
@@ -120,10 +118,10 @@ func TestAccMismatchedWidthPanics(t *testing.T) {
 	a := NewAcc(21)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("mismatched width Add did not panic")
+			t.Fatal("mismatched width AddN did not panic")
 		}
 	}()
-	a.Add(New(1, 20))
+	a.AddN(New(1, 20), 1)
 }
 
 func TestAddNEquivalence(t *testing.T) {

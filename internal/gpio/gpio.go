@@ -42,10 +42,6 @@ type Pin struct {
 	sampleEvent sim.Event
 	sched       *sim.Scheduler
 	onEdge      func(rising bool, at sim.Time)
-
-	edgesMissed  uint64
-	edgesCaught  uint64
-	outputDriven uint64
 }
 
 // Bank is a set of pins sharing a scheduler.
@@ -70,9 +66,6 @@ func (b *Bank) Claim(name string, mode Mode) *Pin {
 	return p
 }
 
-// Lookup returns a claimed pin or nil.
-func (b *Bank) Lookup(name string) *Pin { return b.pins[name] }
-
 // Pins returns every claimed pin sorted by name.
 func (b *Bank) Pins() []*Pin {
 	out := make([]*Pin, 0, len(b.pins))
@@ -86,9 +79,7 @@ func (b *Bank) Pins() []*Pin {
 // FastForwardState exports the pin's behavior-relevant mutable state for
 // the platform fast-forward fingerprint (DESIGN.md §12): everything that
 // determines how the pin reacts to future drives and samples. The sampler
-// is identified by oscillator name ("" when unwatched). The edge/drive
-// statistics counters are deliberately not part of this: they are
-// diagnostics with no behavioral feedback.
+// is identified by oscillator name ("" when unwatched).
 func (p *Pin) FastForwardState() (mode Mode, level, pending, havePending, watched, samplePending bool, sampler string) {
 	if p.sampler != nil {
 		sampler = p.sampler.Name()
@@ -99,10 +90,6 @@ func (p *Pin) FastForwardState() (mode Mode, level, pending, havePending, watche
 // Name returns the pin name.
 func (p *Pin) Name() string { return p.name }
 
-// Level returns the pin's current level (for inputs, the last sampled
-// level; for outputs, the driven level).
-func (p *Pin) Level() bool { return p.level }
-
 // SetOutput drives an output pin. The new level is visible immediately to
 // whatever the pin controls (the FET model reads it synchronously).
 func (p *Pin) SetOutput(level bool) error {
@@ -110,7 +97,6 @@ func (p *Pin) SetOutput(level bool) error {
 		return fmt.Errorf("gpio: %s: SetOutput on input pin", p.name)
 	}
 	p.level = level
-	p.outputDriven++
 	return nil
 }
 
@@ -161,15 +147,10 @@ func (p *Pin) sample() {
 	newLevel := p.pending
 	p.havePending = false
 	if newLevel == p.level {
-		p.edgesMissed++ // glitch shorter than a sample period, or no-op
-		return
+		return // glitch shorter than a sample period, or no-op
 	}
 	p.level = newLevel
-	p.edgesCaught++
 	if p.onEdge != nil {
 		p.onEdge(newLevel, p.sched.Now())
 	}
 }
-
-// Stats returns edges caught and redundant samples observed.
-func (p *Pin) Stats() (caught, missed uint64) { return p.edgesCaught, p.edgesMissed }

@@ -23,7 +23,7 @@ func TestOutputPin(t *testing.T) {
 	if err := p.SetOutput(true); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Level() {
+	if !p.level {
 		t.Fatal("output level not set")
 	}
 	if err := p.Drive(true); err == nil {
@@ -60,8 +60,8 @@ func TestDuplicateClaimPanics(t *testing.T) {
 func TestLookup(t *testing.T) {
 	_, _, _, b := bench(t)
 	p := b.Claim("x", Input)
-	if b.Lookup("x") != p || b.Lookup("y") != nil {
-		t.Fatal("Lookup misbehaved")
+	if pins := b.Pins(); len(pins) != 1 || pins[0] != p {
+		t.Fatalf("Pins() = %v, want the one claimed pin", pins)
 	}
 }
 
@@ -146,7 +146,8 @@ func TestGlitchShorterThanSampleMissed(t *testing.T) {
 func TestStats(t *testing.T) {
 	s, _, slow, b := bench(t)
 	p := b.Claim("x", Input)
-	if err := p.WatchInput(slow, func(bool, sim.Time) {}); err != nil {
+	caught := 0
+	if err := p.WatchInput(slow, func(bool, sim.Time) { caught++ }); err != nil {
 		t.Fatal(err)
 	}
 	s.RunFor(2 * sim.Microsecond)
@@ -154,7 +155,6 @@ func TestStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunFor(sim.Millisecond)
-	caught, _ := p.Stats()
 	if caught != 1 {
 		t.Fatalf("caught = %d, want 1", caught)
 	}

@@ -126,11 +126,10 @@ func (o Options) withDefaults() Options {
 // Job is one accepted submission. All accessors are safe for
 // concurrent use with the executing worker.
 type Job struct {
-	id       string
-	seq      uint64
-	spec     fleet.Spec // normalized
-	specJSON []byte     // canonical encoding of spec
-	prog     *fleet.Progress
+	id   string
+	seq  uint64
+	spec fleet.Spec // normalized
+	prog *fleet.Progress
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -147,12 +146,6 @@ func (j *Job) ID() string { return j.id }
 
 // Seq is the acceptance sequence number (1-based).
 func (j *Job) Seq() uint64 { return j.seq }
-
-// Spec is the normalized (defaulted, validated) spec the job runs.
-func (j *Job) Spec() fleet.Spec { return j.spec }
-
-// SpecJSON is the canonical encoding the job's ID commits to.
-func (j *Job) SpecJSON() []byte { return append([]byte(nil), j.specJSON...) }
 
 // State is the job's current lifecycle position.
 func (j *Job) State() State {
@@ -342,14 +335,13 @@ func (q *Queue) Submit(spec fleet.Spec) (*Job, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
-		seq:      q.seq + 1,
-		spec:     norm,
-		specJSON: specJSON,
-		prog:     fleet.NewProgress(),
-		ctx:      ctx,
-		cancel:   cancel,
-		state:    StatePending,
-		done:     make(chan struct{}),
+		seq:    q.seq + 1,
+		spec:   norm,
+		prog:   fleet.NewProgress(),
+		ctx:    ctx,
+		cancel: cancel,
+		state:  StatePending,
+		done:   make(chan struct{}),
 	}
 	j.id = jobID(q.opts.Seed, j.seq, specJSON)
 	select {

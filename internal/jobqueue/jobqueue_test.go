@@ -285,15 +285,20 @@ func TestDeterministicIDs(t *testing.T) {
 		t.Fatal("same spec at different sequence numbers must differ")
 	}
 
-	// Recompute ID 0 by hand from the public pieces.
+	// Recompute ID 0 by hand from the seed, the sequence number and the
+	// canonical encoding of the normalized spec.
 	q := New(Options{Workers: 1, Seed: 7, Hold: true})
 	j, err := q.Submit(smallSpec("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	specJSON, err := fleet.EncodeSpecJSON(j.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := sha256.New()
 	h.Write([]byte{0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 1})
-	h.Write(j.SpecJSON())
+	h.Write(specJSON)
 	want := fmt.Sprintf("job-%06d-%s", 1, hex.EncodeToString(h.Sum(nil)[:12]))
 	if j.ID() != want {
 		t.Fatalf("ID %s, recomputed %s", j.ID(), want)

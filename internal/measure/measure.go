@@ -1,15 +1,13 @@
 // Package measure models the paper's measurement infrastructure (§7,
 // Fig. 5): a DC power analyzer in the style of the Keysight N6705B with an
-// N6781A source-measurement unit — four analog channels sampled on a fixed
-// 50-microsecond interval — plus summary statistics over the captured
-// trace. The experiments use it to "measure" the simulated platform the
-// same way the authors measured silicon, and to validate the analytic
-// Equation-1 model against sampled data.
+// N6781A source-measurement unit: four analog channels sampled on a fixed
+// 50-microsecond interval. The experiments use it to "measure" the
+// simulated platform the same way the authors measured silicon, and to
+// validate the analytic Equation-1 model against sampled data.
 package measure
 
 import (
 	"fmt"
-	"math"
 
 	"odrips/internal/sim"
 )
@@ -109,9 +107,6 @@ func (a *Analyzer) Stop() {
 // Samples returns the captured trace.
 func (a *Analyzer) Samples() []Sample { return a.samples }
 
-// Reset clears the capture buffer.
-func (a *Analyzer) Reset() { a.samples = nil }
-
 // ChannelNames returns the configured channel names.
 func (a *Analyzer) ChannelNames() []string {
 	names := make([]string, len(a.channels))
@@ -119,35 +114,4 @@ func (a *Analyzer) ChannelNames() []string {
 		names[i] = c.Name
 	}
 	return names
-}
-
-// Stats summarizes one channel of a capture.
-type Stats struct {
-	Samples int
-	AvgMW   float64
-	MinMW   float64
-	MaxMW   float64
-	// EnergyJ is the rectangle-rule integral of the trace.
-	EnergyJ float64
-}
-
-// ChannelStats computes summary statistics for channel index ch.
-func (a *Analyzer) ChannelStats(ch int) (Stats, error) {
-	if ch < 0 || ch >= len(a.channels) {
-		return Stats{}, fmt.Errorf("measure: channel %d out of range", ch)
-	}
-	if len(a.samples) == 0 {
-		return Stats{}, fmt.Errorf("measure: empty capture")
-	}
-	st := Stats{Samples: len(a.samples), MinMW: math.Inf(1), MaxMW: math.Inf(-1)}
-	var sum float64
-	for _, s := range a.samples {
-		v := s.MW[ch]
-		sum += v
-		st.MinMW = math.Min(st.MinMW, v)
-		st.MaxMW = math.Max(st.MaxMW, v)
-	}
-	st.AvgMW = sum / float64(len(a.samples))
-	st.EnergyJ = sum * 1e-3 * a.interval.Seconds()
-	return st, nil
 }

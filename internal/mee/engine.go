@@ -58,7 +58,7 @@ type writeWalk struct {
 	b      int  // L0 block index the walk covers
 }
 
-// readWalk remembers the verified L0 cache line the previous ReadBlock
+// readWalk remembers the verified L0 cache line the previous ReadBlockInto
 // used, so a contiguous restore re-uses the verified ancestor path instead
 // of re-looking it up per block. gen guards against any cache mutation.
 type readWalk struct {
@@ -75,7 +75,6 @@ type Engine struct {
 
 	masterKey [32]byte
 	aesBlock  cipher.Block
-	macKey    [32]byte
 
 	rootCounter uint64
 	cache       *metaCache
@@ -202,7 +201,6 @@ func build(mem *dram.Module, layout Layout, key [32]byte, cacheLines int, rootCo
 		layout:      layout,
 		masterKey:   key,
 		aesBlock:    blk,
-		macKey:      macKey,
 		rootCounter: rootCounter,
 		cache:       newMetaCache(cacheLines),
 		pathBuf:     make([]pathBlock, 0, layout.Levels()+1),
@@ -219,7 +217,7 @@ func (e *Engine) Mem() *dram.Module { return e.mem }
 
 // Stats returns a snapshot of the traffic counters. Deferred sequential-
 // walk work is accounted eagerly, so the snapshot is exact at every
-// WriteBlock/ReadBlock boundary.
+// WriteBlock/ReadBlockInto boundary.
 func (e *Engine) Stats() Stats {
 	s := e.stats
 	s.CacheHits, s.CacheMisses, _ = e.cache.stats()
@@ -666,16 +664,6 @@ func (e *Engine) ReadBlockInto(i int, dst []byte) error {
 	}
 	e.xorKeyStream(dst, e.ctBuf[:], i, version)
 	return nil
-}
-
-// ReadBlock fetches, verifies, and decrypts data block i into a fresh
-// buffer. ReadBlockInto is the allocation-free variant.
-func (e *Engine) ReadBlock(i int) ([]byte, error) {
-	out := make([]byte, BlockSize)
-	if err := e.ReadBlockInto(i, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // WriteRegion writes data starting at block 0, zero-padding the tail of the

@@ -56,7 +56,7 @@ func Example() {
 	if err := mem.Write(0x1000_0000, blk); err != nil {
 		log.Fatal(err)
 	}
-	_, err = cold.ReadBlock(0)
+	_, err = cold.ReadRegion(len(context))
 	fmt.Printf("tamper detected: %v\n", err != nil)
 	// Output:
 	// sealed engine state: 96 bytes

@@ -143,7 +143,8 @@ func TestCacheDigestTracksTagsNotBytes(t *testing.T) {
 	if a.CacheDigest() != empty {
 		t.Fatal("a flushed cache does not digest as empty")
 	}
-	if _, err := a.ReadBlock(0); err != nil {
+	var blk [BlockSize]byte
+	if err := a.ReadBlockInto(0, blk[:]); err != nil {
 		t.Fatal(err)
 	}
 	if a.CacheDigest() == empty || a.CacheDigest() == b.CacheDigest() {

@@ -37,27 +37,23 @@ func formatInPlace(t *testing.T, mem *dram.Module, base uint64, dataBlocks int, 
 }
 
 // engineView is everything a freshly built or just-operated engine
-// exposes: its region's bytes, traffic counters, freshness root, cache
-// tags and the module's block traffic.
+// exposes: its region's bytes, traffic counters, freshness root and cache
+// tags.
 type engineView struct {
 	Region          []byte
 	Stats           Stats
 	Root            uint64
 	Cache           uint64
-	DRAMR, DRAMW    uint64
 	State, Restored []byte
 }
 
 func viewOf(t *testing.T, mem *dram.Module, e *Engine) engineView {
 	t.Helper()
-	r, w := mem.Stats()
 	return engineView{
 		Region: regionBytes(t, mem, e),
 		Stats:  e.Stats(),
 		Root:   e.RootCounter(),
 		Cache:  e.CacheDigest(),
-		DRAMR:  r,
-		DRAMW:  w,
 	}
 }
 
@@ -135,9 +131,9 @@ func TestNewFormattedEqualsNew(t *testing.T) {
 			e   *Engine
 		}{"New": {newMem, viaNew}, "NewFormatted": {fmtMem, viaFmt}} {
 			if got := viewOf(t, c.mem, c.e); !reflect.DeepEqual(got, want) {
-				t.Errorf("size %d: %s after format: stats %+v root %d cache %#x dram %d/%d, region equal %v; want stats %+v root %d cache %#x dram %d/%d",
-					size, name, got.Stats, got.Root, got.Cache, got.DRAMR, got.DRAMW, bytes.Equal(got.Region, want.Region),
-					want.Stats, want.Root, want.Cache, want.DRAMR, want.DRAMW)
+				t.Errorf("size %d: %s after format: stats %+v root %d cache %#x, region equal %v; want stats %+v root %d cache %#x",
+					size, name, got.Stats, got.Root, got.Cache, bytes.Equal(got.Region, want.Region),
+					want.Stats, want.Root, want.Cache)
 			}
 		}
 

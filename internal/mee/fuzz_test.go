@@ -92,8 +92,8 @@ func FuzzReadAfterCorruption(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 6; i++ {
-			got, err := cold.ReadBlock(i)
-			if err != nil {
+			got := make([]byte, BlockSize)
+			if err := cold.ReadBlockInto(i, got); err != nil {
 				continue // rejection is always acceptable
 			}
 			if string(got) != string(want[i]) {
@@ -120,7 +120,8 @@ func referenceReadBlock(e *Engine, mem *dram.Module, i int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := hmac.New(sha256.New, e.macKey[:])
+	macKey := macKeyFor(e.masterKey)
+	h := hmac.New(sha256.New, macKey[:])
 	h.Write([]byte("data"))
 	h.Write(ct)
 	var u [8]byte
@@ -176,7 +177,8 @@ func FuzzReadInPlaceDifferential(f *testing.F) {
 				continue
 			}
 			errA := a.ReadBlockInto(i, inPlace[:])
-			refB, errB := b.ReadBlock(i)
+			refB := make([]byte, BlockSize)
+			errB := b.ReadBlockInto(i, refB)
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("op %d block %d: in-place err=%v, copy-based err=%v", op, i, errA, errB)
 			}

@@ -12,6 +12,16 @@ import (
 
 var testKey = [32]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 
+// readBlock reads data block i into a fresh buffer through ReadBlockInto,
+// the read the restore path makes.
+func readBlock(e *Engine, i int) ([]byte, error) {
+	out := make([]byte, BlockSize)
+	if err := e.ReadBlockInto(i, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func newEngine(t testing.TB, dataBlocks int) (*dram.Module, *Engine) {
 	return newEngineLines(t, dataBlocks, 32)
 }
@@ -80,8 +90,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		}
 	}
 	for i := 0; i < 64; i++ {
-		got, err := e.ReadBlock(i)
-		if err != nil {
+		got := make([]byte, BlockSize)
+		if err := e.ReadBlockInto(i, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, block(byte(i))) {
@@ -116,7 +126,8 @@ func TestCiphertextDiffersFromPlaintext(t *testing.T) {
 
 func TestUnwrittenBlockRejected(t *testing.T) {
 	_, e := newEngine(t, 4)
-	if _, err := e.ReadBlock(2); err == nil {
+	var blk [BlockSize]byte
+	if err := e.ReadBlockInto(2, blk[:]); err == nil {
 		t.Fatal("read of never-written block succeeded")
 	}
 }
@@ -132,7 +143,8 @@ func TestTamperCiphertextDetected(t *testing.T) {
 	if err := mem.Write(addr, ct); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.ReadBlock(1)
+	var blk [BlockSize]byte
+	err := e.ReadBlockInto(1, blk[:])
 	var ie *IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("tampered ciphertext read: %v, want IntegrityError", err)
@@ -160,7 +172,8 @@ func TestTamperMetadataDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = e2.ReadBlock(0)
+	var blk [BlockSize]byte
+	err = e2.ReadBlockInto(0, blk[:])
 	var ie *IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("tampered metadata read: %v, want IntegrityError", err)
@@ -181,7 +194,7 @@ func TestReplayOldCiphertextDetected(t *testing.T) {
 	if err := mem.Write(addr, old); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.ReadBlock(0)
+	_, err := readBlock(e, 0)
 	var ie *IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("replayed ciphertext read: %v, want IntegrityError", err)
@@ -218,7 +231,7 @@ func TestFullRegionReplayDetected(t *testing.T) {
 	if err := mem.Write(l.Base, snapshot); err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.ReadBlock(3)
+	_, err = readBlock(e, 3)
 	var ie *IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("full-region rollback read: %v, want IntegrityError", err)
@@ -284,7 +297,7 @@ func TestBoundsAndSizes(t *testing.T) {
 	if err := e.WriteBlock(0, []byte{1, 2}); err == nil {
 		t.Fatal("short plaintext accepted")
 	}
-	if _, err := e.ReadBlock(99); err == nil {
+	if _, err := readBlock(e, 99); err == nil {
 		t.Fatal("out-of-range read accepted")
 	}
 	if err := e.WriteRegion(make([]byte, 5*BlockSize)); err == nil {
@@ -361,7 +374,7 @@ func TestRandomAccessProperty(t *testing.T) {
 				}
 				shadow[i] = data
 			} else {
-				got, err := e.ReadBlock(i)
+				got, err := readBlock(e, i)
 				want, written := shadow[i]
 				if !written {
 					if err == nil {
@@ -411,7 +424,7 @@ func TestTamperAnywhereProperty(t *testing.T) {
 		}
 		// At least one block read must fail.
 		for i := 0; i < 8; i++ {
-			if _, err := cold.ReadBlock(i); err != nil {
+			if _, err := readBlock(cold, i); err != nil {
 				return true
 			}
 		}
@@ -482,7 +495,7 @@ func TestPowerCycleFuzzProperty(t *testing.T) {
 			case 2: // read+verify a random committed block
 				idx := int(op/4) % 24
 				want, ok := shadow[idx]
-				got, err := e.ReadBlock(idx)
+				got, err := readBlock(e, idx)
 				if !ok {
 					if err == nil {
 						return false
@@ -511,7 +524,7 @@ func TestPowerCycleFuzzProperty(t *testing.T) {
 		}
 		// Final audit: every committed block reads back exactly.
 		for idx, want := range shadow {
-			got, err := e.ReadBlock(idx)
+			got, err := readBlock(e, idx)
 			if err != nil || !bytes.Equal(got, want) {
 				return false
 			}

@@ -90,25 +90,6 @@ func (c *Claim) Release() {
 	os.Remove(c.path)
 }
 
-// SetClaimStaleAfter tunes the takeover threshold (d <= 0 restores
-// DefaultClaimStaleAfter). Liveness only: see the soundness note above.
-func (s *Store) SetClaimStaleAfter(d time.Duration) {
-	if s == nil {
-		return
-	}
-	if d <= 0 {
-		d = DefaultClaimStaleAfter
-	}
-	s.claimStaleNs.Store(int64(d))
-}
-
-func (s *Store) claimStaleAfter() time.Duration {
-	if ns := s.claimStaleNs.Load(); ns > 0 {
-		return time.Duration(ns)
-	}
-	return DefaultClaimStaleAfter
-}
-
 // AwaitClaimed waits for another process's claim on (class, key) to
 // resolve. Outcomes:
 //
@@ -119,7 +100,7 @@ func (s *Store) claimStaleAfter() time.Duration {
 //	(nil, false, err):    ctx canceled — compute uncoordinated.
 //
 // The wait polls the entry and the claim file with bounded backoff; a
-// claim older than SetClaimStaleAfter is removed (takeover) so a crashed
+// claim older than DefaultClaimStaleAfter is removed (takeover) so a crashed
 // owner cannot park waiters forever.
 func (s *Store) AwaitClaimed(ctx context.Context, class string, key []byte) (payload []byte, ok bool, err error) {
 	if s == nil || !s.mode.Readable() {
@@ -147,7 +128,7 @@ func (s *Store) AwaitClaimed(ctx context.Context, class string, key []byte) (pay
 			return nil, false, nil // claim gone; no entry appeared
 		}
 		//odrips:allow walltime claim staleness is a cross-process liveness heuristic only: a wrong clock duplicates byte-identical work, it cannot change results
-		if time.Since(info.ModTime()) > s.claimStaleAfter() {
+		if time.Since(info.ModTime()) > DefaultClaimStaleAfter {
 			os.Remove(path) // takeover; benign if the owner races us
 			s.count(func(st *Stats) { st.ClaimTakeovers++ })
 			return nil, false, nil

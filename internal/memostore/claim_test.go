@@ -5,7 +5,6 @@ import (
 	"os"
 	"sync"
 	"testing"
-	"time"
 )
 
 // twoStores opens two RW stores over one directory, emulating two
@@ -115,9 +114,16 @@ func TestAwaitClaimedStaleTakeover(t *testing.T) {
 	if c, err := a.Claim("cycles", key); err != nil || c == nil {
 		t.Fatal(err)
 	}
-	// Any real file is "stale" against a nanosecond threshold, so the
-	// takeover path runs deterministically without clock games.
-	b.SetClaimStaleAfter(time.Nanosecond)
+	// Age the claim file past the threshold, as a crashed owner's would.
+	path := b.ClaimPath("cycles", key)
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := info.ModTime().Add(-2 * DefaultClaimStaleAfter)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
 	payload, ok, err := b.AwaitClaimed(context.Background(), "cycles", key)
 	if err != nil || ok || payload != nil {
 		t.Fatalf("await stale: ok=%v err=%v payload=%q, want takeover miss", ok, err, payload)

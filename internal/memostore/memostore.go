@@ -167,9 +167,6 @@ type Store struct {
 	// tmpSeq disambiguates temp files within the process; combined with
 	// the PID it keeps concurrent writers from colliding.
 	tmpSeq atomic.Uint64
-
-	// claimStaleNs is the claim-takeover threshold (0 = default; claim.go).
-	claimStaleNs atomic.Int64
 }
 
 // Open creates (if needed) and opens a store rooted at dir. A nil store
@@ -230,22 +227,6 @@ func (s *Store) Mode() Mode {
 		return Off
 	}
 	return s.mode
-}
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
-// BuildFingerprint returns the digest that versions every entry.
-func (s *Store) BuildFingerprint() [32]byte {
-	if s == nil {
-		return [32]byte{}
-	}
-	return s.buildFP
 }
 
 // Stats returns a snapshot of the store's counters plus its current
@@ -427,14 +408,6 @@ func decodeEntry(data []byte, buildFP, keyHash [32]byte) ([]byte, entryVerdict) 
 		return nil, entryWrongKey // filename-truncation collision
 	}
 	return payload, entryOK
-}
-
-// DecodeEntryForFuzz exposes the raw entry validator to the fuzz target:
-// it must classify arbitrary bytes without panicking and only report a
-// hit when every check passed.
-func DecodeEntryForFuzz(data []byte, buildFP, keyHash [32]byte) (payload []byte, hit bool, reason string) {
-	p, v := decodeEntry(data, buildFP, keyHash)
-	return p, v.kind == 0, v.reason
 }
 
 // ---- Process-scoped state ----

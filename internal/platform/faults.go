@@ -95,15 +95,6 @@ func (p *Platform) InjectFaults(plan faults.Plan) error {
 	return nil
 }
 
-// FaultStats returns the installed plan's statistics so far (zero value if
-// no plan was installed). Also carried in Result.Faults.
-func (p *Platform) FaultStats() FaultStats {
-	if p.fplane == nil {
-		return FaultStats{}
-	}
-	return p.fplane.stats
-}
-
 // Degraded reports whether repeated context-restore failures demoted the
 // platform to DRIPS-with-retention-SRAM.
 func (p *Platform) Degraded() bool { return p.degraded }

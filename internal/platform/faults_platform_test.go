@@ -120,8 +120,8 @@ func TestAbortEntryEarlySteps(t *testing.T) {
 		if res.Cycles != 3 {
 			t.Errorf("step %d: cycles = %d", step, res.Cycles)
 		}
-		if p.Err() != nil {
-			t.Errorf("step %d: %v", step, p.Err())
+		if p.err != nil {
+			t.Errorf("step %d: %v", step, p.err)
 		}
 	}
 }
@@ -410,7 +410,7 @@ func TestAbortEnergyAccounting(t *testing.T) {
 	}
 	// Diff the meter across the run: energy spent during New (the initial
 	// calibration) predates the tracker and is out of scope.
-	startJ := p.meter.Snapshot().TotalBatteryJ()
+	start := p.meter.Snapshot()
 	res, err := p.RunCycles(workload.Fixed(3, 0, 30*sim.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -419,7 +419,7 @@ func TestAbortEnergyAccounting(t *testing.T) {
 	for _, st := range power.States() {
 		stateJ += res.StateEnergyJ[st]
 	}
-	meterJ := p.meter.Snapshot().TotalBatteryJ() - startJ
+	meterJ := p.meter.Snapshot().Since(start).TotalJ()
 	if math.Abs(stateJ-meterJ) > 1e-9*math.Max(1, meterJ) {
 		t.Errorf("state energy %.9f J != meter delta %.9f J", stateJ, meterJ)
 	}

@@ -109,7 +109,6 @@ var ffExcluded = map[string]string{
 	"platform.Platform.linkP2C":         "links are idle at boundaries (queue-empty gate); see pml.Link entries",
 	"platform.Platform.linkC2P":         "links are idle at boundaries (queue-empty gate); see pml.Link entries",
 	"platform.Platform.cstates":         "immutable C-state table",
-	"platform.Platform.rr":              "immutable after lock at New (sgx range registers)",
 	"platform.Platform.ctxRegion":       "immutable protected-region bounds",
 	"platform.Platform.ctxImage":        "immutable serialized context bytes (the template's)",
 	"platform.Platform.ctxHash":         "immutable digest of ctxImage",
@@ -147,7 +146,6 @@ var ffExcluded = map[string]string{
 	"platform.Platform.idleFor":         "dead: set per cycle before use",
 	"platform.Platform.plan":            "dead: set per cycle before use",
 	"platform.Platform.armedEv":         "gate: queue empty at boundaries, so no armed event exists",
-	"platform.Platform.restoredTimer":   "write-only diagnostic",
 	"platform.Platform.p2cContinue":     "gate: must be nil for eligibility",
 	"platform.Platform.c2pContinue":     "gate: must be nil for eligibility",
 	"platform.Platform.pendingWake":     "gate: must be nil for eligibility",
@@ -238,7 +236,6 @@ var ffExcluded = map[string]string{
 	"mee.Engine.layout":      "immutable tree geometry",
 	"mee.Engine.masterKey":   "immutable key material",
 	"mee.Engine.aesBlock":    "immutable derived cipher",
-	"mee.Engine.macKey":      "immutable key material",
 	"mee.Engine.rootCounter": "monotonic version; affects only stored MAC bytes, never traffic or latency (§12); advanced surgically on replay",
 	"mee.Engine.cache":       "deterministic function of the op history from canonical state; rebuilt exactly by ReplayMaterialize/ReplayWarm before any real op",
 	"mee.Engine.stats":       "diagnostics, not part of Result",
@@ -259,13 +256,10 @@ var ffExcluded = map[string]string{
 	"ltr.Table.sched": "reference",
 
 	// ---- gpio ----
-	"gpio.Bank.sched":       "reference",
-	"gpio.Pin.sampleEvent":  "gate: queue empty at boundaries, so no armed sample exists",
-	"gpio.Pin.sched":        "reference",
-	"gpio.Pin.onEdge":       "immutable wiring",
-	"gpio.Pin.edgesMissed":  "diagnostic counter, not part of Result",
-	"gpio.Pin.edgesCaught":  "diagnostic counter, not part of Result",
-	"gpio.Pin.outputDriven": "diagnostic counter, not part of Result",
+	"gpio.Bank.sched":      "reference",
+	"gpio.Pin.sampleEvent": "gate: queue empty at boundaries, so no armed sample exists",
+	"gpio.Pin.sched":       "reference",
+	"gpio.Pin.onEdge":      "immutable wiring",
 
 	// ---- clock ----
 	"clock.Oscillator.name":      "immutable",
@@ -304,10 +298,7 @@ var ffExcluded = map[string]string{
 	// ---- aonio ----
 	"aonio.FET.ring":            "reference; the ring gate is fingerprinted",
 	"aonio.FET.LeakageFraction": "immutable after New",
-	"aonio.FET.switches":        "diagnostic counter, not part of Result",
 	"aonio.Ring.draws":          "immutable registered loads",
-	"aonio.Ring.gateCount":      "diagnostic counter, not part of Result",
-	"aonio.Ring.ungateCount":    "diagnostic counter, not part of Result",
 	"aonio.Ring.OnDraw":         "immutable wiring",
 
 	// ---- sram ----
@@ -319,21 +310,16 @@ var ffExcluded = map[string]string{
 	"sram.Array.OnDraw":  "immutable wiring",
 
 	// ---- dram ----
-	"dram.Module.cfg":         "immutable",
-	"dram.Module.blocks":      "versioned ciphertext whose observable effects are version-invariant (§12); canonical bytes are rebuilt by ReplayMaterialize before any real read",
-	"dram.Module.readBlocks":  "diagnostic counter, not part of Result",
-	"dram.Module.writeBlocks": "diagnostic counter, not part of Result",
-	"dram.Module.OnDraw":      "immutable wiring",
+	"dram.Module.cfg":    "immutable",
+	"dram.Module.blocks": "versioned ciphertext whose observable effects are version-invariant (§12); canonical bytes are rebuilt by ReplayMaterialize before any real read",
+	"dram.Module.OnDraw": "immutable wiring",
 
 	// ---- pml ----
 	"pml.Link.sched":         "reference",
 	"pml.Link.dom":           "reference; gate and grid fingerprinted",
-	"pml.Link.dir":           "immutable",
 	"pml.Link.latencyCycles": "immutable",
 	"pml.Link.Powered":       "immutable wiring",
 	"pml.Link.OnDeliver":     "immutable wiring",
-	"pml.Link.sent":          "diagnostic counter, not part of Result",
-	"pml.Link.delivered":     "diagnostic counter, not part of Result",
 
 	// ---- pmu ----
 	"pmu.BootFSM.SRAM": "reference; the array's state is fingerprinted and its content is dead at boundaries",

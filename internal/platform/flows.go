@@ -20,8 +20,7 @@ import (
 
 // wakePlan says what ends an idle period.
 type wakePlan struct {
-	kind  chipset.WakeSource
-	after sim.Duration // measured from Idle-state entry
+	kind chipset.WakeSource
 }
 
 // step is one stage of a firmware flow; run must invoke next exactly once,
@@ -413,8 +412,7 @@ func (p *Platform) armWake() {
 // no release-fet stage to undo it), so it moves back here.
 func (p *Platform) restoreFastTimerStep() step {
 	return step{name: "restore-fast-timer", run: func(next func()) {
-		err := p.hub.RestoreFastTimer(func(v uint64, _ sim.Time) {
-			p.restoredTimer = v
+		err := p.hub.RestoreFastTimer(func(uint64, sim.Time) {
 			if !p.cfg.Techniques.Has(AONIOGate) {
 				if err := p.hub.MonitorThermal(p.xtal24); err != nil {
 					p.fail("platform: thermal re-host: %v", err)

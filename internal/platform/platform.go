@@ -60,7 +60,6 @@ type Platform struct {
 	linkC2P     *pml.Link
 	ltrTable    *ltr.Table
 	cstates     []pmu.CState
-	rr          *sgx.RangeRegisters
 	ctxRegion   sgx.Range
 	eng         *mee.Engine
 	ctxImage    []byte
@@ -112,18 +111,17 @@ type Platform struct {
 	shallowCounts map[string]uint64
 
 	// In-flight flow plumbing.
-	timerEpoch    sim.Time
-	cycleDone     func()
-	idleFor       sim.Duration
-	plan          wakePlan
-	armedEv       sim.Event
-	restoredTimer uint64
-	p2cContinue   func()
-	c2pContinue   func()
-	pendingWake   *chipset.WakeSource
-	quiesce       []func()
-	flowTrace     []FlowStep // ring of the last flowTraceCap steps
-	flowHead      int        // oldest step once the ring is full
+	timerEpoch  sim.Time
+	cycleDone   func()
+	idleFor     sim.Duration
+	plan        wakePlan
+	armedEv     sim.Event
+	p2cContinue func()
+	c2pContinue func()
+	pendingWake *chipset.WakeSource
+	quiesce     []func()
+	flowTrace   []FlowStep // ring of the last flowTraceCap steps
+	flowHead    int        // oldest step once the ring is full
 
 	// Fault plane (nil unless InjectFaults installed a plan) and the
 	// recovery-edge state it drives.
@@ -327,8 +325,8 @@ func assemble(cfg Config, tpl *template) (*Platform, error) {
 	p.hub.OnWake = p.onWake
 
 	// PML links (16-cycle deterministic latency each way).
-	p.linkP2C = pml.NewLink(s, p.hub.Dom24(), pml.ProcessorToChipset, bud.PMLCycles)
-	p.linkC2P = pml.NewLink(s, p.hub.Dom24(), pml.ChipsetToProcessor, bud.PMLCycles)
+	p.linkP2C = pml.NewLink(s, p.hub.Dom24(), bud.PMLCycles)
+	p.linkC2P = pml.NewLink(s, p.hub.Dom24(), bud.PMLCycles)
 	powered := func() bool { return p.ring.Usable(aonio.IOPMLToChipset) }
 	p.linkP2C.Powered = powered
 	p.linkC2P.Powered = powered
@@ -358,7 +356,7 @@ func assemble(cfg Config, tpl *template) (*Platform, error) {
 		blocks := tpl.ctxBlocks()
 		p.restoreBuf = make([]byte, blocks*mee.BlockSize)
 		var err error
-		p.rr, p.ctxRegion, err = ctxRegion(blocks)
+		p.ctxRegion, err = ctxRegion(blocks)
 		if err != nil {
 			return nil, err
 		}
@@ -549,12 +547,6 @@ func (p *Platform) Wake() { p.hub.ExternalWake() }
 // completed its final cycle. Device models with self-scheduling traffic
 // register their Stop here so the event queue can drain.
 func (p *Platform) OnQuiesce(fn func()) { p.quiesce = append(p.quiesce, fn) }
-
-// Config returns the build configuration.
-func (p *Platform) Config() Config { return p.cfg }
-
-// Budget returns the calibrated power/latency table.
-func (p *Platform) Budget() Budget { return p.bud }
 
 // LTR exposes the latency-tolerance table so device models can report.
 func (p *Platform) LTR() *ltr.Table { return p.ltrTable }

@@ -160,7 +160,7 @@ func (p *Platform) runCycle(c workload.Cycle, done func()) {
 				return
 			}
 		}
-		plan := wakePlan{kind: wakeKind(c.Wake), after: idle}
+		plan := wakePlan{kind: wakeKind(c.Wake)}
 		p.enterIdle(idle, plan, done)
 	})
 }
@@ -260,9 +260,6 @@ func (p *Platform) timerDriftPPB() float64 {
 	}
 	return math.Abs(v-expected) / expected * 1e9
 }
-
-// Err returns the first flow error, if any (nil on healthy platforms).
-func (p *Platform) Err() error { return p.err }
 
 // shallowIdle parks the platform in a C1–C8 state for the interval: the
 // compute draw drops to hit the state's calibrated battery target, and

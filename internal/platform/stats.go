@@ -75,12 +75,3 @@ func (t *tracker) to(next power.State) {
 
 // finish closes the open interval without changing state.
 func (t *tracker) finish() { t.to(t.cur) }
-
-// total returns the tracked wall time.
-func (t *tracker) total() sim.Duration {
-	var d sim.Duration
-	for _, v := range t.residency {
-		d += v
-	}
-	return d
-}

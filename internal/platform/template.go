@@ -66,27 +66,23 @@ func (t *template) ctxBlocks() int {
 // ctxRegion reserves the protected range and allocates the context region
 // for a context of blocks data blocks. It depends on constants alone, so
 // every platform and the template's formatted metadata agree on it.
-func ctxRegion(blocks int) (*sgx.RangeRegisters, sgx.Range, error) {
+func ctxRegion(blocks int) (sgx.Range, error) {
 	rr, err := sgx.NewRangeRegisters(dramCapacityBytes, prmrrBytes)
 	if err != nil {
-		return nil, sgx.Range{}, err
+		return sgx.Range{}, err
 	}
 	layout, err := mee.PlanLayout(0, blocks)
 	if err != nil {
-		return nil, sgx.Range{}, err
+		return sgx.Range{}, err
 	}
-	r, err := rr.Allocate(layout.TotalBytes())
-	if err != nil {
-		return nil, sgx.Range{}, err
-	}
-	return rr, r, nil
+	return rr.Allocate(layout.TotalBytes())
 }
 
 // formatted returns the MEE metadata of the context region, formatting
 // it on the first call.
 func (t *template) formatted() (*mee.Formatted, error) {
 	t.meeOnce.Do(func() {
-		_, r, err := ctxRegion(t.ctxBlocks())
+		r, err := ctxRegion(t.ctxBlocks())
 		if err != nil {
 			t.meeErr = err
 			return

@@ -17,16 +17,14 @@ import (
 
 // templateRun is everything a run exposes that construction could leak
 // into: the MEE engine's format traffic, the result, the fast-forward
-// counters, the engine's traffic and root after the run, the module's
-// traffic and the protected region's bytes.
+// counters, the engine's traffic and root after the run, and the
+// protected region's bytes.
 type templateRun struct {
 	Built      mee.Stats
 	Res        Result
 	FF         FFStats
 	MEE        mee.Stats
 	Root       uint64
-	DRAMR      uint64
-	DRAMW      uint64
 	Region     []byte
 	RegionBase uint64
 }
@@ -60,7 +58,6 @@ func runForTemplate(t *testing.T, p *Platform, mode FFMode, cycles []workload.Cy
 		}
 		out.RegionBase = r.Base
 	}
-	out.DRAMR, out.DRAMW = mem.Stats()
 	return out
 }
 
@@ -83,7 +80,7 @@ func templatePresets() map[string]Config {
 // TestTemplatePlatformMatchesFresh: a platform assembled from a warm
 // template — one that earlier platforms were already built from and ran
 // on — is indistinguishable from a bare New: the same result, fast-forward
-// counters, MEE and DRAM traffic and protected-region bytes, in every
+// counters, MEE traffic and protected-region bytes, in every
 // preset, memory technology and fast-forward mode.
 func TestTemplatePlatformMatchesFresh(t *testing.T) {
 	ts := NewTemplates()
@@ -115,9 +112,9 @@ func TestTemplatePlatformMatchesFresh(t *testing.T) {
 					t.Fatalf("%s: no protected region to compare", label)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: template platform diverged from New:\nformat %+v MEE %+v root %d dram %d/%d region equal %v\nwant format %+v MEE %+v root %d dram %d/%d\nFF %+v\nwant FF %+v",
-						label, got.Built, got.MEE, got.Root, got.DRAMR, got.DRAMW, bytes.Equal(got.Region, want.Region),
-						want.Built, want.MEE, want.Root, want.DRAMR, want.DRAMW, got.FF, want.FF)
+					t.Errorf("%s: template platform diverged from New:\nformat %+v MEE %+v root %d region equal %v\nwant format %+v MEE %+v root %d\nFF %+v\nwant FF %+v",
+						label, got.Built, got.MEE, got.Root, bytes.Equal(got.Region, want.Region),
+						want.Built, want.MEE, want.Root, got.FF, want.FF)
 				}
 			}
 		}
@@ -215,10 +212,11 @@ func scribbleRun(ts *Templates, cfg Config, plan string) error {
 	if err := p.InjectFaults(fp); err != nil {
 		return err
 	}
-	if _, err := p.RunCycles(workload.Fixed(4, 0, 30*sim.Second)); err != nil {
+	res, err := p.RunCycles(workload.Fixed(4, 0, 30*sim.Second))
+	if err != nil {
 		return fmt.Errorf("%s %q: %w", cfg.Name(), plan, err)
 	}
-	if fired := p.FaultStats().Fired; plan != "" && fired == 0 {
+	if fired := res.Faults.Fired; plan != "" && fired == 0 {
 		return fmt.Errorf("%s %q: no injection fired", cfg.Name(), plan)
 	}
 	for _, arr := range []*sram.Array{p.saSRAM, p.computeSRAM} {

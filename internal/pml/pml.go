@@ -42,23 +42,12 @@ type Message struct {
 	Value uint64
 }
 
-// Direction identifies one of the two physical interfaces.
-type Direction int
-
-const (
-	// ProcessorToChipset: the processor is master.
-	ProcessorToChipset Direction = iota
-	// ChipsetToProcessor: the chipset is master.
-	ChipsetToProcessor
-)
-
 // Link is one direction of the PML. Both endpoints' pads must be powered
 // (the processor side is behind the AON IO FET in ODRIPS) and the 24 MHz
 // clock running for a transfer to start.
 type Link struct {
 	sched         *sim.Scheduler
 	dom           *clock.Domain
-	dir           Direction
 	latencyCycles uint64
 
 	// Powered, if non-nil, gates the link: it must report true at send
@@ -67,31 +56,16 @@ type Link struct {
 
 	// OnDeliver receives messages at the far end.
 	OnDeliver func(Message)
-
-	sent, delivered uint64
 }
 
 // NewLink creates a link clocked by dom with the given transfer latency in
 // 24 MHz cycles.
-func NewLink(sched *sim.Scheduler, dom *clock.Domain, dir Direction, latencyCycles uint64) *Link {
+func NewLink(sched *sim.Scheduler, dom *clock.Domain, latencyCycles uint64) *Link {
 	if latencyCycles == 0 {
 		panic("pml: zero-latency link is not a deterministic serial interface")
 	}
-	return &Link{sched: sched, dom: dom, dir: dir, latencyCycles: latencyCycles}
+	return &Link{sched: sched, dom: dom, latencyCycles: latencyCycles}
 }
-
-// LatencyCycles returns the fixed transfer latency in clock cycles.
-func (l *Link) LatencyCycles() uint64 { return l.latencyCycles }
-
-// Latency returns the transfer latency as simulated time from the next
-// clock edge.
-func (l *Link) Latency() sim.Duration {
-	period := sim.FromSeconds(1 / l.dom.Source().ActualHz())
-	return sim.Duration(l.latencyCycles) * period
-}
-
-// Stats returns messages sent and delivered.
-func (l *Link) Stats() (sent, delivered uint64) { return l.sent, l.delivered }
 
 // Send starts a transfer. Delivery happens latencyCycles clock edges after
 // the next edge. Fails when the clock is stopped or the pads are unpowered.
@@ -106,10 +80,8 @@ func (l *Link) Send(m Message) error {
 	if !ok {
 		return fmt.Errorf("pml: no clock edge available")
 	}
-	l.sent++
 	at := l.dom.Source().EdgeTime(k + l.latencyCycles)
 	l.sched.At(at, "pml.deliver", func() {
-		l.delivered++
 		if l.OnDeliver != nil {
 			l.OnDeliver(m)
 		}

@@ -81,17 +81,3 @@ func SelectState(states []CState, table *ltr.Table) (CState, error) {
 	// Even C0 should always qualify (zero latencies); defensive fallback.
 	return sorted[len(sorted)-1], nil
 }
-
-// DeepestState returns the Cn entry (largest index).
-func DeepestState(states []CState) CState {
-	if len(states) == 0 {
-		panic("pmu: empty C-state table")
-	}
-	deepest := states[0]
-	for _, st := range states[1:] {
-		if st.Index > deepest.Index {
-			deepest = st
-		}
-	}
-	return deepest
-}

@@ -44,9 +44,6 @@ func (t *SRAMTarget) Save(image []byte) error {
 	return t.Array.Write(0, image)
 }
 
-// Restore reads n bytes back from offset 0.
-func (t *SRAMTarget) Restore(n int) ([]byte, error) { return t.Array.Read(0, n) }
-
 // RestoreInto reads len(dst) bytes back from offset 0 into the caller's
 // buffer, allocating nothing.
 func (t *SRAMTarget) RestoreInto(dst []byte) error { return t.Array.ReadInto(0, dst) }
@@ -72,18 +69,6 @@ func (t *DRAMTarget) Save(image []byte) (sim.Duration, error) {
 	after := t.Engine.Stats()
 	blocks := after.TotalBlocks() - before.TotalBlocks()
 	return t.Engine.Mem().TransferTime(int(blocks)*mee.BlockSize, true), nil
-}
-
-// Restore reads and verifies n bytes from the protected region.
-func (t *DRAMTarget) Restore(n int) ([]byte, sim.Duration, error) {
-	before := t.Engine.Stats()
-	data, err := t.Engine.ReadRegion(n)
-	if err != nil {
-		return nil, 0, err
-	}
-	after := t.Engine.Stats()
-	blocks := after.TotalBlocks() - before.TotalBlocks()
-	return data, t.Engine.Mem().TransferTime(int(blocks)*mee.BlockSize, false), nil
 }
 
 // RestoreInto reads and verifies n bytes from the protected region into

@@ -14,8 +14,9 @@ import (
 
 func TestCStateTableShape(t *testing.T) {
 	states := SkylakeCStates()
-	if DeepestState(states).Name != "C10" {
-		t.Fatalf("deepest = %s", DeepestState(states).Name)
+	c10 := states[len(states)-1]
+	if c10.Name != "C10" {
+		t.Fatalf("deepest = %s", c10.Name)
 	}
 	// Deeper states must cost more to enter and exit.
 	for i := 1; i < len(states); i++ {
@@ -27,7 +28,6 @@ func TestCStateTableShape(t *testing.T) {
 		}
 	}
 	// C10 exit is a few hundred microseconds (§3).
-	c10 := DeepestState(states)
 	if c10.ExitLatency < 100*sim.Microsecond || c10.ExitLatency > sim.Millisecond {
 		t.Fatalf("C10 exit latency = %v", c10.ExitLatency)
 	}
@@ -121,8 +121,8 @@ func TestSRAMTargetRoundTrip(t *testing.T) {
 	if err := tgt.Save(img); err != nil {
 		t.Fatal(err)
 	}
-	back, err := tgt.Restore(len(img))
-	if err != nil {
+	back := make([]byte, len(img))
+	if err := tgt.RestoreInto(back); err != nil {
 		t.Fatal(err)
 	}
 	if string(back) != string(img) {
@@ -169,7 +169,7 @@ func TestDRAMTargetLatenciesMatchPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldTgt := &DRAMTarget{Engine: cold}
-	back, restoreLat, err := coldTgt.Restore(len(img))
+	back, restoreLat, err := coldTgt.RestoreInto(make([]byte, blocks*mee.BlockSize), len(img))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,9 +95,6 @@ func (e Energy) Joules() float64 {
 	return float64(e.PJ)*1e-12 + float64(e.ZJ)*1e-21
 }
 
-// IsZero reports whether the energy is exactly zero.
-func (e Energy) IsZero() bool { return e.PJ == 0 && e.ZJ == 0 }
-
 // energyFor integrates draw[nW] over dt[ps] exactly: the 128-bit product
 // nW*ps is split into picojoules and a zeptojoule remainder.
 func energyFor(drawNW int64, dt sim.Duration) Energy {
@@ -315,49 +312,28 @@ func (m *Meter) NominalPowerMW() float64 {
 // Snapshot captures per-component battery energy at the current instant.
 // Subtracting two snapshots gives the energy spent in an interval.
 type Snapshot struct {
-	At       sim.Time
-	Battery  map[string]Energy
-	NominalE map[string]Energy
+	Battery map[string]Energy
 }
 
 // Snapshot settles and captures all component energies.
 func (m *Meter) Snapshot() Snapshot {
 	m.settleAll()
-	s := Snapshot{
-		At:       m.sched.Now(),
-		Battery:  make(map[string]Energy, len(m.components)),
-		NominalE: make(map[string]Energy, len(m.components)),
-	}
+	s := Snapshot{Battery: make(map[string]Energy, len(m.components))}
 	for _, c := range m.components {
 		s.Battery[c.name] = c.battery
-		s.NominalE[c.name] = c.nominal
 	}
 	return s
 }
 
-// TotalBatteryJ returns the total battery energy in the snapshot in joules.
-// The underlying sum is exact integer arithmetic, so it is order-free.
-func (s Snapshot) TotalBatteryJ() float64 {
-	var t Energy
-	for _, e := range s.Battery {
-		t = t.Add(e)
-	}
-	return t.Joules()
-}
-
 // Interval is the energy spent between two snapshots.
 type Interval struct {
-	Duration sim.Duration
-	ByName   map[string]Energy // exact battery energy per component
+	ByName map[string]Energy // exact battery energy per component
 }
 
 // Since returns the per-component battery energy spent since the earlier
 // snapshot prev. Both snapshots must come from the same meter.
 func (s Snapshot) Since(prev Snapshot) Interval {
-	iv := Interval{
-		Duration: s.At.Sub(prev.At),
-		ByName:   make(map[string]Energy, len(s.Battery)),
-	}
+	iv := Interval{ByName: make(map[string]Energy, len(s.Battery))}
 	for name, e := range s.Battery {
 		iv.ByName[name] = e.Sub(prev.Battery[name])
 	}
@@ -372,12 +348,4 @@ func (iv Interval) TotalJ() float64 {
 		t = t.Add(e)
 	}
 	return t.Joules()
-}
-
-// AverageMW returns the interval's average battery power in milliwatts.
-func (iv Interval) AverageMW() float64 {
-	if iv.Duration <= 0 {
-		return 0
-	}
-	return iv.TotalJ() * 1e3 / iv.Duration.Seconds()
 }

@@ -86,16 +86,6 @@ func (p Profile) AverageMW() float64 {
 	return avg
 }
 
-// ResidencySum returns the sum of residencies (should be 1; exposed for the
-// invariant tests).
-func (p Profile) ResidencySum() float64 {
-	var r float64
-	for _, s := range States() {
-		r += p.Residency[s]
-	}
-	return r
-}
-
 // CycleEnergy describes one idle cycle for break-even analysis: the energy
 // spent transitioning in and out of the idle state, and the idle power that
 // is paid for the duration of the residency.

@@ -99,7 +99,6 @@ type Point struct {
 // Series is a titled sequence of points (one figure curve).
 type Series struct {
 	Title  string
-	XLabel string
 	YLabel string
 	Points []Point
 }

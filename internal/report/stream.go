@@ -47,13 +47,10 @@ type HistBucket struct {
 }
 
 // Hist is a fixed-edge histogram. Edges must be strictly increasing;
-// observations outside [edges[0], edges[last]) are counted in Under/Over
-// so no sample is silently dropped.
+// observations outside [edges[0], edges[last]) fall in no bin.
 type Hist struct {
 	edges  []float64
 	counts []int
-	under  int
-	over   int
 }
 
 // NewHist builds a histogram over the given bin edges (at least two,
@@ -74,7 +71,6 @@ func NewHist(edges ...float64) *Hist {
 // ObserveN adds n samples of value v.
 func (h *Hist) ObserveN(v float64, n int) {
 	if v < h.edges[0] {
-		h.under += n
 		return
 	}
 	// Linear scan: edge tables here are a handful of bins, and the scan
@@ -85,7 +81,6 @@ func (h *Hist) ObserveN(v float64, n int) {
 			return
 		}
 	}
-	h.over += n
 }
 
 // Buckets returns the bins in edge order.
@@ -96,10 +91,6 @@ func (h *Hist) Buckets() []HistBucket {
 	}
 	return out
 }
-
-// Outside reports the samples below the first and at-or-above the last
-// edge.
-func (h *Hist) Outside() (under, over int) { return h.under, h.over }
 
 // flusher is the subset of bufio.Writer-style flushing NDJSON drives
 // after every frame, so a streaming consumer sees each line as soon as

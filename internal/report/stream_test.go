@@ -40,9 +40,6 @@ func TestHist(t *testing.T) {
 			t.Errorf("bucket %d [%g,%g): %d want %d", i, b[i].Lo, b[i].Hi, b[i].Count, w)
 		}
 	}
-	if under, over := h.Outside(); under != 3 || over != 6 {
-		t.Errorf("outside: under=%d over=%d; want 3, 6", under, over)
-	}
 }
 
 func TestHistBadEdges(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package sgx models the memory-controller side of the protected-memory
 // plumbing of §6.2: the processor-reserved memory range registers
-// (Context/SGX RR in Fig. 4) that classify physical addresses, and the
-// allocation of the small context region inside the protected range.
+// (Context/SGX RR in Fig. 4) and the allocation of the small context
+// region inside the protected range.
 package sgx
 
 import (
@@ -16,22 +16,12 @@ type Range struct {
 	Size uint64
 }
 
-// Contains reports whether addr falls inside the range.
-func (r Range) Contains(addr uint64) bool {
-	return addr >= r.Base && addr-r.Base < r.Size
-}
-
-// Overlaps reports whether two ranges intersect.
-func (r Range) Overlaps(o Range) bool {
-	return r.Base < o.Base+o.Size && o.Base < r.Base+r.Size
-}
-
 // End returns the first address after the range.
 func (r Range) End() uint64 { return r.Base + r.Size }
 
-// RangeRegisters is the protected-range classification logic in the memory
-// controller: accesses inside a protected range must be routed through the
-// MEE; everything else goes straight to DRAM.
+// RangeRegisters is the memory controller's protected range: accesses
+// inside it are routed through the MEE, everything else goes straight to
+// DRAM. The model places the range and allocates sub-ranges in it.
 type RangeRegisters struct {
 	prmrr  Range   // processor-reserved (SGX) memory range
 	ranges []Range // sub-ranges in use (context region, enclave pages, ...)
@@ -50,12 +40,6 @@ func NewRangeRegisters(capacityBytes, prmrrSize uint64) (*RangeRegisters, error)
 	base -= base % dram.BlockSize
 	return &RangeRegisters{prmrr: Range{Base: base, Size: prmrrSize}}, nil
 }
-
-// PRMRR returns the processor-reserved memory range.
-func (rr *RangeRegisters) PRMRR() Range { return rr.prmrr }
-
-// Protected reports whether an access to addr must be routed via the MEE.
-func (rr *RangeRegisters) Protected(addr uint64) bool { return rr.prmrr.Contains(addr) }
 
 // Allocate reserves size bytes inside the PRMRR and returns the sub-range.
 // Allocation is a simple bump within the reserved range; the context region
@@ -78,9 +62,4 @@ func (rr *RangeRegisters) Allocate(size uint64) (Range, error) {
 	}
 	rr.ranges = append(rr.ranges, alloc)
 	return alloc, nil
-}
-
-// Allocations returns the allocated sub-ranges.
-func (rr *RangeRegisters) Allocations() []Range {
-	return append([]Range(nil), rr.ranges...)
 }

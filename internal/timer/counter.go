@@ -30,9 +30,6 @@ func NewFastCounter(sched *sim.Scheduler, name string, dom *clock.Domain) *FastC
 	return &FastCounter{name: name, dom: dom, sched: sched}
 }
 
-// Name returns the counter's label.
-func (c *FastCounter) Name() string { return c.name }
-
 // Running reports whether the counter is counting.
 func (c *FastCounter) Running() bool { return c.running }
 
@@ -138,28 +135,6 @@ func NewSlowCounter(sched *sim.Scheduler, name string, osc *clock.Oscillator, st
 	}
 }
 
-// Name returns the counter's label.
-func (c *SlowCounter) Name() string { return c.name }
-
-// Step returns the configured Step value.
-func (c *SlowCounter) Step() fixedpoint.Q { return c.step }
-
-// SetStep reconfigures the Step. Only legal while stopped (recalibration
-// happens with the platform awake).
-func (c *SlowCounter) SetStep(step fixedpoint.Q) error {
-	if c.running {
-		return fmt.Errorf("timer: %s: SetStep while running", c.name)
-	}
-	if step.FracBits != c.step.FracBits {
-		c.acc = fixedpoint.NewAcc(step.FracBits)
-	}
-	c.step = step
-	return nil
-}
-
-// Running reports whether the counter is stepping.
-func (c *SlowCounter) Running() bool { return c.running }
-
 // Load copies v into the integer part (fraction cleared — the hardware
 // copies the fast timer into the upper 64 bits) and starts stepping on
 // edges strictly after now. The protocol calls Load exactly at a 32 kHz
@@ -191,12 +166,6 @@ func (c *SlowCounter) advance() {
 func (c *SlowCounter) Read() uint64 {
 	c.advance()
 	return c.acc.Floor()
-}
-
-// Frac returns the fractional part in raw scaled bits (diagnostics).
-func (c *SlowCounter) Frac() uint64 {
-	c.advance()
-	return c.acc.Frac()
 }
 
 // Stop freezes the counter.

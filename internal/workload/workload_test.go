@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -83,7 +82,8 @@ func TestSweepResidencies(t *testing.T) {
 }
 
 func TestPaperSweepGrid(t *testing.T) {
-	rs := PaperSweep()
+	// The exact §7 grid experiments.PaperGrid sweeps.
+	rs := SweepResidencies(600*sim.Microsecond, sim.Second, 100*sim.Microsecond)
 	// 0.6 ms .. 1000.0 ms at 0.1 ms = 9995 points.
 	if len(rs) != 9995 {
 		t.Fatalf("paper grid = %d points, want 9995", len(rs))
@@ -152,11 +152,12 @@ func TestTraceRoundTrip(t *testing.T) {
 		{Active: 0, Idle: 5 * sim.Second, Wake: WakeExternal},
 		{Active: 2 * sim.Millisecond, Idle: 600 * sim.Microsecond, Wake: WakeThermal},
 	}
-	var buf bytes.Buffer
-	if err := FormatTrace(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseTrace(&buf)
+	const trace = `active_ms,idle_ms,wake
+150.000,30000.000,timer
+0.000,5000.000,external
+2.000,0.600,thermal
+`
+	back, err := ParseTrace(strings.NewReader(trace))
 	if err != nil {
 		t.Fatal(err)
 	}
