@@ -57,19 +57,21 @@ verify: build vet lint harness-vet race
 # detector with the load harness raised to thousands of concurrent jobs
 # against the shared memo plane, then a cold+warm 1000-device fleet
 # (two drifts, three idle jitters) through the CLI against a persistent
-# store (the warm run must adopt from disk, and both runs' JSON
-# "aggregates" blocks must be byte-identical), and a negative
+# store (the warm run must load every run class from disk, and both
+# runs' JSON "aggregates" blocks must be byte-identical), and a negative
 # -workers/-shards, an unknown -format (the retired markdown one too) or
 # -preset, a -memocachedir without -memocache, or a -preset or -devices
 # given with -spec must exit 2 naming the flag, as must a spec file
-# carrying the removed seed_stride or workers field, naming the field. The cold run publishes
-# every run class's records, so the warm run over the store it filled
-# must simulate no cycle at all; steady-state cycles must recur, so the
-# plane may hold at most 64 records per memo class (one record per
-# cycle is ~720 per class). A faulted leg runs the spec plus two devices
-# sharing one fault plan at -shards 8 and 3, whose "aggregates" blocks
-# must be byte-identical, so the shard and fault-exception arithmetic
-# is exercised through the CLI. Run by CI on every push; FLEET_LOAD_JOBS
+# carrying the removed seed_stride or workers field, naming the field. The cold run saves
+# every run class's result, so the warm run over the store it filled
+# must execute no run and simulate no cycle at all; steady-state cycles
+# must recur, so the cold run's plane may hold at most 64 records per
+# memo class (one record per cycle is ~720 per class). A faulted leg
+# runs the spec plus two devices sharing one fault plan at -shards 8
+# and 3, whose "aggregates" blocks must be byte-identical, so the shard
+# and fault-exception arithmetic is exercised through the CLI; its
+# faulted run classes are not in the store, so they must adopt the
+# cycle records the cold run wrote. Run by CI on every push; FLEET_LOAD_JOBS
 # scales the harness.
 FLEET_LOAD_JOBS ?= 2048
 FLEETDIR := $(CURDIR)/.odrips-fleet-smoke
@@ -93,14 +95,15 @@ fleet-smoke:
 	done
 	$(FLEETDIR)/odrips-fleet -spec $(FLEETDIR)/spec.json -memocache rw -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/cold.json
 	$(FLEETDIR)/odrips-fleet -spec $(FLEETDIR)/spec.json -memocache ro -memocachedir $(FLEETDIR)/store -format json -o $(FLEETDIR)/warm.json
-	grep -q '"adopted": [1-9]' $(FLEETDIR)/warm.json || { echo "fleet-smoke: warm run adopted nothing from the memo store"; exit 1; }
+	recs=$$(sed -n 's/^      "records": \([0-9]*\),/\1/p' $(FLEETDIR)/cold.json); \
+	classes=$$(sed -n 's/^    "memo_classes": \([0-9]*\),/\1/p' $(FLEETDIR)/cold.json); \
 	sim=$$(sed -n 's/^    "simulated_cycles": \([0-9]*\),/\1/p' $(FLEETDIR)/warm.json); \
-	recs=$$(sed -n 's/^      "records": \([0-9]*\),/\1/p' $(FLEETDIR)/warm.json); \
-	classes=$$(sed -n 's/^    "memo_classes": \([0-9]*\),/\1/p' $(FLEETDIR)/warm.json); \
-	if [ -z "$$sim" ] || [ -z "$$recs" ] || [ -z "$$classes" ] || [ $$sim -ne 0 ] || [ $$recs -gt $$(( 64 * classes )) ]; then \
-		echo "fleet-smoke: warm run simulated '$$sim' cycles over '$$recs' plane records in '$$classes' memo classes; want 0 cycles and at most 64 records per class"; exit 1; \
+	runs=$$(sed -n 's/^    "run_classes": \([0-9]*\),/\1/p' $(FLEETDIR)/warm.json); \
+	loaded=$$(sed -n 's/^    "loaded_runs": \([0-9]*\),/\1/p' $(FLEETDIR)/warm.json); \
+	if [ -z "$$sim" ] || [ -z "$$recs" ] || [ -z "$$classes" ] || [ -z "$$runs" ] || [ $$sim -ne 0 ] || [ "$$loaded" != "$$runs" ] || [ $$recs -gt $$(( 64 * classes )) ]; then \
+		echo "fleet-smoke: cold run recorded '$$recs' plane records in '$$classes' memo classes, warm run loaded '$$loaded' of '$$runs' run classes and simulated '$$sim' cycles; want at most 64 records per class, every run class loaded, 0 cycles"; exit 1; \
 	fi; \
-	echo "fleet-smoke: warm run simulated $$sim cycles, $$recs plane records in $$classes memo classes"
+	echo "fleet-smoke: cold run recorded $$recs plane records in $$classes memo classes; warm run loaded $$loaded of $$runs run classes, simulated $$sim cycles"
 	sed -n '/^  "aggregates"/,/^  "memo"/p' $(FLEETDIR)/cold.json > $(FLEETDIR)/cold.agg
 	sed -n '/^  "aggregates"/,/^  "memo"/p' $(FLEETDIR)/warm.json > $(FLEETDIR)/warm.agg
 	test -s $(FLEETDIR)/cold.agg && cmp $(FLEETDIR)/cold.agg $(FLEETDIR)/warm.agg || { echo "fleet-smoke: cold and warm aggregates differ"; exit 1; }
@@ -110,6 +113,7 @@ fleet-smoke:
 		sed -n '/^  "aggregates"/,/^  "memo"/p' $(FLEETDIR)/faults$$shards.json > $(FLEETDIR)/faults$$shards.agg; \
 	done
 	test -s $(FLEETDIR)/faults8.agg && cmp $(FLEETDIR)/faults8.agg $(FLEETDIR)/faults3.agg || { echo "fleet-smoke: faulted aggregates differ between -shards 8 and 3"; exit 1; }
+	grep -q '"adopted": [1-9]' $(FLEETDIR)/faults8.json || { echo "fleet-smoke: the faulted run classes adopted nothing from the memo store"; exit 1; }
 	@rm -rf $(FLEETDIR)
 	@echo fleet-smoke OK
 
@@ -167,8 +171,10 @@ server-smoke:
 # it read-only under
 # -fastforward verify — every adopted cycle record is re-simulated and
 # diffed, every adopted MEE op record re-executed and diffed, every
-# stored sweep and transition point recomputed and bit-compared — and
-# require byte-identical stdout. A warm rerun of -exp all,fleet with
+# stored point (sweep, transition, wake-latency sample, coalescing and
+# MEE cache row) recomputed and compared byte for byte — and require
+# byte-identical stdout. The rw rerun's 0 misses cover every point
+# class too. A warm rerun of -exp all,fleet with
 # -memostats must show exactly one platform template built: every -exp
 # all platform and every fleet run class shares the presets' seed's
 # context image and formatted MEE tree. A storeless
@@ -182,7 +188,9 @@ server-smoke:
 # bound. The
 # fleet leg does the same with a jittered 2,000-device fleet, whose
 # adopted records replay across drifts and idle jitters, and compares
-# the two runs' JSON "aggregates" blocks. One binary serves each store,
+# the two runs' JSON "aggregates" blocks, then reruns warm read-only:
+# that run must load every run class's result ("loaded_runs" equals
+# "run_classes") and report the fill's aggregates. One binary serves each store,
 # so the store's build fingerprint matches. The retired -memocache
 # verify mode must exit 2 naming its replacement. Last, the
 # tamper-detection example must catch all three of its attacks: they
@@ -227,6 +235,15 @@ memo-verify-smoke:
 	sed -n '/^  "aggregates"/,/^  "memo"/p' $(VERIFYDIR)/fleet-fill.json > $(VERIFYDIR)/fleet-fill.agg
 	sed -n '/^  "aggregates"/,/^  "memo"/p' $(VERIFYDIR)/fleet-audit.json > $(VERIFYDIR)/fleet-audit.agg
 	test -s $(VERIFYDIR)/fleet-fill.agg && cmp $(VERIFYDIR)/fleet-fill.agg $(VERIFYDIR)/fleet-audit.agg || { echo "memo-verify-smoke: fleet fill and audit aggregates differ"; exit 1; }
+	$(VERIFYDIR)/odrips-fleet -spec $(VERIFYDIR)/fleet.json -memocache ro -memocachedir $(VERIFYDIR)/fleetstore -format json -o $(VERIFYDIR)/fleet-warm.json
+	sed -n '/^  "aggregates"/,/^  "memo"/p' $(VERIFYDIR)/fleet-warm.json > $(VERIFYDIR)/fleet-warm.agg
+	cmp $(VERIFYDIR)/fleet-fill.agg $(VERIFYDIR)/fleet-warm.agg || { echo "memo-verify-smoke: fleet fill and warm aggregates differ"; exit 1; }
+	runs=$$(sed -n 's/^    "run_classes": \([0-9]*\),/\1/p' $(VERIFYDIR)/fleet-warm.json); \
+	loaded=$$(sed -n 's/^    "loaded_runs": \([0-9]*\),/\1/p' $(VERIFYDIR)/fleet-warm.json); \
+	if [ -z "$$runs" ] || [ "$$loaded" != "$$runs" ]; then \
+		echo "memo-verify-smoke: the warm fleet run loaded '$$loaded' of '$$runs' run classes"; exit 1; \
+	fi; \
+	echo "memo-verify-smoke: the warm fleet run loaded $$loaded of $$runs run classes"
 	code=0; $(VERIFYDIR)/odrips-bench -exp none -memocache verify -memocachedir $(VERIFYDIR)/store > /dev/null 2> $(VERIFYDIR)/retired.txt || code=$$?; \
 	if [ $$code -ne 2 ] || ! grep -q -e '-fastforward verify' $(VERIFYDIR)/retired.txt; then \
 		echo "memo-verify-smoke: -memocache verify exited $$code, want 2 naming -fastforward verify:"; cat $(VERIFYDIR)/retired.txt; exit 1; \

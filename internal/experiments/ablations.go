@@ -20,12 +20,11 @@ import (
 
 // MEECacheRow is one cache size of the MEE ablation.
 type MEECacheRow struct {
-	Lines        int
-	SaveBlocks   uint64
-	RestoreBlcks uint64
-	SaveLat      sim.Duration
-	RestoreLat   sim.Duration
-	HitRatePct   float64
+	Lines      int
+	SaveBlocks uint64
+	SaveLat    sim.Duration
+	RestoreLat sim.Duration
+	HitRatePct float64
 }
 
 // MEECacheAblation sweeps the MEE metadata cache size and reports context
@@ -36,55 +35,86 @@ type MEECacheAblation struct {
 
 // AblationMEECache runs the sweep.
 func (rt *Runtime) AblationMEECache() (*MEECacheAblation, error) {
+	sizes := []int{16, 32, 64, 128, 256, 512}
+	rows, err := RunPoints(rt, len(sizes),
+		func(i int) string { return fmt.Sprintf("%d cache lines", sizes[i]) },
+		func(i int) (MEECacheRow, error) {
+			row, _, err := meeCacheMemo.Get(rt, meeCacheKey{lines: sizes[i]}, func() (MEECacheRow, error) {
+				return meeCachePoint(sizes[i])
+			})
+			return row, err
+		})
+	if err != nil {
+		return nil, err
+	}
+	return &MEECacheAblation{Rows: rows}, nil
+}
+
+// meeCacheKey identifies one row by its cache size.
+type meeCacheKey struct{ lines int }
+
+// StoreKey renders the row's stable store key.
+func (k meeCacheKey) StoreKey() []byte { return fmt.Appendf(nil, "lines=%d", k.lines) }
+
+var meeCacheMemo = PointMemo[meeCacheKey, MEECacheRow]{
+	Class: "meecache",
+	Encode: func(r MEECacheRow) []byte {
+		var e MemoEncoder
+		e.U64(uint64(r.Lines))
+		e.U64(r.SaveBlocks)
+		e.U64(uint64(r.SaveLat))
+		e.U64(uint64(r.RestoreLat))
+		e.F64(r.HitRatePct)
+		return e.Bytes()
+	},
+	Decode: func(b []byte) (MEECacheRow, bool) {
+		d := NewMemoDecoder(b)
+		r := MEECacheRow{Lines: int(d.U64()), SaveBlocks: d.U64(), SaveLat: sim.Duration(d.U64()), RestoreLat: sim.Duration(d.U64()), HitRatePct: d.F64()}
+		return r, d.Done()
+	},
+}
+
+// meeCachePoint saves the ~196 KiB context through an MEE with the given
+// cache size and restores it through a cold import of the saved state.
+func meeCachePoint(lines int) (MEECacheRow, error) {
 	const dataBlocks = 3141 // the serialized ~196 KiB context
 	payload := make([]byte, dataBlocks*mee.BlockSize)
 	rand.New(rand.NewSource(99)).Read(payload)
 	var key [32]byte
 	key[0] = 0x5A
 
-	sizes := []int{16, 32, 64, 128, 256, 512}
-	rows, err := RunPoints(rt, len(sizes),
-		func(i int) string { return fmt.Sprintf("%d cache lines", sizes[i]) },
-		func(i int) (MEECacheRow, error) {
-			lines := sizes[i]
-			mem := dram.New(dram.Skylake8GB())
-			eng, err := mee.New(mem, 0x1000_0000, dataBlocks, key, lines)
-			if err != nil {
-				return MEECacheRow{}, err
-			}
-			eng.ResetStats()
-			if err := eng.WriteRegion(payload); err != nil {
-				return MEECacheRow{}, err
-			}
-			if err := eng.Flush(); err != nil {
-				return MEECacheRow{}, err
-			}
-			ws := eng.Stats()
-			cold, err := mee.ImportState(mem, eng.ExportState(), lines)
-			if err != nil {
-				return MEECacheRow{}, err
-			}
-			if _, err := cold.ReadRegion(len(payload)); err != nil {
-				return MEECacheRow{}, err
-			}
-			rs := cold.Stats()
-			hitPct := 0.0
-			if ws.CacheHits+ws.CacheMisses > 0 {
-				hitPct = 100 * float64(ws.CacheHits) / float64(ws.CacheHits+ws.CacheMisses)
-			}
-			return MEECacheRow{
-				Lines:        lines,
-				SaveBlocks:   ws.TotalBlocks(),
-				RestoreBlcks: rs.TotalBlocks(),
-				SaveLat:      mem.TransferTime(int(ws.TotalBlocks())*mee.BlockSize, true),
-				RestoreLat:   mem.TransferTime(int(rs.TotalBlocks())*mee.BlockSize, false),
-				HitRatePct:   hitPct,
-			}, nil
-		})
+	mem := dram.New(dram.Skylake8GB())
+	eng, err := mee.New(mem, 0x1000_0000, dataBlocks, key, lines)
 	if err != nil {
-		return nil, err
+		return MEECacheRow{}, err
 	}
-	return &MEECacheAblation{Rows: rows}, nil
+	eng.ResetStats()
+	if err := eng.WriteRegion(payload); err != nil {
+		return MEECacheRow{}, err
+	}
+	if err := eng.Flush(); err != nil {
+		return MEECacheRow{}, err
+	}
+	ws := eng.Stats()
+	cold, err := mee.ImportState(mem, eng.ExportState(), lines)
+	if err != nil {
+		return MEECacheRow{}, err
+	}
+	if _, err := cold.ReadRegion(len(payload)); err != nil {
+		return MEECacheRow{}, err
+	}
+	rs := cold.Stats()
+	hitPct := 0.0
+	if ws.CacheHits+ws.CacheMisses > 0 {
+		hitPct = 100 * float64(ws.CacheHits) / float64(ws.CacheHits+ws.CacheMisses)
+	}
+	return MEECacheRow{
+		Lines:      lines,
+		SaveBlocks: ws.TotalBlocks(),
+		SaveLat:    mem.TransferTime(int(ws.TotalBlocks())*mee.BlockSize, true),
+		RestoreLat: mem.TransferTime(int(rs.TotalBlocks())*mee.BlockSize, false),
+		HitRatePct: hitPct,
+	}, nil
 }
 
 // Table renders the cache ablation.

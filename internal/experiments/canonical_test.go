@@ -72,14 +72,14 @@ func TestCanonicalDedupAcrossExperiments(t *testing.T) {
 	if _, err := rt.sweepAverage(base, 2*sim.Millisecond, 1); err != nil {
 		t.Fatal(err)
 	}
-	entries := rt.sweep.Len()
+	entries := rt.pointCache("sweep").Len()
 
 	tdpRow := base
 	tdpRow.TDPWatts = 15 // the TDP study's calibration row
 	if _, err := rt.sweepAverage(tdpRow, 2*sim.Millisecond, 1); err != nil {
 		t.Fatal(err)
 	}
-	if after := rt.sweep.Len(); after != entries {
+	if after := rt.pointCache("sweep").Len(); after != entries {
 		t.Errorf("equivalent config added %d cache entries; want a hit", after-entries)
 	}
 }

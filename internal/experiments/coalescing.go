@@ -14,7 +14,6 @@ import (
 // CoalescingRow is one buffer size of the Observation-1 study.
 type CoalescingRow struct {
 	Label        string
-	BufferKiB    int
 	WakesPerHour float64
 	AvgMW        float64
 	IdlePct      float64
@@ -48,15 +47,44 @@ func (rt *Runtime) WakeCoalescing() (*CoalescingResult, error) {
 		},
 		func(i int) (CoalescingRow, error) {
 			if i == len(sizes) {
-				return rt.coalescingGatedPoint()
+				row, _, err := coalesceMemo.Get(rt, coalesceKey{}, rt.coalescingGatedPoint)
+				return row, err
 			}
-			row, _, err := rt.coalescingPoint(sizes[i])
+			row, _, err := coalesceMemo.Get(rt, coalesceKey{rxKiB: sizes[i]}, func() (CoalescingRow, error) {
+				row, _, err := rt.coalescingPoint(sizes[i])
+				return row, err
+			})
 			return row, err
 		})
 	if err != nil {
 		return nil, err
 	}
 	return &CoalescingResult{Rows: rows}, nil
+}
+
+// coalesceKey identifies one row by its NIC RX buffer; 0 is the
+// LTR-gated audio row, which runs no NIC.
+type coalesceKey struct{ rxKiB int }
+
+// StoreKey renders the row's stable store key.
+func (k coalesceKey) StoreKey() []byte { return fmt.Appendf(nil, "rx=%dKiB", k.rxKiB) }
+
+var coalesceMemo = PointMemo[coalesceKey, CoalescingRow]{
+	Class: "coalesce",
+	Encode: func(r CoalescingRow) []byte {
+		var e MemoEncoder
+		e.Str(r.Label)
+		e.F64(r.WakesPerHour)
+		e.F64(r.AvgMW)
+		e.F64(r.IdlePct)
+		e.U64(r.Overflows)
+		return e.Bytes()
+	},
+	Decode: func(b []byte) (CoalescingRow, bool) {
+		d := NewMemoDecoder(b)
+		r := CoalescingRow{Label: d.Str(), WakesPerHour: d.F64(), AvgMW: d.F64(), IdlePct: d.F64(), Overflows: d.U64()}
+		return r, d.Done()
+	},
 }
 
 // coalescingPoint runs one RX buffer size, reporting its row and what the
@@ -90,7 +118,6 @@ func (rt *Runtime) coalescingPoint(bufKiB int) (CoalescingRow, platform.FFStats,
 	_, _, overflows := nic.Stats()
 	return CoalescingRow{
 		Label:        fmt.Sprintf("%d KiB RX buffer", bufKiB),
-		BufferKiB:    bufKiB,
 		WakesPerHour: float64(wakes) / res.Duration.Seconds() * 3600,
 		AvgMW:        res.AvgPowerMW,
 		IdlePct:      100 * res.Residency[power.Idle],

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"encoding/binary"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -32,7 +34,7 @@ func TestPointMemoPersists(t *testing.T) {
 	simulate := func() (uint64, error) { computes++; return 0x5eed, nil }
 
 	rw, rt := openRuntime(t, dir, memostore.RW, platform.FFOn)
-	got, err := rt.pointMemo(rt.sweep, "sweep", key, simulate)
+	got, _, err := sweepMemo.Get(rt, key, simulate)
 	if err != nil || got != 0x5eed || computes != 1 {
 		t.Fatalf("cold point: got=%#x err=%v computes=%d", got, err, computes)
 	}
@@ -41,7 +43,7 @@ func TestPointMemoPersists(t *testing.T) {
 	}
 
 	ro, rt := openRuntime(t, dir, memostore.RO, platform.FFOn)
-	got, err = rt.pointMemo(rt.sweep, "sweep", key, simulate)
+	got, _, err = sweepMemo.Get(rt, key, simulate)
 	if err != nil || got != 0x5eed || computes != 1 {
 		t.Fatalf("stored point: got=%#x err=%v computes=%d", got, err, computes)
 	}
@@ -59,19 +61,19 @@ func TestPointMemoVerifyRecomputesStored(t *testing.T) {
 	var stored [8]byte
 	binary.LittleEndian.PutUint64(stored[:], 42)
 	rw, _ := openRuntime(t, dir, memostore.RW, platform.FFOn)
-	rw.Save("sweep", key.diskKey(), stored[:])
+	rw.Save("sweep", key.StoreKey(), stored[:])
 
 	ro, rt := openRuntime(t, dir, memostore.RO, platform.FFVerify)
 	computes := 0
-	got, err := rt.pointMemo(rt.sweep, "sweep", key, func() (uint64, error) { computes++; return 42, nil })
+	got, _, err := sweepMemo.Get(rt, key, func() (uint64, error) { computes++; return 42, nil })
 	if err != nil || got != 42 || computes != 1 {
 		t.Fatalf("verify over stored point: got=%d err=%v computes=%d", got, err, computes)
 	}
 	if st := ro.Stats(); st.Hits == 0 {
 		t.Fatalf("verify never compared against the stored entry: %+v", st)
 	}
-	rt.sweep.Reset() // the in-process cache serves the first result: compare against the store again
-	if _, err := rt.pointMemo(rt.sweep, "sweep", key, func() (uint64, error) { return 43, nil }); err == nil {
+	rt.pointCache("sweep").Reset() // the in-process cache serves the first result: compare against the store again
+	if _, _, err := sweepMemo.Get(rt, key, func() (uint64, error) { return 43, nil }); err == nil {
 		t.Fatal("verify accepted a point that diverged from the stored entry")
 	}
 }
@@ -91,7 +93,7 @@ func TestPointMemoVerifyDetectsTamper(t *testing.T) {
 	}
 	planted := 0
 	for _, r := range workload.SweepResidencies(o.Lo, o.Hi, o.Step) {
-		key := pointKey{cfg: platform.CanonicalConfig(base), residency: r, cycles: o.CyclesPerPoint}.diskKey()
+		key := pointKey{cfg: platform.CanonicalConfig(base), residency: r, cycles: o.CyclesPerPoint}.StoreKey()
 		payload, ok, err := rw.Load("sweep", key)
 		if err != nil || !ok {
 			continue
@@ -111,5 +113,73 @@ func TestPointMemoVerifyDetectsTamper(t *testing.T) {
 	}
 	if _, _, err := NewRuntime(platform.NewMemoPlane(ro, 0), platform.FFVerify, 0).SweepBreakEven(base, opt, o); err == nil || !strings.Contains(err.Error(), "point diverged from persistent memo") {
 		t.Fatalf("verify accepted a tampered sweep point (err=%v)", err)
+	}
+}
+
+// fillEveryField sets v — a struct's every field, or v itself — to
+// distinct nonzero values by reflection.
+func fillEveryField(t *testing.T, v reflect.Value, seed int) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			fillEveryField(t, v.Field(i), seed+i+1)
+		}
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(1000 + seed))
+	case reflect.Uint64:
+		v.SetUint(uint64(2000 + seed))
+	case reflect.Float64:
+		v.SetFloat(0.25 + float64(seed))
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", seed))
+	default:
+		t.Fatalf("%v: kind %v has no filler; extend this test and the codec", v.Type(), v.Kind())
+	}
+}
+
+// checkCodec round-trips a fully set value through m's codec, so a
+// field the codec does not carry fails, and checks the decoder takes
+// only canonical payloads.
+func checkCodec[K MemoKey, T any](t *testing.T, m PointMemo[K, T]) {
+	t.Helper()
+	var v T
+	fillEveryField(t, reflect.ValueOf(&v).Elem(), 0)
+	payload := m.Encode(v)
+	got, ok := m.Decode(payload)
+	if !ok || !reflect.DeepEqual(got, v) {
+		t.Fatalf("%s round trip: ok=%v\n got %+v\nwant %+v", m.Class, ok, got, v)
+	}
+	if again := m.Encode(got); string(again) != string(payload) {
+		t.Errorf("%s: re-encoding a decoded value changed its bytes", m.Class)
+	}
+	for _, bad := range [][]byte{payload[:len(payload)-1], append(append([]byte(nil), payload...), 0)} {
+		if _, ok := m.Decode(bad); ok {
+			t.Errorf("%s: decoder accepted a %d-byte payload (canonical %d)", m.Class, len(bad), len(payload))
+		}
+	}
+}
+
+// TestPointMemoCodecsCoverEveryField runs checkCodec over every memo
+// class of this package; sweep and trans keep their one little-endian
+// word.
+func TestPointMemoCodecsCoverEveryField(t *testing.T) {
+	checkCodec(t, sweepMemo)
+	checkCodec(t, transMemo)
+	checkCodec(t, wakeLatMemo)
+	checkCodec(t, coalesceMemo)
+	checkCodec(t, meeCacheMemo)
+	for _, m := range []PointMemo[pointKey, uint64]{sweepMemo, transMemo} {
+		if b := m.Encode(0x0102030405060708); len(b) != 8 || binary.LittleEndian.Uint64(b) != 0x0102030405060708 {
+			t.Errorf("%s payload %x: want the 8-byte little-endian word", m.Class, b)
+		}
+	}
+	for _, pc := range pointClasses {
+		if _, err := pointCacheOf[pointKey, uint64](NewRuntime(nil, platform.FFOn, 0), pc.class); err != nil {
+			t.Errorf("class %q: %v", pc.class, err)
+		}
+	}
+	if _, err := pointCacheOf[pointKey, uint64](NewRuntime(nil, platform.FFOn, 0), "nosuch"); err == nil {
+		t.Error("an unknown memo class got a cache")
 	}
 }

@@ -14,11 +14,9 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
-	"odrips/internal/lru"
 	"odrips/internal/platform"
 	"odrips/internal/power"
 	"odrips/internal/sim"
@@ -92,79 +90,30 @@ func PaperGrid() SweepOptions {
 	}
 }
 
-// ---- Point memos ----
-//
-// Sweep comparisons re-simulate the same (config, residency, cycles)
-// points constantly: SweepBreakEven holds its baseline fixed across every
-// comparison row of Fig. 6(a)/(d), so the base half of each sweep is the
-// same grid re-evaluated per row. Config is a pure value type (see the
-// comparability guard in internal/platform), so points memoize on the
-// exact triple. Simulations are deterministic, which makes the memo
-// transparent: a hit is bit-identical to a recompute.
-//
-// A point is one 8-byte word — the sweep average's Float64bits or the
-// transition duration — held by a bounded in-process cache and
-// round-tripped through the content-addressed memo store (-memocache),
-// keyed by the canonical config's exact Go representation plus the grid
-// coordinates, so a warm process skips the simulations entirely. Under
-// -fastforward=verify a stored point is re-simulated and must match to
-// the last bit.
-
-// pointKey identifies one point, keyed by the config's canonical
-// fingerprint class rather than the literal config. Transition times
-// are keyed with zero residency and cycles.
+// pointKey identifies one sweep point or, with zero residency and
+// cycles, one configuration's transition time, keyed by the config's
+// canonical class rather than the literal config.
 type pointKey struct {
 	cfg       platform.Config
 	residency sim.Duration
 	cycles    int
 }
 
-// diskKey renders the point's stable store key.
-func (k pointKey) diskKey() []byte {
+// StoreKey renders the point's stable store key: the canonical config's
+// exact Go representation plus the grid coordinates.
+func (k pointKey) StoreKey() []byte {
 	return []byte(fmt.Sprintf("%#v|res=%d|n=%d", k.cfg, int64(k.residency), k.cycles))
 }
 
-// pointMemo serves one point from cache, then from the store under
-// class, and on a miss simulates it, saves it and caches it. A store
-// failure — no store, miss, corruption, wrong size — is a miss. Sweep
-// workers that reach the same cold point together each simulate it —
-// byte-identical bits, since points are deterministic — and the last save
-// wins. Under -fastforward=verify no stored point is trusted: a point the
-// cache lacks is re-simulated and diffed against the stored bits.
-func (rt *Runtime) pointMemo(cache *lru.Cache[pointKey, uint64], class string, key pointKey, simulate func() (uint64, error)) (uint64, error) {
-	if bits, ok := cache.Get(key); ok {
-		return bits, nil
-	}
-	diskKey := key.diskKey()
-	load := func() (uint64, bool) {
-		payload, ok, err := rt.Store().Load(class, diskKey)
-		if err != nil || !ok || len(payload) != 8 {
-			return 0, false
-		}
-		return binary.LittleEndian.Uint64(payload), true
-	}
-	if rt.ff != platform.FFVerify {
-		if bits, ok := load(); ok {
-			cache.Put(key, bits)
-			return bits, nil
-		}
-	}
-	bits, err := simulate()
-	if err != nil {
-		return 0, err
-	}
-	if rt.ff == platform.FFVerify {
-		if stored, ok := load(); ok && stored != bits {
-			return 0, fmt.Errorf("experiments: fastforward verify: %s point diverged from persistent memo (stored %#x, computed %#x)", class, stored, bits)
-		}
-	} else {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], bits)
-		rt.Store().Save(class, diskKey, b[:])
-	}
-	cache.Put(key, bits)
-	return bits, nil
-}
+// Sweep comparisons re-evaluate the same points constantly:
+// SweepBreakEven holds its baseline fixed across every comparison row of
+// Fig. 6(a)/(d), so the base half of each sweep is the same grid per
+// row. The sweep average's Float64bits and the transition duration in
+// ps are each one 8-byte word.
+var (
+	sweepMemo = wordMemo[pointKey]("sweep")
+	transMemo = wordMemo[pointKey]("trans")
+)
 
 // sweepAverage measures the average power of the idle cycle — entry, idle
 // residency, and exit, excluding the identical active burst — with the
@@ -175,7 +124,7 @@ func (rt *Runtime) pointMemo(cache *lru.Cache[pointKey, uint64], class string, k
 // sub-millisecond residencies.
 func (rt *Runtime) sweepAverage(cfg platform.Config, residency sim.Duration, cycles int) (float64, error) {
 	key := pointKey{cfg: platform.CanonicalConfig(cfg), residency: residency, cycles: cycles}
-	bits, err := rt.pointMemo(rt.sweep, "sweep", key, func() (uint64, error) {
+	bits, _, err := sweepMemo.Get(rt, key, func() (uint64, error) {
 		cfg.ForceDeepest = true
 		p, err := rt.NewPlatform(cfg)
 		if err != nil {
@@ -202,7 +151,7 @@ func (rt *Runtime) sweepAverage(cfg platform.Config, residency sim.Duration, cyc
 // the sweep can hold the wake period fixed across configurations.
 func (rt *Runtime) transitionTime(cfg platform.Config) (sim.Duration, error) {
 	key := pointKey{cfg: platform.CanonicalConfig(cfg)}
-	bits, err := rt.pointMemo(rt.trans, "trans", key, func() (uint64, error) {
+	bits, _, err := transMemo.Get(rt, key, func() (uint64, error) {
 		cfg.ForceDeepest = true
 		p, err := rt.NewPlatform(cfg)
 		if err != nil {

@@ -11,17 +11,37 @@ import (
 	"odrips/internal/report"
 )
 
-// Point-memo capacity bounds. The full paper sweep touches ~10,000
-// residencies per configuration half and a comparison row holds two
-// halves, so 1<<16 sweep entries cover every in-repo workload with slack;
-// transition times are one per configuration class. Eviction is safe by
-// construction — a hit is bit-identical to a recompute — so an undersized
-// bound costs recomputation time, never correctness, and the lru counters
-// (PointCacheStats) say when that is happening.
-const (
-	sweepCacheCap = 1 << 16
-	transCacheCap = 1 << 10
-)
+// pointClasses are the point-memo classes (memo.go), in -memostats row
+// order, each with the bound of its in-process cache. The full paper
+// sweep touches ~10,000 residencies per configuration half and a
+// comparison row holds two halves, so 1<<16 sweep entries cover every
+// in-repo workload with slack; transition times are one per
+// configuration class; -exp all takes 80 wake-latency samples and six
+// rows each of coalescing and the MEE cache ablation; a fleet job holds
+// one run class per slot of its spread's period plus one per fault
+// plan. Eviction is safe by construction — a hit is bit-identical to a
+// recompute — so an undersized bound costs recomputation time, never
+// correctness, and the lru counters (MemoStats) say when that is
+// happening.
+var pointClasses = [...]struct {
+	class, row string
+	cap        int
+}{
+	{"sweep", "sweep point cache", 1 << 16},
+	{"trans", "transition cache", 1 << 10},
+	{"wakelat", "wake latency samples", 1 << 8},
+	{"coalesce", "coalescing rows", 1 << 6},
+	{"meecache", "MEE cache rows", 1 << 6},
+	{"run", "fleet run classes", 1 << 12},
+}
+
+// memoCache is what the runtime reads of a class's typed cache.
+type memoCache interface {
+	Reset()
+	Stats() lru.Stats
+	Len() int
+	Cap() int
+}
 
 // Runtime is the state every experiment runs under, passed as a value:
 // the cycle-memo plane every platform it builds joins (and, through it,
@@ -29,17 +49,18 @@ const (
 // fast-forward mode, the worker-pool size, and the bounded in-process
 // point memos. None of it reaches a result — every output is
 // byte-identical under any store, mode or worker count — so two runtimes
-// can run side by side in one process without interfering. The point caches are a pure, deterministic memo
-// (a hit is bit-identical to a recompute), LRU-bounded so fleet-scale
-// key streams stay O(capacity).
+// can run side by side in one process without interfering. The point
+// caches are a pure, deterministic memo (a hit is bit-identical to a
+// recompute), one per class, LRU-bounded so fleet-scale key streams stay
+// O(capacity).
 type Runtime struct {
 	plane     *platform.MemoPlane
 	templates *platform.Templates
 	ff        platform.FFMode
 	workers   int // <= 0: runtime.GOMAXPROCS(0) at each call
 
-	sweep *lru.Cache[pointKey, uint64] // average mW per point, as Float64bits
-	trans *lru.Cache[pointKey, uint64] // entry+exit per config, in ps
+	memoMu sync.Mutex
+	memos  map[string]memoCache // by class, each built on first use
 }
 
 // NewRuntime builds a runtime over plane (nil: a fresh storeless plane)
@@ -55,8 +76,7 @@ func NewRuntime(plane *platform.MemoPlane, ff platform.FFMode, workers int) *Run
 		templates: platform.NewTemplates(),
 		ff:        ff,
 		workers:   workers,
-		sweep:     lru.New[pointKey, uint64](sweepCacheCap),
-		trans:     lru.New[pointKey, uint64](transCacheCap),
+		memos:     make(map[string]memoCache, len(pointClasses)),
 	}
 }
 
@@ -122,55 +142,73 @@ func Default() *Runtime {
 	return std.rt
 }
 
-// ResetPointCache drops Default()'s memoized sweep points and transition
-// times and zeroes their counters. It and PointCacheStats exist for the
+// ResetPointCache drops every point Default() memoized, of every class,
+// and zeroes their counters. It and PointCacheStats exist for the
 // benchmark harness in _perfbench/, which drives the default runtime;
 // programs build their own Runtime instead.
 func ResetPointCache() {
 	rt := Default()
-	rt.sweep.Reset()
-	rt.trans.Reset()
+	rt.memoMu.Lock()
+	defer rt.memoMu.Unlock()
+	for _, c := range rt.memos {
+		c.Reset()
+	}
+}
+
+// pointCache returns rt's cache of class, or nil before its first use.
+func (rt *Runtime) pointCache(class string) memoCache {
+	rt.memoMu.Lock()
+	defer rt.memoMu.Unlock()
+	return rt.memos[class]
+}
+
+// pointStats reads class's counters, size and bound; a class not used
+// yet reads zero of its bound.
+func (rt *Runtime) pointStats(class string) (st lru.Stats, n, capacity int) {
+	if c := rt.pointCache(class); c != nil {
+		return c.Stats(), c.Len(), c.Cap()
+	}
+	for _, pc := range pointClasses {
+		if pc.class == class {
+			capacity = pc.cap
+		}
+	}
+	return lru.Stats{}, 0, capacity
 }
 
 // PointCacheStats reports Default()'s point-memo counters.
 func PointCacheStats() PointMemoStats { return Default().PointCacheStats() }
 
-// PointMemoStats snapshots the in-process point-memo caches: counters
-// since the runtime was built plus current sizes against their bounds.
+// PointMemoStats snapshots the sweep and transition point caches:
+// counters since the runtime was built plus current sizes against their
+// bounds. MemoStats reports every class.
 type PointMemoStats struct {
 	Sweep, Trans       lru.Stats
 	SweepLen, TransLen int
 	SweepCap, TransCap int
 }
 
-// PointCacheStats reports the point-memo cache counters; odrips-bench
-// -memostats surfaces them.
+// PointCacheStats reports the sweep and transition cache counters.
 func (rt *Runtime) PointCacheStats() PointMemoStats {
-	return PointMemoStats{
-		Sweep:    rt.sweep.Stats(),
-		Trans:    rt.trans.Stats(),
-		SweepLen: rt.sweep.Len(),
-		TransLen: rt.trans.Len(),
-		SweepCap: rt.sweep.Cap(),
-		TransCap: rt.trans.Cap(),
-	}
+	var pc PointMemoStats
+	pc.Sweep, pc.SweepLen, pc.SweepCap = rt.pointStats(sweepMemo.Class)
+	pc.Trans, pc.TransLen, pc.TransCap = rt.pointStats(transMemo.Class)
+	return pc
 }
 
 // MemoStats renders every memo layer's counters — the bounded in-process
-// point caches, the platform templates, the runtime's cycle memo plane,
-// and the persistent store — as one table (odrips-bench -memostats prints
-// it after the selected experiments run).
+// point caches, one row per class, the platform templates, the runtime's
+// cycle memo plane, and the persistent store — as one table (odrips-bench
+// -memostats prints it after the selected experiments run).
 func (rt *Runtime) MemoStats() *report.Table {
 	t := report.NewTable("Memo statistics", "layer", "hits", "misses", "size", "detail")
-	pc := rt.PointCacheStats()
-	t.AddRow("sweep point cache",
-		fmt.Sprintf("%d", pc.Sweep.Hits), fmt.Sprintf("%d", pc.Sweep.Misses),
-		fmt.Sprintf("%d/%d", pc.SweepLen, pc.SweepCap),
-		fmt.Sprintf("%d evictions", pc.Sweep.Evictions))
-	t.AddRow("transition cache",
-		fmt.Sprintf("%d", pc.Trans.Hits), fmt.Sprintf("%d", pc.Trans.Misses),
-		fmt.Sprintf("%d/%d", pc.TransLen, pc.TransCap),
-		fmt.Sprintf("%d evictions", pc.Trans.Evictions))
+	for _, pc := range pointClasses {
+		st, n, capacity := rt.pointStats(pc.class)
+		t.AddRow(pc.row,
+			fmt.Sprintf("%d", st.Hits), fmt.Sprintf("%d", st.Misses),
+			fmt.Sprintf("%d/%d", n, capacity),
+			fmt.Sprintf("%d evictions", st.Evictions))
+	}
 	ts := rt.TemplateStats()
 	t.AddRow("platform templates",
 		fmt.Sprintf("%d", ts.Hits), fmt.Sprintf("%d", ts.Misses),

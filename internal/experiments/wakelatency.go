@@ -58,35 +58,68 @@ func (rt *Runtime) WakeLatency() (*WakeLatencyResult, error) {
 	return out, nil
 }
 
+// wakeSample is one external wake's entry and exit latency.
+type wakeSample struct{ Entry, Exit sim.Duration }
+
+// wakeKey identifies one sample: the canonical config and its cycle.
+type wakeKey struct {
+	cfg          platform.Config
+	active, idle sim.Duration
+}
+
+// StoreKey renders the sample's stable store key.
+func (k wakeKey) StoreKey() []byte {
+	return fmt.Appendf(nil, "%#v|active=%d|idle=%d", k.cfg, int64(k.active), int64(k.idle))
+}
+
+var wakeLatMemo = PointMemo[wakeKey, wakeSample]{
+	Class: "wakelat",
+	Encode: func(s wakeSample) []byte {
+		var e MemoEncoder
+		e.U64(uint64(s.Entry))
+		e.U64(uint64(s.Exit))
+		return e.Bytes()
+	},
+	Decode: func(b []byte) (wakeSample, bool) {
+		d := NewMemoDecoder(b)
+		s := wakeSample{Entry: sim.Duration(d.U64()), Exit: sim.Duration(d.U64())}
+		return s, d.Done()
+	},
+}
+
 // wakeLatencyDistribution runs one external wake per fresh platform, with
 // a prime-stepped idle duration so the hand-over edges sample all phases
 // of the 32.768 kHz clock. A fresh platform per sample keeps each ExitAvg
 // a single-wake measurement rather than a running mean — and makes the
 // samples independent points that fan out across the worker pool.
 func (rt *Runtime) wakeLatencyDistribution(cfg platform.Config) (entries, exits []sim.Duration, err error) {
-	type sample struct{ entry, exit sim.Duration }
 	samples, err := RunPoints(rt, wakeLatencySamples,
 		func(i int) string { return fmt.Sprintf("wake sample %d", i) },
-		func(i int) (sample, error) {
-			p, err := rt.NewPlatform(cfg)
-			if err != nil {
-				return sample{}, err
+		func(i int) (wakeSample, error) {
+			key := wakeKey{
+				cfg:    platform.CanonicalConfig(cfg),
+				active: 2*sim.Millisecond + sim.Duration(i)*101*sim.Microsecond,
+				idle:   200*sim.Millisecond + sim.Duration(i)*7_919*sim.Microsecond,
 			}
-			idle := 200*sim.Millisecond + sim.Duration(i)*7_919*sim.Microsecond
-			res, err := p.RunCycles([]workload.Cycle{
-				{Active: 2*sim.Millisecond + sim.Duration(i)*101*sim.Microsecond, Idle: idle, Wake: workload.WakeExternal},
+			s, _, err := wakeLatMemo.Get(rt, key, func() (wakeSample, error) {
+				p, err := rt.NewPlatform(cfg)
+				if err != nil {
+					return wakeSample{}, err
+				}
+				res, err := p.RunCycles([]workload.Cycle{{Active: key.active, Idle: key.idle, Wake: workload.WakeExternal}})
+				if err != nil {
+					return wakeSample{}, err
+				}
+				return wakeSample{Entry: res.EntryAvg, Exit: res.ExitAvg}, nil
 			})
-			if err != nil {
-				return sample{}, err
-			}
-			return sample{entry: res.EntryAvg, exit: res.ExitAvg}, nil
+			return s, err
 		})
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, s := range samples {
-		entries = append(entries, s.entry)
-		exits = append(exits, s.exit)
+		entries = append(entries, s.Entry)
+		exits = append(exits, s.Exit)
 	}
 	return entries, exits, nil
 }

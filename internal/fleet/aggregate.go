@@ -11,7 +11,6 @@ import (
 
 	"odrips/internal/memostore"
 	"odrips/internal/platform"
-	"odrips/internal/power"
 	"odrips/internal/report"
 )
 
@@ -83,16 +82,19 @@ type Aggregates struct {
 	Wakes             WakeAgg  `json:"wakes"`
 }
 
-// MemoReport is the shared-plane effectiveness section.
+// MemoReport is the shared-plane effectiveness section. Every run class
+// is either executed by this job or loaded from the run memo.
 type MemoReport struct {
 	MemoClasses   int `json:"memo_classes"`
 	RunClasses    int `json:"run_classes"`
-	SimulatedRuns int `json:"simulated_runs"` // platform executions, one per run class
+	SimulatedRuns int `json:"simulated_runs"` // run classes this job executed on a platform
+	LoadedRuns    int `json:"loaded_runs"`    // run classes served by the run memo
 
-	// Cycle provenance across the whole fleet: every device-cycle was
-	// either simulated in full (by a class representative), replayed from
-	// the memo plane by a representative, or deduplicated outright
-	// (served by a representative's result copy).
+	// Cycle provenance across the whole fleet: a representative's cycles
+	// were simulated in full or replayed from the memo plane when this
+	// job executed its run, and neither when it loaded it; every other
+	// member's were deduplicated outright (served by a copy of the
+	// representative's result).
 	SimulatedCycles uint64 `json:"simulated_cycles"`
 	ReplayedCycles  uint64 `json:"replayed_cycles"`
 	DedupedCycles   uint64 `json:"deduped_cycles"`
@@ -148,7 +150,13 @@ func aggregate(s Spec, t *classTable, runs []runOutcome) (*Report, error) {
 	memo := &rep.Memo
 	memo.RunClasses = len(t.runs)
 	memo.MemoClasses = len(t.memos)
-	memo.SimulatedRuns = len(t.runs)
+	for r := range runs {
+		if runs[r].executed {
+			memo.SimulatedRuns++
+		} else {
+			memo.LoadedRuns++
+		}
+	}
 
 	count := make([]int, len(t.kinds))
 	t.tally(0, n, func(k, c int) { count[k] += c })
@@ -163,15 +171,15 @@ func aggregate(s Spec, t *classTable, runs []runOutcome) (*Report, error) {
 	hours := make([]float64, len(t.kinds))
 	for k := range t.kinds {
 		kd := &t.kinds[k]
-		res := &runs[kd.run].res
-		life, err := kd.pack.StandbyHours(res.AvgPowerMW)
+		sum := &runs[kd.run].sum
+		life, err := kd.pack.StandbyHours(sum.AvgPowerMW)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: device %d: %w", kd.first, err)
 		}
 		lifeH[k] = life
-		powerMW[k] = res.AvgPowerMW
-		residencyPct[k] = res.Residency[power.Idle] * 100
-		hours[k] = res.Duration.Seconds() / 3600
+		powerMW[k] = sum.AvgPowerMW
+		residencyPct[k] = sum.IdleResidency * 100
+		hours[k] = sum.Duration.Seconds() / 3600
 	}
 
 	wakeBySource := map[string]uint64{}
@@ -181,30 +189,31 @@ func aggregate(s Spec, t *classTable, runs []runOutcome) (*Report, error) {
 	var totalWakes uint64
 	for r := range t.runs {
 		out := &runs[r]
+		sum := &out.sum
 		c := uint64(runCount[r])
 		var devWakes uint64
-		for _, src := range sortedKeys(out.res.WakeCounts) {
-			wakeBySource[src] += c * out.res.WakeCounts[src]
-			devWakes += out.res.WakeCounts[src]
+		for _, src := range sortedKeys(sum.WakeCounts) {
+			wakeBySource[src] += c * sum.WakeCounts[src]
+			devWakes += sum.WakeCounts[src]
 		}
 		totalWakes += c * devWakes
-		if h := out.res.Duration.Seconds() / 3600; h > 0 {
+		if h := sum.Duration.Seconds() / 3600; h > 0 {
 			rate := float64(devWakes) / h
 			rateHist.ObserveN(rate, runCount[r])
 			if rate > maxWakeRate {
 				maxWakeRate = rate
 			}
 		}
-		for _, st := range sortedKeys(out.res.ShallowIdles) {
-			shallow[st] += c * out.res.ShallowIdles[st]
+		for _, st := range sortedKeys(sum.ShallowIdles) {
+			shallow[st] += c * sum.ShallowIdles[st]
 		}
 
 		// Cycle provenance: a class representative carries the cycles its
 		// run actually simulated; every other member's were deduplicated.
-		cycles := uint64(out.res.Cycles)
+		cycles := uint64(sum.Cycles)
 		agg.TotalDeviceCycles += c * cycles
-		memo.SimulatedCycles += cycles - out.ff.CyclesReplayed
-		memo.ReplayedCycles += out.ff.CyclesReplayed
+		memo.SimulatedCycles += out.simulatedCycles()
+		memo.ReplayedCycles += out.replayed
 		memo.DedupedCycles += (c - 1) * cycles
 	}
 	if agg.TotalDeviceCycles > 0 {
@@ -218,10 +227,10 @@ func aggregate(s Spec, t *classTable, runs []runOutcome) (*Report, error) {
 		sh.Shard, sh.Devices = i, hi-lo
 		// c is -1 only to take back a member counted just before, so the
 		// wrapped uint64 product cancels in the sum.
-		t.tally(lo, hi, func(k, c int) { sh.DeviceCycles += uint64(c) * uint64(runs[t.kinds[k].run].res.Cycles) })
+		t.tally(lo, hi, func(k, c int) { sh.DeviceCycles += uint64(c) * uint64(runs[t.kinds[k].run].sum.Cycles) })
 	}
 	for r := range t.runs {
-		shards[t.runs[r].rep*t.shards/n].SimulatedCycles += uint64(runs[r].res.Cycles) - runs[r].ff.CyclesReplayed
+		shards[t.runs[r].rep*t.shards/n].SimulatedCycles += runs[r].simulatedCycles()
 	}
 
 	// The float sums, in device-index order over a kind index from i.
@@ -279,6 +288,15 @@ func aggregate(s Spec, t *classTable, runs []runOutcome) (*Report, error) {
 	agg.Wakes.RateHist = rateHist.Buckets()
 	rep.Shards = shards
 	return rep, nil
+}
+
+// simulatedCycles is how many of the run's cycles this job simulated in
+// full: none for a loaded run.
+func (o *runOutcome) simulatedCycles() uint64 {
+	if !o.executed {
+		return 0
+	}
+	return uint64(o.sum.Cycles) - o.replayed
 }
 
 // weightedDist summarizes a fleet whose kind k holds count[k] devices
@@ -365,6 +383,7 @@ func (r *Report) Tables() []*report.Table {
 	memo.AddRow("memo classes", fmt.Sprintf("%d", m.MemoClasses))
 	memo.AddRow("run classes", fmt.Sprintf("%d", m.RunClasses))
 	memo.AddRow("simulated runs", fmt.Sprintf("%d", m.SimulatedRuns))
+	memo.AddRow("loaded runs", fmt.Sprintf("%d", m.LoadedRuns))
 	memo.AddRow("simulated cycles", fmt.Sprintf("%d", m.SimulatedCycles))
 	memo.AddRow("replayed cycles", fmt.Sprintf("%d", m.ReplayedCycles))
 	memo.AddRow("deduped cycles", fmt.Sprintf("%d", m.DedupedCycles))

@@ -8,13 +8,69 @@ import (
 	"odrips/internal/faults"
 	"odrips/internal/memostore"
 	"odrips/internal/platform"
+	"odrips/internal/power"
+	"odrips/internal/sim"
 	"odrips/internal/workload"
 )
 
-// runOutcome is one simulated run class's full result.
+// runSummary is what aggregate reads of one run class's result, and
+// the value of the run-class point memo.
+type runSummary struct {
+	AvgPowerMW    float64
+	IdleResidency float64 // DRIPS residency share
+	Duration      sim.Duration
+	Cycles        int
+	WakeCounts    map[string]uint64
+	ShallowIdles  map[string]uint64
+}
+
+// runOutcome is one run class's summary and what this job did for it:
+// an executed run also reports the cycles it replayed from the plane.
 type runOutcome struct {
-	res platform.Result
-	ff  platform.FFStats
+	sum      runSummary
+	executed bool
+	replayed uint64
+}
+
+// runKey identifies a run class's result: its memo class, cycle shape
+// and canonical fault plan. The store's build fingerprint covers the
+// code's constants.
+type runKey struct {
+	memo         string // platform.MemoClassKey
+	active, idle sim.Duration
+	cycles       int
+	plan         string
+}
+
+// StoreKey renders the run class's stable store key.
+func (k runKey) StoreKey() []byte {
+	return fmt.Appendf(nil, "%s|active=%d|idle=%d|n=%d|faults=%s", k.memo, int64(k.active), int64(k.idle), k.cycles, k.plan)
+}
+
+var runMemo = experiments.PointMemo[runKey, runSummary]{
+	Class: "run",
+	Encode: func(s runSummary) []byte {
+		var e experiments.MemoEncoder
+		e.F64(s.AvgPowerMW)
+		e.F64(s.IdleResidency)
+		e.U64(uint64(s.Duration))
+		e.U64(uint64(s.Cycles))
+		e.Counts(s.WakeCounts)
+		e.Counts(s.ShallowIdles)
+		return e.Bytes()
+	},
+	Decode: func(b []byte) (runSummary, bool) {
+		d := experiments.NewMemoDecoder(b)
+		s := runSummary{
+			AvgPowerMW:    d.F64(),
+			IdleResidency: d.F64(),
+			Duration:      sim.Duration(d.U64()),
+			Cycles:        int(d.U64()),
+			WakeCounts:    d.Counts(),
+			ShallowIdles:  d.Counts(),
+		}
+		return s, d.Done()
+	},
 }
 
 // runDevice builds one run class's representative platform on rt,
@@ -37,19 +93,32 @@ func runDevice(rt *experiments.Runtime, s Spec, r *runClass) (runOutcome, error)
 	if err != nil {
 		return runOutcome{}, err
 	}
-	return runOutcome{res: res, ff: p.FFStats()}, nil
+	return runOutcome{
+		sum: runSummary{
+			AvgPowerMW:    res.AvgPowerMW,
+			IdleResidency: res.Residency[power.Idle],
+			Duration:      res.Duration,
+			Cycles:        res.Cycles,
+			WakeCounts:    res.WakeCounts,
+			ShallowIdles:  res.ShallowIdles,
+		},
+		executed: true,
+		replayed: p.FFStats().CyclesReplayed,
+	}, nil
 }
 
-// runChains runs every run class on rt's worker pool and returns the
-// outcomes in run-class order. Each memo class's run classes form a
-// chain that runs in run-index order on one worker, every run attached
-// to rt's plane (the package doc says why that is deterministic). The
-// chain's head, t.memos[m].run, goes through the plane's WarmClass, so
-// with a writable store a cold class is discovered once across every
-// process sharing it. ctx is checked at every device-run boundary: a
-// canceled job stops claiming new simulations and surfaces ctx's error
-// (wrapped; errors.Is(err, ctx.Err()) holds) after in-flight runs drain.
-// prog observes each finished chain head and run class.
+// runChains serves every run class from the run memo or runs it on rt's
+// worker pool, and returns the outcomes in run-class order. Each memo
+// class's run classes form a chain that runs in run-index order on one
+// worker, every executed run attached to rt's plane (the package doc
+// says why that is deterministic). A run class the memo holds builds no
+// platform and touches no plane class. The chain's first miss goes
+// through the plane's WarmClass, so with a writable store a cold class
+// is discovered once across every process sharing it. ctx is checked
+// before every run class: a canceled job stops claiming new run classes
+// and surfaces ctx's error (wrapped; errors.Is(err, ctx.Err()) holds)
+// after in-flight runs drain. prog observes each chain's first run
+// class and every run class as it finishes.
 func runChains(ctx context.Context, rt *experiments.Runtime, s Spec, t *classTable, prog *Progress) ([]runOutcome, error) {
 	plane := rt.Plane()
 	chains := make([][]int, len(t.memos))
@@ -62,28 +131,34 @@ func runChains(ctx context.Context, rt *experiments.Runtime, s Spec, t *classTab
 	_, err := experiments.RunPoints(rt, len(chains),
 		func(m int) string { return fmt.Sprintf("device %d", inFlight[m]) },
 		func(m int) (struct{}, error) {
-			for _, r := range chains[m] {
+			warmed := false
+			for i, r := range chains[m] {
 				rc := &t.runs[r]
 				inFlight[m] = rc.rep
 				if err := ctx.Err(); err != nil {
 					return struct{}{}, fmt.Errorf("fleet: canceled before device %d: %w", rc.rep, err)
 				}
-				run := func() error {
+				sum, loaded, err := runMemo.Get(rt, rc.key(s, t), func() (runSummary, error) {
+					run := func() (err error) {
+						out[r], err = runDevice(rt, s, rc)
+						return err
+					}
 					var err error
-					out[r], err = runDevice(rt, s, rc)
-					return err
-				}
-				head := r == t.memos[m].run
-				var err error
-				if head {
-					err = plane.WarmClass(ctx, t.memos[m].key, run)
-				} else {
-					err = run()
-				}
+					if !warmed {
+						warmed = true
+						err = plane.WarmClass(ctx, t.memos[m].key, run)
+					} else {
+						err = run()
+					}
+					return out[r].sum, err
+				})
 				if err != nil {
 					return struct{}{}, err
 				}
-				if head {
+				if loaded {
+					out[r] = runOutcome{sum: sum}
+				}
+				if i == 0 {
 					prog.warmRunDone()
 				}
 				prog.runClassDone(r)

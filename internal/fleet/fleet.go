@@ -40,13 +40,18 @@
 //  3. Steady-state fast-forward within each simulated run (DESIGN.md
 //     §12), as for any single-device run.
 //
+// Above them, a run class's summary is a point memo of its own (class
+// "run"): a run class the runtime's cache or the store holds is loaded,
+// and builds no platform.
+//
 // Determinism: the run classes of each memo class form a chain that runs
-// in run-index order on one worker, every run attached to the live plane.
-// A platform reads its class's records live and publishes what it
-// records; a chain runs one platform at a time and memo classes are
-// disjoint, so each run sees exactly its chain predecessors' records
-// whatever the schedule: every execution — results AND replay statistics
-// — is a pure function of the spec and the plane's content at job start.
+// in run-index order on one worker, every executed run attached to the
+// live plane. A platform reads its class's records live and publishes
+// what it records; a chain runs one platform at a time and memo classes
+// are disjoint, so each run sees exactly its executed chain
+// predecessors' records whatever the schedule: every execution —
+// results AND replay statistics — is a pure function of the spec and the
+// plane's and run memo's content at job start.
 // Results are assembled in run-class order (the experiments engine's
 // discipline), making the whole report byte-identical at any
 // -shards/-workers count.
@@ -413,6 +418,17 @@ func (t *classTable) tally(lo, hi int, add func(k, n int)) {
 // contiguous split where device i is in shard i*shards/devices.
 func (t *classTable) shardStart(sh int) int {
 	return (sh*t.devices + t.shards - 1) / t.shards
+}
+
+// key is the run class's run-memo key, its fault plan in canonical
+// form. Validate parsed every plan, so the raw plan the key falls back
+// to is never used.
+func (r *runClass) key(s Spec, t *classTable) runKey {
+	k := runKey{memo: t.memos[r.memo].key, active: s.Active, idle: r.idle, cycles: r.cycles, plan: r.plan}
+	if plan, err := faults.Parse(r.plan); err == nil {
+		k.plan = plan.String()
+	}
+	return k
 }
 
 // workload builds the cycles every member of the class runs.

@@ -435,7 +435,8 @@ func memoFiles(t *testing.T, dir string) map[string]string {
 
 // TestFleetStoreFillIsScheduleIndependent: each memo class's run classes
 // run in order on the live plane, so filling a store writes the same
-// .memo bytes and reports the same full report at any worker count, and
+// .memo bytes — one cycles entry per memo class and one run entry per
+// run class — and reports the same full report at any worker count, and
 // a rerun over the filled store with a fresh plane simulates nothing.
 // The spec is mixedSpec without its fault plan: the memo stays off until
 // an injection fires, so a faulted device simulates its first cycles on
@@ -453,8 +454,12 @@ func TestFleetStoreFillIsScheduleIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		files, full := memoFiles(t, dir), mustReportJSON(t, rep)
-		if len(files) != rep.Memo.MemoClasses {
-			t.Fatalf("workers=%d: %d .memo files for %d memo classes", workers, len(files), rep.Memo.MemoClasses)
+		perClass := map[string]int{}
+		for name := range files {
+			perClass[name[:strings.IndexByte(name, '-')]]++
+		}
+		if want := map[string]int{"cycles": rep.Memo.MemoClasses, "run": rep.Memo.RunClasses}; !reflect.DeepEqual(perClass, want) {
+			t.Fatalf("workers=%d: .memo files by class %v, want %v", workers, perClass, want)
 		}
 		if refFiles == nil {
 			refFiles, refFull, refAgg, refDir = files, full, mustAggJSON(t, rep), dir
@@ -485,10 +490,9 @@ func TestFleetStoreFillIsScheduleIndependent(t *testing.T) {
 }
 
 // TestFleetWarmJobLoadsOnlyThroughPlane: a warm fleet job over a
-// read-only default store touches the store only through its own plane —
-// one load per class the plane did not already hold, every one a hit.
-// No platform of the job loads on the side (the plane is the only
-// in-process cycle cache, so nothing else may ask the store for cycles).
+// read-only store loads exactly one run entry per run class, every one
+// a hit, and nothing else: it builds no platform and no template, so
+// its plane acquires no class and nothing asks the store for cycles.
 func TestFleetWarmJobLoadsOnlyThroughPlane(t *testing.T) {
 	s := mixedSpec()
 	dir := t.TempDir()
@@ -508,15 +512,171 @@ func TestFleetWarmJobLoadsOnlyThroughPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(s, plane); err != nil {
+	rt := experiments.NewRuntime(plane, platform.FFOn, 0)
+	rep, err := Exec(context.Background(), rt, s, nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if ts := rt.TemplateStats(); ts.Puts != 0 || ts.Hits != 0 {
+		t.Errorf("warm job built platforms: %+v", ts)
 	}
 	st, ps := ro.Stats(), plane.Stats()
 	if st.Misses != 0 {
 		t.Errorf("warm job missed the store %d times: %+v", st.Misses, st)
 	}
-	if st.Hits != ps.Class.Misses {
-		t.Errorf("store hits %d != plane class misses %d: something loaded outside the plane", st.Hits, ps.Class.Misses)
+	if st.Hits != uint64(rep.Memo.RunClasses) || rep.Memo.LoadedRuns != rep.Memo.RunClasses {
+		t.Errorf("warm job loaded %d store entries and %d runs for %d run classes", st.Hits, rep.Memo.LoadedRuns, rep.Memo.RunClasses)
+	}
+	if ps.Class.Misses != 0 || ps.Classes != 0 {
+		t.Errorf("warm job acquired plane classes: %+v", ps)
+	}
+}
+
+// filledStore runs s over a fresh rw store and returns its directory
+// and the fill's report.
+func filledStore(t *testing.T, s Spec) (string, *Report) {
+	t.Helper()
+	dir := t.TempDir()
+	rep, err := Run(s, platform.NewMemoPlane(fleetStore(t, dir), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, rep
+}
+
+// roRuntime builds a runtime in mode ff over a read-only store on dir.
+func roRuntime(t *testing.T, dir string, ff platform.FFMode) *experiments.Runtime {
+	t.Helper()
+	ro, err := memostore.Open(dir, memostore.RO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return experiments.NewRuntime(platform.NewMemoPlane(ro, 0), ff, 0)
+}
+
+// TestFleetWarmJobMatchesCold: a job whose every run class the run memo
+// holds reports the cold job's aggregates and progress, loads every run
+// and executes none, and a -fastforward verify audit of the store
+// re-executes every run and agrees.
+func TestFleetWarmJobMatchesCold(t *testing.T) {
+	s := mixedSpec()
+	coldProg := NewProgress()
+	cold, err := RunWithProgress(context.Background(), s, nil, coldProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, _ := filledStore(t, s)
+	warmProg := NewProgress()
+	warm, err := Exec(context.Background(), roRuntime(t, dir, platform.FFOn), s, warmProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mustAggJSON(t, warm) != mustAggJSON(t, cold) {
+		t.Error("warm aggregates diverged from the cold job's")
+	}
+	if got, want := warmProg.Stats(), coldProg.Stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("warm job's final progress differs from the cold job's:\n got %+v\nwant %+v", got, want)
+	}
+	if m := warm.Memo; m.LoadedRuns != m.RunClasses || m.SimulatedRuns != 0 || m.SimulatedCycles != 0 || m.ReplayedCycles != 0 {
+		t.Errorf("warm job's memo section %+v: want every run loaded and no cycle executed", m)
+	}
+	for _, sh := range warm.Shards {
+		if sh.SimulatedCycles != 0 {
+			t.Errorf("warm job's shard %d simulated %d cycles", sh.Shard, sh.SimulatedCycles)
+		}
+	}
+	audit, err := Exec(context.Background(), roRuntime(t, dir, platform.FFVerify), s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := audit.Memo; m.SimulatedRuns != m.RunClasses || m.LoadedRuns != 0 {
+		t.Errorf("verify audit's memo section %+v: want every run executed", m)
+	}
+	if mustAggJSON(t, audit) != mustAggJSON(t, cold) {
+		t.Error("verify audit's aggregates diverged from the cold job's")
+	}
+}
+
+// TestFleetVerifyDetectsRunTamper: a run entry re-saved under its key
+// with one field changed passes a plain warm job and fails a
+// -fastforward verify job, which names the class and the field.
+func TestFleetVerifyDetectsRunTamper(t *testing.T) {
+	s, err := mixedSpec().Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, _ := filledStore(t, s)
+	tab := expand(s)
+	key := tab.runs[1].key(s, &tab).StoreKey()
+	rw := fleetStore(t, dir)
+	payload, ok, err := rw.Load("run", key)
+	if err != nil || !ok {
+		t.Fatalf("run entry of run class 1: ok=%v err=%v", ok, err)
+	}
+	sum, ok := runMemo.Decode(payload)
+	if !ok {
+		t.Fatal("stored run entry does not decode")
+	}
+	sum.IdleResidency -= 1e-9
+	rw.Save("run", key, runMemo.Encode(sum))
+
+	if _, err := Exec(context.Background(), roRuntime(t, dir, platform.FFOn), s, nil); err != nil {
+		t.Fatalf("plain warm job must trust the store: %v", err)
+	}
+	_, err = Exec(context.Background(), roRuntime(t, dir, platform.FFVerify), s, nil)
+	if err == nil || !strings.Contains(err.Error(), "run point diverged") || !strings.Contains(err.Error(), "IdleResidency") {
+		t.Fatalf("verify job over a tampered run entry: %v; want a run divergence naming IdleResidency", err)
+	}
+}
+
+// TestFleetCanceledWarmJob: ctx is checked before every run class, hit
+// or miss, so a pre-canceled job over a warm store loads nothing and
+// returns ctx's error.
+func TestFleetCanceledWarmJob(t *testing.T) {
+	s := mixedSpec()
+	dir, _ := filledStore(t, s)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rt := roRuntime(t, dir, platform.FFOn)
+	if _, err := Exec(ctx, rt, s, nil); !errors.Is(err, ctx.Err()) {
+		t.Fatalf("pre-canceled warm job: %v", err)
+	}
+	if st := rt.Store().Stats(); st.Hits != 0 {
+		t.Errorf("pre-canceled warm job loaded %d entries", st.Hits)
+	}
+}
+
+// TestRunMemoCodecCoversEveryField round-trips a runSummary whose every
+// field reflection set to a nonzero value, so a field the codec does not
+// carry fails it, and checks the decoder takes only canonical payloads.
+func TestRunMemoCodecCoversEveryField(t *testing.T) {
+	var sum runSummary
+	v := reflect.ValueOf(&sum).Elem()
+	for i := range v.NumField() {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(1000 + i))
+		case reflect.Float64:
+			f.SetFloat(0.25 + float64(i))
+		case reflect.Map:
+			f.Set(reflect.ValueOf(map[string]uint64{fmt.Sprintf("k%d", i): uint64(i + 1), "z": 7}))
+		default:
+			t.Fatalf("runSummary.%s: kind %v has no filler; extend this test and the codec", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	payload := runMemo.Encode(sum)
+	got, ok := runMemo.Decode(payload)
+	if !ok || !reflect.DeepEqual(got, sum) {
+		t.Fatalf("round trip: ok=%v\n got %+v\nwant %+v", ok, got, sum)
+	}
+	if again := runMemo.Encode(got); string(again) != string(payload) {
+		t.Error("re-encoding a decoded summary changed its bytes")
+	}
+	for _, bad := range [][]byte{payload[:len(payload)-1], append(append([]byte(nil), payload...), 0)} {
+		if _, ok := runMemo.Decode(bad); ok {
+			t.Errorf("decoder accepted a %d-byte payload (canonical %d)", len(bad), len(payload))
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"odrips/internal/battery"
 	"odrips/internal/platform"
-	"odrips/internal/power"
 	"odrips/internal/report"
 	"odrips/internal/sim"
 )
@@ -146,7 +145,13 @@ func aggregatePerDevice(s Spec, devs []device, t *classTable, runs []runOutcome)
 	memo := &rep.Memo
 	memo.RunClasses = len(t.runs)
 	memo.MemoClasses = len(t.memos)
-	memo.SimulatedRuns = len(t.runs)
+	for _, out := range runs {
+		if out.executed {
+			memo.SimulatedRuns++
+		} else {
+			memo.LoadedRuns++
+		}
+	}
 
 	shards := make([]ShardAgg, s.Shards)
 	for i := range shards {
@@ -163,7 +168,7 @@ func aggregatePerDevice(s Spec, devs []device, t *classTable, runs []runOutcome)
 		d := &devs[i]
 		rc := &t.runs[d.run]
 		out := runs[d.run]
-		res := out.res
+		res := out.sum
 		hours := res.Duration.Seconds() / 3600
 		life, err := d.pack.StandbyHours(res.AvgPowerMW)
 		if err != nil {
@@ -171,7 +176,7 @@ func aggregatePerDevice(s Spec, devs []device, t *classTable, runs []runOutcome)
 		}
 		lifeH[i] = life
 		powerMW[i] = res.AvgPowerMW
-		residencyPct[i] = res.Residency[power.Idle] * 100
+		residencyPct[i] = res.IdleResidency * 100
 
 		agg.TotalDeviceCycles += uint64(res.Cycles)
 		agg.TotalSimHours += hours
@@ -195,8 +200,10 @@ func aggregatePerDevice(s Spec, devs []device, t *classTable, runs []runOutcome)
 
 		var devSim uint64
 		if rc.rep == i {
-			devSim = uint64(res.Cycles) - out.ff.CyclesReplayed
-			memo.ReplayedCycles += out.ff.CyclesReplayed
+			if out.executed {
+				devSim = uint64(res.Cycles) - out.replayed
+				memo.ReplayedCycles += out.replayed
+			}
 		} else {
 			memo.DedupedCycles += uint64(res.Cycles)
 		}
@@ -297,17 +304,18 @@ func randomSpec(rng *rand.Rand) Spec {
 
 // syntheticOutcomes gives every run class a made-up result: values
 // drawn from small sets, so kinds tie, wake maps of varying key sets,
-// and replay counts up to the run's cycles.
+// one run in four loaded rather than executed, and replay counts up to
+// an executed run's cycles.
 func syntheticOutcomes(rng *rand.Rand, runs []runClass) []runOutcome {
 	out := make([]runOutcome, len(runs))
 	for r, rc := range runs {
-		res := platform.Result{
-			Duration:     sim.Duration(rng.Intn(3)) * sim.Hour,
-			Cycles:       rc.cycles,
-			AvgPowerMW:   []float64{0, 55.5, 58.25, 61}[rng.Intn(4)],
-			Residency:    map[power.State]float64{power.Idle: []float64{0.8, 0.992, 0.995, 0.9995, 1}[rng.Intn(5)]},
-			WakeCounts:   map[string]uint64{"timer": uint64(rng.Intn(400))},
-			ShallowIdles: map[string]uint64{},
+		res := runSummary{
+			Duration:      sim.Duration(rng.Intn(3)) * sim.Hour,
+			Cycles:        rc.cycles,
+			AvgPowerMW:    []float64{0, 55.5, 58.25, 61}[rng.Intn(4)],
+			IdleResidency: []float64{0.8, 0.992, 0.995, 0.9995, 1}[rng.Intn(5)],
+			WakeCounts:    map[string]uint64{"timer": uint64(rng.Intn(400))},
+			ShallowIdles:  map[string]uint64{},
 		}
 		if rng.Intn(40) == 0 {
 			res.AvgPowerMW = -1 // StandbyHours fails: the error names the kind's first device
@@ -318,7 +326,10 @@ func syntheticOutcomes(rng *rand.Rand, runs []runClass) []runOutcome {
 		if rng.Intn(3) == 0 {
 			res.ShallowIdles["C8"] = uint64(rng.Intn(9))
 		}
-		out[r] = runOutcome{res: res, ff: platform.FFStats{CyclesReplayed: uint64(rng.Intn(rc.cycles + 1))}}
+		out[r] = runOutcome{sum: res}
+		if rng.Intn(4) != 0 {
+			out[r].executed, out[r].replayed = true, uint64(rng.Intn(rc.cycles+1))
+		}
 	}
 	return out
 }

@@ -17,10 +17,10 @@ import (
 // engine's collapse layers make progress observable at all: a device's
 // cycles "resolve" the moment its run-class representative finishes,
 // because every other member of the class is served a copy of that
-// result (DESIGN.md §15). Every run class's completion resolves its
-// devices and cycles, per shard; a chain head (the first run class of a
-// memo class, which warms the plane for the rest) also advances the warm
-// counters.
+// result (DESIGN.md §15). Every run class's completion, executed or
+// loaded from the run memo, resolves its devices and cycles, per shard;
+// a chain head (the first run class of a memo class) also advances the
+// warm counters.
 type Progress struct {
 	shape atomic.Pointer[progressShape]
 }
@@ -101,7 +101,7 @@ func (p *Progress) start(t *classTable) {
 	p.shape.Store(sh)
 }
 
-// warmRunDone records one completed chain head (plane-warming run).
+// warmRunDone records one completed chain head.
 func (p *Progress) warmRunDone() {
 	if p == nil {
 		return
@@ -151,9 +151,8 @@ type ProgressStats struct {
 	CyclesDone  uint64 `json:"cycles_done"`
 
 	// WarmRuns counts memo classes and WarmRunsDone the finished chain
-	// heads, each the first run class of its memo class, which warms the
-	// plane for the rest of its chain. Runs counts run classes, chain
-	// heads included.
+	// heads, each the first run class of its memo class. Runs counts run
+	// classes, chain heads included, whether executed or loaded.
 	WarmRuns     int `json:"warm_runs"`
 	WarmRunsDone int `json:"warm_runs_done"`
 	Runs         int `json:"runs"`

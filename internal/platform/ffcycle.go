@@ -105,7 +105,6 @@ type cycleRecord struct {
 	resD        [ffNumStates]sim.Duration
 	enD         [ffNumStates]power.Energy
 	idleByCmpD  []power.Energy
-	transD      uint64
 
 	// Flow statistics.
 	entriesD, exitsD        uint64
@@ -156,7 +155,6 @@ type cycleRecording struct {
 	res0        [ffNumStates]sim.Duration
 	en0         [ffNumStates]power.Energy
 	idle0       []power.Energy
-	trans0      uint64
 	fs0         flowStats
 	wake0       [3]uint64
 	hubWake0    [3]uint64
@@ -393,7 +391,6 @@ func (p *Platform) ffBeginRecording(key ffKey, ph [2]clock.Phase) {
 	}
 	copy(rec.idle0, p.tracker.idleByCmp)
 	p.ffTrackerSnap(&rec.res0, &rec.en0)
-	rec.trans0 = p.tracker.transitions
 	rec.fs0 = p.flowStats
 	p.ffWakeSnap(&rec.wake0, &rec.hubWake0)
 	for k, v := range p.shallowCounts {
@@ -465,7 +462,6 @@ func (p *Platform) ffFinalizeRecording(ok bool, fp [32]byte) {
 		cr.resD[i] = res1[i] - rec.res0[i]
 		cr.enD[i] = en1[i].Sub(rec.en0[i])
 	}
-	cr.transD = p.tracker.transitions - rec.trans0
 
 	fs := p.flowStats
 	cr.entriesD = fs.entries - rec.fs0.entries
@@ -650,7 +646,6 @@ func (p *Platform) ffReplay(rec *cycleRecord, n int64) {
 	for i := range tr.idleByCmp {
 		tr.idleByCmp[i] = tr.idleByCmp[i].Add(rec.idleByCmpD[i].MulN(n))
 	}
-	tr.transitions += rec.transD * uint64(n)
 	tr.since = t1
 	tr.capture(tr.last)
 

@@ -176,15 +176,14 @@ var ffExcluded = map[string]string{
 	"platform.ffState.stats":       "diagnostics, not part of Result",
 
 	// ---- platform.tracker (output accounting; see Platform.tracker) ----
-	"platform.tracker.sched":       "reference",
-	"platform.tracker.meter":       "reference",
-	"platform.tracker.cur":         "mirrors the fingerprinted Platform.state",
-	"platform.tracker.since":       "open-interval start; folded into the effective residency snapshot, and the interval is closed before replay advances time",
-	"platform.tracker.last":        "open-interval energy baseline; folded into the effective energy snapshot",
-	"platform.tracker.residency":   "pure output, replayed as exact deltas",
-	"platform.tracker.energy":      "pure output, replayed as exact deltas",
-	"platform.tracker.idleByCmp":   "pure output, replayed as exact deltas",
-	"platform.tracker.transitions": "diagnostic count, not part of Result",
+	"platform.tracker.sched":     "reference",
+	"platform.tracker.meter":     "reference",
+	"platform.tracker.cur":       "mirrors the fingerprinted Platform.state",
+	"platform.tracker.since":     "open-interval start; folded into the effective residency snapshot, and the interval is closed before replay advances time",
+	"platform.tracker.last":      "open-interval energy baseline; folded into the effective energy snapshot",
+	"platform.tracker.residency": "pure output, replayed as exact deltas",
+	"platform.tracker.energy":    "pure output, replayed as exact deltas",
+	"platform.tracker.idleByCmp": "pure output, replayed as exact deltas",
 
 	// ---- platform.flowStats (outputs; see Platform.flowStats) ----
 	"platform.flowStats.entries":     "pure output, replayed as exact deltas",

@@ -35,8 +35,9 @@ import (
 // ffBundleVersion versions the bundle payload layout inside the store
 // entry (the store's schema version covers the envelope, this one the
 // record serialization). Version 2 added the phase windows and dropped
-// the phase residue from the key; version 3 added the MEE op records.
-const ffBundleVersion = 3
+// the phase residue from the key; version 3 added the MEE op records; version 4 dropped the
+// per-record state-transition count nothing read.
+const ffBundleVersion = 4
 
 // ffBundleSchemaHash pins the wire schema of the bundle codec. The marker
 // below makes odrips-vet compute a structural hash over ffKey,
@@ -47,7 +48,7 @@ const ffBundleVersion = 3
 // constant.
 //
 //odrips:schema ffKey cycleRecord ffOpKey ffOpRecord
-const ffBundleSchemaHash = "d145aa84e7ea04e4941ff7a8c6da5f13e3dc7c53467b33a9abda452d6b6092f3"
+const ffBundleSchemaHash = "10cecca2ebbe9f660d374ad597a26d7bdaf5a35db3f1750d8b1079c05d6b6814"
 
 // ffRecords indexes cycle records by key; the records of one key differ
 // in their phase windows. Lists shared between holders are clipped, so an
@@ -376,8 +377,6 @@ func ffEncodeRecord(e *ffEnc, cr *cycleRecord) {
 		e.i64(int64(cr.resD[i]))
 		e.energy(cr.enD[i])
 	}
-	e.u64(cr.transD)
-
 	e.u64(cr.entriesD)
 	e.u64(cr.exitsD)
 	e.i64(int64(cr.entryTotalD))
@@ -453,8 +452,6 @@ func ffDecodeRecord(d *ffDec) *cycleRecord {
 		cr.resD[i] = sim.Duration(d.i64())
 		cr.enD[i] = d.energy()
 	}
-	cr.transD = d.u64()
-
 	cr.entriesD = d.u64()
 	cr.exitsD = d.u64()
 	cr.entryTotalD = sim.Duration(d.i64())

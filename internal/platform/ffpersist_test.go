@@ -84,7 +84,6 @@ func testCycleRecords() ffRecords {
 			idleByCmpD: []power.Energy{{}, {PJ: 7, ZJ: 8}},
 			resD:       [ffNumStates]sim.Duration{1, 2, 3, 4},
 			enD:        [ffNumStates]power.Energy{{PJ: 9}, {}, {ZJ: 10}, {}},
-			transD:     11,
 			entriesD:   1, exitsD: 1,
 			entryTotalD: 12, exitTotalD: 13,
 			ctxSaveLat: 14, ctxRestore: 15, ctxVerifiedD: 16,

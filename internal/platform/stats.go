@@ -24,8 +24,6 @@ type tracker struct {
 	residency map[power.State]sim.Duration
 	energy    map[power.State]power.Energy
 	idleByCmp []power.Energy // battery energy per component while Idle
-
-	transitions uint64
 }
 
 func newTracker(s *sim.Scheduler, m *power.Meter) *tracker {
@@ -70,7 +68,6 @@ func (t *tracker) to(next power.State) {
 	t.energy[t.cur] = t.energy[t.cur].Add(spent)
 	t.cur = next
 	t.since = now
-	t.transitions++
 }
 
 // finish closes the open interval without changing state.

@@ -18,15 +18,9 @@ type Kind int
 const (
 	// TimerValue carries a 64-bit timer value (hand-off flows).
 	TimerValue Kind = iota
-	// WakeRequest tells the processor to start the DRIPS exit flow.
-	WakeRequest
-	// EnterIdle tells the chipset the processor is committing to DRIPS.
-	EnterIdle
-	// ThermalEvent forwards an embedded-controller thermal report.
-	ThermalEvent
 )
 
-var kindNames = [...]string{"timer-value", "wake-request", "enter-idle", "thermal-event"}
+var kindNames = [...]string{"timer-value"}
 
 // String returns the kind name.
 func (k Kind) String() string {

@@ -39,12 +39,12 @@ func TestSendDelivers(t *testing.T) {
 func TestSendFailsWhenClockStopped(t *testing.T) {
 	_, osc, dom, l := newLink(t)
 	dom.Gate()
-	if err := l.Send(Message{Kind: WakeRequest}); err == nil {
+	if err := l.Send(Message{Kind: TimerValue}); err == nil {
 		t.Fatal("send with gated clock succeeded")
 	}
 	dom.Ungate()
 	osc.PowerOff()
-	if err := l.Send(Message{Kind: WakeRequest}); err == nil {
+	if err := l.Send(Message{Kind: TimerValue}); err == nil {
 		t.Fatal("send with crystal off succeeded")
 	}
 }
@@ -53,11 +53,11 @@ func TestSendFailsWhenUnpowered(t *testing.T) {
 	_, _, _, l := newLink(t)
 	powered := false
 	l.Powered = func() bool { return powered }
-	if err := l.Send(Message{Kind: EnterIdle}); err == nil {
+	if err := l.Send(Message{Kind: TimerValue}); err == nil {
 		t.Fatal("send with unpowered pads succeeded")
 	}
 	powered = true
-	if err := l.Send(Message{Kind: EnterIdle}); err != nil {
+	if err := l.Send(Message{Kind: TimerValue}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -95,7 +95,7 @@ func TestLatency(t *testing.T) {
 	s, _, _, l := newLink(t)
 	// Sent on the edge at t=0, a message lands 16 cycles at 24 MHz later:
 	// 666.67 ns.
-	if err := l.Send(Message{Kind: WakeRequest}); err != nil {
+	if err := l.Send(Message{Kind: TimerValue}); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
