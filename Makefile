@@ -48,8 +48,8 @@ race:
 # The CI verify tier: build, go vet, odrips-vet, go vet over the
 # benchmark harness, then the full suite under the race detector (the
 # parallel sweep engine is exercised by every experiment test) and 20
-# rounds of the two tests that race platforms on a memo class's op lock
-# and on the template cache's lock. Mirrored by
+# rounds of the two tests that race platforms on a memo plane's op-table
+# lock and on the template cache's lock. Mirrored by
 # .github/workflows/ci.yml.
 verify: build vet lint harness-vet race
 
@@ -167,7 +167,11 @@ server-smoke:
 # once (its -memostats store writes equal its entries: runs never write,
 # the CLI flushes each dirty memo class once), and a rw rerun of it must
 # miss the store 0 times: a CLI that stops persisting fails here, where
-# the audit below would pass vacuously over an empty store. Then rerun
+# the audit below would pass vacuously over an empty store. The fill's
+# plane must hold at most 3 MEE op records and run exactly 3 MEE ops for
+# real (every memo class shares one op table, and -exp all uses one
+# region geometry), and the rw rerun must run none: it loads them from
+# the store's meeops entry. Then rerun
 # it read-only under
 # -fastforward verify — every adopted cycle record is re-simulated and
 # diffed, every adopted MEE op record re-executed and diffed, every
@@ -179,10 +183,10 @@ server-smoke:
 # all platform and every fleet run class shares the presets' seed's
 # context image and formatted MEE tree. A storeless
 # fig6a,fig6d,coalescing run
-# must then hold at least one and at most three MEE op records per plane
-# class (formatted save, imported restore, primed save): an op-record
-# key that picked up the root counter or ciphertext would exceed the
-# bound, and a dead lookup would hold none. coalescing is in the run
+# must then hold at least one and at most three MEE op records in all
+# (formatted save, imported restore, primed save): an op-record key that
+# picked up the root counter, ciphertext or the memo class would exceed
+# the bound, and a dead lookup would hold none. coalescing is in the run
 # because its 40-cycle points visit 40 root values per platform; the
 # sweeps' 4-cycle points alone land a root-keyed build exactly on the
 # bound. The
@@ -209,10 +213,20 @@ memo-verify-smoke:
 		echo "memo-verify-smoke: the fill made '$$writes' store writes for '$$entries' disk entries; want one write per entry:"; grep 'persistent memo store' $(VERIFYDIR)/fillstats.txt; exit 1; \
 	fi; \
 	echo "memo-verify-smoke: the fill wrote $$entries entries in $$writes store writes"
+	ops=$$(sed -n 's/^| cycle memo plane .* \([0-9]*\) op records, [0-9]* run,.*/\1/p' $(VERIFYDIR)/fillstats.txt); \
+	run=$$(sed -n 's/^| cycle memo plane .* op records, \([0-9]*\) run,.*/\1/p' $(VERIFYDIR)/fillstats.txt); \
+	if [ -z "$$ops" ] || [ $$ops -gt 3 ] || [ "$$run" != 3 ]; then \
+		echo "memo-verify-smoke: the fill holds '$$ops' MEE op records after '$$run' real ops; want at most 3 records and exactly 3 ops:"; grep 'cycle memo plane' $(VERIFYDIR)/fillstats.txt; exit 1; \
+	fi; \
+	echo "memo-verify-smoke: the fill holds $$ops MEE op records and ran $$run MEE ops for real"
 	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache rw -memocachedir $(VERIFYDIR)/store -memostats > $(VERIFYDIR)/rerun.txt
 	misses=$$(sed -n 's/^| persistent memo store *| [0-9]* *| \([0-9]*\) .*/\1/p' $(VERIFYDIR)/rerun.txt); \
 	if [ "$$misses" != 0 ]; then \
 		echo "memo-verify-smoke: the rw rerun missed the store '$$misses' times; want 0:"; grep 'persistent memo store' $(VERIFYDIR)/rerun.txt; exit 1; \
+	fi; \
+	run=$$(sed -n 's/^| cycle memo plane .* op records, \([0-9]*\) run,.*/\1/p' $(VERIFYDIR)/rerun.txt); \
+	if [ "$$run" != 0 ]; then \
+		echo "memo-verify-smoke: the rw rerun ran '$$run' MEE ops for real; want 0:"; grep 'cycle memo plane' $(VERIFYDIR)/rerun.txt; exit 1; \
 	fi
 	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -fastforward verify > $(VERIFYDIR)/audit.txt
 	cmp $(VERIFYDIR)/fill.txt $(VERIFYDIR)/audit.txt
@@ -223,12 +237,11 @@ memo-verify-smoke:
 	fi; \
 	echo "memo-verify-smoke: -exp all,fleet -sweep fast built $$built platform template"
 	$(VERIFYDIR)/odrips-bench -exp fig6a,fig6d,coalescing -sweep fast -memostats > $(VERIFYDIR)/opstats.txt
-	classes=$$(sed -n 's/^| cycle memo plane .*| \([0-9]*\)\/[0-9]* classes |.*/\1/p' $(VERIFYDIR)/opstats.txt); \
 	ops=$$(sed -n 's/^| cycle memo plane .* \([0-9]*\) op records,.*/\1/p' $(VERIFYDIR)/opstats.txt); \
-	if [ -z "$$classes" ] || [ -z "$$ops" ] || [ $$ops -lt 1 ] || [ $$ops -gt $$(( 3 * classes )) ]; then \
-		echo "memo-verify-smoke: storeless fig6a,fig6d,coalescing holds '$$ops' MEE op records in '$$classes' plane classes; want 1 to 3 per class:"; grep 'cycle memo plane' $(VERIFYDIR)/opstats.txt; exit 1; \
+	if [ -z "$$ops" ] || [ $$ops -lt 1 ] || [ $$ops -gt 3 ]; then \
+		echo "memo-verify-smoke: storeless fig6a,fig6d,coalescing holds '$$ops' MEE op records; want 1 to 3:"; grep 'cycle memo plane' $(VERIFYDIR)/opstats.txt; exit 1; \
 	fi; \
-	echo "memo-verify-smoke: $$ops MEE op records in $$classes plane classes"
+	echo "memo-verify-smoke: storeless fig6a,fig6d,coalescing holds $$ops MEE op records"
 	printf '%s\n' '$(VERIFY_FLEET_SPEC)' > $(VERIFYDIR)/fleet.json
 	$(VERIFYDIR)/odrips-fleet -spec $(VERIFYDIR)/fleet.json -memocache rw -memocachedir $(VERIFYDIR)/fleetstore -format json -o $(VERIFYDIR)/fleet-fill.json
 	$(VERIFYDIR)/odrips-fleet -spec $(VERIFYDIR)/fleet.json -memocache ro -memocachedir $(VERIFYDIR)/fleetstore -fastforward verify -format json -o $(VERIFYDIR)/fleet-audit.json
@@ -269,6 +282,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzBundleDecode$$' -fuzztime $(FUZZTIME) ./internal/platform
+	$(GO) test -run '^$$' -fuzz '^FuzzOpTableDecode$$' -fuzztime $(FUZZTIME) ./internal/platform
 
 # Record the full benchmark suite (with allocation stats) to a timestamped
 # JSON artifact for before/after comparison. Written to a temp file and

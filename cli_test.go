@@ -71,18 +71,21 @@ func TestCLIFlagMisuseExits2(t *testing.T) {
 // and example must flush its runtime's memo plane before it exits; a
 // -memocache rw run of each (odrips-trace and the quickstart example,
 // which have no store flags, under ODRIPS_MEMOCACHE=rw) leaves the cycle
-// bundles it discovered on disk.
+// bundles it discovered on disk. odrips-trace runs a single cycle, which
+// records no cycle, only the MEE ops of its context save and restore: it
+// leaves the plane's op table entry.
 func TestCLIsPersistCycleBundles(t *testing.T) {
 	bin := buildCLIs(t, "cmd/odrips-sim", "cmd/odrips-bench", "cmd/odrips-fleet", "cmd/odrips-trace", "examples/quickstart")
 	for _, c := range []struct {
 		args  []string
-		flags bool // the store comes from -memocache flags, not the environment
+		flags bool   // the store comes from -memocache flags, not the environment
+		class string // the store class of the entry the run must leave
 	}{
-		{[]string{"odrips-sim", "-cycles", "5"}, true},
-		{[]string{"odrips-bench", "-exp", "fig6a"}, true},
-		{[]string{"odrips-fleet", "-devices", "10"}, true},
-		{[]string{"odrips-trace", "-out", os.DevNull}, false},
-		{[]string{"quickstart"}, false},
+		{[]string{"odrips-sim", "-cycles", "5"}, true, "cycles"},
+		{[]string{"odrips-bench", "-exp", "fig6a"}, true, "cycles"},
+		{[]string{"odrips-fleet", "-devices", "10"}, true, "cycles"},
+		{[]string{"odrips-trace", "-out", os.DevNull}, false, "meeops"},
+		{[]string{"quickstart"}, false, "cycles"},
 	} {
 		store := t.TempDir()
 		cmd := exec.Command(filepath.Join(bin, c.args[0]), c.args[1:]...)
@@ -94,8 +97,8 @@ func TestCLIsPersistCycleBundles(t *testing.T) {
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("%s: %v\n%s", strings.Join(cmd.Args, " "), err, out)
 		}
-		if got, _ := filepath.Glob(filepath.Join(store, "cycles-*.memo")); len(got) == 0 {
-			t.Errorf("%s left no cycles-*.memo entry", strings.Join(c.args, " "))
+		if got, _ := filepath.Glob(filepath.Join(store, c.class+"-*.memo")); len(got) == 0 {
+			t.Errorf("%s left no %s-*.memo entry", strings.Join(c.args, " "), c.class)
 		}
 	}
 }

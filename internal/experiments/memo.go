@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"sync/atomic"
 
 	"odrips/internal/lru"
 	"odrips/internal/platform"
@@ -54,7 +55,7 @@ type PointMemo[K MemoKey, T any] struct {
 // -fastforward=verify a point the cache lacks is simulated and a stored
 // value that differs fails the call, naming the class and the field.
 func (m *PointMemo[K, T]) Get(rt *Runtime, key K, simulate func() (T, error)) (v T, loaded bool, err error) {
-	cache, err := pointCacheOf[K, T](rt, m.Class)
+	cache, loads, err := pointCacheOf[K, T](rt, m.Class)
 	if err != nil {
 		return v, false, err
 	}
@@ -72,6 +73,7 @@ func (m *PointMemo[K, T]) Get(rt *Runtime, key K, simulate func() (T, error)) (v
 	}
 	if rt.ff != platform.FFVerify {
 		if v, ok := load(); ok {
+			loads.Add(1)
 			cache.Put(key, v)
 			return v, true, nil
 		}
@@ -93,24 +95,24 @@ func (m *PointMemo[K, T]) Get(rt *Runtime, key K, simulate func() (T, error)) (v
 }
 
 // pointCacheOf returns rt's cache of class, building it at the class's
-// bound on first use.
-func pointCacheOf[K comparable, T any](rt *Runtime, class string) (*lru.Cache[K, T], error) {
+// bound on first use, and the counter of the class's store loads.
+func pointCacheOf[K comparable, T any](rt *Runtime, class string) (*lru.Cache[K, T], *atomic.Uint64, error) {
 	rt.memoMu.Lock()
 	defer rt.memoMu.Unlock()
-	if c, ok := rt.memos[class]; ok {
-		if typed, ok := c.(*lru.Cache[K, T]); ok {
-			return typed, nil
+	if pm, ok := rt.memos[class]; ok {
+		if typed, ok := pm.cache.(*lru.Cache[K, T]); ok {
+			return typed, &pm.loaded, nil
 		}
-		return nil, fmt.Errorf("experiments: memo class %q used with two value types", class)
+		return nil, nil, fmt.Errorf("experiments: memo class %q used with two value types", class)
 	}
 	for _, pc := range pointClasses {
 		if pc.class == class {
-			c := lru.New[K, T](pc.cap)
-			rt.memos[class] = c
-			return c, nil
+			pm := &pointMemo{cache: lru.New[K, T](pc.cap)}
+			rt.memos[class] = pm
+			return pm.cache.(*lru.Cache[K, T]), &pm.loaded, nil
 		}
 	}
-	return nil, fmt.Errorf("experiments: unknown memo class %q", class)
+	return nil, nil, fmt.Errorf("experiments: unknown memo class %q", class)
 }
 
 // memoDiff names where a stored value and its recompute differ: the

@@ -175,11 +175,11 @@ func TestPointMemoCodecsCoverEveryField(t *testing.T) {
 		}
 	}
 	for _, pc := range pointClasses {
-		if _, err := pointCacheOf[pointKey, uint64](NewRuntime(nil, platform.FFOn, 0), pc.class); err != nil {
+		if _, _, err := pointCacheOf[pointKey, uint64](NewRuntime(nil, platform.FFOn, 0), pc.class); err != nil {
 			t.Errorf("class %q: %v", pc.class, err)
 		}
 	}
-	if _, err := pointCacheOf[pointKey, uint64](NewRuntime(nil, platform.FFOn, 0), "nosuch"); err == nil {
+	if _, _, err := pointCacheOf[pointKey, uint64](NewRuntime(nil, platform.FFOn, 0), "nosuch"); err == nil {
 		t.Error("an unknown memo class got a cache")
 	}
 }

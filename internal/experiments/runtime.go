@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"odrips/internal/lru"
 	"odrips/internal/memostore"
@@ -43,6 +44,13 @@ type memoCache interface {
 	Cap() int
 }
 
+// pointMemo is one class's typed cache and the number of its points the
+// store served (a cache miss that did not simulate).
+type pointMemo struct {
+	cache  memoCache
+	loaded atomic.Uint64
+}
+
 // Runtime is the state every experiment runs under, passed as a value:
 // the cycle-memo plane every platform it builds joins (and, through it,
 // the persistent memo store), the platform templates it builds from, the
@@ -60,7 +68,7 @@ type Runtime struct {
 	workers   int // <= 0: runtime.GOMAXPROCS(0) at each call
 
 	memoMu sync.Mutex
-	memos  map[string]memoCache // by class, each built on first use
+	memos  map[string]*pointMemo // by class, each built on first use
 }
 
 // NewRuntime builds a runtime over plane (nil: a fresh storeless plane)
@@ -76,7 +84,7 @@ func NewRuntime(plane *platform.MemoPlane, ff platform.FFMode, workers int) *Run
 		templates: platform.NewTemplates(),
 		ff:        ff,
 		workers:   workers,
-		memos:     make(map[string]memoCache, len(pointClasses)),
+		memos:     make(map[string]*pointMemo, len(pointClasses)),
 	}
 }
 
@@ -86,10 +94,14 @@ func (rt *Runtime) Plane() *platform.MemoPlane { return rt.plane }
 // Store returns the persistent memo store (nil when persistence is off).
 func (rt *Runtime) Store() *memostore.Store { return rt.plane.Store() }
 
-// Flush writes every memo class the runtime's platforms discovered since
-// the last Flush to its store (MemoPlane.Flush). Call it before reading
+// Flush writes every memo class and MEE op geometry the runtime's
+// platforms discovered since the last Flush to its store
+// (MemoPlane.Flush, MemoPlane.FlushOps). Call it before reading
 // store statistics and before the process exits: runs never write.
-func (rt *Runtime) Flush() { rt.plane.Flush() }
+func (rt *Runtime) Flush() {
+	rt.plane.Flush()
+	rt.plane.FlushOps()
+}
 
 // TemplateStats reports the platform-template cache's counters.
 func (rt *Runtime) TemplateStats() platform.TemplateStats { return rt.templates.Stats() }
@@ -150,30 +162,39 @@ func ResetPointCache() {
 	rt := Default()
 	rt.memoMu.Lock()
 	defer rt.memoMu.Unlock()
-	for _, c := range rt.memos {
-		c.Reset()
+	for _, pm := range rt.memos {
+		pm.cache.Reset()
+		pm.loaded.Store(0)
 	}
 }
 
-// pointCache returns rt's cache of class, or nil before its first use.
-func (rt *Runtime) pointCache(class string) memoCache {
+// pointMemoOf returns rt's memo of class, or nil before its first use.
+func (rt *Runtime) pointMemoOf(class string) *pointMemo {
 	rt.memoMu.Lock()
 	defer rt.memoMu.Unlock()
 	return rt.memos[class]
 }
 
-// pointStats reads class's counters, size and bound; a class not used
-// yet reads zero of its bound.
-func (rt *Runtime) pointStats(class string) (st lru.Stats, n, capacity int) {
-	if c := rt.pointCache(class); c != nil {
-		return c.Stats(), c.Len(), c.Cap()
+// pointCache returns rt's cache of class, or nil before its first use.
+func (rt *Runtime) pointCache(class string) memoCache {
+	if pm := rt.pointMemoOf(class); pm != nil {
+		return pm.cache
+	}
+	return nil
+}
+
+// pointStats reads class's cache counters, size and bound and its store
+// loads; a class not used yet reads zero of its bound.
+func (rt *Runtime) pointStats(class string) (st lru.Stats, n, capacity int, loaded uint64) {
+	if pm := rt.pointMemoOf(class); pm != nil {
+		return pm.cache.Stats(), pm.cache.Len(), pm.cache.Cap(), pm.loaded.Load()
 	}
 	for _, pc := range pointClasses {
 		if pc.class == class {
 			capacity = pc.cap
 		}
 	}
-	return lru.Stats{}, 0, capacity
+	return lru.Stats{}, 0, capacity, 0
 }
 
 // PointCacheStats reports Default()'s point-memo counters.
@@ -191,23 +212,26 @@ type PointMemoStats struct {
 // PointCacheStats reports the sweep and transition cache counters.
 func (rt *Runtime) PointCacheStats() PointMemoStats {
 	var pc PointMemoStats
-	pc.Sweep, pc.SweepLen, pc.SweepCap = rt.pointStats(sweepMemo.Class)
-	pc.Trans, pc.TransLen, pc.TransCap = rt.pointStats(transMemo.Class)
+	pc.Sweep, pc.SweepLen, pc.SweepCap, _ = rt.pointStats(sweepMemo.Class)
+	pc.Trans, pc.TransLen, pc.TransCap, _ = rt.pointStats(transMemo.Class)
 	return pc
 }
 
 // MemoStats renders every memo layer's counters — the bounded in-process
 // point caches, one row per class, the platform templates, the runtime's
 // cycle memo plane, and the persistent store — as one table (odrips-bench
-// -memostats prints it after the selected experiments run).
+// -memostats prints it after the selected experiments run). A point row's
+// misses are in-process cache misses; those the store served show as
+// loaded, so misses − loaded points were simulated. The plane row shows
+// its op table's records and the MEE ops its platforms ran for real.
 func (rt *Runtime) MemoStats() *report.Table {
 	t := report.NewTable("Memo statistics", "layer", "hits", "misses", "size", "detail")
 	for _, pc := range pointClasses {
-		st, n, capacity := rt.pointStats(pc.class)
+		st, n, capacity, loaded := rt.pointStats(pc.class)
 		t.AddRow(pc.row,
 			fmt.Sprintf("%d", st.Hits), fmt.Sprintf("%d", st.Misses),
 			fmt.Sprintf("%d/%d", n, capacity),
-			fmt.Sprintf("%d evictions", st.Evictions))
+			fmt.Sprintf("%d loaded, %d evictions", loaded, st.Evictions))
 	}
 	ts := rt.TemplateStats()
 	t.AddRow("platform templates",
@@ -218,7 +242,7 @@ func (rt *Runtime) MemoStats() *report.Table {
 	t.AddRow("cycle memo plane",
 		fmt.Sprintf("%d", ps.Class.Hits), fmt.Sprintf("%d", ps.Class.Misses),
 		fmt.Sprintf("%d/%d classes", ps.Classes, ps.MaxClasses),
-		fmt.Sprintf("%d records, %d op records, %d class evictions", ps.Records, ps.OpRecords, ps.Class.Evictions))
+		fmt.Sprintf("%d records, %d op records, %d run, %d class evictions", ps.Records, ps.OpRecords, ps.OpsRun, ps.Class.Evictions))
 	ms := rt.Store().Stats()
 	t.AddRow("persistent memo store",
 		fmt.Sprintf("%d", ms.Hits), fmt.Sprintf("%d", ms.Misses),

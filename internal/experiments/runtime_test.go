@@ -92,7 +92,7 @@ func TestRuntimesIsolated(t *testing.T) {
 // the default store (storeless while none is installed), is one runtime
 // per store, is rebuilt when the store changes identity, and its plane
 // is shared by concurrent runs. The runs write nothing; one Flush
-// writes their class once.
+// writes their class once and the op table's geometry once.
 func TestDefaultRuntimeFollowsStore(t *testing.T) {
 	t.Cleanup(func() { memostore.SetDefault(nil) })
 	planeNone := Default().plane
@@ -135,8 +135,8 @@ func TestDefaultRuntimeFollowsStore(t *testing.T) {
 		t.Fatalf("default-runtime runs wrote the store themselves: %+v", st)
 	}
 	Default().Flush()
-	if st := storeA.Stats(); st.Writes != 1 {
-		t.Fatalf("flushing one dirty class made %d writes, want 1: %+v", st.Writes, st)
+	if st := storeA.Stats(); st.Writes != 2 {
+		t.Fatalf("flushing one dirty class and the op table's one geometry made %d writes, want 2: %+v", st.Writes, st)
 	}
 
 	storeB, err := memostore.Open(t.TempDir(), memostore.RW)
@@ -170,18 +170,84 @@ func TestMemoStatsShowsStorelessPlane(t *testing.T) {
 	if row == nil {
 		t.Fatal("no cycle memo plane row")
 	}
-	var classes, maxClasses, records, opRecords, evictions int
+	var classes, maxClasses, records, opRecords, opsRun, evictions int
 	if _, err := fmt.Sscanf(row[3], "%d/%d classes", &classes, &maxClasses); err != nil {
 		t.Fatalf("size cell %q: %v", row[3], err)
 	}
-	if _, err := fmt.Sscanf(row[4], "%d records, %d op records, %d class evictions", &records, &opRecords, &evictions); err != nil {
+	if _, err := fmt.Sscanf(row[4], "%d records, %d op records, %d run, %d class evictions", &records, &opRecords, &opsRun, &evictions); err != nil {
 		t.Fatalf("detail cell %q: %v", row[4], err)
 	}
 	if classes < 1 || records < 1 {
 		t.Errorf("storeless plane after Fig2: %d classes, %d records; want at least 1 of each (row %q)", classes, records, row)
 	}
-	if opRecords > 3*classes {
-		t.Errorf("storeless plane after Fig2: %d op records in %d classes; want at most 3 per class (row %q)", opRecords, classes, row)
+	// One MEE region geometry: at most 3 records, each run for real once.
+	if opRecords > 3 || opsRun != opRecords {
+		t.Errorf("storeless plane after Fig2: %d op records after %d real ops; want at most 3, each run once (row %q)", opRecords, opsRun, row)
+	}
+}
+
+// memoStatsRow returns rt's -memostats row of layer.
+func memoStatsRow(t *testing.T, rt *Runtime, layer string) []string {
+	t.Helper()
+	for _, r := range rt.MemoStats().Rows {
+		if r[0] == layer {
+			return r
+		}
+	}
+	t.Fatalf("no %q row", layer)
+	return nil
+}
+
+// TestMemoStatsCountsStoreLoads: a point row counts the points its class
+// loaded from the store, so over a filled store it reads every miss
+// loaded, and the plane row counts the MEE ops run for real: a cold rw
+// run of wake latency and coalescing runs the 3 ops of their one region
+// geometry, and a warm ro rerun loads all 80 samples and 6 rows and
+// builds no platform.
+func TestMemoStatsCountsStoreLoads(t *testing.T) {
+	dir := t.TempDir()
+	run := func(rt *Runtime) {
+		t.Helper()
+		if _, err := rt.WakeLatency(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.WakeCoalescing(); err != nil {
+			t.Fatal(err)
+		}
+		rt.Flush()
+	}
+	_, cold := openRuntime(t, dir, memostore.RW, platform.FFOn)
+	run(cold)
+	_, warm := openRuntime(t, dir, memostore.RO, platform.FFOn)
+	run(warm)
+	for _, c := range []struct {
+		rt   *Runtime
+		name string
+		row  string
+		want []string
+	}{
+		{cold, "cold", "wake latency samples", []string{"wake latency samples", "0", "80", "80/256", "0 loaded, 0 evictions"}},
+		{cold, "cold", "coalescing rows", []string{"coalescing rows", "0", "6", "6/64", "0 loaded, 0 evictions"}},
+		{warm, "warm", "wake latency samples", []string{"wake latency samples", "0", "80", "80/256", "80 loaded, 0 evictions"}},
+		{warm, "warm", "coalescing rows", []string{"coalescing rows", "0", "6", "6/64", "6 loaded, 0 evictions"}},
+	} {
+		if got := memoStatsRow(t, c.rt, c.row); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s run: row %q, want %q", c.name, got, c.want)
+		}
+	}
+	var records, opRecords, opsRun, evictions int
+	for _, c := range []struct {
+		rt             *Runtime
+		name           string
+		opRecords, run int
+	}{{cold, "cold", 3, 3}, {warm, "warm", 0, 0}} {
+		row := memoStatsRow(t, c.rt, "cycle memo plane")
+		if _, err := fmt.Sscanf(row[4], "%d records, %d op records, %d run, %d class evictions", &records, &opRecords, &opsRun, &evictions); err != nil {
+			t.Fatalf("detail cell %q: %v", row[4], err)
+		}
+		if opRecords != c.opRecords || opsRun != c.run {
+			t.Errorf("%s run: plane row %q, want %d op records, %d run", c.name, row, c.opRecords, c.run)
+		}
 	}
 }
 

@@ -390,7 +390,7 @@ func (r *Report) Tables() []*report.Table {
 	memo.AddRow("cross-device hit rate", fmt.Sprintf("%.3f%%", m.CrossDeviceHitRatePct))
 	memo.AddRow("plane classes", fmt.Sprintf("%d/%d", m.Plane.Classes, m.Plane.MaxClasses))
 	memo.AddRow("plane records", fmt.Sprintf("%d (adopted %d)", m.Plane.Records, m.Plane.Adopted))
-	memo.AddRow("plane op records", fmt.Sprintf("%d", m.Plane.OpRecords))
+	memo.AddRow("plane op records", fmt.Sprintf("%d (%d run)", m.Plane.OpRecords, m.Plane.OpsRun))
 	if m.Store != (memostore.Stats{}) {
 		memo.AddRow("store hits/misses", fmt.Sprintf("%d/%d", m.Store.Hits, m.Store.Misses))
 		memo.AddRow("store disk", fmt.Sprintf("%d entries, %d bytes", m.Store.DiskEntries, m.Store.DiskBytes))

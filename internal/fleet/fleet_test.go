@@ -435,9 +435,10 @@ func memoFiles(t *testing.T, dir string) map[string]string {
 
 // TestFleetStoreFillIsScheduleIndependent: each memo class's run classes
 // run in order on the live plane, so filling a store writes the same
-// .memo bytes — one cycles entry per memo class and one run entry per
-// run class — and reports the same full report at any worker count, and
-// a rerun over the filled store with a fresh plane simulates nothing.
+// .memo bytes — one cycles entry per memo class, one run entry per run
+// class and one meeops entry per MEE region geometry — and reports the
+// same full report at any worker count, and a rerun over the filled
+// store with a fresh plane simulates nothing.
 // The spec is mixedSpec without its fault plan: the memo stays off until
 // an injection fires, so a faulted device simulates its first cycles on
 // every run.
@@ -458,7 +459,9 @@ func TestFleetStoreFillIsScheduleIndependent(t *testing.T) {
 		for name := range files {
 			perClass[name[:strings.IndexByte(name, '-')]]++
 		}
-		if want := map[string]int{"cycles": rep.Memo.MemoClasses, "run": rep.Memo.RunClasses}; !reflect.DeepEqual(perClass, want) {
+		// Every configuration of the spec shares one MEE region
+		// geometry, so one meeops entry.
+		if want := map[string]int{"cycles": rep.Memo.MemoClasses, "run": rep.Memo.RunClasses, "meeops": 1}; !reflect.DeepEqual(perClass, want) {
 			t.Fatalf("workers=%d: .memo files by class %v, want %v", workers, perClass, want)
 		}
 		if refFiles == nil {

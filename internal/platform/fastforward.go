@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"strings"
 
 	"odrips/internal/mee"
 	"odrips/internal/pmu"
@@ -14,12 +15,13 @@ import (
 // engine memoizes the two kinds of redundancy they carry:
 //
 //   - MEE op replay: the per-cycle context save/restore through the MEE is
-//     a strictly periodic op sequence whose observable effects (traffic
-//     counters, latency, root-counter advance) depend only on the engine
-//     state it starts from. Once a platform of the memo class has run an
-//     op from a given start state, every later one — on any platform of
-//     the class — advances the counters arithmetically and skips the
-//     crypto and DRAM traffic (mee.OpRecord/ReplayOp), with
+//     a strictly periodic op sequence whose traffic counters and
+//     root-counter advance depend only on the engine state it starts
+//     from and the region geometry. Once a platform of a memo plane has
+//     run an op from a given start state, every later one — on any
+//     platform of the plane, whatever its memo class — advances the
+//     counters arithmetically, prices the traffic on its own DRAM, and
+//     skips the crypto and DRAM traffic (mee.OpRecord/ReplayOp), with
 //     ReplayMaterialize/ReplayWarm rebuilding the canonical bytes before
 //     any real engine op.
 //
@@ -134,12 +136,13 @@ type ffState struct {
 	meePrimed  bool
 	meeVirtual bool
 
-	// The record set this platform reads and publishes to, op records and
-	// cycle records alike — a private bundle from New until a memo plane's
-	// Attach swaps in its class's shared one (memoplane.go) — plus
-	// reusable scratch for the fingerprint serialization and scaled replay
-	// deltas.
+	// The cycle records this platform reads and publishes to — a private
+	// bundle from New until a memo plane's Attach swaps in its class's
+	// shared one (memoplane.go) — and likewise its MEE op records, a
+	// private table until Attach swaps in the plane's; plus reusable
+	// scratch for the fingerprint serialization and scaled replay deltas.
 	bundle      *ffBundle
+	ops         *ffOpTable
 	rec         *cycleRecording // in-progress recording, nil outside one
 	fpBuf       []byte
 	nomScratch  []power.Energy
@@ -211,11 +214,12 @@ func (p *Platform) ffRealize() error {
 }
 
 // ffOpStart names the MEE engine state a context save or restore starts
-// from. A region op's traffic, and so its latency, is a function of the
-// metadata cache's tags and valid/dirty bits, the tree geometry and the
-// region size only — never of the root counter, the key or any byte — so
-// every op that starts from one of these states repeats the same OpRecord
-// on every platform of a memo class (DESIGN.md §12).
+// from. A region op's traffic is a function of the metadata cache's tags
+// and valid/dirty bits, the tree geometry and the region size only —
+// never of the root counter, the key, any byte or the DRAM behind the
+// engine — so every op that starts from one of these states over one
+// geometry repeats the same OpRecord, on every platform of every memo
+// class (DESIGN.md §12).
 type ffOpStart uint8
 
 const (
@@ -225,41 +229,68 @@ const (
 	ffStartPrimed                     // the cache a completed restore leaves (every later save)
 )
 
-// ffOpKey identifies an MEE op record within a memo class: the op, the
-// engine state it starts from, and the region geometry.
-type ffOpKey struct {
-	save       bool
-	start      ffOpStart
+// ffOpGeom is the region geometry an op runs over: the protected data
+// blocks, the region base, the metadata cache size and the context image
+// length. The op table persists one store entry per geometry.
+type ffOpGeom struct {
 	dataBlocks int
 	base       uint64
 	cacheLines int
 	imageLen   int
 }
 
+// ffOpKey identifies an MEE op record: the op, the engine state it
+// starts from, and the region geometry. Only three (op, start) pairs
+// occur — a save from the formatted or the primed state, a restore from
+// the imported one — so a geometry holds at most three records.
+type ffOpKey struct {
+	save  bool
+	start ffOpStart
+	geom  ffOpGeom
+}
+
+// valid reports whether k's (op, start) pair is one a platform records.
+func (k ffOpKey) valid() bool {
+	if k.save {
+		return k.start == ffStartFormatted || k.start == ffStartPrimed
+	}
+	return k.start == ffStartImported
+}
+
 // ffOpRecord is one recorded MEE context save or restore: its counter
-// deltas and latency, and the CacheDigest of the engine it started from,
-// which -fastforward verify compares against every live engine the key
-// claims is in the same state.
+// deltas, and the CacheDigest of the engine it started from, which
+// -fastforward verify compares against every live engine the key claims
+// is in the same state. It holds no latency: that is the traffic priced
+// by the replaying platform's own DRAM model (ffOpLatency), so platforms
+// whose memory differs share one record.
 type ffOpRecord struct {
 	op     mee.OpRecord
-	lat    sim.Duration
 	digest uint64
 }
 
-// ffOps indexes a memo class's op records.
+// ffOps indexes op records by key.
 type ffOps map[ffOpKey]ffOpRecord
 
 // ffOpKeyFor keys a save or restore on the live engine from start.
 func (p *Platform) ffOpKeyFor(save bool, start ffOpStart) ffOpKey {
 	l := p.eng.Layout()
 	return ffOpKey{
-		save:       save,
-		start:      start,
-		dataBlocks: l.DataBlocks,
-		base:       l.Base,
-		cacheLines: mee.DefaultCacheLines,
-		imageLen:   len(p.ctxImage),
+		save:  save,
+		start: start,
+		geom: ffOpGeom{
+			dataBlocks: l.DataBlocks,
+			base:       l.Base,
+			cacheLines: mee.DefaultCacheLines,
+			imageLen:   len(p.ctxImage),
+		},
 	}
+}
+
+// ffOpLatency prices a recorded op on the live engine's DRAM exactly as
+// pmu.DRAMTarget prices a real one: the op's blocks at the module's
+// write (save) or read (restore) rate.
+func (p *Platform) ffOpLatency(op mee.OpRecord, save bool) sim.Duration {
+	return p.eng.Mem().TransferTime(int(op.Stats.TotalBlocks())*mee.BlockSize, save)
 }
 
 // ffOpReplayable reports whether the op of key may replay now: op
@@ -268,47 +299,60 @@ func (p *Platform) ffOpReplayable(key ffOpKey) bool {
 	return p.ff.mode == FFOn && p.ff.cycleOK && key.start != ffNoStart
 }
 
-// ffReplayOp replays key's class record over the live engine when op
-// replay may run this cycle and the class holds one, returning its
-// latency; the caller sets meePrimed for the state the op leaves. When
-// the class holds none, it returns holding the class's opMu: the caller
-// runs the op for real, publishes its record with ffPublishOp if the op
-// succeeds, and unlocks. A platform that waited on opMu replays the
-// record its holder published.
+// ffReplayOp replays key's record over the live engine when op replay
+// may run this cycle and the op table holds one, returning its latency
+// on this platform's DRAM; the caller sets meePrimed for the state the
+// op leaves. When the table holds none, it returns holding the table's
+// opMu: the caller runs the op for real, publishes its record with
+// ffPublishOp if the op succeeds, and unlocks. A platform that waited on
+// opMu replays the record its holder published.
 func (p *Platform) ffReplayOp(key ffOpKey) (sim.Duration, bool) {
 	ff := &p.ff
 	if !p.ffOpReplayable(key) {
 		return 0, false
 	}
-	r, ok := ff.bundle.op(key)
+	r, ok := ff.ops.lookup(key)
 	if !ok {
-		ff.bundle.opMu.Lock()
-		if r, ok = ff.bundle.op(key); !ok {
+		ff.ops.opMu.Lock()
+		if r, ok = ff.ops.lookup(key); !ok {
 			return 0, false
 		}
-		ff.bundle.opMu.Unlock()
+		ff.ops.opMu.Unlock()
 	}
 	p.eng.ReplayOp(r.op)
 	ff.meeVirtual = true
 	ff.stats.MEEOpsReplayed++
-	return r.lat, true
+	return p.ffOpLatency(r.op, key.save), true
 }
 
-// ffPublishOp files a real op's record with the memo class; under
-// -fastforward verify, an op whose class already holds a record — from
-// this platform, another one, or the store — must match it exactly,
-// start-state digest included.
-func (p *Platform) ffPublishOp(key ffOpKey, r ffOpRecord) error {
-	held, fresh := p.ff.bundle.publishOp(key, r)
-	if fresh || p.ff.mode != FFVerify || held == r {
+// ffPublishOp files a real op's record, which took lat, with the op
+// table; under -fastforward verify, an op whose table already holds a
+// record — from this platform, another one, or the store — must match
+// it exactly: its traffic, its start-state digest, and the latency the
+// record replays at on this platform.
+func (p *Platform) ffPublishOp(key ffOpKey, r ffOpRecord, lat sim.Duration) error {
+	held, fresh := p.ff.ops.publish(key, r)
+	if fresh || p.ff.mode != FFVerify {
+		return nil
+	}
+	var diverged []string
+	if held.op != r.op {
+		diverged = append(diverged, fmt.Sprintf("traffic %+v vs %+v", r.op, held.op))
+	}
+	if held.digest != r.digest {
+		diverged = append(diverged, fmt.Sprintf("start digest %#x vs %#x", r.digest, held.digest))
+	}
+	if replay := p.ffOpLatency(held.op, key.save); replay != lat {
+		diverged = append(diverged, fmt.Sprintf("latency %v vs %v", lat, replay))
+	}
+	if diverged == nil {
 		return nil
 	}
 	what := "restore"
 	if key.save {
 		what = "save"
 	}
-	return fmt.Errorf("fastforward verify: %s diverged from memo (lat %v vs %v, op %+v vs %+v, start digest %#x vs %#x)",
-		what, r.lat, held.lat, r.op, held.op, r.digest, held.digest)
+	return fmt.Errorf("fastforward verify: %s diverged from memo: %s", what, strings.Join(diverged, ", "))
 }
 
 // ffSaveCtxDRAM runs — or replays — the MEE context save, returning its
@@ -332,7 +376,7 @@ func (p *Platform) ffSaveCtxDRAM() (sim.Duration, error) {
 		return lat, nil
 	}
 	if p.ffOpReplayable(key) {
-		defer ff.bundle.opMu.Unlock() // ffReplayOp locked it
+		defer ff.ops.opMu.Unlock() // ffReplayOp locked it
 	}
 	if err := p.ffRealize(); err != nil {
 		return 0, err
@@ -349,7 +393,7 @@ func (p *Platform) ffSaveCtxDRAM() (sim.Duration, error) {
 		return 0, err
 	}
 	if start != ffNoStart {
-		if err := p.ffPublishOp(key, ffOpRecord{op: p.eng.DeltaSince(snap), lat: lat, digest: digest}); err != nil {
+		if err := p.ffPublishOp(key, ffOpRecord{op: p.eng.DeltaSince(snap), digest: digest}, lat); err != nil {
 			return 0, err
 		}
 	}

@@ -401,15 +401,16 @@ func (p *Platform) restoreCtxDRAM(attempt int, next func()) {
 	key := p.ffOpKeyFor(false, start)
 	if lat, ok := p.ffReplayOp(key); ok {
 		// A steady-state restore is a fresh-import engine sequentially
-		// reading the canonical post-save region: its traffic, latency,
-		// and verification outcome are the memoized ones. The cache stays
+		// reading the canonical post-save region: its traffic and
+		// verification outcome are the memoized ones, its latency that
+		// traffic on this platform's DRAM. The cache stays
 		// cold-stale; ffRealize rebuilds it before the next real op.
 		ff.meePrimed = true
 		done(lat)
 		return
 	}
 	if p.ffOpReplayable(key) {
-		defer ff.bundle.opMu.Unlock() // ffReplayOp locked it
+		defer ff.ops.opMu.Unlock() // ffReplayOp locked it
 	}
 	if err := p.ffRealize(); err != nil {
 		p.fail("platform: context restore: %v", err)
@@ -429,7 +430,7 @@ func (p *Platform) restoreCtxDRAM(attempt int, next func()) {
 	forced := err == nil && p.takeMEEForce()
 	if err == nil && !forced {
 		if start != ffNoStart {
-			if err := p.ffPublishOp(key, ffOpRecord{op: p.eng.DeltaSince(snap), lat: lat, digest: digest}); err != nil {
+			if err := p.ffPublishOp(key, ffOpRecord{op: p.eng.DeltaSince(snap), digest: digest}, lat); err != nil {
 				p.fail("platform: %v", err)
 				return
 			}

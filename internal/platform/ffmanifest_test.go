@@ -168,7 +168,8 @@ var ffExcluded = map[string]string{
 	"platform.ffState.downEng":     "output-invariant: handle to the powered-down engine, used only to materialize the canonical bytes a replayed save left virtual",
 	"platform.ffState.meePrimed":   "output-invariant: only selects op replay vs. real execution, which match by the Layer-1 contract",
 	"platform.ffState.meeVirtual":  "output-invariant: replay conservatively marks the engine virtual, forcing materialization before any real op",
-	"platform.ffState.bundle":      "the memo itself, private or a plane's shared class bundle; a cycle record replays only when the live fingerprint recurs and the live phases lie in its windows, an op record only over the start state its key names",
+	"platform.ffState.bundle":      "the cycle memo itself, private or a plane's shared class bundle; a record replays only when the live fingerprint recurs and the live phases lie in its windows",
+	"platform.ffState.ops":         "the op memo itself, private or a plane's shared table; a record replays only over the start state and geometry its key names, priced on the live DRAM",
 	"platform.ffState.rec":         "in-progress recording bookkeeping",
 	"platform.ffState.fpBuf":       "dead: serialization scratch",
 	"platform.ffState.nomScratch":  "dead: replay scratch",

@@ -203,7 +203,7 @@ func TestMemAfterAdoptedFirstSave(t *testing.T) {
 	for _, midIdle := range []bool{false, true} {
 		var want [32]byte
 		plane := NewMemoPlane(nil, 0)
-		runStandby(t, cfg, plane, FFOn, recordCycles) // publishes the class's op records
+		runStandby(t, cfg, plane, FFOn, recordCycles) // publishes the plane's op records
 		for _, mode := range []FFMode{FFOff, FFOn} {
 			p, err := New(cfg)
 			if err != nil {

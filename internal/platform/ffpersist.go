@@ -9,21 +9,23 @@ import (
 	"sync"
 
 	"odrips/internal/clock"
+	"odrips/internal/memostore"
 	"odrips/internal/power"
 	"odrips/internal/sim"
 	"odrips/internal/workload"
 )
 
-// This file is the on-disk form of both fast-forward memos: the bundle
-// codec the memo plane (memoplane.go) loads and writes through
-// internal/memostore (DESIGN.md §13). The unit of persistence is a
-// bundle: every cycle record (ffcycle.go) and every MEE op record
-// (fastforward.go) for one memo class, stored under the class key. The
+// This file is the on-disk form of both fast-forward memos, which the
+// memo plane (memoplane.go) loads and writes through internal/memostore
+// (DESIGN.md §13). Cycle records (ffcycle.go) persist as one bundle per
+// memo class, stored under the class key in the store's "cycles" class.
+// MEE op records (fastforward.go) depend on no memo class: a plane holds
+// one op table, persisted as one "meeops" entry per region geometry. The
 // store's header (schema version + build fingerprint) invalidates the
-// cache wholesale on any code change, so the key only needs to be stable
+// cache wholesale on any code change, so a key only needs to be stable
 // within a build — Config is a pure value type, so %#v is.
 //
-// Soundness does not rest on the decoder: a loaded cycle record is only
+// Soundness does not rest on the decoders: a loaded cycle record is only
 // ever used when the live boundary fingerprint recurs and the live
 // crystal phases lie in its windows (both recomputed from live state
 // every boundary, exactly as for in-process records), so a stale or
@@ -35,20 +37,31 @@ import (
 // ffBundleVersion versions the bundle payload layout inside the store
 // entry (the store's schema version covers the envelope, this one the
 // record serialization). Version 2 added the phase windows and dropped
-// the phase residue from the key; version 3 added the MEE op records; version 4 dropped the
-// per-record state-transition count nothing read.
-const ffBundleVersion = 4
+// the phase residue from the key; version 3 added the MEE op records;
+// version 4 dropped the per-record state-transition count nothing read;
+// version 5 moved the op records out to the plane's op table.
+const ffBundleVersion = 5
 
 // ffBundleSchemaHash pins the wire schema of the bundle codec. The marker
-// below makes odrips-vet compute a structural hash over ffKey,
-// cycleRecord, ffOpKey and ffOpRecord (and every module type reachable
-// from them) and compare it to this constant: change the shape of
-// anything ffEncodeBundle serializes and vet fails with the new hash,
-// forcing a deliberate ffBundleVersion bump alongside the re-recorded
-// constant.
+// below makes odrips-vet compute a structural hash over ffKey and
+// cycleRecord (and every module type reachable from them) and compare it
+// to this constant: change the shape of anything ffEncodeBundle
+// serializes and vet fails with the new hash, forcing a deliberate
+// ffBundleVersion bump alongside the re-recorded constant.
 //
-//odrips:schema ffKey cycleRecord ffOpKey ffOpRecord
-const ffBundleSchemaHash = "10cecca2ebbe9f660d374ad597a26d7bdaf5a35db3f1750d8b1079c05d6b6814"
+//odrips:schema ffKey cycleRecord
+const ffBundleSchemaHash = "39dc8cf061ec713208d442994b59a50c662eda391578d1398c8ddb65675cb9fb"
+
+// ffOpTableVersion versions the payload of a "meeops" entry.
+const ffOpTableVersion = 1
+
+// ffOpTableSchemaHash pins the wire schema of the op-table codec the way
+// ffBundleSchemaHash pins the bundle's: a change to the shape of ffOpKey
+// or ffOpRecord fails vet until ffOpTableVersion is bumped and the hash
+// re-recorded.
+//
+//odrips:schema ffOpKey ffOpRecord
+const ffOpTableSchemaHash = "4f709780b98dbd5f8871d55ee842823a06c04459bb47f16bc0597b86e8d7697a"
 
 // ffRecords indexes cycle records by key; the records of one key differ
 // in their phase windows. Lists shared between holders are clipped, so an
@@ -97,34 +110,24 @@ func (rs ffRecords) clone() ffRecords {
 	return out
 }
 
-// ffBundle is one memo class's record set, the only memo a platform
-// reads or publishes to — cycle records and MEE op records alike: New
-// gives each platform a private one (no key), and a plane's Attach swaps
-// in the class's shared one. A bundle cannot write itself: publishing
-// only marks it dirty, and its plane decides when to save it. Its mutex
-// guards every field below it; the record values themselves are
-// immutable once published, so readers may hold pointers lock-free.
-//
-// opMu serializes the real MEE ops that record op records, so
-// concurrent platforms of a class — parallel sweep points — run each op
-// once between them (ffReplayOp). It is always taken before mu.
+// ffBundle is one memo class's cycle records, the only cycle memo a
+// platform reads or publishes to: New gives each platform a private one
+// (no key), and a plane's Attach swaps in the class's shared one. A
+// bundle cannot write itself: publishing only marks it dirty, and its
+// plane decides when to save it. Its mutex guards every field below it;
+// the record values themselves are immutable once published, so readers
+// may hold pointers lock-free.
 type ffBundle struct {
-	key  string
-	opMu sync.Mutex
+	key string
 
 	mu      sync.Mutex
 	records ffRecords
-	ops     ffOps
 	dirty   bool // holds records its plane has not saved
 }
 
 // newFFBundle returns an empty bundle for classKey.
 func newFFBundle(classKey string) *ffBundle {
-	return &ffBundle{
-		key:     classKey,
-		records: make(ffRecords),
-		ops:     make(ffOps),
-	}
+	return &ffBundle{key: classKey, records: make(ffRecords)}
 }
 
 // lookup returns the record of key whose windows hold the boundary
@@ -145,44 +148,134 @@ func (b *ffBundle) publish(key ffKey, cr *cycleRecord) {
 	}
 }
 
-// op returns the op record of key, if the class holds one.
-func (b *ffBundle) op(key ffOpKey) (ffOpRecord, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	r, ok := b.ops[key]
+// ffOpTable is a set of MEE op records, the only op memo a platform
+// reads or publishes to: New gives each platform a private one (no
+// store), and a plane's Attach swaps in the plane's. A record depends on
+// its key alone, so one table serves every memo class; it holds at most
+// three records per geometry (ffOpKey.valid), and the geometries are the
+// context-image and region sizes the plane's platforms use. Over a store
+// the table loads a geometry's "meeops" entry the first time it is asked
+// for that geometry, and save writes the geometries that gained records
+// since.
+//
+// opMu serializes the real MEE ops that record op records, so concurrent
+// platforms — parallel sweep points, fleet chains of different classes —
+// run each op once between them (ffReplayOp). It is always taken before
+// mu, which guards every field below it.
+type ffOpTable struct {
+	store *memostore.Store // nil for a private table
+	opMu  sync.Mutex
+
+	mu  sync.Mutex
+	ops ffOps
+	// geoms holds every geometry the table has looked up in its store:
+	// true while it holds records the store lacks.
+	geoms map[ffOpGeom]bool
+	ran   uint64 // ops run for real and published (recorded or, under verify, compared)
+}
+
+// newFFOpTable returns an empty table over store (nil: private).
+func newFFOpTable(store *memostore.Store) *ffOpTable {
+	return &ffOpTable{store: store}
+}
+
+// loadLocked merges geometry g's store entry into the table the first
+// time g is asked for. A missing, corrupt or undecodable entry leaves g
+// cold: its ops run for real and a later save overwrites the entry.
+// Callers hold t.mu.
+func (t *ffOpTable) loadLocked(g ffOpGeom) {
+	if _, seen := t.geoms[g]; seen {
+		return
+	}
+	if t.geoms == nil {
+		t.geoms = make(map[ffOpGeom]bool)
+		t.ops = make(ffOps)
+	}
+	t.geoms[g] = false
+	payload, ok, err := t.store.Load("meeops", ffOpGeomKey(g))
+	if err != nil || !ok {
+		return
+	}
+	got, ops, err := ffDecodeOpTable(payload)
+	if err != nil || got != g {
+		return
+	}
+	for k, r := range ops {
+		t.ops[k] = r
+	}
+}
+
+// lookup returns the record of key, if the table holds one.
+func (t *ffOpTable) lookup(key ffOpKey) (ffOpRecord, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.loadLocked(key.geom)
+	r, ok := t.ops[key]
 	return r, ok
 }
 
-// publishOp files r under key unless the class already holds a record
-// there (first publisher wins, as for cycle records), and returns the
-// record the class holds afterwards and whether it was r.
-func (b *ffBundle) publishOp(key ffOpKey, r ffOpRecord) (ffOpRecord, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if old, ok := b.ops[key]; ok {
+// publish files r, the record of an op that just ran for real, under key
+// unless the table already holds a record there (first publisher wins,
+// as for cycle records), and returns the record the table holds
+// afterwards and whether it was r.
+func (t *ffOpTable) publish(key ffOpKey, r ffOpRecord) (ffOpRecord, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.loadLocked(key.geom)
+	t.ran++
+	if old, ok := t.ops[key]; ok {
 		return old, false
 	}
-	b.ops[key] = r
-	b.dirty = true
+	t.ops[key] = r
+	t.geoms[key.geom] = true
 	return r, true
+}
+
+// save writes every geometry that gained records since the table loaded
+// or last wrote it; without a writable store it is a no-op.
+func (t *ffOpTable) save() {
+	if !t.store.Mode().Writable() {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	dirty := make([]ffOpGeom, 0, len(t.geoms))
+	for g, d := range t.geoms {
+		if d {
+			dirty = append(dirty, g)
+		}
+	}
+	sort.Slice(dirty, func(i, j int) bool { return ffOpGeomLess(dirty[i], dirty[j]) })
+	for _, g := range dirty {
+		t.store.Save("meeops", ffOpGeomKey(g), ffEncodeOpTable(g, t.ops))
+		t.geoms[g] = false
+	}
+}
+
+// counts returns the number of records the table holds and of ops run
+// for real through it.
+func (t *ffOpTable) counts() (records int, ran uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.ops), t.ran
 }
 
 // ---- Bundle codec ----
 //
 // Hand-rolled little-endian serialization in a fixed field order: the
-// version, the cycle records sorted by key and then by window, then the
-// op records sorted by key. The decoder is total (bounds-checked,
-// error-latched) and accepts only that canonical form — keys and windows
-// strictly increasing, valid enum and bool bytes — so every payload it
-// accepts re-encodes to the same bytes (FuzzBundleDecode). It
-// reconstructs the exact value shapes ffFinalizeRecording produces —
-// non-nil empty steps slice, nil-when-empty ltrTimers, always-non-nil
-// shallowD — because -fastforward=verify diffs disk-loaded records
-// against freshly recorded ones with reflect.DeepEqual.
+// version, then the cycle records sorted by key and then by window. The
+// decoder is total (bounds-checked, error-latched) and accepts only that
+// canonical form — keys and windows strictly increasing, valid enum and
+// bool bytes — so every payload it accepts re-encodes to the same bytes
+// (FuzzBundleDecode). It reconstructs the exact value shapes
+// ffFinalizeRecording produces — non-nil empty steps slice,
+// nil-when-empty ltrTimers, always-non-nil shallowD — because
+// -fastforward=verify diffs disk-loaded records against freshly recorded
+// ones with reflect.DeepEqual.
 
-// ffEncodeBundle serializes every cycle and op record in canonical
-// order, for a deterministic artifact.
-func ffEncodeBundle(records ffRecords, ops ffOps) []byte {
+// ffEncodeBundle serializes every cycle record in canonical order, for a
+// deterministic artifact.
+func ffEncodeBundle(records ffRecords) []byte {
 	keys := make([]ffKey, 0, len(records))
 	for k := range records {
 		keys = append(keys, k)
@@ -202,32 +295,6 @@ func ffEncodeBundle(records ffRecords, ops ffOps) []byte {
 			e.i64(int64(k.wake))
 			ffEncodeRecord(e, cr)
 		}
-	}
-
-	opKeys := make([]ffOpKey, 0, len(ops))
-	for k := range ops {
-		opKeys = append(opKeys, k)
-	}
-	sort.Slice(opKeys, func(i, j int) bool { return ffOpKeyLess(opKeys[i], opKeys[j]) })
-	e.u64(uint64(len(opKeys)))
-	for _, k := range opKeys {
-		r := ops[k]
-		e.bool(k.save)
-		e.u64(uint64(k.start))
-		e.i64(int64(k.dataBlocks))
-		e.u64(k.base)
-		e.i64(int64(k.cacheLines))
-		e.i64(int64(k.imageLen))
-		e.u64(r.op.RootDelta)
-		e.u64(r.op.Stats.DataReads)
-		e.u64(r.op.Stats.DataWrites)
-		e.u64(r.op.Stats.MetaReads)
-		e.u64(r.op.Stats.MetaWrites)
-		e.u64(r.op.Stats.CacheHits)
-		e.u64(r.op.Stats.CacheMisses)
-		e.u64(r.op.Writebacks)
-		e.i64(int64(r.lat))
-		e.u64(r.digest)
 	}
 	return e.b
 }
@@ -264,33 +331,13 @@ func ffWindowLess(a, b [2]clock.Window) bool {
 	return false
 }
 
-// ffOpKeyLess orders op-record keys for the codec.
-func ffOpKeyLess(a, b ffOpKey) bool {
-	switch {
-	case a.save != b.save:
-		return !a.save
-	case a.start != b.start:
-		return a.start < b.start
-	case a.dataBlocks != b.dataBlocks:
-		return a.dataBlocks < b.dataBlocks
-	case a.base != b.base:
-		return a.base < b.base
-	case a.cacheLines != b.cacheLines:
-		return a.cacheLines < b.cacheLines
-	}
-	return a.imageLen < b.imageLen
-}
-
-// ffOpRecordSize is the encoded size of one op record with its key.
-const ffOpRecordSize = 1 + 15*8
-
 // ffDecodeBundle parses a bundle payload; any malformation, or any
 // departure from the canonical form ffEncodeBundle writes, is an error
 // (the caller degrades to an empty bundle).
-func ffDecodeBundle(payload []byte) (ffRecords, ffOps, error) {
+func ffDecodeBundle(payload []byte) (ffRecords, error) {
 	d := &ffDec{b: payload}
 	if v := d.u64(); v != ffBundleVersion {
-		return nil, nil, fmt.Errorf("platform: bundle version %d (want %d)", v, ffBundleVersion)
+		return nil, fmt.Errorf("platform: bundle version %d (want %d)", v, ffBundleVersion)
 	}
 	n := d.len(64) // a key+record is far larger than 64 bytes
 	records := make(ffRecords)
@@ -312,20 +359,117 @@ func ffDecodeBundle(payload []byte) (ffRecords, ffOps, error) {
 		records[k] = append(records[k], cr)
 		prev = k
 	}
+	if err := d.finish(); err != nil {
+		return nil, err
+	}
+	return records, nil
+}
 
-	ops := make(ffOps)
-	nops := d.len(ffOpRecordSize)
-	var prevOp ffOpKey
-	for i := 0; i < nops && d.err == nil; i++ {
-		var k ffOpKey
+// ---- Op-table codec ----
+//
+// A "meeops" entry holds one geometry's op records: the version, the
+// geometry (data blocks, region base, cache lines, image length), a
+// count, then per record a save byte, the start state and nine words of
+// value (root delta, the six traffic counters, write-backs, start-state
+// cache digest), sorted by key. Like the bundle decoder, the decoder
+// accepts only the canonical form — keys strictly increasing and among
+// the three a platform records — so it accepts at most three records
+// and whatever it accepts re-encodes to the same bytes (FuzzOpTableDecode).
+
+// ffOpRecordSize is the encoded size of one op record: its save byte,
+// start state and value.
+const ffOpRecordSize = 1 + 10*8
+
+// ffOpGeomKey is geometry g's store key.
+func ffOpGeomKey(g ffOpGeom) []byte {
+	e := &ffEnc{}
+	ffEncodeOpGeom(e, g)
+	return e.b
+}
+
+func ffEncodeOpGeom(e *ffEnc, g ffOpGeom) {
+	e.i64(int64(g.dataBlocks))
+	e.u64(g.base)
+	e.i64(int64(g.cacheLines))
+	e.i64(int64(g.imageLen))
+}
+
+// ffOpGeomLess orders geometries.
+func ffOpGeomLess(a, b ffOpGeom) bool {
+	switch {
+	case a.dataBlocks != b.dataBlocks:
+		return a.dataBlocks < b.dataBlocks
+	case a.base != b.base:
+		return a.base < b.base
+	case a.cacheLines != b.cacheLines:
+		return a.cacheLines < b.cacheLines
+	}
+	return a.imageLen < b.imageLen
+}
+
+// ffOpKeyLess orders the op keys of one geometry: restores before
+// saves, then by start state.
+func ffOpKeyLess(a, b ffOpKey) bool {
+	if a.save != b.save {
+		return !a.save
+	}
+	return a.start < b.start
+}
+
+// ffEncodeOpTable serializes geometry g's records of ops in canonical
+// order.
+func ffEncodeOpTable(g ffOpGeom, ops ffOps) []byte {
+	keys := make([]ffOpKey, 0, 3)
+	for k := range ops {
+		if k.geom == g {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return ffOpKeyLess(keys[i], keys[j]) })
+	e := &ffEnc{}
+	e.u64(ffOpTableVersion)
+	ffEncodeOpGeom(e, g)
+	e.u64(uint64(len(keys)))
+	for _, k := range keys {
+		r := ops[k]
+		e.bool(k.save)
+		e.u64(uint64(k.start))
+		e.u64(r.op.RootDelta)
+		e.u64(r.op.Stats.DataReads)
+		e.u64(r.op.Stats.DataWrites)
+		e.u64(r.op.Stats.MetaReads)
+		e.u64(r.op.Stats.MetaWrites)
+		e.u64(r.op.Stats.CacheHits)
+		e.u64(r.op.Stats.CacheMisses)
+		e.u64(r.op.Writebacks)
+		e.u64(r.digest)
+	}
+	return e.b
+}
+
+// ffDecodeOpTable parses a "meeops" payload into its geometry and
+// records; any malformation, or any departure from the canonical form
+// ffEncodeOpTable writes, is an error (the caller leaves the geometry
+// cold).
+func ffDecodeOpTable(payload []byte) (ffOpGeom, ffOps, error) {
+	d := &ffDec{b: payload}
+	if v := d.u64(); v != ffOpTableVersion {
+		return ffOpGeom{}, nil, fmt.Errorf("platform: op table version %d (want %d)", v, ffOpTableVersion)
+	}
+	var g ffOpGeom
+	g.dataBlocks = int(d.i64())
+	g.base = d.u64()
+	g.cacheLines = int(d.i64())
+	g.imageLen = int(d.i64())
+	n := d.len(ffOpRecordSize)
+	ops := make(ffOps, n)
+	var prev ffOpKey
+	for i := 0; i < n && d.err == nil; i++ {
+		k := ffOpKey{geom: g}
 		var r ffOpRecord
 		k.save = d.bool()
 		start := d.u64()
 		k.start = ffOpStart(start)
-		k.dataBlocks = int(d.i64())
-		k.base = d.u64()
-		k.cacheLines = int(d.i64())
-		k.imageLen = int(d.i64())
 		r.op.RootDelta = d.u64()
 		r.op.Stats.DataReads = d.u64()
 		r.op.Stats.DataWrites = d.u64()
@@ -334,24 +478,20 @@ func ffDecodeBundle(payload []byte) (ffRecords, ffOps, error) {
 		r.op.Stats.CacheHits = d.u64()
 		r.op.Stats.CacheMisses = d.u64()
 		r.op.Writebacks = d.u64()
-		r.lat = sim.Duration(d.i64())
 		r.digest = d.u64()
-		if start < uint64(ffStartFormatted) || start > uint64(ffStartPrimed) {
-			d.fail("op record %d: start state %d", i, start)
+		if start > uint64(ffStartPrimed) || !k.valid() {
+			d.fail("op record %d: no platform records a save=%v op from start state %d", i, k.save, start)
 		}
-		if i > 0 && !ffOpKeyLess(prevOp, k) {
+		if i > 0 && !ffOpKeyLess(prev, k) {
 			d.fail("op record %d: key out of order", i)
 		}
 		ops[k] = r
-		prevOp = k
+		prev = k
 	}
-	if d.err != nil {
-		return nil, nil, d.err
+	if err := d.finish(); err != nil {
+		return ffOpGeom{}, nil, err
 	}
-	if d.off != len(d.b) {
-		return nil, nil, fmt.Errorf("platform: bundle has %d trailing bytes", len(d.b)-d.off)
-	}
-	return records, ops, nil
+	return g, ops, nil
 }
 
 func ffEncodeRecord(e *ffEnc, cr *cycleRecord) {
@@ -539,6 +679,18 @@ func (d *ffDec) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("platform: bundle decode: "+format, args...)
 	}
+}
+
+// finish reports the first malformation, or bytes left over after a
+// complete payload.
+func (d *ffDec) finish() error {
+	if d.err != nil {
+		return d.err
+	}
+	if d.off != len(d.b) {
+		return fmt.Errorf("platform: payload has %d trailing bytes", len(d.b)-d.off)
+	}
+	return nil
 }
 
 func (d *ffDec) take(n int) []byte {

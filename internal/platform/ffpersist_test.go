@@ -29,7 +29,8 @@ func openPlane(t *testing.T, dir string, mode memostore.Mode) (*memostore.Store,
 
 // runStandby runs cycles on a platform in the given fast-forward mode,
 // attached to plane (nil keeps the platform's cycle memo to itself), and
-// then flushes plane, as a program does before it exits.
+// then flushes plane's classes and op table, as a program does before it
+// exits.
 func runStandby(t *testing.T, cfg Config, plane *MemoPlane, mode FFMode, cycles []workload.Cycle) (Result, FFStats) {
 	t.Helper()
 	p, err := New(cfg)
@@ -48,26 +49,51 @@ func runStandby(t *testing.T, cfg Config, plane *MemoPlane, mode FFMode, cycles 
 	}
 	if plane != nil {
 		plane.Flush()
+		plane.FlushOps()
 	}
 	return res, p.FFStats()
 }
 
 func TestPersistBundleCodecRoundTrip(t *testing.T) {
 	records := testCycleRecords()
-	ops := testOpRecords()
-	payload := ffEncodeBundle(records, ops)
-	decoded, decodedOps, err := ffDecodeBundle(payload)
+	payload := ffEncodeBundle(records)
+	decoded, err := ffDecodeBundle(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(decoded, records) {
 		t.Fatalf("bundle did not round-trip:\n got %#v\nwant %#v", decoded, records)
 	}
-	if !reflect.DeepEqual(decodedOps, ops) {
-		t.Fatalf("op records did not round-trip:\n got %#v\nwant %#v", decodedOps, ops)
-	}
-	if again := ffEncodeBundle(decoded, decodedOps); !bytes.Equal(again, payload) {
+	if again := ffEncodeBundle(decoded); !bytes.Equal(again, payload) {
 		t.Fatal("re-encoding a decoded bundle changed its bytes")
+	}
+}
+
+// TestPersistOpTableCodecRoundTrip: a geometry's entry carries exactly
+// that geometry's records, and decodes to them and its geometry.
+func TestPersistOpTableCodecRoundTrip(t *testing.T) {
+	ops := testOpRecords()
+	for _, g := range []ffOpGeom{testOpGeom(3200), testOpGeom(16)} {
+		payload := ffEncodeOpTable(g, ops)
+		gotGeom, got, err := ffDecodeOpTable(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ffOps{}
+		for k, r := range ops {
+			if k.geom == g {
+				want[k] = r
+			}
+		}
+		if gotGeom != g || !reflect.DeepEqual(got, want) {
+			t.Fatalf("geometry %+v did not round-trip:\n got %+v %#v\nwant %#v", g, gotGeom, got, want)
+		}
+		if again := ffEncodeOpTable(gotGeom, got); !bytes.Equal(again, payload) {
+			t.Fatal("re-encoding a decoded op table changed its bytes")
+		}
+	}
+	if n := len(ffEncodeOpTable(testOpGeom(3200), ops)); n != 6*8+3*ffOpRecordSize {
+		t.Errorf("a full geometry encodes to %d bytes, want %d", n, 6*8+3*ffOpRecordSize)
 	}
 }
 
@@ -129,10 +155,16 @@ func testCycleRecords() ffRecords {
 	}
 }
 
-// testOpRecords is one op record per start state, over two geometries.
+// testOpGeom is a region geometry of blocks data blocks.
+func testOpGeom(blocks int) ffOpGeom {
+	return ffOpGeom{dataBlocks: blocks, base: 0x1000, cacheLines: 256, imageLen: blocks*64 - 5}
+}
+
+// testOpRecords is one op record per start state over one geometry, and
+// a primed save over a second.
 func testOpRecords() ffOps {
 	key := func(save bool, start ffOpStart, blocks int) ffOpKey {
-		return ffOpKey{save: save, start: start, dataBlocks: blocks, base: 0x1000, cacheLines: 256, imageLen: blocks*64 - 5}
+		return ffOpKey{save: save, start: start, geom: testOpGeom(blocks)}
 	}
 	rec := func(n uint64) ffOpRecord {
 		return ffOpRecord{
@@ -141,7 +173,6 @@ func testOpRecords() ffOps {
 				Stats:      mee.Stats{DataReads: 1, DataWrites: n, MetaReads: 3, MetaWrites: 4, CacheHits: 5, CacheMisses: 6},
 				Writebacks: 7,
 			},
-			lat:    sim.Duration(n) * sim.Nanosecond,
 			digest: 0xFEEDFACE ^ n,
 		}
 	}
@@ -160,32 +191,58 @@ func TestPersistBundleDecodeRejectsDamage(t *testing.T) {
 			shallowD: map[string]uint64{}, steps: make([]FlowStep, 0),
 		}},
 	}
-	good := ffEncodeBundle(records, testOpRecords())
-	noOps := ffEncodeBundle(records, nil)
-	// The op section is the tail: its count, then fixed-size records.
-	opSection := len(good) - len(noOps) + 8
-	firstOp := len(good) - opSection + 8
-	badStart := append([]byte(nil), good...)
-	badStart[firstOp+1] = 9 // the first op record's start state
-	swapped := append([]byte(nil), good[:firstOp]...)
-	swapped = append(swapped, good[firstOp+ffOpRecordSize:firstOp+2*ffOpRecordSize]...)
-	swapped = append(swapped, good[firstOp:firstOp+ffOpRecordSize]...)
-	swapped = append(swapped, good[firstOp+2*ffOpRecordSize:]...)
-	v2 := append([]byte(nil), noOps[:len(noOps)-8]...) // a v2 payload: no op section
-	v2[0] = 2
+	good := ffEncodeBundle(records)
+	v4 := append(append([]byte(nil), good...), make([]byte, 8)...) // a v4 payload: an empty op section
+	v4[0] = 4
+	for name, bad := range map[string][]byte{
+		"truncated":     good[:len(good)-3],
+		"trailing":      append(append([]byte(nil), good...), 1),
+		"empty":         {},
+		"version-skew":  append([]byte{99}, good[1:]...),
+		"v4":            v4,
+		"hostile-count": append(append([]byte(nil), good[:8]...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF),
+	} {
+		if _, err := ffDecodeBundle(bad); err == nil {
+			t.Errorf("%s: decode accepted damaged bundle", name)
+		}
+	}
+}
+
+func TestPersistOpTableDecodeRejectsDamage(t *testing.T) {
+	good := ffEncodeOpTable(testOpGeom(3200), testOpRecords())
+	first := 6 * 8 // version, geometry, count
+	rec := func(i int) []byte { return good[first+i*ffOpRecordSize : first+(i+1)*ffOpRecordSize] }
+	with := func(recs ...[]byte) []byte {
+		out := append([]byte(nil), good[:first]...)
+		out[first-8] = byte(len(recs))
+		for _, r := range recs {
+			out = append(out, r...)
+		}
+		return out
+	}
+	setStart := func(i int, start byte) []byte {
+		out := append([]byte(nil), good...)
+		out[first+i*ffOpRecordSize+1] = start
+		return out
+	}
+	flipSave := append([]byte(nil), good...)
+	flipSave[first] ^= 1 // the imported restore becomes an imported save
 	for name, bad := range map[string][]byte{
 		"truncated":        good[:len(good)-3],
-		"truncated-ops":    good[:len(good)-ffOpRecordSize],
+		"truncated-record": good[:len(good)-ffOpRecordSize],
 		"trailing":         append(append([]byte(nil), good...), 1),
 		"empty":            {},
 		"version-skew":     append([]byte{99}, good[1:]...),
-		"v2":               v2,
-		"hostile-count":    append(append([]byte(nil), good[:8]...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF),
-		"bad-start-state":  badStart,
-		"ops-out-of-order": swapped,
+		"hostile-count":    append(append([]byte(nil), good[:first-8]...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF),
+		"no-start-state":   setStart(0, byte(ffNoStart)),
+		"bad-start-state":  setStart(0, 9),
+		"save-from-import": flipSave,
+		"out-of-order":     with(rec(1), rec(0), rec(2)),
+		"duplicate-key":    with(rec(0), rec(0)),
+		"fourth-record":    with(rec(0), rec(1), rec(2), rec(2)),
 	} {
-		if _, _, err := ffDecodeBundle(bad); err == nil {
-			t.Errorf("%s: decode accepted damaged bundle", name)
+		if _, _, err := ffDecodeOpTable(bad); err == nil {
+			t.Errorf("%s: decode accepted a damaged op table", name)
 		}
 	}
 }
@@ -309,7 +366,7 @@ func TestPersistVerifyDetectsTamper(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("bundle load: ok=%v err=%v", ok, err)
 	}
-	records, ops, err := ffDecodeBundle(payload)
+	records, err := ffDecodeBundle(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +375,7 @@ func TestPersistVerifyDetectsTamper(t *testing.T) {
 			cr.nomD[0].PJ++
 		}
 	}
-	store.Save("cycles", key, ffEncodeBundle(records, ops))
+	store.Save("cycles", key, ffEncodeBundle(records))
 
 	_, roPlane := openPlane(t, dir, memostore.RO)
 	p, err := New(cfg)
@@ -372,27 +429,33 @@ func TestPersistCorruptEntryRecomputes(t *testing.T) {
 }
 
 // TestPersistVerifyDetectsOpTamper: -fastforward verify re-executes
-// every MEE op and diffs it against the class's op record, even one a
-// fresh platform adopted from disk and never recorded itself. One traffic
-// counter off, or a start-state digest that does not match the live
-// engine, fails the run.
+// every MEE op and diffs it against the op table's record, even one a
+// fresh plane loaded from the store and never recorded itself, and names
+// what diverged: the traffic, the start-state digest, or the latency the
+// record replays at. A cache-hit count is traffic the latency does not
+// price; a metadata read is both.
 func TestPersistVerifyDetectsOpTamper(t *testing.T) {
 	cfg := ODRIPSConfig()
 	cycles := workload.Fixed(3, 0, 30*sim.Second)
-	for name, tamper := range map[string]func(*ffOpRecord){
-		"traffic": func(r *ffOpRecord) { r.op.Stats.MetaReads++ },
-		"digest":  func(r *ffOpRecord) { r.digest ^= 1 },
+	for name, tc := range map[string]struct {
+		tamper  func(*ffOpRecord)
+		want    []string
+		mustNot []string
+	}{
+		"cache-hits": {func(r *ffOpRecord) { r.op.Stats.CacheHits++ }, []string{"traffic"}, []string{"latency", "start digest"}},
+		"meta-reads": {func(r *ffOpRecord) { r.op.Stats.MetaReads++ }, []string{"traffic", "latency"}, []string{"start digest"}},
+		"digest":     {func(r *ffOpRecord) { r.digest ^= 1 }, []string{"start digest"}, []string{"traffic", "latency"}},
 	} {
 		dir := t.TempDir()
 		store, plane := openPlane(t, dir, memostore.RW)
 		runStandby(t, cfg, plane, FFOn, cycles)
 
-		key := []byte(MemoClassKey(cfg))
-		payload, ok, err := store.Load("cycles", key)
+		g := testPlatformGeom(t, cfg)
+		payload, ok, err := store.Load("meeops", ffOpGeomKey(g))
 		if err != nil || !ok {
-			t.Fatalf("bundle load: ok=%v err=%v", ok, err)
+			t.Fatalf("op table load: ok=%v err=%v", ok, err)
 		}
-		records, ops, err := ffDecodeBundle(payload)
+		_, ops, err := ffDecodeOpTable(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,11 +464,11 @@ func TestPersistVerifyDetectsOpTamper(t *testing.T) {
 		}
 		for k, r := range ops {
 			if k.save && k.start == ffStartFormatted {
-				tamper(&r)
+				tc.tamper(&r)
 				ops[k] = r
 			}
 		}
-		store.Save("cycles", key, ffEncodeBundle(records, ops))
+		store.Save("meeops", ffOpGeomKey(g), ffEncodeOpTable(g, ops))
 
 		// A fresh platform's first save starts from the formatted state.
 		_, roPlane := openPlane(t, dir, memostore.RO)
@@ -417,8 +480,30 @@ func TestPersistVerifyDetectsOpTamper(t *testing.T) {
 			t.Fatal(err)
 		}
 		roPlane.Attach(p)
-		if _, err := p.RunCycles(cycles); err == nil || !strings.Contains(err.Error(), "fastforward verify: save diverged") {
+		_, err = p.RunCycles(cycles)
+		if err == nil || !strings.Contains(err.Error(), "fastforward verify: save diverged") {
 			t.Errorf("%s: verify accepted a tampered op record (err=%v)", name, err)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: %v does not name the %s", name, err, w)
+			}
+		}
+		for _, w := range tc.mustNot {
+			if strings.Contains(err.Error(), w) {
+				t.Errorf("%s: %v names the %s, which matched", name, err, w)
+			}
 		}
 	}
+}
+
+// testPlatformGeom returns the op geometry of cfg's platforms.
+func testPlatformGeom(t *testing.T, cfg Config) ffOpGeom {
+	t.Helper()
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.ffOpKeyFor(true, ffStartFormatted).geom
 }

@@ -111,7 +111,7 @@ func TestCycleWindowMissFailSafe(t *testing.T) {
 			// run attaches a fresh plane whose class holds seed.
 			run := func(seed ffRecords) (Result, FFStats) {
 				fresh := NewMemoPlane(nil, 0)
-				fresh.acquire(MemoClassKey(cfg)).adopt(seed, nil)
+				fresh.acquire(MemoClassKey(cfg)).adopt(seed)
 				p, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -21,7 +21,10 @@ import (
 // canonical configuration (CanonicalConfig) — so every device of a fleet that
 // shares a configuration class reads and publishes the same record set,
 // live: the first device to discover a steady-state cycle pays for
-// it, every other device fast-forwards through it.
+// it, every other device fast-forwards through it. Beside the classes
+// it owns one MEE op table (ffOpTable), which every attached platform
+// shares whatever its class: an op record depends only on the engine
+// state the op starts from and the region geometry.
 //
 // Why cross-device sharing is sound: a record is only ever used when the
 // live boundary fingerprint recurs and the live crystal phases lie in its
@@ -70,6 +73,10 @@ type MemoPlane struct {
 	mu      sync.Mutex
 	classes *lru.Cache[string, *ffBundle]
 
+	// ops is the plane's one MEE op table: op records depend on no memo
+	// class, so every platform attached to the plane shares it.
+	ops *ffOpTable
+
 	adopted atomic.Uint64
 
 	// WarmClass outcomes for cold classes. Its only wait is the store's
@@ -81,11 +88,14 @@ type MemoPlane struct {
 
 // NewMemoPlane creates a plane bounded to maxClasses configuration
 // classes (maxClasses < 1 uses defaultPlaneClasses). store, when
-// non-nil and readable, warms classes from disk on first acquisition.
-// Over a writable store the plane is the only writer of its classes: it
-// writes a dirty one when WarmClass has discovered it, when acquire
-// evicts it, and at Flush. A process that exits without a Flush loses
-// what it discovered since: later runs miss it, never read wrong data.
+// non-nil and readable, warms classes from disk on first acquisition,
+// and the op table each geometry on its first lookup. Over a writable
+// store the plane is the only writer of its classes and op table: it
+// writes a dirty class when WarmClass has discovered it, when acquire
+// evicts it, and at Flush, and the op table's dirty geometries when
+// WarmClass has discovered a class and at FlushOps. A process that exits
+// without flushing loses what it discovered since: later runs miss it,
+// never read wrong data.
 // The plane's verification path is -fastforward=verify, which
 // re-simulates and diffs adopted records.
 func NewMemoPlane(store *memostore.Store, maxClasses int) *MemoPlane {
@@ -95,6 +105,7 @@ func NewMemoPlane(store *memostore.Store, maxClasses int) *MemoPlane {
 	return &MemoPlane{
 		store:   store,
 		classes: lru.New[string, *ffBundle](maxClasses),
+		ops:     newFFOpTable(store),
 	}
 }
 
@@ -123,8 +134,8 @@ func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 		// counted there, the class starts cold, a later save overwrites
 		// the damaged entry.
 	case ok:
-		if recs, ops, derr := ffDecodeBundle(payload); derr == nil {
-			b.records, b.ops = recs, ops
+		if recs, derr := ffDecodeBundle(payload); derr == nil {
+			b.records = recs
 		}
 		// A decode error degrades to a cold class: the entry passed the
 		// store's checksum but predates a bundle-layout change that forgot
@@ -138,14 +149,17 @@ func (pl *MemoPlane) acquire(classKey string) *ffBundle {
 }
 
 // Attach hooks a platform into the plane: from then on the platform reads
-// and publishes its memo class's shared bundle, so it replays every record
-// the class holds or gains. Its runs only mark the class dirty; the plane
-// writes it (see NewMemoPlane). The records the class holds now count as
-// adopted. A platform nobody attaches keeps its records in the private
-// bundle New gave it, which nothing writes.
+// and publishes its memo class's shared bundle and the plane's op table,
+// so it replays every cycle record the class holds or gains and every MEE
+// op any platform of the plane ran. Its runs only mark what they add
+// dirty; the plane writes it (see NewMemoPlane). The cycle records the
+// class holds now count as adopted. A platform nobody attaches keeps its
+// records in the private bundle and op table New gave it, which nothing
+// writes.
 func (pl *MemoPlane) Attach(p *Platform) {
 	b := pl.acquire(MemoClassKey(p.cfg))
 	p.ff.bundle = b
+	p.ff.ops = pl.ops
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	pl.adopted.Add(uint64(b.records.count()))
@@ -157,9 +171,11 @@ func (pl *MemoPlane) Attach(p *Platform) {
 // already holds records needs no coordination: compute replays cheaply.
 // For a cold class over a writable store, callers in this and every
 // other process sharing the store elect one discoverer through a claim
-// file: the owner computes, and the plane writes the class before the
-// claim is released; everyone else waits for that write and adopts the
-// bundle before running. Every caller still runs its own
+// file: the owner computes, and the plane writes the class — and the op
+// table geometries the compute added records to — before the claim is
+// released; everyone else waits for that write and adopts the bundle
+// before running (its op table loads a geometry's entry when it first
+// needs one). Every caller still runs its own
 // compute — outcomes are per-caller; what is deduplicated is the
 // discovery cost. Without a writable store, or after filesystem trouble
 // or persistent claim churn, callers compute uncoordinated
@@ -188,6 +204,7 @@ func (pl *MemoPlane) WarmClass(ctx context.Context, classKey string, compute fun
 		return err
 	}
 	pl.save(b) // before the deferred Release: waiters adopt it from disk
+	pl.ops.save()
 	return nil
 }
 
@@ -218,13 +235,13 @@ func (pl *MemoPlane) claimClass(ctx context.Context, b *ffBundle) (*memostore.Cl
 			return nil, false, werr
 		}
 		if ok {
-			recs, ops, derr := ffDecodeBundle(payload)
+			recs, derr := ffDecodeBundle(payload)
 			if derr != nil {
 				// An undecodable payload degrades to a cold class,
 				// exactly like acquire's disk path.
 				return nil, false, nil
 			}
-			b.adopt(recs, ops)
+			b.adopt(recs)
 			return nil, true, nil
 		}
 	}
@@ -235,17 +252,12 @@ func (pl *MemoPlane) claimClass(ctx context.Context, b *ffBundle) (*memostore.Cl
 // a key (and window) wins, as everywhere in the memo plane — two holders
 // of one carry byte-identical records by determinism. Adopted records are
 // not dirty: the process that saved them already persisted them.
-func (b *ffBundle) adopt(recs ffRecords, ops ffOps) {
+func (b *ffBundle) adopt(recs ffRecords) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for k, list := range recs {
 		for _, cr := range list {
 			b.records.add(k, cr)
-		}
-	}
-	for k, r := range ops {
-		if _, ok := b.ops[k]; !ok {
-			b.ops[k] = r
 		}
 	}
 }
@@ -262,14 +274,16 @@ func (pl *MemoPlane) save(b *ffBundle) {
 	if !b.dirty {
 		return
 	}
-	pl.store.Save("cycles", []byte(b.key), ffEncodeBundle(b.records, b.ops))
+	pl.store.Save("cycles", []byte(b.key), ffEncodeBundle(b.records))
 	b.dirty = false
 }
 
 // Flush writes every live class that gained records since it was last
-// written, each once however many runs it took. Programs call it before
-// they report store statistics or exit (experiments.Runtime.Flush);
-// fleet.Exec calls it when a job ends.
+// written, each once however many runs it took: one store write per
+// dirty class, which is what the benchmark harness's plane probe times.
+// The op table has its own flush, FlushOps. Programs call both, through
+// experiments.Runtime.Flush, before they report store statistics or
+// exit; fleet.Exec calls that when a job ends.
 func (pl *MemoPlane) Flush() {
 	if !pl.store.Mode().Writable() {
 		return
@@ -281,11 +295,17 @@ func (pl *MemoPlane) Flush() {
 	}
 }
 
+// FlushOps writes every geometry of the plane's op table that gained
+// records since the table loaded or last wrote it, one "meeops" entry
+// each.
+func (pl *MemoPlane) FlushOps() { pl.ops.save() }
+
 // MemoPlaneStats is a point-in-time snapshot of a plane.
 type MemoPlaneStats struct {
 	Classes    int       `json:"classes"`     // live configuration classes
 	Records    int       `json:"records"`     // cycle records across all live classes
-	OpRecords  int       `json:"op_records"`  // MEE op records across all live classes
+	OpRecords  int       `json:"op_records"`  // MEE op records in the plane's op table: at most 3 per geometry
+	OpsRun     uint64    `json:"ops_run"`     // MEE ops with a table key its platforms ran for real (recorded, or compared under -fastforward verify)
 	MaxClasses int       `json:"max_classes"` // the class bound
 	Adopted    uint64    `json:"adopted"`     // records handed to attaching platforms so far
 	WarmLeads  uint64    `json:"warm_leads"`  // cold-class WarmClass calls that discovered the class themselves (owned claim or uncoordinated)
@@ -304,11 +324,11 @@ func (pl *MemoPlane) Stats() MemoPlaneStats {
 		WarmShared: pl.warmShared.Load(),
 		Class:      pl.classes.Stats(),
 	}
+	st.OpRecords, st.OpsRun = pl.ops.counts()
 	for _, key := range pl.classes.Keys() {
 		if b, ok := pl.classes.Peek(key); ok {
 			b.mu.Lock()
 			st.Records += b.records.count()
-			st.OpRecords += len(b.ops)
 			b.mu.Unlock()
 		}
 	}

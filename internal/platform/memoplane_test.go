@@ -639,6 +639,9 @@ func TestMemoPlaneConcurrentOpsRunOnce(t *testing.T) {
 	if replayed != devices*8-3 {
 		t.Errorf("%d of %d MEE ops replayed, want all but the class's 3 first ones", replayed, devices*8)
 	}
+	if n := plane.Stats().OpsRun; n != 3 {
+		t.Errorf("the plane's platforms ran %d MEE ops for real, want 3", n)
+	}
 }
 
 // TestBarePlatformRecordCap: a platform built by New alone records into
@@ -657,10 +660,10 @@ func TestBarePlatformRecordCap(t *testing.T) {
 	}
 }
 
-// TestMemoPlaneSharesOpRecords: MEE op records live in the memo class,
-// so a second fresh platform of the class replays every context save and
-// restore — its first save from the formatted engine included — where a
-// platform-private record set made it pay for three. The shape is the
+// TestMemoPlaneSharesOpRecords: MEE op records live in the plane's op
+// table, so a second fresh platform of the class replays every context
+// save and restore — its first save from the formatted engine included —
+// where a platform-private record set made it pay for three. The shape is the
 // break-even sweep's: forced-deepest ODRIPS, four 2 ms cycles, adjacent
 // idle lengths (different idles keep whole-cycle replay out of the way).
 func TestMemoPlaneSharesOpRecords(t *testing.T) {
@@ -682,8 +685,8 @@ func TestMemoPlaneSharesOpRecords(t *testing.T) {
 		t.Errorf("second platform: %+v, want all 8 MEE ops replayed, no materialization, no cycle replayed", st)
 	}
 	// One record per start state: formatted save, imported restore,
-	// primed save.
-	if n := plane.Stats().OpRecords; n != 3 {
-		t.Errorf("plane holds %d op records, want 3", n)
+	// primed save, each run for real once.
+	if ps := plane.Stats(); ps.OpRecords != 3 || ps.OpsRun != 3 {
+		t.Errorf("plane holds %d op records after %d real ops, want 3 and 3", ps.OpRecords, ps.OpsRun)
 	}
 }

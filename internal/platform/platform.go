@@ -240,7 +240,7 @@ func assemble(cfg Config, tpl *template) (*Platform, error) {
 		meter:         m,
 		wakeCount:     make(map[chipset.WakeSource]uint64),
 		shallowCounts: make(map[string]uint64),
-		ff:            ffState{bundle: newFFBundle("")},
+		ff:            ffState{bundle: newFFBundle(""), ops: newFFOpTable(nil)},
 	}
 
 	// Board crystals.
