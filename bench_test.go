@@ -433,6 +433,24 @@ func BenchmarkConnectedStandbySixHoursWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkRuntimeNewPlatform measures assembling an ODRIPS platform
+// from a runtime's warm template: what every memo-class run and
+// break-even sweep point pays before it simulates anything.
+func BenchmarkRuntimeNewPlatform(b *testing.B) {
+	b.ReportAllocs()
+	rt := experiments.NewRuntime(nil, FFOn, 0)
+	cfg := ODRIPSConfig()
+	if _, err := rt.NewPlatform(cfg); err != nil { // build the template, untimed
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rt.NewPlatform(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // fleet10kSpec is the acceptance-scenario fleet: 10,000 devices over a
 // six-hour horizon whose spread (battery capacities) is homogeneous in
 // simulation physics, so the engine collapses it to one simulated run

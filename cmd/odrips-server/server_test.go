@@ -295,11 +295,12 @@ func TestCancelPendingViaDELETE(t *testing.T) {
 // TestCancelMidRun: DELETE while the engine is simulating stops the job
 // at a device boundary; the stream reports canceled, not done.
 func TestCancelMidRun(t *testing.T) {
-	// 64 drift classes → 64 memo-class chains, far more than the queue
-	// runtime's GOMAXPROCS workers → a wide cancel window.
+	// 1024 drift classes → 1024 memo-class chains, far more than the queue
+	// runtime's GOMAXPROCS workers → a cancel window of ~100 ms, many
+	// scheduler time slices wide, however fast one chain runs.
 	var sb strings.Builder
-	sb.WriteString(`{"name":"wide","devices":64,"horizon":"2m","spread":{"drift_ppb":[0`)
-	for i := 1; i < 64; i++ {
+	sb.WriteString(`{"name":"wide","devices":1024,"horizon":"2m","spread":{"drift_ppb":[0`)
+	for i := 1; i < 1024; i++ {
 		fmt.Fprintf(&sb, ",%d", i*10)
 	}
 	sb.WriteString(`]}}`)

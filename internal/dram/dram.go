@@ -6,7 +6,9 @@
 // The module stores real bytes (sparse, 64-byte blocks) so that the
 // SGX-protected context region holds actual ciphertext, and volatility is
 // honest: powering a DDR3L module off destroys its contents, while PCM
-// retains them.
+// retains them. A module may also read through to a shared read-only base
+// layer (SetBase): contents every module of a kind starts with, which each
+// module overlays block by block as it writes, never copying the rest.
 package dram
 
 import (
@@ -76,12 +78,24 @@ func Skylake8GB() Config {
 	return Config{Tech: DDR3L, CapacityBytes: 8 << 30, TransferMTps: 1600, Channels: 2, BytesPerBeat: 8}
 }
 
-// Module is one memory module with sparse block-addressed contents.
+// Module is one memory module with sparse block-addressed contents: the
+// blocks it wrote (the overlay), over an optional shared base layer.
 type Module struct {
 	cfg    Config
 	state  PowerState
 	cke    bool // CKE pin held (DDR3L self-refresh requires it)
 	blocks map[uint64][]byte
+
+	// base is the read-only base layer, covering [baseAddr,
+	// baseAddr+len(base)): a block the overlay lacks reads from it. The
+	// module never writes it, so any number of modules share one slice.
+	base     []byte
+	baseAddr uint64
+
+	// spare is unclaimed slab the overlay carves new blocks from, so
+	// block-at-a-time writes into fresh memory allocate once per slab,
+	// not once per block. It is never written before it is carved.
+	spare []byte
 
 	// OnDraw, if non-nil, receives the new nominal draw in mW on power
 	// state changes.
@@ -210,8 +224,64 @@ func (m *Module) SetState(s PowerState) error {
 	return nil
 }
 
+// destroy loses the contents: the overlay and the base layer alike.
 func (m *Module) destroy() {
 	m.blocks = make(map[uint64][]byte)
+	m.base = nil
+}
+
+// slabBlocks is the least number of blocks one overlay allocation holds.
+const slabBlocks = 64
+
+// carve returns a fresh zeroed block of the overlay's slab, allocating a
+// slab of at least want bytes when the spare one is used up.
+func (m *Module) carve(want int) []byte {
+	if len(m.spare) == 0 {
+		m.spare = make([]byte, max(want, slabBlocks*BlockSize))
+	}
+	blk := m.spare[:BlockSize:BlockSize]
+	m.spare = m.spare[BlockSize:]
+	return blk
+}
+
+// baseBlock returns the base layer's block at the aligned addr, or nil
+// when the base does not cover it.
+func (m *Module) baseBlock(addr uint64) []byte {
+	if addr < m.baseAddr || addr-m.baseAddr >= uint64(len(m.base)) {
+		return nil
+	}
+	off := addr - m.baseAddr
+	return m.base[off : off+BlockSize : off+BlockSize]
+}
+
+// block returns the contents of the aligned block at addr: the overlay's,
+// else the base layer's, else nil for a never-written block. The result
+// is read-only to callers: it may be the shared base.
+func (m *Module) block(addr uint64) []byte {
+	if blk, ok := m.blocks[addr]; ok {
+		return blk
+	}
+	return m.baseBlock(addr)
+}
+
+// SetBase installs data (block-aligned) at addr as the module's shared
+// base layer: the module reads it where it has written nothing itself and
+// never writes it, so data must not change afterwards and may back any
+// number of modules at once. It is the bulk install of contents every
+// module of a kind starts with (a formatted MEE tree), and it counts as
+// writing them: the module must be Active. A module that already holds
+// contents stores data into its overlay instead, as Write would, so a
+// base is only ever installed under an empty overlay.
+func (m *Module) SetBase(addr uint64, data []byte) error {
+	if err := m.checkAccess(addr, len(data)); err != nil {
+		return err
+	}
+	if len(m.blocks) > 0 || m.base != nil {
+		m.store(addr, data)
+		return nil
+	}
+	m.base, m.baseAddr = data, addr
+	return nil
 }
 
 func (m *Module) checkAccess(addr uint64, n int) error {
@@ -244,20 +314,16 @@ func (m *Module) Write(addr uint64, data []byte) error {
 	return nil
 }
 
-// store copies block-aligned data into the array at addr. Blocks it
-// materializes are carved from one allocation sized to the rest of data,
-// so a multi-block write into unwritten memory (a region format) costs one
-// allocation, not one per block.
+// store copies block-aligned data into the overlay at addr. A block the
+// overlay lacks is carved from its slab (a slab sized to at least the rest
+// of data, so a multi-block write into unwritten memory costs at most one
+// allocation), shadowing the base layer's block, which is never written.
 func (m *Module) store(addr uint64, data []byte) {
-	var slab []byte
 	for off := 0; off < len(data); off += BlockSize {
 		a := addr + uint64(off)
 		blk, ok := m.blocks[a]
 		if !ok {
-			if len(slab) == 0 {
-				slab = make([]byte, len(data)-off)
-			}
-			blk, slab = slab[:BlockSize:BlockSize], slab[BlockSize:]
+			blk = m.carve(len(data) - off)
 			m.blocks[a] = blk
 		}
 		copy(blk, data[off:off+BlockSize])
@@ -272,9 +338,7 @@ func (m *Module) Read(addr uint64, n int) ([]byte, error) {
 	}
 	out := make([]byte, n)
 	for off := 0; off < n; off += BlockSize {
-		if blk, ok := m.blocks[addr+uint64(off)]; ok {
-			copy(out[off:], blk)
-		}
+		copy(out[off:], m.block(addr+uint64(off)))
 	}
 	return out, nil
 }
@@ -290,12 +354,10 @@ func (m *Module) ReadBlockInto(addr uint64, dst []byte) error {
 		return fmt.Errorf("dram: ReadBlockInto dst of %d bytes, need %d", len(dst), BlockSize)
 	}
 	dst = dst[:BlockSize]
-	if blk, ok := m.blocks[addr]; ok {
+	if blk := m.block(addr); blk != nil {
 		copy(dst, blk)
 	} else {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	}
 	return nil
 }
@@ -307,7 +369,8 @@ func (m *Module) ReadBlockInto(addr uint64, dst []byte) error {
 // rules: addr is a byte address, bit selects the bit within that byte.
 // Flipping a bit in a never-written block materializes the block first
 // (zeros plus the flipped bit), exactly as a disturb error in scrubbed
-// memory would read back.
+// memory would read back; flipping one in a base-layer block copies that
+// block into the overlay first, so the shared base is never written.
 func (m *Module) CorruptBit(addr uint64, bit uint) error {
 	if m.state != Active && m.state != SelfRefresh {
 		return fmt.Errorf("dram: corrupt in state %s (no contents)", m.state)
@@ -315,13 +378,14 @@ func (m *Module) CorruptBit(addr uint64, bit uint) error {
 	if addr >= m.cfg.CapacityBytes {
 		return fmt.Errorf("dram: corrupt at %#x beyond capacity %#x", addr, m.cfg.CapacityBytes)
 	}
-	base := addr - addr%BlockSize
-	blk, ok := m.blocks[base]
+	a := addr - addr%BlockSize
+	blk, ok := m.blocks[a]
 	if !ok {
-		blk = make([]byte, BlockSize)
-		m.blocks[base] = blk
+		blk = m.carve(BlockSize)
+		copy(blk, m.baseBlock(a))
+		m.blocks[a] = blk
 	}
-	blk[addr-base] ^= 1 << (bit % 8)
+	blk[addr-a] ^= 1 << (bit % 8)
 	return nil
 }
 

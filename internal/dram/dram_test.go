@@ -2,7 +2,9 @@ package dram
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -458,5 +460,140 @@ func TestSetContents(t *testing.T) {
 	}
 	if err := m.SetContents(0x2000, data[:BlockSize]); err == nil {
 		t.Fatal("SetContents accepted while powered off")
+	}
+}
+
+// TestBaseLayerMatchesWrittenContents is the base layer's differential
+// test: a module reading a shared base must be indistinguishable from one
+// that had the same bytes written into it, under any sequence of writes,
+// backdoor stores, bit flips, reads and power transitions, and it must
+// never write the base.
+func TestBaseLayerMatchesWrittenContents(t *testing.T) {
+	const (
+		baseAddr   = 0x40000
+		baseBlocks = 48
+		margin     = 8 // blocks of the window on each side of the base
+	)
+	lo := uint64(baseAddr - margin*BlockSize)
+	window := baseBlocks + 2*margin
+	for _, cfg := range []Config{Skylake8GB(), pcm8GB()} {
+		for seed := int64(1); seed <= 16; seed++ {
+			label := fmt.Sprintf("%v/seed %d", cfg.Tech, seed)
+			rng := rand.New(rand.NewSource(seed))
+			base := make([]byte, baseBlocks*BlockSize)
+			rng.Read(base)
+			pristine := bytes.Clone(base)
+
+			layered, written := New(cfg), New(cfg)
+			if err := layered.SetBase(baseAddr, base); err != nil {
+				t.Fatal(err)
+			}
+			if err := written.Write(baseAddr, base); err != nil {
+				t.Fatal(err)
+			}
+			same := func(step int, op string, a, b error) {
+				t.Helper()
+				if (a == nil) != (b == nil) {
+					t.Fatalf("%s step %d %s: layered err %v, written err %v", label, step, op, a, b)
+				}
+			}
+			span := func() (uint64, []byte) {
+				first := rng.Intn(window)
+				n := 1 + rng.Intn(min(6, window-first))
+				data := make([]byte, n*BlockSize)
+				rng.Read(data)
+				return lo + uint64(first)*BlockSize, data
+			}
+			for step := 0; step < 600; step++ {
+				switch op := rng.Intn(9); op {
+				case 0:
+					addr, data := span()
+					same(step, "Write", layered.Write(addr, data), written.Write(addr, data))
+				case 1:
+					addr, data := span()
+					same(step, "SetContents", layered.SetContents(addr, data), written.SetContents(addr, data))
+				case 2:
+					addr := lo + uint64(rng.Intn(window*BlockSize))
+					bit := uint(rng.Intn(8))
+					same(step, "CorruptBit", layered.CorruptBit(addr, bit), written.CorruptBit(addr, bit))
+				case 3:
+					addr, data := span()
+					a, errA := layered.Read(addr, len(data))
+					b, errB := written.Read(addr, len(data))
+					same(step, "Read", errA, errB)
+					if !bytes.Equal(a, b) {
+						t.Fatalf("%s step %d: Read(%#x, %d) differs", label, step, addr, len(data))
+					}
+				case 4:
+					addr := lo + uint64(rng.Intn(window))*BlockSize
+					var a, b [BlockSize]byte
+					a[0], b[0] = 0xEE, 0x11 // stale bytes a read must overwrite
+					same(step, "ReadBlockInto", layered.ReadBlockInto(addr, a[:]), written.ReadBlockInto(addr, b[:]))
+					if a != b && layered.State() == Active {
+						t.Fatalf("%s step %d: ReadBlockInto(%#x) differs", label, step, addr)
+					}
+				case 5:
+					held := rng.Intn(2) == 0
+					layered.SetCKE(held)
+					written.SetCKE(held)
+				case 6, 7:
+					s := PowerState(rng.Intn(3))
+					same(step, "SetState", layered.SetState(s), written.SetState(s))
+				case 8:
+					// Reinstalling the base: over an empty overlay (after a
+					// volatile power loss) it is a base again, otherwise it
+					// stores like the write it counts as.
+					same(step, "SetBase", layered.SetBase(baseAddr, base), written.Write(baseAddr, base))
+				}
+				if layered.State() != written.State() || layered.CKE() != written.CKE() {
+					t.Fatalf("%s step %d: power state %v/%v vs %v/%v", label, step,
+						layered.State(), layered.CKE(), written.State(), written.CKE())
+				}
+			}
+			layered.SetCKE(true)
+			written.SetCKE(true)
+			same(-1, "SetState", layered.SetState(Active), written.SetState(Active))
+			a, errA := layered.Read(lo, window*BlockSize)
+			b, errB := written.Read(lo, window*BlockSize)
+			if errA != nil || errB != nil || !bytes.Equal(a, b) {
+				t.Fatalf("%s: final contents differ (errors %v, %v)", label, errA, errB)
+			}
+			if !bytes.Equal(base, pristine) {
+				t.Fatalf("%s: the module wrote its base layer", label)
+			}
+		}
+	}
+}
+
+// TestSetBaseRules: installing a base follows Write's access rules, and
+// a base that is not installed (the module already holds contents) still
+// reads back.
+func TestSetBaseRules(t *testing.T) {
+	m := New(Skylake8GB())
+	base := bytes.Repeat([]byte{0x5C}, 2*BlockSize)
+	if err := m.SetBase(0x1001, base); err == nil {
+		t.Fatal("unaligned SetBase accepted")
+	}
+	if err := m.SetBase(m.Config().CapacityBytes-BlockSize, base); err == nil {
+		t.Fatal("SetBase beyond capacity accepted")
+	}
+	if err := m.SetState(SelfRefresh); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetBase(0x1000, base); err == nil {
+		t.Fatal("SetBase accepted in self-refresh")
+	}
+	if err := m.SetState(Active); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Write(0x1000, make([]byte, BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetBase(0x1000, base); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Read(0x1000, len(base))
+	if err != nil || !bytes.Equal(got, base) {
+		t.Fatalf("SetBase over written contents reads %x, %v", got, err)
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"odrips/internal/dram"
 	"odrips/internal/mee"
@@ -33,14 +34,26 @@ type MEECacheAblation struct {
 	Rows []MEECacheRow
 }
 
-// AblationMEECache runs the sweep.
+// AblationMEECache runs the sweep. Every row protects the same region
+// under the same key, so the rows that miss the memo share one format of
+// its metadata, computed by the first of them.
 func (rt *Runtime) AblationMEECache() (*MEECacheAblation, error) {
 	sizes := []int{16, 32, 64, 128, 256, 512}
+	format := sync.OnceValues(func() (*mee.Formatted, error) {
+		const dataBlocks = 3141 // the serialized ~196 KiB context
+		var key [32]byte
+		key[0] = 0x5A
+		return mee.Format(0x1000_0000, dataBlocks, key)
+	})
 	rows, err := RunPoints(rt, len(sizes),
 		func(i int) string { return fmt.Sprintf("%d cache lines", sizes[i]) },
 		func(i int) (MEECacheRow, error) {
 			row, _, err := meeCacheMemo.Get(rt, meeCacheKey{lines: sizes[i]}, func() (MEECacheRow, error) {
-				return meeCachePoint(sizes[i])
+				f, err := format()
+				if err != nil {
+					return MEECacheRow{}, err
+				}
+				return meeCachePoint(f, sizes[i])
 			})
 			return row, err
 		})
@@ -75,16 +88,14 @@ var meeCacheMemo = PointMemo[meeCacheKey, MEECacheRow]{
 }
 
 // meeCachePoint saves the ~196 KiB context through an MEE with the given
-// cache size and restores it through a cold import of the saved state.
-func meeCachePoint(lines int) (MEECacheRow, error) {
-	const dataBlocks = 3141 // the serialized ~196 KiB context
-	payload := make([]byte, dataBlocks*mee.BlockSize)
+// cache size over a fresh region holding f's metadata, and restores it
+// through a cold import of the saved state.
+func meeCachePoint(f *mee.Formatted, lines int) (MEECacheRow, error) {
+	payload := make([]byte, f.Layout().DataBlocks*mee.BlockSize)
 	rand.New(rand.NewSource(99)).Read(payload)
-	var key [32]byte
-	key[0] = 0x5A
 
 	mem := dram.New(dram.Skylake8GB())
-	eng, err := mee.New(mem, 0x1000_0000, dataBlocks, key, lines)
+	eng, err := mee.NewFormatted(mem, f, lines)
 	if err != nil {
 		return MEECacheRow{}, err
 	}

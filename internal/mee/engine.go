@@ -101,22 +101,12 @@ type Engine struct {
 	noWalk   bool // test hook: force the per-block slow path
 }
 
-// New creates an engine over a fresh protected region and formats the
-// metadata (all versions zero, counters zero, MACs valid). cacheLines sizes
-// the MEE metadata cache (32 lines in the Skylake-like configuration). It
-// is Format followed by NewFormatted.
-func New(mem *dram.Module, base uint64, dataBlocks int, key [32]byte, cacheLines int) (*Engine, error) {
-	f, err := Format(base, dataBlocks, key)
-	if err != nil {
-		return nil, err
-	}
-	return NewFormatted(mem, f, cacheLines)
-}
-
 // Formatted is the metadata of a freshly formatted region, computed once
-// by Format and written into any number of memory modules by NewFormatted.
-// It holds no memory module and is read-only after Format, so engines in
-// any number of goroutines may be built from one value.
+// by Format and installed into any number of memory modules by
+// NewFormatted. It holds no memory module and is read-only after Format:
+// the modules it is installed in read its bytes as their shared base layer
+// and copy a block only when they write it, so engines in any number of
+// goroutines may be built from one value.
 type Formatted struct {
 	layout Layout
 	key    [32]byte
@@ -154,25 +144,23 @@ func Format(base uint64, dataBlocks int, key [32]byte) (*Formatted, error) {
 }
 
 // NewFormatted creates an engine over mem whose protected region holds
-// f's freshly formatted metadata. It writes every metadata block with
-// mem.Write in format order, the root level first and level 0 last, and
-// leaves the traffic counters, the root counter and the (empty) metadata
-// cache exactly as formatting the region in place would. The format writes are
-// boot-time traffic; callers that price save/restore ResetStats after.
+// f's freshly formatted metadata (all versions zero, counters zero, MACs
+// valid). cacheLines sizes the MEE metadata cache (DefaultCacheLines in
+// the Skylake-like configuration). It installs f's blocks as mem's shared
+// base layer (dram.Module.SetBase), copying nothing, and leaves the
+// traffic counters (one metadata write per block), the root counter and
+// the (empty) metadata cache exactly as formatting the region in place
+// would. The format writes are boot-time traffic; callers that price
+// save/restore ResetStats after.
 func NewFormatted(mem *dram.Module, f *Formatted, cacheLines int) (*Engine, error) {
 	e, err := build(mem, f.layout, f.key, cacheLines, 0)
 	if err != nil {
 		return nil, err
 	}
-	for lvl := e.topLevel(); lvl >= 0; lvl-- {
-		n := f.layout.levelCount(lvl)
-		addr := e.metaAddr(lvl, 0)
-		off := addr - f.layout.l0Base
-		if err := mem.Write(addr, f.blocks[off:off+uint64(n)*BlockSize]); err != nil {
-			return nil, err
-		}
-		e.stats.MetaWrites += uint64(n)
+	if err := mem.SetBase(f.layout.l0Base, f.blocks); err != nil {
+		return nil, err
 	}
+	e.stats.MetaWrites += uint64(len(f.blocks) / BlockSize)
 	return e, nil
 }
 

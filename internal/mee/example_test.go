@@ -18,7 +18,11 @@ func Example() {
 	var key [32]byte
 	key[0] = 0x42
 
-	eng, err := mee.New(mem, 0x1000_0000, 64, key, mee.DefaultCacheLines)
+	formatted, err := mee.Format(0x1000_0000, 64, key) // shareable by any number of modules
+	if err != nil {
+		log.Fatal(err)
+	}
+	eng, err := mee.NewFormatted(mem, formatted, mee.DefaultCacheLines)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -204,7 +204,7 @@ func (p *Platform) ffRealize() error {
 		return err
 	}
 	if ff.meePrimed {
-		if err := eng.ReplayWarm(p.restoreBuf, len(p.ctxImage)); err != nil {
+		if err := eng.ReplayWarm(p.restoreBuffer(), len(p.ctxImage)); err != nil {
 			return err
 		}
 	}
@@ -224,7 +224,7 @@ type ffOpStart uint8
 
 const (
 	ffNoStart        ffOpStart = iota // none of the below: runs for real, unrecorded
-	ffStartFormatted                  // mee.New's state: root 0, empty cache (a platform's first save)
+	ffStartFormatted                  // mee.NewFormatted's state: root 0, empty cache (a platform's first save)
 	ffStartImported                   // a fresh ImportState: cold cache (every attempt-1 restore)
 	ffStartPrimed                     // the cache a completed restore leaves (every later save)
 )
@@ -367,7 +367,7 @@ func (p *Platform) ffSaveCtxDRAM() (sim.Duration, error) {
 		start = ffStartPrimed
 	case p.eng.RootCounter() == 0:
 		// Only a save advances the root, so nothing has touched the
-		// engine since mee.New formatted it.
+		// engine since mee.NewFormatted built it.
 		start = ffStartFormatted
 	}
 	key := p.ffOpKeyFor(true, start)

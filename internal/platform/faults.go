@@ -423,7 +423,7 @@ func (p *Platform) restoreCtxDRAM(attempt int, next func()) {
 	}
 	tgt := &pmu.DRAMTarget{Engine: p.eng}
 	before := p.eng.Stats()
-	data, lat, err := tgt.RestoreInto(p.restoreBuf, len(p.ctxImage))
+	data, lat, err := tgt.RestoreInto(p.restoreBuffer(), len(p.ctxImage))
 	if err == nil && sha256.Sum256(data) != p.ctxHash {
 		err = fmt.Errorf("platform: restored context hash mismatch")
 	}

@@ -307,12 +307,16 @@ var ffExcluded = map[string]string{
 	"sram.Array.size":    "immutable",
 	"sram.Array.data":    "dead: every entry rewrites the retained image in full before the exit reads it",
 	"sram.Array.valid":   "dead: set by the entry's write before the exit reads",
+	"sram.Array.dirty":   "dead: bounds the bytes written since the last power loss; only Off's clear reads it, and a clear leaves the same all-zero bytes whatever it covers",
 	"sram.Array.OnDraw":  "immutable wiring",
 
 	// ---- dram ----
-	"dram.Module.cfg":    "immutable",
-	"dram.Module.blocks": "versioned ciphertext whose observable effects are version-invariant (§12); canonical bytes are rebuilt by ReplayMaterialize before any real read",
-	"dram.Module.OnDraw": "immutable wiring",
+	"dram.Module.cfg":      "immutable",
+	"dram.Module.blocks":   "versioned ciphertext whose observable effects are version-invariant (§12); canonical bytes are rebuilt by ReplayMaterialize before any real read",
+	"dram.Module.base":     "the template's formatted MEE tree, identical for every platform of a template and never written; excluded like blocks, whose reads fall through to it",
+	"dram.Module.baseAddr": "set with base, from the constant region geometry; see dram.Module.base",
+	"dram.Module.spare":    "dead: unclaimed allocation the overlay carves blocks from; never read before it is carved and fully written",
+	"dram.Module.OnDraw":   "immutable wiring",
 
 	// ---- pml ----
 	"pml.Link.sched":         "reference",

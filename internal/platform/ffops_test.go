@@ -71,7 +71,7 @@ func TestOpLatencyMatchesRealOp(t *testing.T) {
 		}
 		p.eng = imported
 		check("imported restore", false, func(tgt *pmu.DRAMTarget) (sim.Duration, error) {
-			_, lat, err := tgt.RestoreInto(p.restoreBuf, len(p.ctxImage))
+			_, lat, err := tgt.RestoreInto(p.restoreBuffer(), len(p.ctxImage))
 			return lat, err
 		})
 		check("primed save", true, save)

@@ -603,15 +603,16 @@ func (p *Platform) ctxRestoreSteps() []step {
 			// The reference images were serialized once at New (the context
 			// is immutable), so verification is a straight byte compare of
 			// the restored bytes, read into pooled buffers, against them.
-			if err := saT.RestoreInto(p.saBuf); err != nil {
+			saBuf, cpBuf := p.saBuffer(), p.cpBuffer()
+			if err := saT.RestoreInto(saBuf); err != nil {
 				p.fail("platform: SA context restore: %v", err)
 				return
 			}
-			if err := cpT.RestoreInto(p.cpBuf); err != nil {
+			if err := cpT.RestoreInto(cpBuf); err != nil {
 				p.fail("platform: compute context restore: %v", err)
 				return
 			}
-			if !bytes.Equal(p.saBuf, p.saImage) || !bytes.Equal(p.cpBuf, p.cpImage) {
+			if !bytes.Equal(saBuf, p.saImage) || !bytes.Equal(cpBuf, p.cpImage) {
 				p.fail("platform: restored context mismatch")
 				return
 			}

@@ -75,8 +75,10 @@ type Platform struct {
 
 	// Precomputed per-cycle constants and pooled restore buffers. The
 	// context images, their digest and the PMU vector belong to the
-	// template and are never written; restores verify into fixed buffers
-	// so the steady-state cycle path does not allocate.
+	// template and are never written; restores verify into fixed buffers,
+	// each allocated by its accessor on first use (saBuffer, cpBuffer,
+	// restoreBuffer), so the steady-state cycle path does not allocate and
+	// a platform whose restores all replay never does.
 	saImage    []byte
 	cpImage    []byte
 	mcCfg      []byte
@@ -342,19 +344,16 @@ func assemble(cfg Config, tpl *template) (*Platform, error) {
 	}
 
 	// Processor context, shared read-only with the template, and, when
-	// configured, the protected DRAM region with its metadata copied from
-	// the template's formatted tree.
+	// configured, the protected DRAM region, whose metadata the memory
+	// module reads from the template's formatted tree as its base layer.
 	p.ctxImage = tpl.image
 	p.ctxHash = tpl.hash
 	p.saImage = tpl.saImage
 	p.cpImage = tpl.cpImage
 	p.pmuVec = tpl.pmuVec
-	p.saBuf = make([]byte, len(p.saImage))
-	p.cpBuf = make([]byte, len(p.cpImage))
 	p.mcCfg = p.mcConfig()
 	if cfg.Techniques.Has(CtxSGXDRAM) {
 		blocks := tpl.ctxBlocks()
-		p.restoreBuf = make([]byte, blocks*mee.BlockSize)
 		var err error
 		p.ctxRegion, err = ctxRegion(blocks)
 		if err != nil {
@@ -398,6 +397,33 @@ func assemble(cfg Config, tpl *template) (*Platform, error) {
 	p.state = power.Active
 	p.applyPhase(phActive)
 	return p, nil
+}
+
+// saBuffer returns the SA context restore buffer, allocating it on first
+// use.
+func (p *Platform) saBuffer() []byte {
+	if p.saBuf == nil {
+		p.saBuf = make([]byte, len(p.saImage))
+	}
+	return p.saBuf
+}
+
+// cpBuffer returns the compute context restore buffer, allocating it on
+// first use.
+func (p *Platform) cpBuffer() []byte {
+	if p.cpBuf == nil {
+		p.cpBuf = make([]byte, len(p.cpImage))
+	}
+	return p.cpBuf
+}
+
+// restoreBuffer returns the buffer a protected-DRAM restore reads the
+// context into, whole MEE blocks, allocating it on first use.
+func (p *Platform) restoreBuffer() []byte {
+	if p.restoreBuf == nil {
+		p.restoreBuf = make([]byte, (len(p.ctxImage)+mee.BlockSize-1)/mee.BlockSize*mee.BlockSize)
+	}
+	return p.restoreBuf
 }
 
 func seedKey(key *[32]byte, seed int64) {

@@ -28,8 +28,10 @@ const templateCap = 2
 // PMU vector, the MEE key and, built on first use by a platform that
 // protects its context in DRAM, the formatted MEE metadata. It is
 // immutable once built (the metadata once formatted): platforms read its
-// bytes and copy the metadata blocks into their own memory modules, so
-// any number of platforms in any number of goroutines share one template.
+// bytes, and their memory modules read the metadata as a shared base
+// layer that they overlay block by block as they write and never write
+// themselves, so any number of platforms in any number of goroutines
+// share one template.
 type template struct {
 	image   []byte
 	hash    [32]byte

@@ -125,7 +125,7 @@ func TestTemplatePlatformMatchesFresh(t *testing.T) {
 }
 
 // templateBytes copies everything a template shares with its platforms,
-// the formatted MEE metadata as the bytes it writes into a fresh module.
+// the formatted MEE metadata as a fresh module it is installed in reads it.
 func templateBytes(t *testing.T, tpl *template) [][]byte {
 	t.Helper()
 	f, err := tpl.formatted()
@@ -150,8 +150,9 @@ func templateBytes(t *testing.T, tpl *template) [][]byte {
 // goroutines at once (run it under -race), with fault plans that flip
 // protected DRAM bits, corrupt the stored image in DRAM and in eMRAM and
 // degrade onto the retention SRAMs, and then scribbles over every memory
-// each platform owns. The template's bytes must come through unchanged:
-// platforms copy what they write, never write what they share.
+// each platform owns, and the protected region of a platform that never
+// ran. The template's bytes must come through unchanged: platforms copy
+// what they write, never write what they share.
 func TestTemplateSharedImmutable(t *testing.T) {
 	emram := ODRIPSConfig()
 	emram.Techniques &^= CtxSGXDRAM
@@ -199,7 +200,9 @@ func TestTemplateSharedImmutable(t *testing.T) {
 }
 
 // scribbleRun runs one faulted platform of ts and then overwrites its
-// SRAMs, its eMRAM copy and its protected region.
+// SRAMs, its eMRAM copy and its protected region, and the protected
+// region of a second platform of ts that never ran, whose metadata blocks
+// are all still the template's.
 func scribbleRun(ts *Templates, cfg Config, plan string) error {
 	p, err := ts.New(cfg)
 	if err != nil {
@@ -228,12 +231,47 @@ func scribbleRun(ts *Templates, cfg Config, plan string) error {
 	for i := range p.emram {
 		p.emram[i] ^= 0xFF
 	}
+	idle, err := ts.New(cfg)
+	if err != nil {
+		return err
+	}
+	for _, q := range []*Platform{p, idle} {
+		if err := scribbleRegion(q); err != nil {
+			return fmt.Errorf("%s %q: %w", cfg.Name(), plan, err)
+		}
+	}
+	return nil
+}
+
+// scribbleRegion overwrites the protected region of p through every path
+// that stores into a memory module: bus writes and backdoor stores over
+// two thirds of the metadata blocks, then bit flips across the region.
+func scribbleRegion(p *Platform) error {
+	r := p.CtxRegion()
+	if r.Size == 0 {
+		return nil
+	}
 	mem := p.Mem()
-	if r := p.CtxRegion(); r.Size > 0 {
-		for off := uint64(0); off < r.Size; off += 97 {
-			if err := mem.CorruptBit(r.Base+off, uint(off)); err != nil {
-				return err
-			}
+	dataBlocks := (len(p.ctxImage) + mee.BlockSize - 1) / mee.BlockSize
+	blk := make([]byte, mee.BlockSize)
+	for a, i := r.Base+uint64(dataBlocks)*mee.BlockSize, 0; a < r.End(); a, i = a+mee.BlockSize, i+1 {
+		for j := range blk {
+			blk[j] = byte(i) ^ byte(j)
+		}
+		var err error
+		switch i % 3 {
+		case 0:
+			err = mem.Write(a, blk)
+		case 1:
+			err = mem.SetContents(a, blk)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	for off := uint64(0); off < r.Size; off += 97 {
+		if err := mem.CorruptBit(r.Base+off, uint(off)); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -150,7 +150,11 @@ func TestDRAMTargetLatenciesMatchPaper(t *testing.T) {
 	ctx := ctxstore.GenerateSkylake(2)
 	img := ctx.Serialize()
 	blocks := (len(img) + mee.BlockSize - 1) / mee.BlockSize
-	eng, err := mee.New(mem, 0x1000_0000, blocks, key, mee.DefaultCacheLines)
+	f, err := mee.Format(0x1000_0000, blocks, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := mee.NewFormatted(mem, f, mee.DefaultCacheLines)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,14 +56,20 @@ func (s State) String() string {
 	return stateNames[s]
 }
 
-// Array is a retention SRAM array holding real bytes.
+// Array is a retention SRAM array holding real bytes. The bytes are
+// allocated by the first Write: an array nothing writes (the context SRAMs
+// of a platform that keeps its context in DRAM) costs no memory.
 type Array struct {
 	name    string
 	process Process
 	size    int
 	state   State
-	data    []byte
-	valid   bool // false after a power loss until next write
+	data    []byte // nil until the first Write
+	valid   bool   // false after a power loss until next write
+
+	// dirty bounds the bytes written since the last power loss: data[dirty:]
+	// is zero, so entering Off clears only data[:dirty].
+	dirty int
 
 	// OnDraw, if non-nil, is called with the new nominal draw in mW on
 	// every state change. The platform wires this to a power.Component.
@@ -75,7 +81,7 @@ func New(name string, process Process, sizeBytes int) *Array {
 	if sizeBytes <= 0 {
 		panic(fmt.Sprintf("sram: non-positive size %d for %s", sizeBytes, name))
 	}
-	return &Array{name: name, process: process, size: sizeBytes, data: make([]byte, sizeBytes)}
+	return &Array{name: name, process: process, size: sizeBytes}
 }
 
 // Name returns the array label.
@@ -110,9 +116,8 @@ func (a *Array) SetState(s State) {
 		return
 	}
 	if s == Off {
-		for i := range a.data {
-			a.data[i] = 0
-		}
+		clear(a.data[:a.dirty])
+		a.dirty = 0
 		a.valid = false
 	}
 	a.state = s
@@ -129,7 +134,11 @@ func (a *Array) Write(offset int, data []byte) error {
 	if offset < 0 || offset+len(data) > a.size {
 		return fmt.Errorf("sram: %s: write [%d,%d) out of range (size %d)", a.name, offset, offset+len(data), a.size)
 	}
+	if a.data == nil {
+		a.data = make([]byte, a.size)
+	}
 	copy(a.data[offset:], data)
+	a.dirty = max(a.dirty, offset+len(data))
 	a.valid = true
 	return nil
 }

@@ -160,3 +160,41 @@ func TestWriteReadProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOffClearsWhatWasWritten: after a power loss only what is written
+// again reads back; every other span reads zeros, however much an earlier
+// write covered, and a power loss after a write invalidates it again.
+func TestOffClearsWhatWasWritten(t *testing.T) {
+	a := New("x", ProcessorProcess, 4096)
+	a.SetState(Active)
+	if err := a.Write(3000, bytes.Repeat([]byte{0x3C}, 96)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Write(512, bytes.Repeat([]byte{0xA5}, 2048)); err != nil {
+		t.Fatal(err)
+	}
+	a.SetState(Off)
+	a.SetState(Active)
+	msg := []byte("partial")
+	if err := a.Write(1000, msg); err != nil {
+		t.Fatal(err)
+	}
+	for _, span := range [][2]int{{0, 1000}, {1000 + len(msg), 4096}, {2990, 3200}} {
+		dst := bytes.Repeat([]byte{0xFF}, span[1]-span[0])
+		if err := a.ReadInto(span[0], dst); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dst, make([]byte, len(dst))) {
+			t.Fatalf("span [%d,%d) reads %x..., want zeros", span[0], span[1], dst[:8])
+		}
+	}
+	got, err := a.Read(1000, len(msg))
+	if err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("written span reads %q, %v", got, err)
+	}
+	a.SetState(Off)
+	a.SetState(Active)
+	if err := a.ReadInto(1000, got); err == nil {
+		t.Fatal("read after a power loss succeeded")
+	}
+}
