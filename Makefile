@@ -43,13 +43,14 @@ harness-vet:
 
 race:
 	$(GO) test -race $(PKGS)
-	$(GO) test -race -count=20 -run 'TestMemoPlaneConcurrentOpsRunOnce|TestTemplatesBuildOncePerSeed' ./internal/platform
+	$(GO) test -race -count=20 -run 'TestMemoPlaneConcurrentOpsRunOnce|TestTemplatesBuildOncePerSeed|TestCtxOpFailureReleasesOpLock' ./internal/platform
 
 # The CI verify tier: build, go vet, odrips-vet, go vet over the
 # benchmark harness, then the full suite under the race detector (the
 # parallel sweep engine is exercised by every experiment test) and 20
-# rounds of the two tests that race platforms on a memo plane's op-table
-# lock and on the template cache's lock. Mirrored by
+# rounds of the tests that race platforms on a memo plane's op-table
+# lock and on the template cache's lock, and of the test that a failed
+# op releases the op-table lock. Mirrored by
 # .github/workflows/ci.yml.
 verify: build vet lint harness-vet race
 

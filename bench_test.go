@@ -33,6 +33,15 @@ func warmMemoStore(b *testing.B) *memostore.Store {
 	return s
 }
 
+// coldRuntime builds a runtime on a fresh plane over the default store,
+// as the facade's default runtime does: a benchmark that builds one per
+// iteration times simulation, not the point memo's hits. Its iterations
+// Flush like the facade's calls, so under make bench-warm the warm pass
+// loads what the cold pass wrote.
+func coldRuntime() *experiments.Runtime {
+	return experiments.NewRuntime(platform.NewMemoPlane(memostore.Default(), 0), FFOn, 0)
+}
+
 func BenchmarkTable1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -125,13 +134,12 @@ func BenchmarkFig6aSweep(b *testing.B) {
 	// full 0.6 ms–1 s @0.1 ms run).
 	var be float64
 	for i := 0; i < b.N; i++ {
-		// A fresh runtime per iteration: cold-cache sweeps, not memo hits.
-		rt := experiments.NewRuntime(platform.NewMemoPlane(memostore.Default(), 0), FFOn, 0)
+		rt := coldRuntime()
 		r, err := rt.Fig6a(DefaultSweep())
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt.Flush() // under make bench-warm, the warm pass loads what this wrote
+		rt.Flush()
 		for _, row := range r.Rows {
 			if row.Name == "ODRIPS" && row.SweepBE > 0 {
 				be = row.SweepBE.Milliseconds()
@@ -239,9 +247,11 @@ func BenchmarkModelValidation(b *testing.B) {
 func BenchmarkAblationMEECache(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := AblationMEECache(); err != nil {
+		rt := coldRuntime()
+		if _, err := rt.AblationMEECache(); err != nil {
 			b.Fatal(err)
 		}
+		rt.Flush()
 	}
 }
 
@@ -276,10 +286,12 @@ func BenchmarkWakeCoalescing(b *testing.B) {
 	b.ReportAllocs()
 	var bigBufferMW float64
 	for i := 0; i < b.N; i++ {
-		r, err := WakeCoalescing()
+		rt := coldRuntime()
+		r, err := rt.WakeCoalescing()
 		if err != nil {
 			b.Fatal(err)
 		}
+		rt.Flush()
 		bigBufferMW = r.Rows[4].AvgMW
 	}
 	b.ReportMetric(bigBufferMW, "256KiB_buffer_mW")
@@ -302,10 +314,12 @@ func BenchmarkWakeLatency(b *testing.B) {
 	b.ReportAllocs()
 	var deltaUS float64
 	for i := 0; i < b.N; i++ {
-		r, err := WakeLatency()
+		rt := coldRuntime()
+		r, err := rt.WakeLatency()
 		if err != nil {
 			b.Fatal(err)
 		}
+		rt.Flush()
 		deltaUS = r.DeltaMean.Microseconds()
 	}
 	b.ReportMetric(deltaUS, "exit_delta_us")

@@ -122,8 +122,8 @@ func meeCachePoint(f *mee.Formatted, lines int) (MEECacheRow, error) {
 	return MEECacheRow{
 		Lines:      lines,
 		SaveBlocks: ws.TotalBlocks(),
-		SaveLat:    mem.TransferTime(int(ws.TotalBlocks())*mee.BlockSize, true),
-		RestoreLat: mem.TransferTime(int(rs.TotalBlocks())*mee.BlockSize, false),
+		SaveLat:    ws.TransferTime(mem, true),
+		RestoreLat: rs.TransferTime(mem, false),
 		HitRatePct: hitPct,
 	}, nil
 }

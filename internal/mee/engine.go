@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"odrips/internal/dram"
+	"odrips/internal/sim"
 )
 
 // Stats counts the engine's DRAM traffic in 64-byte blocks, split by kind.
@@ -35,6 +36,14 @@ func (s Stats) TotalWriteBlocks() uint64 { return s.DataWrites + s.MetaWrites }
 
 // TotalBlocks returns all DRAM accesses.
 func (s Stats) TotalBlocks() uint64 { return s.TotalReadBlocks() + s.TotalWriteBlocks() }
+
+// TransferTime prices s's traffic on mem as a context transfer (§6.3):
+// every block the op moved, at the module's write rate for a save and its
+// read rate for a restore. It is the one latency rule for every MEE
+// context op, real or replayed.
+func (s Stats) TransferTime(mem *dram.Module, save bool) sim.Duration {
+	return mem.TransferTime(int(s.TotalBlocks())*BlockSize, save)
+}
 
 // IntegrityError reports a confidentiality/integrity/freshness violation.
 type IntegrityError struct {

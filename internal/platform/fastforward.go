@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"odrips/internal/mee"
-	"odrips/internal/pmu"
 	"odrips/internal/power"
 	"odrips/internal/sim"
 )
@@ -20,10 +19,12 @@ import (
 //     from and the region geometry. Once a platform of a memo plane has
 //     run an op from a given start state, every later one — on any
 //     platform of the plane, whatever its memo class — advances the
-//     counters arithmetically, prices the traffic on its own DRAM, and
-//     skips the crypto and DRAM traffic (mee.OpRecord/ReplayOp), with
-//     ReplayMaterialize/ReplayWarm rebuilding the canonical bytes before
-//     any real engine op.
+//     counters arithmetically and skips the crypto and DRAM traffic
+//     (mee.OpRecord/ReplayOp), with ReplayMaterialize/ReplayWarm
+//     rebuilding the canonical bytes before any real engine op. Every
+//     save and restore, real or replayed, goes through Platform.ctxOp,
+//     which prices its traffic on the platform's own DRAM by one rule
+//     (mee.Stats.TransferTime).
 //
 //   - Cycle replay: when the full behavioral fingerprint of the platform
 //     at a cycle boundary recurs together with the same workload.Cycle
@@ -261,8 +262,8 @@ func (k ffOpKey) valid() bool {
 // deltas, and the CacheDigest of the engine it started from, which
 // -fastforward verify compares against every live engine the key claims
 // is in the same state. It holds no latency: that is the traffic priced
-// by the replaying platform's own DRAM model (ffOpLatency), so platforms
-// whose memory differs share one record.
+// on the replaying platform's own DRAM (mee.Stats.TransferTime), so
+// platforms whose memory differs share one record.
 type ffOpRecord struct {
 	op     mee.OpRecord
 	digest uint64
@@ -286,45 +287,6 @@ func (p *Platform) ffOpKeyFor(save bool, start ffOpStart) ffOpKey {
 	}
 }
 
-// ffOpLatency prices a recorded op on the live engine's DRAM exactly as
-// pmu.DRAMTarget prices a real one: the op's blocks at the module's
-// write (save) or read (restore) rate.
-func (p *Platform) ffOpLatency(op mee.OpRecord, save bool) sim.Duration {
-	return p.eng.Mem().TransferTime(int(op.Stats.TotalBlocks())*mee.BlockSize, save)
-}
-
-// ffOpReplayable reports whether the op of key may replay now: op
-// replay is on for this cycle and the op starts from a recorded state.
-func (p *Platform) ffOpReplayable(key ffOpKey) bool {
-	return p.ff.mode == FFOn && p.ff.cycleOK && key.start != ffNoStart
-}
-
-// ffReplayOp replays key's record over the live engine when op replay
-// may run this cycle and the op table holds one, returning its latency
-// on this platform's DRAM; the caller sets meePrimed for the state the
-// op leaves. When the table holds none, it returns holding the table's
-// opMu: the caller runs the op for real, publishes its record with
-// ffPublishOp if the op succeeds, and unlocks. A platform that waited on
-// opMu replays the record its holder published.
-func (p *Platform) ffReplayOp(key ffOpKey) (sim.Duration, bool) {
-	ff := &p.ff
-	if !p.ffOpReplayable(key) {
-		return 0, false
-	}
-	r, ok := ff.ops.lookup(key)
-	if !ok {
-		ff.ops.opMu.Lock()
-		if r, ok = ff.ops.lookup(key); !ok {
-			return 0, false
-		}
-		ff.ops.opMu.Unlock()
-	}
-	p.eng.ReplayOp(r.op)
-	ff.meeVirtual = true
-	ff.stats.MEEOpsReplayed++
-	return p.ffOpLatency(r.op, key.save), true
-}
-
 // ffPublishOp files a real op's record, which took lat, with the op
 // table; under -fastforward verify, an op whose table already holds a
 // record — from this platform, another one, or the store — must match
@@ -342,7 +304,7 @@ func (p *Platform) ffPublishOp(key ffOpKey, r ffOpRecord, lat sim.Duration) erro
 	if held.digest != r.digest {
 		diverged = append(diverged, fmt.Sprintf("start digest %#x vs %#x", r.digest, held.digest))
 	}
-	if replay := p.ffOpLatency(held.op, key.save); replay != lat {
+	if replay := held.op.Stats.TransferTime(p.eng.Mem(), key.save); replay != lat {
 		diverged = append(diverged, fmt.Sprintf("latency %v vs %v", lat, replay))
 	}
 	if diverged == nil {
@@ -353,6 +315,55 @@ func (p *Platform) ffPublishOp(key ffOpKey, r ffOpRecord, lat sim.Duration) erro
 		what = "save"
 	}
 	return fmt.Errorf("fastforward verify: %s diverged from memo: %s", what, strings.Join(diverged, ", "))
+}
+
+// ctxOp runs — or replays — one MEE context save or restore from
+// start, returning its latency: the op's traffic priced on this
+// platform's DRAM (mee.Stats.TransferTime), whether the op ran or
+// replayed. When op replay may run this cycle and the op starts from a
+// recorded state, it replays the op table's record; finding none, it
+// takes the table's opMu, looks again, and either replays the record a
+// holder published meanwhile or runs the op holding the lock. A real op
+// rebuilds canonical MEE state (ffRealize), calls run, and prices the
+// traffic run moved, also when run fails, returning run's error
+// unchanged; its record is published only when run succeeded from a
+// recorded start state. A completed restore
+// from the imported state leaves the engine primed; anything else
+// leaves it unprimed.
+func (p *Platform) ctxOp(save bool, start ffOpStart, run func() error) (sim.Duration, error) {
+	ff := &p.ff
+	key := p.ffOpKeyFor(save, start)
+	if ff.mode == FFOn && ff.cycleOK && start != ffNoStart {
+		r, ok := ff.ops.lookup(key)
+		if !ok {
+			ff.ops.opMu.Lock()
+			defer ff.ops.opMu.Unlock()
+			r, ok = ff.ops.lookup(key)
+		}
+		if ok {
+			p.eng.ReplayOp(r.op)
+			ff.meeVirtual = true
+			ff.meePrimed = !save
+			ff.stats.MEEOpsReplayed++
+			return r.op.Stats.TransferTime(p.eng.Mem(), save), nil
+		}
+	}
+	if err := p.ffRealize(); err != nil {
+		return 0, err
+	}
+	snap := p.eng.CaptureOp()
+	var digest uint64
+	if start != ffNoStart {
+		digest = p.eng.CacheDigest()
+	}
+	err := run()
+	op := p.eng.DeltaSince(snap)
+	lat := op.Stats.TransferTime(p.eng.Mem(), save)
+	ff.meePrimed = err == nil && !save && start != ffNoStart
+	if err == nil && start != ffNoStart {
+		err = p.ffPublishOp(key, ffOpRecord{op: op, digest: digest}, lat)
+	}
+	return lat, err
 }
 
 // ffSaveCtxDRAM runs — or replays — the MEE context save, returning its
@@ -370,32 +381,10 @@ func (p *Platform) ffSaveCtxDRAM() (sim.Duration, error) {
 		// engine since mee.NewFormatted built it.
 		start = ffStartFormatted
 	}
-	key := p.ffOpKeyFor(true, start)
-	if lat, ok := p.ffReplayOp(key); ok {
-		ff.meePrimed = false
-		return lat, nil
-	}
-	if p.ffOpReplayable(key) {
-		defer ff.ops.opMu.Unlock() // ffReplayOp locked it
-	}
-	if err := p.ffRealize(); err != nil {
-		return 0, err
-	}
-	ff.meePrimed = false
-	var snap mee.OpCapture
-	var digest uint64
-	if start != ffNoStart {
-		snap, digest = p.eng.CaptureOp(), p.eng.CacheDigest()
-	}
-	tgt := &pmu.DRAMTarget{Engine: p.eng}
-	lat, err := tgt.Save(p.ctxImage)
-	if err != nil {
-		return 0, err
-	}
-	if start != ffNoStart {
-		if err := p.ffPublishOp(key, ffOpRecord{op: p.eng.DeltaSince(snap), digest: digest}, lat); err != nil {
-			return 0, err
+	return p.ctxOp(true, start, func() error {
+		if err := p.eng.WriteRegion(p.ctxImage); err != nil {
+			return err
 		}
-	}
-	return lat, nil
+		return p.eng.Flush()
+	})
 }

@@ -6,9 +6,7 @@ import (
 
 	"odrips/internal/chipset"
 	"odrips/internal/faults"
-	"odrips/internal/mee"
 	"odrips/internal/pml"
-	"odrips/internal/pmu"
 	"odrips/internal/power"
 	"odrips/internal/sim"
 	"odrips/internal/sram"
@@ -398,74 +396,45 @@ func (p *Platform) restoreCtxDRAM(attempt int, next func()) {
 		// first attempt.
 		start = ffStartImported
 	}
-	key := p.ffOpKeyFor(false, start)
-	if lat, ok := p.ffReplayOp(key); ok {
-		// A steady-state restore is a fresh-import engine sequentially
-		// reading the canonical post-save region: its traffic and
-		// verification outcome are the memoized ones, its latency that
-		// traffic on this platform's DRAM. The cache stays
-		// cold-stale; ffRealize rebuilds it before the next real op.
-		ff.meePrimed = true
-		done(lat)
-		return
-	}
-	if p.ffOpReplayable(key) {
-		defer ff.ops.opMu.Unlock() // ffReplayOp locked it
-	}
-	if err := p.ffRealize(); err != nil {
-		p.fail("platform: context restore: %v", err)
-		return
-	}
-	var snap mee.OpCapture
-	var digest uint64
-	if start != ffNoStart {
-		snap, digest = p.eng.CaptureOp(), p.eng.CacheDigest()
-	}
-	tgt := &pmu.DRAMTarget{Engine: p.eng}
-	before := p.eng.Stats()
-	data, lat, err := tgt.RestoreInto(p.restoreBuffer(), len(p.ctxImage))
-	if err == nil && sha256.Sum256(data) != p.ctxHash {
-		err = fmt.Errorf("platform: restored context hash mismatch")
-	}
-	forced := err == nil && p.takeMEEForce()
-	if err == nil && !forced {
-		if start != ffNoStart {
-			if err := p.ffPublishOp(key, ffOpRecord{op: p.eng.DeltaSince(snap), digest: digest}, lat); err != nil {
-				p.fail("platform: %v", err)
-				return
-			}
-			// The engine now sits in the canonical post-restore state
-			// every primed save starts from.
-			ff.meePrimed = true
+	// A replayed steady-state restore is a fresh-import engine
+	// sequentially reading the canonical post-save region: its traffic
+	// and verification outcome are the memoized ones. The cache stays
+	// cold-stale; ffRealize rebuilds it before the next real op.
+	var verifyErr error
+	lat, err := p.ctxOp(false, start, func() error {
+		data, err := p.eng.ReadRegionInto(p.restoreBuffer(), len(p.ctxImage))
+		switch {
+		case err != nil:
+		case sha256.Sum256(data) != p.ctxHash:
+			err = fmt.Errorf("platform: restored context hash mismatch")
+		case p.takeMEEForce():
+			err = fmt.Errorf("platform: injected MEE verification failure")
 		}
+		verifyErr = err
+		return err
+	})
+	if err == nil {
 		done(lat)
 		return
 	}
-	// Forced failures and retries leave a non-canonical cache.
-	ff.meePrimed = false
-	if p.fplane == nil {
-		// No fault plane: a genuine integrity failure stays a hard error.
+	if p.fplane == nil || err != verifyErr {
+		// No fault plane: a genuine integrity failure stays a hard error,
+		// as does a failure to run the op at all.
 		p.fail("platform: context restore: %v", err)
 		return
 	}
-	// The DMA that produced the failure still moved blocks; charge its bus
-	// time before deciding what happens next. RestoreInto reports zero
-	// latency on error, so recover it from the engine's traffic delta.
-	failLat := lat
-	if failLat == 0 {
-		after := p.eng.Stats()
-		blocks := after.TotalBlocks() - before.TotalBlocks()
-		failLat = p.eng.Mem().TransferTime(int(blocks)*mee.BlockSize, false)
-	}
+	// The DMA that produced the failure still moved blocks: charge its
+	// bus time (ctxOp prices a failed op's traffic too) before deciding
+	// what happens next.
 	if attempt == 1 {
 		p.fplane.stats.MEERetries++
-		p.sched.After(failLat, "fault.restore-retry", func() {
+		p.sched.After(lat, "fault.restore-retry", func() {
 			p.faultMarker("restore-ctx-retry")
 			p.restoreCtxDRAM(2, next)
 		})
 		return
 	}
-	p.sched.After(failLat, "fault.degrade", func() { p.degradeToSRAM(next) })
+	p.sched.After(lat, "fault.degrade", func() { p.degradeToSRAM(next) })
 }
 
 // restoreCtxEMRAM is the eMRAM-variant counterpart of restoreCtxDRAM.

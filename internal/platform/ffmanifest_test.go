@@ -116,8 +116,6 @@ var ffExcluded = map[string]string{
 	"platform.Platform.cpImage":         "immutable compute retention image (the template's)",
 	"platform.Platform.mcCfg":           "immutable memory-controller config image",
 	"platform.Platform.pmuVec":          "immutable PMU vector image",
-	"platform.Platform.saBuf":           "dead: scratch, fully rewritten by the next restore before any read",
-	"platform.Platform.cpBuf":           "dead: scratch, fully rewritten by the next restore before any read",
 	"platform.Platform.restoreBuf":      "dead: scratch, fully rewritten by the next restore before any read",
 	"platform.Platform.cCompute":        "pointer into meter; draws fingerprinted via power.Meter",
 	"platform.Platform.cSA":             "pointer into meter; draws fingerprinted via power.Meter",

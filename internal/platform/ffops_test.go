@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -8,7 +9,6 @@ import (
 	"odrips/internal/dram"
 	"odrips/internal/mee"
 	"odrips/internal/memostore"
-	"odrips/internal/pmu"
 	"odrips/internal/sim"
 	"odrips/internal/workload"
 )
@@ -33,48 +33,91 @@ func dramVariants() []dramVariant {
 	return append(out, dramVariant{"PCM", pcm})
 }
 
-// TestOpLatencyMatchesRealOp: the latency a replayed op is charged,
-// recomputed from its traffic on the replaying platform's DRAM, equals
-// the latency the real op took, for every memory a preset uses and every
-// start state a record is taken from: a save from the formatted and from
-// the primed state, a restore from the imported state.
+// ctxOpSequence runs, through ctxOp, the three ops a platform records:
+// a save from the formatted state, a restore from a fresh import of the
+// saved state, and a save from the primed state that restore leaves. It
+// returns their latencies.
+func ctxOpSequence(t *testing.T, p *Platform) [3]sim.Duration {
+	t.Helper()
+	var lats [3]sim.Duration
+	var err error
+	if lats[0], err = p.ffSaveCtxDRAM(); err != nil {
+		t.Fatalf("formatted save: %v", err)
+	}
+	if p.eng, err = mee.ImportState(p.eng.Mem(), p.eng.ExportState(), mee.DefaultCacheLines); err != nil {
+		t.Fatal(err)
+	}
+	lats[1], err = p.ctxOp(false, ffStartImported, func() error {
+		_, err := p.eng.ReadRegionInto(p.restoreBuffer(), len(p.ctxImage))
+		return err
+	})
+	if err != nil {
+		t.Fatalf("imported restore: %v", err)
+	}
+	if lats[2], err = p.ffSaveCtxDRAM(); err != nil {
+		t.Fatalf("primed save: %v", err)
+	}
+	return lats
+}
+
+// TestOpLatencyMatchesRealOp: on every memory a preset uses, a real op
+// through ctxOp and the replay of its record take the same latency, for
+// every start state a record is taken from: a save from the formatted
+// and from the primed state, a restore from the imported state.
 func TestOpLatencyMatchesRealOp(t *testing.T) {
 	for _, v := range dramVariants() {
-		name := v.name
-		p, err := New(v.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check := func(what string, save bool, op func(*pmu.DRAMTarget) (sim.Duration, error)) {
-			t.Helper()
-			snap := p.eng.CaptureOp()
-			lat, err := op(&pmu.DRAMTarget{Engine: p.eng})
+		ops := newFFOpTable(nil)
+		var runs [2][3]sim.Duration
+		for pass := range runs {
+			p, err := New(v.cfg)
 			if err != nil {
-				t.Fatalf("%s %s: %v", name, what, err)
+				t.Fatal(err)
 			}
-			rec := p.eng.DeltaSince(snap)
-			if rec.Stats.TotalBlocks() == 0 {
-				t.Fatalf("%s %s moved no blocks", name, what)
-			}
-			if got := p.ffOpLatency(rec, save); got != lat {
-				t.Errorf("%s %s: replay latency %v, real op took %v", name, what, got, lat)
+			p.ff.ops, p.ff.cycleOK = ops, true
+			runs[pass] = ctxOpSequence(t, p)
+			if got, want := p.FFStats().MEEOpsReplayed, uint64(3*pass); got != want {
+				t.Fatalf("%s pass %d: %d ops replayed, want %d", v.name, pass, got, want)
 			}
 		}
-		save := func(tgt *pmu.DRAMTarget) (sim.Duration, error) { return tgt.Save(p.ctxImage) }
-		if p.eng.RootCounter() != 0 {
-			t.Fatalf("%s: a fresh platform's engine is not in the formatted state", name)
+		if ops.ran != 3 {
+			t.Fatalf("%s: %d ops ran for real, want 3", v.name, ops.ran)
 		}
-		check("formatted save", true, save)
-		imported, err := mee.ImportState(p.eng.Mem(), p.eng.ExportState(), mee.DefaultCacheLines)
-		if err != nil {
-			t.Fatal(err)
+		for i, what := range []string{"formatted save", "imported restore", "primed save"} {
+			real, replay := runs[0][i], runs[1][i]
+			if real <= 0 {
+				t.Errorf("%s %s took %v", v.name, what, real)
+			}
+			if replay != real {
+				t.Errorf("%s %s: replay took %v, real op %v", v.name, what, replay, real)
+			}
 		}
-		p.eng = imported
-		check("imported restore", false, func(tgt *pmu.DRAMTarget) (sim.Duration, error) {
-			_, lat, err := tgt.RestoreInto(p.restoreBuffer(), len(p.ctxImage))
-			return lat, err
-		})
-		check("primed save", true, save)
+	}
+}
+
+// TestCtxOpFailureReleasesOpLock: a real op whose run fails, on a
+// platform attached to a plane whose op table lacks the record, returns
+// run's error, leaves the table's op lock free and publishes nothing.
+func TestCtxOpFailureReleasesOpLock(t *testing.T) {
+	p, err := New(ODRIPSConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane := NewMemoPlane(nil, 0)
+	plane.Attach(p)
+	p.ff.cycleOK = true
+	failed := errors.New("run failed")
+	if _, err := p.ctxOp(true, ffStartFormatted, func() error { return failed }); !errors.Is(err, failed) {
+		t.Fatalf("ctxOp returned %v, want run's error", err)
+	}
+	if !p.ff.ops.opMu.TryLock() {
+		t.Fatal("a failed op left the op lock held")
+	}
+	p.ff.ops.opMu.Unlock()
+	if _, ok := p.ff.ops.lookup(p.ffOpKeyFor(true, ffStartFormatted)); ok {
+		t.Fatal("a failed op published a record")
+	}
+	if st := plane.Stats(); st.OpRecords != 0 || st.OpsRun != 0 {
+		t.Fatalf("plane holds %d op records after %d real ops, want none", st.OpRecords, st.OpsRun)
 	}
 }
 

@@ -160,8 +160,8 @@ func (b *ffBundle) publish(key ffKey, cr *cycleRecord) {
 //
 // opMu serializes the real MEE ops that record op records, so concurrent
 // platforms — parallel sweep points, fleet chains of different classes —
-// run each op once between them (ffReplayOp). It is always taken before
-// mu, which guards every field below it.
+// run each op once between them; only Platform.ctxOp takes and releases
+// it. It is always taken before mu, which guards every field below it.
 type ffOpTable struct {
 	store *memostore.Store // nil for a private table
 	opMu  sync.Mutex

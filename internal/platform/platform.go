@@ -73,18 +73,17 @@ type Platform struct {
 	emramHash   [32]byte
 	emramHashOK bool
 
-	// Precomputed per-cycle constants and pooled restore buffers. The
+	// Precomputed per-cycle constants and the pooled restore buffer. The
 	// context images, their digest and the PMU vector belong to the
-	// template and are never written; restores verify into fixed buffers,
-	// each allocated by its accessor on first use (saBuffer, cpBuffer,
-	// restoreBuffer), so the steady-state cycle path does not allocate and
-	// a platform whose restores all replay never does.
+	// template and are never written; a retention-SRAM restore compares
+	// in place and a protected-DRAM restore reads into one fixed buffer,
+	// allocated by restoreBuffer on first use, so the steady-state cycle
+	// path does not allocate and a platform whose restores all replay
+	// never does.
 	saImage    []byte
 	cpImage    []byte
 	mcCfg      []byte
 	pmuVec     []byte
-	saBuf      []byte
-	cpBuf      []byte
 	restoreBuf []byte
 
 	// Chipset.
@@ -397,24 +396,6 @@ func assemble(cfg Config, tpl *template) (*Platform, error) {
 	p.state = power.Active
 	p.applyPhase(phActive)
 	return p, nil
-}
-
-// saBuffer returns the SA context restore buffer, allocating it on first
-// use.
-func (p *Platform) saBuffer() []byte {
-	if p.saBuf == nil {
-		p.saBuf = make([]byte, len(p.saImage))
-	}
-	return p.saBuf
-}
-
-// cpBuffer returns the compute context restore buffer, allocating it on
-// first use.
-func (p *Platform) cpBuffer() []byte {
-	if p.cpBuf == nil {
-		p.cpBuf = make([]byte, len(p.cpImage))
-	}
-	return p.cpBuf
 }
 
 // restoreBuffer returns the buffer a protected-DRAM restore reads the

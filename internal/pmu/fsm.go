@@ -4,16 +4,18 @@ import (
 	"fmt"
 
 	"odrips/internal/ctxstore"
-	"odrips/internal/mee"
 	"odrips/internal/sim"
 	"odrips/internal/sram"
 )
 
-// SaveEngine is the common shape of the context-moving finite state
-// machines of Fig. 4: the SA FSM (system-agent context), the LLC FSM
-// (cores/graphics context), and the Boot FSM (Boot SRAM). Each exposes the
+// The context-moving finite state machines of Fig. 4 on the on-chip
+// paths: the SA and LLC FSMs (system-agent and cores/graphics context)
+// into the retention SRAMs, and the Boot FSM (Boot SRAM). Each exposes the
 // latency its transfer takes, so flows can schedule completion events, and
-// performs the actual byte movement so restores are verifiable.
+// performs the actual byte movement so restores are verifiable. The
+// protected-DRAM path (§6.2) has no target here: the platform runs its
+// save and restore through the MEE engine directly (Platform.ctxOp) and
+// prices them with mee.Stats.TransferTime.
 
 // SRAMTarget moves a serialized context image into an on-chip S/R SRAM
 // (the baseline DRIPS path). On-chip transfers run at array port speed.
@@ -42,48 +44,6 @@ func (t *SRAMTarget) Save(image []byte) error {
 		return fmt.Errorf("pmu: image %d bytes exceeds %s (%d bytes)", len(image), t.Array.Name(), t.Array.Size())
 	}
 	return t.Array.Write(0, image)
-}
-
-// RestoreInto reads len(dst) bytes back from offset 0 into the caller's
-// buffer, allocating nothing.
-func (t *SRAMTarget) RestoreInto(dst []byte) error { return t.Array.ReadInto(0, dst) }
-
-// DRAMTarget moves a serialized context image through the MEE into the
-// protected DRAM region (the ODRIPS path, §6.2). Latency derives from the
-// real DRAM traffic the engine generated, so it inherits the MEE-cache and
-// tree behavior.
-type DRAMTarget struct {
-	Engine *mee.Engine
-}
-
-// Save encrypts and writes the image into the protected region, returning
-// the transfer latency implied by the generated DRAM traffic.
-func (t *DRAMTarget) Save(image []byte) (sim.Duration, error) {
-	before := t.Engine.Stats()
-	if err := t.Engine.WriteRegion(image); err != nil {
-		return 0, err
-	}
-	if err := t.Engine.Flush(); err != nil {
-		return 0, err
-	}
-	after := t.Engine.Stats()
-	blocks := after.TotalBlocks() - before.TotalBlocks()
-	return t.Engine.Mem().TransferTime(int(blocks)*mee.BlockSize, true), nil
-}
-
-// RestoreInto reads and verifies n bytes from the protected region into
-// the caller's buffer, which must hold whole MEE blocks
-// (ceil(n/mee.BlockSize)*mee.BlockSize bytes). It returns dst[:n] and the
-// transfer latency, allocating nothing.
-func (t *DRAMTarget) RestoreInto(dst []byte, n int) ([]byte, sim.Duration, error) {
-	before := t.Engine.Stats()
-	data, err := t.Engine.ReadRegionInto(dst, n)
-	if err != nil {
-		return nil, 0, err
-	}
-	after := t.Engine.Stats()
-	blocks := after.TotalBlocks() - before.TotalBlocks()
-	return data, t.Engine.Mem().TransferTime(int(blocks)*mee.BlockSize, false), nil
 }
 
 // BootFSM saves the minimal bring-up image (PMU vector, memory-controller

@@ -10,6 +10,7 @@
 package sram
 
 import (
+	"bytes"
 	"fmt"
 )
 
@@ -146,32 +147,33 @@ func (a *Array) Write(offset int, data []byte) error {
 // Read copies size bytes at offset. The array must be Active and must not
 // have lost power since the last write.
 func (a *Array) Read(offset, size int) ([]byte, error) {
-	if a.state != Active {
-		return nil, fmt.Errorf("sram: %s: read in state %s", a.name, a.state)
-	}
-	if offset < 0 || offset+size > a.size {
-		return nil, fmt.Errorf("sram: %s: read [%d,%d) out of range (size %d)", a.name, offset, offset+size, a.size)
-	}
-	if !a.valid {
-		return nil, fmt.Errorf("sram: %s: contents invalid (power was lost)", a.name)
+	if err := a.readable(offset, size); err != nil {
+		return nil, err
 	}
 	out := make([]byte, size)
 	copy(out, a.data[offset:])
 	return out, nil
 }
 
-// ReadInto copies len(dst) bytes at offset into dst without allocating,
-// under the same state and range rules as Read.
-func (a *Array) ReadInto(offset int, dst []byte) error {
+// Equal reports whether the len(want) bytes at offset equal want,
+// comparing in place under the same rules as Read.
+func (a *Array) Equal(offset int, want []byte) (bool, error) {
+	if err := a.readable(offset, len(want)); err != nil {
+		return false, err
+	}
+	return bytes.Equal(a.data[offset:offset+len(want)], want), nil
+}
+
+// readable checks Read's rules for size bytes at offset.
+func (a *Array) readable(offset, size int) error {
 	if a.state != Active {
 		return fmt.Errorf("sram: %s: read in state %s", a.name, a.state)
 	}
-	if offset < 0 || offset+len(dst) > a.size {
-		return fmt.Errorf("sram: %s: read [%d,%d) out of range (size %d)", a.name, offset, offset+len(dst), a.size)
+	if offset < 0 || offset+size > a.size {
+		return fmt.Errorf("sram: %s: read [%d,%d) out of range (size %d)", a.name, offset, offset+size, a.size)
 	}
 	if !a.valid {
 		return fmt.Errorf("sram: %s: contents invalid (power was lost)", a.name)
 	}
-	copy(dst, a.data[offset:])
 	return nil
 }

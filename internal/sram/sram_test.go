@@ -162,8 +162,9 @@ func TestWriteReadProperty(t *testing.T) {
 }
 
 // TestOffClearsWhatWasWritten: after a power loss only what is written
-// again reads back; every other span reads zeros, however much an earlier
-// write covered, and a power loss after a write invalidates it again.
+// again compares equal; every other span compares equal to zeros, however
+// much an earlier write covered, and a power loss after a write
+// invalidates it again. Equal compares in place under Read's rules.
 func TestOffClearsWhatWasWritten(t *testing.T) {
 	a := New("x", ProcessorProcess, 4096)
 	a.SetState(Active)
@@ -180,21 +181,26 @@ func TestOffClearsWhatWasWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, span := range [][2]int{{0, 1000}, {1000 + len(msg), 4096}, {2990, 3200}} {
-		dst := bytes.Repeat([]byte{0xFF}, span[1]-span[0])
-		if err := a.ReadInto(span[0], dst); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dst, make([]byte, len(dst))) {
-			t.Fatalf("span [%d,%d) reads %x..., want zeros", span[0], span[1], dst[:8])
+		if ok, err := a.Equal(span[0], make([]byte, span[1]-span[0])); err != nil || !ok {
+			t.Fatalf("span [%d,%d) does not compare equal to zeros (%v)", span[0], span[1], err)
 		}
 	}
-	got, err := a.Read(1000, len(msg))
-	if err != nil || !bytes.Equal(got, msg) {
-		t.Fatalf("written span reads %q, %v", got, err)
+	if ok, err := a.Equal(1000, msg); err != nil || !ok {
+		t.Fatalf("written span: equal %v, %v", ok, err)
+	}
+	if ok, err := a.Equal(1000, []byte("partiaL")); err != nil || ok {
+		t.Fatalf("last byte differs: equal %v, %v; want a mismatch", ok, err)
+	}
+	if _, err := a.Equal(4090, msg); err == nil {
+		t.Fatal("out-of-range compare succeeded")
+	}
+	a.SetState(Retention)
+	if _, err := a.Equal(1000, msg); err == nil {
+		t.Fatal("compare in Retention succeeded")
 	}
 	a.SetState(Off)
 	a.SetState(Active)
-	if err := a.ReadInto(1000, got); err == nil {
-		t.Fatal("read after a power loss succeeded")
+	if _, err := a.Equal(1000, msg); err == nil {
+		t.Fatal("compare after a power loss succeeded")
 	}
 }
