@@ -196,8 +196,13 @@ server-smoke:
 # the two runs' JSON "aggregates" blocks, then reruns warm read-only:
 # that run must load every run class's result ("loaded_runs" equals
 # "run_classes") and report the fill's aggregates. One binary serves each store,
-# so the store's build fingerprint matches. The retired -memocache
-# verify mode must exit 2 naming its replacement. Last, the
+# so the store's build fingerprint matches. Two more builds check the
+# fingerprint's namespaces. odrips-bench linked without a Go build ID
+# (-ldflags=-buildid=) falls back to hashing its file, so it must read
+# the fill's store as 0 hits and only skewed entries and still print
+# the fill's results; a rebuild of the same source into another path
+# shares the fill's build ID, so its ro rerun must miss 0 times. The
+# retired -memocache verify mode must exit 2 naming its replacement. Last, the
 # tamper-detection example must catch all three of its attacks: they
 # reach DRAM through Platform.Mem(), the escape that materializes the
 # bytes MEE op replay leaves virtual. Run by CI on every push.
@@ -228,6 +233,21 @@ memo-verify-smoke:
 	run=$$(sed -n 's/^| cycle memo plane .* op records, \([0-9]*\) run,.*/\1/p' $(VERIFYDIR)/rerun.txt); \
 	if [ "$$run" != 0 ]; then \
 		echo "memo-verify-smoke: the rw rerun ran '$$run' MEE ops for real; want 0:"; grep 'cycle memo plane' $(VERIFYDIR)/rerun.txt; exit 1; \
+	fi
+	$(GO) build -ldflags=-buildid= -o $(VERIFYDIR)/noid/ ./cmd/odrips-bench
+	$(VERIFYDIR)/noid/odrips-bench -exp all -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -memostats > $(VERIFYDIR)/noidstats.txt
+	sed '/^Memo statistics$$/,$$d' $(VERIFYDIR)/noidstats.txt | cmp $(VERIFYDIR)/fill.txt - || { echo "memo-verify-smoke: the build without a build ID printed other results than the fill"; exit 1; }
+	hits=$$(sed -n 's/^| persistent memo store *| \([0-9]*\) .*/\1/p' $(VERIFYDIR)/noidstats.txt); \
+	skew=$$(sed -n 's/^| persistent memo store .* \([0-9]*\) skewed.*/\1/p' $(VERIFYDIR)/noidstats.txt); \
+	if [ "$$hits" != 0 ] || [ -z "$$skew" ] || [ $$skew -lt 1 ]; then \
+		echo "memo-verify-smoke: a build without a build ID read the fill's store with '$$hits' hits and '$$skew' skewed entries; want 0 hits and some skewed:"; grep 'persistent memo store' $(VERIFYDIR)/noidstats.txt; exit 1; \
+	fi; \
+	echo "memo-verify-smoke: a build without a build ID read the fill's store as 0 hits and $$skew skewed entries"
+	$(GO) build -o $(VERIFYDIR)/rebuilt/ ./cmd/odrips-bench
+	$(VERIFYDIR)/rebuilt/odrips-bench -exp all -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -memostats > $(VERIFYDIR)/rebuilt.txt
+	misses=$$(sed -n 's/^| persistent memo store *| [0-9]* *| \([0-9]*\) .*/\1/p' $(VERIFYDIR)/rebuilt.txt); \
+	if [ "$$misses" != 0 ]; then \
+		echo "memo-verify-smoke: a rebuild of the fill's binary missed the store '$$misses' times; want 0:"; grep 'persistent memo store' $(VERIFYDIR)/rebuilt.txt; exit 1; \
 	fi
 	$(VERIFYDIR)/odrips-bench -exp all -sweep fast -memocache ro -memocachedir $(VERIFYDIR)/store -fastforward verify > $(VERIFYDIR)/audit.txt
 	cmp $(VERIFYDIR)/fill.txt $(VERIFYDIR)/audit.txt

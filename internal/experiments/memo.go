@@ -24,7 +24,7 @@ import (
 // served from the runtime's bounded in-process cache of its class, then
 // from the content-addressed memo store (-memocache) under the class
 // name, and on a miss it is simulated, saved and cached. The store's
-// build fingerprint (the SHA-256 of the executable) covers every
+// build fingerprint (a content hash of the executable) covers every
 // constant a point's code holds, so a key names only the inputs the
 // point varies. Under -fastforward=verify no stored point is trusted: a
 // point the in-process cache lacks is re-simulated and its canonical

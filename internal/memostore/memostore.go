@@ -11,10 +11,13 @@
 //     degrades to a miss, never to a wrong payload.
 //
 //   - Wholesale invalidation. Every entry carries the store schema
-//     version and a build fingerprint (the SHA-256 of the running
-//     executable). Any code change — simulator behavior, record layout,
-//     compiler — changes the build fingerprint and turns the whole cache
-//     into misses. There is no partial-invalidation logic to get wrong.
+//     version and a build fingerprint of the running executable: the
+//     SHA-256 of its Go build ID, whose last part is the toolchain's
+//     content hash of the linked binary, or of the whole file when it
+//     has no such ID. Any code change — simulator behavior, record
+//     layout, compiler — changes the build fingerprint and turns the
+//     whole cache into misses. There is no partial-invalidation logic
+//     to get wrong.
 //
 //   - Fail-safe loads. A corrupt, truncated, or version-mismatched entry
 //     is reported as a miss (optionally with a typed *CorruptError
@@ -37,6 +40,8 @@ package memostore
 import (
 	"bytes"
 	"crypto/sha256"
+	"debug/elf"
+	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -99,7 +104,7 @@ func (m Mode) Writable() bool { return m == RW }
 //
 //	magic        [8]byte  "ODRMEMO1"
 //	schema       uint32   SchemaVersion
-//	buildFP      [32]byte SHA-256 of the running executable
+//	buildFP      [32]byte build fingerprint of the running executable (imageFingerprint)
 //	keyHash      [32]byte SHA-256 of the logical key
 //	payloadLen   uint32
 //	payload      [payloadLen]byte
@@ -416,7 +421,7 @@ func decodeEntry(data []byte, buildFP, keyHash [32]byte) ([]byte, entryVerdict) 
 // behind one owning struct so every mutation funnels through the
 // accessors below: the default store installed by the -memocache flag /
 // ODRIPS_MEMOCACHE env composition roots, and the once-per-process
-// executable hash that versions every entry. Everything else mutable
+// build fingerprint that versions every entry. Everything else mutable
 // lives inside Store instances.
 //
 //odrips:allow globalstate the process composition root: the default store is set once by flag/env wiring and the build fingerprint is an immutable process property memoized behind a Once
@@ -429,31 +434,107 @@ var proc struct {
 	}
 }
 
-// buildFingerprint hashes the running executable once per process. Any
-// change to the simulator — code, record layouts, toolchain — yields a
-// different binary and therefore a disjoint cache namespace.
+// buildFingerprint fingerprints the running image once per process (see
+// imageFingerprint). Any change to the simulator — code, record layouts,
+// toolchain — yields a different binary and therefore a disjoint cache
+// namespace.
 func buildFingerprint() ([32]byte, error) {
 	o := &proc.buildFP
 	o.Do(func() {
-		exe, err := os.Executable()
-		if err != nil {
-			o.err = err
-			return
-		}
-		f, err := os.Open(exe)
+		f, err := openRunningImage()
 		if err != nil {
 			o.err = err
 			return
 		}
 		defer f.Close()
-		h := sha256.New()
-		if _, err := io.Copy(h, f); err != nil {
-			o.err = err
-			return
-		}
-		copy(o.fp[:], h.Sum(nil))
+		o.fp, o.err = imageFingerprint(f)
 	})
 	return o.fp, o.err
+}
+
+// openRunningImage opens the file this process executes. On Linux
+// /proc/self/exe opens the image the process was started from, even
+// after a rename has replaced the file at its path (go build -o or
+// go install over a starting server); the path os.Executable returns
+// would then name the replacement, and this process's code would write
+// entries into the new build's namespace. The path is the fallback
+// where /proc is unavailable.
+func openRunningImage() (*os.File, error) {
+	if f, err := os.Open("/proc/self/exe"); err == nil {
+		return f, nil
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
+	return os.Open(exe)
+}
+
+// buildIDTag separates build-ID fingerprints from whole-file ones: a
+// fingerprint is either SHA-256(buildIDTag + ID) or SHA-256(file), and
+// no file a loader runs starts with this tag.
+const buildIDTag = "odrips-buildid\x00"
+
+// imageFingerprint derives the build fingerprint of the executable f.
+// When f is an ELF file whose Go build ID has cmd/go's shape, the
+// fingerprint is SHA-256 of buildIDTag and the whole ID: its last part
+// is the toolchain's content hash of the linked binary, so the
+// namespace stays content-addressed without reading the file (the note
+// is ~100 bytes; the file is megabytes). Otherwise — not ELF, no note
+// (-ldflags=-buildid=), an unreadable note, or an ID of another shape
+// (-ldflags=-buildid=foo) — it is the SHA-256 of the whole file.
+func imageFingerprint(f *os.File) ([32]byte, error) {
+	if id, ok := goBuildID(f); ok {
+		return sha256.Sum256([]byte(buildIDTag + id)), nil
+	}
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return [32]byte{}, err
+	}
+	return [32]byte(h.Sum(nil)), nil
+}
+
+// goBuildID reads the Go build ID from an ELF image's .note.go.buildid
+// section: one note named "Go" of type 4 whose descriptor is the ID.
+// ok is false unless the ID has cmd/go's shape (goBuildIDShape).
+func goBuildID(r io.ReaderAt) (id string, ok bool) {
+	ef, err := elf.NewFile(r)
+	if err != nil {
+		return "", false
+	}
+	sec := ef.Section(".note.go.buildid")
+	if sec == nil {
+		return "", false
+	}
+	note, err := sec.Data()
+	if err != nil || len(note) < 16 {
+		return "", false
+	}
+	bo := ef.ByteOrder
+	namesz, descsz, typ := bo.Uint32(note), bo.Uint32(note[4:]), bo.Uint32(note[8:])
+	if namesz != 4 || typ != 4 || string(note[12:16]) != "Go\x00\x00" || uint64(descsz) > uint64(len(note)-16) {
+		return "", false
+	}
+	id = string(note[16 : 16+descsz])
+	return id, goBuildIDShape(id)
+}
+
+// goBuildIDShape reports whether id is what cmd/go writes:
+// actionID(binary)/actionID(main)/contentID(main)/contentID(binary),
+// each part 20 base64url characters (a 120-bit hash). Any other ID —
+// -ldflags=-buildid=foo, say — is not a content hash, and every build
+// given the same one would share a namespace.
+func goBuildIDShape(id string) bool {
+	parts := strings.Split(id, "/")
+	if len(parts) != 4 {
+		return false
+	}
+	for _, p := range parts {
+		if b, err := base64.RawURLEncoding.DecodeString(p); err != nil || len(p) != 20 || len(b) != 15 {
+			return false
+		}
+	}
+	return true
 }
 
 // ---- Process-wide default store ----

@@ -60,3 +60,23 @@ func BenchmarkStoreOpenWarm10k(b *testing.B) {
 		b.ReportMetric(float64(n), "entries/op")
 	})
 }
+
+// BenchmarkBuildFingerprint measures the uncached build fingerprint of
+// the running test binary, the fixed cost the first Open of every
+// process pays (open the image, read its Go build ID note, hash it).
+// BenchmarkStoreOpenWarm10k cannot see it: the fingerprint is memoized
+// per process.
+func BenchmarkBuildFingerprint(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f, err := openRunningImage()
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = imageFingerprint(f)
+		f.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
